@@ -1,0 +1,590 @@
+"""Numerical stability of pointed curves for a one-parameter family of
+linearizations indexed by a slope t.
+
+Convention: mu(curve, lam, t) is minimized over the coordinates supporting
+the marked point and maximized over the monomials supporting the equation,
+and the pointed curve is stable when mu < 0 for every nontrivial lam. The
+torus check is exact linear programming over the weight box; conjugating by
+frames extends it to a search over maximal tori.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass, field
+from fractions import Fraction
+from math import gcd, lcm
+
+from .curves import (
+    FrameChange,
+    Surface,
+    apply_frame,
+    mat_det,
+    mat_inv,
+    normalize_frame,
+)
+from .hessians import analyzed_slopes
+from .inflection import UndecidedError, special_locus_membership
+from .linprog import lp_max
+
+
+def _primitive(entries):
+    """Scale a rational vector by a positive constant to coprime integers.
+    Direction is preserved; the zero vector is returned unchanged."""
+    fracs = [Fraction(e) for e in entries]
+    if all(f == 0 for f in fracs):
+        return tuple(0 for _ in fracs)
+    mult = lcm(*(f.denominator for f in fracs))
+    ints = [int(f * mult) for f in fracs]
+    g = gcd(*(abs(i) for i in ints))
+    return tuple(i // g for i in ints)
+
+
+@dataclass(frozen=True)
+class OneParamSubgroup:
+    """Diagonal one-parameter subgroup in a fixed frame.
+
+    On the plane, weights are the three coordinate weights and must sum to
+    zero. On the quadric, weights are the encoding (r0, r1), standing for
+    literal coordinate weights (-r0, r0, -r1, r1)."""
+
+    surface: Surface
+    weights: tuple
+
+    def __post_init__(self):
+        ws = tuple(Fraction(w) for w in self.weights)
+        object.__setattr__(self, "weights", ws)
+        if self.surface is Surface.P2:
+            if len(ws) != 3:
+                raise ValueError("plane subgroup needs three weights")
+            if sum(ws) != 0:
+                raise ValueError("plane weights must sum to zero")
+        else:
+            if len(ws) != 2:
+                raise ValueError("quadric subgroup needs the two-weight encoding")
+
+    def literal_weights(self):
+        if self.surface is Surface.P2:
+            return self.weights
+        r0, r1 = self.weights
+        return (-r0, r0, -r1, r1)
+
+    def is_trivial(self):
+        return all(w == 0 for w in self.weights)
+
+    def primitive(self):
+        return OneParamSubgroup(self.surface, _primitive(self.weights))
+
+
+def _point_labels(curve):
+    """Coordinate labels supporting the marked point: indices l on the
+    plane, pairs (l, m) on the quadric."""
+    if curve.surface is Surface.P2:
+        return [l for l in range(3) if curve.point[l] != 0]
+    xs = [l for l in range(2) if curve.point[l] != 0]
+    ys = [m for m in range(2) if curve.point[2 + m] != 0]
+    return [(l, m) for l in xs for m in ys]
+
+
+def point_weight(surface, lam, label):
+    """Weight of the coordinate (pair) carrying the marked point."""
+    lw = lam.literal_weights()
+    if surface is Surface.P2:
+        return lw[label]
+    l, m = label
+    return lw[l] + lw[2 + m]
+
+
+def monomial_weight(surface, lam, exp):
+    lw = lam.literal_weights()
+    return sum(e * w for e, w in zip(exp, lw))
+
+
+def mu_term(surface, lam, t, label, exp):
+    """mu restricted to one point coordinate and one monomial."""
+    return Fraction(t) * point_weight(surface, lam, label) - monomial_weight(
+        surface, lam, exp
+    )
+
+
+def mu_min(curve, lam, t):
+    """Minimal mu over the support of the pointed curve.
+
+    Returns (value, (point_label, exponent)) where the pair achieves the
+    minimum; ties break to the smallest label and lexicographically
+    smallest exponent."""
+    if lam.surface is not curve.surface:
+        raise ValueError("subgroup and curve live on different surfaces")
+    t = Fraction(t)
+    labels = _point_labels(curve)
+    best_label = min(labels, key=lambda lb: (point_weight(curve.surface, lam, lb), lb))
+    exps = sorted(curve.equation.terms)
+    best_exp = max(exps, key=lambda e: (monomial_weight(curve.surface, lam, e),
+                                        tuple(-c for c in e)))
+    value = t * point_weight(curve.surface, lam, best_label) - monomial_weight(
+        curve.surface, lam, best_exp
+    )
+    return value, (best_label, best_exp)
+
+
+def _torus_lp_rows(curve, t):
+    """Constraint rows over variables (r0, r1, u, v) for the box program.
+
+    u is forced below every point weight times t, v above every monomial
+    weight, so u - v bounds mu from below and equals it at the optimum."""
+    t = Fraction(t)
+    rows = []
+    if curve.surface is Surface.P2:
+        coord_coeffs = {0: (1, 0), 1: (0, 1), 2: (-1, -1)}
+        for l in _point_labels(curve):
+            a, b = coord_coeffs[l]
+            rows.append(((-t * a, -t * b, 1, 0), "<=", 0))
+        for exp in curve.equation.terms:
+            i, j, k = exp
+            c0 = i - k
+            c1 = j - k
+            rows.append(((c0, c1, 0, -1), "<=", 0))
+        box = [
+            ((1, 0, 0, 0), "<=", 1),
+            ((-1, 0, 0, 0), "<=", 1),
+            ((0, 1, 0, 0), "<=", 1),
+            ((0, -1, 0, 0), "<=", 1),
+            ((1, 1, 0, 0), "<=", 1),
+            ((-1, -1, 0, 0), "<=", 1),
+        ]
+    else:
+        for (l, m) in _point_labels(curve):
+            a = -1 if l == 0 else 1
+            b = -1 if m == 0 else 1
+            rows.append(((-t * a, -t * b, 1, 0), "<=", 0))
+        for exp in curve.equation.terms:
+            i0, i1, j0, j1 = exp
+            rows.append(((i1 - i0, j1 - j0, 0, -1), "<=", 0))
+        box = [
+            ((1, 0, 0, 0), "<=", 1),
+            ((-1, 0, 0, 0), "<=", 1),
+            ((0, 1, 0, 0), "<=", 1),
+            ((0, -1, 0, 0), "<=", 1),
+        ]
+    return rows + box
+
+
+def _subgroup_from_box(surface, r0, r1):
+    if surface is Surface.P2:
+        return OneParamSubgroup(surface, _primitive((r0, r1, -r0 - r1)))
+    return OneParamSubgroup(surface, _primitive((r0, r1)))
+
+
+def torus_verdict(curve, t):
+    """Best sign of mu over the diagonal torus of the current frame.
+
+    Returns (sign, lam): sign +1 with a subgroup of positive mu, 0 with a
+    nontrivial subgroup of zero mu, or -1 (lam None) when mu < 0 for every
+    nontrivial subgroup. Certificates are primitive integer subgroups and
+    are re-verified against mu_min before returning."""
+    rows = _torus_lp_rows(curve, t)
+    objective = (0, 0, 1, -1)
+    value, vertex = lp_max(objective, rows, n=4, lex_vertex=False)
+    if value > 0:
+        # Re-solve with the lexicographic refinement so the witness is a
+        # deterministic function of the input, not of pivot order.
+        value2, vertex = lp_max(objective, rows, n=4, lex_vertex=True)
+        assert value2 == value
+        lam = _subgroup_from_box(curve.surface, vertex[0], vertex[1])
+        mu, _ = mu_min(curve, lam, t)
+        assert mu > 0
+        return 1, lam
+    # The optimum is never negative: r = 0 with u = v = 0 is feasible.
+    assert value == 0
+    level_rows = rows + [((0, 0, 1, -1), ">=", 0)]
+    for probe in ((1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 0)):
+        pval, pvert = lp_max(probe, level_rows, n=4, lex_vertex=False)
+        if pval > 0:
+            _, pvert = lp_max(probe, level_rows, n=4, lex_vertex=True)
+            lam = _subgroup_from_box(curve.surface, pvert[0], pvert[1])
+            mu, _ = mu_min(curve, lam, t)
+            assert mu == 0 and not lam.is_trivial()
+            return 0, lam
+    return -1, None
+
+
+def _random_frame(surface, rng):
+    if surface is Surface.P2:
+        while True:
+            mx = tuple(
+                tuple(Fraction(rng.randint(-3, 3)) for _ in range(3)) for _ in range(3)
+            )
+            if mat_det(mx) != 0:
+                return FrameChange(surface, mx)
+    while True:
+        mx = tuple(tuple(Fraction(rng.randint(-3, 3)) for _ in range(2)) for _ in range(2))
+        my = tuple(tuple(Fraction(rng.randint(-3, 3)) for _ in range(2)) for _ in range(2))
+        if mat_det(mx) != 0 and mat_det(my) != 0:
+            return FrameChange(surface, mx, my, swap=bool(rng.getrandbits(1)))
+
+
+def _adapted_frames(curve):
+    """Frames suggested by the special-locus geometry of the curve. These
+    align the destabilizing flag with coordinate data so the diagonal torus
+    of the new frame can see it."""
+    frames = []
+    try:
+        special = special_locus_membership(curve)
+    except UndecidedError:
+        return frames
+    det = special.details
+    if curve.surface is Surface.P2 and special.in_s:
+        line = det.get("line")
+        q = det.get("tangency")
+        if line is not None and q is not None:
+            c = next(i for i in range(3) if q[i] != 0)
+            row0 = tuple(Fraction(a) for a in line)
+            row2 = tuple(
+                Fraction(1, Fraction(q[c])) if i == c else Fraction(0)
+                for i in range(3)
+            )
+            for mid in range(3):
+                row1 = tuple(Fraction(1 if i == mid else 0) for i in range(3))
+                mx = (row0, row1, row2)
+                if mat_det(mx) != 0:
+                    frames.append(FrameChange(curve.surface, mx))
+                    break
+    if curve.surface is Surface.QUADRIC and special.in_s:
+        q = det.get("crossing")
+        if q is not None:
+            p = curve.point
+            # Columns (q | p) per factor; the inverse sends q to (1, 0) and
+            # p to (0, 1) so the degeneration flag becomes coordinate data.
+            cols_x = ((Fraction(q[0]), Fraction(p[0])), (Fraction(q[1]), Fraction(p[1])))
+            cols_y = ((Fraction(q[2]), Fraction(p[2])), (Fraction(q[3]), Fraction(p[3])))
+            if mat_det(cols_x) != 0 and mat_det(cols_y) != 0:
+                frames.append(
+                    FrameChange(curve.surface, mat_inv(cols_x), mat_inv(cols_y))
+                )
+    return frames
+
+
+def destabilizer_search(curve, t, budget=500, seed=0):
+    """Search frames for a torus destabilizer with mu > 0 at slope t.
+
+    Frames are tried in a fixed order: the normalizing frame of the curve,
+    the identity, frames adapted to the special-locus geometry, then random
+    integer frames from the given seed. Returns (frame, lam, mu) for the
+    first success, or None once the budget of frames is spent."""
+    tried = 0
+    seen = set()
+
+    def candidates():
+        try:
+            g0, _ = normalize_frame(curve)
+            yield g0
+        except ValueError:
+            pass
+        yield FrameChange.identity(curve.surface)
+        yield from _adapted_frames(curve)
+        rng = random.Random(seed)
+        while True:
+            yield _random_frame(curve.surface, rng)
+
+    for frame in candidates():
+        if tried >= budget:
+            return None
+        key = (frame.mx, frame.my, frame.swap)
+        if key in seen:
+            continue
+        seen.add(key)
+        tried += 1
+        moved = apply_frame(curve, frame)
+        sign, lam = torus_verdict(moved, t)
+        if sign > 0:
+            mu, _ = mu_min(moved, lam, t)
+            assert mu > 0
+            return frame, lam, mu
+    return None
+
+
+@dataclass
+class ClaimCheck:
+    """Outcome of checking a sign claim for mu over a family of monomials,
+    point labels and slopes."""
+
+    passed: bool
+    counterexamples: list = field(default_factory=list)
+    equalities: list = field(default_factory=list)
+    notes: list = field(default_factory=list)
+
+
+def interval_mu_claim(surface, lam, labels, exponents, t_spec, strictness=">0"):
+    """Check the sign of mu for each (label, exponent) across a slope spec.
+
+    t_spec is ("point", t) for a single slope or ("open", lo, hi) for an
+    open interval. mu is affine in t, so on an open interval the claim
+    "mu > 0" holds exactly when mu >= 0 at both endpoints and they do not
+    both vanish; "mu >= 0" needs only the endpoint signs. Equality records
+    list where mu vanishes at a checked slope."""
+    if strictness not in (">0", ">=0"):
+        raise ValueError("strictness must be '>0' or '>=0'")
+    check = ClaimCheck(passed=True)
+    if t_spec[0] == "point":
+        points = [Fraction(t_spec[1])]
+        open_interval = False
+    elif t_spec[0] == "open":
+        points = [Fraction(t_spec[1]), Fraction(t_spec[2])]
+        if points[0] >= points[1]:
+            raise ValueError("empty interval")
+        open_interval = True
+    else:
+        raise ValueError("t_spec must be ('point', t) or ('open', lo, hi)")
+    for label in labels:
+        for exp in exponents:
+            values = [mu_term(surface, lam, t, label, exp) for t in points]
+            for t, v in zip(points, values):
+                if v == 0:
+                    check.equalities.append((label, exp, t))
+            if open_interval:
+                if strictness == ">0":
+                    bad = min(values) < 0 or all(v == 0 for v in values)
+                else:
+                    bad = min(values) < 0
+            else:
+                if strictness == ">0":
+                    bad = values[0] <= 0
+                else:
+                    bad = values[0] < 0
+            if bad:
+                worst = min(zip(values, points))
+                check.counterexamples.append((label, exp, worst[1], worst[0]))
+                check.passed = False
+    return check
+
+
+@dataclass
+class StabilityVerdict:
+    status: str
+    t: Fraction
+    certificate: dict | None = None
+    citations: list = field(default_factory=list)
+    notes: list = field(default_factory=list)
+    undecided: bool = False
+
+
+def _report_or_none(curve):
+    from .inflection import inflection_report
+
+    try:
+        return inflection_report(curve)
+    except UndecidedError:
+        return None
+
+
+def _attach_zero_certificate(verdict, curve, t):
+    """Attach a zero-mu certificate from the normalizing frame. If that
+    torus unexpectedly shows mu > 0 the verdict flips to Unstable, since an
+    exact positive certificate beats any membership reasoning."""
+    try:
+        frame, moved = normalize_frame(curve)
+    except ValueError:
+        frame, moved = FrameChange.identity(curve.surface), curve
+    sign, lam = torus_verdict(moved, t)
+    if sign > 0:
+        mu, _ = mu_min(moved, lam, t)
+        verdict.status = "Unstable"
+        verdict.certificate = {"frame": frame, "lambda": lam, "mu": mu}
+        verdict.notes.append(
+            "torus destabilizer found despite the boundary classification"
+        )
+        return
+    if sign == 0:
+        verdict.certificate = {"frame": frame, "lambda": lam, "mu": Fraction(0)}
+    else:
+        verdict.notes.append("no zero certificate exhibited in the normalizing frame")
+
+
+def stability_verdict(curve, t, budget=500, seed=0):
+    """Classify the pointed curve at slope t inside the analyzed range.
+
+    Status is one of Stable, StrictlySemistable, Unstable, Unknown. Unstable
+    always carries an exact certificate (frame, lam, mu > 0); strict
+    semistability carries a zero certificate when the torus of the
+    normalizing frame exhibits one. Slopes outside the analyzed range fall
+    back to a bare destabilizer search."""
+    t = Fraction(t)
+    wall, edge = analyzed_slopes(curve.surface, curve.degree)
+    verdict = StabilityVerdict(status="Unknown", t=t)
+
+    def destabilize(extra_note=None):
+        found = destabilizer_search(curve, t, budget=budget, seed=seed)
+        if found is not None:
+            frame, lam, mu = found
+            verdict.status = "Unstable"
+            verdict.certificate = {"frame": frame, "lambda": lam, "mu": mu}
+        else:
+            verdict.status = "Unknown"
+            verdict.notes.append(
+                "no destabilizer found within budget {}".format(budget)
+            )
+        if extra_note:
+            verdict.notes.append(extra_note)
+
+    if t <= 0:
+        verdict.notes.append("slope must be positive to polarize the family")
+        verdict.status = "Unknown"
+        return verdict
+    if t < wall or t > edge:
+        destabilize("slope outside the analyzed range [{} , {}]".format(wall, edge))
+        if verdict.status == "Unknown":
+            verdict.notes.append("outside analyzed slopes")
+        return verdict
+
+    report = _report_or_none(curve)
+    if report is None:
+        verdict.undecided = True
+        verdict.notes.append(
+            "special-locus membership undecided: root search hit its height bound"
+        )
+        destabilize()
+        if verdict.status != "Unstable":
+            verdict.status = "Unknown"
+        return verdict
+
+    in_h1 = report.in_h1
+    in_h2 = report.in_h2prime
+    in_s = report.in_s
+    in_x0 = report.in_x0
+    shaky = report.undecided
+    if shaky:
+        verdict.undecided = True
+        verdict.notes.append(
+            "boundary-configuration membership undecided: flags are lower bounds"
+        )
+
+    if wall < t < edge:
+        verdict.citations = _citations(curve.surface, "chamber")
+        if in_h1 or in_s:
+            reason = "marked point lies on the first-order locus" if in_h1 else (
+                "curve is the swept boundary configuration"
+            )
+            destabilize(reason)
+        elif shaky:
+            destabilize()
+            if verdict.status != "Unstable":
+                verdict.status = "Unknown"
+        else:
+            verdict.status = "Stable"
+            verdict.notes.append(
+                "between the wall and the edge, stability needs only avoiding "
+                "the first-order locus and the swept configuration"
+            )
+        return verdict
+
+    if t == wall:
+        verdict.citations = _citations(curve.surface, "wall")
+        if (in_h1 and in_h2) or in_s:
+            reason = (
+                "curve is the boundary configuration swept at the wall"
+                if in_s
+                else "marked point carries second-order contact above first"
+            )
+            destabilize(reason)
+            return verdict
+        if shaky:
+            destabilize()
+            if verdict.status != "Unstable":
+                verdict.status = "Unknown"
+            return verdict
+        if in_x0:
+            verdict.status = "StrictlySemistable"
+            verdict.notes.append("closed orbit exchanged at the wall")
+            _attach_zero_certificate(verdict, curve, t)
+        elif in_h1:
+            verdict.status = "StrictlySemistable"
+            verdict.notes.append(
+                "first-order contact without the second-order excess: "
+                "semistable exactly at the wall"
+            )
+            _attach_zero_certificate(verdict, curve, t)
+        else:
+            verdict.status = "Stable"
+        return verdict
+
+    # t == edge: only the first-order flag matters and it is always exact.
+    verdict.citations = _citations(curve.surface, "edge")
+    if not in_h1:
+        verdict.status = "StrictlySemistable"
+        verdict.notes.append(
+            "every curve smooth at the marked point degenerates at the edge"
+        )
+        _attach_zero_certificate(verdict, curve, t)
+    else:
+        destabilize("first-order locus is destabilized at the edge")
+    return verdict
+
+
+def _citations(surface, region):
+    if surface is Surface.P2:
+        table = {"edge": ["4.2"], "chamber": ["4.3-flex", "4.3-singular", "4.3-S"],
+                 "wall": ["4.4-singular", "4.4-flexwall", "4.4-hyperflex"]}
+    else:
+        table = {"edge": ["5.2"], "chamber": ["5.3-H01", "5.3-S"],
+                 "wall": ["5.4-H01wall", "5.4-perturbed"]}
+    return table[region]
+
+
+def stabilizer_dimension(curve):
+    """Dimension of the diagonal stabilizer of the pointed curve, with a
+    primitive generator when the dimension is one.
+
+    Requires the marked point to be fixed by the full torus (a coordinate
+    point on the plane, a per-factor coordinate point on the quadric), so
+    the stabilizer is cut out by the equation support alone."""
+    if curve.surface is Surface.P2:
+        if sum(1 for c in curve.point if c != 0) != 1:
+            raise ValueError("marked point is not a coordinate point")
+        basis = ((1, 0, -1), (0, 1, -1))
+
+        def weight_row(delta):
+            return tuple(
+                sum(d * w for d, w in zip(delta, b)) for b in basis
+            )
+    else:
+        if (sum(1 for c in curve.point[:2] if c != 0) != 1
+                or sum(1 for c in curve.point[2:] if c != 0) != 1):
+            raise ValueError("marked point is not a coordinate point")
+
+        def weight_row(delta):
+            return (delta[1] - delta[0], delta[3] - delta[2])
+
+    exps = sorted(curve.equation.terms)
+    base = exps[0]
+    rows = [weight_row(tuple(a - b for a, b in zip(e, base))) for e in exps[1:]]
+    # Rank over the rationals of a set of 2-vectors.
+    rank = 0
+    pivot = None
+    for row in rows:
+        if row == (0, 0):
+            continue
+        if pivot is None:
+            pivot = row
+            rank = 1
+            continue
+        if row[0] * pivot[1] != row[1] * pivot[0]:
+            rank = 2
+            break
+    dim = 2 - rank
+    if dim != 1:
+        return dim, None
+    a, b = pivot
+    # Kernel of (a, b): spanned by (-b, a) in basis coordinates.
+    coeffs = _primitive((-b, a))
+    if curve.surface is Surface.P2:
+        vec = tuple(
+            coeffs[0] * b1 + coeffs[1] * b2
+            for b1, b2 in zip((1, 0, -1), (0, 1, -1))
+        )
+        vec = _primitive(vec)
+    else:
+        vec = coeffs
+    first = next(w for w in vec if w != 0)
+    if first < 0:
+        vec = tuple(-w for w in vec)
+    return dim, OneParamSubgroup(curve.surface, vec)

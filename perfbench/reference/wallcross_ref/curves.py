@@ -1,0 +1,589 @@
+"""Pointed curves on the plane and on the smooth quadric surface.
+
+A curve is a homogeneous equation together with a marked point on it:
+degree d in x0, x1, x2 on the plane, bidegree (d, d) in (x0, x1; y0, y1)
+on the quadric. Frame changes act projectively; on the quadric they may
+also exchange the two rulings, since the two factors carry the same
+degree.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from enum import Enum
+from fractions import Fraction
+
+from .polynomials import Polynomial, constant, monomial, variable, zero
+from .rationals import format_rational, parse_rational
+
+
+class Surface(str, Enum):
+    P2 = "p2"
+    QUADRIC = "quadric"
+
+    @property
+    def nvars(self):
+        return 3 if self is Surface.P2 else 4
+
+    @property
+    def var_names(self):
+        if self is Surface.P2:
+            return ("x0", "x1", "x2")
+        return ("x0", "x1", "y0", "y1")
+
+
+@dataclass(frozen=True)
+class PointedCurve:
+    surface: Surface
+    degree: int
+    point: tuple
+    equation: Polynomial
+
+
+def all_exponents(surface, d):
+    """Every exponent vector of a degree-d (resp. bidegree-(d,d)) monomial."""
+    if surface is Surface.P2:
+        return [
+            (i, j, d - i - j) for i in range(d + 1) for j in range(d - i + 1)
+        ]
+    return [
+        (i0, d - i0, j0, d - j0)
+        for i0 in range(d + 1)
+        for j0 in range(d + 1)
+    ]
+
+
+def validate(curve):
+    """Return None if the curve is well-formed, else a short violation report."""
+    if not isinstance(curve.surface, Surface):
+        return "surface must be p2 or quadric"
+    d = curve.degree
+    if not isinstance(d, int) or d < 3:
+        return f"degree must be an integer >= 3, got {d!r}"
+    p = curve.point
+    n = curve.surface.nvars
+    if len(p) != n:
+        return f"point has {len(p)} coordinates, expected {n}"
+    if curve.surface is Surface.P2:
+        if all(c == 0 for c in p):
+            return "point is the zero vector"
+    else:
+        if p[0] == 0 and p[1] == 0:
+            return "point has zero first factor"
+        if p[2] == 0 and p[3] == 0:
+            return "point has zero second factor"
+    eq = curve.equation
+    if eq.nvars != n:
+        return f"equation has arity {eq.nvars}, expected {n}"
+    if eq.is_zero():
+        return "equation is zero"
+    for exp in eq.terms:
+        if curve.surface is Surface.P2:
+            if sum(exp) != d:
+                return f"term {exp} is not homogeneous of degree {d}"
+        else:
+            if exp[0] + exp[1] != d or exp[2] + exp[3] != d:
+                return f"term {exp} does not have bidegree ({d}, {d})"
+    if eq.evaluate(p) != 0:
+        return "marked point does not lie on the curve"
+    return None
+
+
+def checked(curve):
+    ping = validate(curve)
+    if ping is not None:
+        raise ValueError(ping)
+    return curve
+
+
+# -- exact little matrices ------------------------------------------------
+
+
+def mat_vec(m, v):
+    return tuple(sum(Fraction(a) * Fraction(x) for a, x in zip(row, v)) for row in m)
+
+
+def mat_mul(a, b):
+    n = len(b[0])
+    return tuple(
+        tuple(sum(ra[k] * b[k][j] for k in range(len(b))) for j in range(n))
+        for ra in a
+    )
+
+
+def mat_det(m):
+    if len(m) == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    if len(m) == 3:
+        return (
+            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+        )
+    raise ValueError("only 2x2 and 3x3 supported")
+
+
+def mat_inv(m):
+    n = len(m)
+    aug = [
+        [Fraction(m[i][j]) for j in range(n)]
+        + [Fraction(int(i == j)) for j in range(n)]
+        for i in range(n)
+    ]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if aug[i][col]), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def _freeze(m):
+    return tuple(tuple(Fraction(x) for x in row) for row in m)
+
+
+@dataclass(frozen=True)
+class FrameChange:
+    """A coordinate change of the ambient surface.
+
+    On the plane: one invertible 3x3 matrix. On the quadric: a pair of
+    invertible 2x2 matrices plus an optional exchange of the two factors,
+    applied after the linear maps.
+    """
+
+    surface: Surface
+    mx: tuple
+    my: tuple = None
+    swap: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "mx", _freeze(self.mx))
+        if self.surface is Surface.P2:
+            if self.my is not None or self.swap:
+                raise ValueError("plane frames have a single matrix and no swap")
+            if len(self.mx) != 3 or any(len(r) != 3 for r in self.mx):
+                raise ValueError("plane frame needs a 3x3 matrix")
+        else:
+            if self.my is None:
+                raise ValueError("quadric frames need two matrices")
+            object.__setattr__(self, "my", _freeze(self.my))
+            for m in (self.mx, self.my):
+                if len(m) != 2 or any(len(r) != 2 for r in m):
+                    raise ValueError("quadric frame needs 2x2 matrices")
+        if mat_det(self.mx) == 0 or (self.my is not None and mat_det(self.my) == 0):
+            raise ValueError("frame matrix is singular")
+
+    @classmethod
+    def identity(cls, surface):
+        if surface is Surface.P2:
+            return cls(surface, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        return cls(surface, ((1, 0), (0, 1)), ((1, 0), (0, 1)))
+
+    def act_point(self, p):
+        if self.surface is Surface.P2:
+            return mat_vec(self.mx, p)
+        u = mat_vec(self.mx, p[:2])
+        v = mat_vec(self.my, p[2:])
+        return v + u if self.swap else u + v
+
+    def inverse(self):
+        if self.surface is Surface.P2:
+            return FrameChange(self.surface, mat_inv(self.mx))
+        if not self.swap:
+            return FrameChange(self.surface, mat_inv(self.mx), mat_inv(self.my))
+        return FrameChange(
+            self.surface, mat_inv(self.my), mat_inv(self.mx), swap=True
+        )
+
+
+def compose(outer, inner):
+    """The frame doing inner first, then outer."""
+    if outer.surface is not inner.surface:
+        raise ValueError("surface mismatch")
+    if outer.surface is Surface.P2:
+        return FrameChange(outer.surface, mat_mul(outer.mx, inner.mx))
+    if not inner.swap:
+        return FrameChange(
+            outer.surface,
+            mat_mul(outer.mx, inner.mx),
+            mat_mul(outer.my, inner.my),
+            swap=outer.swap,
+        )
+    return FrameChange(
+        outer.surface,
+        mat_mul(outer.my, inner.mx),
+        mat_mul(outer.mx, inner.my),
+        swap=not outer.swap,
+    )
+
+
+def apply_frame(curve, frame):
+    """Move a pointed curve to new coordinates: p' = g(p), C' = C o g^{-1}."""
+    if frame.surface is not curve.surface:
+        raise ValueError("surface mismatch")
+    inv = frame.inverse()
+    n = curve.surface.nvars
+    if curve.surface is Surface.P2:
+        subs = [
+            sum(
+                (monomial(n, _unit(n, j), inv.mx[i][j]) for j in range(3) if inv.mx[i][j]),
+                zero(n),
+            )
+            for i in range(3)
+        ]
+    else:
+        subs = [None] * 4
+        if frame.swap:
+            # g(x, y) = (my y, mx x), so g^-1(x', y') = (mx^-1 y', my^-1 x');
+            # in the inverse frame those matrices sit as inv.my and inv.mx
+            for i in range(2):
+                subs[i] = _linear(n, (2, 3), inv.my[i])
+                subs[2 + i] = _linear(n, (0, 1), inv.mx[i])
+        else:
+            for i in range(2):
+                subs[i] = _linear(n, (0, 1), inv.mx[i])
+                subs[2 + i] = _linear(n, (2, 3), inv.my[i])
+    new_eq = curve.equation.substitute(subs)
+    new_p = frame.act_point(curve.point)
+    return PointedCurve(curve.surface, curve.degree, tuple(new_p), new_eq)
+
+
+def _unit(n, j):
+    e = [0] * n
+    e[j] = 1
+    return tuple(e)
+
+
+def _linear(n, slots, coeffs):
+    out = zero(n)
+    for s, c in zip(slots, coeffs):
+        if c:
+            out = out + monomial(n, _unit(n, s), c)
+    return out
+
+
+# -- local geometry at the marked point ------------------------------------
+
+
+@dataclass(frozen=True)
+class LocalGeometry:
+    smooth_at_p: bool
+    multiplicity: int
+    tangent: tuple = None
+    ruling_contacts: tuple = None
+
+
+def _affine_multiplicity(curve, charts):
+    """Multiplicity at p via an affine chart centered there.
+
+    charts: list of (index fixed to 1, [free indices]); one entry for the
+    plane, two for the quadric.
+    """
+    n = curve.surface.nvars
+    p = curve.point
+    free = [i for _, frees in charts for i in frees]
+    subs = [None] * n
+    for fixed, frees in charts:
+        subs[fixed] = constant(len(free), 1)
+        for i in frees:
+            slot = free.index(i)
+            subs[i] = constant(len(free), Fraction(p[i]) / Fraction(p[fixed])) + variable(
+                len(free), slot
+            )
+    aff = curve.equation.substitute(subs)
+    if aff.is_zero():
+        raise ValueError("equation vanishes on the whole chart")
+    return min(sum(e) for e in aff.terms)
+
+
+def _ruling_contact(curve, factor):
+    """Contact order at p of the ruling through p in the given factor
+    (0 = the ruling with constant x, 1 = constant y). None if the ruling
+    is a component of the curve."""
+    p = curve.point
+    if factor == 0:
+        fixed = (Fraction(p[0]), Fraction(p[1]))
+        moving = (Fraction(p[2]), Fraction(p[3]))
+        slots = (2, 3)
+    else:
+        fixed = (Fraction(p[2]), Fraction(p[3]))
+        moving = (Fraction(p[0]), Fraction(p[1]))
+        slots = (0, 1)
+    # parametrize the moving factor by a line through its point
+    if moving[1] != 0:
+        param = (
+            constant(1, moving[0]) + variable(1, 0),
+            constant(1, moving[1]),
+        )
+    else:
+        param = (constant(1, moving[0]), variable(1, 0))
+    subs = [None] * 4
+    fixed_slots = (0, 1) if factor == 0 else (2, 3)
+    for s, c in zip(fixed_slots, fixed):
+        subs[s] = constant(1, c)
+    subs[slots[0]] = param[0]
+    subs[slots[1]] = param[1]
+    g = curve.equation.substitute(subs)
+    if g.is_zero():
+        return None
+    return min(e[0] for e in g.terms)
+
+
+def local_geometry(curve):
+    p = curve.point
+    if curve.surface is Surface.P2:
+        l0 = next(i for i in range(3) if p[i] != 0)
+        mult = _affine_multiplicity(curve, [(l0, [i for i in range(3) if i != l0])])
+        smooth = mult == 1
+        tangent = None
+        if smooth:
+            tangent = tuple(
+                curve.equation.partial_derivative(i).evaluate(p) for i in range(3)
+            )
+        return LocalGeometry(smooth, mult, tangent=tangent)
+    lx = 0 if p[0] != 0 else 1
+    ly = 2 if p[2] != 0 else 3
+    mult = _affine_multiplicity(
+        curve,
+        [(lx, [i for i in (0, 1) if i != lx]), (ly, [i for i in (2, 3) if i != ly])],
+    )
+    contacts = (_ruling_contact(curve, 0), _ruling_contact(curve, 1))
+    return LocalGeometry(mult == 1, mult, ruling_contacts=contacts)
+
+
+def contact_ge(contact, k):
+    """Compare a ruling contact order with a bound; None means the ruling
+    lies on the curve, which counts as unbounded contact."""
+    return contact is None or contact >= k
+
+
+# -- canonical frames -------------------------------------------------------
+
+
+def normalize_frame(curve):
+    """Frame change putting the marked point, and at a smooth point its
+    tangent, into standard position.
+
+    Plane: p goes to (0, 0, 1); if p is smooth the tangent line becomes
+    {x0 = 0}. Quadric: p goes to ((0, 1), (0, 1)); if p is smooth and
+    exactly one ruling through p is tangent to the curve, the factors are
+    swapped if needed so that ruling becomes {y0 = 0}.
+
+    Returns (frame, moved curve).
+    """
+    geo = local_geometry(curve)
+    p = curve.point
+    if curve.surface is Surface.P2:
+        l0 = next(i for i in range(3) if p[i] != 0)
+        others = [i for i in range(3) if i != l0]
+        rows = []
+        for a in others:
+            row = [Fraction(0)] * 3
+            row[a] = Fraction(1)
+            row[l0] = -Fraction(p[a]) / Fraction(p[l0])
+            rows.append(tuple(row))
+        last = [Fraction(0)] * 3
+        last[l0] = 1 / Fraction(p[l0])
+        rows.append(tuple(last))
+        g = FrameChange(Surface.P2, tuple(rows))
+        moved = apply_frame(curve, g)
+        if geo.smooth_at_p:
+            grad = tuple(
+                moved.equation.partial_derivative(i).evaluate(moved.point)
+                for i in range(3)
+            )
+            if grad[1] != 0 or grad[2] != 0:
+                if grad[0] != 0:
+                    mid = (Fraction(0), Fraction(1), Fraction(0))
+                else:
+                    mid = (Fraction(1), Fraction(0), Fraction(0))
+                g2 = FrameChange(
+                    Surface.P2,
+                    ((grad[0], grad[1], grad[2]), mid, (0, 0, 1)),
+                )
+                g = compose(g2, g)
+                moved = apply_frame(moved, g2)
+        return g, moved
+
+    ax = _factor_frame(p[0], p[1])
+    ay = _factor_frame(p[2], p[3])
+    g = FrameChange(Surface.QUADRIC, ax, ay)
+    moved = apply_frame(curve, g)
+    if geo.smooth_at_p:
+        cx, cy = local_geometry(moved).ruling_contacts
+        if contact_ge(cx, 2) and not contact_ge(cy, 2):
+            flip = FrameChange(
+                Surface.QUADRIC, ((1, 0), (0, 1)), ((1, 0), (0, 1)), swap=True
+            )
+            g = compose(flip, g)
+            moved = apply_frame(moved, flip)
+    return g, moved
+
+
+def _factor_frame(c0, c1):
+    """2x2 matrix sending (c0, c1) to (0, 1)."""
+    c0, c1 = Fraction(c0), Fraction(c1)
+    if c1 != 0:
+        return ((1, -c0 / c1), (0, 1 / c1))
+    return ((0, 1), (1 / c0, 0))
+
+
+# -- fixed example curves ---------------------------------------------------
+
+
+class WitnessKind(str, Enum):
+    P2_S = "p2-s"
+    P2_CUSPIDAL_X0 = "p2-cuspidal-x0"
+    P2_HYPERFLEX = "p2-hyperflex"
+    P2_FLEX = "p2-flex"
+    P2_NONFLEX = "p2-nonflex"
+    QUADRIC_S = "quadric-s"
+    QUADRIC_X0 = "quadric-x0"
+    QUADRIC_RULING_TANGENT = "quadric-ruling-tangent"
+
+
+def make_witness(kind, d):
+    """A fixed representative pointed curve of each special shape.
+
+    These are small exact curves used over and over in tests and on the
+    command line: the multiple-line-plus-tangent-conic shape, the cuspidal
+    shapes with their repeated tangent lines, flex and non-flex smooth
+    points, and their quadric analogues.
+    """
+    kind = WitnessKind(kind)
+    if not isinstance(d, int) or d < 3:
+        raise ValueError("degree must be an integer >= 3")
+    F = Fraction
+    if kind is WitnessKind.P2_S:
+        eq = Polynomial(3, {(1, 0, d - 1): 1, (0, 2, d - 2): -1})
+        point = (F(1), F(1), F(1))
+        curve = PointedCurve(Surface.P2, d, point, eq)
+    elif kind is WitnessKind.P2_CUSPIDAL_X0:
+        eq = Polynomial(3, {(d - 3, 3, 0): 1, (d - 1, 0, 1): 1})
+        curve = PointedCurve(Surface.P2, d, (F(1), F(0), F(0)), eq)
+    elif kind is WitnessKind.P2_HYPERFLEX:
+        if d < 4:
+            raise ValueError("a hyperflex needs degree >= 4")
+        eq = Polynomial(3, {(1, 0, d - 1): 1, (0, 4, d - 4): 1})
+        curve = PointedCurve(Surface.P2, d, (F(0), F(0), F(1)), eq)
+    elif kind is WitnessKind.P2_FLEX:
+        eq = Polynomial(3, {(0, 3, d - 3): 1, (1, 0, d - 1): 1})
+        curve = PointedCurve(Surface.P2, d, (F(0), F(0), F(1)), eq)
+    elif kind is WitnessKind.P2_NONFLEX:
+        eq = Polynomial(
+            3,
+            {(0, 1, d - 1): 1, (2, 0, d - 2): 1, (d, 0, 0): 1, (0, d, 0): 1},
+        )
+        curve = PointedCurve(Surface.P2, d, (F(0), F(0), F(1)), eq)
+    elif kind is WitnessKind.QUADRIC_S:
+        eq = Polynomial(
+            4,
+            {
+                (1, d - 1, 0, d): 1,
+                (0, d, 1, d - 1): -1,
+            },
+        )
+        curve = PointedCurve(
+            Surface.QUADRIC, d, (F(0), F(1), F(0), F(1)), eq
+        )
+    elif kind is WitnessKind.QUADRIC_X0:
+        eq = Polynomial(
+            4,
+            {
+                (2, d - 2, 0, d): 1,
+                (0, d, 1, d - 1): 1,
+            },
+        )
+        curve = PointedCurve(
+            Surface.QUADRIC, d, (F(0), F(1), F(0), F(1)), eq
+        )
+    else:  # QUADRIC_RULING_TANGENT
+        eq = Polynomial(
+            4,
+            {
+                (1, d - 1, 0, d): 1,
+                (0, d, 2, d - 2): 1,
+            },
+        )
+        curve = PointedCurve(
+            Surface.QUADRIC, d, (F(0), F(1), F(0), F(1)), eq
+        )
+    return checked(curve)
+
+
+# -- JSON interchange -------------------------------------------------------
+
+
+def curve_to_json(curve):
+    terms = [
+        {"exp": list(exp), "coeff": format_rational(c)}
+        for exp, c in sorted(curve.equation.terms.items())
+    ]
+    return {
+        "surface": curve.surface.value,
+        "degree": curve.degree,
+        "point": [format_rational(c) for c in curve.point],
+        "terms": terms,
+    }
+
+
+def curve_from_json(data):
+    if not isinstance(data, dict):
+        raise ValueError("curve document must be a JSON object")
+    extra = set(data) - {"surface", "degree", "point", "terms"}
+    if extra:
+        raise ValueError(f"unknown keys in curve document: {sorted(extra)}")
+    try:
+        surface = Surface(data["surface"])
+    except (KeyError, ValueError):
+        raise ValueError("surface must be 'p2' or 'quadric'") from None
+    d = data.get("degree")
+    if not isinstance(d, int):
+        raise ValueError("degree must be an integer")
+    pt = data.get("point")
+    if not isinstance(pt, list):
+        raise ValueError("point must be a list of canonical rationals")
+    point = tuple(parse_rational(c) for c in pt)
+    terms = data.get("terms")
+    if not isinstance(terms, list) or not terms:
+        raise ValueError("terms must be a non-empty list")
+    acc = {}
+    n = surface.nvars
+    for t in terms:
+        if not isinstance(t, dict) or set(t) != {"exp", "coeff"}:
+            raise ValueError("each term needs exactly 'exp' and 'coeff'")
+        exp = t["exp"]
+        if (
+            not isinstance(exp, list)
+            or len(exp) != n
+            or any(not isinstance(e, int) or e < 0 for e in exp)
+        ):
+            raise ValueError(f"bad exponent {exp!r}")
+        key = tuple(exp)
+        if key in acc:
+            raise ValueError(f"duplicate exponent {key}")
+        c = parse_rational(t["coeff"])
+        if c == 0:
+            raise ValueError(f"zero coefficient at {key}")
+        acc[key] = c
+    curve = PointedCurve(surface, d, point, Polynomial(n, acc))
+    return checked(curve)
+
+
+def frame_to_json(frame):
+    def rows(m):
+        return [[format_rational(x) for x in row] for row in m]
+
+    if frame.surface is Surface.P2:
+        return {"matrix": rows(frame.mx)}
+    return {
+        "x_matrix": rows(frame.mx),
+        "y_matrix": rows(frame.my),
+        "swap": frame.swap,
+    }

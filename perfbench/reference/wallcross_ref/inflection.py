@@ -1,0 +1,853 @@
+"""Local invariants of a pointed curve at its marked point.
+
+Branch expansion at a smooth point, vanishing sequences of line-bundle
+sections along the branch, inflection weights, and exact recognition of
+two special global shapes: the multiple-line-plus-tangent-conic
+configuration (called S here) and the cuspidal-plus-repeated-tangent-line
+configuration with its marked flex (called X0), together with their
+quadric analogues.
+
+Computed orders at or past the truncation are reported as lower bounds,
+never as exact values; that is enough for every comparison made here,
+because a section vanishing that far must contain the branch's component.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from fractions import Fraction
+from math import comb
+
+from .curves import (
+    PointedCurve,
+    Surface,
+    contact_ge,
+    local_geometry,
+)
+from .polynomials import (
+    Polynomial,
+    binary_form_roots,
+    constant,
+    exact_divide,
+    monomial,
+    poly_det,
+    poly_gcd,
+    primitive_normalized,
+    rational_roots,
+    resultant,
+    squarefree_decompose,
+    variable,
+    zero,
+)
+from .series import TruncatedSeries, pivot_orders, series_substitute
+
+
+class UndecidedError(Exception):
+    """An exact search (rational roots of large integers) was aborted."""
+
+
+# -- branch expansion -------------------------------------------------------
+
+
+def _affine_chart(curve):
+    """Dehomogenize at the marked point: returns (f, rebuild) where f is a
+    2-variable polynomial vanishing at the origin and rebuild(u, v) maps the
+    affine branch series back to homogeneous coordinate series."""
+    p = curve.point
+    n = curve.surface.nvars
+    if curve.surface is Surface.P2:
+        l0 = next(i for i in range(3) if p[i] != 0)
+        frees = [i for i in range(3) if i != l0]
+        charts = [(l0, frees)]
+    else:
+        lx = 0 if p[0] != 0 else 1
+        ly = 2 if p[2] != 0 else 3
+        charts = [(lx, [i for i in (0, 1) if i != lx]), (ly, [i for i in (2, 3) if i != ly])]
+    free = [i for _, fs in charts for i in fs]
+    subs = [None] * n
+    shifts = {}
+    for fixed, fs in charts:
+        subs[fixed] = constant(2, 1)
+        for i in fs:
+            slot = free.index(i)
+            c = Fraction(p[i]) / Fraction(p[fixed])
+            shifts[i] = c
+            subs[i] = constant(2, c) + variable(2, slot)
+    f = curve.equation.substitute(subs)
+
+    def rebuild(u_series, v_series):
+        N = u_series.truncation
+        branch = [None] * n
+        aff = {free[0]: u_series, free[1]: v_series}
+        for fixed, fs in charts:
+            branch[fixed] = TruncatedSeries.const(1, N)
+            for i in fs:
+                branch[i] = TruncatedSeries.const(shifts[i], N) + aff[i]
+        return tuple(branch)
+
+    return f, rebuild
+
+
+def local_branch(curve, N):
+    """Power-series branch of the curve at its marked point, truncated at
+    order N, in the original homogeneous coordinates (the chart coordinates
+    come back as constant-one series). Requires a smooth marked point."""
+    if N < 2:
+        raise ValueError("truncation must be at least 2")
+    geo = local_geometry(curve)
+    if not geo.smooth_at_p:
+        raise ValueError("marked point is singular on the curve")
+    f, rebuild = _affine_chart(curve)
+    fu = f.partial_derivative(0).evaluate((0, 0))
+    fv = f.partial_derivative(1).evaluate((0, 0))
+    s = TruncatedSeries.parameter(N)
+    solved = TruncatedSeries.zero(N)
+    # solve the implicit equation coefficient by coefficient along the
+    # transverse direction
+    if fv != 0:
+        pair = lambda w: (s, w)
+        slope = fv
+    else:
+        pair = lambda w: (w, s)
+        slope = fu
+    for k in range(1, N):
+        f_now = series_substitute(f, pair(solved))
+        e = f_now.coeffs[k]
+        if e:
+            bump = [Fraction(0)] * N
+            bump[k] = -e / slope
+            solved = solved + TruncatedSeries(bump)
+    check = series_substitute(f, pair(solved))
+    assert check.order() is None, "branch solve failed"
+    u, v = pair(solved)
+    return rebuild(u, v)
+
+
+# -- vanishing sequences ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class VanishingSequence:
+    """Orders of vanishing realized by a space of sections on the branch.
+
+    orders holds the exact values; deficiency counts the directions whose
+    order reached the truncation and is only known to be >= truncation."""
+
+    orders: tuple
+    deficiency: int
+    truncation: int
+
+    def labels(self):
+        out = [str(o) for o in self.orders]
+        out.extend(f">={self.truncation}" for _ in range(self.deficiency))
+        return out
+
+    def top_at_least(self, k):
+        """Is the largest order at least k (true lower-bound semantics)?"""
+        if self.deficiency:
+            return self.truncation >= k
+        return bool(self.orders) and self.orders[-1] >= k
+
+
+def _section_basis(surface, bundle):
+    if surface is Surface.P2:
+        m = bundle
+        if not isinstance(m, int) or m < 1:
+            raise ValueError("bundle degree must be a positive integer")
+        return [
+            (i, j, m - i - j) for i in range(m + 1) for j in range(m - i + 1)
+        ]
+    m1, m2 = bundle
+    if m1 < 0 or m2 < 0 or (m1 == 0 and m2 == 0):
+        raise ValueError("bad bidegree")
+    return [
+        (a, m1 - a, b, m2 - b) for a in range(m1 + 1) for b in range(m2 + 1)
+    ]
+
+
+def vanishing_sequence(curve, bundle, N=None):
+    """Vanishing orders at p of the full space of degree-`bundle` forms,
+    restricted to the branch of the curve. bundle is an integer m on the
+    plane and a pair (m1, m2) on the quadric."""
+    basis = sorted(_section_basis(curve.surface, bundle))
+    if curve.surface is Surface.P2:
+        total = bundle * curve.degree
+    else:
+        total = (bundle[0] + bundle[1]) * curve.degree
+    if N is None:
+        N = total + 1
+    branch = local_branch(curve, N)
+    n = curve.surface.nvars
+    rows = [series_substitute(monomial(n, e), branch).coeffs for e in basis]
+    pivots, deficiency = pivot_orders(rows)
+    return VanishingSequence(tuple(pivots), deficiency, N)
+
+
+def inflection_weight(seq):
+    """Sum of (order_i - i). Returns (weight, is_lower_bound); flagged
+    entries contribute their truncation, so the weight is a lower bound
+    whenever any direction ran past the window."""
+    w = sum(o - i for i, o in enumerate(seq.orders))
+    base = len(seq.orders)
+    for j in range(seq.deficiency):
+        w += seq.truncation - (base + j)
+    return w, seq.deficiency > 0
+
+
+def intersection_multiplicity(curve, aux, N=None):
+    """Order of vanishing of an auxiliary form along the branch at p.
+
+    Returns (value, exact). exact=False means the form vanishes through the
+    whole window, so the multiplicity is >= value (the branch lies on a
+    component of the auxiliary curve)."""
+    if aux.is_zero():
+        raise ValueError("auxiliary form is zero")
+    if curve.surface is Surface.P2:
+        total = aux.total_degree() * curve.degree
+    else:
+        e1 = max(e[0] + e[1] for e in aux.terms)
+        e2 = max(e[2] + e[3] for e in aux.terms)
+        total = (e1 + e2) * curve.degree
+    if N is None:
+        N = total + 1
+    branch = local_branch(curve, N)
+    val = series_substitute(aux, branch)
+    o = val.order()
+    if o is None:
+        return N, False
+    return o, True
+
+
+# -- rational component extraction -----------------------------------------
+
+
+def _require(roots, what):
+    if roots is None:
+        raise UndecidedError(f"rational root search aborted while {what}")
+    return roots
+
+
+def _gamma_polys(groups):
+    """groups: dict key -> {gamma_power: coeff}. Returns the nonzero
+    univariate polynomials (arity 1)."""
+    out = []
+    for terms in groups.values():
+        poly = Polynomial(1, {(e,): c for e, c in terms.items() if c})
+        if not poly.is_zero():
+            out.append(poly)
+    return out
+
+
+def _univariate_roots(poly, what):
+    deg = poly.degree_in(0)
+    coeffs = [poly.terms.get((k,), Fraction(0)) for k in range(deg + 1)]
+    return _require(rational_roots(coeffs), what)
+
+
+def _gcd_roots(polys, what):
+    """Common rational roots of a family of univariate polynomials."""
+    g = None
+    for p in polys:
+        g = p if g is None else poly_gcd(g, p)
+        if g is not None and not g.variables():
+            return []
+    if g is None or g.is_zero():
+        raise UndecidedError(f"degenerate system while {what}")
+    if not g.variables():
+        return []
+    return _univariate_roots(g, what)
+
+
+def rational_lines(f):
+    """All rational lines dividing a squarefree homogeneous 3-variable form.
+
+    Returns a list of primitive coefficient tuples (a, b, c) meaning
+    a*x0 + b*x1 + c*x2. Raises UndecidedError if an exact root search has
+    to give up (huge integer divisors)."""
+    x2 = monomial(3, (0, 0, 1))
+    rest = exact_divide(f, x2)
+    if rest is not None:
+        return rational_lines(rest) + [(Fraction(0), Fraction(0), Fraction(1))]
+    found = []
+    candidates = []
+    # lines x1 + g*x2: substitute x1 = -g*x2 and ask for common roots in g
+    groups = {}
+    for (i, j, k), c in f.terms.items():
+        key = (i, j + k)
+        groups.setdefault(key, {}).setdefault(j, Fraction(0))
+        groups[key][j] += c * (-1) ** j
+    for g in _gcd_roots(_gamma_polys(groups), "searching lines through (1,0,0)"):
+        candidates.append((Fraction(0), Fraction(1), g))
+    # lines x0 + b*x1 + g*x2: b must be a root of the restriction to x2 = 0
+    border = f.coefficient_in(2, 0)
+    acc = {}
+    for (i, j, k), c in border.terms.items():
+        acc[(i,)] = acc.get((i,), Fraction(0)) + c * (-1) ** i
+    beta_poly = Polynomial(1, acc)
+    if beta_poly.is_zero():
+        raise UndecidedError("restriction to x2=0 vanished unexpectedly")
+    for b in _univariate_roots(beta_poly, "searching line slopes"):
+        groups = {}
+        for (i, j, k), c in f.terms.items():
+            for m in range(i + 1):
+                coeff = c * comb(i, m) * (-b) ** (i - m) * (-1) ** m
+                key = (j + i - m, k + m)
+                groups.setdefault(key, {}).setdefault(m, Fraction(0))
+                groups[key][m] += coeff
+        for g in _gcd_roots(
+            _gamma_polys(groups), f"searching lines with slope {b}"
+        ):
+            candidates.append((Fraction(1), b, g))
+    for cand in candidates:
+        line = Polynomial(3, {(1, 0, 0): cand[0], (0, 1, 0): cand[1], (0, 0, 1): cand[2]})
+        if exact_divide(f, line) is not None:
+            found.append(cand)
+    return found
+
+
+def _ruling_forms(f, factor):
+    """Linear forms in one factor's variables dividing a squarefree
+    bihomogeneous form: each is a common factor of all coefficient forms."""
+    slots = (0, 1) if factor == 0 else (2, 3)
+    other = (2, 3) if factor == 0 else (0, 1)
+    groups = {}
+    for exp, c in f.terms.items():
+        key = (exp[other[0]], exp[other[1]])
+        e = [0, 0, 0, 0]
+        e[slots[0]], e[slots[1]] = exp[slots[0]], exp[slots[1]]
+        groups.setdefault(key, {})[tuple(e)] = c
+    forms = [Polynomial(4, g) for g in groups.values()]
+    g = None
+    for p in forms:
+        g = p if g is None else poly_gcd(g, p)
+        if not g.variables():
+            return []
+    if not g.variables():
+        return []
+    deg = g.total_degree()
+    coeffs = [Fraction(0)] * (deg + 1)
+    for exp, c in g.terms.items():
+        coeffs[exp[slots[0]]] = c
+    roots = _require(binary_form_roots(coeffs), "splitting off rulings")
+    out = []
+    for u, v in roots:
+        e0 = [0, 0, 0, 0]
+        e0[slots[0]] = 1
+        e1 = [0, 0, 0, 0]
+        e1[slots[1]] = 1
+        line = Polynomial(4, {tuple(e0): v, tuple(e1): -u})
+        if exact_divide(f, line) is not None:
+            out.append((u, v))
+    return out
+
+
+# -- special configurations -------------------------------------------------
+
+
+@dataclass
+class SpecialLocus:
+    in_s: bool
+    in_x0: bool
+    undecided: bool
+    notes: list = field(default_factory=list)
+    details: dict = field(default_factory=dict)
+
+
+def _proj_equal(p, q):
+    return all(
+        p[i] * q[j] == p[j] * q[i] for i in range(len(p)) for j in range(i + 1, len(p))
+    )
+
+
+def _conic_matrix(q):
+    m = [[Fraction(0)] * 3 for _ in range(3)]
+    for exp, c in q.terms.items():
+        idx = [i for i, e in enumerate(exp) for _ in range(e)]
+        i, j = idx[0], idx[1]
+        if i == j:
+            m[i][i] = c
+        else:
+            m[i][j] += c / 2
+            m[j][i] += c / 2
+    return m
+
+
+def _conic_is_smooth(q):
+    m = _conic_matrix(q)
+    det = (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+    return det != 0
+
+
+def _line_points(lc):
+    """Two independent points spanning the line a*x0+b*x1+c*x2 = 0."""
+    i0 = next(i for i in range(3) if lc[i] != 0)
+    pts = []
+    for a in range(3):
+        if a == i0:
+            continue
+        v = [Fraction(0)] * 3
+        v[a] = Fraction(1)
+        v[i0] = -Fraction(lc[a]) / Fraction(lc[i0])
+        pts.append(tuple(v))
+    return pts
+
+
+def _line_conic_tangency(lc, q):
+    """If the line touches the conic at a single (double) rational point,
+    return that point, else None."""
+    v, w = _line_points(lc)
+    alpha = q.evaluate(v)
+    gamma = q.evaluate(w)
+    both = q.evaluate([a + b for a, b in zip(v, w)])
+    beta = both - alpha - gamma
+    if alpha == 0 and beta == 0 and gamma == 0:
+        return None
+    if beta * beta - 4 * alpha * gamma != 0:
+        return None
+    if alpha != 0:
+        s, t = -beta, 2 * alpha
+    else:
+        # beta = 0 here, so the double root is t = 0
+        s, t = Fraction(1), Fraction(0)
+    return tuple(s * a + t * b for a, b in zip(v, w))
+
+
+def _rational_singular_points(curve_poly):
+    """All rational singular points of a plane curve (common zeros of the
+    partials). Exact; raises UndecidedError when root searches abort."""
+    parts = [curve_poly.partial_derivative(i) for i in range(3)]
+    pts = []
+
+    def record(pt):
+        if all(x == 0 for x in pt):
+            return
+        if all(g.evaluate(pt) == 0 for g in parts):
+            for known in pts:
+                if _proj_equal(known, pt):
+                    return
+            pts.append(tuple(Fraction(x) for x in pt))
+
+    for i in range(3):
+        e = [Fraction(0)] * 3
+        e[i] = Fraction(1)
+        record(tuple(e))
+    plans = [
+        (2, 0, 1, (0, 1)),
+        (1, 0, 2, (0, 2)),
+        (0, 1, 2, (1, 2)),
+    ]
+    done = False
+    for z, f1, f2, dirs in plans:
+        r = resultant(parts[f1], parts[f2], z)
+        if r.is_zero():
+            continue
+        done = True
+        deg = r.total_degree()
+        coeffs = [Fraction(0)] * (deg + 1)
+        for exp, c in r.terms.items():
+            coeffs[exp[dirs[0]]] += c
+        for u, v in _require(
+            binary_form_roots(coeffs), "locating singular points"
+        ):
+            # solve the remaining coordinate along this direction
+            restr = []
+            for g in parts:
+                pt = [None] * 3
+                pt[dirs[0]], pt[dirs[1]] = u, v
+                uni = _restrict_to_pencil(g, pt, z)
+                if not uni.is_zero():
+                    restr.append(uni)
+            if not restr:
+                continue
+            for t in _univariate_roots(restr[0], "solving for a singular point"):
+                pt = [None] * 3
+                pt[dirs[0]], pt[dirs[1]] = u, v
+                pt[z] = t
+                record(tuple(pt))
+        break
+    if not done:
+        raise UndecidedError("all eliminations degenerated")
+    return pts
+
+
+def _restrict_to_pencil(g, pt, z):
+    """g with two coordinates frozen and coordinate z left as the variable."""
+    subs = []
+    for i in range(3):
+        if i == z:
+            subs.append(variable(1, 0))
+        else:
+            subs.append(constant(1, pt[i]))
+    return g.substitute(subs)
+
+
+def _tangent_cone_double_line(curve_poly, q):
+    """If the curve has multiplicity 2 at q with a rank-one tangent cone,
+    return the primitive coefficients of the doubled line, else None."""
+    l0 = next(i for i in range(3) if q[i] != 0)
+    frees = [i for i in range(3) if i != l0]
+    subs = [None] * 3
+    subs[l0] = constant(2, 1)
+    for slot, i in enumerate(frees):
+        subs[i] = constant(2, Fraction(q[i]) / Fraction(q[l0])) + variable(2, slot)
+    aff = curve_poly.substitute(subs)
+    mult = min(sum(e) for e in aff.terms)
+    if mult != 2:
+        return None
+    alpha = aff.terms.get((2, 0), Fraction(0))
+    beta = aff.terms.get((1, 1), Fraction(0))
+    gamma = aff.terms.get((0, 2), Fraction(0))
+    if beta * beta - 4 * alpha * gamma != 0:
+        return None
+    if alpha != 0:
+        lam, mu = alpha, beta / 2
+    elif gamma != 0:
+        lam, mu = Fraction(0), gamma
+    else:
+        return None
+    # affine line lam*u + mu*v through q, rehomogenized
+    coeffs = [Fraction(0)] * 3
+    a, b = frees
+    coeffs[a] += lam * Fraction(q[l0])
+    coeffs[l0] -= lam * Fraction(q[a])
+    coeffs[b] += mu * Fraction(q[l0])
+    coeffs[l0] -= mu * Fraction(q[b])
+    line = Polynomial(3, {(1, 0, 0): coeffs[0], (0, 1, 0): coeffs[1], (0, 0, 1): coeffs[2]})
+    line = primitive_normalized(line)
+    return tuple(
+        line.terms.get(e, Fraction(0)) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    )
+
+
+def _line_as_poly(lc):
+    return Polynomial(
+        3, {(1, 0, 0): lc[0], (0, 1, 0): lc[1], (0, 0, 1): lc[2]}
+    )
+
+
+def _p2_components(eq):
+    lines = []
+    leftovers = []
+    for f, mult in squarefree_decompose(eq):
+        ls = rational_lines(f)
+        w = f
+        for lc in ls:
+            w2 = exact_divide(w, _line_as_poly(lc))
+            assert w2 is not None
+            w = w2
+            lines.append((lc, mult))
+        if w.variables():
+            leftovers.append((primitive_normalized(w), mult))
+    return lines, leftovers
+
+
+def _is_flex_of(cubic, p):
+    """Is p a smooth flex of the given cubic curve?"""
+    if cubic.evaluate(p) != 0:
+        return False
+    probe = PointedCurve(Surface.P2, 3, tuple(Fraction(x) for x in p), cubic)
+    geo = local_geometry(probe)
+    if not geo.smooth_at_p:
+        return False
+    seq = vanishing_sequence(probe, 1)
+    w, _ = inflection_weight(seq)
+    return w > 0
+
+
+def _p2_special(curve):
+    notes = []
+    details = {}
+    try:
+        lines, leftovers = _p2_components(curve.equation)
+    except UndecidedError as e:
+        return SpecialLocus(False, False, True, [str(e)], {})
+    d = curve.degree
+    p = curve.point
+    in_s = False
+    in_x0 = False
+    single_line = len(lines) == 1
+    single_left = len(leftovers) == 1 and leftovers[0][1] == 1
+    if (
+        single_left
+        and leftovers[0][0].total_degree() == 2
+        and single_line
+        and lines[0][1] == d - 2
+    ):
+        conic = leftovers[0][0]
+        lc = lines[0][0]
+        if _conic_is_smooth(conic):
+            q = _line_conic_tangency(lc, conic)
+            if q is not None:
+                on_conic = conic.evaluate(p) == 0
+                off_line = _line_as_poly(lc).evaluate(p) != 0
+                if on_conic and off_line and not _proj_equal(p, q):
+                    in_s = True
+                    details["line"] = lc
+                    details["conic"] = conic
+                    details["tangency"] = q
+    lines_fit = (d == 3 and not lines) or (
+        d > 3 and single_line and lines[0][1] == d - 3
+    )
+    if single_left and leftovers[0][0].total_degree() == 3 and lines_fit:
+        cubic = leftovers[0][0]
+        try:
+            sing = _rational_singular_points(cubic)
+        except UndecidedError as e:
+            return SpecialLocus(in_s, False, True, [str(e)], details)
+        if len(sing) == 1:
+            qc = sing[0]
+            lc2 = _tangent_cone_double_line(cubic, qc)
+            if lc2 is not None and exact_divide(cubic, _line_as_poly(lc2)) is None:
+                line_matches = d == 3 or _proj_equal(lines[0][0], lc2)
+                if line_matches and _is_flex_of(cubic, p):
+                    in_x0 = True
+                    details["cusp"] = qc
+                    details["cusp_line"] = lc2
+                    details["cubic"] = cubic
+    return SpecialLocus(in_s, in_x0, False, notes, details)
+
+
+def _quadric_components(eq):
+    rx, ry = [], []
+    leftovers = []
+    for f, mult in squarefree_decompose(eq):
+        for u, v in _ruling_forms(f, 0):
+            e0 = (1, 0, 0, 0)
+            e1 = (0, 1, 0, 0)
+            line = Polynomial(4, {e0: v, e1: -u})
+            w = exact_divide(f, line)
+            assert w is not None
+            f = w
+            rx.append(((u, v), mult))
+        for u, v in _ruling_forms(f, 1):
+            line = Polynomial(4, {(0, 0, 1, 0): v, (0, 0, 0, 1): -u})
+            w = exact_divide(f, line)
+            assert w is not None
+            f = w
+            ry.append(((u, v), mult))
+        if f.variables():
+            leftovers.append((primitive_normalized(f), mult))
+    return rx, ry, leftovers
+
+
+def _bidegree(f):
+    dx = max(e[0] + e[1] for e in f.terms)
+    dy = max(e[2] + e[3] for e in f.terms)
+    return dx, dy
+
+
+def _binary_disc(coeffs):
+    a = coeffs.get(2, Fraction(0))
+    b = coeffs.get(1, Fraction(0))
+    c = coeffs.get(0, Fraction(0))
+    return b * b - 4 * a * c
+
+
+def _fiber_in_x(gamma, y_pt):
+    """gamma restricted to y = y_pt, as {x0-power: coeff}."""
+    subs = [
+        variable(2, 0),
+        variable(2, 1),
+        constant(2, y_pt[0]),
+        constant(2, y_pt[1]),
+    ]
+    g = gamma.substitute(subs)
+    out = {}
+    for exp, c in g.terms.items():
+        out[exp[0]] = out.get(exp[0], Fraction(0)) + c
+    return {k: v for k, v in out.items() if v}
+
+
+def _swap_vars(f):
+    return f.substitute(
+        [variable(4, 2), variable(4, 3), variable(4, 0), variable(4, 1)]
+    )
+
+
+def _x0_quadric_oriented(d, gamma, rx, ry, p):
+    """Check the (2,1)-oriented cuspidal-analogue shape: gamma smooth of
+    bidegree (2,1), the y-ruling tangent at the crossing point q, the marked
+    point a second tangency point of the y-fibration."""
+    if _bidegree(gamma) != (2, 1):
+        return None
+    if not (len(rx) == 1 and rx[0][1] == d - 2 and len(ry) == 1 and ry[0][1] == d - 1):
+        return None
+    q0 = gamma.coefficient_in(2, 1)
+    q1 = gamma.coefficient_in(3, 1)
+    if q0.is_zero() or q1.is_zero() or poly_gcd(q0, q1).variables():
+        return None
+    # A ruling entry (u, v) is the fiber over the point (u, v) of its factor,
+    # so the two rulings cross where both coordinates hit those directions.
+    (u, v), _ = rx[0]
+    xq = (u, v)
+    (uy, vy), _ = ry[0]
+    yq = (uy, vy)
+    q = (xq[0], xq[1], yq[0], yq[1])
+    if gamma.evaluate(q) != 0:
+        return None
+    fq = _fiber_in_x(gamma, yq)
+    if not fq or _binary_disc(fq) != 0:
+        return None
+    if gamma.evaluate(p) != 0:
+        return None
+    if _proj_equal(p[:2], xq) and _proj_equal(p[2:], yq):
+        return None
+    fp = _fiber_in_x(gamma, p[2:])
+    if not fp or _binary_disc(fp) != 0:
+        return None
+    # p lies on gamma and the fiber has a unique (double) root, so the
+    # fiber through p is automatically tangent exactly at p
+    return {"gamma": gamma, "crossing": q}
+
+
+def _quadric_special(curve):
+    notes = []
+    details = {}
+    try:
+        rx, ry, leftovers = _quadric_components(curve.equation)
+    except UndecidedError as e:
+        return SpecialLocus(False, False, True, [str(e)], {})
+    d = curve.degree
+    p = tuple(Fraction(x) for x in curve.point)
+    in_s = False
+    in_x0 = False
+    single_left = len(leftovers) == 1 and leftovers[0][1] == 1
+    if single_left and _bidegree(leftovers[0][0]) == (1, 1):
+        gamma = leftovers[0][0]
+        if len(rx) == 1 and rx[0][1] == d - 1 and len(ry) == 1 and ry[0][1] == d - 1:
+            a = gamma.terms.get((1, 0, 1, 0), Fraction(0))
+            b = gamma.terms.get((1, 0, 0, 1), Fraction(0))
+            c = gamma.terms.get((0, 1, 1, 0), Fraction(0))
+            e = gamma.terms.get((0, 1, 0, 1), Fraction(0))
+            if a * e - b * c != 0:
+                (u, v), _ = rx[0]
+                (uy, vy), _ = ry[0]
+                q = (u, v, uy, vy)
+                if gamma.evaluate(q) == 0 and gamma.evaluate(p) == 0:
+                    same = _proj_equal(p[:2], q[:2]) and _proj_equal(p[2:], q[2:])
+                    if not same:
+                        in_s = True
+                        details["gamma"] = gamma
+                        details["crossing"] = q
+    if single_left and not in_s:
+        gamma = leftovers[0][0]
+        got = _x0_quadric_oriented(d, gamma, rx, ry, p)
+        if got is None:
+            swapped_p = p[2:] + p[:2]
+            got = _x0_quadric_oriented(
+                d,
+                _swap_vars(gamma),
+                [(r, m) for r, m in ry],
+                [(r, m) for r, m in rx],
+                swapped_p,
+            )
+        if got is not None:
+            in_x0 = True
+            details.update(got)
+    return SpecialLocus(in_s, in_x0, False, notes, details)
+
+
+def special_locus_membership(curve):
+    """Membership of the pointed curve in the two special configurations.
+
+    Exact and conservative: when a root search aborts the result carries
+    undecided=True and both flags stay False."""
+    if curve.surface is Surface.P2:
+        return _p2_special(curve)
+    return _quadric_special(curve)
+
+
+# -- the combined local report ----------------------------------------------
+
+
+@dataclass
+class InflectionReport:
+    surface: Surface
+    smooth_at_p: bool
+    multiplicity: int
+    weight: int = None
+    weight_is_lower_bound: bool = False
+    flex: bool = False
+    hyperflex: bool = False
+    in_h1: bool = False
+    in_h2prime: bool = False
+    in_s: bool = False
+    in_x0: bool = False
+    undecided: bool = False
+    ruling_contacts: tuple = None
+    sequences: dict = field(default_factory=dict)
+    notes: list = field(default_factory=list)
+
+
+def inflection_report(curve):
+    """Everything the stability analysis needs to know about the marked
+    point: flex data and divisor-class memberships.
+
+    Plane: in_h1 is the flex-degeneration class, in_h2prime the higher
+    (second-order) one. Quadric: in_h1 is the tangent-ruling class and
+    in_h2prime the higher osculation class; the flex/hyperflex fields mirror
+    those memberships there."""
+    geo = local_geometry(curve)
+    special = special_locus_membership(curve)
+    rep = InflectionReport(
+        surface=curve.surface,
+        smooth_at_p=geo.smooth_at_p,
+        multiplicity=geo.multiplicity,
+        in_s=special.in_s,
+        in_x0=special.in_x0,
+        undecided=special.undecided,
+        notes=list(special.notes),
+    )
+    if not geo.smooth_at_p:
+        rep.in_h1 = True
+        rep.in_h2prime = True
+        rep.notes.append("marked point is singular; memberships follow")
+        return rep
+    if curve.surface is Surface.P2:
+        seq1 = vanishing_sequence(curve, 1)
+        seq2 = vanishing_sequence(curve, 2)
+        w1, lb1 = inflection_weight(seq1)
+        w2, lb2 = inflection_weight(seq2)
+        rep.weight = w1
+        rep.weight_is_lower_bound = lb1
+        rep.flex = w1 > 0
+        rep.hyperflex = seq1.top_at_least(4)
+        rep.in_h1 = rep.flex
+        rep.in_h2prime = w2 > w1
+        if lb1 or lb2:
+            rep.notes.append(
+                "a section contains the branch; weights use truncation lower bounds"
+            )
+        rep.sequences = {"o1": seq1, "o2": seq2}
+    else:
+        cx, cy = geo.ruling_contacts
+        rep.ruling_contacts = (cx, cy)
+        seq11 = vanishing_sequence(curve, (1, 1))
+        w11, lb11 = inflection_weight(seq11)
+        rep.weight = w11
+        rep.weight_is_lower_bound = lb11
+        rep.in_h1 = contact_ge(cx, 2) or contact_ge(cy, 2)
+        rep.in_h2prime = seq11.top_at_least(4)
+        rep.flex = rep.in_h1
+        rep.hyperflex = rep.in_h2prime
+        if lb11:
+            rep.notes.append(
+                "a section contains the branch; weights use truncation lower bounds"
+            )
+        rep.sequences = {"o11": seq11}
+    return rep
+
+
+def classical_hessian(poly):
+    """Determinant of the matrix of second partials of a ternary form."""
+    if poly.nvars != 3:
+        raise ValueError("expected a 3-variable form")
+    rows = [
+        [poly.partial_derivative(i).partial_derivative(j) for j in range(3)]
+        for i in range(3)
+    ]
+    return poly_det(rows)

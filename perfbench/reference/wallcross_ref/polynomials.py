@@ -1,0 +1,557 @@
+"""Sparse multivariate polynomials over the rationals.
+
+A polynomial is a map from exponent tuples (fixed arity, non-negative
+entries) to nonzero Fractions. Everything here is exact. The gcd and
+squarefree routines treat a polynomial as univariate in one chosen
+variable over the others and run a primitive pseudo-remainder sequence;
+at the degrees this package meets (<= 12 in <= 4 variables) that is fast
+enough and has no coefficient-growth surprises.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, isqrt, lcm
+
+_ZERO = Fraction(0)
+
+
+class Polynomial:
+    __slots__ = ("nvars", "terms")
+
+    def __init__(self, nvars, terms=()):
+        if nvars < 1:
+            raise ValueError("nvars must be positive")
+        acc = {}
+        items = terms.items() if isinstance(terms, dict) else terms
+        for exp, coeff in items:
+            exp = tuple(int(e) for e in exp)
+            if len(exp) != nvars:
+                raise ValueError(f"exponent {exp} has arity {len(exp)}, expected {nvars}")
+            if any(e < 0 for e in exp):
+                raise ValueError(f"negative exponent in {exp}")
+            c = acc.get(exp, _ZERO) + Fraction(coeff)
+            if c:
+                acc[exp] = c
+            else:
+                acc.pop(exp, None)
+        self.nvars = nvars
+        self.terms = acc
+
+    # -- queries ----------------------------------------------------------
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return self.nvars == other.nvars and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.nvars, frozenset(self.terms.items())))
+
+    def variables(self):
+        """Indices of variables that actually occur."""
+        out = set()
+        for exp in self.terms:
+            for i, e in enumerate(exp):
+                if e:
+                    out.add(i)
+        return out
+
+    def total_degree(self):
+        """Max total degree of a term; -1 for the zero polynomial."""
+        if not self.terms:
+            return -1
+        return max(sum(e) for e in self.terms)
+
+    def degree_in(self, i):
+        if not self.terms:
+            return -1
+        return max(e[i] for e in self.terms)
+
+    def is_homogeneous(self):
+        degs = {sum(e) for e in self.terms}
+        return len(degs) <= 1
+
+    def leading(self):
+        """(exponent, coefficient) of the lex-largest term, or None if zero."""
+        if not self.terms:
+            return None
+        exp = max(self.terms)
+        return exp, self.terms[exp]
+
+    def coefficient_in(self, i, k):
+        """The coefficient of variable i to the power k, with slot i zeroed."""
+        out = {}
+        for exp, c in self.terms.items():
+            if exp[i] == k:
+                e = list(exp)
+                e[i] = 0
+                out[tuple(e)] = c
+        return Polynomial(self.nvars, out)
+
+    def constant_coefficient(self):
+        zero = (0,) * self.nvars
+        return self.terms.get(zero, _ZERO)
+
+    # -- arithmetic -------------------------------------------------------
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        acc = dict(self.terms)
+        for exp, c in other.terms.items():
+            s = acc.get(exp, _ZERO) + c
+            if s:
+                acc[exp] = s
+            else:
+                acc.pop(exp, None)
+        return self._raw(self.nvars, acc)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        return self._raw(self.nvars, {e: -c for e, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            f = Fraction(other)
+            if not f:
+                return self._raw(self.nvars, {})
+            return self._raw(self.nvars, {e: c * f for e, c in self.terms.items()})
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        if self.nvars != other.nvars:
+            raise ValueError("arity mismatch")
+        acc = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                s = acc.get(e, _ZERO) + c1 * c2
+                if s:
+                    acc[e] = s
+                else:
+                    acc.pop(e, None)
+        return self._raw(self.nvars, acc)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __pow__(self, k):
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("exponent must be a non-negative integer")
+        out = constant(self.nvars, 1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def _coerce(self, other):
+        if isinstance(other, (int, Fraction)):
+            return constant(self.nvars, other)
+        if isinstance(other, Polynomial):
+            if self.nvars != other.nvars:
+                raise ValueError("arity mismatch")
+            return other
+        return NotImplemented
+
+    @classmethod
+    def _raw(cls, nvars, terms):
+        p = cls.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        return p
+
+    # -- evaluation and substitution --------------------------------------
+
+    def evaluate(self, point):
+        if len(point) != self.nvars:
+            raise ValueError(f"point has arity {len(point)}, expected {self.nvars}")
+        pt = [Fraction(x) for x in point]
+        total = _ZERO
+        for exp, c in self.terms.items():
+            v = c
+            for x, e in zip(pt, exp):
+                if e:
+                    v *= x ** e
+            total += v
+        return total
+
+    def substitute(self, subs):
+        """Plug a polynomial in for each variable. All subs share one arity."""
+        if len(subs) != self.nvars:
+            raise ValueError("need one substitution per variable")
+        m = subs[0].nvars
+        if any(s.nvars != m for s in subs):
+            raise ValueError("substitutions must share an arity")
+        powers = [{0: constant(m, 1)} for _ in range(self.nvars)]
+
+        def power(i, e):
+            cache = powers[i]
+            if e not in cache:
+                cache[e] = power(i, e - 1) * subs[i]
+            return cache[e]
+
+        out = zero(m)
+        for exp, c in self.terms.items():
+            term = constant(m, c)
+            for i, e in enumerate(exp):
+                if e:
+                    term = term * power(i, e)
+            out = out + term
+        return out
+
+    def partial_derivative(self, i):
+        if not 0 <= i < self.nvars:
+            raise ValueError("no such variable")
+        acc = {}
+        for exp, c in self.terms.items():
+            if exp[i]:
+                e = list(exp)
+                e[i] -= 1
+                acc[tuple(e)] = c * exp[i]
+        return self._raw(self.nvars, acc)
+
+    def __repr__(self):
+        if not self.terms:
+            return "Poly(0)"
+        bits = []
+        for exp in sorted(self.terms, reverse=True):
+            c = self.terms[exp]
+            mono = "*".join(
+                f"v{i}^{e}" if e > 1 else f"v{i}" for i, e in enumerate(exp) if e
+            )
+            if mono:
+                bits.append(f"{c}*{mono}" if c != 1 else mono)
+            else:
+                bits.append(str(c))
+        return "Poly(" + " + ".join(bits) + ")"
+
+
+def zero(nvars):
+    return Polynomial(nvars)
+
+
+def constant(nvars, c):
+    return Polynomial(nvars, {(0,) * nvars: c})
+
+
+def variable(nvars, i):
+    exp = [0] * nvars
+    exp[i] = 1
+    return Polynomial(nvars, {tuple(exp): 1})
+
+
+def monomial(nvars, exp, c=1):
+    return Polynomial(nvars, {tuple(exp): c})
+
+
+def exact_divide(f, g):
+    """Return f/g if g divides f exactly, else None.
+
+    Standard lex division; because the quotient's terms appear as leading
+    terms of the intermediate remainders, one non-divisible leading term
+    proves the division is inexact and we bail out.
+    """
+    if g.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if f.nvars != g.nvars:
+        raise ValueError("arity mismatch")
+    if f.is_zero():
+        return zero(f.nvars)
+    ge, gc = g.leading()
+    q = {}
+    r = f
+    while not r.is_zero():
+        re, rc = r.leading()
+        de = tuple(a - b for a, b in zip(re, ge))
+        if any(x < 0 for x in de):
+            return None
+        c = rc / gc
+        q[de] = c
+        r = r - monomial(f.nvars, de, c) * g
+    return Polynomial(f.nvars, q)
+
+
+def primitive_normalized(f):
+    """Scale by a positive rational so coefficients are coprime integers,
+    then flip sign if needed so the lex-leading coefficient is positive."""
+    if f.is_zero():
+        return f
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    nums = [c.numerator * (den // c.denominator) for c in f.terms.values()]
+    g = 0
+    for n in nums:
+        g = gcd(g, n)
+    scale = Fraction(den, g)
+    out = f * scale
+    _, lead = out.leading()
+    if lead < 0:
+        out = -out
+    return out
+
+
+def _content_primitive_wrt(f, v):
+    """(content, primitive part) of f seen as univariate in variable v."""
+    coeffs = [f.coefficient_in(v, k) for k in range(f.degree_in(v) + 1)]
+    cont = zero(f.nvars)
+    for c in coeffs:
+        if c.is_zero():
+            continue
+        cont = poly_gcd(cont, c)
+    pp = exact_divide(f, cont)
+    assert pp is not None
+    return cont, pp
+
+
+def _pseudo_rem(a, b, v):
+    """Pseudo-remainder of a by b wrt variable v (deg_v a >= deg_v b >= 1)."""
+    n = b.degree_in(v)
+    lcb = b.coefficient_in(v, n)
+    r = a
+    while not r.is_zero() and r.degree_in(v) >= n:
+        dr = r.degree_in(v)
+        lcr = r.coefficient_in(v, dr)
+        shift = [0] * a.nvars
+        shift[v] = dr - n
+        r = lcb * r - lcr * monomial(a.nvars, shift) * b
+    return r
+
+
+def _prs_gcd(a, b, v):
+    """gcd of two polynomials primitive wrt v, via a primitive PRS."""
+    if a.degree_in(v) < b.degree_in(v):
+        a, b = b, a
+    while True:
+        r = _pseudo_rem(a, b, v)
+        if r.is_zero():
+            return b
+        if r.degree_in(v) == 0:
+            # common divisors would have v-degree 0, but b is primitive
+            return constant(a.nvars, 1)
+        _, r = _content_primitive_wrt(r, v)
+        a, b = b, r
+
+
+def poly_gcd(f, g):
+    """Greatest common divisor, primitive with positive lex-leading coefficient."""
+    if f.nvars != g.nvars:
+        raise ValueError("arity mismatch")
+    if f.is_zero():
+        return primitive_normalized(g)
+    if g.is_zero():
+        return primitive_normalized(f)
+    vf, vg = f.variables(), g.variables()
+    if not vf or not vg:
+        return constant(f.nvars, 1)
+    common = vf & vg
+    if not common:
+        return constant(f.nvars, 1)
+    v = min(common, key=lambda i: (max(f.degree_in(i), g.degree_in(i)), i))
+    cf, pf = _content_primitive_wrt(f, v)
+    cg, pg = _content_primitive_wrt(g, v)
+    c = poly_gcd(cf, cg)
+    h = _prs_gcd(pf, pg, v)
+    return primitive_normalized(c * h)
+
+
+def poly_gcd_list(polys):
+    acc = None
+    for p in polys:
+        acc = p if acc is None else poly_gcd(acc, p)
+    if acc is None:
+        raise ValueError("empty gcd")
+    return primitive_normalized(acc) if not acc.is_zero() else acc
+
+
+def squarefree_part(f):
+    if f.is_zero():
+        raise ValueError("zero polynomial")
+    g = f
+    for i in sorted(f.variables()):
+        g = poly_gcd(g, f.partial_derivative(i))
+    w = exact_divide(f, g)
+    assert w is not None
+    return primitive_normalized(w)
+
+
+def squarefree_decompose(f):
+    """Write f as a product of pairwise-coprime squarefree factors with
+    multiplicities, up to a rational constant. Returns [(factor, mult), ...]
+    with each factor primitive; constants give an empty list.
+
+    Characteristic-zero bookkeeping: with c = gcd(f, all partials) equal to
+    the product of primes to one less power, the usual univariate recursion
+    peels off the primes of each multiplicity in turn.
+    """
+    if f.is_zero():
+        raise ValueError("zero polynomial")
+    if not f.variables():
+        return []
+    c = f
+    for i in sorted(f.variables()):
+        c = poly_gcd(c, f.partial_derivative(i))
+    w = exact_divide(f, c)
+    assert w is not None
+    w = primitive_normalized(w)
+    out = []
+    i = 1
+    while w.variables():
+        y = poly_gcd(w, c)
+        a = exact_divide(w, y)
+        assert a is not None
+        a = primitive_normalized(a)
+        if a.variables():
+            out.append((a, i))
+        nc = exact_divide(c, y)
+        assert nc is not None
+        c = primitive_normalized(nc)
+        w = y
+        i += 1
+    return out
+
+
+def poly_det(rows):
+    """Determinant of a square matrix of Polynomials, by cofactor expansion."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("matrix is not square")
+    if n == 0:
+        raise ValueError("empty matrix")
+    if n == 1:
+        return rows[0][0]
+    nv = rows[0][0].nvars
+    total = zero(nv)
+    for j in range(n):
+        a = rows[0][j]
+        if a.is_zero():
+            continue
+        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
+        sub = poly_det(minor)
+        term = a * sub
+        total = total + (term if j % 2 == 0 else -term)
+    return total
+
+
+def resultant(f, g, v):
+    """Resultant of f and g with respect to variable v (Sylvester determinant).
+
+    The result is a Polynomial in the remaining variables. Only vanishing /
+    non-vanishing and root structure are consumed downstream, so the overall
+    sign convention does not matter.
+    """
+    if f.is_zero() or g.is_zero():
+        return zero(f.nvars)
+    m, n = f.degree_in(v), g.degree_in(v)
+    if m == 0 and n == 0:
+        return constant(f.nvars, 1)
+    fc = [f.coefficient_in(v, k) for k in range(m + 1)]
+    gc = [g.coefficient_in(v, k) for k in range(n + 1)]
+    size = m + n
+    z = zero(f.nvars)
+    mat = []
+    for r in range(n):
+        row = [z] * size
+        for k in range(m + 1):
+            row[r + (m - k)] = fc[k]
+        mat.append(row)
+    for r in range(m):
+        row = [z] * size
+        for k in range(n + 1):
+            row[r + (n - k)] = gc[k]
+        mat.append(row)
+    return poly_det(mat)
+
+
+def divisors(n, limit=10 ** 12):
+    """Sorted positive divisors of n >= 1, or None if n exceeds the search bound."""
+    if n < 1:
+        raise ValueError("need a positive integer")
+    if n > limit:
+        return None
+    small, large = [], []
+    d = 1
+    r = isqrt(n)
+    while d <= r:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
+def rational_roots(coeffs, limit=10 ** 12):
+    """All rational roots of sum(coeffs[i] * t**i), or None if the divisor
+    search would be too expensive to do exactly. Raises on the zero polynomial."""
+    cs = [Fraction(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    if not cs:
+        raise ValueError("zero polynomial")
+    den = 1
+    for c in cs:
+        den = lcm(den, c.denominator)
+    ints = [int(c * den) for c in cs]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    ints = [x // g for x in ints]
+    roots = set()
+    k = 0
+    while ints[k] == 0:
+        k += 1
+    if k > 0:
+        roots.add(Fraction(0))
+    core = ints[k:]
+    if len(core) == 1:
+        return sorted(roots)
+    d0 = divisors(abs(core[0]), limit)
+    dn = divisors(abs(core[-1]), limit)
+    if d0 is None or dn is None:
+        return None
+
+    def value(t):
+        acc = Fraction(0)
+        for c in reversed(core):
+            acc = acc * t + c
+        return acc
+
+    for q in dn:
+        for p in d0:
+            if gcd(p, q) != 1:
+                continue
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                if value(cand) == 0:
+                    roots.add(cand)
+    return sorted(roots)
+
+
+def binary_form_roots(coeffs, limit=10 ** 12):
+    """Rational projective roots of a binary form sum(coeffs[i] * u^i * v^(n-i)).
+
+    Returns a list of (u, v) with v == 1, plus (1, 0) when v divides the form.
+    None means the underlying rational-root search aborted.
+    """
+    cs = [Fraction(c) for c in coeffs]
+    if all(c == 0 for c in cs):
+        raise ValueError("zero form")
+    n = len(cs) - 1
+    top = max(i for i, c in enumerate(cs) if c != 0)
+    out = []
+    if top < n:
+        out.append((Fraction(1), Fraction(0)))
+    rr = rational_roots(cs[: top + 1], limit) if top > 0 else []
+    if rr is None:
+        return None
+    out.extend((r, Fraction(1)) for r in rr)
+    return out

@@ -1,0 +1,169 @@
+"""Truncated power series in one parameter, with exact coefficients.
+
+A TruncatedSeries holds the coefficients of s^0 .. s^(N-1); every operation
+stays within that window. Orders at or past N are only ever reported as
+lower bounds ("at least N") by the callers, never as exact values.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+
+class TruncatedSeries:
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        cs = tuple(Fraction(c) for c in coeffs)
+        if not cs:
+            raise ValueError("series needs at least one coefficient")
+        self.coeffs = cs
+
+    @property
+    def truncation(self):
+        return len(self.coeffs)
+
+    @classmethod
+    def zero(cls, n):
+        return cls((0,) * n)
+
+    @classmethod
+    def const(cls, value, n):
+        return cls((Fraction(value),) + (Fraction(0),) * (n - 1))
+
+    @classmethod
+    def parameter(cls, n):
+        if n < 2:
+            raise ValueError("truncation too short to hold the parameter")
+        return cls((0, 1) + (0,) * (n - 2))
+
+    def order(self):
+        """Index of the first nonzero coefficient, or None if all shown
+        coefficients vanish (order >= truncation)."""
+        for i, c in enumerate(self.coeffs):
+            if c:
+                return i
+        return None
+
+    def is_zero(self):
+        return self.order() is None
+
+    def _check(self, other):
+        if not isinstance(other, TruncatedSeries):
+            raise TypeError("expected a TruncatedSeries")
+        if self.truncation != other.truncation:
+            raise ValueError("truncation mismatch")
+
+    def __eq__(self, other):
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __add__(self, other):
+        self._check(other)
+        return TruncatedSeries(a + b for a, b in zip(self.coeffs, other.coeffs))
+
+    def __sub__(self, other):
+        self._check(other)
+        return TruncatedSeries(a - b for a, b in zip(self.coeffs, other.coeffs))
+
+    def __neg__(self):
+        return TruncatedSeries(-a for a in self.coeffs)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            f = Fraction(other)
+            return TruncatedSeries(a * f for a in self.coeffs)
+        self._check(other)
+        n = self.truncation
+        out = [Fraction(0)] * n
+        for i, a in enumerate(self.coeffs):
+            if not a:
+                continue
+            for j, b in enumerate(other.coeffs):
+                if i + j >= n:
+                    break
+                if b:
+                    out[i + j] += a * b
+        return TruncatedSeries(out)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __pow__(self, k):
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("exponent must be a non-negative integer")
+        out = TruncatedSeries.const(1, self.truncation)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __repr__(self):
+        return f"TruncatedSeries({list(self.coeffs)})"
+
+
+def series_substitute(poly, branch):
+    """Evaluate a Polynomial on a tuple of series, one per variable."""
+    if len(branch) != poly.nvars:
+        raise ValueError("need one series per variable")
+    n = branch[0].truncation
+    if any(s.truncation != n for s in branch):
+        raise ValueError("branch series must share a truncation")
+    caches = [{0: TruncatedSeries.const(1, n)} for _ in range(poly.nvars)]
+
+    def power(i, e):
+        cache = caches[i]
+        if e not in cache:
+            cache[e] = power(i, e - 1) * branch[i]
+        return cache[e]
+
+    total = TruncatedSeries.zero(n)
+    for exp, c in poly.terms.items():
+        term = TruncatedSeries.const(c, n)
+        for i, e in enumerate(exp):
+            if e:
+                term = term * power(i, e)
+        total = total + term
+    return total
+
+
+def pivot_orders(rows):
+    """Pivot columns of the row span of an exact matrix.
+
+    Returns (orders, deficiency): the sorted pivot column indices, and the
+    number of rows beyond the rank. When the rows are coefficient vectors of
+    truncated series, the pivot columns are exactly the vanishing orders
+    realized by the span, and each deficient row stands for an order at or
+    past the truncation.
+    """
+    if not rows:
+        raise ValueError("empty matrix")
+    mat = [[Fraction(x) for x in r] for r in rows]
+    ncols = len(mat[0])
+    if any(len(r) != ncols for r in mat):
+        raise ValueError("ragged matrix")
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot = None
+        for i in range(r, len(mat)):
+            if mat[i][col]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = 1 / mat[r][col]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(mat):
+            break
+    return pivots, len(mat) - r
