@@ -25,6 +25,7 @@ from .curves import (
     make_witness,
     normalize_frame,
 )
+from .errors import InternalError
 from .hessians import (
     DivisorClass,
     analyzed_slopes,

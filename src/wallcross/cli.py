@@ -88,16 +88,24 @@ def _load_curve(path):
         raise CliError(f"bad curve document: {e}")
 
 
+def _fraction(text):
+    # Exponent notation is refused before Fraction sees it: "1e999999999"
+    # would otherwise build a billion-digit integer.
+    if "e" in text.lower():
+        raise ValueError("exponent notation")
+    return Fraction(text)
+
+
 def _parse_slope(text):
     try:
-        return Fraction(text)
+        return _fraction(text)
     except (ValueError, ZeroDivisionError):
         raise CliError(f"bad slope {text!r}; write it as p/q")
 
 
 def _parse_weights(text):
     try:
-        weights = tuple(Fraction(w) for w in text.split(","))
+        weights = tuple(_fraction(w) for w in text.split(","))
     except (ValueError, ZeroDivisionError):
         raise CliError(f"bad weight list {text!r}")
     return weights
@@ -118,6 +126,8 @@ def _certificate_json(cert):
 
 
 def _cmd_verdict(args):
+    if args.budget < 1:
+        raise CliError(f"budget must be at least 1, got {args.budget}")
     curve = _load_curve(args.curve)
     t = _parse_slope(args.slope)
     v = stability_verdict(curve, t, budget=args.budget, seed=args.seed)

@@ -4,7 +4,8 @@ linearizations indexed by a slope t.
 Convention: mu(curve, lam, t) is minimized over the coordinates supporting
 the marked point and maximized over the monomials supporting the equation,
 and the pointed curve is stable when mu < 0 for every nontrivial lam. The
-torus check is exact linear programming over the weight box; conjugating by
+torus check maximizes mu, piecewise linear in the two weights of the
+subgroup, exactly over a polygon of weights in the plane; conjugating by
 frames extends it to a search over maximal tori.
 """
 
@@ -23,6 +24,7 @@ from .curves import (
     mat_inv,
     normalize_frame,
 )
+from .errors import InternalError
 from .hessians import analyzed_slopes
 from .inflection import UndecidedError, special_locus_membership
 from .linprog import lp_max
@@ -127,46 +129,23 @@ def mu_min(curve, lam, t):
     return value, (best_label, best_exp)
 
 
-def _torus_lp_rows(curve, t):
-    """Constraint rows over variables (r0, r1, u, v) for the box program.
+# Weight boxes in (r0, r1), corners in counterclockwise order: |r0|, |r1|,
+# |r0 + r1| <= 1 on the plane, |r0|, |r1| <= 1 on the quadric.
+_HEXAGON = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
+_SQUARE = ((1, 1), (-1, 1), (-1, -1), (1, -1))
 
-    u is forced below every point weight times t, v above every monomial
-    weight, so u - v bounds mu from below and equals it at the optimum."""
-    t = Fraction(t)
-    rows = []
+
+def _weight_forms(curve):
+    """Point-weight and monomial-weight forms of the curve as integer pairs
+    (a, b) standing for a*r0 + b*r1, and the weight box of its surface."""
     if curve.surface is Surface.P2:
-        coord_coeffs = {0: (1, 0), 1: (0, 1), 2: (-1, -1)}
-        for l in _point_labels(curve):
-            a, b = coord_coeffs[l]
-            rows.append(((-t * a, -t * b, 1, 0), "<=", 0))
-        for exp in curve.equation.terms:
-            i, j, k = exp
-            c0 = i - k
-            c1 = j - k
-            rows.append(((c0, c1, 0, -1), "<=", 0))
-        box = [
-            ((1, 0, 0, 0), "<=", 1),
-            ((-1, 0, 0, 0), "<=", 1),
-            ((0, 1, 0, 0), "<=", 1),
-            ((0, -1, 0, 0), "<=", 1),
-            ((1, 1, 0, 0), "<=", 1),
-            ((-1, -1, 0, 0), "<=", 1),
-        ]
-    else:
-        for (l, m) in _point_labels(curve):
-            a = -1 if l == 0 else 1
-            b = -1 if m == 0 else 1
-            rows.append(((-t * a, -t * b, 1, 0), "<=", 0))
-        for exp in curve.equation.terms:
-            i0, i1, j0, j1 = exp
-            rows.append(((i1 - i0, j1 - j0, 0, -1), "<=", 0))
-        box = [
-            ((1, 0, 0, 0), "<=", 1),
-            ((-1, 0, 0, 0), "<=", 1),
-            ((0, 1, 0, 0), "<=", 1),
-            ((0, -1, 0, 0), "<=", 1),
-        ]
-    return rows + box
+        coord = {0: (1, 0), 1: (0, 1), 2: (-1, -1)}
+        points = [coord[l] for l in _point_labels(curve)]
+        monomials = [(i - k, j - k) for i, j, k in curve.equation.terms]
+        return points, monomials, _HEXAGON
+    points = [(1 if l else -1, 1 if m else -1) for l, m in _point_labels(curve)]
+    monomials = [(i1 - i0, j1 - j0) for i0, i1, j0, j1 in curve.equation.terms]
+    return points, monomials, _SQUARE
 
 
 def _subgroup_from_box(surface, r0, r1):
@@ -182,30 +161,17 @@ def torus_verdict(curve, t):
     nontrivial subgroup of zero mu, or -1 (lam None) when mu < 0 for every
     nontrivial subgroup. Certificates are primitive integer subgroups and
     are re-verified against mu_min before returning."""
-    rows = _torus_lp_rows(curve, t)
-    objective = (0, 0, 1, -1)
-    value, vertex = lp_max(objective, rows, n=4, lex_vertex=False)
-    if value > 0:
-        # Re-solve with the lexicographic refinement so the witness is a
-        # deterministic function of the input, not of pivot order.
-        value2, vertex = lp_max(objective, rows, n=4, lex_vertex=True)
-        assert value2 == value
-        lam = _subgroup_from_box(curve.surface, vertex[0], vertex[1])
-        mu, _ = mu_min(curve, lam, t)
-        assert mu > 0
-        return 1, lam
-    # The optimum is never negative: r = 0 with u = v = 0 is feasible.
-    assert value == 0
-    level_rows = rows + [((0, 0, 1, -1), ">=", 0)]
-    for probe in ((1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 0)):
-        pval, pvert = lp_max(probe, level_rows, n=4, lex_vertex=False)
-        if pval > 0:
-            _, pvert = lp_max(probe, level_rows, n=4, lex_vertex=True)
-            lam = _subgroup_from_box(curve.surface, pvert[0], pvert[1])
-            mu, _ = mu_min(curve, lam, t)
-            assert mu == 0 and not lam.is_trivial()
-            return 0, lam
-    return -1, None
+    points, monomials, box = _weight_forms(curve)
+    sign, r = lp_max(points, monomials, t, box)
+    if sign < 0:
+        return -1, None
+    lam = _subgroup_from_box(curve.surface, *r)
+    mu, _ = mu_min(curve, lam, t)
+    if (mu <= 0) if sign > 0 else (mu != 0 or lam.is_trivial()):
+        raise InternalError(
+            f"torus certificate {lam.weights} of sign {sign} has mu {mu} at t = {t}"
+        )
+    return sign, lam
 
 
 def _random_frame(surface, rng):
@@ -298,7 +264,10 @@ def destabilizer_search(curve, t, budget=500, seed=0):
         sign, lam = torus_verdict(moved, t)
         if sign > 0:
             mu, _ = mu_min(moved, lam, t)
-            assert mu > 0
+            if mu <= 0:
+                raise InternalError(
+                    f"destabilizer {lam.weights} has mu {mu} at t = {t}"
+                )
             return frame, lam, mu
     return None
 
@@ -311,7 +280,6 @@ class ClaimCheck:
     passed: bool
     counterexamples: list = field(default_factory=list)
     equalities: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
 
 
 def interval_mu_claim(surface, lam, labels, exponents, t_spec, strictness=">0"):

@@ -1,188 +1,107 @@
-"""Exact linear programming over the rationals.
+"""Exact maximization of the torus program in the two weights.
 
-Small dense two-phase simplex with Bland's rule, which is all the torus
-optimizations in this package need (a handful of free variables, a few
-dozen constraints). Variables are free; internally each splits into a
-difference of two non-negative parts. No floating point anywhere.
+The program maximizes
+
+    mu(r) = min_l t * <p_l, r>  -  max_e <m_e, r>
+
+over a convex polygon of weights r = (r0, r1) around the origin, where the
+p_l are the point-weight forms and the m_e the monomial-weight forms of a
+pointed curve. mu is concave, positively homogeneous and piecewise linear,
+and it changes slope only on lines through the origin where two point
+forms or two monomial forms tie. Hence every vertex of the set where mu is
+maximal, and, when the maximum is 0, every vertex of the zero set, lies in
+a finite candidate set: the origin, the polygon's corners, and the points
+where a tie line leaves the polygon. Evaluating mu on the candidates is an
+exact solve of this fixed-dimension linear program (Megiddo 1983, Seidel
+1991). No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
-_FLIP = {"<=": ">=", ">=": "<=", "==": "=="}
-
-
-class InfeasibleError(Exception):
-    pass
-
-
-class UnboundedError(Exception):
-    pass
+# Probes for a zero certificate, in order: +r0, -r0, +r1, -r1.
+_PROBES = ((0, 1), (0, -1), (1, 1), (1, -1))
 
 
-def _pivot(tableau, basis, row, col):
-    piv = tableau[row][col]
-    tableau[row] = [x / piv for x in tableau[row]]
-    for i in range(len(tableau)):
-        if i != row and tableau[i][col]:
-            f = tableau[i][col]
-            tableau[i] = [a - f * b for a, b in zip(tableau[i], tableau[row])]
-    basis[row] = col
+def _edges(corners):
+    """Outward (normal, offset) pairs, normal . r <= offset, of the polygon
+    with these corners in counterclockwise order around the origin."""
+    edges = []
+    for (x0, y0), (x1, y1) in zip(corners, corners[1:] + corners[:1]):
+        n = (y1 - y0, x0 - x1)
+        c = n[0] * x0 + n[1] * y0
+        if c <= 0:
+            raise ValueError(
+                "box corners must run counterclockwise around the origin"
+            )
+        edges.append((n, c))
+    return edges
 
 
-def _simplex(tableau, basis, cost, banned=frozenset()):
-    """Maximize cost*y in place. Bland's rule, so no cycling."""
-    m = len(tableau)
-    ncols = len(cost)
-    while True:
-        cbar = list(cost)
-        for i in range(m):
-            cb = cost[basis[i]]
-            if cb:
-                row = tableau[i]
-                for j in range(ncols):
-                    if row[j]:
-                        cbar[j] -= cb * row[j]
-        enter = -1
-        for j in range(ncols):
-            if j not in banned and cbar[j] > 0:
-                enter = j
-                break
-        if enter < 0:
-            return
-        leave = -1
-        best = None
-        for i in range(m):
-            a = tableau[i][enter]
-            if a > 0:
-                ratio = tableau[i][-1] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
-                    leave = i
-        if leave < 0:
-            raise UnboundedError("objective is unbounded above")
-        _pivot(tableau, basis, leave, enter)
+def _tie_directions(forms):
+    """Primitive directions of the lines through the origin on which two
+    of the forms take the same value, one per line."""
+    lines = set()
+    for a, b in combinations(set(forms), 2):
+        n0, n1 = a[0] - b[0], a[1] - b[1]
+        g = gcd(n0, n1)
+        n0, n1 = n0 // g, n1 // g
+        if n0 < 0 or (n0 == 0 and n1 < 0):
+            n0, n1 = -n0, -n1
+        lines.add((-n1, n0))
+    return lines
 
 
-def _solve_free(objective, constraints, n):
-    """Maximize objective over free variables subject to constraints.
+def _exit_scale(d, edges):
+    """The s > 0 at which the ray from the origin along d leaves the
+    polygon, at the point s * d."""
+    return min(Fraction(c, n[0] * d[0] + n[1] * d[1])
+               for n, c in edges if n[0] * d[0] + n[1] * d[1] > 0)
 
-    Returns (value, x). Each constraint is (coeffs, rel, rhs) with rel one
-    of "<=", ">=", "==".
+
+def lp_max(point_forms, monomial_forms, t, box):
+    """Maximize mu over the polygon `box` exactly.
+
+    point_forms and monomial_forms are integer pairs (a, b) standing for the
+    forms a*r0 + b*r1; box lists the integer corners of a convex polygon
+    counterclockwise, with the origin in its interior. Returns (sign, r):
+
+    - (1, r) when max mu > 0, r the lexicographically largest maximizer;
+    - (0, r) when max mu = 0 and the zero set {mu = 0} leaves the origin:
+      r is taken on the first probe face, in the order +r0, -r0, +r1, -r1,
+      on which the zero set reaches a positive probe value, as the
+      lexicographically largest point of that face;
+    - (-1, None) when mu < 0 away from the origin.
     """
-    rows = []
-    for coeffs, rel, rhs in constraints:
-        if len(coeffs) != n:
-            raise ValueError(f"constraint arity {len(coeffs)}, expected {n}")
-        if rel not in _FLIP:
-            raise ValueError(f"unknown relation {rel!r}")
-        a = []
-        for x in coeffs:
-            f = Fraction(x)
-            a.append(f)
-            a.append(-f)
-        r = Fraction(rhs)
-        if r < 0:
-            a = [-v for v in a]
-            r = -r
-            rel = _FLIP[rel]
-        rows.append((a, rel, r))
+    t = Fraction(t)
+    edges = _edges(list(box))
+    # The candidates other than the origin are exit points of rays: towards
+    # the corners and both ways along every tie line.
+    directions = set(box)
+    for forms in (point_forms, monomial_forms):
+        for d in _tie_directions(forms):
+            directions.update((d, (-d[0], -d[1])))
 
-    ny = 2 * n
-    nslack = sum(1 for _, rel, _ in rows if rel != "==")
-    nart = sum(1 for _, rel, _ in rows if rel != "<=")
-    ncols = ny + nslack + nart
+    def mu(d):
+        # on an integer direction, so only t and the result are fractions
+        return (min(t * (a * d[0] + b * d[1]) for a, b in point_forms)
+                - max(a * d[0] + b * d[1] for a, b in monomial_forms))
+
     zero = Fraction(0)
-
-    tableau = []
-    basis = []
-    art_cols = set()
-    si = ny
-    ai = ny + nslack
-    for a, rel, r in rows:
-        row = a + [zero] * (nslack + nart) + [r]
-        if rel == "<=":
-            row[si] = Fraction(1)
-            basis.append(si)
-            si += 1
-        elif rel == ">=":
-            row[si] = Fraction(-1)
-            si += 1
-            row[ai] = Fraction(1)
-            basis.append(ai)
-            art_cols.add(ai)
-            ai += 1
-        else:
-            row[ai] = Fraction(1)
-            basis.append(ai)
-            art_cols.add(ai)
-            ai += 1
-        tableau.append(row)
-
-    if art_cols:
-        cost1 = [zero] * ncols
-        for j in art_cols:
-            cost1[j] = Fraction(-1)
-        _simplex(tableau, basis, cost1)
-        residue = sum(
-            tableau[i][-1] for i in range(len(tableau)) if basis[i] in art_cols
-        )
-        if residue > 0:
-            raise InfeasibleError("constraints have no solution")
-        # pivot leftover artificials out; a row with no other nonzero
-        # entry is redundant and can be dropped
-        keep = []
-        for i in range(len(tableau)):
-            if basis[i] in art_cols:
-                piv = next(
-                    (j for j in range(ny + nslack) if tableau[i][j]), None
-                )
-                if piv is None:
-                    continue
-                _pivot(tableau, basis, i, piv)
-            keep.append(i)
-        tableau = [tableau[i] for i in keep]
-        basis = [basis[i] for i in keep]
-
-    cost2 = [zero] * ncols
-    for k in range(n):
-        f = Fraction(objective[k])
-        cost2[2 * k] = f
-        cost2[2 * k + 1] = -f
-    _simplex(tableau, basis, cost2, banned=art_cols)
-
-    y = [zero] * ncols
-    for i, b in enumerate(basis):
-        y[b] = tableau[i][-1]
-    x = [y[2 * k] - y[2 * k + 1] for k in range(n)]
-    value = sum(Fraction(objective[k]) * x[k] for k in range(n))
-    return value, x
-
-
-def lp_max(objective, constraints, n=None, lex_vertex=True):
-    """Maximize a linear objective exactly; variables are free rationals.
-
-    Returns (optimum, vertex). With lex_vertex (the default) the vertex is
-    pinned down deterministically: among all optimal points it maximizes
-    x0, then x1, and so on, each found by one more LP solve. Raises
-    InfeasibleError / UnboundedError as appropriate.
-    """
-    if n is None:
-        n = len(objective)
-    obj = [Fraction(x) for x in objective]
-    if len(obj) != n:
-        raise ValueError("objective arity mismatch")
-    value, x = _solve_free(obj, list(constraints), n)
-    if not lex_vertex:
-        return value, x
-    cons = list(constraints) + [(obj, "==", value)]
-    out = []
-    for i in range(n):
-        ei = [Fraction(int(j == i)) for j in range(n)]
-        vi, _ = _solve_free(ei, cons, n)
-        cons.append((ei, "==", vi))
-        out.append(vi)
-    return value, out
+    values = {(zero, zero): zero}
+    for d in directions:
+        s = _exit_scale(d, edges)
+        # mu is positively homogeneous: mu(s * d) = s * mu(d)
+        values[(s * d[0], s * d[1])] = s * mu(d)
+    best = max(values.values())
+    if best > 0:
+        return 1, max(r for r, v in values.items() if v == best)
+    zero_set = [r for r, v in values.items() if v == 0]
+    for axis, sense in _PROBES:
+        reach = max(sense * r[axis] for r in zero_set)
+        if reach > 0:
+            return 0, max(r for r in zero_set if sense * r[axis] == reach)
+    return -1, None

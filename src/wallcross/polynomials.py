@@ -364,26 +364,6 @@ def poly_gcd(f, g):
     return primitive_normalized(c * h)
 
 
-def poly_gcd_list(polys):
-    acc = None
-    for p in polys:
-        acc = p if acc is None else poly_gcd(acc, p)
-    if acc is None:
-        raise ValueError("empty gcd")
-    return primitive_normalized(acc) if not acc.is_zero() else acc
-
-
-def squarefree_part(f):
-    if f.is_zero():
-        raise ValueError("zero polynomial")
-    g = f
-    for i in sorted(f.variables()):
-        g = poly_gcd(g, f.partial_derivative(i))
-    w = exact_divide(f, g)
-    assert w is not None
-    return primitive_normalized(w)
-
-
 def squarefree_decompose(f):
     """Write f as a product of pairwise-coprime squarefree factors with
     multiplicities, up to a rational constant. Returns [(factor, mult), ...]

@@ -191,6 +191,35 @@ def test_usage_errors_exit_one(capsys, argv):
     assert "error:" in err
 
 
+def test_exponent_notation_refused(capsys, tmp_path):
+    path, _ = write_witness(capsys, tmp_path, "p2-hyperflex", 4)
+    for slope in ("1e2", "1E2"):
+        code, out, err = run(capsys, "mu", "--curve", str(path),
+                             "--lambda=-11,3,8", "--slope", slope)
+        assert code == 1 and out == "" and "bad slope" in err
+    code, out, err = run(capsys, "mu", "--curve", str(path),
+                         "--lambda=-11,3,8e0", "--slope", "7/4")
+    assert code == 1 and out == "" and "bad weight list" in err
+    code, _, _ = run(capsys, "verdict", "--curve", str(path), "--slope", "1e2",
+                     "--budget", "1")
+    assert code == 1
+    # plain p/q, integers and negative weights keep working
+    doc = run_json(capsys, "mu", "--curve", str(path), "--lambda=-11,3,8",
+                   "--slope", "100")
+    assert doc["t"] == "100"
+    doc = run_json(capsys, "verdict", "--curve", str(path), "--slope", "7/4",
+                   "--budget", "1")
+    assert doc["t"] == "7/4"
+
+
+def test_budget_below_one_exits_one(capsys, tmp_path):
+    path, _ = write_witness(capsys, tmp_path, "p2-flex", 4)
+    for budget in ("0", "-3"):
+        code, out, err = run(capsys, "verdict", "--curve", str(path),
+                             "--slope", "3", "--budget", budget)
+        assert code == 1 and out == "" and "budget" in err
+
+
 def test_malformed_curve_messages(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from wallcross import criterion
 from wallcross.criterion import (
     OneParamSubgroup,
     destabilizer_search,
@@ -22,6 +23,7 @@ from wallcross.curves import (
     make_witness,
     normalize_frame,
 )
+from wallcross.errors import InternalError
 from wallcross.polynomials import Polynomial
 
 
@@ -171,6 +173,29 @@ def test_destabilizer_search_adapted_frame_for_s():
 def test_destabilizer_search_budget_exhausts():
     c = make_witness(WitnessKind.P2_NONFLEX, 4)
     assert destabilizer_search(c, Fraction(15, 8), budget=6) is None
+
+
+def test_certificate_rechecks_raise_internal_error(monkeypatch):
+    # the re-checks are explicit, so they also run under python -O
+    c = make_witness(WitnessKind.P2_NONFLEX, 4)
+    assert torus_verdict(c, 3)[0] == 1
+    assert torus_verdict(c, 2)[0] == 0
+    with monkeypatch.context() as m:
+        m.setattr(criterion, "mu_min", lambda curve, lam, t: (Fraction(0), None))
+        with pytest.raises(InternalError):
+            torus_verdict(c, 3)
+        with pytest.raises(InternalError):
+            destabilizer_search(c, 3, budget=1)
+    with monkeypatch.context() as m:
+        m.setattr(criterion, "mu_min", lambda curve, lam, t: (Fraction(1), None))
+        with pytest.raises(InternalError):
+            torus_verdict(c, 2)
+    # a torus answer whose subgroup does not destabilize
+    lam = OneParamSubgroup(Surface.P2, (1, 0, -1))
+    assert mu_min(c, lam, 3)[0] < 0
+    monkeypatch.setattr(criterion, "torus_verdict", lambda curve, t: (1, lam))
+    with pytest.raises(InternalError):
+        destabilizer_search(c, 3, budget=1)
 
 
 def test_interval_claim_flex_family():

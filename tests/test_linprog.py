@@ -3,98 +3,104 @@ from fractions import Fraction
 
 import pytest
 
-from wallcross.linprog import InfeasibleError, UnboundedError, lp_max
+from wallcross.linprog import lp_max
+
+SQUARE = ((1, 1), (-1, 1), (-1, -1), (1, -1))
+HEXAGON = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
+ORIGIN = [(0, 0)]
 
 
-def _box(n, radius=1):
-    cons = []
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        cons.append((list(e), "<=", radius))
-        cons.append(([-v for v in e], "<=", radius))
-    return cons
+def _mu(points, monomials, t, r):
+    return (min(t * (a * r[0] + b * r[1]) for a, b in points)
+            - max(a * r[0] + b * r[1] for a, b in monomials))
+
+
+def _in_box(box, r):
+    if box is SQUARE:
+        return abs(r[0]) <= 1 and abs(r[1]) <= 1
+    return abs(r[0]) <= 1 and abs(r[1]) <= 1 and abs(r[0] + r[1]) <= 1
 
 
 def test_box_vertex_is_lexicographic():
-    # max x0 over the unit box in 3 variables: the whole face x0 = 1 is
-    # optimal, the lex rule must return its corner (1, 1, 1)
-    value, x = lp_max([1, 0, 0], _box(3))
-    assert value == 1
-    assert x == [1, 1, 1]
+    # mu = r0: the whole face r0 = 1 is optimal, the tie-break must return
+    # its lexicographically largest point
+    assert lp_max([(1, 0)], ORIGIN, 1, SQUARE) == (1, (1, 1))
+    assert lp_max([(1, 0)], ORIGIN, 1, HEXAGON) == (1, (1, 0))
 
 
 def test_tilted_objective():
-    value, x = lp_max([2, -3], _box(2))
-    assert value == 5
-    assert x == [1, -1]
+    assert lp_max([(2, -3)], ORIGIN, 1, SQUARE) == (1, (1, -1))
+    assert lp_max([(2, -3)], ORIGIN, 1, HEXAGON) == (1, (1, -1))
 
 
-def test_equality_and_fractional_optimum():
-    cons = _box(2) + [([1, 1], "==", Fraction(1, 2))]
-    value, x = lp_max([1, 0], cons)
-    assert value == 1
-    assert x == [1, Fraction(-1, 2)]
+def test_fractional_optimum():
+    # mu = min(3 r0 + r1, -3 r0 + 3 r1) peaks where its tie line r1 = 3 r0
+    # leaves the box, at a point off the lattice
+    monomials = [(-3, -1), (3, -3)]
+    sign, r = lp_max(ORIGIN, monomials, 1, SQUARE)
+    assert (sign, r) == (1, (Fraction(1, 3), 1))
+    assert _mu(ORIGIN, monomials, 1, r) == 2
 
 
-def test_infeasible():
-    cons = [([1], "<=", 0), ([-1], "<=", -1)]
-    with pytest.raises(InfeasibleError):
-        lp_max([1], cons)
+def test_hexagon_and_square_boxes():
+    monomials = [(-3, -1), (3, -3)]
+    assert lp_max(ORIGIN, monomials, 1, HEXAGON) == (
+        1, (Fraction(1, 4), Fraction(3, 4)))
+    # corners must run counterclockwise around an interior origin
+    for box in (HEXAGON[::-1], ((0, 0), (1, 0), (0, 1)), ((1, 0), (2, 1), (1, 1))):
+        with pytest.raises(ValueError):
+            lp_max(ORIGIN, monomials, 1, box)
 
 
-def test_unbounded():
-    with pytest.raises(UnboundedError):
-        lp_max([1, 0], [([0, 1], "<=", 0)])
+def test_zero_set_wedge():
+    # mu = min(0, -r0, r1) vanishes exactly on the wedge r0 <= 0 <= r1:
+    # the +r0 probe reaches nothing positive, the -r0 probe reaches the
+    # face r0 = -1, whose lexicographically largest point is returned
+    monomials = [(0, 0), (1, 0), (0, -1)]
+    assert lp_max(ORIGIN, monomials, 1, SQUARE) == (0, (-1, 1))
+    assert lp_max(ORIGIN, monomials, 1, HEXAGON) == (0, (-1, 1))
+    # narrowed to 0 <= r1 <= -r0 / 2, the wedge meets the face r0 = -1 in
+    # a segment ending where the tie line r0 + 2 r1 = 0 leaves the box
+    monomials.append((1, 2))
+    assert lp_max(ORIGIN, monomials, 1, SQUARE) == (0, (-1, Fraction(1, 2)))
+    assert lp_max(ORIGIN, monomials, 1, HEXAGON) == (0, (-1, Fraction(1, 2)))
 
 
-def test_geq_rows():
-    value, x = lp_max([-1], [([1], ">=", 3)])
-    assert value == -3
-    assert x == [3]
+def test_zero_set_ray_and_origin():
+    # mu = -|r0| vanishes on the r1 axis only: the +r1 probe finds (0, 1)
+    assert lp_max(ORIGIN, [(1, 0), (-1, 0)], 1, SQUARE) == (0, (0, 1))
+    # mu = -max(|r0|, |r1|) vanishes at the origin alone
+    monomials = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    assert lp_max(ORIGIN, monomials, 1, SQUARE) == (-1, None)
 
 
 def test_random_feasible_points_never_beat_optimum():
     rng = random.Random(41)
-    for _ in range(60):
-        n = rng.randint(1, 3)
-        obj = [rng.randint(-3, 3) for _ in range(n)]
-        cons = _box(n, radius=2)
-        for _ in range(rng.randint(0, 3)):
-            row = [rng.randint(-2, 2) for _ in range(n)]
-            cons.append((row, "<=", rng.randint(0, 4)))
-        try:
-            value, x = lp_max(obj, cons)
-        except InfeasibleError:
-            continue
-        # the reported vertex is feasible and achieves the value
-        for row, rel, rhs in cons:
-            lhs = sum(Fraction(a) * b for a, b in zip(row, x))
-            if rel == "<=":
-                assert lhs <= rhs
-            elif rel == ">=":
-                assert lhs >= rhs
-            else:
-                assert lhs == rhs
-        assert sum(Fraction(a) * b for a, b in zip(obj, x)) == value
-        # random rational points of the feasible set stay below the optimum
-        for _ in range(20):
-            pt = [Fraction(rng.randint(-8, 8), 4) for _ in range(n)]
-            ok = all(
-                (
-                    sum(Fraction(a) * b for a, b in zip(row, pt)) <= rhs
-                    if rel == "<="
-                    else sum(Fraction(a) * b for a, b in zip(row, pt)) >= rhs
-                    if rel == ">="
-                    else sum(Fraction(a) * b for a, b in zip(row, pt)) == rhs
-                )
-                for row, rel, rhs in cons
-            )
-            if ok:
-                assert sum(Fraction(a) * b for a, b in zip(obj, pt)) <= value
-
-
-def test_lex_vertex_off_still_optimal():
-    value, x = lp_max([1, 1], _box(2), lex_vertex=False)
-    assert value == 2
-    assert sum(x) == 2
+    for _ in range(150):
+        box = rng.choice((SQUARE, HEXAGON))
+        points = [(rng.randint(-2, 2), rng.randint(-2, 2))
+                  for _ in range(rng.randint(1, 3))]
+        monomials = [(rng.randint(-4, 4), rng.randint(-4, 4))
+                     for _ in range(rng.randint(1, 6))]
+        t = Fraction(rng.randint(1, 12), rng.randint(1, 4))
+        sign, r = lp_max(points, monomials, t, box)
+        if sign < 0:
+            assert r is None
+            best = Fraction(0)
+        else:
+            assert _in_box(box, r) and r != (0, 0)
+            best = _mu(points, monomials, t, r)
+            assert (best > 0) if sign > 0 else (best == 0)
+        # random rational points of the box never beat the optimum; at sign
+        # +1 none that ties it is lexicographically larger, at sign -1 mu is
+        # negative away from the origin
+        for _ in range(40):
+            pt = (Fraction(rng.randint(-8, 8), 8), Fraction(rng.randint(-8, 8), 8))
+            if not _in_box(box, pt) or pt == (0, 0):
+                continue
+            v = _mu(points, monomials, t, pt)
+            assert v <= best
+            if sign > 0 and v == best:
+                assert pt <= r
+            if sign < 0:
+                assert v < 0

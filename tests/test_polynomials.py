@@ -15,7 +15,6 @@ from wallcross.polynomials import (
     rational_roots,
     resultant,
     squarefree_decompose,
-    squarefree_part,
     variable,
 )
 
@@ -85,7 +84,6 @@ def test_squarefree_decompose_line_and_conic():
         (primitive_normalized(conic), 1),
         (primitive_normalized(line), 2),
     ]
-    assert squarefree_part(f) == primitive_normalized(line * conic)
 
 
 def test_squarefree_decompose_more_shapes():
