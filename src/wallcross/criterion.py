@@ -23,6 +23,7 @@ from .curves import (
     mat_det,
     mat_inv,
     normalize_frame,
+    row_reduce,
 )
 from .errors import InternalError
 from .hessians import analyzed_slopes
@@ -78,6 +79,21 @@ class OneParamSubgroup:
         return OneParamSubgroup(self.surface, _primitive(self.weights))
 
 
+# Recorded claim ids backing each region of the analyzed range, per surface.
+CITATIONS = {
+    Surface.P2: {
+        "edge": ["4.2"],
+        "chamber": ["4.3-flex", "4.3-singular", "4.3-S"],
+        "wall": ["4.4-singular", "4.4-flexwall", "4.4-hyperflex"],
+    },
+    Surface.QUADRIC: {
+        "edge": ["5.2"],
+        "chamber": ["5.3-H01", "5.3-S"],
+        "wall": ["5.4-H01wall", "5.4-perturbed"],
+    },
+}
+
+
 def _point_labels(curve):
     """Coordinate labels supporting the marked point: indices l on the
     plane, pairs (l, m) on the quadric."""
@@ -113,13 +129,18 @@ def mu_min(curve, lam, t):
     """Minimal mu over the support of the pointed curve.
 
     Returns (value, (point_label, exponent)) where the pair achieves the
-    minimum; ties break to the smallest label and lexicographically
-    smallest exponent."""
+    minimum; ties break to the label of smallest weight, then the smallest
+    label, and to the lexicographically smallest exponent."""
     if lam.surface is not curve.surface:
         raise ValueError("subgroup and curve live on different surfaces")
     t = Fraction(t)
     labels = _point_labels(curve)
-    best_label = min(labels, key=lambda lb: (point_weight(curve.surface, lam, lb), lb))
+
+    def label_key(lb):
+        w = point_weight(curve.surface, lam, lb)
+        return t * w, w, lb
+
+    best_label = min(labels, key=label_key)
     exps = sorted(curve.equation.terms)
     best_exp = max(exps, key=lambda e: (monomial_weight(curve.surface, lam, e),
                                         tuple(-c for c in e)))
@@ -427,7 +448,7 @@ def stability_verdict(curve, t, budget=500, seed=0):
         )
 
     if wall < t < edge:
-        verdict.citations = _citations(curve.surface, "chamber")
+        verdict.citations = list(CITATIONS[curve.surface]["chamber"])
         if in_h1 or in_s:
             reason = "marked point lies on the first-order locus" if in_h1 else (
                 "curve is the swept boundary configuration"
@@ -446,7 +467,7 @@ def stability_verdict(curve, t, budget=500, seed=0):
         return verdict
 
     if t == wall:
-        verdict.citations = _citations(curve.surface, "wall")
+        verdict.citations = list(CITATIONS[curve.surface]["wall"])
         if (in_h1 and in_h2) or in_s:
             reason = (
                 "curve is the boundary configuration swept at the wall"
@@ -476,7 +497,7 @@ def stability_verdict(curve, t, budget=500, seed=0):
         return verdict
 
     # t == edge: only the first-order flag matters and it is always exact.
-    verdict.citations = _citations(curve.surface, "edge")
+    verdict.citations = list(CITATIONS[curve.surface]["edge"])
     if not in_h1:
         verdict.status = "StrictlySemistable"
         verdict.notes.append(
@@ -486,16 +507,6 @@ def stability_verdict(curve, t, budget=500, seed=0):
     else:
         destabilize("first-order locus is destabilized at the edge")
     return verdict
-
-
-def _citations(surface, region):
-    if surface is Surface.P2:
-        table = {"edge": ["4.2"], "chamber": ["4.3-flex", "4.3-singular", "4.3-S"],
-                 "wall": ["4.4-singular", "4.4-flexwall", "4.4-hyperflex"]}
-    else:
-        table = {"edge": ["5.2"], "chamber": ["5.3-H01", "5.3-S"],
-                 "wall": ["5.4-H01wall", "5.4-perturbed"]}
-    return table[region]
 
 
 def stabilizer_dimension(curve):
@@ -525,25 +536,12 @@ def stabilizer_dimension(curve):
     exps = sorted(curve.equation.terms)
     base = exps[0]
     rows = [weight_row(tuple(a - b for a, b in zip(e, base))) for e in exps[1:]]
-    # Rank over the rationals of a set of 2-vectors.
-    rank = 0
-    pivot = None
-    for row in rows:
-        if row == (0, 0):
-            continue
-        if pivot is None:
-            pivot = row
-            rank = 1
-            continue
-        if row[0] * pivot[1] != row[1] * pivot[0]:
-            rank = 2
-            break
-    dim = 2 - rank
+    reduced, pivots, _ = row_reduce(rows)
+    dim = 2 - len(pivots)
     if dim != 1:
         return dim, None
-    a, b = pivot
-    # Kernel of (a, b): spanned by (-b, a) in basis coordinates.
-    coeffs = _primitive((-b, a))
+    # Kernel of the reduced row (1, c) or (0, 1), in basis coordinates.
+    coeffs = _primitive((-reduced[0][1], 1) if pivots == [0] else (1, 0))
     if curve.surface is Surface.P2:
         vec = tuple(
             coeffs[0] * b1 + coeffs[1] * b2

@@ -111,37 +111,54 @@ def mat_mul(a, b):
     )
 
 
+def row_reduce(rows):
+    """Gauss-Jordan elimination on exact rationals.
+
+    Returns (reduced, pivots, det): the reduced row echelon form, its pivot
+    columns in increasing order, and the product of the pivots with one
+    sign flip per row swap, which is the determinant of a square matrix of
+    full rank.
+    """
+    mat = [[Fraction(x) for x in r] for r in rows]
+    ncols = len(mat[0]) if mat else 0
+    pivots = []
+    det = Fraction(1)
+    r = 0
+    for col in range(ncols):
+        if r == len(mat):
+            break
+        pivot = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            mat[r], mat[pivot] = mat[pivot], mat[r]
+            det = -det
+        det *= mat[r][col]
+        inv = 1 / mat[r][col]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+    return mat, pivots, det
+
+
 def mat_det(m):
-    if len(m) == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    if len(m) == 3:
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-    raise ValueError("only 2x2 and 3x3 supported")
+    if any(len(row) != len(m) for row in m):
+        raise ValueError("matrix is not square")
+    _, pivots, det = row_reduce(m)
+    return det if len(pivots) == len(m) else Fraction(0)
 
 
 def mat_inv(m):
     n = len(m)
-    aug = [
-        [Fraction(m[i][j]) for j in range(n)]
-        + [Fraction(int(i == j)) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    aug = [list(m[i]) + [int(i == j) for j in range(n)] for i in range(n)]
+    reduced, pivots, _ = row_reduce(aug)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return tuple(tuple(row[n:]) for row in reduced)
 
 
 def _freeze(m):
@@ -279,67 +296,41 @@ class LocalGeometry:
     ruling_contacts: tuple = None
 
 
-def _affine_multiplicity(curve, charts):
-    """Multiplicity at p via an affine chart centered there.
+def affine_chart(surface, form, point):
+    """Dehomogenize a form in an affine chart centred at a point.
 
-    charts: list of (index fixed to 1, [free indices]); one entry for the
-    plane, two for the quadric.
+    Returns (f, free, shifts): f is the 2-variable polynomial in the chart
+    coordinates (u, v), which vanish at the point; free lists the two
+    homogeneous coordinates they replace, and shifts maps each of those to
+    its value at the point. The other coordinates are fixed to 1: one on
+    the plane, one per factor on the quadric.
     """
-    n = curve.surface.nvars
-    p = curve.point
-    free = [i for _, frees in charts for i in frees]
-    subs = [None] * n
-    for fixed, frees in charts:
-        subs[fixed] = constant(len(free), 1)
-        for i in frees:
-            slot = free.index(i)
-            subs[i] = constant(len(free), Fraction(p[i]) / Fraction(p[fixed])) + variable(
-                len(free), slot
-            )
-    aff = curve.equation.substitute(subs)
-    if aff.is_zero():
-        raise ValueError("equation vanishes on the whole chart")
-    return min(sum(e) for e in aff.terms)
-
-
-def _ruling_contact(curve, factor):
-    """Contact order at p of the ruling through p in the given factor
-    (0 = the ruling with constant x, 1 = constant y). None if the ruling
-    is a component of the curve."""
-    p = curve.point
-    if factor == 0:
-        fixed = (Fraction(p[0]), Fraction(p[1]))
-        moving = (Fraction(p[2]), Fraction(p[3]))
-        slots = (2, 3)
+    if surface is Surface.P2:
+        l0 = next(i for i in range(3) if point[i] != 0)
+        charts = [(l0, [i for i in range(3) if i != l0])]
     else:
-        fixed = (Fraction(p[2]), Fraction(p[3]))
-        moving = (Fraction(p[0]), Fraction(p[1]))
-        slots = (0, 1)
-    # parametrize the moving factor by a line through its point
-    if moving[1] != 0:
-        param = (
-            constant(1, moving[0]) + variable(1, 0),
-            constant(1, moving[1]),
-        )
-    else:
-        param = (constant(1, moving[0]), variable(1, 0))
-    subs = [None] * 4
-    fixed_slots = (0, 1) if factor == 0 else (2, 3)
-    for s, c in zip(fixed_slots, fixed):
-        subs[s] = constant(1, c)
-    subs[slots[0]] = param[0]
-    subs[slots[1]] = param[1]
-    g = curve.equation.substitute(subs)
-    if g.is_zero():
-        return None
-    return min(e[0] for e in g.terms)
+        lx = 0 if point[0] != 0 else 1
+        ly = 2 if point[2] != 0 else 3
+        charts = [
+            (lx, [i for i in (0, 1) if i != lx]),
+            (ly, [i for i in (2, 3) if i != ly]),
+        ]
+    free = [i for _, fs in charts for i in fs]
+    subs = [None] * surface.nvars
+    shifts = {}
+    for fixed, fs in charts:
+        subs[fixed] = constant(2, 1)
+        for i in fs:
+            shifts[i] = Fraction(point[i]) / Fraction(point[fixed])
+            subs[i] = constant(2, shifts[i]) + variable(2, free.index(i))
+    return form.substitute(subs), free, shifts
 
 
 def local_geometry(curve):
     p = curve.point
+    f, _, _ = affine_chart(curve.surface, curve.equation, p)
+    mult = min(sum(e) for e in f.terms)
     if curve.surface is Surface.P2:
-        l0 = next(i for i in range(3) if p[i] != 0)
-        mult = _affine_multiplicity(curve, [(l0, [i for i in range(3) if i != l0])])
         smooth = mult == 1
         tangent = None
         if smooth:
@@ -347,13 +338,12 @@ def local_geometry(curve):
                 curve.equation.partial_derivative(i).evaluate(p) for i in range(3)
             )
         return LocalGeometry(smooth, mult, tangent=tangent)
-    lx = 0 if p[0] != 0 else 1
-    ly = 2 if p[2] != 0 else 3
-    mult = _affine_multiplicity(
-        curve,
-        [(lx, [i for i in (0, 1) if i != lx]), (ly, [i for i in (2, 3) if i != ly])],
+    # the ruling through p with constant x is {u = 0}, the other {v = 0};
+    # None when that ruling is a component of the curve
+    contacts = tuple(
+        min((e[1 - k] for e in f.terms if e[k] == 0), default=None)
+        for k in (0, 1)
     )
-    contacts = (_ruling_contact(curve, 0), _ruling_contact(curve, 1))
     return LocalGeometry(mult == 1, mult, ruling_contacts=contacts)
 
 

@@ -21,8 +21,10 @@ from math import comb
 from .curves import (
     PointedCurve,
     Surface,
+    affine_chart,
     contact_ge,
     local_geometry,
+    mat_det,
 )
 from .polynomials import (
     Polynomial,
@@ -49,57 +51,17 @@ class UndecidedError(Exception):
 # -- branch expansion -------------------------------------------------------
 
 
-def _affine_chart(curve):
-    """Dehomogenize at the marked point: returns (f, rebuild) where f is a
-    2-variable polynomial vanishing at the origin and rebuild(u, v) maps the
-    affine branch series back to homogeneous coordinate series."""
-    p = curve.point
-    n = curve.surface.nvars
-    if curve.surface is Surface.P2:
-        l0 = next(i for i in range(3) if p[i] != 0)
-        frees = [i for i in range(3) if i != l0]
-        charts = [(l0, frees)]
-    else:
-        lx = 0 if p[0] != 0 else 1
-        ly = 2 if p[2] != 0 else 3
-        charts = [(lx, [i for i in (0, 1) if i != lx]), (ly, [i for i in (2, 3) if i != ly])]
-    free = [i for _, fs in charts for i in fs]
-    subs = [None] * n
-    shifts = {}
-    for fixed, fs in charts:
-        subs[fixed] = constant(2, 1)
-        for i in fs:
-            slot = free.index(i)
-            c = Fraction(p[i]) / Fraction(p[fixed])
-            shifts[i] = c
-            subs[i] = constant(2, c) + variable(2, slot)
-    f = curve.equation.substitute(subs)
-
-    def rebuild(u_series, v_series):
-        N = u_series.truncation
-        branch = [None] * n
-        aff = {free[0]: u_series, free[1]: v_series}
-        for fixed, fs in charts:
-            branch[fixed] = TruncatedSeries.const(1, N)
-            for i in fs:
-                branch[i] = TruncatedSeries.const(shifts[i], N) + aff[i]
-        return tuple(branch)
-
-    return f, rebuild
-
-
 def local_branch(curve, N):
     """Power-series branch of the curve at its marked point, truncated at
     order N, in the original homogeneous coordinates (the chart coordinates
     come back as constant-one series). Requires a smooth marked point."""
     if N < 2:
         raise ValueError("truncation must be at least 2")
-    geo = local_geometry(curve)
-    if not geo.smooth_at_p:
+    f, free, shifts = affine_chart(curve.surface, curve.equation, curve.point)
+    if min(sum(e) for e in f.terms) != 1:
         raise ValueError("marked point is singular on the curve")
-    f, rebuild = _affine_chart(curve)
-    fu = f.partial_derivative(0).evaluate((0, 0))
-    fv = f.partial_derivative(1).evaluate((0, 0))
+    fu = f.terms.get((1, 0), Fraction(0))
+    fv = f.terms.get((0, 1), Fraction(0))
     s = TruncatedSeries.parameter(N)
     solved = TruncatedSeries.zero(N)
     # solve the implicit equation coefficient by coefficient along the
@@ -119,8 +81,12 @@ def local_branch(curve, N):
             solved = solved + TruncatedSeries(bump)
     check = series_substitute(f, pair(solved))
     assert check.order() is None, "branch solve failed"
-    u, v = pair(solved)
-    return rebuild(u, v)
+    aff = dict(zip(free, pair(solved)))
+    return tuple(
+        TruncatedSeries.const(shifts[i], N) + aff[i] if i in aff
+        else TruncatedSeries.const(1, N)
+        for i in range(curve.surface.nvars)
+    )
 
 
 # -- vanishing sequences ----------------------------------------------------
@@ -372,16 +338,6 @@ def _conic_matrix(q):
     return m
 
 
-def _conic_is_smooth(q):
-    m = _conic_matrix(q)
-    det = (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-    return det != 0
-
-
 def _line_points(lc):
     """Two independent points spanning the line a*x0+b*x1+c*x2 = 0."""
     i0 = next(i for i in range(3) if lc[i] != 0)
@@ -488,13 +444,8 @@ def _restrict_to_pencil(g, pt, z):
 def _tangent_cone_double_line(curve_poly, q):
     """If the curve has multiplicity 2 at q with a rank-one tangent cone,
     return the primitive coefficients of the doubled line, else None."""
-    l0 = next(i for i in range(3) if q[i] != 0)
-    frees = [i for i in range(3) if i != l0]
-    subs = [None] * 3
-    subs[l0] = constant(2, 1)
-    for slot, i in enumerate(frees):
-        subs[i] = constant(2, Fraction(q[i]) / Fraction(q[l0])) + variable(2, slot)
-    aff = curve_poly.substitute(subs)
+    aff, frees, _ = affine_chart(Surface.P2, curve_poly, q)
+    (l0,) = set(range(3)) - set(frees)
     mult = min(sum(e) for e in aff.terms)
     if mult != 2:
         return None
@@ -579,7 +530,7 @@ def _p2_special(curve):
     ):
         conic = leftovers[0][0]
         lc = lines[0][0]
-        if _conic_is_smooth(conic):
+        if mat_det(_conic_matrix(conic)) != 0:
             q = _line_conic_tangency(lc, conic)
             if q is not None:
                 on_conic = conic.evaluate(p) == 0

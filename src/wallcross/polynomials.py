@@ -3,9 +3,10 @@
 A polynomial is a map from exponent tuples (fixed arity, non-negative
 entries) to nonzero Fractions. Everything here is exact. The gcd and
 squarefree routines treat a polynomial as univariate in one chosen
-variable over the others and run a primitive pseudo-remainder sequence;
-at the degrees this package meets (<= 12 in <= 4 variables) that is fast
-enough and has no coefficient-growth surprises.
+variable over the others and run a primitive pseudo-remainder sequence:
+each remainder is divided by its content (the gcd of its coefficients as
+polynomials in the other variables) and then scaled to coprime integer
+coefficients, which keeps its integers from growing step after step.
 """
 
 from __future__ import annotations
@@ -339,7 +340,7 @@ def _prs_gcd(a, b, v):
             # common divisors would have v-degree 0, but b is primitive
             return constant(a.nvars, 1)
         _, r = _content_primitive_wrt(r, v)
-        a, b = b, r
+        a, b = b, primitive_normalized(r)
 
 
 def poly_gcd(f, g):

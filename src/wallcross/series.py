@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .curves import row_reduce
+
 
 class TruncatedSeries:
     __slots__ = ("coeffs",)
@@ -141,29 +143,7 @@ def pivot_orders(rows):
     """
     if not rows:
         raise ValueError("empty matrix")
-    mat = [[Fraction(x) for x in r] for r in rows]
-    ncols = len(mat[0])
-    if any(len(r) != ncols for r in mat):
+    if any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("ragged matrix")
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    return pivots, len(mat) - r
+    _, pivots, _ = row_reduce(rows)
+    return pivots, len(rows) - len(pivots)

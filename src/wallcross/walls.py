@@ -14,7 +14,7 @@ import os
 from fractions import Fraction
 from importlib import resources
 
-from .criterion import OneParamSubgroup, interval_mu_claim
+from .criterion import CITATIONS, OneParamSubgroup, interval_mu_claim
 from .curves import Surface, all_exponents
 from .hessians import analyzed_slopes
 from .inflection import UndecidedError, inflection_report
@@ -205,21 +205,11 @@ def chamber_report(surface, d):
             "chamber": "stable = semistable = complement of the first-order locus and the swept configuration",
             "wall": "semistable drops to the complement of the second-order overlap and the swept configuration",
         }
-        ids = {
-            "edge": ["4.2"],
-            "chamber": ["4.3-flex", "4.3-singular", "4.3-S"],
-            "wall": ["4.4-singular", "4.4-flexwall", "4.4-hyperflex"],
-        }
     else:
         strata = {
             "edge": "nothing is stable; curves off the tangent-ruling locus stay semistable",
             "chamber": "stable = semistable = complement of the tangent-ruling locus and the swept configuration",
             "wall": "semistable drops to the complement of the osculation overlap and the swept configuration",
-        }
-        ids = {
-            "edge": ["5.2"],
-            "chamber": ["5.3-H01", "5.3-S"],
-            "wall": ["5.4-H01wall", "5.4-perturbed"],
         }
     return {
         "surface": surface.value,
@@ -227,5 +217,5 @@ def chamber_report(surface, d):
         "wall": wall,
         "edge": edge,
         "strata": strata,
-        "claims": ids,
+        "claims": {region: list(ids) for region, ids in CITATIONS[surface].items()},
     }

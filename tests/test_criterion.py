@@ -77,6 +77,38 @@ def test_mu_min_minimizes_over_point_labels():
     assert value == -1 - 0  # worst monomial weight is 0 at (1,0,2)
 
 
+def test_mu_min_negative_slope_prefers_the_heaviest_point_label():
+    # for t < 0 the minimum of t * (point weight) sits on the largest weight
+    c = _p2(3, {(1, 0, 2): 1, (0, 1, 2): -1, (3, 0, 0): 1, (0, 3, 0): -1}, (1, 1, 0))
+    lam = OneParamSubgroup(Surface.P2, (2, -1, -1))
+    value, (label, exp) = mu_min(c, lam, -1)
+    assert value == -8
+    assert label == 0 and exp == (3, 0, 0)
+
+
+def test_mu_min_is_the_minimum_over_support_pairs():
+    rng = random.Random(53)
+    for surface in (Surface.P2, Surface.QUADRIC):
+        for _ in range(30):
+            c = apply_frame(
+                _random_curve(surface, 3, rng), criterion._random_frame(surface, rng)
+            )
+            if surface is Surface.P2:
+                w0, w1 = rng.randint(-4, 4), rng.randint(-4, 4)
+                lam = OneParamSubgroup(surface, (w0, w1, -w0 - w1))
+            else:
+                lam = OneParamSubgroup(surface, (rng.randint(-4, 4), rng.randint(-4, 4)))
+            for t in (Fraction(-3, 2), -1, 0, Fraction(1, 3), 2):
+                value, (label, exp) = mu_min(c, lam, t)
+                pairs = [
+                    mu_term(surface, lam, t, lb, e)
+                    for lb in criterion._point_labels(c)
+                    for e in c.equation.terms
+                ]
+                assert value == min(pairs)
+                assert mu_term(surface, lam, t, label, exp) == value
+
+
 def test_mu_scales_linearly():
     rng = random.Random(51)
     c = make_witness(WitnessKind.P2_NONFLEX, 4)

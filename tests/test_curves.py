@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -16,10 +18,13 @@ from wallcross.curves import (
     curve_to_json,
     local_geometry,
     make_witness,
+    mat_det,
+    mat_inv,
+    mat_mul,
     normalize_frame,
     validate,
 )
-from wallcross.polynomials import Polynomial
+from wallcross.polynomials import Polynomial, constant, variable
 
 
 def _p2(d, terms, point):
@@ -140,6 +145,88 @@ def test_quadric_ruling_contacts():
         Polynomial(4, {(1, 2, 0, 3): 1, (0, 3, 1, 2): 1, (3, 0, 3, 0): 1}),
     )
     assert local_geometry(generic).ruling_contacts == (1, 1)
+
+
+def _ruling_contact_oracle(curve, factor):
+    """Contact order at p of the ruling through p in the given factor
+    (0 = constant x, 1 = constant y), read off an independent
+    parametrization of that ruling by a line through p; None if the
+    ruling is a component."""
+    p = curve.point
+    fixed_slots, moving_slots = ((0, 1), (2, 3)) if factor == 0 else ((2, 3), (0, 1))
+    m0, m1 = (p[s] for s in moving_slots)
+    if m1 != 0:
+        param = (constant(1, m0) + variable(1, 0), constant(1, m1))
+    else:
+        param = (constant(1, m0), variable(1, 0))
+    subs = [None] * 4
+    for s in fixed_slots:
+        subs[s] = constant(1, p[s])
+    subs[moving_slots[0]], subs[moving_slots[1]] = param
+    g = curve.equation.substitute(subs)
+    if g.is_zero():
+        return None
+    return min(e[0] for e in g.terms)
+
+
+def _random_quadric_curve(rng, d):
+    """A random curve through ((0, 1), (0, 1)) of bidegree (d, d), or of
+    bidegree (d + 1, d + 1) when it contains a ruling through that point as
+    a component, which about a third do."""
+    exps = [(a, d - a, b, d - b) for a in range(d + 1) for b in range(d + 1)]
+    exps.remove((0, d, 0, d))
+    terms = {e: rng.choice([-2, -1, 1, 3]) for e in rng.sample(exps, rng.randint(2, 6))}
+    eq = Polynomial(4, terms)
+    kind = rng.randrange(3)
+    if kind == 1:
+        eq = eq * Polynomial(4, {(1, 0, 0, 1): 1})  # x0*y1: the ruling {x0 = 0}
+    elif kind == 2:
+        eq = eq * Polynomial(4, {(0, 1, 1, 0): 1})  # x1*y0: the ruling {y0 = 0}
+    point = tuple(Fraction(c) for c in (0, 1, 0, 1))
+    return PointedCurve(Surface.QUADRIC, d + (kind > 0), point, eq)
+
+
+def test_ruling_contacts_match_line_parametrization():
+    rng = random.Random(41)
+    components = 0
+    for _ in range(60):
+        c = _random_quadric_curve(rng, rng.randint(3, 4))
+        assert validate(c) is None
+        for frame in (None, _rand_frame(Surface.QUADRIC, rng)):
+            moved = c if frame is None else apply_frame(c, frame)
+            expected = (_ruling_contact_oracle(moved, 0), _ruling_contact_oracle(moved, 1))
+            assert local_geometry(moved).ruling_contacts == expected
+            components += None in expected
+    assert components > 0
+
+
+def test_mat_det_matches_leibniz_and_mat_inv_inverts():
+    rng = random.Random(43)
+    singular = 0
+    for n in (2, 3):
+        perms = list(itertools.permutations(range(n)))
+        for _ in range(200):
+            m = tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n))
+            leibniz = sum(
+                _perm_sign(perm) * math.prod(m[i][perm[i]] for i in range(n))
+                for perm in perms
+            )
+            assert mat_det(m) == leibniz
+            if leibniz == 0:
+                singular += 1
+                with pytest.raises(ValueError):
+                    mat_inv(m)
+                continue
+            identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+            assert mat_mul(mat_inv(m), m) == identity
+    assert singular > 0
+
+
+def _perm_sign(perm):
+    inversions = sum(
+        1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j]
+    )
+    return -1 if inversions % 2 else 1
 
 
 def test_normalize_frame_postconditions_plane():

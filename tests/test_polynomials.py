@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from wallcross import polynomials
 from wallcross.polynomials import (
     Polynomial,
     binary_form_roots,
@@ -72,6 +73,24 @@ def test_gcd_random_products():
         assert exact_divide(f * h, lhs) is not None
         assert exact_divide(g * h, lhs) is not None
         done += 1
+
+
+def test_gcd_remainders_stay_primitive(monkeypatch):
+    # a plane sextic whose gcd with its x0-partial ran through remainders
+    # with millions of bits when only the polynomial content was divided out
+    f = Polynomial(3, {(5, 1, 0): -3, (4, 2, 0): 2, (4, 1, 1): -3, (1, 2, 3): -1,
+                       (1, 0, 5): 2, (0, 5, 1): -2})
+    bits = []
+    pseudo_rem = polynomials._pseudo_rem
+
+    def spy(a, b, v):
+        r = pseudo_rem(a, b, v)
+        bits.extend(abs(c.numerator).bit_length() for c in r.terms.values())
+        return r
+
+    monkeypatch.setattr(polynomials, "_pseudo_rem", spy)
+    assert poly_gcd(f, f.partial_derivative(0)) == Polynomial(3, {(0, 0, 0): 1})
+    assert bits and max(bits) < 2000
 
 
 def test_squarefree_decompose_line_and_conic():
