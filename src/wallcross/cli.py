@@ -6,7 +6,8 @@ can be saved and fed straight back into the other subcommands; every
 other subcommand wraps its payload in an envelope carrying a schema tag.
 
 Exit codes: 0 success, 1 usage or input error, 2 verification failure,
-3 an exact membership search gave up while --strict was set.
+3 an exact membership search gave up while --strict was set, 4 internal
+error (a result failed its own exact re-check; a bug, never bad input).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .curves import (
     frame_to_json,
     make_witness,
 )
+from .errors import InternalError
 from .hessians import relative_hessian_class, symmetrized_class_quadric, wall_slope
 from .inflection import inflection_report
 from .rationals import format_rational
@@ -423,6 +425,9 @@ def main(argv=None):
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except InternalError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

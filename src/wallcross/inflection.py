@@ -26,11 +26,13 @@ from .curves import (
     local_geometry,
     mat_det,
 )
+from .errors import InternalError
 from .polynomials import (
     Polynomial,
     binary_form_roots,
     constant,
     exact_divide,
+    exact_quotient,
     monomial,
     poly_det,
     poly_gcd,
@@ -79,8 +81,11 @@ def local_branch(curve, N):
             bump = [Fraction(0)] * N
             bump[k] = -e / slope
             solved = solved + TruncatedSeries(bump)
-    check = series_substitute(f, pair(solved))
-    assert check.order() is None, "branch solve failed"
+    residual = series_substitute(f, pair(solved)).order()
+    if residual is not None:
+        raise InternalError(
+            f"branch solve at {curve.point} left a residual of order {residual}"
+        )
     aff = dict(zip(free, pair(solved)))
     return tuple(
         TruncatedSeries.const(shifts[i], N) + aff[i] if i in aff
@@ -480,16 +485,57 @@ def _line_as_poly(lc):
     )
 
 
+# Per surface, the blocks of homogeneous coordinates: the slots kept as
+# chart variables and the slot set to 1. The chart is F(x0, x1, 1) on the
+# plane and F(x0, 1, y0, 1) on the quadric, as curves.affine_chart builds it
+# at (0:0:1) and ((0:1), (0:1)); remapping the exponents is cheaper.
+_CHART_BLOCKS = {
+    Surface.P2: (((0, 1), 2),),
+    Surface.QUADRIC: (((0,), 1), ((2,), 3)),
+}
+
+
+def _squarefree_on_chart(surface, eq):
+    """squarefree_decompose(eq) for a plane or quadric form, computed on a
+    2-variable affine chart.
+
+    The powers of the coordinates set to 1 are split off first; every other
+    factor is the rehomogenization of a chart factor to its own degree in
+    each block. Each multiplicity group is unique up to a constant, which
+    primitive_normalized fixes, so the list equals the direct decomposition.
+    """
+    n = surface.nvars
+    blocks = _CHART_BLOCKS[surface]
+    free = [i for kept, _ in blocks for i in kept]
+    chart = Polynomial(2, ((tuple(e[i] for i in free), c) for e, c in eq.terms.items()))
+    groups = {}
+    for factor, mult in squarefree_decompose(chart):
+        exps = []
+        for u in factor.terms:
+            e = [0] * n
+            for i, x in zip(free, u):
+                e[i] = x
+            exps.append(e)
+        for kept, one in blocks:
+            deg = max(sum(e[i] for i in kept) for e in exps)
+            for e in exps:
+                e[one] = deg - sum(e[i] for i in kept)
+        groups[mult] = Polynomial(n, zip(map(tuple, exps), factor.terms.values()))
+    for _, one in blocks:
+        k = min(e[one] for e in eq.terms)
+        if k:
+            groups[k] = groups.get(k, constant(n, 1)) * variable(n, one)
+    return [(primitive_normalized(groups[m]), m) for m in sorted(groups)]
+
+
 def _p2_components(eq):
     lines = []
     leftovers = []
-    for f, mult in squarefree_decompose(eq):
+    for f, mult in _squarefree_on_chart(Surface.P2, eq):
         ls = rational_lines(f)
         w = f
         for lc in ls:
-            w2 = exact_divide(w, _line_as_poly(lc))
-            assert w2 is not None
-            w = w2
+            w = exact_quotient(w, _line_as_poly(lc), f"splitting off the line {lc}")
             lines.append((lc, mult))
         if w.variables():
             leftovers.append((primitive_normalized(w), mult))
@@ -565,20 +611,14 @@ def _p2_special(curve):
 def _quadric_components(eq):
     rx, ry = [], []
     leftovers = []
-    for f, mult in squarefree_decompose(eq):
+    for f, mult in _squarefree_on_chart(Surface.QUADRIC, eq):
         for u, v in _ruling_forms(f, 0):
-            e0 = (1, 0, 0, 0)
-            e1 = (0, 1, 0, 0)
-            line = Polynomial(4, {e0: v, e1: -u})
-            w = exact_divide(f, line)
-            assert w is not None
-            f = w
+            line = Polynomial(4, {(1, 0, 0, 0): v, (0, 1, 0, 0): -u})
+            f = exact_quotient(f, line, f"splitting off the x-ruling {(u, v)}")
             rx.append(((u, v), mult))
         for u, v in _ruling_forms(f, 1):
             line = Polynomial(4, {(0, 0, 1, 0): v, (0, 0, 0, 1): -u})
-            w = exact_divide(f, line)
-            assert w is not None
-            f = w
+            f = exact_quotient(f, line, f"splitting off the y-ruling {(u, v)}")
             ry.append(((u, v), mult))
         if f.variables():
             leftovers.append((primitive_normalized(f), mult))

@@ -3,16 +3,18 @@
 A polynomial is a map from exponent tuples (fixed arity, non-negative
 entries) to nonzero Fractions. Everything here is exact. The gcd and
 squarefree routines treat a polynomial as univariate in one chosen
-variable over the others and run a primitive pseudo-remainder sequence:
-each remainder is divided by its content (the gcd of its coefficients as
-polynomials in the other variables) and then scaled to coprime integer
-coefficients, which keeps its integers from growing step after step.
+variable over the others and run the subresultant pseudo-remainder
+sequence (Brown and Traub, 1971): each full pseudo-remainder is divided
+exactly by g*h^delta (g the previous leading coefficient, h the previous
+subresultant scalar), and the content is taken out once, at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+
+from .errors import InternalError
 
 _ZERO = Fraction(0)
 
@@ -301,6 +303,15 @@ def primitive_normalized(f):
     return out
 
 
+def exact_quotient(f, g, what):
+    """f/g, raising InternalError when g does not divide f: for divisions
+    that the algebra guarantees to be exact."""
+    q = exact_divide(f, g)
+    if q is None:
+        raise InternalError(f"{what}: {g!r} does not divide {f!r}")
+    return q
+
+
 def _content_primitive_wrt(f, v):
     """(content, primitive part) of f seen as univariate in variable v."""
     coeffs = [f.coefficient_in(v, k) for k in range(f.degree_in(v) + 1)]
@@ -309,38 +320,42 @@ def _content_primitive_wrt(f, v):
         if c.is_zero():
             continue
         cont = poly_gcd(cont, c)
-    pp = exact_divide(f, cont)
-    assert pp is not None
-    return cont, pp
+        if not cont.variables():
+            break
+    return cont, exact_quotient(f, cont, f"content in variable {v}")
 
 
 def _pseudo_rem(a, b, v):
-    """Pseudo-remainder of a by b wrt variable v (deg_v a >= deg_v b >= 1)."""
+    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b wrt variable v
+    (deg_v a >= deg_v b >= 1)."""
     n = b.degree_in(v)
     lcb = b.coefficient_in(v, n)
     r = a
-    while not r.is_zero() and r.degree_in(v) >= n:
-        dr = r.degree_in(v)
-        lcr = r.coefficient_in(v, dr)
+    for k in range(a.degree_in(v), n - 1, -1):
+        lcr = r.coefficient_in(v, k)
         shift = [0] * a.nvars
-        shift[v] = dr - n
+        shift[v] = k - n
         r = lcb * r - lcr * monomial(a.nvars, shift) * b
     return r
 
 
 def _prs_gcd(a, b, v):
-    """gcd of two polynomials primitive wrt v, via a primitive PRS."""
+    """gcd of two polynomials primitive wrt v, via the subresultant PRS."""
     if a.degree_in(v) < b.degree_in(v):
         a, b = b, a
+    g = h = constant(a.nvars, 1)
     while True:
+        delta = a.degree_in(v) - b.degree_in(v)
         r = _pseudo_rem(a, b, v)
         if r.is_zero():
-            return b
+            return _content_primitive_wrt(b, v)[1]
         if r.degree_in(v) == 0:
             # common divisors would have v-degree 0, but b is primitive
             return constant(a.nvars, 1)
-        _, r = _content_primitive_wrt(r, v)
-        a, b = b, primitive_normalized(r)
+        a, b = b, exact_quotient(r, g * h ** delta, "subresultant remainder")
+        g = a.coefficient_in(v, a.degree_in(v))
+        if delta:
+            h = exact_quotient(g ** delta, h ** (delta - 1), "subresultant scalar")
 
 
 def poly_gcd(f, g):
@@ -381,21 +396,15 @@ def squarefree_decompose(f):
     c = f
     for i in sorted(f.variables()):
         c = poly_gcd(c, f.partial_derivative(i))
-    w = exact_divide(f, c)
-    assert w is not None
-    w = primitive_normalized(w)
+    w = primitive_normalized(exact_quotient(f, c, "squarefree: f by gcd(f, partials)"))
     out = []
     i = 1
     while w.variables():
         y = poly_gcd(w, c)
-        a = exact_divide(w, y)
-        assert a is not None
-        a = primitive_normalized(a)
+        a = primitive_normalized(exact_quotient(w, y, f"squarefree part {i}"))
         if a.variables():
             out.append((a, i))
-        nc = exact_divide(c, y)
-        assert nc is not None
-        c = primitive_normalized(nc)
+        c = primitive_normalized(exact_quotient(c, y, f"squarefree cofactor {i}"))
         w = y
         i += 1
     return out

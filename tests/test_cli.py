@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from wallcross import polynomials
 from wallcross.cli import main
 
 
@@ -170,6 +171,15 @@ def test_strict_undecided_exit_code(capsys, tmp_path):
         capsys, "verdict", "--curve", str(path), "--slope", "7/8", "--budget", "10"
     )
     assert code == 0 and json.loads(out)["status"] == "Unknown"
+
+
+def test_internal_error_exits_four(capsys, tmp_path, monkeypatch):
+    path, _ = write_witness(capsys, tmp_path, "p2-cuspidal-x0", 4)
+    # a division the algebra guarantees to be exact comes out inexact
+    monkeypatch.setattr(polynomials, "exact_divide", lambda f, g: None)
+    code, out, err = run(capsys, "inflect", "--curve", str(path))
+    assert code == 4 and out == ""
+    assert err.startswith("internal error: ") and "does not divide" in err
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from wallcross import polynomials
 from wallcross.curves import (
     FrameChange,
     PointedCurve,
@@ -11,8 +12,10 @@ from wallcross.curves import (
     apply_frame,
     make_witness,
 )
+from wallcross.errors import InternalError
 from wallcross.inflection import (
     UndecidedError,
+    _squarefree_on_chart,
     classical_hessian,
     inflection_report,
     intersection_multiplicity,
@@ -21,7 +24,14 @@ from wallcross.inflection import (
     special_locus_membership,
     vanishing_sequence,
 )
-from wallcross.polynomials import Polynomial, monomial, variable
+from wallcross.polynomials import (
+    Polynomial,
+    constant,
+    monomial,
+    primitive_normalized,
+    squarefree_decompose,
+    variable,
+)
 from wallcross.series import series_substitute
 
 
@@ -204,3 +214,72 @@ def test_classical_hessian_vanishes_at_flexes():
     assert h.evaluate(flex.point) == 0
     non = make_witness(WitnessKind.P2_NONFLEX, 3)
     assert classical_hessian(non.equation).evaluate(non.point) != 0
+
+
+def _random_form(rng, surface, degree):
+    """A random plane form of the given degree, or a quadric form of the
+    given bidegree, with small coefficients; may be zero."""
+    n = surface.nvars
+    if surface is Surface.P2:
+        exps = [(i, j, degree - i - j) for i in range(degree + 1) for j in range(degree - i + 1)]
+    else:
+        a, b = degree
+        exps = [(i, a - i, j, b - j) for i in range(a + 1) for j in range(b + 1)]
+    return Polynomial(n, {e: rng.randint(-2, 2) for e in rng.sample(exps, min(3, len(exps)))})
+
+
+def _chart_forms(seed, count):
+    """Seeded plane and quadric forms built as products with repeated
+    factors, times powers of the coordinates a chart sets to 1 (x2, resp.
+    x1 and y1), plus pure coordinate forms such as c * x2^d."""
+    rng = random.Random(seed)
+    out = [
+        (Surface.P2, Polynomial(3, {(0, 0, 4): -3})),
+        (Surface.QUADRIC, Polynomial(4, {(0, 3, 0, 3): 2})),
+        (Surface.QUADRIC, Polynomial(4, {(0, 2, 0, 0): 5})),
+        (Surface.QUADRIC, Polynomial(4, {(0, 1, 1, 1): 1, (0, 1, 0, 2): 1})),
+    ]
+    while len(out) < count:
+        surface = rng.choice((Surface.P2, Surface.QUADRIC))
+        n = surface.nvars
+        f = constant(n, rng.choice((1, -2, 3)))
+        for _ in range(rng.randint(0, 2)):
+            if surface is Surface.P2:
+                degree = rng.randint(1, 2)
+            else:
+                degree = rng.choice(((0, 1), (1, 0), (1, 1), (1, 2), (2, 1)))
+            g = _random_form(rng, surface, degree)
+            if not g.is_zero():
+                f = f * g ** rng.randint(1, 3)
+        for slot in (2,) if surface is Surface.P2 else (1, 3):
+            f = f * variable(n, slot) ** rng.choice((0, 0, 1, 2, 3))
+        if f.variables():
+            out.append((surface, f))
+    return out
+
+
+def test_chart_squarefree_matches_direct_decomposition():
+    for surface, f in _chart_forms(59, 60):
+        assert _squarefree_on_chart(surface, f) == squarefree_decompose(f), f
+
+
+def test_chart_squarefree_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols("v0:4")
+    for surface, f in _chart_forms(61, 40):
+        n = surface.nvars
+        p = sympy.Poly.from_dict({e: int(c) for e, c in f.terms.items()}, gens[:n])
+        want = {}
+        for q, m in p.sqf_list()[1]:
+            if q.total_degree() > 0:
+                factor = Polynomial(n, {e: int(c) for e, c in q.as_dict().items()})
+                want[m] = want[m] * factor if m in want else factor
+        got = _squarefree_on_chart(surface, f)
+        assert {m: g for g, m in got} == {m: primitive_normalized(g) for m, g in want.items()}
+
+
+def test_inexact_division_in_special_locus_raises_internal_error(monkeypatch):
+    curve = make_witness(WitnessKind.QUADRIC_X0, 3)
+    monkeypatch.setattr(polynomials, "exact_divide", lambda f, g: None)
+    with pytest.raises(InternalError, match="does not divide"):
+        special_locus_membership(curve)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from wallcross import polynomials
+from wallcross.errors import InternalError
 from wallcross.polynomials import (
     Polynomial,
     binary_form_roots,
@@ -91,6 +92,25 @@ def test_gcd_remainders_stay_primitive(monkeypatch):
     monkeypatch.setattr(polynomials, "_pseudo_rem", spy)
     assert poly_gcd(f, f.partial_derivative(0)) == Polynomial(3, {(0, 0, 0): 1})
     assert bits and max(bits) < 2000
+
+
+def test_inexact_division_raises_internal_error(monkeypatch):
+    x0, x1 = variable(2, 0), variable(2, 1)
+    f = (x0 + x1) * (x0 - 2 * x1)
+    with pytest.raises(InternalError, match="does not divide"):
+        polynomials.exact_quotient(f, x0 + 3 * x1, "test")
+    # inputs with constant contents, so the first division by a nonconstant
+    # polynomial is the subresultant step's g * h^delta
+    a = x1 * x0 ** 4 + 3 * x0 ** 3 + x0 ** 2 + x1 * x0 + 1
+    b = x1 * x0 ** 3 + x0 ** 2 + 2 * x0 + 5
+    exact_divide = polynomials.exact_divide
+
+    def refuse_nonconstant(f, g):
+        return exact_divide(f, g) if not g.variables() else None
+
+    monkeypatch.setattr(polynomials, "exact_divide", refuse_nonconstant)
+    with pytest.raises(InternalError, match="subresultant"):
+        polynomials._prs_gcd(a, b, 0)
 
 
 def test_squarefree_decompose_line_and_conic():
@@ -183,3 +203,90 @@ def test_poly_det():
     x0, x1 = variable(2, 0), variable(2, 1)
     d = poly_det([[x0, x1], [x1, x0]])
     assert d == x0 * x0 - x1 * x1
+
+
+def _random_product(rng, nvars):
+    """A random polynomial with repeated factors, times a constant."""
+    f = Polynomial(nvars, {(0,) * nvars: rng.choice((1, -2, 3))})
+    for _ in range(rng.randint(1, 2)):
+        g = _random_poly(rng, nvars, 2, 3)
+        if g.variables():
+            f = f * g ** rng.randint(1, 3)
+    return f
+
+
+def _to_sympy(sympy, f):
+    gens = sympy.symbols(f"v0:{f.nvars}")
+    terms = {e: sympy.Rational(c.numerator, c.denominator) for e, c in f.terms.items()}
+    return sympy.Poly.from_dict(terms, gens)
+
+
+def _from_sympy(p, nvars):
+    return Polynomial(nvars, {e: Fraction(int(c.p), int(c.q)) for e, c in p.as_dict().items()})
+
+
+def _multiplicity_groups(pairs):
+    """{multiplicity: primitive product of the factors of that multiplicity}."""
+    groups = {}
+    for factor, mult in pairs:
+        groups[mult] = groups[mult] * factor if mult in groups else factor
+    return {m: primitive_normalized(g) for m, g in groups.items()}
+
+
+def _sympy_squarefree_groups(sympy, f):
+    _, pairs = _to_sympy(sympy, f).sqf_list()
+    return _multiplicity_groups(
+        (_from_sympy(p, f.nvars), m) for p, m in pairs if p.total_degree() > 0
+    )
+
+
+def test_gcd_and_squarefree_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(41)
+    done = 0
+    while done < 30:
+        nvars = rng.choice((2, 3))
+        f = _random_product(rng, nvars)
+        g = _random_product(rng, nvars)
+        h = _random_poly(rng, nvars, 2, 3) ** 2
+        if not f.variables() or not g.variables() or h.is_zero():
+            continue
+        want = _from_sympy(sympy.gcd(_to_sympy(sympy, f * h), _to_sympy(sympy, g * h)), nvars)
+        assert poly_gcd(f * h, g * h) == primitive_normalized(want)
+        dec = squarefree_decompose(f)
+        assert [m for _, m in dec] == sorted({m for _, m in dec})
+        assert dict((m, p) for p, m in dec) == _sympy_squarefree_groups(sympy, f)
+        done += 1
+
+
+def test_prs_remainders_are_subresultants(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(5)
+    x = sympy.symbols("v0:2")
+    remainders = []
+    exact_quotient = polynomials.exact_quotient
+
+    def spy(f, g, what):
+        q = exact_quotient(f, g, what)
+        if what == "subresultant remainder":
+            remainders.append(q)
+        return q
+
+    monkeypatch.setattr(polynomials, "exact_quotient", spy)
+    checked = 0
+    while checked < 20:
+        a = _random_poly(rng, 2, 5, 6)
+        b = _random_poly(rng, 2, 4, 5)
+        if not 1 <= b.degree_in(0) <= a.degree_in(0):
+            continue
+        if any(polynomials._content_primitive_wrt(p, 0)[0].variables() for p in (a, b)):
+            continue
+        remainders.clear()
+        polynomials._prs_gcd(a, b, 0)
+        pa, pb = (_to_sympy(sympy, p).as_expr() for p in (a, b))
+        prs = sympy.subresultants(pa, pb, x[0])
+        want = [_from_sympy(sympy.Poly(s, *x), 2) for s in prs[2:]]
+        assert len(remainders) <= len(want)
+        for got, sub in zip(remainders, want):
+            assert got in (sub, -sub)
+        checked += 1
