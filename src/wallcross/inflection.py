@@ -62,31 +62,30 @@ def local_branch(curve, N):
     f, free, shifts = affine_chart(curve.surface, curve.equation, curve.point)
     if min(sum(e) for e in f.terms) != 1:
         raise ValueError("marked point is singular on the curve")
-    fu = f.terms.get((1, 0), Fraction(0))
-    fv = f.terms.get((0, 1), Fraction(0))
-    s = TruncatedSeries.parameter(N)
-    solved = TruncatedSeries.zero(N)
+    fu = f.terms.get((1, 0), 0)
+    fv = f.terms.get((0, 1), 0)
     # solve the implicit equation coefficient by coefficient along the
-    # transverse direction
+    # transverse direction; coefficient k of f along the branch depends
+    # only on the first k + 1 coefficients, so step k works in that window
     if fv != 0:
-        pair = lambda w: (s, w)
+        pair = lambda s, w: (s, w)
         slope = fv
     else:
-        pair = lambda w: (w, s)
+        pair = lambda s, w: (w, s)
         slope = fu
+    solved = [0] * N
     for k in range(1, N):
-        f_now = series_substitute(f, pair(solved))
-        e = f_now.coeffs[k]
+        window = pair(TruncatedSeries.parameter(k + 1), TruncatedSeries(solved[: k + 1]))
+        e = series_substitute(f, window).coeffs[k]
         if e:
-            bump = [Fraction(0)] * N
-            bump[k] = -e / slope
-            solved = solved + TruncatedSeries(bump)
-    residual = series_substitute(f, pair(solved)).order()
+            solved[k] = Fraction(-e, slope)
+    branch = pair(TruncatedSeries.parameter(N), TruncatedSeries(solved))
+    residual = series_substitute(f, branch).order()
     if residual is not None:
         raise InternalError(
             f"branch solve at {curve.point} left a residual of order {residual}"
         )
-    aff = dict(zip(free, pair(solved)))
+    aff = dict(zip(free, branch))
     return tuple(
         TruncatedSeries.const(shifts[i], N) + aff[i] if i in aff
         else TruncatedSeries.const(1, N)
@@ -338,8 +337,8 @@ def _conic_matrix(q):
         if i == j:
             m[i][i] = c
         else:
-            m[i][j] += c / 2
-            m[j][i] += c / 2
+            m[i][j] += Fraction(c, 2)
+            m[j][i] += Fraction(c, 2)
     return m
 
 
@@ -460,7 +459,7 @@ def _tangent_cone_double_line(curve_poly, q):
     if beta * beta - 4 * alpha * gamma != 0:
         return None
     if alpha != 0:
-        lam, mu = alpha, beta / 2
+        lam, mu = alpha, Fraction(beta, 2)
     elif gamma != 0:
         lam, mu = Fraction(0), gamma
     else:

@@ -1,8 +1,10 @@
 """Sparse multivariate polynomials over the rationals.
 
 A polynomial is a map from exponent tuples (fixed arity, non-negative
-entries) to nonzero Fractions. Everything here is exact. The gcd and
-squarefree routines treat a polynomial as univariate in one chosen
+entries) to nonzero coefficients: an int when the coefficient is integral
+and a Fraction otherwise (rationals.canonical), never a float. Everything
+here is exact, and integer inputs keep the arithmetic in integers. The gcd
+and squarefree routines treat a polynomial as univariate in one chosen
 variable over the others and run the subresultant pseudo-remainder
 sequence (Brown and Traub, 1971): each full pseudo-remainder is divided
 exactly by g*h^delta (g the previous leading coefficient, h the previous
@@ -13,10 +15,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import add
 
 from .errors import InternalError
+from .rationals import canonical, quotient
 
-_ZERO = Fraction(0)
+
+def _canonical_terms(acc):
+    """The nonzero entries of a coefficient accumulator, made canonical."""
+    return {e: c if type(c) is int else canonical(c) for e, c in acc.items() if c}
 
 
 class Polynomial:
@@ -33,13 +40,9 @@ class Polynomial:
                 raise ValueError(f"exponent {exp} has arity {len(exp)}, expected {nvars}")
             if any(e < 0 for e in exp):
                 raise ValueError(f"negative exponent in {exp}")
-            c = acc.get(exp, _ZERO) + Fraction(coeff)
-            if c:
-                acc[exp] = c
-            else:
-                acc.pop(exp, None)
+            acc[exp] = acc.get(exp, 0) + canonical(coeff)
         self.nvars = nvars
-        self.terms = acc
+        self.terms = _canonical_terms(acc)
 
     # -- queries ----------------------------------------------------------
 
@@ -96,11 +99,11 @@ class Polynomial:
                 e = list(exp)
                 e[i] = 0
                 out[tuple(e)] = c
-        return Polynomial(self.nvars, out)
+        return self._raw(self.nvars, out)
 
     def constant_coefficient(self):
         zero = (0,) * self.nvars
-        return self.terms.get(zero, _ZERO)
+        return self.terms.get(zero, 0)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -110,11 +113,11 @@ class Polynomial:
             return NotImplemented
         acc = dict(self.terms)
         for exp, c in other.terms.items():
-            s = acc.get(exp, _ZERO) + c
+            s = acc.get(exp, 0) + c
             if s:
-                acc[exp] = s
+                acc[exp] = s if type(s) is int else canonical(s)
             else:
-                acc.pop(exp, None)
+                del acc[exp]
         return self._raw(self.nvars, acc)
 
     def __sub__(self, other):
@@ -128,24 +131,23 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            if not f:
+            if not other:
                 return self._raw(self.nvars, {})
-            return self._raw(self.nvars, {e: c * f for e, c in self.terms.items()})
+            return self._raw(
+                self.nvars, _canonical_terms({e: c * other for e, c in self.terms.items()})
+            )
         if not isinstance(other, Polynomial):
             return NotImplemented
         if self.nvars != other.nvars:
             raise ValueError("arity mismatch")
         acc = {}
+        get = acc.get
+        right = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = acc.get(e, _ZERO) + c1 * c2
-                if s:
-                    acc[e] = s
-                else:
-                    acc.pop(e, None)
-        return self._raw(self.nvars, acc)
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
+                acc[e] = get(e, 0) + c1 * c2
+        return self._raw(self.nvars, _canonical_terms(acc))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -180,7 +182,7 @@ class Polynomial:
         if len(point) != self.nvars:
             raise ValueError(f"point has arity {len(point)}, expected {self.nvars}")
         pt = [Fraction(x) for x in point]
-        total = _ZERO
+        total = Fraction(0)
         for exp, c in self.terms.items():
             v = c
             for x, e in zip(pt, exp):
@@ -204,14 +206,15 @@ class Polynomial:
                 cache[e] = power(i, e - 1) * subs[i]
             return cache[e]
 
-        out = zero(m)
+        acc = {}
         for exp, c in self.terms.items():
-            term = constant(m, c)
+            term = constant(m, 1)
             for i, e in enumerate(exp):
                 if e:
                     term = term * power(i, e)
-            out = out + term
-        return out
+            for e, tc in term.terms.items():
+                acc[e] = acc.get(e, 0) + c * tc
+        return Polynomial._raw(m, _canonical_terms(acc))
 
     def partial_derivative(self, i):
         if not 0 <= i < self.nvars:
@@ -222,7 +225,7 @@ class Polynomial:
                 e = list(exp)
                 e[i] -= 1
                 acc[tuple(e)] = c * exp[i]
-        return self._raw(self.nvars, acc)
+        return self._raw(self.nvars, _canonical_terms(acc))
 
     def __repr__(self):
         if not self.terms:
@@ -261,28 +264,34 @@ def monomial(nvars, exp, c=1):
 def exact_divide(f, g):
     """Return f/g if g divides f exactly, else None.
 
-    Standard lex division; because the quotient's terms appear as leading
-    terms of the intermediate remainders, one non-divisible leading term
-    proves the division is inexact and we bail out.
+    Standard lex division on one remainder, updated in place; because the
+    quotient's terms appear as leading terms of the intermediate
+    remainders, one non-divisible leading term proves the division is
+    inexact and we bail out.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if f.nvars != g.nvars:
         raise ValueError("arity mismatch")
-    if f.is_zero():
-        return zero(f.nvars)
     ge, gc = g.leading()
+    divisor = g.terms.items()
     q = {}
-    r = f
-    while not r.is_zero():
-        re, rc = r.leading()
+    r = dict(f.terms)
+    while r:
+        re = max(r)
         de = tuple(a - b for a, b in zip(re, ge))
         if any(x < 0 for x in de):
             return None
-        c = rc / gc
+        c = quotient(r[re], gc)
         q[de] = c
-        r = r - monomial(f.nvars, de, c) * g
-    return Polynomial(f.nvars, q)
+        for e, gcoef in divisor:
+            e = tuple(map(add, de, e))
+            s = r.get(e, 0) - c * gcoef
+            if s:
+                r[e] = s if type(s) is int else canonical(s)
+            else:
+                del r[e]
+    return Polynomial._raw(f.nvars, q)
 
 
 def primitive_normalized(f):
@@ -291,16 +300,11 @@ def primitive_normalized(f):
     if f.is_zero():
         return f
     den = lcm(*(c.denominator for c in f.terms.values()))
-    nums = [c.numerator * (den // c.denominator) for c in f.terms.values()]
-    g = 0
-    for n in nums:
-        g = gcd(g, n)
-    scale = Fraction(den, g)
-    out = f * scale
-    _, lead = out.leading()
-    if lead < 0:
-        out = -out
-    return out
+    nums = {e: c.numerator * (den // c.denominator) for e, c in f.terms.items()}
+    g = gcd(*nums.values())
+    if nums[max(nums)] < 0:
+        g = -g
+    return Polynomial._raw(f.nvars, {e: n // g for e, n in nums.items()})
 
 
 def exact_quotient(f, g, what):
@@ -411,25 +415,32 @@ def squarefree_decompose(f):
 
 
 def poly_det(rows):
-    """Determinant of a square matrix of Polynomials, by cofactor expansion."""
+    """Determinant of a square matrix of Polynomials, by fraction-free
+    elimination (Bareiss 1968): step k replaces each entry below and right
+    of the pivot by a 2x2 minor divided exactly by the previous pivot."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
     if n == 0:
         raise ValueError("empty matrix")
-    if n == 1:
-        return rows[0][0]
-    nv = rows[0][0].nvars
-    total = zero(nv)
-    for j in range(n):
-        a = rows[0][j]
-        if a.is_zero():
-            continue
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        sub = poly_det(minor)
-        term = a * sub
-        total = total + (term if j % 2 == 0 else -term)
-    return total
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = constant(m[0][0].nvars, 1)
+    for k in range(n - 1):
+        if m[k][k].is_zero():
+            swap = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
+            if swap is None:
+                return zero(prev.nvars)
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = exact_quotient(
+                    pivot * m[i][j] - m[i][k] * m[k][j], prev, "Bareiss step"
+                )
+        prev = pivot
+    return m[-1][-1] if sign > 0 else -m[-1][-1]
 
 
 def resultant(f, g, v):

@@ -1,9 +1,16 @@
-"""Canonical rational strings.
+"""Exact scalars and their canonical strings.
 
-Every scalar in the package is a fractions.Fraction. This module pins the
-interchange format: an integer is written "p", anything else "p/q" with
-q >= 2 and gcd(|p|, q) = 1. parse_rational accepts exactly those strings,
-so parse(format(x)) == x and format(parse(s)) == s.
+No scalar in the package is ever a float. Coefficients of polynomials and
+truncated series follow one rule, kept by `canonical`: an integral
+coefficient is an int and any other a fractions.Fraction with denominator
+>= 2. Other exact scalars, such as points, slopes and weights, are mostly
+Fractions. An int and the equal Fraction compare and hash alike, and
+format_rational writes both the same way.
+
+This module also pins the interchange format: an integer is written "p",
+anything else "p/q" with q >= 2 and gcd(|p|, q) = 1. parse_rational
+accepts exactly those strings, so parse(format(x)) == x and
+format(parse(s)) == s.
 """
 
 import re
@@ -33,3 +40,21 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value) -> str:
     return str(Fraction(value))
+
+
+def canonical(value):
+    """value as an int when it is integral, else as a Fraction."""
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def quotient(a, b):
+    """a / b exactly, under the rule of `canonical`; never a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return canonical(Fraction(a, b))

@@ -3,23 +3,39 @@
 A TruncatedSeries holds the coefficients of s^0 .. s^(N-1); every operation
 stays within that window. Orders at or past N are only ever reported as
 lower bounds ("at least N") by the callers, never as exact values.
+Coefficients follow rationals.canonical: ints when integral, Fractions
+otherwise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 
 from .curves import row_reduce
+from .rationals import canonical
+
+
+def _canonical(values):
+    return tuple(c if type(c) is int else canonical(c) for c in values)
 
 
 class TruncatedSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = tuple(canonical(c) for c in coeffs)
         if not cs:
             raise ValueError("series needs at least one coefficient")
         self.coeffs = cs
+
+    @classmethod
+    def _raw(cls, coeffs):
+        """A series on a non-empty tuple of coefficients that are already
+        canonical; results of the arithmetic below are built this way."""
+        out = cls.__new__(cls)
+        out.coeffs = coeffs
+        return out
 
     @property
     def truncation(self):
@@ -27,17 +43,19 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, n):
-        return cls((0,) * n)
+        if n < 1:
+            raise ValueError("series needs at least one coefficient")
+        return cls._raw((0,) * n)
 
     @classmethod
     def const(cls, value, n):
-        return cls((Fraction(value),) + (Fraction(0),) * (n - 1))
+        return cls._raw((canonical(value),) + (0,) * (n - 1))
 
     @classmethod
     def parameter(cls, n):
         if n < 2:
             raise ValueError("truncation too short to hold the parameter")
-        return cls((0, 1) + (0,) * (n - 2))
+        return cls._raw((0, 1) + (0,) * (n - 2))
 
     def order(self):
         """Index of the first nonzero coefficient, or None if all shown
@@ -66,22 +84,21 @@ class TruncatedSeries:
 
     def __add__(self, other):
         self._check(other)
-        return TruncatedSeries(a + b for a, b in zip(self.coeffs, other.coeffs))
+        return TruncatedSeries._raw(_canonical(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
         self._check(other)
-        return TruncatedSeries(a - b for a, b in zip(self.coeffs, other.coeffs))
+        return TruncatedSeries._raw(_canonical(map(sub, self.coeffs, other.coeffs)))
 
     def __neg__(self):
-        return TruncatedSeries(-a for a in self.coeffs)
+        return TruncatedSeries._raw(tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return TruncatedSeries(a * f for a in self.coeffs)
+            return TruncatedSeries._raw(_canonical(a * other for a in self.coeffs))
         self._check(other)
         n = self.truncation
-        out = [Fraction(0)] * n
+        out = [0] * n
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
@@ -90,7 +107,7 @@ class TruncatedSeries:
                     break
                 if b:
                     out[i + j] += a * b
-        return TruncatedSeries(out)
+        return TruncatedSeries._raw(_canonical(out))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -114,7 +131,7 @@ def series_substitute(poly, branch):
     n = branch[0].truncation
     if any(s.truncation != n for s in branch):
         raise ValueError("branch series must share a truncation")
-    caches = [{0: TruncatedSeries.const(1, n)} for _ in range(poly.nvars)]
+    caches = [{1: s} for s in branch]
 
     def power(i, e):
         cache = caches[i]
@@ -122,14 +139,19 @@ def series_substitute(poly, branch):
             cache[e] = power(i, e - 1) * branch[i]
         return cache[e]
 
-    total = TruncatedSeries.zero(n)
+    total = [0] * n
     for exp, c in poly.terms.items():
-        term = TruncatedSeries.const(c, n)
+        term = None
         for i, e in enumerate(exp):
             if e:
-                term = term * power(i, e)
-        total = total + term
-    return total
+                term = power(i, e) if term is None else term * power(i, e)
+        if term is None:
+            total[0] += c
+        else:
+            for k, x in enumerate(term.coeffs):
+                if x:
+                    total[k] += c * x
+    return TruncatedSeries._raw(_canonical(total))
 
 
 def pivot_orders(rows):

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from wallcross import polynomials
 from wallcross.cli import main
+from wallcross.curves import WitnessKind, make_witness
+from wallcross.rationals import format_rational
+from wallcross.walls import wall_slopes
 
 
 def run(capsys, *argv):
@@ -73,8 +79,6 @@ def test_witness_round_trip_through_verdict(capsys, tmp_path):
 
 def test_witness_readable_from_stdin(capsys, tmp_path, monkeypatch):
     path, out = write_witness(capsys, tmp_path, "quadric-s", 3)
-    import io
-
     monkeypatch.setattr(sys, "stdin", io.StringIO(out))
     doc = run_json(capsys, "verdict", "--curve", "-", "--slope", "5/3")
     assert doc["status"] == "Unstable"
@@ -274,3 +278,84 @@ def test_module_entry_point():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["wall"] == "11/3" and doc["edge"] == "4"
+
+
+# -- golden outputs ---------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "fixtures" / "cli_golden.json"
+
+# A plane cubic with a rational marked point and tangent coefficient 3:
+# 3*x1*x2^2 + 2*x0^2*x2 - x0*x2^2 + x1^3 at (1/2 : 0 : 1), so its branch
+# has coefficients with denominators greater than 1.
+RATIONAL_BRANCH_CUBIC = {
+    "surface": "p2",
+    "degree": 3,
+    "point": ["1/2", "0", "1"],
+    "terms": [
+        {"exp": [0, 1, 2], "coeff": "3"},
+        {"exp": [2, 0, 1], "coeff": "2"},
+        {"exp": [1, 0, 2], "coeff": "-1"},
+        {"exp": [0, 3, 0], "coeff": "1"},
+    ],
+}
+
+
+def golden_cases(tmp):
+    """(name, argv) of every CLI call gated by the golden file, in order;
+    witness documents are written under the directory tmp, so a witness
+    case must run before the cases that read its file."""
+    cases = []
+    for kind in sorted(k.value for k in WitnessKind):
+        for d in (3, 4, 5):
+            try:
+                curve = make_witness(kind, d)
+            except ValueError:
+                continue
+            path = str(tmp / f"{kind}-{d}.json")
+            tag = f"{kind} {d}"
+            cases.append((f"witness {tag}", ["witness", "--kind", kind,
+                                              "--degree", str(d), "--out", path]))
+            cases.append((f"inflect {tag}", ["inflect", "--curve", path]))
+            wall, edge = wall_slopes(curve.surface, d)
+            for t in (wall, (wall + edge) / 2, edge):
+                slope = format_rational(t)
+                cases.append((f"verdict {tag} {slope}",
+                              ["verdict", "--curve", path, "--slope", slope,
+                               "--budget", "20"]))
+    cubic = tmp / "rational-branch-cubic.json"
+    cubic.write_text(json.dumps(RATIONAL_BRANCH_CUBIC))
+    cases.append(("inflect rational-branch-cubic", ["inflect", "--curve", str(cubic)]))
+    cases.append(("verdict rational-branch-cubic 7/8",
+                  ["verdict", "--curve", str(cubic), "--slope", "7/8", "--budget", "20"]))
+    cases.append(("mu p2-nonflex 4 -1",
+                  ["mu", "--curve", str(tmp / "p2-nonflex-4.json"),
+                   "--lambda=2,-1,-1", "--slope", "-1"]))
+    for d in (3, 4, 5, 6):
+        for surface in ("p2", "quadric"):
+            for command in ("walls", "chamber"):
+                cases.append((f"{command} {surface} {d}",
+                              [command, "--surface", surface, "--degree", str(d)]))
+        cases.append((f"verify --all {d}", ["verify", "--all", "--degree", str(d)]))
+    return cases
+
+
+def run_golden_cases(tmp):
+    """{name: {"code": exit code, "out": stdout}} for every golden case."""
+    out = {}
+    for name, argv in golden_cases(tmp):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(argv)
+        out[name] = {"code": code, "out": buf.getvalue()}
+    return out
+
+
+def test_cli_golden_outputs(tmp_path):
+    # byte equality with outputs recorded before the arithmetic kept
+    # integral coefficients as ints: a coefficient reaching the JSON as a
+    # bare int instead of a rational string would show up here
+    recorded = json.loads(GOLDEN.read_text())["cases"]
+    got = run_golden_cases(tmp_path)
+    assert list(got) == list(recorded)
+    for name, result in got.items():
+        assert result == recorded[name], name

@@ -18,6 +18,7 @@ from wallcross.polynomials import (
     resultant,
     squarefree_decompose,
     variable,
+    zero,
 )
 
 
@@ -290,3 +291,120 @@ def test_prs_remainders_are_subresultants(monkeypatch):
         for got, sub in zip(remainders, want):
             assert got in (sub, -sub)
         checked += 1
+
+
+# -- coefficient representation ---------------------------------------------
+
+
+def _assert_canonical(f):
+    """Every coefficient is an int, or a Fraction with denominator > 1."""
+    for c in f.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), (f, c)
+
+
+def _random_rational_poly(rng, nvars, max_deg, nterms):
+    """Like _random_poly, with some coefficients p/q for q in 1..3; q = 1
+    and p/q that reduce to integers are passed in as Fractions on purpose."""
+    f = _random_poly(rng, nvars, max_deg, nterms)
+    return Polynomial(
+        nvars,
+        {e: Fraction(c, rng.randint(1, 3)) if rng.random() < 0.5 else c
+         for e, c in f.terms.items()},
+    )
+
+
+def test_coefficients_are_ints_or_proper_fractions():
+    rng = random.Random(17)
+    for make in (_random_poly, _random_rational_poly):
+        for _ in range(40):
+            nvars = rng.choice((2, 3))
+            f = make(rng, nvars, 3, 4)
+            g = make(rng, nvars, 2, 3)
+            if not f.variables() or not g.variables():
+                continue
+            results = [
+                f + g, f - g, f * g, f * Fraction(3, 1), f * Fraction(1, 2), -f,
+                f + Fraction(4, 2), g ** 2,
+                f.substitute([g] + [variable(nvars, i) for i in range(1, nvars)]),
+                f.partial_derivative(0),
+                exact_divide(f * g, g), exact_divide(Fraction(2, 3) * f * g, f),
+                primitive_normalized(f), poly_gcd(f * g, g * g),
+            ]
+            results.extend(p for p, _ in squarefree_decompose(f * g * g))
+            for r in results:
+                _assert_canonical(r)
+            assert exact_divide(f * g, g) == f
+            assert all(type(c) is int for c in primitive_normalized(f).terms.values())
+    # integral results of Fraction arithmetic come back as ints
+    half = Polynomial(2, {(1, 0): Fraction(1, 2), (0, 1): Fraction(3, 1)})
+    assert half.terms[(0, 1)] == 3 and type(half.terms[(0, 1)]) is int
+    assert all(type(c) is int for c in (half * 2).terms.values())
+    assert all(type(c) is int for c in (half + half).terms.values())
+
+
+def test_exact_divide_quotients():
+    x0, x1 = variable(2, 0), variable(2, 1)
+    f = (3 * x0 + 2 * x1) * (2 * x0 - x1)
+    q = exact_divide(f, 2 * x0 - x1)
+    assert q == 3 * x0 + 2 * x1
+    assert all(type(c) is int for c in q.terms.values())
+    q = exact_divide(f, 4 * x0 - 2 * x1)
+    assert q.terms == {(1, 0): Fraction(3, 2), (0, 1): 1}
+    assert type(q.terms[(0, 1)]) is int
+    assert exact_divide(f, x0 + x1) is None
+    assert exact_divide(zero(2), x0).is_zero()
+
+
+# -- determinants and resultants ---------------------------------------------
+
+
+def _cofactor_det(rows):
+    """Cofactor expansion along the first row: the oracle for poly_det."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = zero(rows[0][0].nvars)
+    for j, a in enumerate(rows[0]):
+        if a:
+            term = a * _cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+            total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def test_poly_det_matches_cofactor_expansion():
+    rng = random.Random(23)
+    x0, x1 = variable(2, 0), variable(2, 1)
+    # a zero pivot forces a row swap
+    assert poly_det([[zero(2), x0], [x1, zero(2)]]) == -(x0 * x1)
+    for _ in range(80):
+        n = rng.randint(1, 5)
+        nvars = rng.choice((1, 2, 3))
+        make = rng.choice((_random_poly, _random_rational_poly))
+        rows = [[make(rng, nvars, 2, rng.randint(0, 3)) for _ in range(n)]
+                for _ in range(n)]
+        if n > 1 and rng.random() < 0.2:
+            rows[-1] = list(rows[0])  # singular
+        det = poly_det(rows)
+        assert det == _cofactor_det(rows)
+        _assert_canonical(det)
+
+
+def test_resultant_matches_cofactor_sylvester_and_sympy(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(29)
+    pairs = []
+    while len(pairs) < 25:
+        nvars = rng.choice((2, 3))
+        f = _random_poly(rng, nvars, 4, 5)
+        g = _random_poly(rng, nvars, 3, 4)
+        if f.degree_in(0) >= 1 and g.degree_in(0) >= 1:
+            pairs.append((f, g))
+    got = [resultant(f, g, 0) for f, g in pairs]
+    monkeypatch.setattr(polynomials, "poly_det", _cofactor_det)
+    assert got == [resultant(f, g, 0) for f, g in pairs]
+    for r, (f, g) in zip(got, pairs):
+        gens = sympy.symbols(f"v0:{f.nvars}")
+        want = sympy.resultant(
+            _to_sympy(sympy, f).as_expr(), _to_sympy(sympy, g).as_expr(), gens[0]
+        )
+        want = _from_sympy(sympy.Poly(want, *gens), f.nvars)
+        assert r in (want, -want)

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from wallcross.polynomials import Polynomial
+from wallcross.curves import PointedCurve, Surface, affine_chart
+from wallcross.inflection import local_branch
+from wallcross.polynomials import Polynomial, variable
 from wallcross.series import TruncatedSeries, pivot_orders, series_substitute
 
 
@@ -97,3 +99,104 @@ def test_pivot_orders_row_operations_invariance():
         ]
         rng.shuffle(mixed)
         assert pivot_orders(mixed) == base
+
+
+# -- coefficient representation ---------------------------------------------
+
+
+def _assert_canonical(series):
+    """Every coefficient is an int, or a Fraction with denominator > 1."""
+    for c in series.coeffs:
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), (series, c)
+
+
+def _random_series(rng, n, rational):
+    pick = (lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3))) if rational \
+        else (lambda: rng.randint(-4, 4))
+    return TruncatedSeries([pick() for _ in range(n)])
+
+
+def test_series_coefficients_are_ints_or_proper_fractions():
+    rng = random.Random(13)
+    for rational in (False, True):
+        for _ in range(30):
+            n = rng.randint(1, 7)
+            a, b = _random_series(rng, n, rational), _random_series(rng, n, rational)
+            results = [a + b, a - b, -a, a * b, a * Fraction(2, 1), a * Fraction(3, 2),
+                       a ** 3, TruncatedSeries.const(Fraction(6, 3), n),
+                       TruncatedSeries.zero(n)]
+            if n >= 2:
+                s = TruncatedSeries.parameter(n)
+                results.append((s + a) * (s - b))
+                poly = Polynomial(2, {
+                    (rng.randint(0, 3), rng.randint(0, 3)):
+                        Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                    for _ in range(4)
+                })
+                results.append(series_substitute(poly, (a, b)))
+            for r in results:
+                _assert_canonical(r)
+    half = TruncatedSeries([Fraction(1, 2), Fraction(4, 2)])
+    assert type(half.coeffs[1]) is int
+    assert all(type(c) is int for c in (half + half).coeffs)
+
+
+def _branch_by_full_substitutions(curve, N):
+    """local_branch as first written: every Newton step substitutes the
+    whole length-N series to read one coefficient. The oracle for the
+    windowed solve."""
+    f, free, shifts = affine_chart(curve.surface, curve.equation, curve.point)
+    fu = f.terms.get((1, 0), 0)
+    fv = f.terms.get((0, 1), 0)
+    s = TruncatedSeries.parameter(N)
+    solved = TruncatedSeries.zero(N)
+    if fv != 0:
+        pair, slope = (lambda w: (s, w)), fv
+    else:
+        pair, slope = (lambda w: (w, s)), fu
+    for k in range(1, N):
+        e = series_substitute(f, pair(solved)).coeffs[k]
+        if e:
+            bump = [0] * N
+            bump[k] = Fraction(-e, slope)
+            solved = solved + TruncatedSeries(bump)
+    aff = dict(zip(free, pair(solved)))
+    return tuple(
+        TruncatedSeries.const(shifts[i], N) + aff[i] if i in aff
+        else TruncatedSeries.const(1, N)
+        for i in range(curve.surface.nvars)
+    )
+
+
+def _curve_with_tangent_coefficient(rng, d):
+    """A plane curve through a rational point (a : b : 1) whose chart at
+    the point has one linear term, with coefficient 2 or 3, in the u or the
+    v direction, and random integer terms of order 2 to d."""
+    a = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    b = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    linear = (0, 1, d - 1) if rng.random() < 0.5 else (1, 0, d - 1)
+    terms = {linear: rng.choice((2, 3))}
+    for _ in range(rng.randint(2, 6)):
+        i = rng.randint(0, d)
+        j = rng.randint(0, d - i)
+        if i + j >= 2:
+            terms[(i, j, d - i - j)] = rng.choice((-3, -2, -1, 1, 2, 3))
+    shifted = Polynomial(3, terms)
+    x0, x1, x2 = (variable(3, i) for i in range(3))
+    eq = shifted.substitute([x0 - a * x2, x1 - b * x2, x2])
+    return PointedCurve(Surface.P2, d, (a, b, Fraction(1)), eq)
+
+
+def test_local_branch_matches_full_substitution_solve():
+    rng = random.Random(31)
+    fractional = 0
+    for _ in range(40):
+        d = rng.randint(3, 5)
+        curve = _curve_with_tangent_coefficient(rng, d)
+        for N in (2, 4, 2 * d + 1):
+            branch = local_branch(curve, N)
+            assert branch == _branch_by_full_substitutions(curve, N)
+            for series in branch:
+                _assert_canonical(series)
+                fractional += any(type(c) is Fraction for c in series.coeffs)
+    assert fractional  # the Fraction side of the rule is exercised
