@@ -17,6 +17,7 @@ import json
 import sys
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 
 from .criterion import OneParamSubgroup, mu_min, stability_verdict
 from .curves import (
@@ -325,7 +326,10 @@ def _cmd_witness(args):
     return 0
 
 
+@cache
 def _build_parser():
+    """The argument parser, built on the first call and kept for the
+    process: parsing never changes it."""
     parser = _Parser(
         prog="wallcross",
         description="Exact stability, inflection and wall computations "

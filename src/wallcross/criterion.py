@@ -19,9 +19,11 @@ from math import gcd, lcm
 from .curves import (
     FrameChange,
     Surface,
+    adjugate,
     apply_frame,
     mat_det,
     mat_inv,
+    move_curve,
     normalize_frame,
     row_reduce,
 )
@@ -196,18 +198,18 @@ def torus_verdict(curve, t):
 
 
 def _random_frame(surface, rng):
+    """The matrices (mx, my, swap) of a random invertible integer frame,
+    entries in [-3, 3]; my is None and swap False on the plane."""
     if surface is Surface.P2:
         while True:
-            mx = tuple(
-                tuple(Fraction(rng.randint(-3, 3)) for _ in range(3)) for _ in range(3)
-            )
-            if mat_det(mx) != 0:
-                return FrameChange(surface, mx)
+            mx = tuple(tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(3))
+            if adjugate(mx)[1]:
+                return mx, None, False
     while True:
-        mx = tuple(tuple(Fraction(rng.randint(-3, 3)) for _ in range(2)) for _ in range(2))
-        my = tuple(tuple(Fraction(rng.randint(-3, 3)) for _ in range(2)) for _ in range(2))
-        if mat_det(mx) != 0 and mat_det(my) != 0:
-            return FrameChange(surface, mx, my, swap=bool(rng.getrandbits(1)))
+        mx = tuple(tuple(rng.randint(-3, 3) for _ in range(2)) for _ in range(2))
+        my = tuple(tuple(rng.randint(-3, 3) for _ in range(2)) for _ in range(2))
+        if adjugate(mx)[1] and adjugate(my)[1]:
+            return mx, my, bool(rng.getrandbits(1))
 
 
 def _adapted_frames(curve):
@@ -257,34 +259,47 @@ def destabilizer_search(curve, t, budget=500, seed=0):
     Frames are tried in a fixed order: the normalizing frame of the curve,
     the identity, frames adapted to the special-locus geometry, then random
     integer frames from the given seed. Returns (frame, lam, mu) for the
-    first success, or None once the budget of frames is spent."""
+    first success, or None once the budget of frames is spent.
+
+    The torus check reads only the support of the moved curve and the zero
+    pattern of its point, so a frame moves the curve only up to constants,
+    through the integer adjugate (`move_curve`); the normalizing frame
+    reuses the curve `normalize_frame` moved, and the identity the curve
+    itself. Only a hit builds its FrameChange, and its mu is re-checked on
+    the exact move."""
     tried = 0
     seen = set()
 
     def candidates():
+        # (matrices, frame or None, the exactly moved curve or None)
         try:
-            g0, _ = normalize_frame(curve)
-            yield g0
+            g0, moved0 = normalize_frame(curve)
+            yield (g0.mx, g0.my, g0.swap), g0, moved0
         except ValueError:
             pass
-        yield FrameChange.identity(curve.surface)
-        yield from _adapted_frames(curve)
+        identity = FrameChange.identity(curve.surface)
+        yield (identity.mx, identity.my, False), identity, curve
+        for frame in _adapted_frames(curve):
+            yield (frame.mx, frame.my, frame.swap), frame, None
         rng = random.Random(seed)
         while True:
-            yield _random_frame(curve.surface, rng)
+            yield _random_frame(curve.surface, rng), None, None
 
-    for frame in candidates():
+    for key, frame, exact in candidates():
         if tried >= budget:
             return None
-        key = (frame.mx, frame.my, frame.swap)
         if key in seen:
             continue
         seen.add(key)
         tried += 1
-        moved = apply_frame(curve, frame)
+        moved = exact if exact is not None else move_curve(curve, *key)[0]
         sign, lam = torus_verdict(moved, t)
         if sign > 0:
-            mu, _ = mu_min(moved, lam, t)
+            if frame is None:
+                frame = FrameChange(curve.surface, *key)
+            if exact is None:
+                exact = apply_frame(curve, frame)
+            mu, _ = mu_min(exact, lam, t)
             if mu <= 0:
                 raise InternalError(
                     f"destabilizer {lam.weights} has mu {mu} at t = {t}"

@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm, prod
 
-from .polynomials import Polynomial, constant, monomial, variable, zero
-from .rationals import format_rational, parse_rational
+from .polynomials import Polynomial, constant, variable
+from .rationals import format_rational, parse_rational, quotient
 
 
 class Surface(str, Enum):
@@ -100,7 +101,7 @@ def checked(curve):
 
 
 def mat_vec(m, v):
-    return tuple(sum(Fraction(a) * Fraction(x) for a, x in zip(row, v)) for row in m)
+    return tuple(sum(a * x for a, x in zip(row, v)) for row in m)
 
 
 def mat_mul(a, b):
@@ -112,17 +113,29 @@ def mat_mul(a, b):
 
 
 def row_reduce(rows):
-    """Gauss-Jordan elimination on exact rationals.
+    """Gauss-Jordan elimination on exact rationals, fraction-free.
+
+    Each row is first scaled to integers by the lcm of its denominators.
+    The elimination is the Jordan form of Bareiss's (Bareiss 1968): every
+    step divides exactly by the previous pivot, so every entry stays an
+    integer (a minor of the scaled rows), and afterwards every pivot row
+    carries the last pivot in its pivot column. Only the reduced rows are
+    divided, by that pivot.
 
     Returns (reduced, pivots, det): the reduced row echelon form, its pivot
-    columns in increasing order, and the product of the pivots with one
-    sign flip per row swap, which is the determinant of a square matrix of
-    full rank.
+    columns in increasing order, and the product of the Gauss-Jordan pivots
+    with one sign flip per row swap, which is the determinant of a square
+    matrix of full rank.
     """
-    mat = [[Fraction(x) for x in r] for r in rows]
+    mat, scales = [], []
+    for row in rows:
+        c, (ints,) = _cleared((row,))
+        mat.append(list(ints))
+        scales.append(c)
     ncols = len(mat[0]) if mat else 0
     pivots = []
-    det = Fraction(1)
+    sign = 1
+    prev = 1
     r = 0
     for col in range(ncols):
         if r == len(mat):
@@ -132,24 +145,26 @@ def row_reduce(rows):
             continue
         if pivot != r:
             mat[r], mat[pivot] = mat[pivot], mat[r]
-            det = -det
-        det *= mat[r][col]
-        inv = 1 / mat[r][col]
-        mat[r] = [x * inv for x in mat[r]]
+            scales[r], scales[pivot] = scales[pivot], scales[r]
+            sign = -sign
+        top = mat[r]
+        p = top[col]
         for i in range(len(mat)):
-            if i != r and mat[i][col]:
+            if i != r:
                 f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+                mat[i] = [(p * a - f * b) // prev for a, b in zip(mat[i], top)]
+        prev = p
         pivots.append(col)
         r += 1
-    return mat, pivots, det
+    reduced = [[quotient(x, prev) for x in row] for row in mat]
+    return reduced, pivots, quotient(sign * prev, prod(scales[:r]))
 
 
 def mat_det(m):
     if any(len(row) != len(m) for row in m):
         raise ValueError("matrix is not square")
     _, pivots, det = row_reduce(m)
-    return det if len(pivots) == len(m) else Fraction(0)
+    return det if len(pivots) == len(m) else 0
 
 
 def mat_inv(m):
@@ -159,6 +174,28 @@ def mat_inv(m):
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return tuple(tuple(row[n:]) for row in reduced)
+
+
+def _cleared(m):
+    """(c, M): the least positive integer c for which M = c * m is an
+    integer matrix, and M, for a matrix of ints and Fractions."""
+    c = lcm(*(x.denominator for row in m for x in row))
+    return c, tuple(tuple(x.numerator * (c // x.denominator) for x in row) for row in m)
+
+
+def adjugate(m):
+    """(adj, det) of a 2x2 or 3x3 matrix, adj * m = m * adj = det * I, in
+    the arithmetic of its entries: an integer matrix stays in ints."""
+    if len(m) == 2:
+        (a, b), (c, d) = m
+        return ((d, -b), (-c, a)), a * d - b * c
+    (a, b, c), (d, e, f), (g, h, i) = m
+    adj = (
+        (e * i - f * h, c * h - b * i, b * f - c * e),
+        (f * g - d * i, a * i - c * g, c * d - a * f),
+        (d * h - e * g, b * g - a * h, a * e - b * d),
+    )
+    return adj, a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
 
 
 def _freeze(m):
@@ -240,49 +277,68 @@ def compose(outer, inner):
     )
 
 
+def move_curve(curve, mx, my=None, swap=False):
+    """Move a pointed curve by the frame g given by its matrices (as in
+    FrameChange), up to nonzero constants, through the integer adjugate.
+
+    With c * g = M an integer matrix, g^-1 = c * adj(M) / det(M), so
+    substituting the integer linear forms of adj(M) into the equation gives
+    C o g^-1 divided by the constant (c / det M)^d; on the quadric each
+    factor has its own such constant. An integer equation stays in ints.
+
+    Returns (moved, scale): moved carries the equation C o adj(M) and the
+    point M p, for p with its denominators cleared, which is a multiple of
+    g(p) (per factor on the quadric), so the support of the curve and the
+    zero pattern of the point are those of the exact move; and
+    scale * moved.equation == C o g^-1.
+    """
+    n = curve.surface.nvars
+    d = curve.degree
+    _, (p,) = _cleared((curve.point,))
+    if curve.surface is Surface.P2:
+        c, m = _cleared(mx)
+        adj, det = adjugate(m)
+        if not det:
+            raise ValueError("frame matrix is singular")
+        subs = [_linear_form(n, (0, 1, 2), row) for row in adj]
+        point = mat_vec(m, p)
+        scale = Fraction(c, det) ** d
+    else:
+        (cx, m_x), (cy, m_y) = _cleared(mx), _cleared(my)
+        (adj_x, det_x), (adj_y, det_y) = adjugate(m_x), adjugate(m_y)
+        if not det_x or not det_y:
+            raise ValueError("frame matrix is singular")
+        # g(x, y) = (mx x, my y), or (my y, mx x) with the swap, so the old
+        # x coordinates are forms in the new coordinates of the factor
+        # that mx x lands on
+        x_slots, y_slots = ((2, 3), (0, 1)) if swap else ((0, 1), (2, 3))
+        subs = [_linear_form(n, x_slots, row) for row in adj_x]
+        subs += [_linear_form(n, y_slots, row) for row in adj_y]
+        u, v = mat_vec(m_x, p[:2]), mat_vec(m_y, p[2:])
+        point = v + u if swap else u + v
+        scale = Fraction(cx, det_x) ** d * Fraction(cy, det_y) ** d
+    moved = PointedCurve(curve.surface, d, point, curve.equation.substitute(subs))
+    return moved, scale
+
+
 def apply_frame(curve, frame):
-    """Move a pointed curve to new coordinates: p' = g(p), C' = C o g^{-1}."""
+    """Move a pointed curve to new coordinates: p' = g(p), C' = C o g^{-1},
+    computed as the integer move of `move_curve` times its scalar."""
     if frame.surface is not curve.surface:
         raise ValueError("surface mismatch")
-    inv = frame.inverse()
-    n = curve.surface.nvars
-    if curve.surface is Surface.P2:
-        subs = [
-            sum(
-                (monomial(n, _unit(n, j), inv.mx[i][j]) for j in range(3) if inv.mx[i][j]),
-                zero(n),
-            )
-            for i in range(3)
-        ]
-    else:
-        subs = [None] * 4
-        if frame.swap:
-            # g(x, y) = (my y, mx x), so g^-1(x', y') = (mx^-1 y', my^-1 x');
-            # in the inverse frame those matrices sit as inv.my and inv.mx
-            for i in range(2):
-                subs[i] = _linear(n, (2, 3), inv.my[i])
-                subs[2 + i] = _linear(n, (0, 1), inv.mx[i])
-        else:
-            for i in range(2):
-                subs[i] = _linear(n, (0, 1), inv.mx[i])
-                subs[2 + i] = _linear(n, (2, 3), inv.my[i])
-    new_eq = curve.equation.substitute(subs)
+    moved, scale = move_curve(curve, frame.mx, frame.my, frame.swap)
     new_p = frame.act_point(curve.point)
-    return PointedCurve(curve.surface, curve.degree, tuple(new_p), new_eq)
+    return PointedCurve(curve.surface, curve.degree, tuple(new_p), moved.equation * scale)
 
 
-def _unit(n, j):
-    e = [0] * n
-    e[j] = 1
-    return tuple(e)
-
-
-def _linear(n, slots, coeffs):
-    out = zero(n)
+def _linear_form(n, slots, coeffs):
+    form = {}
     for s, c in zip(slots, coeffs):
         if c:
-            out = out + monomial(n, _unit(n, s), c)
-    return out
+            e = [0] * n
+            e[s] = 1
+            form[tuple(e)] = c
+    return Polynomial(n, form)
 
 
 # -- local geometry at the marked point ------------------------------------

@@ -8,19 +8,23 @@ over a convex polygon of weights r = (r0, r1) around the origin, where the
 p_l are the point-weight forms and the m_e the monomial-weight forms of a
 pointed curve. mu is concave, positively homogeneous and piecewise linear,
 and it changes slope only on lines through the origin where two point
-forms or two monomial forms tie. Hence every vertex of the set where mu is
-maximal, and, when the maximum is 0, every vertex of the zero set, lies in
-a finite candidate set: the origin, the polygon's corners, and the points
-where a tie line leaves the polygon. Evaluating mu on the candidates is an
+forms or two monomial forms tie. Of those lines only the ties of two
+adjacent vertices of the convex hull of the point forms, or of the
+monomial forms, count: a linear form's extreme over a finite set is taken
+at a hull vertex, and the vertex taking it changes only across the normal
+of a hull edge. Hence every vertex of the set where mu is maximal, and,
+when the maximum is 0, every vertex of the zero set, lies in a finite
+candidate set: the origin, the polygon's corners, and the points where
+such a tie line leaves the polygon. Evaluating mu on the candidates is an
 exact solve of this fixed-dimension linear program (Megiddo 1983, Seidel
-1991). No floating point anywhere.
+1991). The evaluation runs in integers over one common denominator; no
+floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 # Probes for a zero certificate, in order: +r0, -r0, +r1, -r1.
 _PROBES = ((0, 1), (0, -1), (1, 1), (1, -1))
@@ -41,11 +45,34 @@ def _edges(corners):
     return edges
 
 
-def _tie_directions(forms):
+def _hull(forms):
+    """Vertices of the convex hull of integer pairs, in counterclockwise
+    order, without collinear points (Andrew's monotone chain)."""
+    points = sorted(set(forms))
+    if len(points) <= 2:
+        return points
+
+    def chain(seq):
+        out = []
+        for x, y in seq:
+            while len(out) >= 2 and (
+                (out[-1][0] - out[-2][0]) * (y - out[-2][1])
+                - (out[-1][1] - out[-2][1]) * (x - out[-2][0])
+            ) <= 0:
+                out.pop()
+            out.append((x, y))
+        return out[:-1]
+
+    return chain(points) + chain(reversed(points))
+
+
+def _tie_directions(hull):
     """Primitive directions of the lines through the origin on which two
-    of the forms take the same value, one per line."""
+    adjacent hull vertices take the same value, one per line."""
     lines = set()
-    for a, b in combinations(set(forms), 2):
+    for a, b in zip(hull, hull[1:] + hull[:1]):
+        if a == b:
+            continue
         n0, n1 = a[0] - b[0], a[1] - b[1]
         g = gcd(n0, n1)
         n0, n1 = n0 // g, n1 // g
@@ -56,10 +83,14 @@ def _tie_directions(forms):
 
 
 def _exit_scale(d, edges):
-    """The s > 0 at which the ray from the origin along d leaves the
-    polygon, at the point s * d."""
-    return min(Fraction(c, n[0] * d[0] + n[1] * d[1])
-               for n, c in edges if n[0] * d[0] + n[1] * d[1] > 0)
+    """(c, k), k > 0: the ray from the origin along d leaves the polygon
+    at the point (c / k) * d. Scales are compared by cross-multiplication."""
+    best_c, best_k = None, None
+    for n, c in edges:
+        k = n[0] * d[0] + n[1] * d[1]
+        if k > 0 and (best_k is None or c * best_k < best_c * k):
+            best_c, best_k = c, k
+    return best_c, best_k
 
 
 def lp_max(point_forms, monomial_forms, t, box):
@@ -75,33 +106,41 @@ def lp_max(point_forms, monomial_forms, t, box):
       on which the zero set reaches a positive probe value, as the
       lexicographically largest point of that face;
     - (-1, None) when mu < 0 away from the origin.
+
+    The solve runs in integers over one common denominator: with
+    t = tn / tq and L the lcm of the exit denominators, every candidate is
+    kept as L times the point and every value as L * tq * mu there, both
+    integers, which order exactly as the points and values themselves. Only
+    the returned r is made of Fractions.
     """
     t = Fraction(t)
+    tn, tq = t.numerator, t.denominator
     edges = _edges(list(box))
     # The candidates other than the origin are exit points of rays: towards
-    # the corners and both ways along every tie line.
+    # the corners and both ways along every tie line of hull neighbours.
+    point_forms, monomial_forms = _hull(point_forms), _hull(monomial_forms)
     directions = set(box)
     for forms in (point_forms, monomial_forms):
         for d in _tie_directions(forms):
             directions.update((d, (-d[0], -d[1])))
-
-    def mu(d):
-        # on an integer direction, so only t and the result are fractions
-        return (min(t * (a * d[0] + b * d[1]) for a, b in point_forms)
-                - max(a * d[0] + b * d[1] for a, b in monomial_forms))
-
-    zero = Fraction(0)
-    values = {(zero, zero): zero}
-    for d in directions:
-        s = _exit_scale(d, edges)
-        # mu is positively homogeneous: mu(s * d) = s * mu(d)
-        values[(s * d[0], s * d[1])] = s * mu(d)
+    exits = [(d, *_exit_scale(d, edges)) for d in directions]
+    den = lcm(*(k for _, _, k in exits))
+    values = {(0, 0): 0}
+    for (d0, d1), c, k in exits:
+        # tq * mu(d) is an integer on the integer direction d, and mu is
+        # positively homogeneous: mu(s * d) = s * mu(d)
+        tq_mu = (min(tn * (a * d0 + b * d1) for a, b in point_forms)
+                 - tq * max(a * d0 + b * d1 for a, b in monomial_forms))
+        f = den // k * c
+        values[(f * d0, f * d1)] = f * tq_mu
     best = max(values.values())
     if best > 0:
-        return 1, max(r for r, v in values.items() if v == best)
+        r = max(r for r, v in values.items() if v == best)
+        return 1, (Fraction(r[0], den), Fraction(r[1], den))
     zero_set = [r for r, v in values.items() if v == 0]
     for axis, sense in _PROBES:
         reach = max(sense * r[axis] for r in zero_set)
         if reach > 0:
-            return 0, max(r for r in zero_set if sense * r[axis] == reach)
+            r = max(r for r in zero_set if sense * r[axis] == reach)
+            return 0, (Fraction(r[0], den), Fraction(r[1], den))
     return -1, None

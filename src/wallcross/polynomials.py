@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import add
+from operator import add, mul
 
 from .errors import InternalError
 from .rationals import canonical, quotient
@@ -192,29 +192,42 @@ class Polynomial:
         return total
 
     def substitute(self, subs):
-        """Plug a polynomial in for each variable. All subs share one arity."""
+        """Plug a polynomial in for each variable. All subs share one arity.
+
+        The products run on packed exponents: an exponent vector of the
+        result is one int, digit j in a radix above every exponent of
+        variable j the result can reach, so multiplying terms adds ints."""
         if len(subs) != self.nvars:
             raise ValueError("need one substitution per variable")
         m = subs[0].nvars
         if any(s.nvars != m for s in subs):
             raise ValueError("substitutions must share an arity")
-        powers = [{0: constant(m, 1)} for _ in range(self.nvars)]
+        top = [max((e[i] for e in self.terms), default=0) for i in range(self.nvars)]
+        radix = 1 + max(
+            sum(k * s.degree_in(j) for k, s in zip(top, subs) if k and s) for j in range(m)
+        )
+        places = [radix ** (m - 1 - j) for j in range(m)]
+        packed = [
+            {sum(map(mul, e, places)): c for e, c in s.terms.items()} for s in subs
+        ]
+        powers = [[{0: 1}] for _ in range(self.nvars)]
 
         def power(i, e):
             cache = powers[i]
-            if e not in cache:
-                cache[e] = power(i, e - 1) * subs[i]
+            while len(cache) <= e:
+                cache.append(_packed_product(cache[-1], packed[i]))
             return cache[e]
 
         acc = {}
         for exp, c in self.terms.items():
-            term = constant(m, 1)
+            term = {0: 1}
             for i, e in enumerate(exp):
                 if e:
-                    term = term * power(i, e)
-            for e, tc in term.terms.items():
-                acc[e] = acc.get(e, 0) + c * tc
-        return Polynomial._raw(m, _canonical_terms(acc))
+                    term = _packed_product(term, power(i, e))
+            for k, tc in term.items():
+                acc[k] = acc.get(k, 0) + c * tc
+        unpacked = {tuple(k // p % radix for p in places): c for k, c in acc.items()}
+        return Polynomial._raw(m, _canonical_terms(unpacked))
 
     def partial_derivative(self, i):
         if not 0 <= i < self.nvars:
@@ -241,6 +254,18 @@ class Polynomial:
             else:
                 bits.append(str(c))
         return "Poly(" + " + ".join(bits) + ")"
+
+
+def _packed_product(a, b):
+    """Product of two polynomials held as {packed exponent: coefficient}."""
+    acc = {}
+    get = acc.get
+    right = b.items()
+    for e1, c1 in a.items():
+        for e2, c2 in right:
+            e = e1 + e2
+            acc[e] = get(e, 0) + c1 * c2
+    return _canonical_terms(acc)
 
 
 def zero(nvars):

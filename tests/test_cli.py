@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from wallcross import polynomials
+from wallcross import cli, polynomials
 from wallcross.cli import main
 from wallcross.curves import WitnessKind, make_witness
 from wallcross.rationals import format_rational
@@ -359,3 +359,22 @@ def test_cli_golden_outputs(tmp_path):
     assert list(got) == list(recorded)
     for name, result in got.items():
         assert result == recorded[name], name
+
+
+def test_one_parser_serves_successive_calls(capsys):
+    # the parser is built once per process; calls with different argv, and
+    # a usage error between them, still give their recorded outputs
+    recorded = json.loads(GOLDEN.read_text())["cases"]
+    assert cli._build_parser() is cli._build_parser()
+    for name, argv in (
+        ("walls p2 4", ["walls", "--surface", "p2", "--degree", "4"]),
+        ("chamber quadric 5", ["chamber", "--surface", "quadric", "--degree", "5"]),
+        (None, ["walls", "--surface", "p3", "--degree", "4"]),
+        ("verify --all 3", ["verify", "--all", "--degree", "3"]),
+        ("walls p2 4", ["walls", "--surface", "p2", "--degree", "4"]),
+    ):
+        code, out, err = run(capsys, *argv)
+        if name is None:
+            assert code == 1 and "error:" in err
+        else:
+            assert {"code": code, "out": out} == recorded[name]

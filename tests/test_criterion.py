@@ -15,11 +15,14 @@ from wallcross.criterion import (
     torus_verdict,
 )
 from wallcross.curves import (
+    FrameChange,
     PointedCurve,
     Surface,
     WitnessKind,
     all_exponents,
     apply_frame,
+    curve_from_json,
+    frame_to_json,
     make_witness,
     normalize_frame,
 )
@@ -91,7 +94,8 @@ def test_mu_min_is_the_minimum_over_support_pairs():
     for surface in (Surface.P2, Surface.QUADRIC):
         for _ in range(30):
             c = apply_frame(
-                _random_curve(surface, 3, rng), criterion._random_frame(surface, rng)
+                _random_curve(surface, 3, rng),
+                FrameChange(surface, *criterion._random_frame(surface, rng)),
             )
             if surface is Surface.P2:
                 w0, w1 = rng.randint(-4, 4), rng.randint(-4, 4)
@@ -228,6 +232,77 @@ def test_certificate_rechecks_raise_internal_error(monkeypatch):
     monkeypatch.setattr(criterion, "torus_verdict", lambda curve, t: (1, lam))
     with pytest.raises(InternalError):
         destabilizer_search(c, 3, budget=1)
+
+
+def _terms(*pairs):
+    return [{"exp": list(e), "coeff": c} for e, c in pairs]
+
+
+# Curves that only a random frame destabilizes at t = 1/2: a point of high
+# multiplicity, or a bad point on a ruling, away from the coordinate
+# points. Each with the budget that reaches the hit and the certificate
+# the search gave when every frame was moved by a g^-1 substitution.
+RANDOM_FRAME_HITS = [
+    ({"surface": "p2", "degree": 4, "point": ["-2", "3", "2"], "terms": _terms(
+        ((0, 0, 4), "1"), ((0, 1, 3), "-3"), ((0, 2, 2), "3"), ((0, 3, 1), "-1"),
+        ((1, 0, 3), "-7"), ((1, 1, 2), "23"), ((1, 2, 1), "-25"), ((1, 3, 0), "9"),
+        ((2, 0, 2), "14"), ((2, 1, 1), "-29"), ((2, 2, 0), "15"), ((3, 0, 1), "-7"),
+        ((3, 1, 0), "7"), ((4, 0, 0), "1"))},
+     100, {"matrix": [["-3", "1", "-1"], ["-2", "-2", "3"], ["0", "-1", "1"]]}, (-1, 2, -1)),
+    ({"surface": "p2", "degree": 4, "point": ["1", "-2", "-1"], "terms": _terms(
+        ((0, 0, 4), "-1/8"), ((0, 1, 3), "1/2"), ((0, 2, 2), "-3/4"), ((0, 3, 1), "1/2"),
+        ((0, 4, 0), "-1/8"), ((1, 0, 3), "3/4"), ((1, 1, 2), "-5/4"), ((1, 2, 1), "5/4"),
+        ((1, 3, 0), "-3/4"), ((2, 0, 2), "-1/2"), ((2, 1, 1), "1"), ((2, 2, 0), "-3/2"),
+        ((3, 0, 1), "1/4"), ((3, 1, 0), "-5/4"), ((4, 0, 0), "-3/8"))},
+     100, {"matrix": [["-3", "-3", "0"], ["-1", "-1", "3"], ["0", "-3", "3"]]}, (-1, -1, 2)),
+    ({"surface": "quadric", "degree": 3, "point": ["-2", "3", "-1", "2"], "terms": _terms(
+        ((0, 3, 1, 2), "-1"), ((0, 3, 3, 0), "2"), ((1, 2, 1, 2), "-3"), ((1, 2, 3, 0), "5"),
+        ((2, 1, 1, 2), "-3"), ((2, 1, 3, 0), "4"), ((3, 0, 1, 2), "-1"), ((3, 0, 3, 0), "1"))},
+     30, {"x_matrix": [["-2", "-1"], ["-2", "-2"]], "y_matrix": [["3", "-2"], ["-3", "1"]],
+          "swap": True}, (0, -1)),
+    ({"surface": "quadric", "degree": 3, "point": ["-4", "-2", "-3", "1"], "terms": _terms(
+        ((0, 3, 0, 3), "-1/8"), ((0, 3, 1, 2), "-1/8"), ((0, 3, 2, 1), "-1/4"),
+        ((1, 2, 0, 3), "1/8"), ((1, 2, 1, 2), "5/8"), ((1, 2, 2, 1), "3/4"),
+        ((2, 1, 0, 3), "1/8"), ((2, 1, 1, 2), "-7/8"), ((2, 1, 2, 1), "-3/4"),
+        ((3, 0, 0, 3), "-1/8"), ((3, 0, 1, 2), "3/8"), ((3, 0, 2, 1), "1/4"))},
+     30, {"x_matrix": [["3", "-1"], ["-2", "2"]], "y_matrix": [["-1", "2"], ["3", "-3"]],
+          "swap": False}, (-1, 0)),
+]
+
+
+@pytest.mark.parametrize("doc, budget, frame_doc, weights", RANDOM_FRAME_HITS)
+def test_random_frame_hits_keep_their_certificates(doc, budget, frame_doc, weights):
+    curve = curve_from_json(doc)
+    t = Fraction(1, 2)
+    frame, lam, mu = destabilizer_search(curve, t, budget=budget)
+    assert frame_to_json(frame) == frame_doc
+    assert lam.weights == weights and mu == Fraction(1, 2)
+    assert frame not in (normalize_frame(curve)[0], FrameChange.identity(curve.surface))
+    assert mu_min(apply_frame(curve, frame), lam, t)[0] == mu
+
+
+def test_random_frame_hit_is_rechecked_on_the_exact_move(monkeypatch):
+    # a support-only move that claims a destabilizer is re-checked on the
+    # exact move: a subgroup that does not destabilize it is an error
+    curve = curve_from_json(RANDOM_FRAME_HITS[0][0])
+    lam = OneParamSubgroup(Surface.P2, (1, 0, -1))
+    calls = []
+
+    def verdict(moved, t):
+        calls.append(moved)
+        return (1, lam) if len(calls) == 3 else (-1, None)
+
+    exact_moves = []
+
+    def exact_move(curve, frame):
+        exact_moves.append(frame)
+        return apply_frame(curve, frame)
+
+    monkeypatch.setattr(criterion, "torus_verdict", verdict)
+    monkeypatch.setattr(criterion, "apply_frame", exact_move)
+    with pytest.raises(InternalError):
+        destabilizer_search(curve, 3, budget=3)
+    assert len(calls) == 3 and len(exact_moves) == 1
 
 
 def test_interval_claim_flex_family():

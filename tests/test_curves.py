@@ -22,6 +22,7 @@ from wallcross.curves import (
     mat_inv,
     mat_mul,
     normalize_frame,
+    row_reduce,
     validate,
 )
 from wallcross.polynomials import Polynomial, constant, variable
@@ -102,6 +103,62 @@ def test_frame_inverse_round_trip():
             back = apply_frame(moved, g.inverse())
             assert back.point == c.point
             assert back.equation == c.equation
+
+
+def _gauss_jordan(rows):
+    """Oracle: Gauss-Jordan elimination on Fractions, (reduced, pivots,
+    det) with det the signed product of the pivots."""
+    mat = [[Fraction(x) for x in r] for r in rows]
+    ncols = len(mat[0]) if mat else 0
+    pivots = []
+    det = Fraction(1)
+    r = 0
+    for col in range(ncols):
+        if r == len(mat):
+            break
+        pivot = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            mat[r], mat[pivot] = mat[pivot], mat[r]
+            det = -det
+        det *= mat[r][col]
+        mat[r] = [x / mat[r][col] for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+    return mat, pivots, det
+
+
+def test_row_reduce_matches_gauss_jordan():
+    rng = random.Random(61)
+    deficient = 0
+    for _ in range(400):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
+        fractional = rng.random() < 0.5
+        rows = []
+        for _ in range(nrows):
+            if rows and rng.random() < 0.2:
+                # a combination of earlier rows, so the rank drops
+                a, b = rng.choice(rows), rng.choice(rows)
+                k = rng.randint(-2, 2)
+                rows.append([x + k * y for x, y in zip(a, b)])
+                continue
+            row = [rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(ncols)]
+            if fractional:
+                row = [Fraction(x, rng.randint(1, 6)) for x in row]
+            rows.append(row)
+        reduced, pivots, det = row_reduce(rows)
+        expected = _gauss_jordan(rows)
+        assert (reduced, pivots, det) == expected
+        deficient += len(pivots) < min(nrows, ncols)
+        if not fractional:
+            assert type(det) is int
+        assert all(type(x) in (int, Fraction) for row in reduced for x in row)
+    assert deficient > 20
 
 
 def test_compose_matches_sequential_action():

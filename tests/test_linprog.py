@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -104,3 +106,59 @@ def test_random_feasible_points_never_beat_optimum():
                 assert pt <= r
             if sign < 0:
                 assert v < 0
+
+
+def _lp_max_all_ties(points, monomials, t, box):
+    """Oracle: the candidate solve on Fractions, with the exit points of
+    the tie lines of every pair of forms, not only of hull neighbours."""
+    t = Fraction(t)
+    edges = []
+    for (x0, y0), (x1, y1) in zip(box, box[1:] + box[:1]):
+        n = (y1 - y0, x0 - x1)
+        edges.append((n, n[0] * x0 + n[1] * y0))
+    directions = set(box)
+    for forms in (points, monomials):
+        for a, b in combinations(set(forms), 2):
+            n0, n1 = a[0] - b[0], a[1] - b[1]
+            g = gcd(n0, n1)
+            directions.update(((-n1 // g, n0 // g), (n1 // g, -n0 // g)))
+    values = {(Fraction(0), Fraction(0)): Fraction(0)}
+    for d in directions:
+        s = min(Fraction(c, n[0] * d[0] + n[1] * d[1])
+                for n, c in edges if n[0] * d[0] + n[1] * d[1] > 0)
+        values[(s * d[0], s * d[1])] = s * _mu(points, monomials, t, d)
+    best = max(values.values())
+    if best > 0:
+        return 1, max(r for r, v in values.items() if v == best)
+    zero_set = [r for r, v in values.items() if v == 0]
+    for axis, sense in ((0, 1), (0, -1), (1, 1), (1, -1)):
+        reach = max(sense * r[axis] for r in zero_set)
+        if reach > 0:
+            return 0, max(r for r in zero_set if sense * r[axis] == reach)
+    return -1, None
+
+
+def test_matches_the_solve_over_all_tie_lines():
+    # the hull-neighbour tie lines and the integer evaluation over one
+    # common denominator give the answers of the plain Fraction solve;
+    # slopes on a coarse grid make zero maxima common
+    rng = random.Random(59)
+    signs = {1: 0, 0: 0, -1: 0}
+    for _ in range(1500):
+        d = rng.randint(1, 6)
+        if rng.random() < 0.5:
+            box = HEXAGON
+            points = rng.sample([(1, 0), (0, 1), (-1, -1)], rng.randint(1, 3))
+            forms = [(i - k, j - k) for i in range(d + 1) for j in range(d + 1 - i)
+                     for k in (d - i - j,)]
+        else:
+            box = SQUARE
+            points = rng.sample([(-1, -1), (-1, 1), (1, -1), (1, 1)], rng.choice((1, 1, 2, 4)))
+            forms = [(2 * i - d, 2 * j - d) for i in range(d + 1) for j in range(d + 1)]
+        monomials = rng.sample(forms, rng.randint(1, min(len(forms), rng.choice((2, 3, 6, 30)))))
+        t = Fraction(rng.randint(-4, 12), rng.choice((1, 2, 3)))
+        sign, r = lp_max(points, monomials, t, box)
+        assert (sign, r) == _lp_max_all_ties(points, monomials, t, box)
+        assert r is None or all(type(x) is Fraction for x in r)
+        signs[sign] += 1
+    assert min(signs.values()) > 50

@@ -313,6 +313,28 @@ def _random_rational_poly(rng, nvars, max_deg, nterms):
     )
 
 
+def test_substitute_matches_expanded_products():
+    # oracle: the sum over terms of c * prod(subs_i ** e_i), by plain
+    # polynomial arithmetic, which packs no exponents
+    rng = random.Random(23)
+    for _ in range(150):
+        nvars, m = rng.randint(1, 3), rng.randint(1, 4)
+        f = _random_rational_poly(rng, nvars, 4, rng.randint(0, 6))
+        subs = [
+            zero(m) if rng.random() < 0.1 else _random_rational_poly(rng, m, 3, rng.randint(1, 4))
+            for _ in range(nvars)
+        ]
+        expected = zero(m)
+        for exp, c in f.terms.items():
+            term = Polynomial(m, {(0,) * m: c})
+            for s, e in zip(subs, exp):
+                term = term * s ** e
+            expected = expected + term
+        got = f.substitute(subs)
+        assert got == expected
+        _assert_canonical(got)
+
+
 def test_coefficients_are_ints_or_proper_fractions():
     rng = random.Random(17)
     for make in (_random_poly, _random_rational_poly):
