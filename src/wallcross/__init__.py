@@ -48,7 +48,6 @@ from .walls import (
     load_propositions,
     verify_all,
     verify_proposition,
-    wall_slopes,
 )
 
 __version__ = "0.1.0"

@@ -29,10 +29,15 @@ from .curves import (
     make_witness,
 )
 from .errors import InternalError
-from .hessians import relative_hessian_class, symmetrized_class_quadric, wall_slope
+from .hessians import (
+    analyzed_slopes,
+    relative_hessian_class,
+    symmetrized_class_quadric,
+    wall_slope,
+)
 from .inflection import inflection_report
 from .rationals import format_rational
-from .walls import chamber_report, verify_all, verify_proposition, wall_slopes
+from .walls import chamber_report, verify_all, verify_proposition
 
 SCHEMA = "wallcross/1"
 
@@ -261,7 +266,7 @@ def _cmd_hessian_class(args):
 def _cmd_walls(args):
     surface = Surface(args.surface)
     try:
-        wall, edge = wall_slopes(surface, args.degree)
+        wall, edge = analyzed_slopes(surface, args.degree)
     except ValueError as e:
         raise CliError(str(e))
     doc = {

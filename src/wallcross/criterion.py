@@ -29,7 +29,7 @@ from .curves import (
 )
 from .errors import InternalError
 from .hessians import analyzed_slopes
-from .inflection import UndecidedError, special_locus_membership
+from .inflection import UndecidedError, inflection_report, special_locus_membership
 from .linprog import lp_max
 
 
@@ -253,6 +253,15 @@ def _adapted_frames(curve):
     return frames
 
 
+def _normalizing(curve):
+    """The normalizing frame of the curve and the curve it moves to, or the
+    identity and the curve itself when there is none."""
+    try:
+        return normalize_frame(curve)
+    except ValueError:
+        return FrameChange.identity(curve.surface), curve
+
+
 def destabilizer_search(curve, t, budget=500, seed=0):
     """Search frames for a torus destabilizer with mu > 0 at slope t.
 
@@ -272,11 +281,8 @@ def destabilizer_search(curve, t, budget=500, seed=0):
 
     def candidates():
         # (matrices, frame or None, the exactly moved curve or None)
-        try:
-            g0, moved0 = normalize_frame(curve)
-            yield (g0.mx, g0.my, g0.swap), g0, moved0
-        except ValueError:
-            pass
+        g0, moved0 = _normalizing(curve)
+        yield (g0.mx, g0.my, g0.swap), g0, moved0
         identity = FrameChange.identity(curve.surface)
         yield (identity.mx, identity.my, False), identity, curve
         for frame in _adapted_frames(curve):
@@ -372,23 +378,11 @@ class StabilityVerdict:
     undecided: bool = False
 
 
-def _report_or_none(curve):
-    from .inflection import inflection_report
-
-    try:
-        return inflection_report(curve)
-    except UndecidedError:
-        return None
-
-
 def _attach_zero_certificate(verdict, curve, t):
     """Attach a zero-mu certificate from the normalizing frame. If that
     torus unexpectedly shows mu > 0 the verdict flips to Unstable, since an
     exact positive certificate beats any membership reasoning."""
-    try:
-        frame, moved = normalize_frame(curve)
-    except ValueError:
-        frame, moved = FrameChange.identity(curve.surface), curve
+    frame, moved = _normalizing(curve)
     sign, lam = torus_verdict(moved, t)
     if sign > 0:
         mu, _ = mu_min(moved, lam, t)
@@ -404,6 +398,63 @@ def _attach_zero_certificate(verdict, curve, t):
         verdict.notes.append("no zero certificate exhibited in the normalizing frame")
 
 
+def wall_stratum(report):
+    """Stratum of the wall stratification read off an inflection report:
+    "not_semistable" (the locus removed at the wall), "x0" (the exchanged
+    closed orbit), "x_minus" (the flipped locus, first-order contact
+    without the higher excess) or "common" (untouched by the crossing)."""
+    if (report.in_h1 and report.in_h2prime) or report.in_s:
+        return "not_semistable"
+    if report.in_x0:
+        return "x0"
+    if report.in_h1:
+        return "x_minus"
+    return "common"
+
+
+# Notes of the strictly semistable verdicts, by wall stratum or region.
+_SEMISTABLE_NOTES = {
+    "x0": "closed orbit exchanged at the wall",
+    "x_minus": "first-order contact without the second-order excess: "
+    "semistable exactly at the wall",
+    "edge": "every curve smooth at the marked point degenerates at the edge",
+}
+
+
+def _region_rule(region, report):
+    """(status, note) of a curve in one region of the analyzed range.
+    Status None leaves the verdict to the destabilizer search, with the
+    note as the reason to expect a destabilizer, if there is one."""
+    if region == "edge":
+        # only the first-order flag matters and it is always exact
+        if report.in_h1:
+            return None, "first-order locus is destabilized at the edge"
+        return "StrictlySemistable", _SEMISTABLE_NOTES["edge"]
+    if region == "chamber":
+        if report.in_h1:
+            return None, "marked point lies on the first-order locus"
+        if report.in_s:
+            return None, "curve is the swept boundary configuration"
+        if report.undecided:
+            return None, None
+        return "Stable", (
+            "between the wall and the edge, stability needs only avoiding "
+            "the first-order locus and the swept configuration"
+        )
+    stratum = wall_stratum(report)
+    if stratum == "not_semistable":
+        return None, (
+            "curve is the boundary configuration swept at the wall"
+            if report.in_s
+            else "marked point carries second-order contact above first"
+        )
+    if report.undecided:
+        return None, None
+    if stratum == "common":
+        return "Stable", None
+    return "StrictlySemistable", _SEMISTABLE_NOTES[stratum]
+
+
 def stability_verdict(curve, t, budget=500, seed=0):
     """Classify the pointed curve at slope t inside the analyzed range.
 
@@ -416,111 +467,52 @@ def stability_verdict(curve, t, budget=500, seed=0):
     wall, edge = analyzed_slopes(curve.surface, curve.degree)
     verdict = StabilityVerdict(status="Unknown", t=t)
 
-    def destabilize(extra_note=None):
+    def destabilize(reason=None):
         found = destabilizer_search(curve, t, budget=budget, seed=seed)
         if found is not None:
             frame, lam, mu = found
             verdict.status = "Unstable"
             verdict.certificate = {"frame": frame, "lambda": lam, "mu": mu}
         else:
-            verdict.status = "Unknown"
             verdict.notes.append(
                 "no destabilizer found within budget {}".format(budget)
             )
-        if extra_note:
-            verdict.notes.append(extra_note)
+        if reason:
+            verdict.notes.append(reason)
 
     if t <= 0:
         verdict.notes.append("slope must be positive to polarize the family")
-        verdict.status = "Unknown"
         return verdict
     if t < wall or t > edge:
         destabilize("slope outside the analyzed range [{} , {}]".format(wall, edge))
         if verdict.status == "Unknown":
             verdict.notes.append("outside analyzed slopes")
         return verdict
-
-    report = _report_or_none(curve)
-    if report is None:
+    try:
+        report = inflection_report(curve)
+    except UndecidedError:
         verdict.undecided = True
         verdict.notes.append(
             "special-locus membership undecided: root search hit its height bound"
         )
         destabilize()
-        if verdict.status != "Unstable":
-            verdict.status = "Unknown"
         return verdict
-
-    in_h1 = report.in_h1
-    in_h2 = report.in_h2prime
-    in_s = report.in_s
-    in_x0 = report.in_x0
-    shaky = report.undecided
-    if shaky:
+    if report.undecided:
         verdict.undecided = True
         verdict.notes.append(
             "boundary-configuration membership undecided: flags are lower bounds"
         )
-
-    if wall < t < edge:
-        verdict.citations = list(CITATIONS[curve.surface]["chamber"])
-        if in_h1 or in_s:
-            reason = "marked point lies on the first-order locus" if in_h1 else (
-                "curve is the swept boundary configuration"
-            )
-            destabilize(reason)
-        elif shaky:
-            destabilize()
-            if verdict.status != "Unstable":
-                verdict.status = "Unknown"
-        else:
-            verdict.status = "Stable"
-            verdict.notes.append(
-                "between the wall and the edge, stability needs only avoiding "
-                "the first-order locus and the swept configuration"
-            )
+    region = "wall" if t == wall else "edge" if t == edge else "chamber"
+    verdict.citations = list(CITATIONS[curve.surface][region])
+    status, note = _region_rule(region, report)
+    if status is None:
+        destabilize(note)
         return verdict
-
-    if t == wall:
-        verdict.citations = list(CITATIONS[curve.surface]["wall"])
-        if (in_h1 and in_h2) or in_s:
-            reason = (
-                "curve is the boundary configuration swept at the wall"
-                if in_s
-                else "marked point carries second-order contact above first"
-            )
-            destabilize(reason)
-            return verdict
-        if shaky:
-            destabilize()
-            if verdict.status != "Unstable":
-                verdict.status = "Unknown"
-            return verdict
-        if in_x0:
-            verdict.status = "StrictlySemistable"
-            verdict.notes.append("closed orbit exchanged at the wall")
-            _attach_zero_certificate(verdict, curve, t)
-        elif in_h1:
-            verdict.status = "StrictlySemistable"
-            verdict.notes.append(
-                "first-order contact without the second-order excess: "
-                "semistable exactly at the wall"
-            )
-            _attach_zero_certificate(verdict, curve, t)
-        else:
-            verdict.status = "Stable"
-        return verdict
-
-    # t == edge: only the first-order flag matters and it is always exact.
-    verdict.citations = list(CITATIONS[curve.surface]["edge"])
-    if not in_h1:
-        verdict.status = "StrictlySemistable"
-        verdict.notes.append(
-            "every curve smooth at the marked point degenerates at the edge"
-        )
+    verdict.status = status
+    if note:
+        verdict.notes.append(note)
+    if status == "StrictlySemistable":
         _attach_zero_certificate(verdict, curve, t)
-    else:
-        destabilize("first-order locus is destabilized at the edge")
     return verdict
 
 

@@ -26,12 +26,6 @@ class Surface(str, Enum):
     def nvars(self):
         return 3 if self is Surface.P2 else 4
 
-    @property
-    def var_names(self):
-        if self is Surface.P2:
-            return ("x0", "x1", "x2")
-        return ("x0", "x1", "y0", "y1")
-
 
 @dataclass(frozen=True)
 class PointedCurve:

@@ -80,10 +80,6 @@ class Polynomial:
             return -1
         return max(e[i] for e in self.terms)
 
-    def is_homogeneous(self):
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
-
     def leading(self):
         """(exponent, coefficient) of the lex-largest term, or None if zero."""
         if not self.terms:
@@ -100,10 +96,6 @@ class Polynomial:
                 e[i] = 0
                 out[tuple(e)] = c
         return self._raw(self.nvars, out)
-
-    def constant_coefficient(self):
-        zero = (0,) * self.nvars
-        return self.terms.get(zero, 0)
 
     # -- arithmetic -------------------------------------------------------
 

@@ -14,7 +14,7 @@ import os
 from fractions import Fraction
 from importlib import resources
 
-from .criterion import CITATIONS, OneParamSubgroup, interval_mu_claim
+from .criterion import CITATIONS, OneParamSubgroup, interval_mu_claim, wall_stratum
 from .curves import Surface, all_exponents
 from .hessians import analyzed_slopes
 from .inflection import UndecidedError, inflection_report
@@ -22,11 +22,6 @@ from .inflection import UndecidedError, inflection_report
 _FIXTURE_ENV = "WALLCROSS_FIXTURES"
 _FIXTURE_NAME = "propositions_v1.json"
 _SCHEMA = "wallcross/propositions/1"
-
-
-def wall_slopes(surface, d):
-    """(wall, edge) slopes bounding the analyzed range."""
-    return analyzed_slopes(surface, d)
 
 
 def _fixture_path():
@@ -168,11 +163,9 @@ def verify_all(d, table=None):
 def classify_at_wall(curve):
     """Place a pointed curve in the wall stratification.
 
-    Regions: "not_semistable" (the locus removed at the wall),
-    "x0" (the exchanged closed orbit), "x_minus" (the flipped locus,
-    first-order contact without the higher excess), "common" (untouched
-    by the crossing). Raises UndecidedError if membership cannot be
-    settled exactly."""
+    Returns (stratum, basis): the stratum is `criterion.wall_stratum` of
+    the curve's inflection report, and basis the membership flags of that
+    report. Raises UndecidedError if membership cannot be settled exactly."""
     rep = inflection_report(curve)
     if rep.undecided:
         raise UndecidedError(
@@ -185,15 +178,7 @@ def classify_at_wall(curve):
         "in_x0": rep.in_x0,
         "smooth_at_p": rep.smooth_at_p,
     }
-    if (rep.in_h1 and rep.in_h2prime) or rep.in_s:
-        region = "not_semistable"
-    elif rep.in_x0:
-        region = "x0"
-    elif rep.in_h1:
-        region = "x_minus"
-    else:
-        region = "common"
-    return region, basis
+    return wall_stratum(rep), basis
 
 
 def chamber_report(surface, d):

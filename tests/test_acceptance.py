@@ -29,6 +29,7 @@ from wallcross.curves import (
     make_witness,
 )
 from wallcross.hessians import (
+    analyzed_slopes,
     h2prime_class,
     relative_hessian_class,
     symmetrized_class_quadric,
@@ -42,7 +43,7 @@ from wallcross.inflection import (
 )
 from wallcross.polynomials import Polynomial, monomial
 from wallcross.series import series_substitute
-from wallcross.walls import load_propositions, verify_proposition, wall_slopes
+from wallcross.walls import load_propositions, verify_proposition
 
 DEGREES = (3, 4, 5, 6)
 
@@ -72,8 +73,8 @@ def test_wall_slopes_come_from_class_ratios():
         assert wall_slope(h2prime_class(d)) == Fraction(d) - Fraction(9, 4)
         assert wall_slope(symmetrized_class_quadric(d, 0, 1)) == Fraction(d - 1)
         assert wall_slope(symmetrized_class_quadric(d, 1, 1)) == Fraction(d) - Fraction(4, 3)
-        assert wall_slopes(Surface.P2, d) == (Fraction(4 * d - 9, 4), Fraction(d - 2))
-        assert wall_slopes(Surface.QUADRIC, d) == (Fraction(3 * d - 4, 3), Fraction(d - 1))
+        assert analyzed_slopes(Surface.P2, d) == (Fraction(4 * d - 9, 4), Fraction(d - 2))
+        assert analyzed_slopes(Surface.QUADRIC, d) == (Fraction(3 * d - 4, 3), Fraction(d - 1))
 
 
 def test_recorded_claim_suite_replays():
@@ -370,7 +371,7 @@ def test_semistability_is_convex_in_the_slope():
         surface = rng.choice((Surface.P2, Surface.QUADRIC))
         d = rng.choice((3, 4))
         c = _random_pointed_curve(surface, d, rng, rng.randint(3, 7))
-        wall, edge = wall_slopes(surface, d)
+        wall, edge = analyzed_slopes(surface, d)
         at_wall = stability_verdict(c, wall, budget=40)
         at_edge = stability_verdict(c, edge, budget=40)
         if at_wall.status not in SEMISTABLE or at_edge.status not in SEMISTABLE:

@@ -3,15 +3,16 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from wallcross import cli, polynomials
 from wallcross.cli import main
-from wallcross.curves import WitnessKind, make_witness
+from wallcross.curves import Surface, WitnessKind, make_witness
+from wallcross.hessians import analyzed_slopes
 from wallcross.rationals import format_rational
-from wallcross.walls import wall_slopes
 
 
 def run(capsys, *argv):
@@ -299,6 +300,44 @@ RATIONAL_BRANCH_CUBIC = {
     ],
 }
 
+# Curves whose verdicts reach the wall's flipped stratum and the undecided
+# notes: perturbed tangent witnesses with first-order contact outside the
+# closed orbit (x_minus at the wall), and a cubic whose special-locus root
+# search hits its height bound.
+BRANCH_CURVES = {
+    "flexish": {
+        "surface": "p2",
+        "degree": 4,
+        "point": ["0", "0", "1"],
+        "terms": [
+            {"exp": [0, 3, 1], "coeff": "1"},
+            {"exp": [1, 0, 3], "coeff": "1"},
+            {"exp": [4, 0, 0], "coeff": "1"},
+        ],
+    },
+    "tangentish": {
+        "surface": "quadric",
+        "degree": 3,
+        "point": ["0", "1", "0", "1"],
+        "terms": [
+            {"exp": [1, 2, 0, 3], "coeff": "1"},
+            {"exp": [0, 3, 2, 1], "coeff": "1"},
+            {"exp": [3, 0, 3, 0], "coeff": "1"},
+        ],
+    },
+    "undecided-cubic": {
+        "surface": "p2",
+        "degree": 3,
+        "point": ["1", "1", "1"],
+        "terms": [
+            {"exp": [2, 0, 1], "coeff": "1"},
+            {"exp": [1, 2, 0], "coeff": "-1"},
+            {"exp": [1, 0, 2], "coeff": str(10 ** 13)},
+            {"exp": [0, 2, 1], "coeff": str(-10 ** 13)},
+        ],
+    },
+}
+
 
 def golden_cases(tmp):
     """(name, argv) of every CLI call gated by the golden file, in order;
@@ -316,7 +355,7 @@ def golden_cases(tmp):
             cases.append((f"witness {tag}", ["witness", "--kind", kind,
                                               "--degree", str(d), "--out", path]))
             cases.append((f"inflect {tag}", ["inflect", "--curve", path]))
-            wall, edge = wall_slopes(curve.surface, d)
+            wall, edge = analyzed_slopes(curve.surface, d)
             for t in (wall, (wall + edge) / 2, edge):
                 slope = format_rational(t)
                 cases.append((f"verdict {tag} {slope}",
@@ -327,6 +366,15 @@ def golden_cases(tmp):
     cases.append(("inflect rational-branch-cubic", ["inflect", "--curve", str(cubic)]))
     cases.append(("verdict rational-branch-cubic 7/8",
                   ["verdict", "--curve", str(cubic), "--slope", "7/8", "--budget", "20"]))
+    for name, doc in BRANCH_CURVES.items():
+        path = tmp / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        wall, edge = analyzed_slopes(Surface(doc["surface"]), doc["degree"])
+        for t in (wall - Fraction(1, 2), wall, (wall + edge) / 2, edge, edge + 1):
+            slope = format_rational(t)
+            cases.append((f"verdict {name} {slope}",
+                          ["verdict", "--curve", str(path), "--slope", slope,
+                           "--budget", "20"]))
     cases.append(("mu p2-nonflex 4 -1",
                   ["mu", "--curve", str(tmp / "p2-nonflex-4.json"),
                    "--lambda=2,-1,-1", "--slope", "-1"]))

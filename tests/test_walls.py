@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from wallcross.curves import PointedCurve, Surface, WitnessKind, make_witness
+from wallcross.hessians import analyzed_slopes
 from wallcross.inflection import UndecidedError
 from wallcross.polynomials import Polynomial
 from wallcross.walls import (
@@ -14,7 +15,6 @@ from wallcross.walls import (
     load_propositions,
     verify_all,
     verify_proposition,
-    wall_slopes,
 )
 
 ALL_IDS = [
@@ -34,10 +34,10 @@ ALL_IDS = [
 
 
 def test_wall_slopes_examples():
-    assert wall_slopes(Surface.P2, 4) == (Fraction(7, 4), Fraction(2))
-    assert wall_slopes(Surface.P2, 5) == (Fraction(11, 4), Fraction(3))
-    assert wall_slopes(Surface.QUADRIC, 3) == (Fraction(5, 3), Fraction(2))
-    assert wall_slopes(Surface.QUADRIC, 4) == (Fraction(8, 3), Fraction(3))
+    assert analyzed_slopes(Surface.P2, 4) == (Fraction(7, 4), Fraction(2))
+    assert analyzed_slopes(Surface.P2, 5) == (Fraction(11, 4), Fraction(3))
+    assert analyzed_slopes(Surface.QUADRIC, 3) == (Fraction(5, 3), Fraction(2))
+    assert analyzed_slopes(Surface.QUADRIC, 4) == (Fraction(8, 3), Fraction(3))
 
 
 def test_proposition_table_contents():
