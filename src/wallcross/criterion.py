@@ -29,7 +29,7 @@ from .curves import (
 )
 from .errors import InternalError
 from .hessians import analyzed_slopes
-from .inflection import UndecidedError, inflection_report, special_locus_membership
+from .inflection import inflection_report, special_locus_membership
 from .linprog import lp_max
 
 
@@ -217,10 +217,7 @@ def _adapted_frames(curve):
     align the destabilizing flag with coordinate data so the diagonal torus
     of the new frame can see it."""
     frames = []
-    try:
-        special = special_locus_membership(curve)
-    except UndecidedError:
-        return frames
+    special = special_locus_membership(curve)
     det = special.details
     if curve.surface is Surface.P2 and special.in_s:
         line = det.get("line")
@@ -253,15 +250,6 @@ def _adapted_frames(curve):
     return frames
 
 
-def _normalizing(curve):
-    """The normalizing frame of the curve and the curve it moves to, or the
-    identity and the curve itself when there is none."""
-    try:
-        return normalize_frame(curve)
-    except ValueError:
-        return FrameChange.identity(curve.surface), curve
-
-
 def destabilizer_search(curve, t, budget=500, seed=0):
     """Search frames for a torus destabilizer with mu > 0 at slope t.
 
@@ -280,18 +268,18 @@ def destabilizer_search(curve, t, budget=500, seed=0):
     seen = set()
 
     def candidates():
-        # (matrices, frame or None, the exactly moved curve or None)
-        g0, moved0 = _normalizing(curve)
-        yield (g0.mx, g0.my, g0.swap), g0, moved0
+        # (matrices, the exactly moved curve or None)
+        g0, moved0 = normalize_frame(curve)
+        yield (g0.mx, g0.my, g0.swap), moved0
         identity = FrameChange.identity(curve.surface)
-        yield (identity.mx, identity.my, False), identity, curve
+        yield (identity.mx, identity.my, False), curve
         for frame in _adapted_frames(curve):
-            yield (frame.mx, frame.my, frame.swap), frame, None
+            yield (frame.mx, frame.my, frame.swap), None
         rng = random.Random(seed)
         while True:
-            yield _random_frame(curve.surface, rng), None, None
+            yield _random_frame(curve.surface, rng), None
 
-    for key, frame, exact in candidates():
+    for key, exact in candidates():
         if tried >= budget:
             return None
         if key in seen:
@@ -301,8 +289,7 @@ def destabilizer_search(curve, t, budget=500, seed=0):
         moved = exact if exact is not None else move_curve(curve, *key)[0]
         sign, lam = torus_verdict(moved, t)
         if sign > 0:
-            if frame is None:
-                frame = FrameChange(curve.surface, *key)
+            frame = FrameChange(curve.surface, *key)
             if exact is None:
                 exact = apply_frame(curve, frame)
             mu, _ = mu_min(exact, lam, t)
@@ -382,7 +369,7 @@ def _attach_zero_certificate(verdict, curve, t):
     """Attach a zero-mu certificate from the normalizing frame. If that
     torus unexpectedly shows mu > 0 the verdict flips to Unstable, since an
     exact positive certificate beats any membership reasoning."""
-    frame, moved = _normalizing(curve)
+    frame, moved = normalize_frame(curve)
     sign, lam = torus_verdict(moved, t)
     if sign > 0:
         mu, _ = mu_min(moved, lam, t)
@@ -422,37 +409,39 @@ _SEMISTABLE_NOTES = {
 
 
 def _region_rule(region, report):
-    """(status, note) of a curve in one region of the analyzed range.
-    Status None leaves the verdict to the destabilizer search, with the
-    note as the reason to expect a destabilizer, if there is one."""
+    """(status, note, unsettled) of a curve in one region of the analyzed
+    range. Status None leaves the verdict to the destabilizer search, with
+    the note as the reason to expect a destabilizer, if there is one.
+    unsettled is True when the rule read in_s or in_x0, the flags a report
+    can leave unsettled, of a report that left them so."""
     if region == "edge":
         # only the first-order flag matters and it is always exact
         if report.in_h1:
-            return None, "first-order locus is destabilized at the edge"
-        return "StrictlySemistable", _SEMISTABLE_NOTES["edge"]
+            return None, "first-order locus is destabilized at the edge", False
+        return "StrictlySemistable", _SEMISTABLE_NOTES["edge"], False
     if region == "chamber":
         if report.in_h1:
-            return None, "marked point lies on the first-order locus"
+            return None, "marked point lies on the first-order locus", False
         if report.in_s:
-            return None, "curve is the swept boundary configuration"
+            return None, "curve is the swept boundary configuration", report.undecided
         if report.undecided:
-            return None, None
+            return None, None, True
         return "Stable", (
             "between the wall and the edge, stability needs only avoiding "
             "the first-order locus and the swept configuration"
-        )
+        ), False
     stratum = wall_stratum(report)
     if stratum == "not_semistable":
         return None, (
             "curve is the boundary configuration swept at the wall"
             if report.in_s
             else "marked point carries second-order contact above first"
-        )
+        ), report.undecided and not (report.in_h1 and report.in_h2prime)
     if report.undecided:
-        return None, None
+        return None, None, True
     if stratum == "common":
-        return "Stable", None
-    return "StrictlySemistable", _SEMISTABLE_NOTES[stratum]
+        return "Stable", None, False
+    return "StrictlySemistable", _SEMISTABLE_NOTES[stratum], False
 
 
 def stability_verdict(curve, t, budget=500, seed=0):
@@ -488,23 +477,15 @@ def stability_verdict(curve, t, budget=500, seed=0):
         if verdict.status == "Unknown":
             verdict.notes.append("outside analyzed slopes")
         return verdict
-    try:
-        report = inflection_report(curve)
-    except UndecidedError:
-        verdict.undecided = True
-        verdict.notes.append(
-            "special-locus membership undecided: root search hit its height bound"
-        )
-        destabilize()
-        return verdict
-    if report.undecided:
+    report = inflection_report(curve)
+    region = "wall" if t == wall else "edge" if t == edge else "chamber"
+    verdict.citations = list(CITATIONS[curve.surface][region])
+    status, note, unsettled = _region_rule(region, report)
+    if unsettled:
         verdict.undecided = True
         verdict.notes.append(
             "boundary-configuration membership undecided: flags are lower bounds"
         )
-    region = "wall" if t == wall else "edge" if t == edge else "chamber"
-    verdict.citations = list(CITATIONS[curve.surface][region])
-    status, note = _region_rule(region, report)
     if status is None:
         destabilize(note)
         return verdict

@@ -98,14 +98,6 @@ def mat_vec(m, v):
     return tuple(sum(a * x for a, x in zip(row, v)) for row in m)
 
 
-def mat_mul(a, b):
-    n = len(b[0])
-    return tuple(
-        tuple(sum(ra[k] * b[k][j] for k in range(len(b))) for j in range(n))
-        for ra in a
-    )
-
-
 def row_reduce(rows):
     """Gauss-Jordan elimination on exact rationals, fraction-free.
 
@@ -250,27 +242,6 @@ class FrameChange:
         )
 
 
-def compose(outer, inner):
-    """The frame doing inner first, then outer."""
-    if outer.surface is not inner.surface:
-        raise ValueError("surface mismatch")
-    if outer.surface is Surface.P2:
-        return FrameChange(outer.surface, mat_mul(outer.mx, inner.mx))
-    if not inner.swap:
-        return FrameChange(
-            outer.surface,
-            mat_mul(outer.mx, inner.mx),
-            mat_mul(outer.my, inner.my),
-            swap=outer.swap,
-        )
-    return FrameChange(
-        outer.surface,
-        mat_mul(outer.my, inner.mx),
-        mat_mul(outer.mx, inner.my),
-        swap=not outer.swap,
-    )
-
-
 def move_curve(curve, mx, my=None, swap=False):
     """Move a pointed curve by the frame g given by its matrices (as in
     FrameChange), up to nonzero constants, through the integer adjugate.
@@ -408,12 +379,19 @@ def contact_ge(contact, k):
 
 def normalize_frame(curve):
     """Frame change putting the marked point, and at a smooth point its
-    tangent, into standard position.
+    tangent, into standard position, read off `local_geometry` and applied
+    in one move.
 
-    Plane: p goes to (0, 0, 1); if p is smooth the tangent line becomes
-    {x0 = 0}. Quadric: p goes to ((0, 1), (0, 1)); if p is smooth and
-    exactly one ruling through p is tangent to the curve, the factors are
-    swapped if needed so that ruling becomes {y0 = 0}.
+    Plane: p goes to (0, 0, 1). With l0 the first nonzero coordinate of p,
+    o0 < o1 the other two, and r0, r1, r2 the rows of the translation
+    x_oi - (p_oi / p_l0) x_l0, x_l0 / p_l0, the frame is (r0, r1, r2),
+    unless p is smooth with tangent T (the gradient at p) and T_o1 != 0:
+    then it is (T, r_mid, r2) with r_mid = r1 if T_o0 != 0 else r0, so the
+    tangent line becomes {x0 = 0}. Quadric: p goes to ((0, 1), (0, 1)),
+    factor by factor; if exactly one ruling through p is tangent to the
+    curve, read from the ruling contacts at p before the move (a frame
+    without swap keeps them), the factors are swapped so that ruling
+    becomes {y0 = 0}.
 
     Returns (frame, moved curve).
     """
@@ -421,9 +399,9 @@ def normalize_frame(curve):
     p = curve.point
     if curve.surface is Surface.P2:
         l0 = next(i for i in range(3) if p[i] != 0)
-        others = [i for i in range(3) if i != l0]
+        o0, o1 = [i for i in range(3) if i != l0]
         rows = []
-        for a in others:
+        for a in (o0, o1):
             row = [Fraction(0)] * 3
             row[a] = Fraction(1)
             row[l0] = -Fraction(p[a]) / Fraction(p[l0])
@@ -431,39 +409,23 @@ def normalize_frame(curve):
         last = [Fraction(0)] * 3
         last[l0] = 1 / Fraction(p[l0])
         rows.append(tuple(last))
+        # T . p = 0 (Euler's relation), so T = T_o0 r0 + T_o1 r1: the
+        # translation alone moves the tangent to (T_o0, T_o1, 0), which is
+        # {x0 = 0} already when T_o1 == 0
+        tangent = geo.tangent
+        if tangent is not None and tangent[o1] != 0:
+            rows = [tangent, rows[1] if tangent[o0] != 0 else rows[0], rows[2]]
         g = FrameChange(Surface.P2, tuple(rows))
-        moved = apply_frame(curve, g)
-        if geo.smooth_at_p:
-            grad = tuple(
-                moved.equation.partial_derivative(i).evaluate(moved.point)
-                for i in range(3)
-            )
-            if grad[1] != 0 or grad[2] != 0:
-                if grad[0] != 0:
-                    mid = (Fraction(0), Fraction(1), Fraction(0))
-                else:
-                    mid = (Fraction(1), Fraction(0), Fraction(0))
-                g2 = FrameChange(
-                    Surface.P2,
-                    ((grad[0], grad[1], grad[2]), mid, (0, 0, 1)),
-                )
-                g = compose(g2, g)
-                moved = apply_frame(moved, g2)
-        return g, moved
-
-    ax = _factor_frame(p[0], p[1])
-    ay = _factor_frame(p[2], p[3])
-    g = FrameChange(Surface.QUADRIC, ax, ay)
-    moved = apply_frame(curve, g)
-    if geo.smooth_at_p:
-        cx, cy = local_geometry(moved).ruling_contacts
-        if contact_ge(cx, 2) and not contact_ge(cy, 2):
-            flip = FrameChange(
-                Surface.QUADRIC, ((1, 0), (0, 1)), ((1, 0), (0, 1)), swap=True
-            )
-            g = compose(flip, g)
-            moved = apply_frame(moved, flip)
-    return g, moved
+    else:
+        # at a singular point both contacts are at least 2, so no swap
+        cx, cy = geo.ruling_contacts
+        g = FrameChange(
+            Surface.QUADRIC,
+            _factor_frame(p[0], p[1]),
+            _factor_frame(p[2], p[3]),
+            swap=contact_ge(cx, 2) and not contact_ge(cy, 2),
+        )
+    return g, apply_frame(curve, g)
 
 
 def _factor_frame(c0, c1):

@@ -135,17 +135,18 @@ def _section_basis(surface, bundle):
     ]
 
 
-def vanishing_sequence(curve, bundle, N=None):
+def vanishing_sequence(curve, bundle):
     """Vanishing orders at p of the full space of degree-`bundle` forms,
     restricted to the branch of the curve. bundle is an integer m on the
-    plane and a pair (m1, m2) on the quadric."""
+    plane and a pair (m1, m2) on the quadric. The branch is truncated one
+    past the intersection number of the curve with a form of that degree,
+    which bounds every finite order."""
     basis = sorted(_section_basis(curve.surface, bundle))
     if curve.surface is Surface.P2:
         total = bundle * curve.degree
     else:
         total = (bundle[0] + bundle[1]) * curve.degree
-    if N is None:
-        N = total + 1
+    N = total + 1
     branch = local_branch(curve, N)
     n = curve.surface.nvars
     rows = [series_substitute(monomial(n, e), branch).coeffs for e in basis]

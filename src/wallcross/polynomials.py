@@ -490,11 +490,16 @@ def resultant(f, g, v):
     return poly_det(mat)
 
 
-def divisors(n, limit=10 ** 12):
-    """Sorted positive divisors of n >= 1, or None if n exceeds the search bound."""
+# Largest integer whose divisors the rational root search enumerates.
+DIVISOR_SEARCH_LIMIT = 10 ** 12
+
+
+def divisors(n):
+    """Sorted positive divisors of n >= 1, or None if n exceeds
+    DIVISOR_SEARCH_LIMIT."""
     if n < 1:
         raise ValueError("need a positive integer")
-    if n > limit:
+    if n > DIVISOR_SEARCH_LIMIT:
         return None
     small, large = [], []
     d = 1
@@ -508,7 +513,7 @@ def divisors(n, limit=10 ** 12):
     return small + large[::-1]
 
 
-def rational_roots(coeffs, limit=10 ** 12):
+def rational_roots(coeffs):
     """All rational roots of sum(coeffs[i] * t**i), or None if the divisor
     search would be too expensive to do exactly. Raises on the zero polynomial."""
     cs = [Fraction(c) for c in coeffs]
@@ -533,8 +538,8 @@ def rational_roots(coeffs, limit=10 ** 12):
     core = ints[k:]
     if len(core) == 1:
         return sorted(roots)
-    d0 = divisors(abs(core[0]), limit)
-    dn = divisors(abs(core[-1]), limit)
+    d0 = divisors(abs(core[0]))
+    dn = divisors(abs(core[-1]))
     if d0 is None or dn is None:
         return None
 
@@ -554,7 +559,7 @@ def rational_roots(coeffs, limit=10 ** 12):
     return sorted(roots)
 
 
-def binary_form_roots(coeffs, limit=10 ** 12):
+def binary_form_roots(coeffs):
     """Rational projective roots of a binary form sum(coeffs[i] * u^i * v^(n-i)).
 
     Returns a list of (u, v) with v == 1, plus (1, 0) when v divides the form.
@@ -568,7 +573,7 @@ def binary_form_roots(coeffs, limit=10 ** 12):
     out = []
     if top < n:
         out.append((Fraction(1), Fraction(0)))
-    rr = rational_roots(cs[: top + 1], limit) if top > 0 else []
+    rr = rational_roots(cs[: top + 1]) if top > 0 else []
     if rr is None:
         return None
     out.extend((r, Fraction(1)) for r in rr)

@@ -169,6 +169,15 @@ def test_strict_undecided_exit_code(capsys, tmp_path):
     )
     assert code == 3
     assert json.loads(out)["undecided"] is True
+    # the edge rule reads only the first-order flag, which is always exact,
+    # so the unsettled special-locus search leaves the verdict decided
+    code, out, _ = run(
+        capsys,
+        "verdict", "--curve", str(path), "--slope", "1",
+        "--budget", "10", "--strict",
+    )
+    assert code == 0
+    assert json.loads(out)["undecided"] is False
     code, out, _ = run(capsys, "inflect", "--curve", str(path), "--strict")
     assert code == 3
     # without --strict the same inputs degrade to exit 0 with a flag
@@ -339,6 +348,43 @@ BRANCH_CURVES = {
 }
 
 
+# Swept configurations whose destabilizer only the frame adapted to the
+# special-locus geometry exposes: the p2-s witness of degree 4 and the
+# quadric-s witness of degree 3 moved off their coordinate data, each with
+# its chamber slope.
+ADAPTED_CURVES = {
+    "adapted-p2-s": ({
+        "surface": "p2",
+        "degree": 4,
+        "point": ["1", "2", "-1"],
+        "terms": [
+            {"exp": [0, 3, 1], "coeff": "-1"},
+            {"exp": [0, 4, 0], "coeff": "1"},
+            {"exp": [1, 2, 1], "coeff": "3"},
+            {"exp": [1, 3, 0], "coeff": "-5"},
+            {"exp": [2, 1, 1], "coeff": "-3"},
+            {"exp": [2, 2, 0], "coeff": "8"},
+            {"exp": [3, 0, 1], "coeff": "1"},
+            {"exp": [3, 1, 0], "coeff": "-5"},
+            {"exp": [4, 0, 0], "coeff": "1"},
+        ],
+    }, "15/8"),
+    "adapted-quadric-s": ({
+        "surface": "quadric",
+        "degree": 3,
+        "point": ["-1", "0", "-1", "0"],
+        "terms": [
+            {"exp": [0, 3, 2, 1], "coeff": "-1"},
+            {"exp": [0, 3, 3, 0], "coeff": "-1"},
+            {"exp": [1, 2, 2, 1], "coeff": "3"},
+            {"exp": [1, 2, 3, 0], "coeff": "2"},
+            {"exp": [2, 1, 2, 1], "coeff": "-3"},
+            {"exp": [2, 1, 3, 0], "coeff": "-1"},
+            {"exp": [3, 0, 2, 1], "coeff": "1"},
+        ],
+    }, "11/6"),
+}
+
 def golden_cases(tmp):
     """(name, argv) of every CLI call gated by the golden file, in order;
     witness documents are written under the directory tmp, so a witness
@@ -375,6 +421,11 @@ def golden_cases(tmp):
             cases.append((f"verdict {name} {slope}",
                           ["verdict", "--curve", str(path), "--slope", slope,
                            "--budget", "20"]))
+    for name, (doc, slope) in ADAPTED_CURVES.items():
+        path = tmp / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        cases.append((f"verdict {name} {slope}",
+                      ["verdict", "--curve", str(path), "--slope", slope, "--budget", "20"]))
     cases.append(("mu p2-nonflex 4 -1",
                   ["mu", "--curve", str(tmp / "p2-nonflex-4.json"),
                    "--lambda=2,-1,-1", "--slope", "-1"]))

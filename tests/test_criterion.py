@@ -194,8 +194,8 @@ def test_destabilizer_search_cuspidal_below_wall():
 
 
 def test_destabilizer_search_adapted_frame_for_s():
-    # p = (1,1,1) sits on the conic; only the adapted frame exposes the
-    # destabilizing torus, the identity frame does not
+    # p = (1,1,1) sits on the conic; the normalizing frame does not expose
+    # the destabilizing torus, the identity frame (tried second) does
     c = make_witness(WitnessKind.P2_S, 4)
     t = Fraction(15, 8)
     found = destabilizer_search(c, t, budget=10)
@@ -277,6 +277,34 @@ def test_random_frame_hits_keep_their_certificates(doc, budget, frame_doc, weigh
     frame, lam, mu = destabilizer_search(curve, t, budget=budget)
     assert frame_to_json(frame) == frame_doc
     assert lam.weights == weights and mu == Fraction(1, 2)
+    assert frame not in (normalize_frame(curve)[0], FrameChange.identity(curve.surface))
+    assert mu_min(apply_frame(curve, frame), lam, t)[0] == mu
+
+
+# Swept configurations moved off their coordinate data, so that neither
+# the normalizing frame nor the identity exposes the destabilizer, only the
+# frame adapted to the special-locus geometry (the third frame tried). Each
+# with (witness kind, degree, moving frame), the chamber slope and the hit.
+ADAPTED_FRAME_HITS = [
+    ((WitnessKind.P2_S, 4, (((0, 1, 0), (0, 1, 1), (-1, -1, 1)),)), Fraction(15, 8),
+     {"matrix": [["1", "-1", "0"], ["1", "0", "0"], ["0", "0", "-1/2"]]},
+     (-1, 0, 1), Fraction(1, 8)),
+    ((WitnessKind.QUADRIC_S, 3, (((1, -1), (1, 0)), ((0, -1), (1, 0)))), Fraction(11, 6),
+     {"x_matrix": [["0", "1"], ["-1", "1"]], "y_matrix": [["0", "1"], ["-1", "0"]],
+      "swap": False}, (-1, -1), Fraction(1, 3)),
+]
+
+
+@pytest.mark.parametrize("witness, t, frame_doc, weights, mu", ADAPTED_FRAME_HITS)
+def test_adapted_frame_hits(witness, t, frame_doc, weights, mu):
+    kind, d, move = witness
+    base = make_witness(kind, d)
+    curve = apply_frame(base, FrameChange(base.surface, *move))
+    assert destabilizer_search(curve, t, budget=2) is None
+    frame, lam, found_mu = destabilizer_search(curve, t, budget=3)
+    assert frame_to_json(frame) == frame_doc
+    assert lam.weights == weights and found_mu == mu
+    assert frame in criterion._adapted_frames(curve)
     assert frame not in (normalize_frame(curve)[0], FrameChange.identity(curve.surface))
     assert mu_min(apply_frame(curve, frame), lam, t)[0] == mu
 

@@ -12,7 +12,6 @@ from wallcross.curves import (
     WitnessKind,
     all_exponents,
     apply_frame,
-    compose,
     contact_ge,
     curve_from_json,
     curve_to_json,
@@ -20,7 +19,6 @@ from wallcross.curves import (
     make_witness,
     mat_det,
     mat_inv,
-    mat_mul,
     normalize_frame,
     row_reduce,
     validate,
@@ -30,6 +28,35 @@ from wallcross.polynomials import Polynomial, constant, variable
 
 def _p2(d, terms, point):
     return PointedCurve(Surface.P2, d, tuple(Fraction(c) for c in point), Polynomial(3, terms))
+
+
+def mat_mul(a, b):
+    n = len(b[0])
+    return tuple(
+        tuple(sum(ra[k] * b[k][j] for k in range(len(b))) for j in range(n))
+        for ra in a
+    )
+
+
+def compose(outer, inner):
+    """The frame doing inner first, then outer."""
+    if outer.surface is not inner.surface:
+        raise ValueError("surface mismatch")
+    if outer.surface is Surface.P2:
+        return FrameChange(outer.surface, mat_mul(outer.mx, inner.mx))
+    if not inner.swap:
+        return FrameChange(
+            outer.surface,
+            mat_mul(outer.mx, inner.mx),
+            mat_mul(outer.my, inner.my),
+            swap=outer.swap,
+        )
+    return FrameChange(
+        outer.surface,
+        mat_mul(outer.my, inner.mx),
+        mat_mul(outer.mx, inner.my),
+        swap=not outer.swap,
+    )
 
 
 def _rand_frame(surface, rng):
@@ -314,6 +341,120 @@ def test_normalize_frame_postconditions_quadric():
         cx, cy = local_geometry(moved).ruling_contacts
         assert contact_ge(cy, 2)
         assert not contact_ge(cx, 2)
+
+
+def _normalize_frame_two_moves(curve):
+    """Oracle: the normalizing frame as two moves. First p goes to the
+    coordinate point; then, read off the moved curve, the plane frame
+    turns the gradient at (0, 0, 1) into the first row, and the quadric
+    frame swaps the factors when only the constant-x ruling is tangent.
+    Returns (the composed frame, the curve moved twice)."""
+    p = curve.point
+    smooth = local_geometry(curve).smooth_at_p
+    if curve.surface is Surface.P2:
+        l0 = next(i for i in range(3) if p[i] != 0)
+        rows = []
+        for a in (i for i in range(3) if i != l0):
+            row = [Fraction(0)] * 3
+            row[a], row[l0] = Fraction(1), -Fraction(p[a]) / p[l0]
+            rows.append(row)
+        last = [Fraction(0)] * 3
+        last[l0] = 1 / Fraction(p[l0])
+        g = FrameChange(Surface.P2, rows + [last])
+        moved = apply_frame(curve, g)
+        if smooth:
+            grad = tuple(
+                moved.equation.partial_derivative(i).evaluate(moved.point)
+                for i in range(3)
+            )
+            if grad[1] != 0 or grad[2] != 0:
+                mid = (0, 1, 0) if grad[0] != 0 else (1, 0, 0)
+                g2 = FrameChange(Surface.P2, (grad, mid, (0, 0, 1)))
+                g, moved = compose(g2, g), apply_frame(moved, g2)
+        return g, moved
+
+    def factor(c0, c1):
+        c0, c1 = Fraction(c0), Fraction(c1)
+        return ((1, -c0 / c1), (0, 1 / c1)) if c1 != 0 else ((0, 1), (1 / c0, 0))
+
+    g = FrameChange(Surface.QUADRIC, factor(p[0], p[1]), factor(p[2], p[3]))
+    moved = apply_frame(curve, g)
+    if smooth:
+        cx, cy = local_geometry(moved).ruling_contacts
+        if contact_ge(cx, 2) and not contact_ge(cy, 2):
+            identity = ((1, 0), (0, 1))
+            flip = FrameChange(Surface.QUADRIC, identity, identity, swap=True)
+            g, moved = compose(flip, g), apply_frame(moved, flip)
+    return g, moved
+
+
+def _random_curve_through_point(rng, surface, d):
+    """A random curve of degree d, or bidegree (d, d), through a random
+    point with fractional coordinates. About half are a line (plane) or a
+    ruling (quadric) through the point times a random form, so the point
+    is singular, or a ruling through it is a component."""
+    n = surface.nvars
+    p = (0,) * n
+    while not (any(p) if surface is Surface.P2 else any(p[:2]) and any(p[2:])):
+        p = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
+    lx = next(i for i in range(n) if p[i] != 0)
+    factor, rest = constant(n, 1), d
+    if rng.random() < 0.5:
+        rest = d - 1
+        if surface is Surface.P2:
+            a, b = (i for i in range(3) if i != lx)
+            ca, cb = rng.randint(-2, 2), rng.randint(-2, 2)
+            lc = -(ca * p[a] + cb * p[b]) / p[lx]
+            factor = ca * variable(3, a) + cb * variable(3, b) + lc * variable(3, lx)
+        else:
+            # the ruling with constant x, or with constant y, times a form
+            # of the other factor
+            s0, s1, o0, o1 = (0, 1, 2, 3) if rng.random() < 0.5 else (2, 3, 0, 1)
+            ruling = p[s1] * variable(4, s0) - p[s0] * variable(4, s1)
+            factor = ruling * (rng.randint(-2, 2) * variable(4, o0) + variable(4, o1))
+    exps = all_exponents(surface, rest)
+    g = Polynomial(n, {e: rng.choice([-2, -1, 1, 3])
+                       for e in rng.sample(exps, rng.randint(1, 5))})
+    if rest == d or rng.random() < 0.5:
+        # let the random form pass through p too, by subtracting a multiple
+        # of a monomial that does not vanish there
+        anchor = [0] * n
+        anchor[lx] = rest
+        if surface is Surface.QUADRIC:
+            anchor[2 if p[2] != 0 else 3] = rest
+        at_p = Polynomial(n, {tuple(anchor): 1}).evaluate(p)
+        g = g - Polynomial(n, {tuple(anchor): g.evaluate(p) / at_p})
+    return PointedCurve(surface, d, p, factor * g)
+
+
+def test_normalize_frame_matches_two_moves():
+    rng = random.Random(53)
+    curves = []
+    for kind in WitnessKind:
+        for d in range(3, 7):
+            if kind is not WitnessKind.P2_HYPERFLEX or d > 3:
+                curves.append(make_witness(kind, d))
+    curves += [apply_frame(c, _rand_frame(c.surface, rng)) for c in list(curves)]
+    for surface in (Surface.P2, Surface.QUADRIC):
+        for _ in range(150):
+            c = _random_curve_through_point(rng, surface, rng.randint(3, 4))
+            if validate(c) is None:
+                curves.append(c)
+    turned = swapped = singular = components = 0
+    for c in curves:
+        g, moved = normalize_frame(c)
+        expected_g, expected = _normalize_frame_two_moves(c)
+        assert g == expected_g
+        assert moved.point == expected.point
+        assert moved.equation == expected.equation
+        geo = local_geometry(c)
+        turned += geo.tangent is not None and g.mx[0] == geo.tangent
+        swapped += g.swap
+        singular += not geo.smooth_at_p
+        components += c.surface is Surface.QUADRIC and None in geo.ruling_contacts
+    fractional = sum(any(Fraction(x).denominator > 1 for x in c.point) for c in curves)
+    assert len(curves) > 300 and fractional > 150
+    assert turned > 100 and swapped > 20 and singular > 80 and components > 50
 
 
 def test_multiplicity_is_frame_invariant():
