@@ -37,7 +37,6 @@ from .hessians import (
 from .inflection import (
     InflectionReport,
     UndecidedError,
-    classical_hessian,
     inflection_report,
     special_locus_membership,
     vanishing_sequence,

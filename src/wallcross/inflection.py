@@ -34,7 +34,6 @@ from .polynomials import (
     exact_divide,
     exact_quotient,
     monomial,
-    poly_det,
     poly_gcd,
     primitive_normalized,
     rational_roots,
@@ -163,30 +162,6 @@ def inflection_weight(seq):
     for j in range(seq.deficiency):
         w += seq.truncation - (base + j)
     return w, seq.deficiency > 0
-
-
-def intersection_multiplicity(curve, aux, N=None):
-    """Order of vanishing of an auxiliary form along the branch at p.
-
-    Returns (value, exact). exact=False means the form vanishes through the
-    whole window, so the multiplicity is >= value (the branch lies on a
-    component of the auxiliary curve)."""
-    if aux.is_zero():
-        raise ValueError("auxiliary form is zero")
-    if curve.surface is Surface.P2:
-        total = aux.total_degree() * curve.degree
-    else:
-        e1 = max(e[0] + e[1] for e in aux.terms)
-        e2 = max(e[2] + e[3] for e in aux.terms)
-        total = (e1 + e2) * curve.degree
-    if N is None:
-        N = total + 1
-    branch = local_branch(curve, N)
-    val = series_substitute(aux, branch)
-    o = val.order()
-    if o is None:
-        return N, False
-    return o, True
 
 
 # -- rational component extraction -----------------------------------------
@@ -831,14 +806,3 @@ def inflection_report(curve):
             )
         rep.sequences = {"o11": seq11}
     return rep
-
-
-def classical_hessian(poly):
-    """Determinant of the matrix of second partials of a ternary form."""
-    if poly.nvars != 3:
-        raise ValueError("expected a 3-variable form")
-    rows = [
-        [poly.partial_derivative(i).partial_derivative(j) for j in range(3)]
-        for i in range(3)
-    ]
-    return poly_det(rows)

@@ -4,11 +4,17 @@ A polynomial is a map from exponent tuples (fixed arity, non-negative
 entries) to nonzero coefficients: an int when the coefficient is integral
 and a Fraction otherwise (rationals.canonical), never a float. Everything
 here is exact, and integer inputs keep the arithmetic in integers. The gcd
-and squarefree routines treat a polynomial as univariate in one chosen
-variable over the others and run the subresultant pseudo-remainder
-sequence (Brown and Traub, 1971): each full pseudo-remainder is divided
-exactly by g*h^delta (g the previous leading coefficient, h the previous
-subresultant scalar), and the content is taken out once, at the end.
+first tries to settle a coprime pair by modular images (Brown, 1971): for
+each variable the two inputs share, it maps them to F_p[v], p = 2^61 - 1,
+at a fixed point where both leading coefficients in v survive, and a
+constant image gcd in every such variable proves the gcd is 1. Every pair
+the images do not settle runs the subresultant pseudo-remainder sequence
+(Brown and Traub, 1971), the only code that computes a nonconstant gcd. It
+treats the polynomials as univariate in one chosen variable over the
+others: each full pseudo-remainder is divided exactly by g*h^delta (g the
+previous leading coefficient, h the previous subresultant scalar), and the
+content is taken out once, at the end. The squarefree split is built on
+that gcd.
 """
 
 from __future__ import annotations
@@ -379,8 +385,87 @@ def _prs_gcd(a, b, v):
             h = exact_quotient(g ** delta, h ** (delta - 1), "subresultant scalar")
 
 
+# The coprimality filter of poly_gcd works in F_p for the Mersenne prime
+# p = 2^61 - 1. Its fixed point k gives variable i the value
+# IMAGE_SEEDS[k]^(i + 1) mod p.
+IMAGE_PRIME = 2 ** 61 - 1
+IMAGE_SEEDS = (0x0545F4914F6CDD1D, 0x1E3779B97F4A7C15, 0x1851F42D4C957F2D)
+
+
+def _image_point(k, nvars):
+    """Fixed point k of the coprimality filter, one residue per variable."""
+    return [pow(IMAGE_SEEDS[k], i + 1, IMAGE_PRIME) for i in range(nvars)]
+
+
+def _image(f, v, k):
+    """f mapped to F_p[v] at fixed point k, coefficients low to high, or None
+    when a denominator vanishes mod p or the leading coefficient in v does."""
+    p = IMAGE_PRIME
+    point = _image_point(k, f.nvars)
+    out = [0] * (f.degree_in(v) + 1)
+    for exp, c in f.terms.items():
+        if type(c) is int:
+            x = c
+        elif c.denominator % p:
+            x = c.numerator * pow(c.denominator, -1, p)
+        else:
+            return None
+        for i, e in enumerate(exp):
+            if e and i != v:
+                x = x * pow(point[i], e, p) % p
+        out[exp[v]] = (out[exp[v]] + x) % p
+    return out if out[-1] else None
+
+
+def _image_gcd_degree(a, b):
+    """Degree of the gcd in F_p[v] of two images with nonzero leading terms."""
+    p = IMAGE_PRIME
+    while b:
+        inv = pow(b[-1], -1, p)
+        a = a[:]
+        while len(a) >= len(b):
+            q = a[-1] * inv % p
+            shift = len(a) - len(b)
+            for j, y in enumerate(b):
+                a[shift + j] = (a[shift + j] - q * y) % p
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def _coprime_by_images(f, g, common):
+    """True when images in F_p prove that f and g have no nonconstant
+    common factor; False when they do not settle it.
+
+    For each variable v in common, f and g are mapped to F_p[v] at the first
+    fixed point where no denominator and neither leading coefficient in v
+    vanishes mod p. Soundness: let h be a primitive integer polynomial
+    generating gcd(f, g). By Gauss's lemma D*f = h*q with q integral, D the
+    common denominator of f, and D is a unit mod p. lc_v(h) divides lc_v(D*f),
+    which does not vanish at the point mod p, so the image of h keeps its
+    v-degree there, and it divides both images. A degree-0 image gcd thus
+    forces deg_v h = 0. A nonconstant h involves some variable that occurs in
+    both f and g, so degree 0 for every v in common means h is constant. A
+    variable with no usable point, or with a nonconstant image gcd, leaves
+    the question to the subresultant PRS."""
+    for v in sorted(common):
+        for k in range(len(IMAGE_SEEDS)):
+            a, b = _image(f, v, k), _image(g, v, k)
+            if a is not None and b is not None:
+                break
+        else:
+            return False
+        if _image_gcd_degree(a, b):
+            return False
+    return True
+
+
 def poly_gcd(f, g):
-    """Greatest common divisor, primitive with positive lex-leading coefficient."""
+    """Greatest common divisor, primitive with positive lex-leading coefficient.
+
+    Pairs that images in F_p prove coprime (_coprime_by_images) give 1 at
+    once; every other pair runs the content split and the subresultant PRS."""
     if f.nvars != g.nvars:
         raise ValueError("arity mismatch")
     if f.is_zero():
@@ -391,7 +476,7 @@ def poly_gcd(f, g):
     if not vf or not vg:
         return constant(f.nvars, 1)
     common = vf & vg
-    if not common:
+    if not common or _coprime_by_images(f, g, common):
         return constant(f.nvars, 1)
     v = min(common, key=lambda i: (max(f.degree_in(i), g.degree_in(i)), i))
     cf, pf = _content_primitive_wrt(f, v)

@@ -14,7 +14,13 @@ import os
 from fractions import Fraction
 from importlib import resources
 
-from .criterion import CITATIONS, OneParamSubgroup, interval_mu_claim, wall_stratum
+from .criterion import (
+    CITATIONS,
+    OneParamSubgroup,
+    _region_rule,
+    interval_mu_claim,
+    wall_stratum,
+)
 from .curves import Surface, all_exponents
 from .hessians import analyzed_slopes
 from .inflection import UndecidedError, inflection_report
@@ -165,9 +171,11 @@ def classify_at_wall(curve):
 
     Returns (stratum, basis): the stratum is `criterion.wall_stratum` of
     the curve's inflection report, and basis the membership flags of that
-    report. Raises UndecidedError if membership cannot be settled exactly."""
+    report. Raises UndecidedError where the wall rule of the verdict table
+    (`criterion._region_rule`) reads a membership flag the report left
+    unsettled."""
     rep = inflection_report(curve)
-    if rep.undecided:
+    if _region_rule("wall", rep)[2]:
         raise UndecidedError(
             "special-locus membership undecided; wall region unknown"
         )

@@ -36,7 +36,6 @@ from wallcross.hessians import (
     wall_slope,
 )
 from wallcross.inflection import (
-    classical_hessian,
     inflection_report,
     local_branch,
     vanishing_sequence,
@@ -44,6 +43,8 @@ from wallcross.inflection import (
 from wallcross.polynomials import Polynomial, monomial
 from wallcross.series import series_substitute
 from wallcross.walls import load_propositions, verify_proposition
+
+from oracles import classical_hessian
 
 DEGREES = (3, 4, 5, 6)
 

@@ -16,9 +16,7 @@ from wallcross.errors import InternalError
 from wallcross.inflection import (
     UndecidedError,
     _squarefree_on_chart,
-    classical_hessian,
     inflection_report,
-    intersection_multiplicity,
     local_branch,
     rational_lines,
     special_locus_membership,
@@ -33,6 +31,8 @@ from wallcross.polynomials import (
     variable,
 )
 from wallcross.series import series_substitute
+
+from oracles import classical_hessian, intersection_multiplicity
 
 
 def _p2(d, terms, point):

@@ -8,6 +8,7 @@ from wallcross.errors import InternalError
 from wallcross.polynomials import (
     Polynomial,
     binary_form_roots,
+    constant,
     divisors,
     exact_divide,
     monomial,
@@ -79,7 +80,8 @@ def test_gcd_random_products():
 
 def test_gcd_remainders_stay_primitive(monkeypatch):
     # a plane sextic whose gcd with its x0-partial ran through remainders
-    # with millions of bits when only the polynomial content was divided out
+    # with millions of bits when only the polynomial content was divided out;
+    # the pair is coprime, so the image filter is switched off to reach the PRS
     f = Polynomial(3, {(5, 1, 0): -3, (4, 2, 0): 2, (4, 1, 1): -3, (1, 2, 3): -1,
                        (1, 0, 5): 2, (0, 5, 1): -2})
     bits = []
@@ -91,6 +93,7 @@ def test_gcd_remainders_stay_primitive(monkeypatch):
         return r
 
     monkeypatch.setattr(polynomials, "_pseudo_rem", spy)
+    _without_filter(monkeypatch)
     assert poly_gcd(f, f.partial_derivative(0)) == Polynomial(3, {(0, 0, 0): 1})
     assert bits and max(bits) < 2000
 
@@ -258,6 +261,144 @@ def test_gcd_and_squarefree_match_sympy():
         assert [m for _, m in dec] == sorted({m for _, m in dec})
         assert dict((m, p) for p, m in dec) == _sympy_squarefree_groups(sympy, f)
         done += 1
+
+
+def _without_filter(monkeypatch):
+    monkeypatch.setattr(polynomials, "_coprime_by_images", lambda f, g, common: False)
+
+
+def _fractional(rng, f):
+    """f with each coefficient divided by a small random positive integer."""
+    return Polynomial(f.nvars, {e: Fraction(c, rng.randint(1, 6)) for e, c in f.terms.items()})
+
+
+def _filter_pairs(rng, count):
+    """Seeded pairs in 2, 3 and 4 variables, cycling through three kinds:
+    no planted factor (mostly coprime), a planted common factor, and a
+    common factor in one variable only, which lies in the content with
+    respect to every other variable. Every second pair has Fraction
+    coefficients."""
+    pairs = []
+    while len(pairs) < count:
+        i = len(pairs)
+        nvars = 2 + i % 3
+        kind = i // 3 % 3
+        f = _random_poly(rng, nvars, 2, 3)
+        g = _random_poly(rng, nvars, 2, 3)
+        if kind == 1:
+            h = _random_poly(rng, nvars, 2, 2)
+        elif kind == 2:
+            h = variable(nvars, rng.randrange(nvars)) + rng.randint(-3, 3)
+        else:
+            h = constant(nvars, 1)
+        if not (f.variables() and g.variables()) or h.is_zero():
+            continue
+        f, g = f * h, g * h
+        if i % 2:
+            f, g = _fractional(rng, f), _fractional(rng, g)
+        pairs.append((f, g))
+    return pairs
+
+
+def _vanishing_lc(nvars, var, points):
+    """Product of (x_var - value of x_var at fixed point k) over k in points:
+    a leading coefficient that vanishes mod p at exactly those points."""
+    out = constant(nvars, 1)
+    for k in points:
+        out = out * (variable(nvars, var) - polynomials._image_point(k, nvars)[var])
+    return out
+
+
+def _fixed_point_pairs():
+    """Named pairs built on the fixed points of the coprimality filter."""
+    x0, x1 = variable(2, 0), variable(2, 1)
+    every = range(len(polynomials.IMAGE_SEEDS))
+    # lc in x0 and in x1 of h vanish at the first point, where h maps to 1
+    h_first = _vanishing_lc(2, 0, [0]) * _vanishing_lc(2, 1, [0]) + 1
+    # lc in x0 and in x1 of h vanish at every point
+    h_every = _vanishing_lc(2, 0, every) * _vanishing_lc(2, 1, every) + 1
+    pairs = {
+        "coprime, lc in x0 vanishes at the first point":
+            (_vanishing_lc(2, 1, [0]) * x0 ** 2 + x0 + x1, x0 ** 2 + x1 + 3),
+        "coprime, lc in x0 vanishes at every point":
+            (_vanishing_lc(2, 1, every) * x0 ** 2 + x0 + x1, x0 ** 2 + x1 + 3),
+        "common factor, lc vanishes at the first point":
+            (h_first * (x0 + x1 + 1), h_first * (x0 - x1 + 2)),
+        "common factor, lc vanishes at every point":
+            (h_every * (x0 + x1 + 1), h_every * (x0 - x1 + 2)),
+    }
+    # a factor in one variable only, seen by that variable's image alone
+    y = [variable(3, i) for i in range(3)]
+    for j in range(3):
+        a, b = (y[i] for i in range(3) if i != j)
+        h = y[j] + 1
+        pairs[f"common factor in x{j} only"] = (h * (a + b + 1), h * (a - b + 2))
+    return pairs
+
+
+def test_gcd_filter_matches_prs(monkeypatch):
+    pairs = _filter_pairs(random.Random(23), 300) + list(_fixed_point_pairs().values())
+    settled = sum(
+        polynomials._coprime_by_images(f, g, f.variables() & g.variables())
+        for f, g in pairs
+    )
+    fast = [poly_gcd(f, g) for f, g in pairs]
+    _without_filter(monkeypatch)
+    assert [poly_gcd(f, g) for f, g in pairs] == fast
+    nonconstant = sum(1 for h in fast if h.variables())
+    assert settled >= 150 and nonconstant >= 100
+
+
+def test_gcd_filter_never_claims_a_common_factor(monkeypatch):
+    pairs = _filter_pairs(random.Random(29), 150) + list(_fixed_point_pairs().values())
+    with monkeypatch.context() as m:
+        _without_filter(m)
+        gcds = [poly_gcd(f, g) for f, g in pairs]
+    checked = 0
+    for (f, g), h in zip(pairs, gcds):
+        if h.variables():
+            assert not polynomials._coprime_by_images(f, g, f.variables() & g.variables())
+            checked += 1
+    assert checked >= 60
+
+
+def test_gcd_filter_point_choice(monkeypatch):
+    pairs = _fixed_point_pairs()
+    images, prs_runs = [], []
+    image, prs_gcd = polynomials._image, polynomials._prs_gcd
+
+    def image_spy(f, v, k):
+        out = image(f, v, k)
+        images.append((v, k, out is None))
+        return out
+
+    def prs_spy(a, b, v):
+        prs_runs.append(v)
+        return prs_gcd(a, b, v)
+
+    monkeypatch.setattr(polynomials, "_image", image_spy)
+    monkeypatch.setattr(polynomials, "_prs_gcd", prs_spy)
+    one = constant(2, 1)
+    # the second point settles the pair, without the PRS
+    assert poly_gcd(*pairs["coprime, lc in x0 vanishes at the first point"]) == one
+    assert (0, 0, True) in images and (0, 1, False) in images and not prs_runs
+    # no point is usable for x0, so the PRS decides
+    images.clear()
+    assert poly_gcd(*pairs["coprime, lc in x0 vanishes at every point"]) == one
+    assert [k for v, k, unusable in images if v == 0 and unusable] == [0, 1, 2]
+    assert prs_runs
+    # the planted factors come back whole
+    for name, degree in (("common factor, lc vanishes at the first point", 2),
+                         ("common factor, lc vanishes at every point", 6)):
+        assert poly_gcd(*pairs[name]).total_degree() == degree
+
+
+def test_gcd_filter_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    pairs = _filter_pairs(random.Random(31), 60) + list(_fixed_point_pairs().values())
+    for f, g in pairs:
+        want = sympy.gcd(_to_sympy(sympy, f), _to_sympy(sympy, g))
+        assert poly_gcd(f, g) == primitive_normalized(_from_sympy(want, f.nvars))
 
 
 def test_prs_remainders_are_subresultants(monkeypatch):

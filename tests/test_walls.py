@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from wallcross.criterion import stability_verdict
 from wallcross.curves import PointedCurve, Surface, WitnessKind, make_witness
 from wallcross.hessians import analyzed_slopes
-from wallcross.inflection import UndecidedError
+from wallcross.inflection import UndecidedError, inflection_report
 from wallcross.polynomials import Polynomial
 from wallcross.walls import (
     chamber_report,
@@ -142,6 +143,25 @@ def test_classify_at_wall_undecided():
     )
     with pytest.raises(UndecidedError):
         classify_at_wall(curve)
+
+
+def test_classify_at_wall_decided_by_exact_flags():
+    # the node of x0^2*x2 - x0*x1^2 - K*x0*x2^2 + K*x1^2*x2 carries in_h1 and
+    # in_h2prime, which settle the wall stratum although the special-locus
+    # root search gives up; the verdict at the wall is decided too
+    K = 10 ** 14
+    curve = PointedCurve(
+        Surface.P2,
+        3,
+        (Fraction(K), Fraction(10 ** 7), Fraction(1)),
+        Polynomial(3, {(2, 0, 1): 1, (1, 2, 0): -1, (1, 0, 2): -K, (0, 2, 1): K}),
+    )
+    assert inflection_report(curve).undecided
+    stratum, basis = classify_at_wall(curve)
+    assert stratum == "not_semistable"
+    assert basis["in_h1"] and basis["in_h2prime"]
+    verdict = stability_verdict(curve, analyzed_slopes(Surface.P2, 3)[0])
+    assert verdict.status == "Unstable" and not verdict.undecided
 
 
 def test_chamber_report_shape():
