@@ -37,7 +37,7 @@ from .hessians import (
 )
 from .inflection import inflection_report
 from .rationals import format_rational
-from .walls import chamber_report, verify_all, verify_proposition
+from .walls import chamber_report, load_propositions, verify_all, verify_proposition
 
 SCHEMA = "wallcross/1"
 
@@ -295,14 +295,18 @@ def _cmd_chamber(args):
 
 def _cmd_verify(args):
     try:
-        if args.id:
-            results = [verify_proposition(args.id, args.degree)]
-        else:
-            results = verify_all(args.degree)
-    except KeyError as e:
-        raise CliError(f"unknown proposition id {e.args[0] if e.args else e}")
+        table = load_propositions()
     except (OSError, ValueError) as e:
         raise CliError(f"cannot load the proposition table: {e}")
+    try:
+        if args.id:
+            results = [verify_proposition(args.id, args.degree, table)]
+        else:
+            results = verify_all(args.degree, table)
+    except KeyError as e:
+        raise CliError(f"unknown proposition id {e.args[0] if e.args else e}")
+    except ValueError as e:
+        raise CliError(f"cannot replay the table at degree {args.degree}: {e}")
     ok = all(r["ok"] for r in results)
     doc = {
         "schema": SCHEMA,

@@ -21,11 +21,8 @@ from .curves import (
     Surface,
     adjugate,
     apply_frame,
-    mat_det,
-    mat_inv,
     move_curve,
     normalize_frame,
-    row_reduce,
 )
 from .errors import InternalError
 from .hessians import analyzed_slopes
@@ -232,21 +229,23 @@ def _adapted_frames(curve):
             for mid in range(3):
                 row1 = tuple(Fraction(1 if i == mid else 0) for i in range(3))
                 mx = (row0, row1, row2)
-                if mat_det(mx) != 0:
+                if adjugate(mx)[1]:
                     frames.append(FrameChange(curve.surface, mx))
                     break
     if curve.surface is Surface.QUADRIC and special.in_s:
         q = det.get("crossing")
         if q is not None:
             p = curve.point
-            # Columns (q | p) per factor; the inverse sends q to (1, 0) and
-            # p to (0, 1) so the degeneration flag becomes coordinate data.
-            cols_x = ((Fraction(q[0]), Fraction(p[0])), (Fraction(q[1]), Fraction(p[1])))
-            cols_y = ((Fraction(q[2]), Fraction(p[2])), (Fraction(q[3]), Fraction(p[3])))
-            if mat_det(cols_x) != 0 and mat_det(cols_y) != 0:
-                frames.append(
-                    FrameChange(curve.surface, mat_inv(cols_x), mat_inv(cols_y))
-                )
+            # Columns (q | p) per factor; the inverse, the adjugate over the
+            # determinant, sends q to (1, 0) and p to (0, 1) so the
+            # degeneration flag becomes coordinate data.
+            pairs = [
+                adjugate(tuple((Fraction(q[i]), Fraction(p[i])) for i in rows))
+                for rows in ((0, 1), (2, 3))
+            ]
+            if all(d for _, d in pairs):
+                inverses = [tuple(tuple(a / d for a in row) for row in adj) for adj, d in pairs]
+                frames.append(FrameChange(curve.surface, *inverses))
     return frames
 
 
@@ -524,12 +523,14 @@ def stabilizer_dimension(curve):
     exps = sorted(curve.equation.terms)
     base = exps[0]
     rows = [weight_row(tuple(a - b for a, b in zip(e, base))) for e in exps[1:]]
-    reduced, pivots, _ = row_reduce(rows)
-    dim = 2 - len(pivots)
-    if dim != 1:
-        return dim, None
-    # Kernel of the reduced row (1, c) or (0, 1), in basis coordinates.
-    coeffs = _primitive((-reduced[0][1], 1) if pivots == [0] else (1, 0))
+    # The rank and kernel of two-column rows: none of them nonzero, one
+    # that spans them all, or two independent ones.
+    x, y = next((r for r in rows if any(r)), (0, 0))
+    if not (x or y):
+        return 2, None
+    if any(x * b - y * a for a, b in rows):
+        return 0, None
+    coeffs = _primitive((-y, x))
     if curve.surface is Surface.P2:
         vec = tuple(
             coeffs[0] * b1 + coeffs[1] * b2
@@ -541,4 +542,4 @@ def stabilizer_dimension(curve):
     first = next(w for w in vec if w != 0)
     if first < 0:
         vec = tuple(-w for w in vec)
-    return dim, OneParamSubgroup(curve.surface, vec)
+    return 1, OneParamSubgroup(curve.surface, vec)

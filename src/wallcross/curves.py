@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 
 from .polynomials import Polynomial, constant, variable
-from .rationals import format_rational, parse_rational, quotient
+from .rationals import format_rational, parse_rational
 
 
 class Surface(str, Enum):
@@ -92,74 +92,13 @@ def checked(curve):
 
 
 # -- exact little matrices ------------------------------------------------
+# Frames are 2x2 and 3x3 matrices, and `adjugate` is their one determinant
+# and inverse: a matrix is invertible when det != 0, with inverse adj / det.
+# Vanishing orders come from the elimination in `series.pivot_orders`.
 
 
 def mat_vec(m, v):
     return tuple(sum(a * x for a, x in zip(row, v)) for row in m)
-
-
-def row_reduce(rows):
-    """Gauss-Jordan elimination on exact rationals, fraction-free.
-
-    Each row is first scaled to integers by the lcm of its denominators.
-    The elimination is the Jordan form of Bareiss's (Bareiss 1968): every
-    step divides exactly by the previous pivot, so every entry stays an
-    integer (a minor of the scaled rows), and afterwards every pivot row
-    carries the last pivot in its pivot column. Only the reduced rows are
-    divided, by that pivot.
-
-    Returns (reduced, pivots, det): the reduced row echelon form, its pivot
-    columns in increasing order, and the product of the Gauss-Jordan pivots
-    with one sign flip per row swap, which is the determinant of a square
-    matrix of full rank.
-    """
-    mat, scales = [], []
-    for row in rows:
-        c, (ints,) = _cleared((row,))
-        mat.append(list(ints))
-        scales.append(c)
-    ncols = len(mat[0]) if mat else 0
-    pivots = []
-    sign = 1
-    prev = 1
-    r = 0
-    for col in range(ncols):
-        if r == len(mat):
-            break
-        pivot = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if pivot is None:
-            continue
-        if pivot != r:
-            mat[r], mat[pivot] = mat[pivot], mat[r]
-            scales[r], scales[pivot] = scales[pivot], scales[r]
-            sign = -sign
-        top = mat[r]
-        p = top[col]
-        for i in range(len(mat)):
-            if i != r:
-                f = mat[i][col]
-                mat[i] = [(p * a - f * b) // prev for a, b in zip(mat[i], top)]
-        prev = p
-        pivots.append(col)
-        r += 1
-    reduced = [[quotient(x, prev) for x in row] for row in mat]
-    return reduced, pivots, quotient(sign * prev, prod(scales[:r]))
-
-
-def mat_det(m):
-    if any(len(row) != len(m) for row in m):
-        raise ValueError("matrix is not square")
-    _, pivots, det = row_reduce(m)
-    return det if len(pivots) == len(m) else 0
-
-
-def mat_inv(m):
-    n = len(m)
-    aug = [list(m[i]) + [int(i == j) for j in range(n)] for i in range(n)]
-    reduced, pivots, _ = row_reduce(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in reduced)
 
 
 def _cleared(m):
@@ -216,7 +155,7 @@ class FrameChange:
             for m in (self.mx, self.my):
                 if len(m) != 2 or any(len(r) != 2 for r in m):
                     raise ValueError("quadric frame needs 2x2 matrices")
-        if mat_det(self.mx) == 0 or (self.my is not None and mat_det(self.my) == 0):
+        if any(not adjugate(m)[1] for m in (self.mx, self.my) if m is not None):
             raise ValueError("frame matrix is singular")
 
     @classmethod
@@ -231,15 +170,6 @@ class FrameChange:
         u = mat_vec(self.mx, p[:2])
         v = mat_vec(self.my, p[2:])
         return v + u if self.swap else u + v
-
-    def inverse(self):
-        if self.surface is Surface.P2:
-            return FrameChange(self.surface, mat_inv(self.mx))
-        if not self.swap:
-            return FrameChange(self.surface, mat_inv(self.mx), mat_inv(self.my))
-        return FrameChange(
-            self.surface, mat_inv(self.my), mat_inv(self.mx), swap=True
-        )
 
 
 def move_curve(curve, mx, my=None, swap=False):
@@ -535,6 +465,11 @@ def curve_to_json(curve):
     }
 
 
+def _is_int(x):
+    # JSON true and false load as bools, which are ints to isinstance
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def curve_from_json(data):
     if not isinstance(data, dict):
         raise ValueError("curve document must be a JSON object")
@@ -546,7 +481,7 @@ def curve_from_json(data):
     except (KeyError, ValueError):
         raise ValueError("surface must be 'p2' or 'quadric'") from None
     d = data.get("degree")
-    if not isinstance(d, int):
+    if not _is_int(d):
         raise ValueError("degree must be an integer")
     pt = data.get("point")
     if not isinstance(pt, list):
@@ -564,7 +499,7 @@ def curve_from_json(data):
         if (
             not isinstance(exp, list)
             or len(exp) != n
-            or any(not isinstance(e, int) or e < 0 for e in exp)
+            or any(not _is_int(e) or e < 0 for e in exp)
         ):
             raise ValueError(f"bad exponent {exp!r}")
         key = tuple(exp)

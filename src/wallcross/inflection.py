@@ -21,10 +21,10 @@ from math import comb
 from .curves import (
     PointedCurve,
     Surface,
+    adjugate,
     affine_chart,
     contact_ge,
     local_geometry,
-    mat_det,
 )
 from .errors import InternalError
 from .polynomials import (
@@ -551,7 +551,7 @@ def _p2_special(curve):
     ):
         conic = leftovers[0][0]
         lc = lines[0][0]
-        if mat_det(_conic_matrix(conic)) != 0:
+        if adjugate(_conic_matrix(conic))[1]:
             q = _line_conic_tangency(lc, conic)
             if q is not None:
                 on_conic = conic.evaluate(p) == 0

@@ -5,14 +5,18 @@ stays within that window. Orders at or past N are only ever reported as
 lower bounds ("at least N") by the callers, never as exact values.
 Coefficients follow rationals.canonical: ints when integral, Fractions
 otherwise.
+
+`pivot_orders` reads vanishing orders off the coefficient rows of a span of
+series by one forward fraction-free elimination: it keeps only the pivot
+columns, and builds no reduced rows and no determinant.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import add, sub
 
-from .curves import row_reduce
 from .rationals import canonical
 
 
@@ -162,10 +166,36 @@ def pivot_orders(rows):
     truncated series, the pivot columns are exactly the vanishing orders
     realized by the span, and each deficient row stands for an order at or
     past the truncation.
+
+    Each row is scaled to integers by the lcm of its denominators, and the
+    pivots come from forward fraction-free elimination (Bareiss 1968): each
+    step divides exactly by the previous pivot, so every entry stays an
+    integer. The pivot columns of an echelon form are those of the reduced
+    form, so no back-substitution is done.
     """
     if not rows:
         raise ValueError("empty matrix")
     if any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("ragged matrix")
-    _, pivots, _ = row_reduce(rows)
+    mat = []
+    for row in rows:
+        c = lcm(*(x.denominator for x in row))
+        mat.append([x.numerator * (c // x.denominator) for x in row])
+    pivots = []
+    prev = 1
+    for col in range(len(mat[0])):
+        r = len(pivots)
+        if r == len(mat):
+            break
+        pivot = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        top = mat[r]
+        p = top[col]
+        for i in range(r + 1, len(mat)):
+            f = mat[i][col]
+            mat[i] = [(p * a - f * b) // prev for a, b in zip(mat[i], top)]
+        prev = p
+        pivots.append(col)
     return pivots, len(rows) - len(pivots)

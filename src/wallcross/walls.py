@@ -10,7 +10,6 @@ strictness, and the checker replays the claim with exact arithmetic.
 from __future__ import annotations
 
 import json
-import os
 from fractions import Fraction
 from importlib import resources
 
@@ -25,30 +24,17 @@ from .curves import Surface, all_exponents
 from .hessians import analyzed_slopes
 from .inflection import UndecidedError, inflection_report
 
-_FIXTURE_ENV = "WALLCROSS_FIXTURES"
 _FIXTURE_NAME = "propositions_v1.json"
 _SCHEMA = "wallcross/propositions/1"
 
 
-def _fixture_path():
-    override = os.environ.get(_FIXTURE_ENV)
-    if override:
-        return os.path.join(override, _FIXTURE_NAME)
-    return None
-
-
 def load_propositions():
-    """The recorded claim table, keyed by proposition id.
+    """The packaged claim table, keyed by proposition id.
 
-    Set the fixtures directory override in the environment to load the
-    table from another location instead of the packaged copy."""
-    path = _fixture_path()
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    else:
-        ref = resources.files("wallcross").joinpath("fixtures", _FIXTURE_NAME)
-        data = json.loads(ref.read_text(encoding="utf-8"))
+    To replay another table, pass it as the `table` argument of
+    `verify_all` or `verify_proposition`."""
+    ref = resources.files("wallcross").joinpath("fixtures", _FIXTURE_NAME)
+    data = json.loads(ref.read_text(encoding="utf-8"))
     if data.get("schema") != _SCHEMA:
         raise ValueError(f"unrecognized fixture schema: {data.get('schema')!r}")
     props = data.get("propositions")

@@ -1,7 +1,9 @@
 """Oracles that only the tests use: independent routes to quantities the
 package computes another way."""
 
-from wallcross.curves import Surface
+from fractions import Fraction
+
+from wallcross.curves import FrameChange, Surface
 from wallcross.inflection import local_branch
 from wallcross.polynomials import poly_det
 from wallcross.series import series_substitute
@@ -40,3 +42,51 @@ def classical_hessian(poly):
         for i in range(3)
     ]
     return poly_det(rows)
+
+
+def gauss_jordan(rows):
+    """Gauss-Jordan elimination on Fractions, (reduced, pivots, det) with
+    det the signed product of the pivots."""
+    mat = [[Fraction(x) for x in r] for r in rows]
+    ncols = len(mat[0]) if mat else 0
+    pivots = []
+    det = Fraction(1)
+    r = 0
+    for col in range(ncols):
+        if r == len(mat):
+            break
+        pivot = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            mat[r], mat[pivot] = mat[pivot], mat[r]
+            det = -det
+        det *= mat[r][col]
+        mat[r] = [x / mat[r][col] for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+    return mat, pivots, det
+
+
+def _matrix_inverse(m):
+    n = len(m)
+    aug = [list(m[i]) + [int(i == j) for j in range(n)] for i in range(n)]
+    reduced, pivots, _ = gauss_jordan(aug)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return tuple(tuple(row[n:]) for row in reduced)
+
+
+def frame_inverse(frame):
+    """The inverse frame, its matrices inverted by Gauss-Jordan elimination
+    rather than through the adjugate."""
+    inv = _matrix_inverse
+    if frame.surface is Surface.P2:
+        return FrameChange(frame.surface, inv(frame.mx))
+    if not frame.swap:
+        return FrameChange(frame.surface, inv(frame.mx), inv(frame.my))
+    return FrameChange(frame.surface, inv(frame.my), inv(frame.mx), swap=True)

@@ -124,27 +124,29 @@ def test_chamber_document(capsys):
     assert set(doc["strata"]) == {"edge", "chamber", "wall"}
 
 
-def test_verify_exit_codes(capsys, tmp_path, monkeypatch):
+def test_verify_exit_codes(capsys, monkeypatch):
     doc = run_json(capsys, "verify", "--all", "--degree", "4")
     assert doc["ok"] is True and len(doc["results"]) == 12
     doc = run_json(capsys, "verify", "--id", "5.2", "--degree", "3")
     assert doc["ok"] is True
 
     # a tampered table must drive the exit code to 2
-    from wallcross.walls import load_propositions
-
-    table = load_propositions()
-    params = table["4.2"]
+    params = cli.load_propositions()["4.2"]
     params["strictness"] = ">0"
     params.pop("expected_equalities", None)
-    fixture = {"schema": "wallcross/propositions/1", "propositions": {"4.2": params}}
-    (tmp_path / "propositions_v1.json").write_text(json.dumps(fixture))
-    monkeypatch.setenv("WALLCROSS_FIXTURES", str(tmp_path))
+    monkeypatch.setattr(cli, "load_propositions", lambda: {"4.2": params})
     code, out, _ = run(capsys, "verify", "--id", "4.2", "--degree", "4")
     assert code == 2
     doc = json.loads(out)
     assert doc["ok"] is False
     assert doc["results"][0]["counterexamples"]
+
+    # a bad degree is refused by the replay, not blamed on the table
+    for argv in (("--all",), ("--id", "4.2")):
+        code, out, err = run(capsys, "verify", *argv, "--degree", "2")
+        assert code == 1 and out == ""
+        assert "cannot load the proposition table" not in err
+        assert "at degree 2: degree must be an integer >= 3" in err
 
 
 def test_strict_undecided_exit_code(capsys, tmp_path):
@@ -263,6 +265,19 @@ def test_malformed_curve_messages(capsys, tmp_path):
     )
     code, _, err = run(capsys, "verdict", "--curve", str(off), "--slope", "2")
     assert code == 1 and "bad curve document" in err
+
+    # JSON true is not the integer 1: neither an exponent nor a degree
+    for degree, exp, message in (
+        (3, [True, 0, 2], "bad exponent [True, 0, 2]"),
+        (True, [1, 0, 2], "degree must be an integer"),
+    ):
+        off.write_text(json.dumps({
+            "surface": "p2", "degree": degree, "point": ["0", "1", "0"],
+            "terms": [{"exp": exp, "coeff": "1"}],
+        }))
+        code, out, err = run(capsys, "verdict", "--curve", str(off), "--slope", "2")
+        assert code == 1 and out == ""
+        assert err.strip().endswith(f"bad curve document: {message}")
 
     path, _ = write_witness(capsys, tmp_path, "p2-s", 4)
     code, _, err = run(capsys, "verdict", "--curve", str(path), "--slope", "x/y")

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -28,6 +29,8 @@ from wallcross.curves import (
 )
 from wallcross.errors import InternalError
 from wallcross.polynomials import Polynomial
+
+from oracles import gauss_jordan
 
 
 def _p2(d, terms, point):
@@ -468,6 +471,64 @@ def test_stabilizer_dimensions():
     offcenter = _p2(3, {(1, 0, 2): 1, (0, 2, 1): -1}, (1, 1, 1))
     with pytest.raises(ValueError):
         stabilizer_dimension(offcenter)
+
+
+def _old_stabilizer(curve):
+    """The stabilizer as the package computed it before its two-column
+    rule: rank and kernel read off the Gauss-Jordan reduced weight rows,
+    the kernel made a primitive integer vector with first entry > 0."""
+    if curve.surface is Surface.P2:
+        basis = ((1, 0, -1), (0, 1, -1))
+
+        def weight_row(delta):
+            return tuple(sum(a * b for a, b in zip(delta, v)) for v in basis)
+    else:
+        def weight_row(delta):
+            return (delta[1] - delta[0], delta[3] - delta[2])
+
+    exps = sorted(curve.equation.terms)
+    rows = [weight_row([a - b for a, b in zip(e, exps[0])]) for e in exps[1:]]
+    reduced, pivots, _ = gauss_jordan(rows)
+    if len(pivots) != 1:
+        return 2 - len(pivots), None
+    k = (-reduced[0][1], Fraction(1)) if pivots == [0] else (Fraction(1), Fraction(0))
+    if curve.surface is Surface.P2:
+        k = tuple(k[0] * a + k[1] * b for a, b in zip(*basis))
+    scale = math.lcm(*(x.denominator for x in k))
+    ints = [int(x * scale) for x in k]
+    g = math.gcd(*ints)
+    sign = 1 if next(x for x in ints if x) > 0 else -1
+    return 1, tuple(sign * x // g for x in ints)
+
+
+def test_stabilizer_dimension_matches_gauss_jordan_kernel():
+    rng = random.Random(29)
+    seen = {0: 0, 1: 0, 2: 0}
+    for surface in Surface:
+        for _ in range(600):
+            d = rng.randint(3, 6)
+            if surface is Surface.P2:
+                point = [0, 0, 0]
+                point[rng.randrange(3)] = rng.choice((1, 2, -3))
+            else:
+                point = [0, 0, 0, 0]
+                point[rng.randrange(2)] = rng.choice((1, -2))
+                point[2 + rng.randrange(2)] = rng.choice((1, 3))
+            # monomials vanishing at the coordinate point
+            exps = [
+                e for e in all_exponents(surface, d)
+                if any(x and not c for x, c in zip(e, point))
+            ]
+            support = rng.sample(exps, rng.choice((1, 2, 2, 3, 4, 6)))
+            curve = PointedCurve(
+                surface, d, tuple(Fraction(c) for c in point),
+                Polynomial(surface.nvars, {e: rng.choice((-2, 1, 3)) for e in support}),
+            )
+            dim, gen = stabilizer_dimension(curve)
+            expected = _old_stabilizer(curve)
+            assert (dim, gen and gen.weights) == expected
+            seen[dim] += 1
+    assert min(seen.values()) > 50, seen
 
 
 def test_mu_term_matches_mu_min_on_support():

@@ -15,18 +15,20 @@ from wallcross.curves import (  # noqa: E402
     FrameChange,
     PointedCurve,
     Surface,
+    adjugate,
     all_exponents,
     apply_frame,
-    mat_det,
     move_curve,
 )
 from wallcross.polynomials import Polynomial  # noqa: E402
+
+from oracles import frame_inverse  # noqa: E402
 
 
 def _inverse_substitution(curve, frame):
     """Oracle: the frame move as C o g^-1, substituting the rows of g^-1
     computed by Gauss-Jordan inversion, and p' = g(p)."""
-    inv = frame.inverse()
+    inv = frame_inverse(frame)
     n = curve.surface.nvars
 
     def linear(slots, row):
@@ -70,12 +72,12 @@ def _curves_and_frames(draw):
     if surface is Surface.P2:
         assume(any(point))
         mx = _matrix(draw, 3)
-        assume(mat_det(mx) != 0)
+        assume(adjugate(mx)[1] != 0)
         frame = FrameChange(surface, mx)
     else:
         assume(any(point[:2]) and any(point[2:]))
         mx, my = _matrix(draw, 2), _matrix(draw, 2)
-        assume(mat_det(mx) != 0 and mat_det(my) != 0)
+        assume(adjugate(mx)[1] != 0 and adjugate(my)[1] != 0)
         frame = FrameChange(surface, mx, my, swap=draw(st.booleans()))
     curve = PointedCurve(surface, d, point, Polynomial(surface.nvars, dict(zip(exps, coeffs))))
     return curve, frame

@@ -27,9 +27,9 @@ from wallcross.curves import (
     PointedCurve,
     Surface,
     WitnessKind,
+    adjugate,
     all_exponents,
     apply_frame,
-    mat_det,
     make_witness,
     normalize_frame,
 )
@@ -46,12 +46,12 @@ def _frame(surface, rng):
     while True:
         if surface is Surface.P2:
             mx = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
-            if mat_det(mx) != 0:
+            if adjugate(mx)[1] != 0:
                 return FrameChange(surface, mx)
         else:
             mx = [[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)]
             my = [[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)]
-            if mat_det(mx) != 0 and mat_det(my) != 0:
+            if adjugate(mx)[1] != 0 and adjugate(my)[1] != 0:
                 return FrameChange(surface, mx, my, swap=bool(rng.getrandbits(1)))
 
 

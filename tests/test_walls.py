@@ -1,5 +1,4 @@
 import copy
-import json
 import os
 from fractions import Fraction
 
@@ -76,17 +75,6 @@ def test_negative_control_strictness_flip():
 def test_unknown_id_raises():
     with pytest.raises(KeyError):
         verify_proposition("0.0-missing", 4)
-
-
-def test_fixture_dir_override(tmp_path, monkeypatch):
-    table = load_propositions()
-    trimmed = {"4.2": table["4.2"]}
-    doc = {"schema": "wallcross/propositions/1", "propositions": trimmed}
-    (tmp_path / "propositions_v1.json").write_text(json.dumps(doc))
-    monkeypatch.setenv("WALLCROSS_FIXTURES", str(tmp_path))
-    small = load_propositions()
-    assert sorted(small) == ["4.2"]
-    assert verify_proposition("4.2", 4, small)["ok"]
 
 
 def test_classify_at_wall_regions():
