@@ -304,7 +304,8 @@ def _cmd_verify(args):
         else:
             results = verify_all(args.degree, table)
     except KeyError as e:
-        raise CliError(f"unknown proposition id {e.args[0] if e.args else e}")
+        # walls names the unknown id in the KeyError's message
+        raise CliError(e.args[0] if e.args else "unknown proposition id")
     except ValueError as e:
         raise CliError(f"cannot replay the table at degree {args.degree}: {e}")
     ok = all(r["ok"] for r in results)

@@ -26,7 +26,7 @@ from .curves import (
 )
 from .errors import InternalError
 from .hessians import analyzed_slopes
-from .inflection import inflection_report, special_locus_membership
+from .inflection import InflectionReport, inflection_report
 from .linprog import lp_max
 
 
@@ -209,12 +209,12 @@ def _random_frame(surface, rng):
             return mx, my, bool(rng.getrandbits(1))
 
 
-def _adapted_frames(curve):
-    """Frames suggested by the special-locus geometry of the curve. These
-    align the destabilizing flag with coordinate data so the diagonal torus
-    of the new frame can see it."""
+def _adapted_frames(curve, report):
+    """Frames suggested by the special-locus geometry of the curve, read
+    from its inflection report. These align the destabilizing flag with
+    coordinate data so the diagonal torus of the new frame can see it."""
     frames = []
-    special = special_locus_membership(curve)
+    special = report.special
     det = special.details
     if curve.surface is Surface.P2 and special.in_s:
         line = det.get("line")
@@ -263,6 +263,13 @@ def destabilizer_search(curve, t, budget=500, seed=0):
     reuses the curve `normalize_frame` moved, and the identity the curve
     itself. Only a hit builds its FrameChange, and its mu is re-checked on
     the exact move."""
+    return _search(curve, InflectionReport(curve), t, budget, seed)
+
+
+def _search(curve, report, t, budget, seed):
+    """`destabilizer_search` with the adapted frames read from the special
+    locus of the given inflection report of the curve, which a lazy report
+    computes only when the search gets past the identity frame."""
     tried = 0
     seen = set()
 
@@ -272,7 +279,7 @@ def destabilizer_search(curve, t, budget=500, seed=0):
         yield (g0.mx, g0.my, g0.swap), moved0
         identity = FrameChange.identity(curve.surface)
         yield (identity.mx, identity.my, False), curve
-        for frame in _adapted_frames(curve):
+        for frame in _adapted_frames(curve, report):
             yield (frame.mx, frame.my, frame.swap), None
         rng = random.Random(seed)
         while True:

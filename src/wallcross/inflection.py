@@ -15,6 +15,7 @@ because a section vanishing that far must contain the branch's component.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import comb
 
@@ -730,79 +731,144 @@ def special_locus_membership(curve):
 # -- the combined local report ----------------------------------------------
 
 
-@dataclass
 class InflectionReport:
-    surface: Surface
-    smooth_at_p: bool
-    multiplicity: int
-    weight: int = None
-    weight_is_lower_bound: bool = False
-    flex: bool = False
-    hyperflex: bool = False
-    in_h1: bool = False
-    in_h2prime: bool = False
-    in_s: bool = False
-    in_x0: bool = False
-    undecided: bool = False
-    ruling_contacts: tuple = None
-    sequences: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)
-
-
-def inflection_report(curve):
     """Everything the stability analysis needs to know about the marked
     point: flex data and divisor-class memberships.
 
     Plane: in_h1 is the flex-degeneration class, in_h2prime the higher
     (second-order) one. Quadric: in_h1 is the tangent-ruling class and
     in_h2prime the higher osculation class; the flex/hyperflex fields mirror
-    those memberships there."""
-    geo = local_geometry(curve)
-    special = special_locus_membership(curve)
-    rep = InflectionReport(
-        surface=curve.surface,
-        smooth_at_p=geo.smooth_at_p,
-        multiplicity=geo.multiplicity,
-        in_s=special.in_s,
-        in_x0=special.in_x0,
-        undecided=special.undecided,
-        notes=list(special.notes),
-    )
-    if not geo.smooth_at_p:
-        rep.in_h1 = True
-        rep.in_h2prime = True
-        rep.notes.append("marked point is singular; memberships follow")
-        return rep
-    if curve.surface is Surface.P2:
-        seq1 = vanishing_sequence(curve, 1)
-        seq2 = vanishing_sequence(curve, 2)
-        w1, lb1 = inflection_weight(seq1)
-        w2, lb2 = inflection_weight(seq2)
-        rep.weight = w1
-        rep.weight_is_lower_bound = lb1
-        rep.flex = w1 > 0
-        rep.hyperflex = seq1.top_at_least(4)
-        rep.in_h1 = rep.flex
-        rep.in_h2prime = w2 > w1
-        if lb1 or lb2:
-            rep.notes.append(
+    those memberships there.
+
+    The report is bound to its curve and computes each fact the first time
+    it is read, then keeps it for the life of the report: the local
+    geometry (`geometry`), the special locus (`special`), the vanishing
+    sequences (`seq1` and `seq2` of lines and conics on the plane, `seq11`
+    of (1, 1)-forms on the quadric) and the fields derived from them. So a
+    caller pays only for the fields it reads: smooth_at_p, multiplicity and
+    ruling_contacts need the geometry alone; in_h1 needs the geometry and,
+    on the plane, seq1; in_h2prime needs seq2 or seq11; in_s, in_x0 and
+    undecided need the special locus. At a singular marked point
+    in_h1 = in_h2prime = True and no sequence is computed."""
+
+    def __init__(self, curve):
+        self.curve = curve
+        self.surface = curve.surface
+
+    @cached_property
+    def geometry(self):
+        return local_geometry(self.curve)
+
+    @cached_property
+    def special(self):
+        return special_locus_membership(self.curve)
+
+    @cached_property
+    def seq1(self):
+        return vanishing_sequence(self.curve, 1)
+
+    @cached_property
+    def seq2(self):
+        return vanishing_sequence(self.curve, 2)
+
+    @cached_property
+    def seq11(self):
+        return vanishing_sequence(self.curve, (1, 1))
+
+    @property
+    def _plane(self):
+        return self.surface is Surface.P2
+
+    @property
+    def smooth_at_p(self):
+        return self.geometry.smooth_at_p
+
+    @property
+    def multiplicity(self):
+        return self.geometry.multiplicity
+
+    @property
+    def ruling_contacts(self):
+        if self._plane or not self.smooth_at_p:
+            return None
+        return self.geometry.ruling_contacts
+
+    @cached_property
+    def _weight(self):
+        """(weight, is_lower_bound) of seq1 on the plane and of seq11 on
+        the quadric; (None, False) at a singular point."""
+        if not self.smooth_at_p:
+            return None, False
+        return inflection_weight(self.seq1 if self._plane else self.seq11)
+
+    @property
+    def weight(self):
+        return self._weight[0]
+
+    @property
+    def weight_is_lower_bound(self):
+        return self._weight[1]
+
+    @cached_property
+    def in_h1(self):
+        if not self.smooth_at_p:
+            return True
+        if self._plane:
+            return self.weight > 0
+        cx, cy = self.ruling_contacts
+        return contact_ge(cx, 2) or contact_ge(cy, 2)
+
+    @cached_property
+    def in_h2prime(self):
+        if not self.smooth_at_p:
+            return True
+        if self._plane:
+            return inflection_weight(self.seq2)[0] > self.weight
+        return self.seq11.top_at_least(4)
+
+    @property
+    def flex(self):
+        return self.smooth_at_p and self.in_h1
+
+    @property
+    def hyperflex(self):
+        if not self.smooth_at_p:
+            return False
+        return self.seq1.top_at_least(4) if self._plane else self.in_h2prime
+
+    @property
+    def in_s(self):
+        return self.special.in_s
+
+    @property
+    def in_x0(self):
+        return self.special.in_x0
+
+    @property
+    def undecided(self):
+        return self.special.undecided
+
+    @cached_property
+    def sequences(self):
+        if not self.smooth_at_p:
+            return {}
+        if self._plane:
+            return {"o1": self.seq1, "o2": self.seq2}
+        return {"o11": self.seq11}
+
+    @cached_property
+    def notes(self):
+        notes = list(self.special.notes)
+        if not self.smooth_at_p:
+            notes.append("marked point is singular; memberships follow")
+        elif any(s.deficiency for s in self.sequences.values()):
+            notes.append(
                 "a section contains the branch; weights use truncation lower bounds"
             )
-        rep.sequences = {"o1": seq1, "o2": seq2}
-    else:
-        cx, cy = geo.ruling_contacts
-        rep.ruling_contacts = (cx, cy)
-        seq11 = vanishing_sequence(curve, (1, 1))
-        w11, lb11 = inflection_weight(seq11)
-        rep.weight = w11
-        rep.weight_is_lower_bound = lb11
-        rep.in_h1 = contact_ge(cx, 2) or contact_ge(cy, 2)
-        rep.in_h2prime = seq11.top_at_least(4)
-        rep.flex = rep.in_h1
-        rep.hyperflex = rep.in_h2prime
-        if lb11:
-            rep.notes.append(
-                "a section contains the branch; weights use truncation lower bounds"
-            )
-        rep.sequences = {"o11": seq11}
-    return rep
+        return notes
+
+
+def inflection_report(curve):
+    """The inflection report of a pointed curve, bound to it and computed
+    field by field as the fields are read (see `InflectionReport`)."""
+    return InflectionReport(curve)

@@ -2,9 +2,15 @@
 package computes another way."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
-from wallcross.curves import FrameChange, Surface
-from wallcross.inflection import local_branch
+from wallcross.curves import FrameChange, Surface, contact_ge, local_geometry
+from wallcross.inflection import (
+    inflection_weight,
+    local_branch,
+    special_locus_membership,
+    vanishing_sequence,
+)
 from wallcross.polynomials import poly_det
 from wallcross.series import series_substitute
 
@@ -90,3 +96,74 @@ def frame_inverse(frame):
     if not frame.swap:
         return FrameChange(frame.surface, inv(frame.mx), inv(frame.my))
     return FrameChange(frame.surface, inv(frame.my), inv(frame.mx), swap=True)
+
+
+# The public fields of an inflection report, in the order a reader meets
+# them in the `inflect` document.
+REPORT_FIELDS = (
+    "surface", "smooth_at_p", "multiplicity", "weight", "weight_is_lower_bound",
+    "flex", "hyperflex", "in_h1", "in_h2prime", "in_s", "in_x0", "undecided",
+    "ruling_contacts", "sequences", "notes",
+)
+
+
+def eager_report(curve):
+    """The inflection report computed in full up front, field by field as
+    `wallcross.inflection.inflection_report` defines them."""
+    geo = local_geometry(curve)
+    special = special_locus_membership(curve)
+    rep = SimpleNamespace(
+        surface=curve.surface,
+        smooth_at_p=geo.smooth_at_p,
+        multiplicity=geo.multiplicity,
+        weight=None,
+        weight_is_lower_bound=False,
+        flex=False,
+        hyperflex=False,
+        in_h1=False,
+        in_h2prime=False,
+        in_s=special.in_s,
+        in_x0=special.in_x0,
+        undecided=special.undecided,
+        ruling_contacts=None,
+        sequences={},
+        notes=list(special.notes),
+    )
+    if not geo.smooth_at_p:
+        rep.in_h1 = True
+        rep.in_h2prime = True
+        rep.notes.append("marked point is singular; memberships follow")
+        return rep
+    if curve.surface is Surface.P2:
+        seq1 = vanishing_sequence(curve, 1)
+        seq2 = vanishing_sequence(curve, 2)
+        w1, lb1 = inflection_weight(seq1)
+        w2, lb2 = inflection_weight(seq2)
+        rep.weight = w1
+        rep.weight_is_lower_bound = lb1
+        rep.flex = w1 > 0
+        rep.hyperflex = seq1.top_at_least(4)
+        rep.in_h1 = rep.flex
+        rep.in_h2prime = w2 > w1
+        if lb1 or lb2:
+            rep.notes.append(
+                "a section contains the branch; weights use truncation lower bounds"
+            )
+        rep.sequences = {"o1": seq1, "o2": seq2}
+    else:
+        cx, cy = geo.ruling_contacts
+        rep.ruling_contacts = (cx, cy)
+        seq11 = vanishing_sequence(curve, (1, 1))
+        w11, lb11 = inflection_weight(seq11)
+        rep.weight = w11
+        rep.weight_is_lower_bound = lb11
+        rep.in_h1 = contact_ge(cx, 2) or contact_ge(cy, 2)
+        rep.in_h2prime = seq11.top_at_least(4)
+        rep.flex = rep.in_h1
+        rep.hyperflex = rep.in_h2prime
+        if lb11:
+            rep.notes.append(
+                "a section contains the branch; weights use truncation lower bounds"
+            )
+        rep.sequences = {"o11": seq11}
+    return rep

@@ -148,6 +148,12 @@ def test_verify_exit_codes(capsys, monkeypatch):
         assert "cannot load the proposition table" not in err
         assert "at degree 2: degree must be an integer >= 3" in err
 
+    # an unknown id is named once, with exit 1
+    code, out, err = run(capsys, "verify", "--id", "nope", "--degree", "4")
+    assert code == 1 and out == ""
+    assert err.count("unknown proposition id") == 1
+    assert "unknown proposition id 'nope'" in err
+
 
 def test_strict_undecided_exit_code(capsys, tmp_path):
     big = 10 ** 13
@@ -400,6 +406,34 @@ ADAPTED_CURVES = {
     }, "11/6"),
 }
 
+# Curves singular at the marked point, where in_h1 and in_h2prime follow
+# from the local geometry alone and no vanishing sequence is computed:
+# the nodal cubic x0*x1*x2 + x0^3 + x1^3 at its node (0 : 0 : 1), and the
+# (3, 3) quadric curve x0*x1^2*y0*y1^2 + x0^3*y1^3 + x1^3*y0^3 at its node
+# ((0 : 1), (0 : 1)).
+SINGULAR_CURVES = {
+    "nodal-cubic": {
+        "surface": "p2",
+        "degree": 3,
+        "point": ["0", "0", "1"],
+        "terms": [
+            {"exp": [1, 1, 1], "coeff": "1"},
+            {"exp": [3, 0, 0], "coeff": "1"},
+            {"exp": [0, 3, 0], "coeff": "1"},
+        ],
+    },
+    "nodal-quadric": {
+        "surface": "quadric",
+        "degree": 3,
+        "point": ["0", "1", "0", "1"],
+        "terms": [
+            {"exp": [1, 2, 1, 2], "coeff": "1"},
+            {"exp": [3, 0, 0, 3], "coeff": "1"},
+            {"exp": [0, 3, 3, 0], "coeff": "1"},
+        ],
+    },
+}
+
 def golden_cases(tmp):
     """(name, argv) of every CLI call gated by the golden file, in order;
     witness documents are written under the directory tmp, so a witness
@@ -450,6 +484,15 @@ def golden_cases(tmp):
                 cases.append((f"{command} {surface} {d}",
                               [command, "--surface", surface, "--degree", str(d)]))
         cases.append((f"verify --all {d}", ["verify", "--all", "--degree", str(d)]))
+    for name, doc in SINGULAR_CURVES.items():
+        path = tmp / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        wall, edge = analyzed_slopes(Surface(doc["surface"]), doc["degree"])
+        for t in (wall, (wall + edge) / 2, edge):
+            slope = format_rational(t)
+            cases.append((f"verdict {name} {slope}",
+                          ["verdict", "--curve", str(path), "--slope", slope,
+                           "--budget", "20"]))
     return cases
 
 

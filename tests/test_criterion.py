@@ -28,6 +28,7 @@ from wallcross.curves import (
     normalize_frame,
 )
 from wallcross.errors import InternalError
+from wallcross.inflection import inflection_report
 from wallcross.polynomials import Polynomial
 
 from oracles import gauss_jordan
@@ -307,7 +308,7 @@ def test_adapted_frame_hits(witness, t, frame_doc, weights, mu):
     frame, lam, found_mu = destabilizer_search(curve, t, budget=3)
     assert frame_to_json(frame) == frame_doc
     assert lam.weights == weights and found_mu == mu
-    assert frame in criterion._adapted_frames(curve)
+    assert frame in criterion._adapted_frames(curve, inflection_report(curve))
     assert frame not in (normalize_frame(curve)[0], FrameChange.identity(curve.surface))
     assert mu_min(apply_frame(curve, frame), lam, t)[0] == mu
 

@@ -1,18 +1,26 @@
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from wallcross import polynomials
+from wallcross import inflection, polynomials
+from wallcross.criterion import stability_verdict
 from wallcross.curves import (
     FrameChange,
     PointedCurve,
     Surface,
     WitnessKind,
     apply_frame,
+    curve_from_json,
+    curve_to_json,
     make_witness,
 )
+from wallcross.cli import main
 from wallcross.errors import InternalError
+from wallcross.hessians import analyzed_slopes
 from wallcross.inflection import (
     UndecidedError,
     _squarefree_on_chart,
@@ -30,9 +38,13 @@ from wallcross.polynomials import (
     squarefree_decompose,
     variable,
 )
+from wallcross.rationals import format_rational
 from wallcross.series import series_substitute
 
-from oracles import classical_hessian, intersection_multiplicity
+from oracles import REPORT_FIELDS, classical_hessian, eager_report, intersection_multiplicity
+from test_acceptance import _random_pointed_curve
+from test_cli import BRANCH_CURVES, GOLDEN, SINGULAR_CURVES
+from test_curves import _random_curve_through_point
 
 
 def _p2(d, terms, point):
@@ -283,3 +295,82 @@ def test_inexact_division_in_special_locus_raises_internal_error(monkeypatch):
     monkeypatch.setattr(polynomials, "exact_divide", lambda f, g: None)
     with pytest.raises(InternalError, match="does not divide"):
         special_locus_membership(curve)
+
+
+# -- the lazy report --------------------------------------------------------
+
+
+def _report_corpus():
+    curves = []
+    for kind in WitnessKind:
+        for d in (3, 4, 5, 6):
+            try:
+                curves.append(make_witness(kind, d))
+            except ValueError:
+                continue
+    curves.append(curve_from_json(BRANCH_CURVES["undecided-cubic"]))
+    curves.extend(curve_from_json(doc) for doc in SINGULAR_CURVES.values())
+    rng = random.Random(1212)
+    for i in range(320):
+        surface = (Surface.P2, Surface.QUADRIC)[i % 2]
+        d = rng.choice((3, 4)) if surface is Surface.P2 else 3
+        if i % 4 < 2:
+            curve = _random_curve_through_point(rng, surface, d)
+        else:
+            curve = _random_pointed_curve(surface, d, rng, rng.randint(3, 8))
+        if not curve.equation.is_zero():
+            curves.append(curve)
+    return curves
+
+
+def test_lazy_report_matches_eager_oracle():
+    # each field of the lazy report equals the eagerly computed one, in
+    # whatever order the fields are first read
+    rng = random.Random(4040)
+    singular = 0
+    for curve in _report_corpus():
+        want = eager_report(curve)
+        singular += not want.smooth_at_p
+        shuffled = list(REPORT_FIELDS)
+        rng.shuffle(shuffled)
+        for order in (REPORT_FIELDS, REPORT_FIELDS[::-1], shuffled):
+            rep = inflection_report(curve)
+            for name in order:
+                assert getattr(rep, name) == getattr(want, name), (name, curve)
+    assert singular >= 100
+
+
+def test_verdict_computes_only_what_its_region_reads(monkeypatch, tmp_path):
+    # with the special locus and the degree-2 / (1, 1) sequences unavailable,
+    # the edge and the chamber of an in_h1 curve still give their recorded
+    # verdicts, while the wall, which reads in_h2prime, reaches them
+    recorded = json.loads(GOLDEN.read_text())["cases"]
+    real_sequence = inflection.vanishing_sequence
+
+    def no_special(curve):
+        raise RuntimeError("special locus computed")
+
+    def first_order_only(curve, bundle):
+        if bundle != 1:
+            raise RuntimeError(f"vanishing sequence of degree {bundle} computed")
+        return real_sequence(curve, bundle)
+
+    monkeypatch.setattr(inflection, "special_locus_membership", no_special)
+    monkeypatch.setattr(inflection, "vanishing_sequence", first_order_only)
+    for kind, d, region in (
+        ("p2-nonflex", 4, "edge"), ("quadric-s", 3, "edge"),
+        ("p2-flex", 3, "chamber"), ("quadric-ruling-tangent", 3, "chamber"),
+    ):
+        curve = make_witness(kind, d)
+        wall, edge = analyzed_slopes(curve.surface, d)
+        t = edge if region == "edge" else (wall + edge) / 2
+        path = tmp_path / f"{kind}-{d}.json"
+        path.write_text(json.dumps(curve_to_json(curve)))
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(["verdict", "--curve", str(path), "--slope",
+                         format_rational(t), "--budget", "20"])
+        golden = recorded[f"verdict {kind} {d} {format_rational(t)}"]
+        assert {"code": code, "out": buf.getvalue()} == golden, (kind, region)
+        with pytest.raises(RuntimeError, match="computed"):
+            stability_verdict(curve, wall, budget=20)
