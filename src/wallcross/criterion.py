@@ -103,25 +103,24 @@ def _point_labels(curve):
     return [(l, m) for l in xs for m in ys]
 
 
-def point_weight(surface, lam, label):
-    """Weight of the coordinate (pair) carrying the marked point."""
-    lw = lam.literal_weights()
+def point_weight(surface, lw, label):
+    """Weight of the coordinate (pair) carrying the marked point, for a
+    subgroup with literal weights lw."""
     if surface is Surface.P2:
         return lw[label]
     l, m = label
     return lw[l] + lw[2 + m]
 
 
-def monomial_weight(surface, lam, exp):
-    lw = lam.literal_weights()
+def monomial_weight(lw, exp):
+    """Weight of a monomial, for a subgroup with literal weights lw."""
     return sum(e * w for e, w in zip(exp, lw))
 
 
 def mu_term(surface, lam, t, label, exp):
     """mu restricted to one point coordinate and one monomial."""
-    return Fraction(t) * point_weight(surface, lam, label) - monomial_weight(
-        surface, lam, exp
-    )
+    lw = lam.literal_weights()
+    return Fraction(t) * point_weight(surface, lw, label) - monomial_weight(lw, exp)
 
 
 def mu_min(curve, lam, t):
@@ -133,20 +132,14 @@ def mu_min(curve, lam, t):
     if lam.surface is not curve.surface:
         raise ValueError("subgroup and curve live on different surfaces")
     t = Fraction(t)
-    labels = _point_labels(curve)
-
-    def label_key(lb):
-        w = point_weight(curve.surface, lam, lb)
-        return t * w, w, lb
-
-    best_label = min(labels, key=label_key)
-    exps = sorted(curve.equation.terms)
-    best_exp = max(exps, key=lambda e: (monomial_weight(curve.surface, lam, e),
-                                        tuple(-c for c in e)))
-    value = t * point_weight(curve.surface, lam, best_label) - monomial_weight(
-        curve.surface, lam, best_exp
+    lw = lam.literal_weights()
+    weights = [(point_weight(curve.surface, lw, lb), lb) for lb in _point_labels(curve)]
+    low, _, best_label = min((t * w, w, lb) for w, lb in weights)
+    # the exponents are distinct, so the key has no ties
+    high, _, best_exp = max(
+        (monomial_weight(lw, e), tuple(-c for c in e), e) for e in curve.equation.terms
     )
-    return value, (best_label, best_exp)
+    return low - high, (best_label, best_exp)
 
 
 # Weight boxes in (r0, r1), corners in counterclockwise order: |r0|, |r1|,
@@ -338,9 +331,12 @@ def interval_mu_claim(surface, lam, labels, exponents, t_spec, strictness=">0"):
         open_interval = True
     else:
         raise ValueError("t_spec must be ('point', t) or ('open', lo, hi)")
+    lw = lam.literal_weights()
+    weighted = [(exp, monomial_weight(lw, exp)) for exp in exponents]
     for label in labels:
-        for exp in exponents:
-            values = [mu_term(surface, lam, t, label, exp) for t in points]
+        pw = point_weight(surface, lw, label)
+        for exp, mw in weighted:
+            values = [t * pw - mw for t in points]
             for t, v in zip(points, values):
                 if v == 0:
                     check.equalities.append((label, exp, t))

@@ -267,12 +267,18 @@ def affine_chart(surface, form, point):
             (ly, [i for i in (2, 3) if i != ly]),
         ]
     free = [i for _, fs in charts for i in fs]
+    shifts = {
+        i: Fraction(point[i]) / Fraction(point[fixed]) for fixed, fs in charts for i in fs
+    }
+    if not any(shifts.values()):
+        # a coordinate point: dropping the fixed exponents is injective on
+        # a form homogeneous in each block, so no substitution is needed
+        chart = Polynomial(2, ((tuple(e[i] for i in free), c) for e, c in form.terms.items()))
+        return chart, free, shifts
     subs = [None] * surface.nvars
-    shifts = {}
     for fixed, fs in charts:
         subs[fixed] = constant(2, 1)
         for i in fs:
-            shifts[i] = Fraction(point[i]) / Fraction(point[fixed])
             subs[i] = constant(2, shifts[i]) + variable(2, free.index(i))
     return form.substitute(subs), free, shifts
 

@@ -7,6 +7,14 @@ configuration (called S here) and the cuspidal-plus-repeated-tangent-line
 configuration with its marked flex (called X0), together with their
 quadric analogues.
 
+The branch is solved online (van der Hoeven, "Relax, but don't be too
+lazy", 2002): each step extends the coefficient lists of the powers of the
+unknown series by one, which costs O(N^2 * degree) for N coefficients, and
+one full substitution re-checks the result. Membership in S and X0 first
+compares the multiplicity -> degree map of the squarefree decomposition
+with the maps the two configurations allow; a curve that fits none is in
+neither, and only the others are searched for rational components.
+
 Computed orders at or past the truncation are reported as lower bounds,
 never as exact values; that is enough for every comparison made here,
 because a section vanishing that far must contain the branch's component.
@@ -43,6 +51,7 @@ from .polynomials import (
     variable,
     zero,
 )
+from .rationals import quotient
 from .series import TruncatedSeries, pivot_orders, series_substitute
 
 
@@ -62,24 +71,29 @@ def local_branch(curve, N):
     f, free, shifts = affine_chart(curve.surface, curve.equation, curve.point)
     if min(sum(e) for e in f.terms) != 1:
         raise ValueError("marked point is singular on the curve")
-    fu = f.terms.get((1, 0), 0)
-    fv = f.terms.get((0, 1), 0)
-    # solve the implicit equation coefficient by coefficient along the
-    # transverse direction; coefficient k of f along the branch depends
-    # only on the first k + 1 coefficients, so step k works in that window
-    if fv != 0:
-        pair = lambda s, w: (s, w)
-        slope = fv
-    else:
-        pair = lambda s, w: (w, s)
-        slope = fu
-    solved = [0] * N
+    # f = sum c_ab s^a w^b, with w the chart coordinate solved for: v when
+    # df/dv != 0, else u
+    along_v = (0, 1) in f.terms
+    terms = [(a, b, c) if along_v else (b, a, c) for (a, b), c in f.terms.items()]
+    slope = f.terms[(0, 1) if along_v else (1, 0)]
+    rest = [t for t in terms if t[:2] != (0, 1)]
+    # online solve (van der Hoeven 2002): powers[b] holds the coefficients
+    # of w^b, extended by one per step. Since w_0 = 0, [s^k] w^b for b >= 2
+    # needs only w_1 .. w_(k-1), so the unknown w_k enters coefficient k of
+    # f along the branch only through slope * w_k
+    top = max(b for _, b, _ in terms)
+    powers = [[1] + [0] * (N - 1)] + [[0] * N for _ in range(top)]
+    solved = powers[1]
     for k in range(1, N):
-        window = pair(TruncatedSeries.parameter(k + 1), TruncatedSeries(solved[: k + 1]))
-        e = series_substitute(f, window).coeffs[k]
+        for b in range(2, min(top, k) + 1):
+            lower = powers[b - 1]
+            powers[b][k] = sum(solved[j] * lower[k - j] for j in range(1, k - b + 2))
+        e = sum(c * powers[b][k - a] for a, b, c in rest if a <= k)
         if e:
-            solved[k] = Fraction(-e, slope)
-    branch = pair(TruncatedSeries.parameter(N), TruncatedSeries(solved))
+            solved[k] = quotient(-e, slope)
+    s = TruncatedSeries.parameter(N)
+    w = TruncatedSeries(solved)
+    branch = (s, w) if along_v else (w, s)
     residual = series_substitute(f, branch).order()
     if residual is not None:
         raise InternalError(
@@ -504,10 +518,10 @@ def _squarefree_on_chart(surface, eq):
     return [(primitive_normalized(groups[m]), m) for m in sorted(groups)]
 
 
-def _p2_components(eq):
+def _p2_components(groups):
     lines = []
     leftovers = []
-    for f, mult in _squarefree_on_chart(Surface.P2, eq):
+    for f, mult in groups:
         ls = rational_lines(f)
         w = f
         for lc in ls:
@@ -531,11 +545,11 @@ def _is_flex_of(cubic, p):
     return w > 0
 
 
-def _p2_special(curve):
+def _p2_special(curve, groups):
     notes = []
     details = {}
     try:
-        lines, leftovers = _p2_components(curve.equation)
+        lines, leftovers = _p2_components(groups)
     except UndecidedError as e:
         return SpecialLocus(False, False, True, [str(e)], {})
     d = curve.degree
@@ -584,10 +598,10 @@ def _p2_special(curve):
     return SpecialLocus(in_s, in_x0, False, notes, details)
 
 
-def _quadric_components(eq):
+def _quadric_components(groups):
     rx, ry = [], []
     leftovers = []
-    for f, mult in _squarefree_on_chart(Surface.QUADRIC, eq):
+    for f, mult in groups:
         for u, v in _ruling_forms(f, 0):
             line = Polynomial(4, {(1, 0, 0, 0): v, (0, 1, 0, 0): -u})
             f = exact_quotient(f, line, f"splitting off the x-ruling {(u, v)}")
@@ -671,11 +685,11 @@ def _x0_quadric_oriented(d, gamma, rx, ry, p):
     return {"gamma": gamma, "crossing": q}
 
 
-def _quadric_special(curve):
+def _quadric_special(curve, groups):
     notes = []
     details = {}
     try:
-        rx, ry, leftovers = _quadric_components(curve.equation)
+        rx, ry, leftovers = _quadric_components(groups)
     except UndecidedError as e:
         return SpecialLocus(False, False, True, [str(e)], {})
     d = curve.degree
@@ -718,14 +732,60 @@ def _quadric_special(curve):
     return SpecialLocus(in_s, in_x0, False, notes, details)
 
 
+def _special_shapes(surface, d):
+    """The multiplicity -> degree maps of the squarefree decomposition of
+    every degree-d curve in S or X0; a degree is (total degree,) on the
+    plane and the bidegree on the quadric.
+
+    Each configuration is a product of factors of fixed degrees and
+    multiplicities (a factor of multiplicity 0 is absent): on the plane, S
+    is a conic times a line to the d - 2 and X0 a cuspidal cubic times a
+    line to the d - 3; on the quadric, S is a (1, 1)-form times one ruling
+    of each family to the d - 1, and X0 a (2, 1)-form times an x-ruling to
+    the d - 2 and a y-ruling to the d - 1, or the same with the factors
+    swapped. Distinct factors of one multiplicity share a group, so their
+    degrees add."""
+    if surface is Surface.P2:
+        products = (
+            (((2,), 1), ((1,), d - 2)),
+            (((3,), 1), ((1,), d - 3)),
+        )
+    else:
+        products = (
+            (((1, 1), 1), ((1, 0), d - 1), ((0, 1), d - 1)),
+            (((2, 1), 1), ((1, 0), d - 2), ((0, 1), d - 1)),
+            (((1, 2), 1), ((0, 1), d - 2), ((1, 0), d - 1)),
+        )
+    shapes = []
+    for factors in products:
+        shape = {}
+        for deg, mult in factors:
+            if mult > 0:
+                have = shape.get(mult, (0,) * len(deg))
+                shape[mult] = tuple(a + b for a, b in zip(have, deg))
+        shapes.append(shape)
+    return shapes
+
+
 def special_locus_membership(curve):
     """Membership of the pointed curve in the two special configurations.
 
-    Exact and conservative: when a root search aborts the result carries
-    undecided=True and both flags stay False."""
-    if curve.surface is Surface.P2:
-        return _p2_special(curve)
-    return _quadric_special(curve)
+    The squarefree decomposition is computed once. If its multiplicity ->
+    degree map is none of those S and X0 allow (`_special_shapes`), the
+    curve is in neither, and no root search runs; otherwise the same groups
+    are split into rational lines or rulings and the leftover factors.
+
+    Exact and conservative: when a root search aborts, the result carries
+    undecided=True and each flag that search would have set stays False."""
+    surface = curve.surface
+    plane = surface is Surface.P2
+    groups = _squarefree_on_chart(surface, curve.equation)
+    shape = {m: (f.total_degree(),) if plane else _bidegree(f) for f, m in groups}
+    if shape not in _special_shapes(surface, curve.degree):
+        return SpecialLocus(False, False, False, [], {})
+    if plane:
+        return _p2_special(curve, groups)
+    return _quadric_special(curve, groups)
 
 
 # -- the combined local report ----------------------------------------------

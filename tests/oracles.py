@@ -4,15 +4,18 @@ package computes another way."""
 from fractions import Fraction
 from types import SimpleNamespace
 
-from wallcross.curves import FrameChange, Surface, contact_ge, local_geometry
+from wallcross.curves import FrameChange, Surface, affine_chart, contact_ge, local_geometry
 from wallcross.inflection import (
+    _p2_special,
+    _quadric_special,
+    _squarefree_on_chart,
     inflection_weight,
     local_branch,
     special_locus_membership,
     vanishing_sequence,
 )
 from wallcross.polynomials import poly_det
-from wallcross.series import series_substitute
+from wallcross.series import TruncatedSeries, series_substitute
 
 
 def intersection_multiplicity(curve, aux, N=None):
@@ -37,6 +40,40 @@ def intersection_multiplicity(curve, aux, N=None):
     if o is None:
         return N, False
     return o, True
+
+
+def windowed_branch(curve, N):
+    """local_branch by the windowed Newton solve: step k substitutes the
+    whole chart polynomial into the first k + 1 coefficients of the branch
+    to read coefficient k, which is O(terms * N^3) in all."""
+    f, free, shifts = affine_chart(curve.surface, curve.equation, curve.point)
+    fu = f.terms.get((1, 0), 0)
+    fv = f.terms.get((0, 1), 0)
+    if fv != 0:
+        pair, slope = (lambda s, w: (s, w)), fv
+    else:
+        pair, slope = (lambda s, w: (w, s)), fu
+    solved = [0] * N
+    for k in range(1, N):
+        window = pair(TruncatedSeries.parameter(k + 1), TruncatedSeries(solved[: k + 1]))
+        e = series_substitute(f, window).coeffs[k]
+        if e:
+            solved[k] = Fraction(-e, slope)
+    aff = dict(zip(free, pair(TruncatedSeries.parameter(N), TruncatedSeries(solved))))
+    return tuple(
+        TruncatedSeries.const(shifts[i], N) + aff[i] if i in aff
+        else TruncatedSeries.const(1, N)
+        for i in range(curve.surface.nvars)
+    )
+
+
+def ungated_special_locus(curve):
+    """special_locus_membership without the squarefree-shape gate: the
+    rational components are searched on every curve."""
+    groups = _squarefree_on_chart(curve.surface, curve.equation)
+    if curve.surface is Surface.P2:
+        return _p2_special(curve, groups)
+    return _quadric_special(curve, groups)
 
 
 def classical_hessian(poly):

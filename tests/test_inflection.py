@@ -17,6 +17,7 @@ from wallcross.curves import (
     curve_from_json,
     curve_to_json,
     make_witness,
+    move_curve,
 )
 from wallcross.cli import main
 from wallcross.errors import InternalError
@@ -41,7 +42,13 @@ from wallcross.polynomials import (
 from wallcross.rationals import format_rational
 from wallcross.series import series_substitute
 
-from oracles import REPORT_FIELDS, classical_hessian, eager_report, intersection_multiplicity
+from oracles import (
+    REPORT_FIELDS,
+    classical_hessian,
+    eager_report,
+    intersection_multiplicity,
+    ungated_special_locus,
+)
 from test_acceptance import _random_pointed_curve
 from test_cli import BRANCH_CURVES, GOLDEN, SINGULAR_CURVES
 from test_curves import _random_curve_through_point
@@ -295,6 +302,112 @@ def test_inexact_division_in_special_locus_raises_internal_error(monkeypatch):
     monkeypatch.setattr(polynomials, "exact_divide", lambda f, g: None)
     with pytest.raises(InternalError, match="does not divide"):
         special_locus_membership(curve)
+
+
+# -- the squarefree-shape gate ----------------------------------------------
+
+
+def _vanishing_at(form, p):
+    """An integer multiple of form minus one of its first monomial, so that
+    it vanishes at p; p has no zero coordinate, so every monomial is
+    nonzero there."""
+    m = monomial(form.nvars, min(form.terms))
+    return form * m.evaluate(p) - m * form.evaluate(p)
+
+
+# Planted factorizations, as (degree, multiplicity) pairs for a curve of
+# degree d: the S and X0 shapes with random factors, which pass the gate
+# but are rarely special, and other products, which fail it.
+_PLANE_PLANTS = (
+    lambda d: [(2, 1), (1, d - 2)],
+    lambda d: [(3, 1), (1, d - 3)],
+    lambda d: [(1, 1), (1, 1), (1, d - 2)],
+    lambda d: [(1, d - 1), (1, 1)],
+    lambda d: [(d - 2, 1), (1, 2)],
+)
+_QUADRIC_PLANTS = (
+    lambda d: [((1, 1), 1), ((1, 0), d - 1), ((0, 1), d - 1)],
+    lambda d: [((2, 1), 1), ((1, 0), d - 2), ((0, 1), d - 1)],
+    lambda d: [((1, 2), 1), ((0, 1), d - 2), ((1, 0), d - 1)],
+    lambda d: [((1, 1), 1), ((1, 1), d - 1)],
+    lambda d: [((d, d - 1), 1), ((0, 1), 1)],
+)
+
+
+def _planted_product(rng, surface, d):
+    """A seeded product of random integer forms with planted
+    multiplicities, whose first factor passes through a random integer
+    point with no zero coordinate."""
+    n = surface.nvars
+    p = tuple(Fraction(rng.choice((-2, -1, 1, 2))) for _ in range(n))
+    plants = _PLANE_PLANTS if surface is Surface.P2 else _QUADRIC_PLANTS
+    eq = constant(n, 1)
+    for i, (degree, mult) in enumerate(rng.choice(plants)(d)):
+        g = Polynomial(n, {})
+        while g.is_zero():
+            g = _random_form(rng, surface, degree)
+            if i == 0 and g:
+                g = _vanishing_at(g, p)
+        eq = eq * g ** mult
+    return PointedCurve(surface, d, p, eq)
+
+
+def _integer_frame(n, rng, sheared):
+    """A permutation matrix with entries +-1, +-2, which keeps a curve as
+    sparse as it was; sheared, with two more entries set the same way."""
+    m = [[0] * n for _ in range(n)]
+    for i, j in enumerate(rng.sample(range(n), n)):
+        m[i][j] = rng.choice((-2, -1, 1, 2))
+    for _ in range(2 if sheared else 0):
+        m[rng.randrange(n)][rng.randrange(n)] = rng.choice((-2, -1, 1, 2))
+    return tuple(map(tuple, m))
+
+
+def _gate_corpus():
+    """Every witness kind at d = 3..6, as made and moved by four seeded
+    integer frames, two of them sheared (the quadric ones swap the factors
+    at random), and seeded planted products."""
+    rng = random.Random(1313)
+    curves = []
+    for kind in WitnessKind:
+        for d in (3, 4, 5, 6):
+            try:
+                base = make_witness(kind, d)
+            except ValueError:
+                continue
+            curves.append(base)
+            n = 3 if base.surface is Surface.P2 else 2
+            for sheared in (False, False, True, True):
+                while True:
+                    mx, my = _integer_frame(n, rng, sheared), _integer_frame(n, rng, sheared)
+                    try:
+                        if base.surface is Surface.P2:
+                            moved, _ = move_curve(base, mx)
+                        else:
+                            moved, _ = move_curve(base, mx, my, bool(rng.getrandbits(1)))
+                    except ValueError:
+                        continue
+                    curves.append(moved)
+                    break
+    for i in range(150):
+        surface = (Surface.P2, Surface.QUADRIC)[i % 3 == 2]
+        curves.append(_planted_product(rng, surface, 3))
+    return curves
+
+
+def test_shape_gate_matches_ungated_special_locus():
+    # the gate only skips curves that the full component search finds in
+    # neither S nor X0, and on every other curve it hands the search the
+    # same squarefree groups
+    special = 0
+    curves = _gate_corpus()
+    for curve in curves:
+        got = special_locus_membership(curve)
+        want = ungated_special_locus(curve)
+        special += want.in_s or want.in_x0
+        for name in ("in_s", "in_x0", "undecided", "notes", "details"):
+            assert getattr(got, name) == getattr(want, name), (name, curve)
+    assert len(curves) >= 300 and special >= 100
 
 
 # -- the lazy report --------------------------------------------------------

@@ -9,6 +9,8 @@ from wallcross.inflection import local_branch
 from wallcross.polynomials import Polynomial, variable
 from wallcross.series import TruncatedSeries, pivot_orders, series_substitute
 
+from oracles import windowed_branch
+
 
 def test_series_arithmetic_window():
     s = TruncatedSeries.parameter(5)
@@ -143,8 +145,8 @@ def test_series_coefficients_are_ints_or_proper_fractions():
 
 def _branch_by_full_substitutions(curve, N):
     """local_branch as first written: every Newton step substitutes the
-    whole length-N series to read one coefficient. The oracle for the
-    windowed solve."""
+    whole length-N series to read one coefficient. The oracle, with the
+    windowed solve, for the online one."""
     f, free, shifts = affine_chart(curve.surface, curve.equation, curve.point)
     fu = f.terms.get((1, 0), 0)
     fv = f.terms.get((0, 1), 0)
@@ -168,35 +170,54 @@ def _branch_by_full_substitutions(curve, N):
     )
 
 
-def _curve_with_tangent_coefficient(rng, d):
-    """A plane curve through a rational point (a : b : 1) whose chart at
-    the point has one linear term, with coefficient 2 or 3, in the u or the
-    v direction, and random integer terms of order 2 to d."""
+def _curve_with_tangent_coefficient(rng, surface, d):
+    """A plane or quadric curve through a rational point whose chart at the
+    point has linear terms with coefficients 2 or 3 along u, along v or
+    both (with none along v, df/dv = 0 and the branch is solved for u),
+    and random integer terms of order 2 to d. The point is (1 : a : b) on
+    the plane and ((1 : a), (1 : b)) on the quadric, so the chart sets x0
+    (and y0) to 1 and u, v are the shifted x1, x2 (resp. x1, y1)."""
     a = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
     b = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-    linear = (0, 1, d - 1) if rng.random() < 0.5 else (1, 0, d - 1)
-    terms = {linear: rng.choice((2, 3))}
+    directions = rng.choice(("u", "v", "uv"))
+    n = surface.nvars
+    x = [variable(n, i) for i in range(n)]
+    if surface is Surface.P2:
+        linear = {"u": (d - 1, 1, 0), "v": (d - 1, 0, 1)}
+        exps = [(d - i - j, i, j) for i in range(d + 1) for j in range(d + 1 - i)]
+        point = (1, a, b)
+        shift = [x[0], x[1] - a * x[0], x[2] - b * x[0]]
+    else:
+        linear = {"u": (d - 1, 1, d, 0), "v": (d, 0, d - 1, 1)}
+        exps = [(d - i, i, d - j, j) for i in range(d + 1) for j in range(d + 1)]
+        point = (1, a, 1, b)
+        shift = [x[0], x[1] - a * x[0], x[2], x[3] - b * x[2]]
+    higher = [e for e in exps if e[1] + e[-1] >= 2]
+    terms = {linear[axis]: rng.choice((2, 3)) for axis in directions}
     for _ in range(rng.randint(2, 6)):
-        i = rng.randint(0, d)
-        j = rng.randint(0, d - i)
-        if i + j >= 2:
-            terms[(i, j, d - i - j)] = rng.choice((-3, -2, -1, 1, 2, 3))
-    shifted = Polynomial(3, terms)
-    x0, x1, x2 = (variable(3, i) for i in range(3))
-    eq = shifted.substitute([x0 - a * x2, x1 - b * x2, x2])
-    return PointedCurve(Surface.P2, d, (a, b, Fraction(1)), eq)
+        terms[rng.choice(higher)] = rng.choice((-3, -2, -1, 1, 2, 3))
+    eq = Polynomial(n, terms).substitute(shift)
+    return PointedCurve(surface, d, tuple(Fraction(c) for c in point), eq)
 
 
 def test_local_branch_matches_full_substitution_solve():
+    # the online solve against the windowed and the full-substitution
+    # ones, on both surfaces and in both solve directions
     rng = random.Random(31)
     fractional = 0
-    for _ in range(40):
+    directions = set()
+    for i in range(40):
+        surface = (Surface.P2, Surface.QUADRIC)[i % 2]
         d = rng.randint(3, 5)
-        curve = _curve_with_tangent_coefficient(rng, d)
+        curve = _curve_with_tangent_coefficient(rng, surface, d)
+        chart, _, _ = affine_chart(surface, curve.equation, curve.point)
+        directions.add((surface, (0, 1) in chart.terms))
         for N in (2, 4, 2 * d + 1):
             branch = local_branch(curve, N)
+            assert branch == windowed_branch(curve, N)
             assert branch == _branch_by_full_substitutions(curve, N)
             for series in branch:
                 _assert_canonical(series)
                 fractional += any(type(c) is Fraction for c in series.coeffs)
+    assert len(directions) == 4
     assert fractional  # the Fraction side of the rule is exercised
