@@ -57,8 +57,9 @@ class _Parser(argparse.ArgumentParser):
 def _plain(x):
     """Recursively turn Fractions, enums and tuples into JSON-ready data.
 
-    An int passes through as a JSON number, so no polynomial or series
-    coefficient may reach this: an integral one is an int, not a Fraction."""
+    An int passes through as a JSON number, so no polynomial coefficient,
+    nor an entry of a series tuple, may reach this: an integral one is an
+    int, not a Fraction."""
     if isinstance(x, Fraction):
         return format_rational(x)
     if isinstance(x, Enum):

@@ -242,7 +242,7 @@ def _adapted_frames(curve, report):
     return frames
 
 
-def destabilizer_search(curve, t, budget=500, seed=0):
+def destabilizer_search(curve, t, budget=500, seed=0, report=None):
     """Search frames for a torus destabilizer with mu > 0 at slope t.
 
     Frames are tried in a fixed order: the normalizing frame of the curve,
@@ -250,19 +250,18 @@ def destabilizer_search(curve, t, budget=500, seed=0):
     integer frames from the given seed. Returns (frame, lam, mu) for the
     first success, or None once the budget of frames is spent.
 
+    The adapted frames come from the special locus of `report`, the
+    curve's lazy InflectionReport (a fresh one when none is given), so a
+    caller that already holds one computes the locus once.
+
     The torus check reads only the support of the moved curve and the zero
     pattern of its point, so a frame moves the curve only up to constants,
     through the integer adjugate (`move_curve`); the normalizing frame
     reuses the curve `normalize_frame` moved, and the identity the curve
     itself. Only a hit builds its FrameChange, and its mu is re-checked on
     the exact move."""
-    return _search(curve, InflectionReport(curve), t, budget, seed)
-
-
-def _search(curve, report, t, budget, seed):
-    """`destabilizer_search` with the adapted frames read from the special
-    locus of the given inflection report of the curve, which a lazy report
-    computes only when the search gets past the identity frame."""
+    if report is None:
+        report = InflectionReport(curve)
     tried = 0
     seen = set()
 
@@ -458,8 +457,8 @@ def stability_verdict(curve, t, budget=500, seed=0):
     wall, edge = analyzed_slopes(curve.surface, curve.degree)
     verdict = StabilityVerdict(status="Unknown", t=t)
 
-    def destabilize(reason=None):
-        found = destabilizer_search(curve, t, budget=budget, seed=seed)
+    def destabilize(reason=None, report=None):
+        found = destabilizer_search(curve, t, budget=budget, seed=seed, report=report)
         if found is not None:
             frame, lam, mu = found
             verdict.status = "Unstable"
@@ -489,7 +488,7 @@ def stability_verdict(curve, t, budget=500, seed=0):
             "boundary-configuration membership undecided: flags are lower bounds"
         )
     if status is None:
-        destabilize(note)
+        destabilize(note, report)
         return verdict
     verdict.status = status
     if note:

@@ -51,8 +51,8 @@ from .polynomials import (
     variable,
     zero,
 )
-from .rationals import quotient
-from .series import TruncatedSeries, pivot_orders, series_substitute
+from .rationals import canonical, quotient
+from .series import pivot_orders, series_substitute
 
 
 class UndecidedError(Exception):
@@ -64,8 +64,9 @@ class UndecidedError(Exception):
 
 def local_branch(curve, N):
     """Power-series branch of the curve at its marked point, truncated at
-    order N, in the original homogeneous coordinates (the chart coordinates
-    come back as constant-one series). Requires a smooth marked point."""
+    order N, in the original homogeneous coordinates: one tuple of N
+    coefficients per coordinate, the chart coordinates coming back as the
+    constant one. Requires a smooth marked point."""
     if N < 2:
         raise ValueError("truncation must be at least 2")
     f, free, shifts = affine_chart(curve.surface, curve.equation, curve.point)
@@ -91,18 +92,18 @@ def local_branch(curve, N):
         e = sum(c * powers[b][k - a] for a, b, c in rest if a <= k)
         if e:
             solved[k] = quotient(-e, slope)
-    s = TruncatedSeries.parameter(N)
-    w = TruncatedSeries(solved)
-    branch = (s, w) if along_v else (w, s)
-    residual = series_substitute(f, branch).order()
+    s = (0, 1) + (0,) * (N - 2)
+    branch = (s, tuple(solved)) if along_v else (tuple(solved), s)
+    value = series_substitute(f, branch)
+    residual = next((k for k, c in enumerate(value) if c), None)
     if residual is not None:
         raise InternalError(
             f"branch solve at {curve.point} left a residual of order {residual}"
         )
     aff = dict(zip(free, branch))
     return tuple(
-        TruncatedSeries.const(shifts[i], N) + aff[i] if i in aff
-        else TruncatedSeries.const(1, N)
+        (canonical(shifts[i]),) + aff[i][1:] if i in aff
+        else (1,) + (0,) * (N - 1)
         for i in range(curve.surface.nvars)
     )
 
@@ -163,7 +164,7 @@ def vanishing_sequence(curve, bundle):
     N = total + 1
     branch = local_branch(curve, N)
     n = curve.surface.nvars
-    rows = [series_substitute(monomial(n, e), branch).coeffs for e in basis]
+    rows = [series_substitute(monomial(n, e), branch) for e in basis]
     pivots, deficiency = pivot_orders(rows)
     return VanishingSequence(tuple(pivots), deficiency, N)
 
@@ -492,12 +493,15 @@ def _squarefree_on_chart(surface, eq):
     The powers of the coordinates set to 1 are split off first; every other
     factor is the rehomogenization of a chart factor to its own degree in
     each block. Each multiplicity group is unique up to a constant, which
-    primitive_normalized fixes, so the list equals the direct decomposition.
+    primitive_normalized fixes, so the list equals the direct decomposition;
+    for the same reason the chart is made primitive first, so the gcds run
+    on ints.
     """
     n = surface.nvars
     blocks = _CHART_BLOCKS[surface]
     free = [i for kept, _ in blocks for i in kept]
-    chart = Polynomial(2, ((tuple(e[i] for i in free), c) for e, c in eq.terms.items()))
+    terms = ((tuple(e[i] for i in free), c) for e, c in eq.terms.items())
+    chart = primitive_normalized(Polynomial(2, terms))
     groups = {}
     for factor, mult in squarefree_decompose(chart):
         exps = []

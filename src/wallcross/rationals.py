@@ -1,7 +1,8 @@
 """Exact scalars and their canonical strings.
 
 No scalar in the package is ever a float. Coefficients of polynomials and
-truncated series follow one rule, kept by `canonical`: an integral
+of truncated series (plain tuples of coefficients) follow one rule, kept by
+`canonical`: an integral
 coefficient is an int and any other a fractions.Fraction with denominator
 >= 2. Other exact scalars, such as points, slopes and weights, are mostly
 Fractions. An int and the equal Fraction compare and hash alike, and

@@ -1,10 +1,10 @@
 """Truncated power series in one parameter, with exact coefficients.
 
-A TruncatedSeries holds the coefficients of s^0 .. s^(N-1); every operation
-stays within that window. Orders at or past N are only ever reported as
-lower bounds ("at least N") by the callers, never as exact values.
-Coefficients follow rationals.canonical: ints when integral, Fractions
-otherwise.
+A series is a plain tuple of its N coefficients, of s^0 .. s^(N-1); every
+product stays within that window. Orders at or past N are only ever
+reported as lower bounds ("at least N") by the callers, never as exact
+values. Coefficients follow rationals.canonical: ints when integral,
+Fractions otherwise.
 
 `pivot_orders` reads vanishing orders off the coefficient rows of a span of
 series by one forward fraction-free elimination: it keeps only the pivot
@@ -13,9 +13,7 @@ columns, and builds no reduced rows and no determinant.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
-from operator import add, sub
 
 from .rationals import canonical
 
@@ -24,123 +22,35 @@ def _canonical(values):
     return tuple(c if type(c) is int else canonical(c) for c in values)
 
 
-class TruncatedSeries:
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        cs = tuple(canonical(c) for c in coeffs)
-        if not cs:
-            raise ValueError("series needs at least one coefficient")
-        self.coeffs = cs
-
-    @classmethod
-    def _raw(cls, coeffs):
-        """A series on a non-empty tuple of coefficients that are already
-        canonical; results of the arithmetic below are built this way."""
-        out = cls.__new__(cls)
-        out.coeffs = coeffs
-        return out
-
-    @property
-    def truncation(self):
-        return len(self.coeffs)
-
-    @classmethod
-    def zero(cls, n):
-        if n < 1:
-            raise ValueError("series needs at least one coefficient")
-        return cls._raw((0,) * n)
-
-    @classmethod
-    def const(cls, value, n):
-        return cls._raw((canonical(value),) + (0,) * (n - 1))
-
-    @classmethod
-    def parameter(cls, n):
-        if n < 2:
-            raise ValueError("truncation too short to hold the parameter")
-        return cls._raw((0, 1) + (0,) * (n - 2))
-
-    def order(self):
-        """Index of the first nonzero coefficient, or None if all shown
-        coefficients vanish (order >= truncation)."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return None
-
-    def is_zero(self):
-        return self.order() is None
-
-    def _check(self, other):
-        if not isinstance(other, TruncatedSeries):
-            raise TypeError("expected a TruncatedSeries")
-        if self.truncation != other.truncation:
-            raise ValueError("truncation mismatch")
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other):
-        self._check(other)
-        return TruncatedSeries._raw(_canonical(map(add, self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return TruncatedSeries._raw(_canonical(map(sub, self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        return TruncatedSeries._raw(tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TruncatedSeries._raw(_canonical(a * other for a in self.coeffs))
-        self._check(other)
-        n = self.truncation
-        out = [0] * n
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j >= n:
-                    break
-                if b:
-                    out[i + j] += a * b
-        return TruncatedSeries._raw(_canonical(out))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        out = TruncatedSeries.const(1, self.truncation)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def __repr__(self):
-        return f"TruncatedSeries({list(self.coeffs)})"
+def _mul(a, b):
+    """Product of two series of one truncation, within that window."""
+    n = len(a)
+    out = [0] * n
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j, y in enumerate(b):
+            if i + j >= n:
+                break
+            if y:
+                out[i + j] += x * y
+    return _canonical(out)
 
 
 def series_substitute(poly, branch):
-    """Evaluate a Polynomial on a tuple of series, one per variable."""
+    """Evaluate a Polynomial on a tuple of series, one per variable, into
+    one series of the same truncation."""
     if len(branch) != poly.nvars:
         raise ValueError("need one series per variable")
-    n = branch[0].truncation
-    if any(s.truncation != n for s in branch):
-        raise ValueError("branch series must share a truncation")
+    n = len(branch[0])
+    if not n or any(len(s) != n for s in branch):
+        raise ValueError("branch series must share a nonzero truncation")
     caches = [{1: s} for s in branch]
 
     def power(i, e):
         cache = caches[i]
         if e not in cache:
-            cache[e] = power(i, e - 1) * branch[i]
+            cache[e] = _mul(power(i, e - 1), branch[i])
         return cache[e]
 
     total = [0] * n
@@ -148,14 +58,14 @@ def series_substitute(poly, branch):
         term = None
         for i, e in enumerate(exp):
             if e:
-                term = power(i, e) if term is None else term * power(i, e)
+                term = power(i, e) if term is None else _mul(term, power(i, e))
         if term is None:
             total[0] += c
         else:
-            for k, x in enumerate(term.coeffs):
+            for k, x in enumerate(term):
                 if x:
                     total[k] += c * x
-    return TruncatedSeries._raw(_canonical(total))
+    return _canonical(total)
 
 
 def pivot_orders(rows):

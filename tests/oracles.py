@@ -15,7 +15,8 @@ from wallcross.inflection import (
     vanishing_sequence,
 )
 from wallcross.polynomials import poly_det
-from wallcross.series import TruncatedSeries, series_substitute
+from wallcross.rationals import canonical
+from wallcross.series import series_substitute
 
 
 def intersection_multiplicity(curve, aux, N=None):
@@ -34,9 +35,8 @@ def intersection_multiplicity(curve, aux, N=None):
         total = (e1 + e2) * curve.degree
     if N is None:
         N = total + 1
-    branch = local_branch(curve, N)
-    val = series_substitute(aux, branch)
-    o = val.order()
+    val = series_substitute(aux, local_branch(curve, N))
+    o = next((k for k, c in enumerate(val) if c), None)
     if o is None:
         return N, False
     return o, True
@@ -55,16 +55,21 @@ def windowed_branch(curve, N):
         pair, slope = (lambda s, w: (w, s)), fu
     solved = [0] * N
     for k in range(1, N):
-        window = pair(TruncatedSeries.parameter(k + 1), TruncatedSeries(solved[: k + 1]))
-        e = series_substitute(f, window).coeffs[k]
+        s = (0, 1) + (0,) * (k - 1)
+        e = series_substitute(f, pair(s, tuple(solved[: k + 1])))[k]
         if e:
-            solved[k] = Fraction(-e, slope)
-    aff = dict(zip(free, pair(TruncatedSeries.parameter(N), TruncatedSeries(solved))))
+            solved[k] = canonical(Fraction(-e, slope))
+    aff = dict(zip(free, pair((0, 1) + (0,) * (N - 2), tuple(solved))))
     return tuple(
-        TruncatedSeries.const(shifts[i], N) + aff[i] if i in aff
-        else TruncatedSeries.const(1, N)
+        constant_plus(shifts[i], aff[i]) if i in aff else constant_plus(1, (0,) * N)
         for i in range(curve.surface.nvars)
     )
+
+
+def constant_plus(c, series):
+    """The series c + series, added coefficient by coefficient."""
+    const = (c,) + (0,) * (len(series) - 1)
+    return tuple(canonical(a + b) for a, b in zip(const, series))
 
 
 def ungated_special_locus(curve):

@@ -293,7 +293,7 @@ def test_vanishing_orders_match_naive_filtration():
             seq = vanishing_sequence(c, bundle)
             branch = local_branch(c, total + 1)
             rows = [
-                series_substitute(monomial(surface.nvars, e), branch).coeffs
+                series_substitute(monomial(surface.nvars, e), branch)
                 for e in basis
             ]
             orders, deficiency = _filtration_orders(rows)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from wallcross import criterion
+from wallcross import criterion, inflection
 from wallcross.criterion import (
     OneParamSubgroup,
     destabilizer_search,
@@ -32,6 +32,7 @@ from wallcross.inflection import inflection_report
 from wallcross.polynomials import Polynomial
 
 from oracles import gauss_jordan
+from test_cli import ADAPTED_CURVES
 
 
 def _p2(d, terms, point):
@@ -311,6 +312,24 @@ def test_adapted_frame_hits(witness, t, frame_doc, weights, mu):
     assert frame in criterion._adapted_frames(curve, inflection_report(curve))
     assert frame not in (normalize_frame(curve)[0], FrameChange.identity(curve.surface))
     assert mu_min(apply_frame(curve, frame), lam, t)[0] == mu
+
+
+@pytest.mark.parametrize("name", sorted(ADAPTED_CURVES))
+def test_verdict_computes_the_special_locus_once(name, monkeypatch):
+    # the chamber rule reads in_s, and the search that follows gets past the
+    # identity frame to the adapted ones: both read one report's locus
+    doc, slope = ADAPTED_CURVES[name]
+    calls = []
+    membership = inflection.special_locus_membership
+
+    def counted(curve):
+        calls.append(curve)
+        return membership(curve)
+
+    monkeypatch.setattr(inflection, "special_locus_membership", counted)
+    verdict = stability_verdict(curve_from_json(doc), Fraction(slope), budget=20)
+    assert verdict.status == "Unstable"
+    assert len(calls) == 1
 
 
 def test_random_frame_hit_is_rechecked_on_the_exact_move(monkeypatch):

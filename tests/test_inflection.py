@@ -80,11 +80,11 @@ def test_local_branch_flex_cubic():
     # x1^3 + x0*x2^2 at (0,0,1): solving gives x0 = -s^3 along x1 = s
     c = make_witness(WitnessKind.P2_FLEX, 3)
     b = local_branch(c, 6)
-    assert b[1].coeffs == (0, 1, 0, 0, 0, 0)
-    assert b[2].coeffs == (1, 0, 0, 0, 0, 0)
-    assert b[0].coeffs == (0, 0, 0, -1, 0, 0)
+    assert b[1] == (0, 1, 0, 0, 0, 0)
+    assert b[2] == (1, 0, 0, 0, 0, 0)
+    assert b[0] == (0, 0, 0, -1, 0, 0)
     # the branch satisfies the equation through the window
-    assert series_substitute(c.equation, b).is_zero()
+    assert series_substitute(c.equation, b) == (0,) * 6
 
 
 def test_local_branch_needs_smooth_point():
@@ -408,6 +408,22 @@ def test_shape_gate_matches_ungated_special_locus():
         for name in ("in_s", "in_x0", "undecided", "notes", "details"):
             assert getattr(got, name) == getattr(want, name), (name, curve)
     assert len(curves) >= 300 and special >= 100
+
+
+def test_special_locus_ignores_the_scale_of_the_equation():
+    # the chart is made primitive before its decomposition, so a Fraction
+    # multiple of the equation gives the same groups and the same locus
+    fractional = 0
+    for curve in _gate_corpus():
+        scaled = PointedCurve(curve.surface, curve.degree, curve.point,
+                              Fraction(2, 3) * curve.equation)
+        fractional += any(type(c) is Fraction for c in scaled.equation.terms.values())
+        assert (_squarefree_on_chart(curve.surface, scaled.equation)
+                == _squarefree_on_chart(curve.surface, curve.equation))
+        got, want = special_locus_membership(scaled), special_locus_membership(curve)
+        for name in ("in_s", "in_x0", "undecided", "notes", "details"):
+            assert getattr(got, name) == getattr(want, name), (name, curve)
+    assert fractional >= 300
 
 
 # -- the lazy report --------------------------------------------------------

@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -6,19 +5,26 @@ import pytest
 
 from wallcross.curves import PointedCurve, Surface, affine_chart
 from wallcross.inflection import local_branch
-from wallcross.polynomials import Polynomial, variable
-from wallcross.series import TruncatedSeries, pivot_orders, series_substitute
+from wallcross.polynomials import Polynomial, constant, variable
+from wallcross.rationals import canonical
+from wallcross.series import pivot_orders, series_substitute
 
-from oracles import windowed_branch
+from oracles import constant_plus, windowed_branch
 
 
 def test_series_arithmetic_window():
-    s = TruncatedSeries.parameter(5)
-    f = (TruncatedSeries.const(1, 5) + s) ** 3
-    assert f.coeffs == (1, 3, 3, 1, 0)
-    assert (s ** 5).is_zero()
-    assert (s ** 2).order() == 2
-    assert TruncatedSeries.zero(4).order() is None
+    s = (0, 1, 0, 0, 0)
+    x, y = variable(2, 0), variable(2, 1)
+    one = constant(2, 1)
+    assert series_substitute((one + x) ** 3, (s, s)) == (1, 3, 3, 1, 0)
+    assert series_substitute(x ** 5, (s, s)) == (0,) * 5
+    assert series_substitute(x ** 2 * y, (s, s)) == (0, 0, 0, 1, 0)
+    # (1 + s + s^2)(1 - s + s^2) = 1 + s^2 + s^4, cut to the window of 3
+    assert series_substitute(x * y, ((1, 1, 1), (1, -1, 1))) == (1, 0, 1)
+    with pytest.raises(ValueError):
+        series_substitute(x * y, ((0, 1), (0, 1, 0)))
+    with pytest.raises(ValueError):
+        series_substitute(x, ((), ()))
 
 
 def test_series_substitute_matches_evaluate():
@@ -34,12 +40,12 @@ def test_series_substitute_matches_evaluate():
         a = [rng.randint(-2, 2) for _ in range(3)]
         b = [rng.randint(-2, 2) for _ in range(3)]
         # composite degree is at most 2*(3+3) = 12, so 13 coefficients suffice
-        branch = (TruncatedSeries(a + [0] * 10), TruncatedSeries(b + [0] * 10))
+        branch = (tuple(a + [0] * 10), tuple(b + [0] * 10))
         out = series_substitute(poly, branch)
         for t in (0, 1, 2, Fraction(1, 3)):
             xval = sum(c * t ** i for i, c in enumerate(a))
             yval = sum(c * t ** i for i, c in enumerate(b))
-            sval = sum(c * t ** i for i, c in enumerate(out.coeffs))
+            sval = sum(c * t ** i for i, c in enumerate(out))
             assert sval == poly.evaluate((xval, yval))
 
 
@@ -108,39 +114,41 @@ def test_pivot_orders_row_operations_invariance():
 
 def _assert_canonical(series):
     """Every coefficient is an int, or a Fraction with denominator > 1."""
-    for c in series.coeffs:
+    for c in series:
         assert type(c) is int or (type(c) is Fraction and c.denominator > 1), (series, c)
 
 
 def _random_series(rng, n, rational):
+    # rational entries may be non-canonical, such as Fraction(4, 2)
     pick = (lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3))) if rational \
         else (lambda: rng.randint(-4, 4))
-    return TruncatedSeries([pick() for _ in range(n)])
+    return tuple(pick() for _ in range(n))
 
 
 def test_series_coefficients_are_ints_or_proper_fractions():
     rng = random.Random(13)
+    x, y = variable(2, 0), variable(2, 1)
     for rational in (False, True):
         for _ in range(30):
             n = rng.randint(1, 7)
             a, b = _random_series(rng, n, rational), _random_series(rng, n, rational)
-            results = [a + b, a - b, -a, a * b, a * Fraction(2, 1), a * Fraction(3, 2),
-                       a ** 3, TruncatedSeries.const(Fraction(6, 3), n),
-                       TruncatedSeries.zero(n)]
-            if n >= 2:
-                s = TruncatedSeries.parameter(n)
-                results.append((s + a) * (s - b))
-                poly = Polynomial(2, {
-                    (rng.randint(0, 3), rng.randint(0, 3)):
-                        Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-                    for _ in range(4)
-                })
-                results.append(series_substitute(poly, (a, b)))
-            for r in results:
-                _assert_canonical(r)
-    half = TruncatedSeries([Fraction(1, 2), Fraction(4, 2)])
-    assert type(half.coeffs[1]) is int
-    assert all(type(c) is int for c in (half + half).coeffs)
+            polys = [x + y, x - y, -x, x * y, Fraction(2, 1) * x, Fraction(3, 2) * x,
+                     x ** 3, constant(2, Fraction(6, 3)), Polynomial(2)]
+            polys.append(Polynomial(2, {
+                (rng.randint(0, 3), rng.randint(0, 3)):
+                    Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                for _ in range(4)
+            }))
+            for poly in polys:
+                _assert_canonical(series_substitute(poly, (a, b)))
+    half = series_substitute(x, ((Fraction(1, 2), Fraction(4, 2)), (0, 0)))
+    assert half == (Fraction(1, 2), 2) and type(half[1]) is int
+    assert all(type(c) is int for c in series_substitute(2 * x, (half, (0, 0))))
+    for _ in range(10):
+        surface = rng.choice((Surface.P2, Surface.QUADRIC))
+        d = rng.randint(3, 4)
+        for series in local_branch(_curve_with_tangent_coefficient(rng, surface, d), 2 * d + 1):
+            _assert_canonical(series)
 
 
 def _branch_by_full_substitutions(curve, N):
@@ -150,22 +158,19 @@ def _branch_by_full_substitutions(curve, N):
     f, free, shifts = affine_chart(curve.surface, curve.equation, curve.point)
     fu = f.terms.get((1, 0), 0)
     fv = f.terms.get((0, 1), 0)
-    s = TruncatedSeries.parameter(N)
-    solved = TruncatedSeries.zero(N)
+    s = (0, 1) + (0,) * (N - 2)
+    solved = [0] * N
     if fv != 0:
         pair, slope = (lambda w: (s, w)), fv
     else:
         pair, slope = (lambda w: (w, s)), fu
     for k in range(1, N):
-        e = series_substitute(f, pair(solved)).coeffs[k]
+        e = series_substitute(f, pair(tuple(solved)))[k]
         if e:
-            bump = [0] * N
-            bump[k] = Fraction(-e, slope)
-            solved = solved + TruncatedSeries(bump)
-    aff = dict(zip(free, pair(solved)))
+            solved[k] = canonical(Fraction(-e, slope))
+    aff = dict(zip(free, pair(tuple(solved))))
     return tuple(
-        TruncatedSeries.const(shifts[i], N) + aff[i] if i in aff
-        else TruncatedSeries.const(1, N)
+        constant_plus(shifts[i], aff[i]) if i in aff else constant_plus(1, (0,) * N)
         for i in range(curve.surface.nvars)
     )
 
@@ -218,6 +223,6 @@ def test_local_branch_matches_full_substitution_solve():
             assert branch == _branch_by_full_substitutions(curve, N)
             for series in branch:
                 _assert_canonical(series)
-                fractional += any(type(c) is Fraction for c in series.coeffs)
+                fractional += any(type(c) is Fraction for c in series)
     assert len(directions) == 4
     assert fractional  # the Fraction side of the rule is exercised
