@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .curves import (
     FrameChange,
@@ -28,6 +29,7 @@ from .errors import InternalError
 from .hessians import analyzed_slopes
 from .inflection import InflectionReport, inflection_report
 from .linprog import lp_max
+from .rationals import canonical
 
 
 def _primitive(entries):
@@ -66,9 +68,13 @@ class OneParamSubgroup:
                 raise ValueError("quadric subgroup needs the two-weight encoding")
 
     def literal_weights(self):
+        """The coordinate weights, each an int when it is integral
+        (rationals.canonical), so the weights of mu are integer dot
+        products for an integral subgroup; `weights` keeps Fractions."""
+        ws = tuple(canonical(w) for w in self.weights)
         if self.surface is Surface.P2:
-            return self.weights
-        r0, r1 = self.weights
+            return ws
+        r0, r1 = ws
         return (-r0, r0, -r1, r1)
 
     def is_trivial(self):
@@ -114,7 +120,7 @@ def point_weight(surface, lw, label):
 
 def monomial_weight(lw, exp):
     """Weight of a monomial, for a subgroup with literal weights lw."""
-    return sum(e * w for e, w in zip(exp, lw))
+    return sum(map(mul, exp, lw))
 
 
 def mu_term(surface, lam, t, label, exp):
@@ -135,10 +141,9 @@ def mu_min(curve, lam, t):
     lw = lam.literal_weights()
     weights = [(point_weight(curve.surface, lw, lb), lb) for lb in _point_labels(curve)]
     low, _, best_label = min((t * w, w, lb) for w, lb in weights)
-    # the exponents are distinct, so the key has no ties
-    high, _, best_exp = max(
-        (monomial_weight(lw, e), tuple(-c for c in e), e) for e in curve.equation.terms
-    )
+    monomials = {e: monomial_weight(lw, e) for e in curve.equation.terms}
+    high = max(monomials.values())
+    best_exp = min(e for e, w in monomials.items() if w == high)
     return low - high, (best_label, best_exp)
 
 
@@ -251,8 +256,9 @@ def destabilizer_search(curve, t, budget=500, seed=0, report=None):
     first success, or None once the budget of frames is spent.
 
     The adapted frames come from the special locus of `report`, the
-    curve's lazy InflectionReport (a fresh one when none is given), so a
-    caller that already holds one computes the locus once.
+    curve's lazy InflectionReport (a fresh one when none is given), and
+    the normalizing frame from its local geometry, so a caller that
+    already holds one computes each of them once.
 
     The torus check reads only the support of the moved curve and the zero
     pattern of its point, so a frame moves the curve only up to constants,
@@ -267,7 +273,7 @@ def destabilizer_search(curve, t, budget=500, seed=0, report=None):
 
     def candidates():
         # (matrices, the exactly moved curve or None)
-        g0, moved0 = normalize_frame(curve)
+        g0, moved0 = normalize_frame(curve, report.geometry)
         yield (g0.mx, g0.my, g0.swap), moved0
         identity = FrameChange.identity(curve.surface)
         yield (identity.mx, identity.my, False), curve
@@ -366,11 +372,12 @@ class StabilityVerdict:
     undecided: bool = False
 
 
-def _attach_zero_certificate(verdict, curve, t):
-    """Attach a zero-mu certificate from the normalizing frame. If that
-    torus unexpectedly shows mu > 0 the verdict flips to Unstable, since an
-    exact positive certificate beats any membership reasoning."""
-    frame, moved = normalize_frame(curve)
+def _attach_zero_certificate(verdict, report, t):
+    """Attach a zero-mu certificate from the normalizing frame of the
+    report's curve. If that torus unexpectedly shows mu > 0 the verdict
+    flips to Unstable, since an exact positive certificate beats any
+    membership reasoning."""
+    frame, moved = normalize_frame(report.curve, report.geometry)
     sign, lam = torus_verdict(moved, t)
     if sign > 0:
         mu, _ = mu_min(moved, lam, t)
@@ -494,7 +501,7 @@ def stability_verdict(curve, t, budget=500, seed=0):
     if note:
         verdict.notes.append(note)
     if status == "StrictlySemistable":
-        _attach_zero_certificate(verdict, curve, t)
+        _attach_zero_certificate(verdict, report, t)
     return verdict
 
 

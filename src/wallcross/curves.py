@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 
 from .polynomials import Polynomial, constant, variable
-from .rationals import format_rational, parse_rational
+from .rationals import canonical, format_rational, parse_rational, quotient
 
 
 class Surface(str, Enum):
@@ -123,6 +123,11 @@ def adjugate(m):
     return adj, a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
 
 
+def _exact(m):
+    """A matrix with canonical entries (rationals.canonical)."""
+    return tuple(tuple(canonical(x) for x in row) for row in m)
+
+
 def _freeze(m):
     return tuple(tuple(Fraction(x) for x in row) for row in m)
 
@@ -134,6 +139,10 @@ class FrameChange:
     On the plane: one invertible 3x3 matrix. On the quadric: a pair of
     invertible 2x2 matrices plus an optional exchange of the two factors,
     applied after the linear maps.
+
+    The matrices are kept as Fractions; the singularity check and
+    `act_point` compute on their canonical entries, in ints where they are
+    integral.
     """
 
     surface: Surface
@@ -142,21 +151,24 @@ class FrameChange:
     swap: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "mx", _freeze(self.mx))
         if self.surface is Surface.P2:
             if self.my is not None or self.swap:
                 raise ValueError("plane frames have a single matrix and no swap")
-            if len(self.mx) != 3 or any(len(r) != 3 for r in self.mx):
+            mats = [_exact(self.mx)]
+            if len(mats[0]) != 3 or any(len(r) != 3 for r in mats[0]):
                 raise ValueError("plane frame needs a 3x3 matrix")
         else:
             if self.my is None:
                 raise ValueError("quadric frames need two matrices")
-            object.__setattr__(self, "my", _freeze(self.my))
-            for m in (self.mx, self.my):
+            mats = [_exact(self.mx), _exact(self.my)]
+            for m in mats:
                 if len(m) != 2 or any(len(r) != 2 for r in m):
                     raise ValueError("quadric frame needs 2x2 matrices")
-        if any(not adjugate(m)[1] for m in (self.mx, self.my) if m is not None):
+        if any(not adjugate(m)[1] for m in mats):
             raise ValueError("frame matrix is singular")
+        object.__setattr__(self, "mx", _freeze(mats[0]))
+        if self.my is not None:
+            object.__setattr__(self, "my", _freeze(mats[1]))
 
     @classmethod
     def identity(cls, surface):
@@ -165,11 +177,15 @@ class FrameChange:
         return cls(surface, ((1, 0), (0, 1)), ((1, 0), (0, 1)))
 
     def act_point(self, p):
+        """g(p), as Fractions."""
+        p = [canonical(x) for x in p]
         if self.surface is Surface.P2:
-            return mat_vec(self.mx, p)
-        u = mat_vec(self.mx, p[:2])
-        v = mat_vec(self.my, p[2:])
-        return v + u if self.swap else u + v
+            image = mat_vec(_exact(self.mx), p)
+        else:
+            u = mat_vec(_exact(self.mx), p[:2])
+            v = mat_vec(_exact(self.my), p[2:])
+            image = v + u if self.swap else u + v
+        return tuple(Fraction(x) for x in image)
 
 
 def move_curve(curve, mx, my=None, swap=False):
@@ -185,7 +201,8 @@ def move_curve(curve, mx, my=None, swap=False):
     point M p, for p with its denominators cleared, which is a multiple of
     g(p) (per factor on the quadric), so the support of the curve and the
     zero pattern of the point are those of the exact move; and
-    scale * moved.equation == C o g^-1.
+    scale * moved.equation == C o g^-1, with scale an int when it is
+    integral.
     """
     n = curve.surface.nvars
     d = curve.degree
@@ -197,7 +214,7 @@ def move_curve(curve, mx, my=None, swap=False):
             raise ValueError("frame matrix is singular")
         subs = [_linear_form(n, (0, 1, 2), row) for row in adj]
         point = mat_vec(m, p)
-        scale = Fraction(c, det) ** d
+        scale = quotient(c, det) ** d
     else:
         (cx, m_x), (cy, m_y) = _cleared(mx), _cleared(my)
         (adj_x, det_x), (adj_y, det_y) = adjugate(m_x), adjugate(m_y)
@@ -211,7 +228,7 @@ def move_curve(curve, mx, my=None, swap=False):
         subs += [_linear_form(n, y_slots, row) for row in adj_y]
         u, v = mat_vec(m_x, p[:2]), mat_vec(m_y, p[2:])
         point = v + u if swap else u + v
-        scale = Fraction(cx, det_x) ** d * Fraction(cy, det_y) ** d
+        scale = canonical(quotient(cx, det_x) ** d * quotient(cy, det_y) ** d)
     moved = PointedCurve(curve.surface, d, point, curve.equation.substitute(subs))
     return moved, scale
 
@@ -223,7 +240,7 @@ def apply_frame(curve, frame):
         raise ValueError("surface mismatch")
     moved, scale = move_curve(curve, frame.mx, frame.my, frame.swap)
     new_p = frame.act_point(curve.point)
-    return PointedCurve(curve.surface, curve.degree, tuple(new_p), moved.equation * scale)
+    return PointedCurve(curve.surface, curve.degree, new_p, moved.equation * scale)
 
 
 def _linear_form(n, slots, coeffs):
@@ -253,8 +270,9 @@ def affine_chart(surface, form, point):
     Returns (f, free, shifts): f is the 2-variable polynomial in the chart
     coordinates (u, v), which vanish at the point; free lists the two
     homogeneous coordinates they replace, and shifts maps each of those to
-    its value at the point. The other coordinates are fixed to 1: one on
-    the plane, one per factor on the quadric.
+    its value at the point, an int when it is integral. The other
+    coordinates are fixed to 1: one on the plane, one per factor on the
+    quadric.
     """
     if surface is Surface.P2:
         l0 = next(i for i in range(3) if point[i] != 0)
@@ -267,9 +285,8 @@ def affine_chart(surface, form, point):
             (ly, [i for i in (2, 3) if i != ly]),
         ]
     free = [i for _, fs in charts for i in fs]
-    shifts = {
-        i: Fraction(point[i]) / Fraction(point[fixed]) for fixed, fs in charts for i in fs
-    }
+    point = [canonical(x) for x in point]
+    shifts = {i: quotient(point[i], point[fixed]) for fixed, fs in charts for i in fs}
     if not any(shifts.values()):
         # a coordinate point: dropping the fixed exponents is injective on
         # a form homogeneous in each block, so no substitution is needed
@@ -313,10 +330,11 @@ def contact_ge(contact, k):
 # -- canonical frames -------------------------------------------------------
 
 
-def normalize_frame(curve):
+def normalize_frame(curve, geometry=None):
     """Frame change putting the marked point, and at a smooth point its
     tangent, into standard position, read off `local_geometry` and applied
-    in one move.
+    in one move. A caller that holds the curve's local geometry already
+    passes it as `geometry`, so it is not computed again.
 
     Plane: p goes to (0, 0, 1). With l0 the first nonzero coordinate of p,
     o0 < o1 the other two, and r0, r1, r2 the rows of the translation
@@ -331,19 +349,19 @@ def normalize_frame(curve):
 
     Returns (frame, moved curve).
     """
-    geo = local_geometry(curve)
-    p = curve.point
+    geo = local_geometry(curve) if geometry is None else geometry
+    p = [canonical(x) for x in curve.point]
     if curve.surface is Surface.P2:
         l0 = next(i for i in range(3) if p[i] != 0)
         o0, o1 = [i for i in range(3) if i != l0]
         rows = []
         for a in (o0, o1):
-            row = [Fraction(0)] * 3
-            row[a] = Fraction(1)
-            row[l0] = -Fraction(p[a]) / Fraction(p[l0])
+            row = [0] * 3
+            row[a] = 1
+            row[l0] = quotient(-p[a], p[l0])
             rows.append(tuple(row))
-        last = [Fraction(0)] * 3
-        last[l0] = 1 / Fraction(p[l0])
+        last = [0] * 3
+        last[l0] = quotient(1, p[l0])
         rows.append(tuple(last))
         # T . p = 0 (Euler's relation), so T = T_o0 r0 + T_o1 r1: the
         # translation alone moves the tangent to (T_o0, T_o1, 0), which is
@@ -365,11 +383,10 @@ def normalize_frame(curve):
 
 
 def _factor_frame(c0, c1):
-    """2x2 matrix sending (c0, c1) to (0, 1)."""
-    c0, c1 = Fraction(c0), Fraction(c1)
+    """2x2 matrix sending (c0, c1) to (0, 1), for canonical c0 and c1."""
     if c1 != 0:
-        return ((1, -c0 / c1), (0, 1 / c1))
-    return ((0, 1), (1 / c0, 0))
+        return ((1, quotient(-c0, c1)), (0, quotient(1, c1)))
+    return ((0, 1), (quotient(1, c0), 0))
 
 
 # -- fixed example curves ---------------------------------------------------

@@ -51,7 +51,7 @@ from .polynomials import (
     variable,
     zero,
 )
-from .rationals import canonical, quotient
+from .rationals import quotient
 from .series import pivot_orders, series_substitute
 
 
@@ -102,7 +102,7 @@ def local_branch(curve, N):
         )
     aff = dict(zip(free, branch))
     return tuple(
-        (canonical(shifts[i]),) + aff[i][1:] if i in aff
+        (shifts[i],) + aff[i][1:] if i in aff
         else (1,) + (0,) * (N - 1)
         for i in range(curve.surface.nvars)
     )

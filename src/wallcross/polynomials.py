@@ -177,17 +177,19 @@ class Polynomial:
     # -- evaluation and substitution --------------------------------------
 
     def evaluate(self, point):
+        """The value at a point, as a Fraction. The products run on the
+        canonical coordinates, so an integral point stays in ints."""
         if len(point) != self.nvars:
             raise ValueError(f"point has arity {len(point)}, expected {self.nvars}")
-        pt = [Fraction(x) for x in point]
-        total = Fraction(0)
+        pt = [canonical(x) for x in point]
+        total = 0
         for exp, c in self.terms.items():
             v = c
             for x, e in zip(pt, exp):
                 if e:
                     v *= x ** e
             total += v
-        return total
+        return Fraction(total)
 
     def substitute(self, subs):
         """Plug a polynomial in for each variable. All subs share one arity.

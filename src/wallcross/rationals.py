@@ -2,11 +2,15 @@
 
 No scalar in the package is ever a float. Coefficients of polynomials and
 of truncated series (plain tuples of coefficients) follow one rule, kept by
-`canonical`: an integral
-coefficient is an int and any other a fractions.Fraction with denominator
->= 2. Other exact scalars, such as points, slopes and weights, are mostly
-Fractions. An int and the equal Fraction compare and hash alike, and
-format_rational writes both the same way.
+`canonical`: an integral coefficient is an int and any other a
+fractions.Fraction with denominator >= 2. Other exact scalars, such as
+points, slopes, weights and frame entries, are Fractions on the public
+objects (`PointedCurve.point`, `OneParamSubgroup.weights`,
+`FrameChange.mx`, mu values and `Polynomial.evaluate`'s result), but the
+kernels that compute with them (mu, evaluation, frame moves, affine
+charts) work on their canonical values, so integral ones multiply as ints.
+An int and the equal Fraction compare and hash alike, and format_rational
+writes both the same way.
 
 This module also pins the interchange format: an integer is written "p",
 anything else "p/q" with q >= 2 and gcd(|p|, q) = 1. parse_rational

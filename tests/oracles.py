@@ -4,6 +4,7 @@ package computes another way."""
 from fractions import Fraction
 from types import SimpleNamespace
 
+from wallcross.criterion import ClaimCheck
 from wallcross.curves import FrameChange, Surface, affine_chart, contact_ge, local_geometry
 from wallcross.inflection import (
     _p2_special,
@@ -209,3 +210,82 @@ def eager_report(curve):
             )
         rep.sequences = {"o11": seq11}
     return rep
+
+
+# -- Fraction-only copies of the integer kernels -----------------------------
+# criterion and polynomials compute mu and values on canonical scalars, ints
+# where they are integral; these copies keep every scalar a Fraction.
+
+
+def fraction_evaluate(poly, point):
+    """Polynomial.evaluate with every coefficient and coordinate a Fraction."""
+    total = Fraction(0)
+    for exp, c in poly.terms.items():
+        v = Fraction(c)
+        for x, e in zip(point, exp):
+            v *= Fraction(x) ** e
+        total += v
+    return total
+
+
+def _fraction_literal_weights(lam):
+    ws = [Fraction(w) for w in lam.weights]
+    if lam.surface is Surface.P2:
+        return ws
+    r0, r1 = ws
+    return [-r0, r0, -r1, r1]
+
+
+def _fraction_point_weight(surface, lw, label):
+    if surface is Surface.P2:
+        return lw[label]
+    l, m = label
+    return lw[l] + lw[2 + m]
+
+
+def _fraction_monomial_weight(lw, exp):
+    return sum((Fraction(e) * w for e, w in zip(exp, lw)), Fraction(0))
+
+
+def fraction_mu_min(curve, lam, t):
+    """criterion.mu_min in Fractions: (value, (point label, exponent)), the
+    label of least t * weight, then of least weight, then the least label;
+    the monomial of largest weight, then the lexicographically least."""
+    t = Fraction(t)
+    lw = _fraction_literal_weights(lam)
+    p = curve.point
+    if curve.surface is Surface.P2:
+        labels = [l for l in range(3) if p[l] != 0]
+    else:
+        labels = [(l, m) for l in range(2) if p[l] != 0 for m in range(2) if p[2 + m] != 0]
+    weights = [(_fraction_point_weight(curve.surface, lw, lb), lb) for lb in labels]
+    low, _, label = min((t * w, w, lb) for w, lb in weights)
+    high, _, exp = max(
+        (_fraction_monomial_weight(lw, e), tuple(-c for c in e), e)
+        for e in curve.equation.terms
+    )
+    return low - high, (label, exp)
+
+
+def fraction_interval_mu_claim(surface, lam, labels, exponents, t_spec, strictness=">0"):
+    """criterion.interval_mu_claim in Fractions, for valid specs."""
+    check = ClaimCheck(passed=True)
+    points = [Fraction(t) for t in t_spec[1:]]
+    lw = _fraction_literal_weights(lam)
+    for label in labels:
+        pw = _fraction_point_weight(surface, lw, label)
+        for exp in exponents:
+            mw = _fraction_monomial_weight(lw, exp)
+            values = [t * pw - mw for t in points]
+            for t, v in zip(points, values):
+                if v == 0:
+                    check.equalities.append((label, exp, t))
+            if len(points) == 2:
+                bad = min(values) < 0 or (strictness == ">0" and all(v == 0 for v in values))
+            else:
+                bad = values[0] <= 0 if strictness == ">0" else values[0] < 0
+            if bad:
+                worst = min(zip(values, points))
+                check.counterexamples.append((label, exp, worst[1], worst[0]))
+                check.passed = False
+    return check

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from wallcross import criterion, inflection
+from wallcross import criterion, curves, inflection
 from wallcross.criterion import (
     OneParamSubgroup,
     destabilizer_search,
@@ -330,6 +330,40 @@ def test_verdict_computes_the_special_locus_once(name, monkeypatch):
     verdict = stability_verdict(curve_from_json(doc), Fraction(slope), budget=20)
     assert verdict.status == "Unstable"
     assert len(calls) == 1
+
+
+# In-range verdicts that reach the normalizing frame, with the source of
+# their certificate: a zero certificate at the wall or edge, a search that
+# hits in the normalizing frame, and searches that get past it to the
+# adapted frames.
+GEOMETRY_CASES = {
+    "zero-certificate-p2-wall": (WitnessKind.P2_CUSPIDAL_X0, 4, Fraction(7, 4)),
+    "zero-certificate-p2-edge": (WitnessKind.P2_S, 4, Fraction(2)),
+    "zero-certificate-quadric-wall": (WitnessKind.QUADRIC_X0, 3, Fraction(5, 3)),
+    "normalizing-hit-p2-edge": (WitnessKind.P2_CUSPIDAL_X0, 4, Fraction(2)),
+    **{f"search-{name}": (doc, None, Fraction(slope)) for name, (doc, slope) in ADAPTED_CURVES.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRY_CASES))
+def test_verdict_computes_the_local_geometry_once(name, monkeypatch):
+    # the report reads the geometry for its region's rule, and the
+    # normalizing frame of the zero certificate or of the search reuses it;
+    # the special locus may probe other curves, which are not counted
+    source, d, slope = GEOMETRY_CASES[name]
+    curve = curve_from_json(source) if d is None else make_witness(source, d)
+    calls = []
+    geometry = curves.local_geometry
+
+    def counted(c):
+        calls.append(c)
+        return geometry(c)
+
+    monkeypatch.setattr(curves, "local_geometry", counted)
+    monkeypatch.setattr(inflection, "local_geometry", counted)
+    verdict = stability_verdict(curve, slope, budget=20)
+    assert verdict.certificate is not None
+    assert sum(1 for c in calls if c is curve) == 1
 
 
 def test_random_frame_hit_is_rechecked_on_the_exact_move(monkeypatch):
