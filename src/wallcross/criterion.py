@@ -18,6 +18,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .curves import (
+    IDENTITY_MATRICES,
     FrameChange,
     Surface,
     adjugate,
@@ -275,8 +276,7 @@ def destabilizer_search(curve, t, budget=500, seed=0, report=None):
         # (matrices, the exactly moved curve or None)
         g0, moved0 = normalize_frame(curve, report.geometry)
         yield (g0.mx, g0.my, g0.swap), moved0
-        identity = FrameChange.identity(curve.surface)
-        yield (identity.mx, identity.my, False), curve
+        yield IDENTITY_MATRICES[curve.surface], curve
         for frame in _adapted_frames(curve, report):
             yield (frame.mx, frame.my, frame.swap), None
         rng = random.Random(seed)

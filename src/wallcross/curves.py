@@ -14,7 +14,7 @@ from enum import Enum
 from fractions import Fraction
 from math import lcm
 
-from .polynomials import Polynomial, constant, variable
+from .polynomials import Polynomial, constant, linear_form, variable
 from .rationals import canonical, format_rational, parse_rational, quotient
 
 
@@ -132,6 +132,14 @@ def _freeze(m):
     return tuple(tuple(Fraction(x) for x in row) for row in m)
 
 
+# The matrices (mx, my, swap) of the identity frame of each surface, as
+# ints; they compare and hash equal to those of FrameChange.identity.
+IDENTITY_MATRICES = {
+    Surface.P2: (((1, 0, 0), (0, 1, 0), (0, 0, 1)), None, False),
+    Surface.QUADRIC: (((1, 0), (0, 1)), ((1, 0), (0, 1)), False),
+}
+
+
 @dataclass(frozen=True)
 class FrameChange:
     """A coordinate change of the ambient surface.
@@ -172,9 +180,7 @@ class FrameChange:
 
     @classmethod
     def identity(cls, surface):
-        if surface is Surface.P2:
-            return cls(surface, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-        return cls(surface, ((1, 0), (0, 1)), ((1, 0), (0, 1)))
+        return cls(surface, *IDENTITY_MATRICES[surface])
 
     def act_point(self, p):
         """g(p), as Fractions."""
@@ -212,7 +218,7 @@ def move_curve(curve, mx, my=None, swap=False):
         adj, det = adjugate(m)
         if not det:
             raise ValueError("frame matrix is singular")
-        subs = [_linear_form(n, (0, 1, 2), row) for row in adj]
+        subs = [linear_form(n, (0, 1, 2), row) for row in adj]
         point = mat_vec(m, p)
         scale = quotient(c, det) ** d
     else:
@@ -224,8 +230,8 @@ def move_curve(curve, mx, my=None, swap=False):
         # x coordinates are forms in the new coordinates of the factor
         # that mx x lands on
         x_slots, y_slots = ((2, 3), (0, 1)) if swap else ((0, 1), (2, 3))
-        subs = [_linear_form(n, x_slots, row) for row in adj_x]
-        subs += [_linear_form(n, y_slots, row) for row in adj_y]
+        subs = [linear_form(n, x_slots, row) for row in adj_x]
+        subs += [linear_form(n, y_slots, row) for row in adj_y]
         u, v = mat_vec(m_x, p[:2]), mat_vec(m_y, p[2:])
         point = v + u if swap else u + v
         scale = canonical(quotient(cx, det_x) ** d * quotient(cy, det_y) ** d)
@@ -241,16 +247,6 @@ def apply_frame(curve, frame):
     moved, scale = move_curve(curve, frame.mx, frame.my, frame.swap)
     new_p = frame.act_point(curve.point)
     return PointedCurve(curve.surface, curve.degree, new_p, moved.equation * scale)
-
-
-def _linear_form(n, slots, coeffs):
-    form = {}
-    for s, c in zip(slots, coeffs):
-        if c:
-            e = [0] * n
-            e[s] = 1
-            form[tuple(e)] = c
-    return Polynomial(n, form)
 
 
 # -- local geometry at the marked point ------------------------------------

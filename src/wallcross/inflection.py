@@ -13,7 +13,11 @@ unknown series by one, which costs O(N^2 * degree) for N coefficients, and
 one full substitution re-checks the result. Membership in S and X0 first
 compares the multiplicity -> degree map of the squarefree decomposition
 with the maps the two configurations allow; a curve that fits none is in
-neither, and only the others are searched for rational components.
+neither, and only the others are searched for rational components. Lines
+and rulings come from one search (`_linear_factors`): a linear form in two
+variables divides a form exactly when it divides every coefficient form,
+the binary form that multiplies one monomial in the other variables, so
+the candidates are the rational roots of the gcd of those forms.
 
 Computed orders at or past the truncation are reported as lower bounds,
 never as exact values; that is enough for every comparison made here,
@@ -25,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from math import comb
 
 from .curves import (
     PointedCurve,
@@ -42,6 +45,7 @@ from .polynomials import (
     constant,
     exact_divide,
     exact_quotient,
+    linear_form,
     monomial,
     poly_gcd,
     primitive_normalized,
@@ -49,7 +53,6 @@ from .polynomials import (
     resultant,
     squarefree_decompose,
     variable,
-    zero,
 )
 from .rationals import quotient
 from .series import pivot_orders, series_substitute
@@ -189,118 +192,71 @@ def _require(roots, what):
     return roots
 
 
-def _gamma_polys(groups):
-    """groups: dict key -> {gamma_power: coeff}. Returns the nonzero
-    univariate polynomials (arity 1)."""
-    out = []
-    for terms in groups.values():
-        poly = Polynomial(1, {(e,): c for e, c in terms.items() if c})
-        if not poly.is_zero():
-            out.append(poly)
-    return out
-
-
 def _univariate_roots(poly, what):
     deg = poly.degree_in(0)
     coeffs = [poly.terms.get((k,), Fraction(0)) for k in range(deg + 1)]
     return _require(rational_roots(coeffs), what)
 
 
-def _gcd_roots(polys, what):
-    """Common rational roots of a family of univariate polynomials."""
+def _linear_factors(f, slots, what):
+    """The linear forms v*x_a - u*x_b in the variables slots = (a, b) that
+    divide f, as the pairs (u, v) of `binary_form_roots`.
+
+    Such a form divides f exactly when it divides every coefficient form of
+    f, the binary form in x_a, x_b that multiplies one monomial in the other
+    variables; so the candidates are the roots of the gcd of those forms."""
+    a, b = slots
+    rest = [i for i in range(f.nvars) if i not in slots]
+    groups = {}
+    for e, c in f.terms.items():
+        groups.setdefault(tuple(e[i] for i in rest), {})[e[a], e[b]] = c
     g = None
-    for p in polys:
-        g = p if g is None else poly_gcd(g, p)
-        if g is not None and not g.variables():
+    for terms in groups.values():
+        form = Polynomial._raw(2, terms)
+        g = form if g is None else poly_gcd(g, form)
+        if not g.variables():
             return []
-    if g is None or g.is_zero():
-        raise UndecidedError(f"degenerate system while {what}")
-    if not g.variables():
-        return []
-    return _univariate_roots(g, what)
+    coeffs = [0] * (g.total_degree() + 1)
+    for (i, _), c in g.terms.items():
+        coeffs[i] = c
+    return [
+        (u, v)
+        for u, v in _require(binary_form_roots(coeffs), what)
+        if exact_divide(f, linear_form(f.nvars, slots, (v, -u))) is not None
+    ]
 
 
 def rational_lines(f):
     """All rational lines dividing a squarefree homogeneous 3-variable form.
 
-    Returns a list of primitive coefficient tuples (a, b, c) meaning
-    a*x0 + b*x1 + c*x2. Raises UndecidedError if an exact root search has
-    to give up (huge integer divisors)."""
+    Returns a list of coefficient tuples (a, b, c) meaning a*x0 + b*x1 +
+    c*x2, scaled so that the first nonzero entry is 1: (0, 0, 1), (0, 1, c)
+    or (1, b, c). Raises UndecidedError if an exact root search has to give
+    up (huge integer divisors)."""
     x2 = monomial(3, (0, 0, 1))
     rest = exact_divide(f, x2)
     if rest is not None:
         return rational_lines(rest) + [(Fraction(0), Fraction(0), Fraction(1))]
-    found = []
-    candidates = []
-    # lines x1 + g*x2: substitute x1 = -g*x2 and ask for common roots in g
-    groups = {}
-    for (i, j, k), c in f.terms.items():
-        key = (i, j + k)
-        groups.setdefault(key, {}).setdefault(j, Fraction(0))
-        groups[key][j] += c * (-1) ** j
-    for g in _gcd_roots(_gamma_polys(groups), "searching lines through (1,0,0)"):
-        candidates.append((Fraction(0), Fraction(1), g))
-    # lines x0 + b*x1 + g*x2: b must be a root of the restriction to x2 = 0
-    border = f.coefficient_in(2, 0)
-    acc = {}
-    for (i, j, k), c in border.terms.items():
-        acc[(i,)] = acc.get((i,), Fraction(0)) + c * (-1) ** i
-    beta_poly = Polynomial(1, acc)
-    if beta_poly.is_zero():
-        raise UndecidedError("restriction to x2=0 vanished unexpectedly")
-    for b in _univariate_roots(beta_poly, "searching line slopes"):
-        groups = {}
-        for (i, j, k), c in f.terms.items():
-            for m in range(i + 1):
-                coeff = c * comb(i, m) * (-b) ** (i - m) * (-1) ** m
-                key = (j + i - m, k + m)
-                groups.setdefault(key, {}).setdefault(m, Fraction(0))
-                groups[key][m] += coeff
-        for g in _gcd_roots(
-            _gamma_polys(groups), f"searching lines with slope {b}"
-        ):
-            candidates.append((Fraction(1), b, g))
-    for cand in candidates:
-        line = Polynomial(3, {(1, 0, 0): cand[0], (0, 1, 0): cand[1], (0, 0, 1): cand[2]})
-        if exact_divide(f, line) is not None:
-            found.append(cand)
+    found = [
+        (Fraction(0), Fraction(1), -u)
+        for u, _ in _linear_factors(f, (1, 2), "searching lines through (1,0,0)")
+    ]
+    # a line x0 + b*x1 + c*x2 meets x2 = 0 in a root of f(x0, x1, 0), which
+    # is nonzero as x2 does not divide f; x0 -> x0 - b*x1 moves it to x0 + c*x2
+    border = [0] * (f.total_degree() + 1)
+    for (i, _, k), c in f.terms.items():
+        if not k:
+            border[i] = c
+    slopes = _require(binary_form_roots(border), "searching line slopes")
+    for b in sorted(-u for u, v in slopes if v):
+        shear = (linear_form(3, (0, 1), (1, -b)), variable(3, 1), variable(3, 2))
+        found.extend(
+            (Fraction(1), b, -u)
+            for u, _ in _linear_factors(
+                f.substitute(shear), (0, 2), f"searching lines with slope {b}"
+            )
+        )
     return found
-
-
-def _ruling_forms(f, factor):
-    """Linear forms in one factor's variables dividing a squarefree
-    bihomogeneous form: each is a common factor of all coefficient forms."""
-    slots = (0, 1) if factor == 0 else (2, 3)
-    other = (2, 3) if factor == 0 else (0, 1)
-    groups = {}
-    for exp, c in f.terms.items():
-        key = (exp[other[0]], exp[other[1]])
-        e = [0, 0, 0, 0]
-        e[slots[0]], e[slots[1]] = exp[slots[0]], exp[slots[1]]
-        groups.setdefault(key, {})[tuple(e)] = c
-    forms = [Polynomial(4, g) for g in groups.values()]
-    g = None
-    for p in forms:
-        g = p if g is None else poly_gcd(g, p)
-        if not g.variables():
-            return []
-    if not g.variables():
-        return []
-    deg = g.total_degree()
-    coeffs = [Fraction(0)] * (deg + 1)
-    for exp, c in g.terms.items():
-        coeffs[exp[slots[0]]] = c
-    roots = _require(binary_form_roots(coeffs), "splitting off rulings")
-    out = []
-    for u, v in roots:
-        e0 = [0, 0, 0, 0]
-        e0[slots[0]] = 1
-        e1 = [0, 0, 0, 0]
-        e1[slots[1]] = 1
-        line = Polynomial(4, {tuple(e0): v, tuple(e1): -u})
-        if exact_divide(f, line) is not None:
-            out.append((u, v))
-    return out
 
 
 # -- special configurations -------------------------------------------------
@@ -463,16 +419,9 @@ def _tangent_cone_double_line(curve_poly, q):
     coeffs[l0] -= lam * Fraction(q[a])
     coeffs[b] += mu * Fraction(q[l0])
     coeffs[l0] -= mu * Fraction(q[b])
-    line = Polynomial(3, {(1, 0, 0): coeffs[0], (0, 1, 0): coeffs[1], (0, 0, 1): coeffs[2]})
-    line = primitive_normalized(line)
+    line = primitive_normalized(linear_form(3, (0, 1, 2), coeffs))
     return tuple(
         line.terms.get(e, Fraction(0)) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    )
-
-
-def _line_as_poly(lc):
-    return Polynomial(
-        3, {(1, 0, 0): lc[0], (0, 1, 0): lc[1], (0, 0, 1): lc[2]}
     )
 
 
@@ -529,7 +478,7 @@ def _p2_components(groups):
         ls = rational_lines(f)
         w = f
         for lc in ls:
-            w = exact_quotient(w, _line_as_poly(lc), f"splitting off the line {lc}")
+            w = exact_quotient(w, linear_form(3, (0, 1, 2), lc), f"splitting off the line {lc}")
             lines.append((lc, mult))
         if w.variables():
             leftovers.append((primitive_normalized(w), mult))
@@ -574,7 +523,7 @@ def _p2_special(curve, groups):
             q = _line_conic_tangency(lc, conic)
             if q is not None:
                 on_conic = conic.evaluate(p) == 0
-                off_line = _line_as_poly(lc).evaluate(p) != 0
+                off_line = linear_form(3, (0, 1, 2), lc).evaluate(p) != 0
                 if on_conic and off_line and not _proj_equal(p, q):
                     in_s = True
                     details["line"] = lc
@@ -592,7 +541,7 @@ def _p2_special(curve, groups):
         if len(sing) == 1:
             qc = sing[0]
             lc2 = _tangent_cone_double_line(cubic, qc)
-            if lc2 is not None and exact_divide(cubic, _line_as_poly(lc2)) is None:
+            if lc2 is not None and exact_divide(cubic, linear_form(3, (0, 1, 2), lc2)) is None:
                 line_matches = d == 3 or _proj_equal(lines[0][0], lc2)
                 if line_matches and _is_flex_of(cubic, p):
                     in_x0 = True
@@ -606,14 +555,11 @@ def _quadric_components(groups):
     rx, ry = [], []
     leftovers = []
     for f, mult in groups:
-        for u, v in _ruling_forms(f, 0):
-            line = Polynomial(4, {(1, 0, 0, 0): v, (0, 1, 0, 0): -u})
-            f = exact_quotient(f, line, f"splitting off the x-ruling {(u, v)}")
-            rx.append(((u, v), mult))
-        for u, v in _ruling_forms(f, 1):
-            line = Polynomial(4, {(0, 0, 1, 0): v, (0, 0, 0, 1): -u})
-            f = exact_quotient(f, line, f"splitting off the y-ruling {(u, v)}")
-            ry.append(((u, v), mult))
+        for slots, name, found in (((0, 1), "x", rx), ((2, 3), "y", ry)):
+            for u, v in _linear_factors(f, slots, "splitting off rulings"):
+                line = linear_form(4, slots, (v, -u))
+                f = exact_quotient(f, line, f"splitting off the {name}-ruling {(u, v)}")
+                found.append(((u, v), mult))
         if f.variables():
             leftovers.append((primitive_normalized(f), mult))
     return rx, ry, leftovers

@@ -286,6 +286,16 @@ def monomial(nvars, exp, c=1):
     return Polynomial(nvars, {tuple(exp): c})
 
 
+def linear_form(nvars, slots, coeffs):
+    """sum(coeffs[k] * x_(slots[k])): a linear form in some of the variables."""
+    form = {}
+    for s, c in zip(slots, coeffs):
+        e = [0] * nvars
+        e[s] = 1
+        form[tuple(e)] = c
+    return Polynomial(nvars, form)
+
+
 def exact_divide(f, g):
     """Return f/g if g divides f exactly, else None.
 

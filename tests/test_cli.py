@@ -332,8 +332,13 @@ RATIONAL_BRANCH_CUBIC = {
 
 # Curves whose verdicts reach the wall's flipped stratum and the undecided
 # notes: perturbed tangent witnesses with first-order contact outside the
-# closed orbit (x_minus at the wall), and a cubic whose special-locus root
-# search hits its height bound.
+# closed orbit (x_minus at the wall), and curves whose special-locus root
+# search hits its height bound, one for each of the four line and ruling
+# searches. With K = 10^13: the cubic (x0 + K*x2)(x0*x2 - x1^2) aborts
+# searching lines with slope 0; in the S shape, the plane quartics
+# (x1 + K*x2)^2 (x0*x2 - x1^2) and (x0 + K*x1)^2 (x0*x2 - x1^2) abort
+# searching lines through (1,0,0) and line slopes, and the (3, 3) quadric
+# curve (x0*y1 - x1*y0)(x0 + K*x1)^2 (y0 + K*y1)^2 splitting off rulings.
 BRANCH_CURVES = {
     "flexish": {
         "surface": "p2",
@@ -364,6 +369,51 @@ BRANCH_CURVES = {
             {"exp": [1, 2, 0], "coeff": "-1"},
             {"exp": [1, 0, 2], "coeff": str(10 ** 13)},
             {"exp": [0, 2, 1], "coeff": str(-10 ** 13)},
+        ],
+    },
+    "undecided-pencil": {
+        "surface": "p2",
+        "degree": 4,
+        "point": ["1", "1", "1"],
+        "terms": [
+            {"exp": [0, 2, 2], "coeff": str(-10 ** 26)},
+            {"exp": [0, 3, 1], "coeff": str(-2 * 10 ** 13)},
+            {"exp": [0, 4, 0], "coeff": "-1"},
+            {"exp": [1, 0, 3], "coeff": str(10 ** 26)},
+            {"exp": [1, 1, 2], "coeff": str(2 * 10 ** 13)},
+            {"exp": [1, 2, 1], "coeff": "1"},
+        ],
+    },
+    "undecided-slope": {
+        "surface": "p2",
+        "degree": 4,
+        "point": ["1", "1", "1"],
+        "terms": [
+            {"exp": [0, 4, 0], "coeff": str(-10 ** 26)},
+            {"exp": [1, 2, 1], "coeff": str(10 ** 26)},
+            {"exp": [1, 3, 0], "coeff": str(-2 * 10 ** 13)},
+            {"exp": [2, 1, 1], "coeff": str(2 * 10 ** 13)},
+            {"exp": [2, 2, 0], "coeff": "-1"},
+            {"exp": [3, 0, 1], "coeff": "1"},
+        ],
+    },
+    "undecided-quadric": {
+        "surface": "quadric",
+        "degree": 3,
+        "point": ["1", "1", "1", "1"],
+        "terms": [
+            {"exp": [0, 3, 1, 2], "coeff": str(-10 ** 52)},
+            {"exp": [0, 3, 2, 1], "coeff": str(-2 * 10 ** 39)},
+            {"exp": [0, 3, 3, 0], "coeff": str(-10 ** 26)},
+            {"exp": [1, 2, 0, 3], "coeff": str(10 ** 52)},
+            {"exp": [1, 2, 2, 1], "coeff": str(-3 * 10 ** 26)},
+            {"exp": [1, 2, 3, 0], "coeff": str(-2 * 10 ** 13)},
+            {"exp": [2, 1, 0, 3], "coeff": str(2 * 10 ** 39)},
+            {"exp": [2, 1, 1, 2], "coeff": str(3 * 10 ** 26)},
+            {"exp": [2, 1, 3, 0], "coeff": "-1"},
+            {"exp": [3, 0, 0, 3], "coeff": str(10 ** 26)},
+            {"exp": [3, 0, 1, 2], "coeff": str(2 * 10 ** 13)},
+            {"exp": [3, 0, 2, 1], "coeff": "1"},
         ],
     },
 }
@@ -464,6 +514,7 @@ def golden_cases(tmp):
     for name, doc in BRANCH_CURVES.items():
         path = tmp / f"{name}.json"
         path.write_text(json.dumps(doc))
+        cases.append((f"inflect {name}", ["inflect", "--curve", str(path)]))
         wall, edge = analyzed_slopes(Surface(doc["surface"]), doc["degree"])
         for t in (wall - Fraction(1, 2), wall, (wall + edge) / 2, edge, edge + 1):
             slope = format_rational(t)

@@ -216,6 +216,22 @@ def test_destabilizer_search_budget_exhausts():
     assert destabilizer_search(c, Fraction(15, 8), budget=6) is None
 
 
+def test_exhausted_search_builds_only_the_normalizing_frame(monkeypatch):
+    # the identity and random frames are tried as plain matrices; only the
+    # normalizing frame, and a hit, build a FrameChange
+    built = []
+    post_init = FrameChange.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    c = make_witness(WitnessKind.P2_NONFLEX, 4)
+    monkeypatch.setattr(FrameChange, "__post_init__", counted)
+    assert destabilizer_search(c, Fraction(3, 2), budget=20) is None
+    assert len(built) == 1
+
+
 def test_certificate_rechecks_raise_internal_error(monkeypatch):
     # the re-checks are explicit, so they also run under python -O
     c = make_witness(WitnessKind.P2_NONFLEX, 4)

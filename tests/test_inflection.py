@@ -24,6 +24,7 @@ from wallcross.errors import InternalError
 from wallcross.hessians import analyzed_slopes
 from wallcross.inflection import (
     UndecidedError,
+    _quadric_components,
     _squarefree_on_chart,
     inflection_report,
     local_branch,
@@ -136,6 +137,12 @@ def test_rational_lines():
         [(0, 0, 1), (1, 1, 0), (1, 0, -2)]
     )
     assert rational_lines((x0 * x0 + x1 * x1) * x2) == [(0, 0, 1)]
+    # each line is scaled so its first nonzero coefficient is 1, so a
+    # coefficient after it may be a Fraction or negative
+    f = (3 * x1 + 2 * x2) * (x0 - 3 * x1 + 5 * x2) * (x0 * x2 - x1 * x1)
+    assert sorted(rational_lines(f)) == [
+        (0, 1, Fraction(2, 3)), (1, -3, 5),
+    ]
 
 
 def test_report_flags_on_witnesses():
@@ -424,6 +431,54 @@ def test_special_locus_ignores_the_scale_of_the_equation():
         for name in ("in_s", "in_x0", "undecided", "notes", "details"):
             assert getattr(got, name) == getattr(want, name), (name, curve)
     assert fractional >= 300
+
+
+def _linear_factors_by_sympy(sympy, f, families):
+    """For each tuple of variables in families, the factors of f over QQ
+    that are linear forms in those variables, each as the tuple of its
+    coefficients there, by sympy.factor_list."""
+    gens = sympy.symbols(f"v0:{f.nvars}")
+    p = sympy.Poly.from_dict({e: int(c) for e, c in f.terms.items()}, gens)
+    out = [[] for _ in families]
+    for q, _ in p.factor_list()[1]:
+        terms = {e.index(1): Fraction(int(c)) for e, c in q.as_dict().items() if sum(e) == 1}
+        if len(terms) == len(q.as_dict()):
+            for slots, found in zip(families, out):
+                if set(terms) <= set(slots):
+                    found.append(tuple(terms.get(i, 0) for i in slots))
+    return out
+
+
+def _projective_set(points):
+    return {
+        tuple(Fraction(x) / next(y for y in p if y) for x in p) for p in points
+    }
+
+
+def test_linear_factors_match_sympy_factorization():
+    # lines on the plane and rulings on the quadric agree, projectively and
+    # as sets, with the degree-1 (resp. bidegree (1, 0) and (0, 1)) factors
+    # sympy finds over QQ, on every group whose root searches all finish
+    sympy = pytest.importorskip("sympy")
+    checked = with_factors = 0
+    for curve in _gate_corpus():
+        for f, mult in _squarefree_on_chart(curve.surface, curve.equation):
+            try:
+                if curve.surface is Surface.P2:
+                    got = [rational_lines(f)]
+                else:
+                    rx, ry, _ = _quadric_components([(f, mult)])
+                    # v*x0 - u*x1 is the ruling (u, v)
+                    got = [[(v, -u) for (u, v), _ in r] for r in (rx, ry)]
+            except UndecidedError:
+                continue
+            families = ((0, 1, 2),) if curve.surface is Surface.P2 else ((0, 1), (2, 3))
+            for found, want in zip(got, _linear_factors_by_sympy(sympy, f, families)):
+                assert len(found) == len(want), f
+                assert _projective_set(found) == _projective_set(want), f
+                with_factors += bool(want)
+            checked += 1
+    assert checked >= 500 and with_factors >= 400
 
 
 # -- the lazy report --------------------------------------------------------
