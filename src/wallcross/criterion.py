@@ -336,26 +336,27 @@ def interval_mu_claim(surface, lam, labels, exponents, t_spec, strictness=">0"):
         open_interval = True
     else:
         raise ValueError("t_spec must be ('point', t) or ('open', lo, hi)")
+    # weights scaled by the lcm of their denominators, so that for t = n/q
+    # the sign of mu = t * pw - mw is that of the integer n * pw - q * mw
     lw = lam.literal_weights()
+    den = lcm(*(w.denominator for w in lw))
+    lw = [w.numerator * (den // w.denominator) for w in lw]
     weighted = [(exp, monomial_weight(lw, exp)) for exp in exponents]
     for label in labels:
         pw = point_weight(surface, lw, label)
         for exp, mw in weighted:
-            values = [t * pw - mw for t in points]
-            for t, v in zip(points, values):
-                if v == 0:
+            nums = [t.numerator * pw - t.denominator * mw for t in points]
+            for t, v in zip(points, nums):
+                if not v:
                     check.equalities.append((label, exp, t))
             if open_interval:
-                if strictness == ">0":
-                    bad = min(values) < 0 or all(v == 0 for v in values)
-                else:
-                    bad = min(values) < 0
+                bad = min(nums) < 0 or (strictness == ">0" and not any(nums))
+            elif strictness == ">0":
+                bad = nums[0] <= 0
             else:
-                if strictness == ">0":
-                    bad = values[0] <= 0
-                else:
-                    bad = values[0] < 0
+                bad = nums[0] < 0
             if bad:
+                values = [Fraction(v, t.denominator * den) for t, v in zip(points, nums)]
                 worst = min(zip(values, points))
                 check.counterexamples.append((label, exp, worst[1], worst[0]))
                 check.passed = False

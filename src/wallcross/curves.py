@@ -101,10 +101,15 @@ def mat_vec(m, v):
     return tuple(sum(a * x for a, x in zip(row, v)) for row in m)
 
 
+def _denominator(m):
+    """The least positive integer c for which c * m is an integer matrix,
+    for a matrix of ints and Fractions."""
+    return lcm(*(x.denominator for row in m for x in row))
+
+
 def _cleared(m):
-    """(c, M): the least positive integer c for which M = c * m is an
-    integer matrix, and M, for a matrix of ints and Fractions."""
-    c = lcm(*(x.denominator for row in m for x in row))
+    """(c, M): c = _denominator(m) and the integer matrix M = c * m."""
+    c = _denominator(m)
     return c, tuple(tuple(x.numerator * (c // x.denominator) for x in row) for row in m)
 
 
@@ -241,11 +246,20 @@ def move_curve(curve, mx, my=None, swap=False):
 
 def apply_frame(curve, frame):
     """Move a pointed curve to new coordinates: p' = g(p), C' = C o g^{-1},
-    computed as the integer move of `move_curve` times its scalar."""
+    computed as the integer move of `move_curve` times its scalar. The
+    moved point M p of `move_curve` is c * D * g(p), with D the denominator
+    of the point and c that of the matrix of each factor."""
     if frame.surface is not curve.surface:
         raise ValueError("surface mismatch")
     moved, scale = move_curve(curve, frame.mx, frame.my, frame.swap)
-    new_p = frame.act_point(curve.point)
+    den = _denominator((curve.point,))
+    if curve.surface is Surface.P2:
+        divisors = (den * _denominator(frame.mx),) * 3
+    else:
+        x = (den * _denominator(frame.mx),) * 2
+        y = (den * _denominator(frame.my),) * 2
+        divisors = y + x if frame.swap else x + y
+    new_p = tuple(map(Fraction, moved.point, divisors))
     return PointedCurve(curve.surface, curve.degree, new_p, moved.equation * scale)
 
 

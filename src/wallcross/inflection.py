@@ -10,10 +10,12 @@ quadric analogues.
 The branch is solved online (van der Hoeven, "Relax, but don't be too
 lazy", 2002): each step extends the coefficient lists of the powers of the
 unknown series by one, which costs O(N^2 * degree) for N coefficients, and
-one full substitution re-checks the result. Membership in S and X0 first
-compares the multiplicity -> degree map of the squarefree decomposition
-with the maps the two configurations allow; a curve that fits none is in
-neither, and only the others are searched for rational components. Lines
+one full substitution re-checks the result. It is solved over Z at a
+rescaled parameter (`local_branch`), so every series is a tuple of ints.
+Membership in S and X0 first compares the multiplicity -> degree map of
+the squarefree decomposition with the maps the two configurations allow; a
+curve that fits none is in neither, and only the others are searched for
+rational components. Lines
 and rulings come from one search (`_linear_factors`): a linear form in two
 variables divides a form exactly when it divides every coefficient form,
 the binary form that multiplies one monomial in the other variables, so
@@ -29,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from math import lcm
 
 from .curves import (
     PointedCurve,
@@ -54,7 +57,6 @@ from .polynomials import (
     squarefree_decompose,
     variable,
 )
-from .rationals import quotient
 from .series import pivot_orders, series_substitute
 
 
@@ -67,24 +69,35 @@ class UndecidedError(Exception):
 
 def local_branch(curve, N):
     """Power-series branch of the curve at its marked point, truncated at
-    order N, in the original homogeneous coordinates: one tuple of N
-    coefficients per coordinate, the chart coordinates coming back as the
-    constant one. Requires a smooth marked point."""
+    order N, in the original homogeneous coordinates: one tuple of N ints
+    per coordinate. Requires a smooth marked point.
+
+    The branch is solved over Z (Eisenstein's theorem): with the chart
+    primitive and c its tangent coefficient, g(s, w) = f(c^2 s, c w) / c^2
+    has the integer coefficients c_ab * c^(2a + b - 2) and dg/dw(0, 0) = 1,
+    so the solve W(s) never divides, and (c^2 s, c W(s)) is the branch of f
+    at the parameter c^2 s. All coordinates are then scaled by one
+    constant, the lcm D of the denominators of the point in the chart: the
+    coordinates the chart sets to 1 come back as the constant D, the others
+    as D times their shifted series. Neither step moves a vanishing order:
+    s -> c^2 s scales coefficient k by c^(2k), and the constant scales every
+    form of one degree alike."""
     if N < 2:
         raise ValueError("truncation must be at least 2")
     f, free, shifts = affine_chart(curve.surface, curve.equation, curve.point)
     if min(sum(e) for e in f.terms) != 1:
         raise ValueError("marked point is singular on the curve")
+    f = primitive_normalized(f)
     # f = sum c_ab s^a w^b, with w the chart coordinate solved for: v when
     # df/dv != 0, else u
     along_v = (0, 1) in f.terms
-    terms = [(a, b, c) if along_v else (b, a, c) for (a, b), c in f.terms.items()]
-    slope = f.terms[(0, 1) if along_v else (1, 0)]
-    rest = [t for t in terms if t[:2] != (0, 1)]
-    # online solve (van der Hoeven 2002): powers[b] holds the coefficients
-    # of w^b, extended by one per step. Since w_0 = 0, [s^k] w^b for b >= 2
-    # needs only w_1 .. w_(k-1), so the unknown w_k enters coefficient k of
-    # f along the branch only through slope * w_k
+    c = f.terms[(0, 1) if along_v else (1, 0)]
+    terms = [(a, b, x) if along_v else (b, a, x) for (a, b), x in f.terms.items()]
+    rest = [(a, b, x * c ** (2 * a + b - 2)) for a, b, x in terms if (a, b) != (0, 1)]
+    # online solve (van der Hoeven 2002) of g(s, W) = 0: powers[b] holds the
+    # coefficients of W^b, extended by one per step. Since W_0 = 0, [s^k] W^b
+    # for b >= 2 needs only W_1 .. W_(k-1), so the unknown W_k enters
+    # coefficient k of g along the branch only as W_k itself
     top = max(b for _, b, _ in terms)
     powers = [[1] + [0] * (N - 1)] + [[0] * N for _ in range(top)]
     solved = powers[1]
@@ -92,21 +105,23 @@ def local_branch(curve, N):
         for b in range(2, min(top, k) + 1):
             lower = powers[b - 1]
             powers[b][k] = sum(solved[j] * lower[k - j] for j in range(1, k - b + 2))
-        e = sum(c * powers[b][k - a] for a, b, c in rest if a <= k)
-        if e:
-            solved[k] = quotient(-e, slope)
-    s = (0, 1) + (0,) * (N - 2)
-    branch = (s, tuple(solved)) if along_v else (tuple(solved), s)
+        solved[k] = -sum(x * powers[b][k - a] for a, b, x in rest if a <= k)
+    s = (0, c * c) + (0,) * (N - 2)
+    w = tuple(c * x for x in solved)
+    branch = (s, w) if along_v else (w, s)
     value = series_substitute(f, branch)
-    residual = next((k for k, c in enumerate(value) if c), None)
+    residual = next((k for k, x in enumerate(value) if x), None)
     if residual is not None:
         raise InternalError(
             f"branch solve at {curve.point} left a residual of order {residual}"
         )
+    scale = lcm(*(x.denominator for x in shifts.values()))
     aff = dict(zip(free, branch))
     return tuple(
-        (shifts[i],) + aff[i][1:] if i in aff
-        else (1,) + (0,) * (N - 1)
+        (shifts[i].numerator * (scale // shifts[i].denominator),)
+        + tuple(scale * x for x in aff[i][1:])
+        if i in aff
+        else (scale,) + (0,) * (N - 1)
         for i in range(curve.surface.nvars)
     )
 
@@ -211,8 +226,10 @@ def _linear_factors(f, slots, what):
     for e, c in f.terms.items():
         groups.setdefault(tuple(e[i] for i in rest), {})[e[a], e[b]] = c
     g = None
-    for terms in groups.values():
-        form = Polynomial._raw(2, terms)
+    # highest powers of the other variables first: on the plane these are
+    # the forms of least degree, whose gcds are the cheapest
+    for key in sorted(groups, reverse=True):
+        form = Polynomial._raw(2, groups[key])
         g = form if g is None else poly_gcd(g, form)
         if not g.variables():
             return []

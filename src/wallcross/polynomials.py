@@ -13,8 +13,16 @@ the images do not settle runs the subresultant pseudo-remainder sequence
 treats the polynomials as univariate in one chosen variable over the
 others: each full pseudo-remainder is divided exactly by g*h^delta (g the
 previous leading coefficient, h the previous subresultant scalar), and the
-content is taken out once, at the end. The squarefree split is built on
-that gcd.
+content is taken out once, at the end.
+
+The squarefree split is built on that gcd, after one certificate: f is
+squarefree when the same images prove f coprime to g = sum(lambda_i *
+df/dx_i) for fixed integers lambda_i. This is sound because a square
+factor q^2 of f puts q in every partial, hence in g. The certificate fails
+on some squarefree inputs, when g = 0 or, in two variables u, v, when f
+has a factor h(lambda_2 u - lambda_1 v), and those run the recursion, as
+does every input with a repeated factor. It replaces gcd(f, df/dx_i), which is nontrivial on a
+squarefree f with a factor free of x_i and would send it to the PRS.
 """
 
 from __future__ import annotations
@@ -290,10 +298,11 @@ def linear_form(nvars, slots, coeffs):
     """sum(coeffs[k] * x_(slots[k])): a linear form in some of the variables."""
     form = {}
     for s, c in zip(slots, coeffs):
-        e = [0] * nvars
-        e[s] = 1
-        form[tuple(e)] = c
-    return Polynomial(nvars, form)
+        if c:
+            e = [0] * nvars
+            e[s] = 1
+            form[tuple(e)] = canonical(c)
+    return Polynomial._raw(nvars, form)
 
 
 def exact_divide(f, g):
@@ -498,19 +507,36 @@ def poly_gcd(f, g):
     return primitive_normalized(c * h)
 
 
+def _directional_derivative(f):
+    """sum(lambda_i * df/dx_i) for the fixed integers lambda_i =
+    IMAGE_SEEDS[2]^(i + 1) mod p."""
+    lam = _image_point(2, f.nvars)
+    g = zero(f.nvars)
+    for i in f.variables():
+        g = g + f.partial_derivative(i) * lam[i]
+    return g
+
+
 def squarefree_decompose(f):
     """Write f as a product of pairwise-coprime squarefree factors with
     multiplicities, up to a rational constant. Returns [(factor, mult), ...]
     with each factor primitive; constants give an empty list.
 
-    Characteristic-zero bookkeeping: with c = gcd(f, all partials) equal to
-    the product of primes to one less power, the usual univariate recursion
-    peels off the primes of each multiplicity in turn.
+    An input that images in F_p prove coprime to one directional derivative
+    is squarefree and returns at once (see the module docstring). Every
+    other input runs the characteristic-zero bookkeeping: with c = gcd(f,
+    all partials) equal to the product of primes to one less power, the
+    usual univariate recursion peels off the primes of each multiplicity in
+    turn.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
-    if not f.variables():
+    vf = f.variables()
+    if not vf:
         return []
+    g = _directional_derivative(f)
+    if g and _coprime_by_images(f, g, vf & g.variables()):
+        return [(primitive_normalized(f), 1)]
     c = f
     for i in sorted(f.variables()):
         c = poly_gcd(c, f.partial_derivative(i))

@@ -15,7 +15,12 @@ from wallcross.inflection import (
     special_locus_membership,
     vanishing_sequence,
 )
-from wallcross.polynomials import poly_det
+from wallcross.polynomials import (
+    exact_quotient,
+    poly_det,
+    poly_gcd,
+    primitive_normalized,
+)
 from wallcross.rationals import canonical
 from wallcross.series import series_substitute
 
@@ -80,6 +85,31 @@ def ungated_special_locus(curve):
     if curve.surface is Surface.P2:
         return _p2_special(curve, groups)
     return _quadric_special(curve, groups)
+
+
+def recursive_squarefree_decompose(f):
+    """polynomials.squarefree_decompose without its modular certificate:
+    with c = gcd(f, all partials), the characteristic-zero recursion peels
+    off the primes of each multiplicity in turn."""
+    if f.is_zero():
+        raise ValueError("zero polynomial")
+    if not f.variables():
+        return []
+    c = f
+    for i in sorted(f.variables()):
+        c = poly_gcd(c, f.partial_derivative(i))
+    w = primitive_normalized(exact_quotient(f, c, "squarefree: f by gcd(f, partials)"))
+    out = []
+    i = 1
+    while w.variables():
+        y = poly_gcd(w, c)
+        a = primitive_normalized(exact_quotient(w, y, f"squarefree part {i}"))
+        if a.variables():
+            out.append((a, i))
+        c = primitive_normalized(exact_quotient(c, y, f"squarefree cofactor {i}"))
+        w = y
+        i += 1
+    return out
 
 
 def classical_hessian(poly):

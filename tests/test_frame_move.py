@@ -2,6 +2,7 @@
 substitution it replaced, on random plane and quadric frames: integer and
 fractional, with and without the exchange of the rulings."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -102,3 +103,27 @@ def test_move_through_the_adjugate_matches_the_inverse_substitution(case):
     )
     if integral:
         assert all(type(c) is int for c in moved.equation.terms.values())
+
+
+def test_apply_frame_point_is_the_frame_image():
+    # apply_frame reads g(p) off the integer image M p of move_curve; on
+    # the curves and frames of the torus corpus, and on the inverse frames
+    # (fractional matrices) and the points they move, it is act_point's g(p)
+    from test_torus_corpus import _frame, cases
+
+    rng = random.Random(20261)
+    seen = set()
+    curves = {id(curve): curve for _, curve, _ in cases(rng.randrange(10 ** 6))}
+    for curve in curves.values():
+        frame = _frame(curve.surface, rng)
+        inverse = frame_inverse(frame)
+        for c in (curve, apply_frame(curve, inverse)):
+            for g in (frame, inverse):
+                point = apply_frame(c, g).point
+                assert point == g.act_point(c.point)
+                assert all(type(x) is Fraction for x in point)
+                seen.add((c.surface, g.swap, any(x.denominator > 1 for x in c.point)))
+    assert {(s, w) for s, w, _ in seen} >= {
+        (Surface.P2, False), (Surface.QUADRIC, False), (Surface.QUADRIC, True)
+    }
+    assert any(frac for _, _, frac in seen)

@@ -263,6 +263,73 @@ def test_gcd_and_squarefree_match_sympy():
         done += 1
 
 
+def _certificate_corpus(rng):
+    """Seeded polynomials in 2 and 3 variables, as (kind, f): squarefree
+    ones, ones with repeated factors, squarefree ones with a factor free of
+    one variable, the lines u - v - c and v - k*u - c times a random factor,
+    and the shapes on which the certificate cannot settle the question, a
+    factor in the direction of its derivative."""
+    lam = polynomials._image_point(2, 2)
+    u, v = variable(2, 0), variable(2, 1)
+    pool_chart = Polynomial(2, {  # (5, 5) on the quadric at ((0:1), (0:1))
+        (5, 5): 3, (5, 3): 3, (4, 5): -2, (3, 3): 3, (3, 1): 2, (2, 1): 3, (0, 4): 1, (0, 1): 3,
+    })
+    out = [("free factor", pool_chart), ("no certificate", lam[1] * u - lam[0] * v)]
+    for i in range(60):
+        nvars = 2 + i % 2
+        x = [variable(nvars, j) for j in range(nvars)]
+        q = _random_poly(rng, nvars, 3, 4)
+        if not q.variables():
+            continue
+        kind = ("squarefree", "repeated", "free factor", "line", "no certificate")[i % 5]
+        if kind == "repeated":
+            f = _random_product(rng, nvars)
+        elif kind == "free factor":
+            f = q * (x[rng.randrange(nvars)] - rng.randint(-3, 3))
+        elif kind == "line":
+            c, k = rng.randint(-3, 3), rng.randint(-3, 3)
+            line = x[0] - x[1] - c if i % 2 else x[1] - k * x[0] - c
+            f = q * line ** rng.randint(1, 2)
+        elif kind == "no certificate":
+            f = (q if nvars == 2 else constant(2, 1)) * (lam[1] * u - lam[0] * v + rng.randint(-3, 3))
+        else:
+            f = q
+        if i % 3 == 0:
+            f = f * Fraction(1, rng.randint(2, 6))
+        if f.variables():
+            out.append((kind, f))
+    return out
+
+
+def test_squarefree_certificate_matches_the_recursion(monkeypatch):
+    from oracles import recursive_squarefree_decompose
+
+    rng = random.Random(43)
+    calls = []
+    prs = polynomials._prs_gcd
+    monkeypatch.setattr(polynomials, "_prs_gcd", lambda *a: calls.append(1) or prs(*a))
+    seen = {}
+    for kind, f in _certificate_corpus(rng):
+        calls.clear()
+        want = recursive_squarefree_decompose(f)
+        old_prs = len(calls)
+        calls.clear()
+        assert squarefree_decompose(f) == want
+        squarefree = [m for _, m in want] == [1]
+        if squarefree and kind != "no certificate":
+            # the certificate settles every squarefree input, with no PRS
+            assert not calls, (kind, f)
+        else:
+            # where it cannot, the recursion runs unchanged
+            assert len(calls) == old_prs, (kind, f)
+        seen.setdefault(kind, set()).add((squarefree, bool(old_prs)))
+    # the recursion sends squarefree inputs with a factor free of one
+    # variable to the PRS, and the corpus holds repeated factors of each kind
+    assert (True, True) in seen["free factor"]
+    assert all(any(not sq for sq, _ in seen[k]) for k in ("repeated", "line"))
+    assert (True, True) in seen["no certificate"]
+
+
 def _without_filter(monkeypatch):
     monkeypatch.setattr(polynomials, "_coprime_by_images", lambda f, g, common: False)
 
