@@ -23,6 +23,7 @@ from .curves import (
     Surface,
     adjugate,
     apply_frame,
+    move_corners,
     move_curve,
     normalize_frame,
 )
@@ -261,12 +262,18 @@ def destabilizer_search(curve, t, budget=500, seed=0, report=None):
     the normalizing frame from its local geometry, so a caller that
     already holds one computes each of them once.
 
-    The torus check reads only the support of the moved curve and the zero
-    pattern of its point, so a frame moves the curve only up to constants,
-    through the integer adjugate (`move_curve`); the normalizing frame
-    reuses the curve `normalize_frame` moved, and the identity the curve
-    itself. Only a hit builds its FrameChange, and its mu is re-checked on
-    the exact move."""
+    The torus check reads only the zero pattern of the moved point and the
+    convex hull of the moved support: mu takes its largest monomial weight
+    at a hull vertex (Mumford, Fogarty and Kirwan, GIT, 2.1), and `lp_max`
+    reads only the hull. The normalizing frame reuses the curve
+    `normalize_frame` moved, and the identity the curve itself. Any other
+    frame first computes only the corner coefficients of its moved
+    equation (`move_corners`): when none vanishes, the corners span the
+    hull of every exponent, so the torus answer on the point and the
+    corners is that of the full move. Only a frame with a vanishing corner
+    moves the whole equation, up to constants, through the integer
+    adjugate (`move_curve`). Only a hit builds its FrameChange, and its mu
+    is re-checked on the exact move."""
     if report is None:
         report = InflectionReport(curve)
     tried = 0
@@ -290,7 +297,11 @@ def destabilizer_search(curve, t, budget=500, seed=0, report=None):
             continue
         seen.add(key)
         tried += 1
-        moved = exact if exact is not None else move_curve(curve, *key)[0]
+        moved = exact
+        if moved is None:
+            moved = move_corners(curve, *key)
+        if moved is None:
+            moved = move_curve(curve, *key)[0]
         sign, lam = torus_verdict(moved, t)
         if sign > 0:
             frame = FrameChange(curve.surface, *key)

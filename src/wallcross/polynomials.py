@@ -202,14 +202,28 @@ class Polynomial:
     def substitute(self, subs):
         """Plug a polynomial in for each variable. All subs share one arity.
 
-        The products run on packed exponents: an exponent vector of the
-        result is one int, digit j in a radix above every exponent of
-        variable j the result can reach, so multiplying terms adds ints."""
+        When every substitution is a single term c_i * y^(a_i), a term
+        c * x^e goes to the single term c * prod(c_i^e_i) * y^(sum e_i a_i).
+        Otherwise the products run on packed exponents: an exponent vector
+        of the result is one int, digit j in a radix above every exponent
+        of variable j the result can reach, so multiplying terms adds ints.
+        Both paths give the terms in the same order."""
         if len(subs) != self.nvars:
             raise ValueError("need one substitution per variable")
         m = subs[0].nvars
         if any(s.nvars != m for s in subs):
             raise ValueError("substitutions must share an arity")
+        if all(len(s.terms) == 1 for s in subs):
+            singles = [next(iter(s.terms.items())) for s in subs]
+            columns = list(zip(*(a for a, _ in singles)))
+            acc = {}
+            for exp, c in self.terms.items():
+                for (_, ci), e in zip(singles, exp):
+                    if e:
+                        c *= ci ** e
+                key = tuple(sum(map(mul, exp, col)) for col in columns)
+                acc[key] = acc.get(key, 0) + c
+            return Polynomial._raw(m, _canonical_terms(acc))
         top = [max((e[i] for e in self.terms), default=0) for i in range(self.nvars)]
         radix = 1 + max(
             sum(k * s.degree_in(j) for k, s in zip(top, subs) if k and s) for j in range(m)
@@ -485,18 +499,24 @@ def _coprime_by_images(f, g, common):
 def poly_gcd(f, g):
     """Greatest common divisor, primitive with positive lex-leading coefficient.
 
-    Pairs that images in F_p prove coprime (_coprime_by_images) give 1 at
-    once; every other pair runs the content split and the subresultant PRS."""
+    A pair with a one-term operand c * x^a, a nonzero constant included,
+    has the gcd prod x_i^b_i, b_i the smaller of a_i and the lowest
+    exponent of x_i in the other operand, since every divisor of a
+    monomial is one. Pairs that images in F_p
+    prove coprime (_coprime_by_images) give 1 at once; every other pair
+    runs the content split and the subresultant PRS."""
     if f.nvars != g.nvars:
         raise ValueError("arity mismatch")
     if f.is_zero():
         return primitive_normalized(g)
     if g.is_zero():
         return primitive_normalized(f)
-    vf, vg = f.variables(), g.variables()
-    if not vf or not vg:
-        return constant(f.nvars, 1)
-    common = vf & vg
+    if len(g.terms) == 1:
+        f, g = g, f
+    if len(f.terms) == 1:
+        (a,) = f.terms
+        return Polynomial._raw(f.nvars, {tuple(map(min, a, *g.terms)): 1})
+    common = f.variables() & g.variables()
     if not common or _coprime_by_images(f, g, common):
         return constant(f.nvars, 1)
     v = min(common, key=lambda i: (max(f.degree_in(i), g.degree_in(i)), i))

@@ -4,9 +4,29 @@ package computes another way."""
 from fractions import Fraction
 from types import SimpleNamespace
 
-from wallcross.criterion import ClaimCheck
-from wallcross.curves import FrameChange, Surface, affine_chart, contact_ge, local_geometry
+import random
+
+from wallcross import polynomials
+from wallcross.criterion import (
+    ClaimCheck,
+    _adapted_frames,
+    _random_frame,
+    mu_min,
+    torus_verdict,
+)
+from wallcross.curves import (
+    IDENTITY_MATRICES,
+    FrameChange,
+    Surface,
+    affine_chart,
+    apply_frame,
+    contact_ge,
+    local_geometry,
+    move_curve,
+    normalize_frame,
+)
 from wallcross.inflection import (
+    InflectionReport,
     _p2_special,
     _quadric_special,
     _squarefree_on_chart,
@@ -16,10 +36,12 @@ from wallcross.inflection import (
     vanishing_sequence,
 )
 from wallcross.polynomials import (
+    constant,
     exact_quotient,
     poly_det,
     poly_gcd,
     primitive_normalized,
+    zero,
 )
 from wallcross.rationals import canonical
 from wallcross.series import series_substitute
@@ -112,6 +134,30 @@ def recursive_squarefree_decompose(f):
     return out
 
 
+def prs_poly_gcd(f, g):
+    """polynomials.poly_gcd by the content split and the subresultant PRS
+    alone, contents included: no modular image and no one-term shortcut."""
+    if f.is_zero():
+        return primitive_normalized(g)
+    if g.is_zero():
+        return primitive_normalized(f)
+    common = f.variables() & g.variables()
+    if not common:
+        return constant(f.nvars, 1)
+    v = min(common, key=lambda i: (max(f.degree_in(i), g.degree_in(i)), i))
+    (cf, pf), (cg, pg) = (_prs_content_split(h, v) for h in (f, g))
+    return primitive_normalized(prs_poly_gcd(cf, cg) * polynomials._prs_gcd(pf, pg, v))
+
+
+def _prs_content_split(f, v):
+    cont = zero(f.nvars)
+    for k in range(f.degree_in(v) + 1):
+        c = f.coefficient_in(v, k)
+        if c:
+            cont = prs_poly_gcd(cont, c)
+    return cont, exact_quotient(f, cont, f"content in variable {v}")
+
+
 def classical_hessian(poly):
     """Determinant of the matrix of second partials of a ternary form."""
     if poly.nvars != 3:
@@ -169,6 +215,33 @@ def frame_inverse(frame):
     if not frame.swap:
         return FrameChange(frame.surface, inv(frame.mx), inv(frame.my))
     return FrameChange(frame.surface, inv(frame.my), inv(frame.mx), swap=True)
+
+
+def full_move_search(curve, t, budget=500, seed=0, report=None):
+    """criterion.destabilizer_search with every frame but the normalizing
+    one and the identity moved in full by `move_curve`, the equation's
+    whole support read, and no corner test."""
+    if report is None:
+        report = InflectionReport(curve)
+    g0, moved0 = normalize_frame(curve, report.geometry)
+    frames = [((g0.mx, g0.my, g0.swap), moved0), (IDENTITY_MATRICES[curve.surface], curve)]
+    frames += [((f.mx, f.my, f.swap), None) for f in _adapted_frames(curve, report)]
+    rng = random.Random(seed)
+    seen = set()
+    tried = 0
+    while tried < budget:
+        key, exact = frames.pop(0) if frames else (_random_frame(curve.surface, rng), None)
+        if key in seen:
+            continue
+        seen.add(key)
+        tried += 1
+        moved = exact if exact is not None else move_curve(curve, *key)[0]
+        sign, lam = torus_verdict(moved, t)
+        if sign > 0:
+            frame = FrameChange(curve.surface, *key)
+            mu, _ = mu_min(apply_frame(curve, frame), lam, t)
+            return frame, lam, mu
+    return None
 
 
 # The public fields of an inflection report, in the order a reader meets

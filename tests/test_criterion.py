@@ -25,13 +25,16 @@ from wallcross.curves import (
     curve_from_json,
     frame_to_json,
     make_witness,
+    move_corners,
+    move_curve,
     normalize_frame,
 )
 from wallcross.errors import InternalError
+from wallcross.hessians import analyzed_slopes
 from wallcross.inflection import inflection_report
 from wallcross.polynomials import Polynomial
 
-from oracles import gauss_jordan
+from oracles import full_move_search, gauss_jordan
 from test_cli import ADAPTED_CURVES
 
 
@@ -404,6 +407,117 @@ def test_random_frame_hit_is_rechecked_on_the_exact_move(monkeypatch):
     with pytest.raises(InternalError):
         destabilizer_search(curve, 3, budget=3)
     assert len(calls) == 3 and len(exact_moves) == 1
+
+
+def _witnesses():
+    for kind in WitnessKind:
+        for d in (3, 4, 5):
+            if not (kind is WitnessKind.P2_HYPERFLEX and d < 4):
+                yield make_witness(kind, d)
+
+
+def _corner_exponents(surface, d):
+    if surface is Surface.P2:
+        return {tuple(d * (i == j) for i in range(3)) for j in range(3)}
+    return {(d * (1 - a), d * a, d * (1 - b), d * b) for a in (0, 1) for b in (0, 1)}
+
+
+def test_corner_curve_decides_the_torus_like_the_full_move():
+    # wherever no corner coefficient of the moved equation vanishes, the
+    # corners span the hull of the moved support, so the torus answer on
+    # the point and the corners is the full move's
+    from test_torus_corpus import cases
+
+    rng = random.Random(61)
+    pool = [_random_curve(s, d, rng, nterms=rng.randint(2, 7))
+            for s in Surface for d in (3, 4, 5) for _ in range(6)]
+    corpus = {id(c): c for _, c, _ in cases(rng.randrange(10 ** 6))}
+    decided = set()
+    vanished = 0
+    for curve in pool + list(corpus.values()) + list(_witnesses()):
+        d = curve.degree
+        wall, edge = analyzed_slopes(curve.surface, d)
+        slopes = (Fraction(1, 2), wall, (wall + edge) / 2,
+                  Fraction(rng.randint(1, 4 * (d + 1)), rng.randint(1, 2)))
+        for swap in (False, True):
+            key = criterion._random_frame(curve.surface, rng)
+            if curve.surface is Surface.QUADRIC:
+                key = (key[0], key[1], swap)
+            elif swap:
+                continue
+            corners = move_corners(curve, *key)
+            full = move_curve(curve, *key)[0]
+            present = _corner_exponents(curve.surface, d) & set(full.equation.terms)
+            if corners is None:
+                assert len(present) < len(_corner_exponents(curve.surface, d))
+                vanished += 1
+                continue
+            assert corners.point == full.point
+            assert corners.equation.terms == {e: full.equation.terms[e] for e in present}
+            for t in slopes:
+                sign, lam = torus_verdict(corners, t)
+                assert (sign, lam) == torus_verdict(full, t), (curve, key, t)
+                decided.add((curve.surface, key[2], sign > 0))
+    assert vanished
+    assert decided == {(s, w, hit) for s, w in ((Surface.P2, False), (Surface.QUADRIC, False),
+                                               (Surface.QUADRIC, True)) for hit in (False, True)}
+
+
+def _search_cases():
+    rng = random.Random(67)
+    for doc, _, _, _ in RANDOM_FRAME_HITS:
+        yield curve_from_json(doc), Fraction(1, 2)
+    for (kind, d, move), t, _, _, _ in ADAPTED_FRAME_HITS:
+        base = make_witness(kind, d)
+        yield apply_frame(base, FrameChange(base.surface, *move)), t
+    for surface, d in ((Surface.P2, 4), (Surface.QUADRIC, 3)):
+        wall, _ = analyzed_slopes(surface, d)
+        yield make_witness(WitnessKind.P2_NONFLEX if surface is Surface.P2
+                           else WitnessKind.QUADRIC_RULING_TANGENT, d), wall - Fraction(1, 4)
+        yield _random_curve(surface, d, rng, nterms=5), Fraction(1, 2)
+
+
+def test_search_matches_the_search_that_moves_every_frame():
+    outcomes = set()
+    for curve, t in _search_cases():
+        for seed in (0, 1):
+            for budget in (2, 4, 30):
+                found = destabilizer_search(curve, t, budget=budget, seed=seed)
+                assert found == full_move_search(curve, t, budget=budget, seed=seed)
+                outcomes.add(found is None)
+    for doc, budget, frame_doc, _ in RANDOM_FRAME_HITS:
+        curve = curve_from_json(doc)
+        found = destabilizer_search(curve, Fraction(1, 2), budget=budget)
+        assert frame_to_json(found[0]) == frame_doc
+        assert found == full_move_search(curve, Fraction(1, 2), budget=budget)
+    assert outcomes == {True, False}
+
+
+def test_frame_with_a_vanishing_corner_takes_the_full_move(monkeypatch):
+    # the identity keeps (0 : 0 : 1) on the curve, so its corner x2^d has
+    # the coefficient C(0, 0, 1) = 0 and the corners decide nothing
+    nonflex = make_witness(WitnessKind.P2_NONFLEX, 4)
+    assert move_corners(nonflex, *curves.IDENTITY_MATRICES[Surface.P2]) is None
+    # in the search, exactly the frames whose corners vanish are moved in
+    # full; the quadric hit of RANDOM_FRAME_HITS is one of them
+    corner_keys, full_keys = [], []
+
+    def corners(curve, *key):
+        moved = move_corners(curve, *key)
+        corner_keys.append((key, moved is None))
+        return moved
+
+    def full(curve, *key):
+        full_keys.append(key)
+        return move_curve(curve, *key)
+
+    monkeypatch.setattr(criterion, "move_corners", corners)
+    monkeypatch.setattr(criterion, "move_curve", full)
+    doc, budget, _, _ = RANDOM_FRAME_HITS[2]
+    frame, _, _ = destabilizer_search(curve_from_json(doc), Fraction(1, 2), budget=budget)
+    assert full_keys == [key for key, vanished in corner_keys if vanished]
+    assert full_keys[-1] == (frame.mx, frame.my, frame.swap)
+    assert len(full_keys) < len(corner_keys)
 
 
 def test_interval_claim_flex_family():

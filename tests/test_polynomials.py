@@ -638,3 +638,95 @@ def test_resultant_matches_cofactor_sylvester_and_sympy(monkeypatch):
         )
         want = _from_sympy(sympy.Poly(want, *gens), f.nvars)
         assert r in (want, -want)
+
+
+def _one_term_pairs(rng, count):
+    """Seeded pairs (c * x^a, g) in 2, 3 and 4 variables: g random, or a
+    random polynomial times a power product that it then shares with the
+    monomial, or a single term itself; every second pair has Fraction
+    coefficients."""
+    pairs = []
+    while len(pairs) < count:
+        i = len(pairs)
+        nvars = 2 + i % 3
+        a = tuple(rng.randint(0, 3) for _ in range(nvars))
+        c = rng.choice((-3, -2, -1, 1, 2, 3))
+        g = _random_poly(rng, nvars, 3, 1 if i % 5 == 4 else rng.randint(1, 4))
+        if i % 3 == 1:
+            g = g * monomial(nvars, [rng.randint(0, 2) for _ in range(nvars)])
+        if g.is_zero():
+            continue
+        f = monomial(nvars, a, c)
+        if i % 2:
+            f, g = _fractional(rng, f), _fractional(rng, g)
+        pairs.append((f, g))
+    return pairs
+
+
+def test_one_term_gcd_matches_the_prs(monkeypatch):
+    from oracles import prs_poly_gcd
+
+    pairs = _one_term_pairs(random.Random(47), 240)
+    want = [prs_poly_gcd(f, g) for f, g in pairs]
+    calls = []
+    prs = polynomials._prs_gcd
+    monkeypatch.setattr(polynomials, "_prs_gcd", lambda *a: calls.append(1) or prs(*a))
+    for (f, g), h in zip(pairs, want):
+        assert poly_gcd(f, g) == poly_gcd(g, f) == h, (f, g)
+    # the gcd is the lowest power of each variable, found without the PRS
+    assert not calls
+    assert sum(1 for h in want if h.variables()) >= 80
+    assert sum(1 for h in want if not h.variables()) >= 20
+    assert constant(3, 1) == poly_gcd(monomial(3, (0, 0, 0), 5), variable(3, 1) + 1)
+
+
+def _substitution_cases(rng):
+    """(name, polynomial, one-term substitutions): permutations, diagonal
+    scalings and swaps of two blocks of variables, with int and Fraction
+    coefficients on both sides, and a map that sends two variables to one
+    power product, so that terms merge."""
+    for i in range(60):
+        nvars = (3, 4)[i % 2]
+        f = _random_poly(rng, nvars, 5, rng.randint(1, 12))
+        if i % 3 == 2:
+            f = _fractional(rng, f)
+        scale = [rng.choice((-3, -2, -1, 1, 2, Fraction(1, 2), Fraction(-2, 3)))
+                 for _ in range(nvars)]
+        perm = list(range(nvars))
+        rng.shuffle(perm)
+        yield "permutation", f, [monomial(nvars, [int(j == perm[k]) for j in range(nvars)])
+                                 for k in range(nvars)]
+        yield "diagonal", f, [monomial(nvars, [int(j == k) for j in range(nvars)], scale[k])
+                              for k in range(nvars)]
+        if nvars == 4:
+            blocks = (2, 3, 0, 1)
+            yield "swapped blocks", f, [
+                monomial(4, [int(j == blocks[k]) for j in range(4)], scale[k]) for k in range(4)
+            ]
+        yield "merging", f, [monomial(nvars, [1] + [0] * (nvars - 1), scale[0]),
+                             monomial(nvars, [1] + [0] * (nvars - 1), scale[1])] + [
+            monomial(nvars, [int(j == k) for j in range(nvars)]) for k in range(2, nvars)
+        ]
+
+
+def test_one_term_substitution_matches_the_expansion():
+    rng = random.Random(53)
+    seen = set()
+    for name, f, subs in _substitution_cases(rng):
+        n = f.nvars
+        got = f.substitute(subs)
+        want = zero(n)
+        for exp, c in f.terms.items():
+            term = constant(n, c)
+            for s, e in zip(subs, exp):
+                term = term * s ** e
+            want = want + term
+        assert got == want, (name, f, subs)
+        assert all(type(c) is int or c.denominator > 1 for c in got.terms.values())
+        # the packed path, reached through one more variable that occurs in
+        # no term of f, gives the same terms in the same order
+        padded = Polynomial(n + 1, {e + (0,): c for e, c in f.terms.items()})
+        packed = padded.substitute(subs + [variable(n, 0) + 1])
+        assert list(packed.terms.items()) == list(got.terms.items())
+        seen.add((name, any(type(c) is Fraction for c in f.terms.values())))
+    assert len(seen) == 8
