@@ -23,7 +23,7 @@ from .curves import (
     Surface,
     adjugate,
     apply_frame,
-    move_corners,
+    corners_vanish,
     move_curve,
     normalize_frame,
 )
@@ -210,9 +210,10 @@ def _random_frame(surface, rng):
 
 
 def _adapted_frames(curve, report):
-    """Frames suggested by the special-locus geometry of the curve, read
-    from its inflection report. These align the destabilizing flag with
-    coordinate data so the diagonal torus of the new frame can see it."""
+    """The matrices (mx, my, swap) of the frames suggested by the
+    special-locus geometry of the curve, read from its inflection report.
+    These align the destabilizing flag with coordinate data so the diagonal
+    torus of the new frame can see it."""
     frames = []
     special = report.special
     det = special.details
@@ -230,7 +231,7 @@ def _adapted_frames(curve, report):
                 row1 = tuple(Fraction(1 if i == mid else 0) for i in range(3))
                 mx = (row0, row1, row2)
                 if adjugate(mx)[1]:
-                    frames.append(FrameChange(curve.surface, mx))
+                    frames.append((mx, None, False))
                     break
     if curve.surface is Surface.QUADRIC and special.in_s:
         q = det.get("crossing")
@@ -244,8 +245,8 @@ def _adapted_frames(curve, report):
                 for rows in ((0, 1), (2, 3))
             ]
             if all(d for _, d in pairs):
-                inverses = [tuple(tuple(a / d for a in row) for row in adj) for adj, d in pairs]
-                frames.append(FrameChange(curve.surface, *inverses))
+                mx, my = (tuple(tuple(a / d for a in row) for row in adj) for adj, d in pairs)
+                frames.append((mx, my, False))
     return frames
 
 
@@ -263,29 +264,36 @@ def destabilizer_search(curve, t, budget=500, seed=0, report=None):
     already holds one computes each of them once.
 
     The torus check reads only the zero pattern of the moved point and the
-    convex hull of the moved support: mu takes its largest monomial weight
-    at a hull vertex (Mumford, Fogarty and Kirwan, GIT, 2.1), and `lp_max`
-    reads only the hull. The normalizing frame reuses the curve
-    `normalize_frame` moved, and the identity the curve itself. Any other
-    frame first computes only the corner coefficients of its moved
-    equation (`move_corners`): when none vanishes, the corners span the
-    hull of every exponent, so the torus answer on the point and the
-    corners is that of the full move. Only a frame with a vanishing corner
-    moves the whole equation, up to constants, through the integer
-    adjugate (`move_curve`). Only a hit builds its FrameChange, and its mu
-    is re-checked on the exact move."""
+    convex hull of the moved support (Mumford, Fogarty and Kirwan, GIT,
+    2.1). The normalizing frame reuses the curve `normalize_frame` moved,
+    and the identity the curve itself. Any other frame for 0 < t < d first
+    asks whether a corner coefficient of its moved equation vanishes
+    (`corners_vanish`). If none does, no subgroup destabilizes there. Let
+    w be the largest weight of a coordinate on the plane, of a pair of
+    coordinates, one per factor, on the quadric; w > 0 for a nontrivial
+    subgroup. The point weighs at most w and the corner of that coordinate
+    (pair) weighs d * w, so mu <= (t - d) * w < 0. Such a frame counts as
+    tried and gets no torus solve. Past the normalizing frame, every
+    search `stability_verdict` runs has 0 < t < d: it answers t <= 0
+    without one, and the normalizing frame hits at every t >= d, since on
+    the plane lambda = (-1, -1, 2) there has mu >= 2t - (2d - 3), a hit
+    above d - 3/2, and on the quadric r = (1, 1) has mu >= 2t - (2d - 2),
+    a hit above d - 1. Any other frame moves the whole equation, up to
+    constants, through the integer adjugate (`move_curve`). Only a hit
+    builds its FrameChange, and its mu is re-checked on the exact move."""
     if report is None:
         report = InflectionReport(curve)
     tried = 0
     seen = set()
+    below = 0 < t < curve.degree
 
     def candidates():
         # (matrices, the exactly moved curve or None)
         g0, moved0 = normalize_frame(curve, report.geometry)
         yield (g0.mx, g0.my, g0.swap), moved0
         yield IDENTITY_MATRICES[curve.surface], curve
-        for frame in _adapted_frames(curve, report):
-            yield (frame.mx, frame.my, frame.swap), None
+        for key in _adapted_frames(curve, report):
+            yield key, None
         rng = random.Random(seed)
         while True:
             yield _random_frame(curve.surface, rng), None
@@ -299,8 +307,8 @@ def destabilizer_search(curve, t, budget=500, seed=0, report=None):
         tried += 1
         moved = exact
         if moved is None:
-            moved = move_corners(curve, *key)
-        if moved is None:
+            if below and not corners_vanish(curve, *key):
+                continue
             moved = move_curve(curve, *key)[0]
         sign, lam = torus_verdict(moved, t)
         if sign > 0:

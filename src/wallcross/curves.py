@@ -200,35 +200,28 @@ class FrameChange:
         return tuple(Fraction(x) for x in image)
 
 
-def _integer_frame(curve, mx, my, swap):
-    """The integer data of the move by the frame with matrices (mx, my,
-    swap), shared by `move_curve` and `move_corners`.
-
-    Returns (factors, point): per factor of the surface, in the order of
-    the old coordinates, (c, adj(M), det M, slots) with c * g = M the
-    integer matrix of that factor and slots the new coordinates that its
-    old ones become forms in; and the point M p, for p with its
-    denominators cleared."""
-    _, (p,) = _cleared((curve.point,))
-    if curve.surface is Surface.P2:
-        blocks = ((mx, (0, 1, 2), p),)
+def _integer_frame(surface, mx, my, swap):
+    """The integer data of the frame with matrices (mx, my, swap), shared
+    by `move_curve` and `corners_vanish`: per factor of the surface, in the
+    order of the old coordinates, (c, M, adj(M), det M, slots) with
+    c * g = M the integer matrix of that factor and slots the new
+    coordinates that its old ones become forms in."""
+    if surface is Surface.P2:
+        blocks = ((mx, (0, 1, 2)),)
     else:
         # g(x, y) = (mx x, my y), or (my y, mx x) with the swap, so the old
         # x coordinates are forms in the new coordinates of the factor
         # that mx x lands on
         x_slots, y_slots = ((2, 3), (0, 1)) if swap else ((0, 1), (2, 3))
-        blocks = ((mx, x_slots, p[:2]), (my, y_slots, p[2:]))
-    factors, images = [], []
-    for m, slots, q in blocks:
+        blocks = ((mx, x_slots), (my, y_slots))
+    factors = []
+    for m, slots in blocks:
         c, m = _cleared(m)
         adj, det = adjugate(m)
         if not det:
             raise ValueError("frame matrix is singular")
-        factors.append((c, adj, det, slots))
-        images.append(mat_vec(m, q))
-    if swap:
-        images.reverse()
-    return factors, sum(images, ())
+        factors.append((c, m, adj, det, slots))
+    return factors
 
 
 def move_curve(curve, mx, my=None, swap=False):
@@ -245,48 +238,35 @@ def move_curve(curve, mx, my=None, swap=False):
     g(p) (per factor on the quadric), so the support of the curve and the
     zero pattern of the point are those of the exact move; and
     scale * moved.equation == C o g^-1, with scale an int when it is
-    integral. The corner terms of moved.equation alone come cheaper from
-    `move_corners`.
+    integral.
     """
-    factors, point = _integer_frame(curve, mx, my, swap)
+    factors = _integer_frame(curve.surface, mx, my, swap)
     n, d = curve.surface.nvars, curve.degree
-    subs = [linear_form(n, slots, row) for _, adj, _, slots in factors for row in adj]
-    scale = canonical(prod(quotient(c, det) ** d for c, _, det, _ in factors))
-    moved = PointedCurve(curve.surface, d, point, curve.equation.substitute(subs))
+    _, (p,) = _cleared((curve.point,))
+    parts = (p,) if curve.surface is Surface.P2 else (p[:2], p[2:])
+    images = [mat_vec(m, q) for (_, m, _, _, _), q in zip(factors, parts)]
+    if swap:
+        images.reverse()
+    subs = [linear_form(n, slots, row) for _, _, adj, _, slots in factors for row in adj]
+    scale = canonical(prod(quotient(c, det) ** d for c, _, _, det, _ in factors))
+    moved = PointedCurve(curve.surface, d, sum(images, ()), curve.equation.substitute(subs))
     return moved, scale
 
 
-def move_corners(curve, mx, my=None, swap=False):
-    """The corner terms of `move_curve`'s moved equation, with its point.
+def corners_vanish(curve, mx, my=None, swap=False):
+    """Whether a corner coefficient of `move_curve`'s moved equation is 0.
 
     A corner is a monomial of degree d in one coordinate per factor: y_j^d
     on the plane, the product of the d-th powers of one coordinate of each
     factor on the quadric. Setting that coordinate of each factor to 1 and
     the others to 0 in C o adj(M) leaves its coefficient, so it is C at
     the matching columns of the adjugates: column j of adj(M) on the
-    plane, column a of adj(M_x) and column b of adj(M_y) on the quadric,
-    in the new slots the swap assigns them.
-
-    Returns the pointed curve with the point M p and the corner terms, or
-    None when a corner coefficient vanishes. With every corner present,
-    every exponent of the moved support lies in their convex hull (the
-    simplex, resp. the square, of all exponents), so every subgroup's
-    largest monomial weight and the hull of the monomial weight forms are
-    those of the full move: `criterion.torus_verdict` gives this curve the
-    answer it gives `move_curve`'s.
+    plane, column a of adj(M_x) and column b of adj(M_y) on the quadric.
     """
-    factors, point = _integer_frame(curve, mx, my, swap)
-    n, d = curve.surface.nvars, curve.degree
-    terms = {}
-    for corner in product(*(zip(slots, zip(*adj)) for _, adj, _, slots in factors)):
-        coeff = curve.equation.evaluate(sum((column for _, column in corner), ()))
-        if not coeff:
-            return None
-        exp = [0] * n
-        for slot, _ in corner:
-            exp[slot] = d
-        terms[tuple(exp)] = coeff
-    return PointedCurve(curve.surface, d, point, Polynomial(n, terms))
+    factors = _integer_frame(curve.surface, mx, my, swap)
+    columns = [tuple(zip(*adj)) for _, _, adj, _, _ in factors]
+    evaluate = curve.equation.evaluate
+    return any(not evaluate(sum(corner, ())) for corner in product(*columns))
 
 
 def apply_frame(curve, frame):

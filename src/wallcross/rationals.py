@@ -1,9 +1,10 @@
 """Exact scalars and their canonical strings.
 
-No scalar in the package is ever a float. Coefficients of polynomials and
-of truncated series (plain tuples of coefficients) follow one rule, kept by
-`canonical`: an integral coefficient is an int and any other a
-fractions.Fraction with denominator >= 2. Other exact scalars, such as
+No scalar in the package is ever a float. Coefficients of polynomials
+follow one rule, kept by `canonical`: an integral coefficient is an int and
+any other a fractions.Fraction with denominator >= 2. A truncated series
+(a plain tuple of coefficients) that the package builds holds ints, since
+the branch is solved over Z. Other exact scalars, such as
 points, slopes, weights and frame entries, are Fractions on the public
 objects (`PointedCurve.point`, `OneParamSubgroup.weights`,
 `FrameChange.mx`, mu values and `Polynomial.evaluate`'s result), but the

@@ -3,8 +3,9 @@
 A series is a plain tuple of its N coefficients, of s^0 .. s^(N-1); every
 product stays within that window. Orders at or past N are only ever
 reported as lower bounds ("at least N") by the callers, never as exact
-values. Coefficients follow rationals.canonical: ints when integral,
-Fractions otherwise.
+values. A series the package builds holds ints (`inflection.local_branch`
+solves the branch over Z), and the products here keep the arithmetic of
+their inputs: int series and an int polynomial give int series.
 
 `pivot_orders` reads vanishing orders off the coefficient rows of a span of
 series by one forward fraction-free elimination: it keeps only the pivot
@@ -14,12 +15,6 @@ columns, and builds no reduced rows and no determinant.
 from __future__ import annotations
 
 from math import lcm
-
-from .rationals import canonical
-
-
-def _canonical(values):
-    return tuple(c if type(c) is int else canonical(c) for c in values)
 
 
 def _mul(a, b):
@@ -34,7 +29,7 @@ def _mul(a, b):
                 break
             if y:
                 out[i + j] += x * y
-    return _canonical(out)
+    return tuple(out)
 
 
 def series_substitute(poly, branch):
@@ -65,7 +60,7 @@ def series_substitute(poly, branch):
             for k, x in enumerate(term):
                 if x:
                     total[k] += c * x
-    return _canonical(total)
+    return tuple(total)
 
 
 def pivot_orders(rows):

@@ -225,7 +225,7 @@ def full_move_search(curve, t, budget=500, seed=0, report=None):
         report = InflectionReport(curve)
     g0, moved0 = normalize_frame(curve, report.geometry)
     frames = [((g0.mx, g0.my, g0.swap), moved0), (IDENTITY_MATRICES[curve.surface], curve)]
-    frames += [((f.mx, f.my, f.swap), None) for f in _adapted_frames(curve, report)]
+    frames += [(key, None) for key in _adapted_frames(curve, report)]
     rng = random.Random(seed)
     seen = set()
     tried = 0

@@ -22,10 +22,10 @@ from wallcross.curves import (
     WitnessKind,
     all_exponents,
     apply_frame,
+    corners_vanish,
     curve_from_json,
     frame_to_json,
     make_witness,
-    move_corners,
     move_curve,
     normalize_frame,
 )
@@ -328,7 +328,7 @@ def test_adapted_frame_hits(witness, t, frame_doc, weights, mu):
     frame, lam, found_mu = destabilizer_search(curve, t, budget=3)
     assert frame_to_json(frame) == frame_doc
     assert lam.weights == weights and found_mu == mu
-    assert frame in criterion._adapted_frames(curve, inflection_report(curve))
+    assert (frame.mx, frame.my, frame.swap) in criterion._adapted_frames(curve, inflection_report(curve))
     assert frame not in (normalize_frame(curve)[0], FrameChange.identity(curve.surface))
     assert mu_min(apply_frame(curve, frame), lam, t)[0] == mu
 
@@ -422,45 +422,46 @@ def _corner_exponents(surface, d):
     return {(d * (1 - a), d * a, d * (1 - b), d * b) for a in (0, 1) for b in (0, 1)}
 
 
-def test_corner_curve_decides_the_torus_like_the_full_move():
-    # wherever no corner coefficient of the moved equation vanishes, the
-    # corners span the hull of the moved support, so the torus answer on
-    # the point and the corners is the full move's
+def test_frame_with_every_corner_present_cannot_destabilize_below_d():
+    # with every corner of the moved equation present, the corner of the
+    # largest coordinate weight w outweighs the point d times over, so
+    # mu <= (t - d) * w < 0 for 0 < t < d; above d such a frame can hit
     from test_torus_corpus import cases
 
     rng = random.Random(61)
     pool = [_random_curve(s, d, rng, nterms=rng.randint(2, 7))
             for s in Surface for d in (3, 4, 5) for _ in range(6)]
     corpus = {id(c): c for _, c, _ in cases(rng.randrange(10 ** 6))}
-    decided = set()
+    complete = set()
     vanished = 0
+    hits_above = set()
     for curve in pool + list(corpus.values()) + list(_witnesses()):
         d = curve.degree
         wall, edge = analyzed_slopes(curve.surface, d)
-        slopes = (Fraction(1, 2), wall, (wall + edge) / 2,
-                  Fraction(rng.randint(1, 4 * (d + 1)), rng.randint(1, 2)))
+        below = (Fraction(1, 2), wall, (wall + edge) / 2, d - Fraction(1, 1000),
+                 Fraction(rng.randint(1, 4 * d - 1), 4))
         for swap in (False, True):
             key = criterion._random_frame(curve.surface, rng)
             if curve.surface is Surface.QUADRIC:
                 key = (key[0], key[1], swap)
             elif swap:
                 continue
-            corners = move_corners(curve, *key)
             full = move_curve(curve, *key)[0]
-            present = _corner_exponents(curve.surface, d) & set(full.equation.terms)
-            if corners is None:
-                assert len(present) < len(_corner_exponents(curve.surface, d))
+            missing = _corner_exponents(curve.surface, d) - set(full.equation.terms)
+            assert corners_vanish(curve, *key) == bool(missing), (curve, key)
+            if missing:
                 vanished += 1
                 continue
-            assert corners.point == full.point
-            assert corners.equation.terms == {e: full.equation.terms[e] for e in present}
-            for t in slopes:
-                sign, lam = torus_verdict(corners, t)
-                assert (sign, lam) == torus_verdict(full, t), (curve, key, t)
-                decided.add((curve.surface, key[2], sign > 0))
+            complete.add((curve.surface, key[2]))
+            for t in below:
+                assert torus_verdict(full, t)[0] < 0, (curve, key, t)
+            for t in (d + Fraction(1, 2), 3 * d):
+                if torus_verdict(full, t)[0] > 0:
+                    hits_above.add(curve.surface)
     assert vanished
-    assert decided == {(s, w, hit) for s, w in ((Surface.P2, False), (Surface.QUADRIC, False),
-                                               (Surface.QUADRIC, True)) for hit in (False, True)}
+    assert complete == {(Surface.P2, False), (Surface.QUADRIC, False), (Surface.QUADRIC, True)}
+    # negative control: the bound needs t < d
+    assert hits_above == set(Surface)
 
 
 def _search_cases():
@@ -495,29 +496,37 @@ def test_search_matches_the_search_that_moves_every_frame():
 
 def test_frame_with_a_vanishing_corner_takes_the_full_move(monkeypatch):
     # the identity keeps (0 : 0 : 1) on the curve, so its corner x2^d has
-    # the coefficient C(0, 0, 1) = 0 and the corners decide nothing
+    # the coefficient C(0, 0, 1) = 0
     nonflex = make_witness(WitnessKind.P2_NONFLEX, 4)
-    assert move_corners(nonflex, *curves.IDENTITY_MATRICES[Surface.P2]) is None
-    # in the search, exactly the frames whose corners vanish are moved in
-    # full; the quadric hit of RANDOM_FRAME_HITS is one of them
-    corner_keys, full_keys = [], []
+    assert corners_vanish(nonflex, *curves.IDENTITY_MATRICES[Surface.P2])
+    # below t = d, exactly the frames whose corners vanish are moved in
+    # full, and the torus is solved only on them, the normalizing frame and
+    # the identity; the quadric hit of RANDOM_FRAME_HITS is one of them
+    doc, budget, _, _ = RANDOM_FRAME_HITS[2]
+    curve = curve_from_json(doc)
+    tested, moves, solved = [], [], []
 
-    def corners(curve, *key):
-        moved = move_corners(curve, *key)
-        corner_keys.append((key, moved is None))
-        return moved
+    def vanish(curve, *key):
+        tested.append((key, corners_vanish(curve, *key)))
+        return tested[-1][1]
 
     def full(curve, *key):
-        full_keys.append(key)
-        return move_curve(curve, *key)
+        moves.append((key, move_curve(curve, *key)))
+        return moves[-1][1]
 
-    monkeypatch.setattr(criterion, "move_corners", corners)
+    def verdict(moved, t):
+        solved.append(moved)
+        return torus_verdict(moved, t)
+
+    monkeypatch.setattr(criterion, "corners_vanish", vanish)
     monkeypatch.setattr(criterion, "move_curve", full)
-    doc, budget, _, _ = RANDOM_FRAME_HITS[2]
-    frame, _, _ = destabilizer_search(curve_from_json(doc), Fraction(1, 2), budget=budget)
-    assert full_keys == [key for key, vanished in corner_keys if vanished]
-    assert full_keys[-1] == (frame.mx, frame.my, frame.swap)
-    assert len(full_keys) < len(corner_keys)
+    monkeypatch.setattr(criterion, "torus_verdict", verdict)
+    frame, _, _ = destabilizer_search(curve, Fraction(1, 2), budget=budget)
+    assert [key for key, _ in moves] == [key for key, vanished in tested if vanished]
+    assert moves[-1][0] == (frame.mx, frame.my, frame.swap)
+    assert len(moves) < len(tested)
+    assert solved[0] == normalize_frame(curve)[1] and solved[1] is curve
+    assert solved[2:] == [moved for _, (moved, _) in moves]
 
 
 def test_interval_claim_flex_family():
