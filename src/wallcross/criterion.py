@@ -82,9 +82,6 @@ class OneParamSubgroup:
     def is_trivial(self):
         return all(w == 0 for w in self.weights)
 
-    def primitive(self):
-        return OneParamSubgroup(self.surface, _primitive(self.weights))
-
 
 # Recorded claim ids backing each region of the analyzed range, per surface.
 CITATIONS = {
@@ -123,12 +120,6 @@ def point_weight(surface, lw, label):
 def monomial_weight(lw, exp):
     """Weight of a monomial, for a subgroup with literal weights lw."""
     return sum(map(mul, exp, lw))
-
-
-def mu_term(surface, lam, t, label, exp):
-    """mu restricted to one point coordinate and one monomial."""
-    lw = lam.literal_weights()
-    return Fraction(t) * point_weight(surface, lw, label) - monomial_weight(lw, exp)
 
 
 def mu_min(curve, lam, t):

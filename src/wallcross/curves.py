@@ -139,7 +139,8 @@ def _freeze(m):
 
 
 # The matrices (mx, my, swap) of the identity frame of each surface, as
-# ints; they compare and hash equal to those of FrameChange.identity.
+# ints; they compare and hash equal to the Fraction matrices a FrameChange
+# built from them holds.
 IDENTITY_MATRICES = {
     Surface.P2: (((1, 0, 0), (0, 1, 0), (0, 0, 1)), None, False),
     Surface.QUADRIC: (((1, 0), (0, 1)), ((1, 0), (0, 1)), False),
@@ -154,9 +155,8 @@ class FrameChange:
     invertible 2x2 matrices plus an optional exchange of the two factors,
     applied after the linear maps.
 
-    The matrices are kept as Fractions; the singularity check and
-    `act_point` compute on their canonical entries, in ints where they are
-    integral.
+    The matrices are kept as Fractions; the singularity check computes on
+    their canonical entries, in ints where they are integral.
     """
 
     surface: Surface
@@ -183,21 +183,6 @@ class FrameChange:
         object.__setattr__(self, "mx", _freeze(mats[0]))
         if self.my is not None:
             object.__setattr__(self, "my", _freeze(mats[1]))
-
-    @classmethod
-    def identity(cls, surface):
-        return cls(surface, *IDENTITY_MATRICES[surface])
-
-    def act_point(self, p):
-        """g(p), as Fractions."""
-        p = [canonical(x) for x in p]
-        if self.surface is Surface.P2:
-            image = mat_vec(_exact(self.mx), p)
-        else:
-            u = mat_vec(_exact(self.mx), p[:2])
-            v = mat_vec(_exact(self.my), p[2:])
-            image = v + u if self.swap else u + v
-        return tuple(Fraction(x) for x in image)
 
 
 def _integer_frame(surface, mx, my, swap):

@@ -19,7 +19,11 @@ rational components. Lines
 and rulings come from one search (`_linear_factors`): a linear form in two
 variables divides a form exactly when it divides every coefficient form,
 the binary form that multiplies one monomial in the other variables, so
-the candidates are the rational roots of the gcd of those forms.
+the candidates are the rational roots of the gcd of those forms. On the
+plane, X0 needs no singular point: the marked point is a flex exactly when
+its tangent divides its polar conic, and the other factor, the harmonic
+polar, meets the cubic in a single point exactly when the cubic is
+cuspidal; it is then the cusp line (`_cusp_line`).
 
 Computed orders at or past the truncation are reported as lower bounds,
 never as exact values; that is enough for every comparison made here,
@@ -34,7 +38,6 @@ from fractions import Fraction
 from math import lcm
 
 from .curves import (
-    PointedCurve,
     Surface,
     adjugate,
     affine_chart,
@@ -52,10 +55,9 @@ from .polynomials import (
     monomial,
     poly_gcd,
     primitive_normalized,
-    rational_roots,
-    resultant,
     squarefree_decompose,
     variable,
+    zero,
 )
 from .series import pivot_orders, series_substitute
 
@@ -207,12 +209,6 @@ def _require(roots, what):
     return roots
 
 
-def _univariate_roots(poly, what):
-    deg = poly.degree_in(0)
-    coeffs = [poly.terms.get((k,), Fraction(0)) for k in range(deg + 1)]
-    return _require(rational_roots(coeffs), what)
-
-
 def _linear_factors(f, slots, what):
     """The linear forms v*x_a - u*x_b in the variables slots = (a, b) that
     divide f, as the pairs (u, v) of `binary_form_roots`.
@@ -341,107 +337,6 @@ def _line_conic_tangency(lc, q):
     return tuple(s * a + t * b for a, b in zip(v, w))
 
 
-def _rational_singular_points(curve_poly):
-    """All rational singular points of a plane curve (common zeros of the
-    partials). Exact; raises UndecidedError when root searches abort."""
-    parts = [curve_poly.partial_derivative(i) for i in range(3)]
-    pts = []
-
-    def record(pt):
-        if all(x == 0 for x in pt):
-            return
-        if all(g.evaluate(pt) == 0 for g in parts):
-            for known in pts:
-                if _proj_equal(known, pt):
-                    return
-            pts.append(tuple(Fraction(x) for x in pt))
-
-    for i in range(3):
-        e = [Fraction(0)] * 3
-        e[i] = Fraction(1)
-        record(tuple(e))
-    plans = [
-        (2, 0, 1, (0, 1)),
-        (1, 0, 2, (0, 2)),
-        (0, 1, 2, (1, 2)),
-    ]
-    done = False
-    for z, f1, f2, dirs in plans:
-        r = resultant(parts[f1], parts[f2], z)
-        if r.is_zero():
-            continue
-        done = True
-        deg = r.total_degree()
-        coeffs = [Fraction(0)] * (deg + 1)
-        for exp, c in r.terms.items():
-            coeffs[exp[dirs[0]]] += c
-        for u, v in _require(
-            binary_form_roots(coeffs), "locating singular points"
-        ):
-            # solve the remaining coordinate along this direction
-            restr = []
-            for g in parts:
-                pt = [None] * 3
-                pt[dirs[0]], pt[dirs[1]] = u, v
-                uni = _restrict_to_pencil(g, pt, z)
-                if not uni.is_zero():
-                    restr.append(uni)
-            if not restr:
-                continue
-            for t in _univariate_roots(restr[0], "solving for a singular point"):
-                pt = [None] * 3
-                pt[dirs[0]], pt[dirs[1]] = u, v
-                pt[z] = t
-                record(tuple(pt))
-        break
-    if not done:
-        raise UndecidedError("all eliminations degenerated")
-    return pts
-
-
-def _restrict_to_pencil(g, pt, z):
-    """g with two coordinates frozen and coordinate z left as the variable."""
-    subs = []
-    for i in range(3):
-        if i == z:
-            subs.append(variable(1, 0))
-        else:
-            subs.append(constant(1, pt[i]))
-    return g.substitute(subs)
-
-
-def _tangent_cone_double_line(curve_poly, q):
-    """If the curve has multiplicity 2 at q with a rank-one tangent cone,
-    return the primitive coefficients of the doubled line, else None."""
-    aff, frees, _ = affine_chart(Surface.P2, curve_poly, q)
-    (l0,) = set(range(3)) - set(frees)
-    mult = min(sum(e) for e in aff.terms)
-    if mult != 2:
-        return None
-    alpha = aff.terms.get((2, 0), Fraction(0))
-    beta = aff.terms.get((1, 1), Fraction(0))
-    gamma = aff.terms.get((0, 2), Fraction(0))
-    if beta * beta - 4 * alpha * gamma != 0:
-        return None
-    if alpha != 0:
-        lam, mu = alpha, Fraction(beta, 2)
-    elif gamma != 0:
-        lam, mu = Fraction(0), gamma
-    else:
-        return None
-    # affine line lam*u + mu*v through q, rehomogenized
-    coeffs = [Fraction(0)] * 3
-    a, b = frees
-    coeffs[a] += lam * Fraction(q[l0])
-    coeffs[l0] -= lam * Fraction(q[a])
-    coeffs[b] += mu * Fraction(q[l0])
-    coeffs[l0] -= mu * Fraction(q[b])
-    line = primitive_normalized(linear_form(3, (0, 1, 2), coeffs))
-    return tuple(
-        line.terms.get(e, Fraction(0)) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    )
-
-
 # Per surface, the blocks of homogeneous coordinates: the slots kept as
 # chart variables and the slot set to 1. The chart is F(x0, x1, 1) on the
 # plane and F(x0, 1, y0, 1) on the quadric, as curves.affine_chart builds it
@@ -502,21 +397,55 @@ def _p2_components(groups):
     return lines, leftovers
 
 
-def _is_flex_of(cubic, p):
-    """Is p a smooth flex of the given cubic curve?"""
-    if cubic.evaluate(p) != 0:
-        return False
-    probe = PointedCurve(Surface.P2, 3, tuple(Fraction(x) for x in p), cubic)
-    geo = local_geometry(probe)
-    if not geo.smooth_at_p:
-        return False
-    seq = vanishing_sequence(probe, 1)
-    w, _ = inflection_weight(seq)
-    return w > 0
+def _cusp_line(cubic, p):
+    """The primitive coefficients of the cusp line of the cubic when it is
+    cuspidal and p is its flex, else None. The cubic must have no rational
+    linear factor, as no leftover of `_p2_components` has one; it is then
+    irreducible over Q, and no rational line lies on it.
+
+    Let T be the tangent at p, with the gradient of C at p as coefficients,
+    and P = sum p_i dC/dx_i the polar conic of p. For v on T, P(p + s v) =
+    s^2 P(v), and P(v) is the second-order term of C along T; so T divides
+    P exactly when p is a flex. Then P = T * H with H(p) != 0, and H, the
+    harmonic polar of p, meets C in its singular points and in the smooth
+    points other than p whose tangent passes through p. Over an algebraic
+    closure an irreducible cubic is smooth, nodal or cuspidal, and its
+    smooth points form a group with the flex p as zero, three points
+    summing to zero when collinear: an elliptic curve, the multiplicative
+    or the additive group. The tangent at q meets C again in -2q, so it
+    passes through p when 2q = 0: at three points other than p, at one, or
+    at none. As H meets C three times, C restricted to H has three simple
+    roots on a smooth cubic, a double root at the node and a simple one on
+    a nodal cubic, and a triple root at the cusp on a cuspidal cubic, where
+    H is then the doubled line of the tangent cone. A cubic irreducible
+    over Q but not over its closure is three conjugate lines, on which no
+    rational point is smooth. So the flex division and the cube test
+    decide, and no singular point is searched for. On y^2 z = x^3 at p =
+    (0 : 1 : 0), P = 2yz, H = y and C on H is -x^3.
+
+    The answer is that of the elimination test this replaces: the cusp is
+    the one rational singular point, its tangent cone a double line that
+    does not divide C, p a smooth flex, and that line is returned."""
+    grads = [cubic.partial_derivative(i) for i in range(3)]
+    tangent = [g.evaluate(p) for g in grads]
+    if cubic.evaluate(p) or not any(tangent):
+        return None
+    polar = sum((x * g for x, g in zip(p, grads) if x), zero(3))
+    h = exact_divide(polar, linear_form(3, (0, 1, 2), tangent))
+    if h is None:
+        return None
+    h = primitive_normalized(h)
+    h = tuple(h.terms.get(e, 0) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    v, w = _line_points(h)
+    on_h = cubic.substitute([linear_form(2, (0, 1), pair) for pair in zip(v, w)])
+    a0, a1, a2, a3 = (on_h.terms.get((3 - k, k), 0) for k in range(4))
+    # a binary cubic is c * l^3 exactly when its Hessian covariant vanishes
+    if a1 * a1 != 3 * a0 * a2 or a2 * a2 != 3 * a1 * a3 or a1 * a2 != 9 * a0 * a3:
+        return None
+    return h
 
 
 def _p2_special(curve, groups):
-    notes = []
     details = {}
     try:
         lines, leftovers = _p2_components(groups)
@@ -550,22 +479,9 @@ def _p2_special(curve, groups):
         d > 3 and single_line and lines[0][1] == d - 3
     )
     if single_left and leftovers[0][0].total_degree() == 3 and lines_fit:
-        cubic = leftovers[0][0]
-        try:
-            sing = _rational_singular_points(cubic)
-        except UndecidedError as e:
-            return SpecialLocus(in_s, False, True, [str(e)], details)
-        if len(sing) == 1:
-            qc = sing[0]
-            lc2 = _tangent_cone_double_line(cubic, qc)
-            if lc2 is not None and exact_divide(cubic, linear_form(3, (0, 1, 2), lc2)) is None:
-                line_matches = d == 3 or _proj_equal(lines[0][0], lc2)
-                if line_matches and _is_flex_of(cubic, p):
-                    in_x0 = True
-                    details["cusp"] = qc
-                    details["cusp_line"] = lc2
-                    details["cubic"] = cubic
-    return SpecialLocus(in_s, in_x0, False, notes, details)
+        line = _cusp_line(leftovers[0][0], p)
+        in_x0 = line is not None and (d == 3 or _proj_equal(lines[0][0], line))
+    return SpecialLocus(in_s, in_x0, False, [], details)
 
 
 def _quadric_components(groups):
@@ -617,17 +533,17 @@ def _swap_vars(f):
 
 
 def _x0_quadric_oriented(d, gamma, rx, ry, p):
-    """Check the (2,1)-oriented cuspidal-analogue shape: gamma smooth of
+    """Is this the (2,1)-oriented cuspidal-analogue shape: gamma smooth of
     bidegree (2,1), the y-ruling tangent at the crossing point q, the marked
     point a second tangency point of the y-fibration."""
     if _bidegree(gamma) != (2, 1):
-        return None
+        return False
     if not (len(rx) == 1 and rx[0][1] == d - 2 and len(ry) == 1 and ry[0][1] == d - 1):
-        return None
+        return False
     q0 = gamma.coefficient_in(2, 1)
     q1 = gamma.coefficient_in(3, 1)
     if q0.is_zero() or q1.is_zero() or poly_gcd(q0, q1).variables():
-        return None
+        return False
     # A ruling entry (u, v) is the fiber over the point (u, v) of its factor,
     # so the two rulings cross where both coordinates hit those directions.
     (u, v), _ = rx[0]
@@ -636,24 +552,23 @@ def _x0_quadric_oriented(d, gamma, rx, ry, p):
     yq = (uy, vy)
     q = (xq[0], xq[1], yq[0], yq[1])
     if gamma.evaluate(q) != 0:
-        return None
+        return False
     fq = _fiber_in_x(gamma, yq)
     if not fq or _binary_disc(fq) != 0:
-        return None
+        return False
     if gamma.evaluate(p) != 0:
-        return None
+        return False
     if _proj_equal(p[:2], xq) and _proj_equal(p[2:], yq):
-        return None
+        return False
     fp = _fiber_in_x(gamma, p[2:])
     if not fp or _binary_disc(fp) != 0:
-        return None
+        return False
     # p lies on gamma and the fiber has a unique (double) root, so the
     # fiber through p is automatically tangent exactly at p
-    return {"gamma": gamma, "crossing": q}
+    return True
 
 
 def _quadric_special(curve, groups):
-    notes = []
     details = {}
     try:
         rx, ry, leftovers = _quadric_components(groups)
@@ -683,20 +598,10 @@ def _quadric_special(curve, groups):
                         details["crossing"] = q
     if single_left and not in_s:
         gamma = leftovers[0][0]
-        got = _x0_quadric_oriented(d, gamma, rx, ry, p)
-        if got is None:
-            swapped_p = p[2:] + p[:2]
-            got = _x0_quadric_oriented(
-                d,
-                _swap_vars(gamma),
-                [(r, m) for r, m in ry],
-                [(r, m) for r, m in rx],
-                swapped_p,
-            )
-        if got is not None:
-            in_x0 = True
-            details.update(got)
-    return SpecialLocus(in_s, in_x0, False, notes, details)
+        in_x0 = _x0_quadric_oriented(d, gamma, rx, ry, p) or _x0_quadric_oriented(
+            d, _swap_vars(gamma), ry, rx, p[2:] + p[:2]
+        )
+    return SpecialLocus(in_s, in_x0, False, [], details)
 
 
 def _special_shapes(surface, d):

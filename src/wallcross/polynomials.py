@@ -604,12 +604,12 @@ def poly_det(rows):
 
 
 def resultant(f, g, v):
-    """Resultant of f and g with respect to variable v (Sylvester determinant).
+    """Resultant of f and g with respect to variable v (Sylvester
+    determinant, by `poly_det`), a Polynomial in the remaining variables.
 
-    The result is a Polynomial in the remaining variables. Only vanishing /
-    non-vanishing and root structure are consumed downstream, so the overall
-    sign convention does not matter.
-    """
+    Nothing in the package calls it. It stays for the elimination oracle
+    of the tests, which finds singular points with it, and for the traced
+    run of perfbench, which reads a row under this name."""
     if f.is_zero() or g.is_zero():
         return zero(f.nvars)
     m, n = f.degree_in(v), g.degree_in(v)

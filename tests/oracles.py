@@ -11,12 +11,15 @@ from wallcross.criterion import (
     ClaimCheck,
     _adapted_frames,
     _random_frame,
+    monomial_weight,
     mu_min,
+    point_weight,
     torus_verdict,
 )
 from wallcross.curves import (
     IDENTITY_MATRICES,
     FrameChange,
+    PointedCurve,
     Surface,
     affine_chart,
     apply_frame,
@@ -27,8 +30,11 @@ from wallcross.curves import (
 )
 from wallcross.inflection import (
     InflectionReport,
+    UndecidedError,
     _p2_special,
+    _proj_equal,
     _quadric_special,
+    _require,
     _squarefree_on_chart,
     inflection_weight,
     local_branch,
@@ -36,11 +42,17 @@ from wallcross.inflection import (
     vanishing_sequence,
 )
 from wallcross.polynomials import (
+    binary_form_roots,
     constant,
+    exact_divide,
     exact_quotient,
+    linear_form,
     poly_det,
     poly_gcd,
     primitive_normalized,
+    rational_roots,
+    resultant,
+    variable,
     zero,
 )
 from wallcross.rationals import canonical
@@ -107,6 +119,101 @@ def ungated_special_locus(curve):
     if curve.surface is Surface.P2:
         return _p2_special(curve, groups)
     return _quadric_special(curve, groups)
+
+
+# -- X0 on the plane by elimination ------------------------------------------
+
+
+def elimination_cusp_line(cubic, p):
+    """The cusp line of a cubic with no rational linear factor at its flex
+    p, by the search that `inflection._cusp_line` replaced: the rational
+    singular points from resultants of the partials, one of them a double
+    point whose tangent cone is a double line not dividing the cubic, and p
+    a smooth flex of positive inflection weight. The primitive coefficients
+    of that line, else None; raises UndecidedError when a root search
+    aborts."""
+    sing = rational_singular_points(cubic)
+    if len(sing) != 1:
+        return None
+    line = _tangent_cone_double_line(cubic, sing[0])
+    if line is None or exact_divide(cubic, linear_form(3, (0, 1, 2), line)) is not None:
+        return None
+    if cubic.evaluate(p) != 0:
+        return None
+    probe = PointedCurve(Surface.P2, 3, tuple(Fraction(x) for x in p), cubic)
+    if not local_geometry(probe).smooth_at_p:
+        return None
+    weight, _ = inflection_weight(vanishing_sequence(probe, 1))
+    return line if weight > 0 else None
+
+
+def rational_singular_points(curve_poly):
+    """All rational singular points of a plane curve (common zeros of the
+    partials), from the Sylvester resultant of two partials in the first of
+    three elimination orders that does not vanish."""
+    parts = [curve_poly.partial_derivative(i) for i in range(3)]
+    pts = []
+
+    def record(pt):
+        if all(x == 0 for x in pt):
+            return
+        if all(g.evaluate(pt) == 0 for g in parts):
+            if not any(_proj_equal(known, pt) for known in pts):
+                pts.append(tuple(Fraction(x) for x in pt))
+
+    for i in range(3):
+        record(tuple(Fraction(int(i == k)) for k in range(3)))
+    for z, f1, f2, dirs in ((2, 0, 1, (0, 1)), (1, 0, 2, (0, 2)), (0, 1, 2, (1, 2))):
+        r = resultant(parts[f1], parts[f2], z)
+        if r.is_zero():
+            continue
+        coeffs = [Fraction(0)] * (r.total_degree() + 1)
+        for exp, c in r.terms.items():
+            coeffs[exp[dirs[0]]] += c
+        for u, v in _require(binary_form_roots(coeffs), "locating singular points"):
+            # solve the remaining coordinate z along this direction
+            pt = [None] * 3
+            pt[dirs[0]], pt[dirs[1]] = u, v
+            subs = [variable(1, 0) if i == z else constant(1, pt[i]) for i in range(3)]
+            restr = [uni for uni in (g.substitute(subs) for g in parts) if not uni.is_zero()]
+            if not restr:
+                continue
+            deg = restr[0].degree_in(0)
+            uni = [restr[0].terms.get((k,), Fraction(0)) for k in range(deg + 1)]
+            for t in _require(rational_roots(uni), "solving for a singular point"):
+                pt[z] = t
+                record(tuple(pt))
+        return pts
+    raise UndecidedError("all eliminations degenerated")
+
+
+def _tangent_cone_double_line(curve_poly, q):
+    """If the curve has multiplicity 2 at q with a rank-one tangent cone,
+    the primitive coefficients of the doubled line, else None."""
+    aff, frees, _ = affine_chart(Surface.P2, curve_poly, q)
+    (l0,) = set(range(3)) - set(frees)
+    if min(sum(e) for e in aff.terms) != 2:
+        return None
+    alpha = aff.terms.get((2, 0), Fraction(0))
+    beta = aff.terms.get((1, 1), Fraction(0))
+    gamma = aff.terms.get((0, 2), Fraction(0))
+    if beta * beta - 4 * alpha * gamma != 0:
+        return None
+    if alpha != 0:
+        lam, mu = alpha, Fraction(beta, 2)
+    elif gamma != 0:
+        lam, mu = Fraction(0), gamma
+    else:
+        return None
+    # affine line lam*u + mu*v through q, rehomogenized
+    coeffs = [Fraction(0)] * 3
+    a, b = frees
+    coeffs[a] += lam * Fraction(q[l0])
+    coeffs[l0] -= lam * Fraction(q[a])
+    coeffs[b] += mu * Fraction(q[l0])
+    coeffs[l0] -= mu * Fraction(q[b])
+    line = primitive_normalized(linear_form(3, (0, 1, 2), coeffs))
+    return tuple(line.terms.get(e, 0) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 def recursive_squarefree_decompose(f):
@@ -215,6 +322,24 @@ def frame_inverse(frame):
     if not frame.swap:
         return FrameChange(frame.surface, inv(frame.mx), inv(frame.my))
     return FrameChange(frame.surface, inv(frame.my), inv(frame.mx), swap=True)
+
+
+def frame_point(frame, p):
+    """g(p) by the Fraction matrices of the frame: the x and y blocks, in
+    the other order when the frame exchanges the factors."""
+    def image(m, v):
+        return tuple(sum(Fraction(a) * x for a, x in zip(row, v)) for row in m)
+
+    if frame.surface is Surface.P2:
+        return image(frame.mx, p)
+    u, v = image(frame.mx, p[:2]), image(frame.my, p[2:])
+    return v + u if frame.swap else u + v
+
+
+def mu_term(surface, lam, t, label, exp):
+    """mu restricted to one point coordinate and one monomial."""
+    lw = lam.literal_weights()
+    return Fraction(t) * point_weight(surface, lw, label) - monomial_weight(lw, exp)
 
 
 def full_move_search(curve, t, budget=500, seed=0, report=None):

@@ -14,12 +14,12 @@ from fractions import Fraction
 from wallcross.criterion import (
     OneParamSubgroup,
     mu_min,
-    mu_term,
     stability_verdict,
     stabilizer_dimension,
     torus_verdict,
 )
 from wallcross.curves import (
+    IDENTITY_MATRICES,
     FrameChange,
     PointedCurve,
     Surface,
@@ -44,7 +44,7 @@ from wallcross.polynomials import Polynomial, monomial
 from wallcross.series import series_substitute
 from wallcross.walls import load_propositions, verify_proposition
 
-from oracles import classical_hessian
+from oracles import classical_hessian, mu_term
 
 DEGREES = (3, 4, 5, 6)
 
@@ -112,7 +112,7 @@ def _certified_unstable(curve, t, **kw):
     assert v.status == "Unstable", (v.status, t)
     cert = v.certificate
     assert cert is not None
-    frame = cert.get("frame") or FrameChange.identity(curve.surface)
+    frame = cert.get("frame") or FrameChange(curve.surface, *IDENTITY_MATRICES[curve.surface])
     moved = apply_frame(curve, frame)
     value, _ = mu_min(moved, cert["lambda"], t)
     assert value == cert["mu"] and value > 0

@@ -10,7 +10,6 @@ from wallcross.criterion import (
     destabilizer_search,
     interval_mu_claim,
     mu_min,
-    mu_term,
     stability_verdict,
     stabilizer_dimension,
     torus_verdict,
@@ -34,7 +33,7 @@ from wallcross.hessians import analyzed_slopes
 from wallcross.inflection import inflection_report
 from wallcross.polynomials import Polynomial
 
-from oracles import full_move_search, gauss_jordan
+from oracles import full_move_search, gauss_jordan, mu_term
 from test_cli import ADAPTED_CURVES
 
 
@@ -57,7 +56,7 @@ def test_subgroup_encoding_and_validation():
         OneParamSubgroup(Surface.QUADRIC, (1, 2, 3))
     assert OneParamSubgroup(Surface.P2, (0, 0, 0)).is_trivial()
     prim = OneParamSubgroup(Surface.P2, (Fraction(1), Fraction(-1, 5), Fraction(-4, 5)))
-    assert prim.primitive().weights == (5, -1, -4)
+    assert criterion._primitive(prim.weights) == (5, -1, -4)
 
 
 def test_mu_min_plane_example():
@@ -301,7 +300,7 @@ def test_random_frame_hits_keep_their_certificates(doc, budget, frame_doc, weigh
     frame, lam, mu = destabilizer_search(curve, t, budget=budget)
     assert frame_to_json(frame) == frame_doc
     assert lam.weights == weights and mu == Fraction(1, 2)
-    assert frame not in (normalize_frame(curve)[0], FrameChange.identity(curve.surface))
+    assert frame not in (normalize_frame(curve)[0], FrameChange(curve.surface, *curves.IDENTITY_MATRICES[curve.surface]))
     assert mu_min(apply_frame(curve, frame), lam, t)[0] == mu
 
 
@@ -329,7 +328,7 @@ def test_adapted_frame_hits(witness, t, frame_doc, weights, mu):
     assert frame_to_json(frame) == frame_doc
     assert lam.weights == weights and found_mu == mu
     assert (frame.mx, frame.my, frame.swap) in criterion._adapted_frames(curve, inflection_report(curve))
-    assert frame not in (normalize_frame(curve)[0], FrameChange.identity(curve.surface))
+    assert frame not in (normalize_frame(curve)[0], FrameChange(curve.surface, *curves.IDENTITY_MATRICES[curve.surface]))
     assert mu_min(apply_frame(curve, frame), lam, t)[0] == mu
 
 

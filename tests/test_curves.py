@@ -22,9 +22,8 @@ from wallcross.curves import (
     validate,
 )
 from wallcross.polynomials import Polynomial, constant, variable
-from wallcross.series import pivot_orders
 
-from oracles import frame_inverse, gauss_jordan
+from oracles import frame_inverse
 
 
 def _p2(d, terms, point):
@@ -133,33 +132,7 @@ def test_frame_inverse_round_trip():
             assert back.equation == c.equation
 
 
-def test_row_reduce_matches_gauss_jordan():
-    # the forward elimination of pivot_orders against Gauss-Jordan pivots
-    rng = random.Random(61)
-    deficient = 0
-    for _ in range(400):
-        nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
-        fractional = rng.random() < 0.5
-        rows = []
-        for _ in range(nrows):
-            if rows and rng.random() < 0.2:
-                # a combination of earlier rows, so the rank drops
-                a, b = rng.choice(rows), rng.choice(rows)
-                k = rng.randint(-2, 2)
-                rows.append([x + k * y for x, y in zip(a, b)])
-                continue
-            row = [rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(ncols)]
-            if fractional:
-                row = [Fraction(x, rng.randint(1, 6)) for x in row]
-            rows.append(row)
-        pivots, deficiency = pivot_orders(rows)
-        _, expected, _ = gauss_jordan(rows)
-        assert (pivots, deficiency) == (expected, nrows - len(expected))
-        deficient += len(pivots) < min(nrows, ncols)
-    assert deficient > 20
-
-
-def test_compose_matches_sequential_action():
+def test_apply_frame_composes():
     rng = random.Random(8)
     for kind in (WitnessKind.P2_FLEX, WitnessKind.QUADRIC_X0):
         c = make_witness(kind, 3)
@@ -255,7 +228,7 @@ def test_ruling_contacts_match_line_parametrization():
     assert components > 0
 
 
-def test_mat_det_matches_leibniz_and_mat_inv_inverts():
+def test_adjugate_matches_leibniz_and_inverts():
     # the adjugate is the one determinant and inverse of the package
     rng = random.Random(43)
     singular = 0

@@ -23,7 +23,7 @@ from wallcross.curves import (  # noqa: E402
 )
 from wallcross.polynomials import Polynomial  # noqa: E402
 
-from oracles import frame_inverse  # noqa: E402
+from oracles import frame_inverse, frame_point  # noqa: E402
 
 
 def _inverse_substitution(curve, frame):
@@ -45,7 +45,7 @@ def _inverse_substitution(curve, frame):
         subs = [linear((2, 3), row) for row in inv.my] + [linear((0, 1), row) for row in inv.mx]
     else:
         subs = [linear((0, 1), row) for row in inv.mx] + [linear((2, 3), row) for row in inv.my]
-    return curve.equation.substitute(subs), frame.act_point(curve.point)
+    return curve.equation.substitute(subs), frame_point(frame, curve.point)
 
 
 def _rationals(draw, n, nonzero=False):
@@ -108,7 +108,7 @@ def test_move_through_the_adjugate_matches_the_inverse_substitution(case):
 def test_apply_frame_point_is_the_frame_image():
     # apply_frame reads g(p) off the integer image M p of move_curve; on
     # the curves and frames of the torus corpus, and on the inverse frames
-    # (fractional matrices) and the points they move, it is act_point's g(p)
+    # (fractional matrices) and the points they move, it is g(p) by the matrices
     from test_torus_corpus import _frame, cases
 
     rng = random.Random(20261)
@@ -120,7 +120,7 @@ def test_apply_frame_point_is_the_frame_image():
         for c in (curve, apply_frame(curve, inverse)):
             for g in (frame, inverse):
                 point = apply_frame(c, g).point
-                assert point == g.act_point(c.point)
+                assert point == frame_point(g, c.point)
                 assert all(type(x) is Fraction for x in point)
                 seen.add((c.surface, g.swap, any(x.denominator > 1 for x in c.point)))
     assert {(s, w) for s, w, _ in seen} >= {

@@ -24,6 +24,9 @@ from wallcross.errors import InternalError
 from wallcross.hessians import analyzed_slopes
 from wallcross.inflection import (
     UndecidedError,
+    _cusp_line,
+    _p2_components,
+    _proj_equal,
     _quadric_components,
     _squarefree_on_chart,
     inflection_report,
@@ -47,6 +50,7 @@ from oracles import (
     REPORT_FIELDS,
     classical_hessian,
     eager_report,
+    elimination_cusp_line,
     intersection_multiplicity,
     ungated_special_locus,
 )
@@ -479,6 +483,126 @@ def test_linear_factors_match_sympy_factorization():
                 with_factors += bool(want)
             checked += 1
     assert checked >= 500 and with_factors >= 400
+
+
+# -- X0 on the plane: the polar conic of the flex ----------------------------
+
+
+_CUSPIDAL = {(0, 2, 1): 1, (3, 0, 0): -1}
+_SMOOTH = {(0, 2, 1): 1, (3, 0, 0): -1, (0, 0, 3): -1}
+
+# Curves whose squarefree shape is that of X0, with whether each is in X0:
+# the cuspidal cubic x1^2 x2 - x0^3 at its flex, and near misses that fail
+# one part of the test each (the flex, the cube, the line)
+X0_NEAR_MISSES = {
+    "cuspidal-flex": (_p2(3, _CUSPIDAL, (0, 1, 0)), True),
+    "fermat-flex": (_p2(3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1}, (1, -1, 0)), False),
+    "nodal-flex": (_p2(3, {(0, 2, 1): 1, (3, 0, 0): -1, (2, 0, 1): -1}, (0, 1, 0)), False),
+    "cuspidal-nonflex": (_p2(3, {(2, 0, 1): 1, (0, 3, 0): 1}, (1, -1, 1)), False),
+    # y^2 z = x^3 + z^3 at a point of order 3, and at one of order 6
+    "smooth-flex": (_p2(3, _SMOOTH, (0, 1, 1)), False),
+    "smooth-nonflex": (_p2(3, _SMOOTH, (2, 3, 1)), False),
+    # the cuspidal cubic at its flex times a line that is not its cusp line
+    "x0-quartic-wrong-line": (
+        _p2(4, {(0, 3, 1): 1, (0, 2, 2): 1, (3, 1, 0): -1, (3, 0, 1): -1}, (0, 1, 0)),
+        False,
+    ),
+}
+
+
+def _x0_candidates(curves):
+    """(curve, cubic, lines) for each plane curve whose rational lines and
+    leftover factor have the X0 shape: one cubic, and no line (d = 3) or
+    one line to the d - 3."""
+    out = []
+    for curve in curves:
+        if curve.surface is not Surface.P2:
+            continue
+        lines, left = _p2_components(_squarefree_on_chart(curve.surface, curve.equation))
+        d = curve.degree
+        fit = (d == 3 and not lines) or (d > 3 and len(lines) == 1 and lines[0][1] == d - 3)
+        if fit and len(left) == 1 and left[0][1] == 1 and left[0][0].total_degree() == 3:
+            out.append((curve, left[0][0], lines))
+    return out
+
+
+def _rational_frame(rng):
+    while True:
+        m = tuple(
+            tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(3))
+            for _ in range(3)
+        )
+        try:
+            return FrameChange(Surface.P2, m)
+        except ValueError:
+            continue
+
+
+def test_named_x0_near_misses():
+    named = list(X0_NEAR_MISSES.values())
+    assert len(_x0_candidates([c for c, _ in named])) == len(named)
+    for name, (curve, in_x0) in X0_NEAR_MISSES.items():
+        assert special_locus_membership(curve).in_x0 is in_x0, name
+
+
+def test_cusp_line_matches_elimination():
+    # the polar-conic test against the singular-point search it replaced,
+    # on the named curves and the X0 witnesses moved by rational frames and
+    # on the plane curves of the gate corpus; for d > 3 the line must also
+    # be the cusp line
+    rng = random.Random(2020)
+    bases = [c for c, _ in X0_NEAR_MISSES.values()]
+    bases += [make_witness(WitnessKind.P2_CUSPIDAL_X0, d) for d in (4, 5, 6)]
+    curves = list(bases)
+    for base in bases:
+        curves.extend(apply_frame(base, _rational_frame(rng)) for _ in range(12))
+    candidates = _x0_candidates(curves + _gate_corpus())
+    in_x0 = 0
+    for curve, cubic, lines in candidates:
+        got = _cusp_line(cubic, curve.point)
+        want = elimination_cusp_line(cubic, curve.point)
+        assert (got is None) == (want is None), curve
+        assert got is None or _proj_equal(got, want), curve
+        in_x0 += got is not None and (curve.degree == 3 or _proj_equal(lines[0][0], got))
+    assert len(candidates) >= 150 and in_x0 >= 40
+
+
+def _nonzero_form(rng, degree):
+    while True:
+        form = _random_form(rng, Surface.P2, degree)
+        if form:
+            return form
+
+
+def test_flex_tangent_divides_the_polar_conic():
+    # at a smooth point p of a plane cubic, the tangent T divides the polar
+    # conic sum p_i dC/dx_i exactly when p is a flex: on random cubics
+    # through p, and on cubics T * Q + M^3 with M a line through p, which
+    # have a flex there
+    rng = random.Random(77)
+    flexes = smooth = 0
+    for i in range(200):
+        p = tuple(rng.choice((-2, -1, 1, 2)) for _ in range(3))
+        if i % 2:
+            cubic = _vanishing_at(_nonzero_form(rng, 3), p)
+        else:
+            t, m = (_vanishing_at(_nonzero_form(rng, 1), p) for _ in range(2))
+            cubic = t * _nonzero_form(rng, 2) + m ** 3
+        if cubic.is_zero():
+            continue
+        grads = [cubic.partial_derivative(k) for k in range(3)]
+        tangent = [g.evaluate(p) for g in grads]
+        if not any(tangent):
+            continue
+        polar = sum((x * g for x, g in zip(p, grads)), Polynomial(3, {}))
+        divides = polynomials.exact_divide(
+            polar, polynomials.linear_form(3, (0, 1, 2), tangent)
+        ) is not None
+        flex = inflection_report(_p2(3, cubic.terms, p)).flex
+        assert divides is flex, (cubic, p)
+        smooth += 1
+        flexes += flex
+    assert smooth >= 150 and 40 <= flexes <= smooth - 40
 
 
 # -- the lazy report --------------------------------------------------------

@@ -9,7 +9,7 @@ from wallcross.polynomials import Polynomial, constant, variable
 from wallcross.rationals import canonical
 from wallcross.series import pivot_orders, series_substitute
 
-from oracles import constant_plus, windowed_branch
+from oracles import constant_plus, gauss_jordan, windowed_branch
 
 
 def test_series_arithmetic_window():
@@ -221,3 +221,29 @@ def test_local_branch_matches_full_substitution_solve():
             fractional += any(type(c) is Fraction for series in old for c in series)
     assert len(directions) == 4
     assert fractional  # the rescaling clears denominators
+
+
+def test_pivot_orders_match_gauss_jordan():
+    # the forward elimination of pivot_orders against Gauss-Jordan pivots
+    rng = random.Random(61)
+    deficient = 0
+    for _ in range(400):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
+        fractional = rng.random() < 0.5
+        rows = []
+        for _ in range(nrows):
+            if rows and rng.random() < 0.2:
+                # a combination of earlier rows, so the rank drops
+                a, b = rng.choice(rows), rng.choice(rows)
+                k = rng.randint(-2, 2)
+                rows.append([x + k * y for x, y in zip(a, b)])
+                continue
+            row = [rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(ncols)]
+            if fractional:
+                row = [Fraction(x, rng.randint(1, 6)) for x in row]
+            rows.append(row)
+        pivots, deficiency = pivot_orders(rows)
+        _, expected, _ = gauss_jordan(rows)
+        assert (pivots, deficiency) == (expected, nrows - len(expected))
+        deficient += len(pivots) < min(nrows, ncols)
+    assert deficient > 20
