@@ -271,7 +271,8 @@ def destabilizer_search(curve, t, budget=500, seed=0, report=None):
     above d - 3/2, and on the quadric r = (1, 1) has mu >= 2t - (2d - 2),
     a hit above d - 1. Any other frame moves the whole equation, up to
     constants, through the integer adjugate (`move_curve`). Only a hit
-    builds its FrameChange, and its mu is re-checked on the exact move."""
+    builds its FrameChange, except at the normalizing frame, which keeps
+    its own, and its mu is re-checked on the exact move."""
     if report is None:
         report = InflectionReport(curve)
     tried = 0
@@ -279,17 +280,17 @@ def destabilizer_search(curve, t, budget=500, seed=0, report=None):
     below = 0 < t < curve.degree
 
     def candidates():
-        # (matrices, the exactly moved curve or None)
+        # (matrices, the exactly moved curve or None, the FrameChange or None)
         g0, moved0 = normalize_frame(curve, report.geometry)
-        yield (g0.mx, g0.my, g0.swap), moved0
-        yield IDENTITY_MATRICES[curve.surface], curve
+        yield (g0.mx, g0.my, g0.swap), moved0, g0
+        yield IDENTITY_MATRICES[curve.surface], curve, None
         for key in _adapted_frames(curve, report):
-            yield key, None
+            yield key, None, None
         rng = random.Random(seed)
         while True:
-            yield _random_frame(curve.surface, rng), None
+            yield _random_frame(curve.surface, rng), None, None
 
-    for key, exact in candidates():
+    for key, exact, frame in candidates():
         if tried >= budget:
             return None
         if key in seen:
@@ -303,7 +304,8 @@ def destabilizer_search(curve, t, budget=500, seed=0, report=None):
             moved = move_curve(curve, *key)[0]
         sign, lam = torus_verdict(moved, t)
         if sign > 0:
-            frame = FrameChange(curve.surface, *key)
+            if frame is None:
+                frame = FrameChange(curve.surface, *key)
             if exact is None:
                 exact = apply_frame(curve, frame)
             mu, _ = mu_min(exact, lam, t)

@@ -281,6 +281,7 @@ class LocalGeometry:
     smooth_at_p: bool
     multiplicity: int
     tangent: tuple = None
+    tangent_contact: int = None
     ruling_contacts: tuple = None
 
 
@@ -321,17 +322,31 @@ def affine_chart(surface, form, point):
 
 
 def local_geometry(curve):
+    """Multiplicity of the curve at its marked point, read off the affine
+    chart there, and the contact orders of the lines through a smooth
+    point that the verdicts read.
+
+    On the plane, at a smooth point: the tangent T (the gradient at p) and
+    its contact I_p(T, C). With a, b the linear coefficients of the chart
+    f, T is the line through p in the direction (b, -a), and f(s b, -s a)
+    = sum_m s^m f_m(b, -a), so the contact is the least m with
+    f_m(b, -a) != 0; None when there is none, as T is then a component.
+    On the quadric: the contacts of the two rulings through p."""
     p = curve.point
     f, _, _ = affine_chart(curve.surface, curve.equation, p)
     mult = min(sum(e) for e in f.terms)
     if curve.surface is Surface.P2:
-        smooth = mult == 1
-        tangent = None
-        if smooth:
-            tangent = tuple(
-                curve.equation.partial_derivative(i).evaluate(p) for i in range(3)
-            )
-        return LocalGeometry(smooth, mult, tangent=tangent)
+        if mult != 1:
+            return LocalGeometry(False, mult)
+        tangent = tuple(
+            curve.equation.partial_derivative(i).evaluate(p) for i in range(3)
+        )
+        a, b = f.terms.get((1, 0), 0), f.terms.get((0, 1), 0)
+        along = {}
+        for (i, j), c in f.terms.items():
+            along[i + j] = along.get(i + j, 0) + c * b**i * (-a) ** j
+        contact = min((m for m, x in along.items() if x), default=None)
+        return LocalGeometry(True, 1, tangent=tangent, tangent_contact=contact)
     # the ruling through p with constant x is {u = 0}, the other {v = 0};
     # None when that ruling is a component of the curve
     contacts = tuple(
@@ -367,7 +382,9 @@ def normalize_frame(curve, geometry=None):
     without swap keeps them), the factors are swapped so that ruling
     becomes {y0 = 0}.
 
-    Returns (frame, moved curve).
+    Returns (frame, moved curve). When the frame is the identity, as for a
+    curve already in standard position, the moved curve is the curve
+    itself.
     """
     geo = local_geometry(curve) if geometry is None else geometry
     p = [canonical(x) for x in curve.point]
@@ -399,6 +416,8 @@ def normalize_frame(curve, geometry=None):
             _factor_frame(p[2], p[3]),
             swap=contact_ge(cx, 2) and not contact_ge(cy, 2),
         )
+    if (g.mx, g.my, g.swap) == IDENTITY_MATRICES[curve.surface]:
+        return g, curve
     return g, apply_frame(curve, g)
 
 

@@ -7,8 +7,11 @@ configuration (called S here) and the cuspidal-plus-repeated-tangent-line
 configuration with its marked flex (called X0), together with their
 quadric analogues.
 
-The branch is solved online (van der Hoeven, "Relax, but don't be too
-lazy", 2002): each step extends the coefficient lists of the powers of the
+The sequence of lines on the plane needs no branch: its orders are 0, 1
+and the contact of the tangent, which `curves.local_geometry` reads off
+the affine chart. Only the sequences of conics and of (1, 1)-forms solve
+a branch, online (van der Hoeven, "Relax, but don't be too lazy", 2002):
+each step extends the coefficient lists of the powers of the
 unknown series by one, which costs O(N^2 * degree) for N coefficients, and
 one full substitution re-checks the result. It is solved over Z at a
 rescaled parameter (`local_branch`), so every series is a tuple of ints.
@@ -677,11 +680,12 @@ class InflectionReport:
     geometry (`geometry`), the special locus (`special`), the vanishing
     sequences (`seq1` and `seq2` of lines and conics on the plane, `seq11`
     of (1, 1)-forms on the quadric) and the fields derived from them. So a
-    caller pays only for the fields it reads: smooth_at_p, multiplicity and
-    ruling_contacts need the geometry alone; in_h1 needs the geometry and,
-    on the plane, seq1; in_h2prime needs seq2 or seq11; in_s, in_x0 and
-    undecided need the special locus. At a singular marked point
-    in_h1 = in_h2prime = True and no sequence is computed."""
+    caller pays only for the fields it reads: smooth_at_p, multiplicity,
+    ruling_contacts and in_h1 need the geometry alone, as seq1 is read off
+    the tangent's contact; in_h2prime needs seq2 or seq11, the only
+    sequences that solve a branch; in_s, in_x0 and undecided need the
+    special locus. At a singular marked point in_h1 = in_h2prime = True
+    and no sequence is computed."""
 
     def __init__(self, curve):
         self.curve = curve
@@ -697,7 +701,15 @@ class InflectionReport:
 
     @cached_property
     def seq1(self):
-        return vanishing_sequence(self.curve, 1)
+        """The orders of lines at a smooth plane point: 0, 1 and the
+        contact of the tangent, which is at most d by Bezout, so exact at
+        the truncation d + 1 of `vanishing_sequence`; when the tangent is
+        a component, its order is past any truncation."""
+        k = self.geometry.tangent_contact
+        N = self.curve.degree + 1
+        if k is None:
+            return VanishingSequence((0, 1), 1, N)
+        return VanishingSequence((0, 1, k), 0, N)
 
     @cached_property
     def seq2(self):

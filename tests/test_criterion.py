@@ -234,6 +234,25 @@ def test_exhausted_search_builds_only_the_normalizing_frame(monkeypatch):
     assert len(built) == 1
 
 
+def test_hit_at_the_normalizing_frame_keeps_its_frame(monkeypatch):
+    # at t >= d the normalizing frame destabilizes, and the search returns
+    # the frame normalize_frame built instead of building it again
+    built = []
+    post_init = FrameChange.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(FrameChange, "__post_init__", counted)
+    for kind, d in (("p2-nonflex", 4), ("p2-cuspidal-x0", 4), ("quadric-ruling-tangent", 3)):
+        c = make_witness(kind, d)
+        built.clear()
+        frame, lam, mu = destabilizer_search(c, Fraction(d + 1), budget=1)
+        assert built == [frame] and frame == normalize_frame(c)[0]
+        assert mu == mu_min(apply_frame(c, frame), lam, Fraction(d + 1))[0] > 0
+
+
 def test_certificate_rechecks_raise_internal_error(monkeypatch):
     # the re-checks are explicit, so they also run under python -O
     c = make_witness(WitnessKind.P2_NONFLEX, 4)

@@ -10,6 +10,7 @@ from wallcross.curves import (
     PointedCurve,
     Surface,
     WitnessKind,
+    IDENTITY_MATRICES,
     adjugate,
     all_exponents,
     apply_frame,
@@ -397,6 +398,20 @@ def test_normalize_frame_matches_two_moves():
     fractional = sum(any(Fraction(x).denominator > 1 for x in c.point) for c in curves)
     assert len(curves) > 300 and fractional > 150
     assert turned > 100 and swapped > 20 and singular > 80 and components > 50
+
+
+def test_identity_normalizing_frame_moves_nothing():
+    # a curve in standard position already is its own moved curve, and a
+    # curve moved off it is moved back
+    for kind in (WitnessKind.P2_FLEX, WitnessKind.QUADRIC_S, WitnessKind.QUADRIC_X0):
+        for d in range(3, 7):
+            c = make_witness(kind, d)
+            g, moved = normalize_frame(c)
+            assert (g.mx, g.my, g.swap) == IDENTITY_MATRICES[c.surface]
+            assert moved is c
+            shifted = apply_frame(c, _rand_frame(c.surface, random.Random(d)))
+            g, moved = normalize_frame(shifted)
+            assert moved is not shifted and moved.point == apply_frame(shifted, g).point
 
 
 def test_multiplicity_is_frame_invariant():

@@ -13,6 +13,7 @@ from wallcross.curves import (
     PointedCurve,
     Surface,
     WitnessKind,
+    all_exponents,
     apply_frame,
     curve_from_json,
     curve_to_json,
@@ -118,6 +119,74 @@ def test_vanishing_sequence_deficiency_on_contained_section():
     assert seq.deficiency == 1
     assert len(seq.orders) == 5
     assert seq.labels()[-1].startswith(">=")
+
+
+def _seq1_corpus():
+    """Plane curves smooth at their marked point, on which the report's
+    seq1 (the tangent's contact) is checked against the branch solve: every
+    plane witness for d = 3..6, random curves at coordinate, integral and
+    fractional points, and curves with the tangent line as a component."""
+    curves = [
+        make_witness(kind, d)
+        for kind in WitnessKind
+        if kind.value.startswith("p2")
+        for d in range(3, 7)
+        if kind is not WitnessKind.P2_HYPERFLEX or d > 3
+    ]
+    rng = random.Random(2121)
+    for i in range(360):
+        d = rng.choice((3, 4, 5))
+        if i % 3 == 0:
+            p = [Fraction(0)] * 3
+            p[rng.randrange(3)] = Fraction(rng.choice((1, 2, -3)))
+        elif i % 3 == 1:
+            p = [Fraction(rng.randint(-3, 3)) for _ in range(3)]
+        else:
+            p = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(3)]
+        if not any(p):
+            continue
+        lx = next(j for j in range(3) if p[j] != 0)
+
+        def anchor(k):
+            # x_lx^k does not vanish at p, so subtracting a multiple of it
+            # puts p on a form
+            return monomial(3, tuple(k if j == lx else 0 for j in range(3)))
+
+        def through_p(k):
+            exps = all_exponents(Surface.P2, k)
+            g = Polynomial(3, {e: rng.choice((-2, -1, 1, 3))
+                               for e in rng.sample(exps, rng.randint(2, 6))})
+            return g - g.evaluate(p) / anchor(k).evaluate(p) * anchor(k)
+
+        if i % 4 == 3:
+            # a line through p times a form that does not vanish there
+            a, b = (j for j in range(3) if j != lx)
+            ca, cb = rng.randint(-2, 2), rng.randint(-2, 2)
+            line = (ca * variable(3, a) + cb * variable(3, b)
+                    - (ca * p[a] + cb * p[b]) / p[lx] * variable(3, lx))
+            g = through_p(d - 1) + anchor(d - 1)
+            equation = line * g
+        else:
+            equation = through_p(d)
+        if equation.is_zero():
+            continue
+        curve = PointedCurve(Surface.P2, d, tuple(p), equation)
+        if inflection_report(curve).smooth_at_p:
+            curves.append(curve)
+    return curves
+
+
+def test_seq1_is_the_tangent_contact():
+    # the lines' sequence read off the chart is the one the branch gives,
+    # including a tangent line that is a component (deficiency 1)
+    curves = _seq1_corpus()
+    contained = flexes = 0
+    for curve in curves:
+        want = vanishing_sequence(curve, 1)
+        assert inflection_report(curve).seq1 == want, curve
+        contained += want.deficiency
+        flexes += not want.deficiency and want.orders[-1] >= 3
+    assert len(curves) >= 250 and contained >= 80 and flexes >= 25
 
 
 def test_intersection_multiplicity():
@@ -649,22 +718,20 @@ def test_lazy_report_matches_eager_oracle():
 
 
 def test_verdict_computes_only_what_its_region_reads(monkeypatch, tmp_path):
-    # with the special locus and the degree-2 / (1, 1) sequences unavailable,
-    # the edge and the chamber of an in_h1 curve still give their recorded
-    # verdicts, while the wall, which reads in_h2prime, reaches them
+    # with the special locus and every branch solve unavailable, the edge
+    # and the chamber of an in_h1 curve still give their recorded verdicts,
+    # as in_h1 reads the local geometry alone, while the wall reaches them:
+    # the branch through in_h2prime when in_h1 holds, else the special locus
     recorded = json.loads(GOLDEN.read_text())["cases"]
-    real_sequence = inflection.vanishing_sequence
 
     def no_special(curve):
         raise RuntimeError("special locus computed")
 
-    def first_order_only(curve, bundle):
-        if bundle != 1:
-            raise RuntimeError(f"vanishing sequence of degree {bundle} computed")
-        return real_sequence(curve, bundle)
+    def no_branch(curve, N):
+        raise RuntimeError("branch computed")
 
     monkeypatch.setattr(inflection, "special_locus_membership", no_special)
-    monkeypatch.setattr(inflection, "vanishing_sequence", first_order_only)
+    monkeypatch.setattr(inflection, "local_branch", no_branch)
     for kind, d, region in (
         ("p2-nonflex", 4, "edge"), ("quadric-s", 3, "edge"),
         ("p2-flex", 3, "chamber"), ("quadric-ruling-tangent", 3, "chamber"),
@@ -680,5 +747,25 @@ def test_verdict_computes_only_what_its_region_reads(monkeypatch, tmp_path):
                          format_rational(t), "--budget", "20"])
         golden = recorded[f"verdict {kind} {d} {format_rational(t)}"]
         assert {"code": code, "out": buf.getvalue()} == golden, (kind, region)
-        with pytest.raises(RuntimeError, match="computed"):
+        reached = "branch" if inflection_report(curve).in_h1 else "special locus"
+        with pytest.raises(RuntimeError, match=f"{reached} computed"):
             stability_verdict(curve, wall, budget=20)
+
+
+def test_branch_residual_check_raises(monkeypatch, tmp_path):
+    # a branch that does not solve the equation is an internal error, and
+    # the plane inflect reaches the check through the conics' sequence
+    def off_by_one(f, series):
+        value = series_substitute(f, series)
+        return value[:-1] + (value[-1] + 1,)
+
+    monkeypatch.setattr(inflection, "series_substitute", off_by_one)
+    curve = make_witness(WitnessKind.P2_FLEX, 4)
+    with pytest.raises(InternalError, match="residual of order 4"):
+        local_branch(curve, 5)
+    path = tmp_path / "flex.json"
+    path.write_text(json.dumps(curve_to_json(curve)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["inflect", "--curve", str(path)])
+    assert code == 4 and "residual" in err.getvalue()
