@@ -204,8 +204,11 @@ def _adapted_frames(curve, report):
     """The matrices (mx, my, swap) of the frames suggested by the
     special-locus geometry of the curve, read from its inflection report.
     These align the destabilizing flag with coordinate data so the diagonal
-    torus of the new frame can see it."""
+    torus of the new frame can see it. Only S has them, so the special
+    locus is read only when the local geometry allows S."""
     frames = []
+    if report.configuration != "S":
+        return frames
     special = report.special
     det = special.details
     if curve.surface is Surface.P2 and special.in_s:

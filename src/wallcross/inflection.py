@@ -15,18 +15,25 @@ each step extends the coefficient lists of the powers of the
 unknown series by one, which costs O(N^2 * degree) for N coefficients, and
 one full substitution re-checks the result. It is solved over Z at a
 rescaled parameter (`local_branch`), so every series is a tuple of ints.
-Membership in S and X0 first compares the multiplicity -> degree map of
-the squarefree decomposition with the maps the two configurations allow; a
-curve that fits none is in neither, and only the others are searched for
-rational components. Lines
-and rulings come from one search (`_linear_factors`): a linear form in two
-variables divides a form exactly when it divides every coefficient form,
-the binary form that multiplies one monomial in the other variables, so
-the candidates are the rational roots of the gcd of those forms. On the
-plane, X0 needs no singular point: the marked point is a flex exactly when
-its tangent divides its polar conic, and the other factor, the harmonic
-polar, meets the cubic in a single point exactly when the cubic is
-cuspidal; it is then the cusp line (`_cusp_line`).
+Membership in S and X0 first reads the local geometry at p: each
+configuration fixes the contact there (the tangent's 2 for S and 3 for X0
+on the plane, the rulings' (1, 1), (1, 2) or (2, 1) on the quadric), so
+at most one is allowed (`_allowed_configuration`), and where none is, the
+curve is in neither with no decomposition and no root search. So a report
+is undecided only where the local data allows a configuration, as only
+there does a root search run. Then the multiplicity -> degree map of the
+squarefree decomposition is compared with the map of the allowed
+configuration; a curve that does not fit it is in neither, and only the
+others are searched for rational components and tested for that one
+configuration. Lines and rulings come from one search (`_linear_factors`):
+a linear form in two variables divides a form exactly when it divides
+every coefficient form, the binary form that multiplies one monomial in
+the other variables, so the candidates are the rational roots of the gcd
+of those forms. On the plane, X0 needs no singular point: the marked
+point is a flex exactly when its tangent divides its polar conic, and the
+other factor, the harmonic polar, meets the cubic in a single point
+exactly when the cubic is cuspidal; it is then the cusp line
+(`_cusp_line`).
 
 Computed orders at or past the truncation are reported as lower bounds,
 never as exact values; that is enough for every comparison made here,
@@ -448,7 +455,9 @@ def _cusp_line(cubic, p):
     return h
 
 
-def _p2_special(curve, groups):
+def _p2_special(curve, groups, configs):
+    """Membership of a plane curve in the configurations named in configs,
+    "S" and "X0", from its squarefree groups."""
     details = {}
     try:
         lines, leftovers = _p2_components(groups)
@@ -461,7 +470,8 @@ def _p2_special(curve, groups):
     single_line = len(lines) == 1
     single_left = len(leftovers) == 1 and leftovers[0][1] == 1
     if (
-        single_left
+        "S" in configs
+        and single_left
         and leftovers[0][0].total_degree() == 2
         and single_line
         and lines[0][1] == d - 2
@@ -481,7 +491,12 @@ def _p2_special(curve, groups):
     lines_fit = (d == 3 and not lines) or (
         d > 3 and single_line and lines[0][1] == d - 3
     )
-    if single_left and leftovers[0][0].total_degree() == 3 and lines_fit:
+    if (
+        "X0" in configs
+        and single_left
+        and leftovers[0][0].total_degree() == 3
+        and lines_fit
+    ):
         line = _cusp_line(leftovers[0][0], p)
         in_x0 = line is not None and (d == 3 or _proj_equal(lines[0][0], line))
     return SpecialLocus(in_s, in_x0, False, [], details)
@@ -571,7 +586,10 @@ def _x0_quadric_oriented(d, gamma, rx, ry, p):
     return True
 
 
-def _quadric_special(curve, groups):
+def _quadric_special(curve, groups, configs):
+    """Membership of a quadric curve in the configurations named in
+    configs, "S", "X0" (the (2, 1)-form) and "X0 swapped" (the (1, 2)-form),
+    from its squarefree groups."""
     details = {}
     try:
         rx, ry, leftovers = _quadric_components(groups)
@@ -581,9 +599,10 @@ def _quadric_special(curve, groups):
     p = tuple(Fraction(x) for x in curve.point)
     in_s = False
     in_x0 = False
-    single_left = len(leftovers) == 1 and leftovers[0][1] == 1
-    if single_left and _bidegree(leftovers[0][0]) == (1, 1):
-        gamma = leftovers[0][0]
+    if len(leftovers) != 1 or leftovers[0][1] != 1:
+        return SpecialLocus(False, False, False, [], details)
+    gamma = leftovers[0][0]
+    if "S" in configs and _bidegree(gamma) == (1, 1):
         if len(rx) == 1 and rx[0][1] == d - 1 and len(ry) == 1 and ry[0][1] == d - 1:
             a = gamma.terms.get((1, 0, 1, 0), Fraction(0))
             b = gamma.terms.get((1, 0, 0, 1), Fraction(0))
@@ -599,18 +618,19 @@ def _quadric_special(curve, groups):
                         in_s = True
                         details["gamma"] = gamma
                         details["crossing"] = q
-    if single_left and not in_s:
-        gamma = leftovers[0][0]
-        in_x0 = _x0_quadric_oriented(d, gamma, rx, ry, p) or _x0_quadric_oriented(
+    if "X0" in configs:
+        in_x0 = _x0_quadric_oriented(d, gamma, rx, ry, p)
+    if "X0 swapped" in configs:
+        in_x0 = in_x0 or _x0_quadric_oriented(
             d, _swap_vars(gamma), ry, rx, p[2:] + p[:2]
         )
     return SpecialLocus(in_s, in_x0, False, [], details)
 
 
 def _special_shapes(surface, d):
-    """The multiplicity -> degree maps of the squarefree decomposition of
-    every degree-d curve in S or X0; a degree is (total degree,) on the
-    plane and the bidegree on the quadric.
+    """The multiplicity -> degree map of the squarefree decomposition of
+    every degree-d curve in each configuration, by its name; a degree is
+    (total degree,) on the plane and the bidegree on the quadric.
 
     Each configuration is a product of factors of fixed degrees and
     multiplicities (a factor of multiplicity 0 is absent): on the plane, S
@@ -621,46 +641,91 @@ def _special_shapes(surface, d):
     swapped. Distinct factors of one multiplicity share a group, so their
     degrees add."""
     if surface is Surface.P2:
-        products = (
-            (((2,), 1), ((1,), d - 2)),
-            (((3,), 1), ((1,), d - 3)),
-        )
+        products = {
+            "S": (((2,), 1), ((1,), d - 2)),
+            "X0": (((3,), 1), ((1,), d - 3)),
+        }
     else:
-        products = (
-            (((1, 1), 1), ((1, 0), d - 1), ((0, 1), d - 1)),
-            (((2, 1), 1), ((1, 0), d - 2), ((0, 1), d - 1)),
-            (((1, 2), 1), ((0, 1), d - 2), ((1, 0), d - 1)),
-        )
-    shapes = []
-    for factors in products:
+        products = {
+            "S": (((1, 1), 1), ((1, 0), d - 1), ((0, 1), d - 1)),
+            "X0": (((2, 1), 1), ((1, 0), d - 2), ((0, 1), d - 1)),
+            "X0 swapped": (((1, 2), 1), ((0, 1), d - 2), ((1, 0), d - 1)),
+        }
+    shapes = {}
+    for name, factors in products.items():
         shape = {}
         for deg, mult in factors:
             if mult > 0:
                 have = shape.get(mult, (0,) * len(deg))
                 shape[mult] = tuple(a + b for a, b in zip(have, deg))
-        shapes.append(shape)
+        shapes[name] = shape
     return shapes
 
 
-def special_locus_membership(curve):
+# The one configuration the local data at the marked point allows, keyed by
+# the tangent's contact on the plane and by the ruling contacts on the
+# quadric (see `_allowed_configuration`)
+_ALLOWED = {
+    Surface.P2: {2: "S", 3: "X0"},
+    Surface.QUADRIC: {(1, 1): "S", (1, 2): "X0", (2, 1): "X0 swapped"},
+}
+
+
+def _allowed_configuration(surface, geometry):
+    """The name of the one configuration, of those `_special_shapes` lists,
+    that a curve with this `LocalGeometry` at its marked point can be in,
+    or None when it can be in neither.
+
+    Intersection numbers add over components, and a line meets a smooth
+    conic or an irreducible cubic at most that many times (Fulton,
+    Algebraic Curves, 1969, 3.3). Plane S: p lies on the smooth conic Q
+    and off the line L, so the tangent T has contact I_p(T, Q) + (d - 2)
+    I_p(T, L) = 2 + 0. Plane X0: with P = T * H the polar conic of the
+    flex (`_cusp_line`), the gradient of P at p is 2T != 0, so H(p) != 0
+    and p lies off the cusp line; the contact is that of the flex, 3.
+    Quadric S: a smooth (1, 1)-form is the graph of an isomorphism, so
+    each ruling through p meets it only at p, simply, and the rulings
+    through the crossing miss p: contacts (1, 1). Quadric X0 with the
+    (2, 1)-form: the constant-y ruling through p is its double fibre,
+    contact 2, and the constant-x ruling meets it once, contact 1: (1, 2),
+    and (2, 1) with the factors swapped. So a singular point, a contact of
+    4 or more, and a tangent or ruling that is a component allow none."""
+    if not geometry.smooth_at_p:
+        return None
+    if surface is Surface.P2:
+        return _ALLOWED[surface].get(geometry.tangent_contact)
+    return _ALLOWED[surface].get(geometry.ruling_contacts)
+
+
+def special_locus_membership(curve, geometry=None):
     """Membership of the pointed curve in the two special configurations.
 
-    The squarefree decomposition is computed once. If its multiplicity ->
-    degree map is none of those S and X0 allow (`_special_shapes`), the
-    curve is in neither, and no root search runs; otherwise the same groups
-    are split into rational lines or rulings and the leftover factors.
+    The local data at p decides first which configuration the curve can
+    be in (`_allowed_configuration`); a caller that holds the curve's
+    `local_geometry` passes it as `geometry`, so it is not computed again.
+    When it allows none, the curve is in neither, with no decomposition
+    and no root search. Otherwise the squarefree decomposition is
+    computed once; if its multiplicity -> degree map is not the one that
+    configuration has (`_special_shapes`), the curve is in neither, and
+    no root search runs; otherwise the groups are split into rational
+    lines or rulings and the leftover factors, and only that
+    configuration is tested.
 
     Exact and conservative: when a root search aborts, the result carries
     undecided=True and each flag that search would have set stays False."""
     surface = curve.surface
+    geo = local_geometry(curve) if geometry is None else geometry
+    config = _allowed_configuration(surface, geo)
+    if config is None:
+        return SpecialLocus(False, False, False, [], {})
     plane = surface is Surface.P2
     groups = _squarefree_on_chart(surface, curve.equation)
     shape = {m: (f.total_degree(),) if plane else _bidegree(f) for f, m in groups}
-    if shape not in _special_shapes(surface, curve.degree):
+    if shape != _special_shapes(surface, curve.degree)[config]:
         return SpecialLocus(False, False, False, [], {})
     if plane:
-        return _p2_special(curve, groups)
-    return _quadric_special(curve, groups)
+        return _p2_special(curve, groups, (config,))
+    return _quadric_special(curve, groups, (config,))
 
 
 # -- the combined local report ----------------------------------------------
@@ -684,8 +749,10 @@ class InflectionReport:
     ruling_contacts and in_h1 need the geometry alone, as seq1 is read off
     the tangent's contact; in_h2prime needs seq2 or seq11, the only
     sequences that solve a branch; in_s, in_x0 and undecided need the
-    special locus. At a singular marked point in_h1 = in_h2prime = True
-    and no sequence is computed."""
+    special locus, which runs a search only where the geometry allows a
+    configuration (`configuration`). At a singular marked point in_h1 =
+    in_h2prime = True, no sequence is computed and the special locus is
+    empty without a search."""
 
     def __init__(self, curve):
         self.curve = curve
@@ -696,8 +763,14 @@ class InflectionReport:
         return local_geometry(self.curve)
 
     @cached_property
+    def configuration(self):
+        """The one special configuration the local geometry allows, "S",
+        "X0" or "X0 swapped", or None (`_allowed_configuration`)."""
+        return _allowed_configuration(self.surface, self.geometry)
+
+    @cached_property
     def special(self):
-        return special_locus_membership(self.curve)
+        return special_locus_membership(self.curve, self.geometry)
 
     @cached_property
     def seq1(self):

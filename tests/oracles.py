@@ -35,6 +35,7 @@ from wallcross.inflection import (
     _proj_equal,
     _quadric_special,
     _require,
+    _special_shapes,
     _squarefree_on_chart,
     inflection_weight,
     local_branch,
@@ -113,12 +114,14 @@ def constant_plus(c, series):
 
 
 def ungated_special_locus(curve):
-    """special_locus_membership without the squarefree-shape gate: the
-    rational components are searched on every curve."""
+    """special_locus_membership without the local-data gate and the
+    squarefree-shape gate: the rational components are searched on every
+    curve, and every configuration is tested."""
     groups = _squarefree_on_chart(curve.surface, curve.equation)
+    configs = tuple(_special_shapes(curve.surface, curve.degree))
     if curve.surface is Surface.P2:
-        return _p2_special(curve, groups)
-    return _quadric_special(curve, groups)
+        return _p2_special(curve, groups, configs)
+    return _quadric_special(curve, groups, configs)
 
 
 # -- X0 on the plane by elimination ------------------------------------------

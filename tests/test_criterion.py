@@ -359,9 +359,9 @@ def test_verdict_computes_the_special_locus_once(name, monkeypatch):
     calls = []
     membership = inflection.special_locus_membership
 
-    def counted(curve):
+    def counted(curve, geometry=None):
         calls.append(curve)
-        return membership(curve)
+        return membership(curve, geometry)
 
     monkeypatch.setattr(inflection, "special_locus_membership", counted)
     verdict = stability_verdict(curve_from_json(doc), Fraction(slope), budget=20)

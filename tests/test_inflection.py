@@ -10,6 +10,7 @@ from wallcross import inflection, polynomials
 from wallcross.criterion import stability_verdict
 from wallcross.curves import (
     FrameChange,
+    LocalGeometry,
     PointedCurve,
     Surface,
     WitnessKind,
@@ -17,6 +18,7 @@ from wallcross.curves import (
     apply_frame,
     curve_from_json,
     curve_to_json,
+    local_geometry,
     make_witness,
     move_curve,
 )
@@ -24,11 +26,14 @@ from wallcross.cli import main
 from wallcross.errors import InternalError
 from wallcross.hessians import analyzed_slopes
 from wallcross.inflection import (
+    SpecialLocus,
     UndecidedError,
+    _allowed_configuration,
     _cusp_line,
     _p2_components,
     _proj_equal,
     _quadric_components,
+    _quadric_special,
     _squarefree_on_chart,
     inflection_report,
     local_branch,
@@ -414,10 +419,10 @@ _QUADRIC_PLANTS = (
 )
 
 
-def _planted_product(rng, surface, d):
+def _planted_product(rng, surface, d, through=1):
     """A seeded product of random integer forms with planted
-    multiplicities, whose first factor passes through a random integer
-    point with no zero coordinate."""
+    multiplicities, whose first `through` factors pass through a random
+    integer point with no zero coordinate."""
     n = surface.nvars
     p = tuple(Fraction(rng.choice((-2, -1, 1, 2))) for _ in range(n))
     plants = _PLANE_PLANTS if surface is Surface.P2 else _QUADRIC_PLANTS
@@ -426,7 +431,7 @@ def _planted_product(rng, surface, d):
         g = Polynomial(n, {})
         while g.is_zero():
             g = _random_form(rng, surface, degree)
-            if i == 0 and g:
+            if i < through and g:
                 g = _vanishing_at(g, p)
         eq = eq * g ** mult
     return PointedCurve(surface, d, p, eq)
@@ -475,19 +480,135 @@ def _gate_corpus():
     return curves
 
 
+def _settled_products():
+    """Seeded planted products with two factors through the marked point,
+    which is then singular: the local data allows neither configuration."""
+    rng = random.Random(1414)
+    curves = []
+    for i in range(120):
+        surface = (Surface.P2, Surface.QUADRIC)[i % 3 == 2]
+        d = 4 if surface is Surface.P2 else 3
+        curves.append(_planted_product(rng, surface, d, through=2))
+    return curves
+
+
 def test_shape_gate_matches_ungated_special_locus():
-    # the gate only skips curves that the full component search finds in
-    # neither S nor X0, and on every other curve it hands the search the
-    # same squarefree groups
-    special = 0
-    curves = _gate_corpus()
+    # the gates only skip curves that the full component search finds in
+    # neither S nor X0, and on every curve whose local data allows a
+    # configuration they hand the search the same squarefree groups, so an
+    # aborted search reads the same there
+    special = settled = 0
+    curves = _gate_corpus() + _settled_products()
     for curve in curves:
         got = special_locus_membership(curve)
         want = ungated_special_locus(curve)
+        allowed = _allowed_configuration(curve.surface, local_geometry(curve))
         special += want.in_s or want.in_x0
-        for name in ("in_s", "in_x0", "undecided", "notes", "details"):
+        settled += allowed is None
+        names = ("in_s", "in_x0", "details")
+        if allowed is not None:
+            names += ("undecided", "notes")
+        for name in names:
             assert getattr(got, name) == getattr(want, name), (name, curve)
-    assert len(curves) >= 300 and special >= 100
+    assert len(curves) >= 400 and special >= 100 and settled >= 100
+
+
+def _special_witnesses_moved():
+    """The S and X0 witnesses of both surfaces for d = 3..8, as made and
+    moved by two seeded rational frames each; the quadric frames swap the
+    factors at random, so both X0 orientations occur."""
+    rng = random.Random(1515)
+    kinds = (
+        WitnessKind.P2_S, WitnessKind.P2_CUSPIDAL_X0, WitnessKind.P2_FLEX,
+        WitnessKind.QUADRIC_S, WitnessKind.QUADRIC_X0,
+        WitnessKind.QUADRIC_RULING_TANGENT,
+    )
+    curves = []
+    for kind in kinds:
+        for d in range(3, 9):
+            base = make_witness(kind, d)
+            curves.append(base)
+            curves.extend(
+                apply_frame(base, _rational_frame(rng, base.surface)) for _ in range(2)
+            )
+    return curves
+
+
+def test_special_curves_have_the_local_data_of_their_configuration():
+    # the lemma behind the gate: a curve in S or X0 has the contacts at p
+    # that `_allowed_configuration` names for that configuration, in the X0
+    # orientation the component search finds. And no curve the gate lets
+    # through carries both in_h1 and in_h2prime, so the wall's rule on
+    # those exact flags never waits on a root search
+    found = {}
+    passed = 0
+    for curve in _gate_corpus() + _special_witnesses_moved():
+        rep = inflection_report(curve)
+        allowed = rep.configuration
+        want = ungated_special_locus(curve)
+        if want.in_s:
+            assert allowed == "S", curve
+        if want.in_x0:
+            assert allowed in ("X0", "X0 swapped"), curve
+        if want.in_x0 and curve.surface is Surface.QUADRIC:
+            groups = _squarefree_on_chart(curve.surface, curve.equation)
+            assert _quadric_special(curve, groups, (allowed,)).in_x0, curve
+        if want.in_s or want.in_x0:
+            key = (curve.surface, allowed)
+            found[key] = found.get(key, 0) + 1
+        if allowed is not None:
+            assert not (rep.in_h1 and rep.in_h2prime), curve
+            passed += 1
+    assert len(found) == 5 and min(found.values()) >= 30, found
+    assert passed >= 250
+
+
+# Curves whose local data at p allows neither configuration: hyperflexes
+# (contact 4), the singular curves of the CLI tests and the node of
+# (x0 - K*x2)(x0*x2 - x1^2), K = 10^14, at (K : 10^7 : 1), whose line
+# search would abort, and x0 * (x1^2 + x2^2 + x0*x2) at (0 : 1 : 0), whose
+# tangent {x0 = 0} is a component
+_SETTLED_CURVES = [
+    *(make_witness(WitnessKind.P2_HYPERFLEX, d) for d in range(4, 9)),
+    *(curve_from_json(doc) for doc in SINGULAR_CURVES.values()),
+    _p2(3, {(2, 0, 1): 1, (1, 2, 0): -1, (1, 0, 2): -10 ** 14, (0, 2, 1): 10 ** 14},
+        (10 ** 14, 10 ** 7, 1)),
+    _p2(3, {(1, 2, 0): 1, (1, 0, 2): 1, (2, 0, 1): 1}, (0, 1, 0)),
+]
+
+
+def test_settled_curves_skip_the_decomposition(monkeypatch):
+    # where the local data allows neither configuration the curve is in
+    # neither, with no squarefree decomposition and no root search
+    def no_decomposition(surface, eq):
+        raise RuntimeError("squarefree decomposition computed")
+
+    curves = _SETTLED_CURVES + _settled_products()
+    for curve in curves:
+        assert _allowed_configuration(curve.surface, local_geometry(curve)) is None
+    monkeypatch.setattr(inflection, "_squarefree_on_chart", no_decomposition)
+    for curve in curves:
+        assert special_locus_membership(curve) == SpecialLocus(False, False, False, [], {})
+        assert not inflection_report(curve).undecided
+
+
+def test_allowed_configuration_table():
+    # the contacts each configuration has at p, and that a singular point
+    # allows none whatever contacts it carries
+    plane = {None: None, 1: None, 2: "S", 3: "X0", 4: None, 7: None}
+    for contact, config in plane.items():
+        geo = LocalGeometry(True, 1, tangent_contact=contact)
+        assert _allowed_configuration(Surface.P2, geo) == config
+    quadric = {
+        (1, 1): "S", (1, 2): "X0", (2, 1): "X0 swapped", (2, 2): None,
+        (1, 3): None, (None, 1): None, (1, None): None,
+    }
+    for contacts, config in quadric.items():
+        geo = LocalGeometry(True, 1, ruling_contacts=contacts)
+        assert _allowed_configuration(Surface.QUADRIC, geo) == config
+    assert _allowed_configuration(Surface.P2, LocalGeometry(False, 2)) is None
+    singular = LocalGeometry(False, 2, ruling_contacts=(1, 1))
+    assert _allowed_configuration(Surface.QUADRIC, singular) is None
 
 
 def test_special_locus_ignores_the_scale_of_the_equation():
@@ -595,14 +716,22 @@ def _x0_candidates(curves):
     return out
 
 
-def _rational_frame(rng):
-    while True:
-        m = tuple(
-            tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(3))
-            for _ in range(3)
+def _rational_frame(rng, surface=Surface.P2):
+    n = 3 if surface is Surface.P2 else 2
+
+    def matrix():
+        return tuple(
+            tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n))
+            for _ in range(n)
         )
+
+    while True:
+        if surface is Surface.P2:
+            args = (matrix(),)
+        else:
+            args = (matrix(), matrix(), bool(rng.getrandbits(1)))
         try:
-            return FrameChange(Surface.P2, m)
+            return FrameChange(surface, *args)
         except ValueError:
             continue
 
@@ -724,7 +853,7 @@ def test_verdict_computes_only_what_its_region_reads(monkeypatch, tmp_path):
     # the branch through in_h2prime when in_h1 holds, else the special locus
     recorded = json.loads(GOLDEN.read_text())["cases"]
 
-    def no_special(curve):
+    def no_special(curve, geometry=None):
         raise RuntimeError("special locus computed")
 
     def no_branch(curve, N):

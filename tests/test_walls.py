@@ -7,7 +7,8 @@ import pytest
 from wallcross.criterion import stability_verdict
 from wallcross.curves import PointedCurve, Surface, WitnessKind, make_witness
 from wallcross.hessians import analyzed_slopes
-from wallcross.inflection import UndecidedError, inflection_report
+from wallcross import inflection
+from wallcross.inflection import SpecialLocus, UndecidedError, inflection_report
 from wallcross.polynomials import Polynomial
 from wallcross.walls import (
     chamber_report,
@@ -133,10 +134,15 @@ def test_classify_at_wall_undecided():
         classify_at_wall(curve)
 
 
-def test_classify_at_wall_decided_by_exact_flags():
+def test_classify_at_wall_decided_by_exact_flags(monkeypatch):
     # the node of x0^2*x2 - x0*x1^2 - K*x0*x2^2 + K*x1^2*x2 carries in_h1 and
-    # in_h2prime, which settle the wall stratum although the special-locus
-    # root search gives up; the verdict at the wall is decided too
+    # in_h2prime, which settle the wall stratum. A singular point allows
+    # neither special configuration, so its report is decided without a
+    # root search. No curve that reaches a root search carries both flags:
+    # at a plane flex of contact 3 the conics add no weight to the lines',
+    # and along a ruling of contact 2 the (1, 1)-forms reach order 3 only.
+    # So the abort is injected, and the stratum and the verdict at the
+    # wall stay decided
     K = 10 ** 14
     curve = PointedCurve(
         Surface.P2,
@@ -144,6 +150,12 @@ def test_classify_at_wall_decided_by_exact_flags():
         (Fraction(K), Fraction(10 ** 7), Fraction(1)),
         Polynomial(3, {(2, 0, 1): 1, (1, 2, 0): -1, (1, 0, 2): -K, (0, 2, 1): K}),
     )
+    assert not inflection_report(curve).undecided
+
+    def aborted(curve, geometry=None):
+        return SpecialLocus(False, False, True, ["rational root search aborted"], {})
+
+    monkeypatch.setattr(inflection, "special_locus_membership", aborted)
     assert inflection_report(curve).undecided
     stratum, basis = classify_at_wall(curve)
     assert stratum == "not_semistable"
