@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 from operator import mul
 
@@ -99,13 +100,13 @@ CITATIONS = {
 
 
 def _point_labels(curve):
-    """Coordinate labels supporting the marked point: indices l on the
-    plane, pairs (l, m) on the quadric."""
-    if curve.surface is Surface.P2:
-        return [l for l in range(3) if curve.point[l] != 0]
-    xs = [l for l in range(2) if curve.point[l] != 0]
-    ys = [m for m in range(2) if curve.point[2 + m] != 0]
-    return [(l, m) for l in xs for m in ys]
+    """Coordinate labels supporting the marked point, a nonzero coordinate
+    per factor numbered within it: l on the plane, (l, m) on the quadric."""
+    p = curve.point
+    nonzero = [[i - b[0] for i in b if p[i] != 0] for b in curve.surface.blocks]
+    if len(nonzero) == 1:
+        return nonzero[0]
+    return list(product(*nonzero))
 
 
 def point_weight(surface, lw, label):
@@ -187,17 +188,15 @@ def torus_verdict(curve, t):
 
 def _random_frame(surface, rng):
     """The matrices (mx, my, swap) of a random invertible integer frame,
-    entries in [-3, 3]; my is None and swap False on the plane."""
-    if surface is Surface.P2:
-        while True:
-            mx = tuple(tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(3))
-            if adjugate(mx)[1]:
-                return mx, None, False
+    entries in [-3, 3]: one matrix per factor, redrawn together until all
+    are invertible, then the swap bit; my is None, swap False on the plane."""
     while True:
-        mx = tuple(tuple(rng.randint(-3, 3) for _ in range(2)) for _ in range(2))
-        my = tuple(tuple(rng.randint(-3, 3) for _ in range(2)) for _ in range(2))
-        if adjugate(mx)[1] and adjugate(my)[1]:
-            return mx, my, bool(rng.getrandbits(1))
+        mats = [tuple(tuple(rng.randint(-3, 3) for _ in b) for _ in b) for b in surface.blocks]
+        if all(adjugate(m)[1] for m in mats):
+            break
+    if len(mats) == 1:
+        return mats[0], None, False
+    return mats[0], mats[1], bool(rng.getrandbits(1))
 
 
 def _adapted_frames(curve, report):
@@ -525,29 +524,15 @@ def stabilizer_dimension(curve):
     """Dimension of the diagonal stabilizer of the pointed curve, with a
     primitive generator when the dimension is one.
 
-    Requires the marked point to be fixed by the full torus (a coordinate
-    point on the plane, a per-factor coordinate point on the quadric), so
-    the stabilizer is cut out by the equation support alone."""
-    if curve.surface is Surface.P2:
-        if sum(1 for c in curve.point if c != 0) != 1:
-            raise ValueError("marked point is not a coordinate point")
-        basis = ((1, 0, -1), (0, 1, -1))
-
-        def weight_row(delta):
-            return tuple(
-                sum(d * w for d, w in zip(delta, b)) for b in basis
-            )
-    else:
-        if (sum(1 for c in curve.point[:2] if c != 0) != 1
-                or sum(1 for c in curve.point[2:] if c != 0) != 1):
-            raise ValueError("marked point is not a coordinate point")
-
-        def weight_row(delta):
-            return (delta[1] - delta[0], delta[3] - delta[2])
-
-    exps = sorted(curve.equation.terms)
-    base = exps[0]
-    rows = [weight_row(tuple(a - b for a, b in zip(e, base))) for e in exps[1:]]
+    Requires the marked point to be fixed by the full torus (one nonzero
+    coordinate on each factor), so the stabilizer is cut out by the
+    equation support alone: the subgroups (r0, r1) of `_weight_forms` on
+    which every monomial weighs the same."""
+    p = curve.point
+    if any(sum(1 for i in b if p[i] != 0) != 1 for b in curve.surface.blocks):
+        raise ValueError("marked point is not a coordinate point")
+    _, (base, *forms), _ = _weight_forms(curve)
+    rows = [(a - base[0], b - base[1]) for a, b in forms]
     # The rank and kernel of two-column rows: none of them nonzero, one
     # that spans them all, or two independent ones.
     x, y = next((r for r in rows if any(r)), (0, 0))
@@ -555,16 +540,9 @@ def stabilizer_dimension(curve):
         return 2, None
     if any(x * b - y * a for a, b in rows):
         return 0, None
-    coeffs = _primitive((-y, x))
-    if curve.surface is Surface.P2:
-        vec = tuple(
-            coeffs[0] * b1 + coeffs[1] * b2
-            for b1, b2 in zip((1, 0, -1), (0, 1, -1))
-        )
-        vec = _primitive(vec)
-    else:
-        vec = coeffs
-    first = next(w for w in vec if w != 0)
-    if first < 0:
-        vec = tuple(-w for w in vec)
-    return 1, OneParamSubgroup(curve.surface, vec)
+    # the generator is primitive with its first nonzero weight positive;
+    # on the plane its weights begin with r0, r1, not both 0
+    r0, r1 = _primitive((-y, x))
+    if (r0 or r1) < 0:
+        r0, r1 = -r0, -r1
+    return 1, _subgroup_from_box(curve.surface, r0, r1)

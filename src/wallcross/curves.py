@@ -1,10 +1,14 @@
 """Pointed curves on the plane and on the smooth quadric surface.
 
-A curve is a homogeneous equation together with a marked point on it:
-degree d in x0, x1, x2 on the plane, bidegree (d, d) in (x0, x1; y0, y1)
-on the quadric. Frame changes act projectively; on the quadric they may
-also exchange the two rulings, since the two factors carry the same
-degree.
+Both surfaces are products of projective spaces: the plane is P^2, with
+coordinates x0, x1, x2, and the quadric P^1 x P^1, with coordinates
+(x0, x1; y0, y1), numbered 0..3. `Surface.blocks` lists the coordinates
+of each factor, and what differs between the surfaces only in the number
+of factors reads it: a curve is an equation of degree d on every factor
+together with a marked point on it, a frame is one matrix per factor,
+and an affine chart sets one coordinate per factor to 1. Frame changes
+act projectively; on the quadric they may also exchange the two rulings,
+since the two factors carry the same degree.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import lcm, prod
 
@@ -20,12 +25,18 @@ from .rationals import canonical, format_rational, parse_rational, quotient
 
 
 class Surface(str, Enum):
-    P2 = "p2"
-    QUADRIC = "quadric"
+    """A surface with the coordinates of each projective factor, in order,
+    as `blocks`, and their number as `nvars`."""
 
-    @property
-    def nvars(self):
-        return 3 if self is Surface.P2 else 4
+    P2 = ("p2", ((0, 1, 2),))
+    QUADRIC = ("quadric", ((0, 1), (2, 3)))
+
+    def __new__(cls, value, blocks):
+        member = str.__new__(cls, value)
+        member._value_ = value
+        member.blocks = blocks
+        member.nvars = sum(map(len, blocks))
+        return member
 
 
 @dataclass(frozen=True)
@@ -36,17 +47,41 @@ class PointedCurve:
     equation: Polynomial
 
 
+@lru_cache(maxsize=32)
+def _exponents(surface, degrees):
+    """Every exponent vector of degree degrees[k] on the k-th factor, in lex
+    order: the product over the factors of the vectors of that degree in
+    their variables. Claim replays and vanishing sequences ask for the same
+    few again and again."""
+    exps = [()]
+    for b, m in zip(surface.blocks, degrees):
+        # (prefix, degree left) over the factor's variables but its last
+        heads = [((), m)]
+        for _ in b[1:]:
+            heads = [(h + (i,), r - i) for h, r in heads for i in range(r + 1)]
+        exps = [e + h + (r,) for e in exps for h, r in heads]
+    return tuple(exps)
+
+
+def _bundle_degrees(surface, m):
+    """The degree on each factor of the bundle m, an int on the plane and a
+    pair (m1, m2) on the quadric: one non-negative int per factor, not a
+    bool, and not all 0, else ValueError."""
+    if len(surface.blocks) == 1:
+        if not _is_int(m) or m < 1:
+            raise ValueError("bundle degree must be a positive integer")
+        return (m,)
+    ms = tuple(m) if isinstance(m, (tuple, list)) else ()
+    if len(ms) != len(surface.blocks) or not all(_is_int(x) and x >= 0 for x in ms):
+        raise ValueError("bidegree must be a pair of non-negative integers")
+    if not any(ms):
+        raise ValueError("bidegree (0, 0) carries no sections to osculate")
+    return ms
+
+
 def all_exponents(surface, d):
     """Every exponent vector of a degree-d (resp. bidegree-(d,d)) monomial."""
-    if surface is Surface.P2:
-        return [
-            (i, j, d - i - j) for i in range(d + 1) for j in range(d - i + 1)
-        ]
-    return [
-        (i0, d - i0, j0, d - j0)
-        for i0 in range(d + 1)
-        for j0 in range(d + 1)
-    ]
+    return list(_exponents(surface, (d,) * len(surface.blocks)))
 
 
 def validate(curve):
@@ -60,26 +95,26 @@ def validate(curve):
     n = curve.surface.nvars
     if len(p) != n:
         return f"point has {len(p)} coordinates, expected {n}"
-    if curve.surface is Surface.P2:
-        if all(c == 0 for c in p):
-            return "point is the zero vector"
-    else:
-        if p[0] == 0 and p[1] == 0:
-            return "point has zero first factor"
-        if p[2] == 0 and p[3] == 0:
-            return "point has zero second factor"
+    factors = [slice(b[0], b[-1] + 1) for b in curve.surface.blocks]
+    for k, f in enumerate(factors):
+        if not any(p[f]):
+            if len(factors) == 1:
+                return "point is the zero vector"
+            return f"point has zero {('first', 'second')[k]} factor"
     eq = curve.equation
     if eq.nvars != n:
         return f"equation has arity {eq.nvars}, expected {n}"
     if eq.is_zero():
         return "equation is zero"
-    for exp in eq.terms:
-        if curve.surface is Surface.P2:
-            if sum(exp) != d:
-                return f"term {exp} is not homogeneous of degree {d}"
-        else:
-            if exp[0] + exp[1] != d or exp[2] + exp[3] != d:
-                return f"term {exp} does not have bidegree ({d}, {d})"
+    # the first term, in the order of the equation, of another degree on
+    # some factor
+    terms = list(eq.terms)
+    off = [k for f in factors for k, e in enumerate(terms) if sum(e[f]) != d]
+    if off:
+        exp = terms[min(off)]
+        if len(factors) == 1:
+            return f"term {exp} is not homogeneous of degree {d}"
+        return f"term {exp} does not have bidegree ({d}, {d})"
     if eq.evaluate(p) != 0:
         return "marked point does not lie on the curve"
     return None
@@ -191,16 +226,11 @@ def _integer_frame(surface, mx, my, swap):
     order of the old coordinates, (c, M, adj(M), det M, slots) with
     c * g = M the integer matrix of that factor and slots the new
     coordinates that its old ones become forms in."""
-    if surface is Surface.P2:
-        blocks = ((mx, (0, 1, 2)),)
-    else:
-        # g(x, y) = (mx x, my y), or (my y, mx x) with the swap, so the old
-        # x coordinates are forms in the new coordinates of the factor
-        # that mx x lands on
-        x_slots, y_slots = ((2, 3), (0, 1)) if swap else ((0, 1), (2, 3))
-        blocks = ((mx, x_slots), (my, y_slots))
+    # g(x, y) = (mx x, my y), or (my y, mx x) with the swap, so the old x
+    # coordinates are forms in the new coordinates of the factor that mx x
+    # lands on; on the plane, zip stops at its one factor
     factors = []
-    for m, slots in blocks:
+    for m, slots in zip((mx, my), surface.blocks[::-1] if swap else surface.blocks):
         c, m = _cleared(m)
         adj, det = adjugate(m)
         if not det:
@@ -228,7 +258,7 @@ def move_curve(curve, mx, my=None, swap=False):
     factors = _integer_frame(curve.surface, mx, my, swap)
     n, d = curve.surface.nvars, curve.degree
     _, (p,) = _cleared((curve.point,))
-    parts = (p,) if curve.surface is Surface.P2 else (p[:2], p[2:])
+    parts = [[p[i] for i in b] for b in curve.surface.blocks]
     images = [mat_vec(m, q) for (_, m, _, _, _), q in zip(factors, parts)]
     if swap:
         images.reverse()
@@ -263,13 +293,11 @@ def apply_frame(curve, frame):
         raise ValueError("surface mismatch")
     moved, scale = move_curve(curve, frame.mx, frame.my, frame.swap)
     den = _denominator((curve.point,))
-    if curve.surface is Surface.P2:
-        divisors = (den * _denominator(frame.mx),) * 3
-    else:
-        x = (den * _denominator(frame.mx),) * 2
-        y = (den * _denominator(frame.my),) * 2
-        divisors = y + x if frame.swap else x + y
-    new_p = tuple(map(Fraction, moved.point, divisors))
+    mats = (frame.mx, frame.my)
+    divisors = [(den * _denominator(m),) * len(b) for m, b in zip(mats, curve.surface.blocks)]
+    if frame.swap:
+        divisors.reverse()
+    new_p = tuple(map(Fraction, moved.point, sum(divisors, ())))
     return PointedCurve(curve.surface, curve.degree, new_p, moved.equation * scale)
 
 
@@ -292,19 +320,13 @@ def affine_chart(surface, form, point):
     coordinates (u, v), which vanish at the point; free lists the two
     homogeneous coordinates they replace, and shifts maps each of those to
     its value at the point, an int when it is integral. The other
-    coordinates are fixed to 1: one on the plane, one per factor on the
-    quadric.
+    coordinates are fixed to 1: the first nonzero coordinate of the point on
+    each factor.
     """
-    if surface is Surface.P2:
-        l0 = next(i for i in range(3) if point[i] != 0)
-        charts = [(l0, [i for i in range(3) if i != l0])]
-    else:
-        lx = 0 if point[0] != 0 else 1
-        ly = 2 if point[2] != 0 else 3
-        charts = [
-            (lx, [i for i in (0, 1) if i != lx]),
-            (ly, [i for i in (2, 3) if i != ly]),
-        ]
+    charts = []
+    for b in surface.blocks:
+        fixed = next(i for i in b if point[i] != 0)
+        charts.append((fixed, [i for i in b if i != fixed]))
     free = [i for _, fs in charts for i in fs]
     point = [canonical(x) for x in point]
     shifts = {i: quotient(point[i], point[fixed]) for fixed, fs in charts for i in fs}

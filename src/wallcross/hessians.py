@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, prod
 
-from .curves import Surface
+from .curves import Surface, _bundle_degrees
 
 
 @dataclass(frozen=True)
@@ -26,61 +27,40 @@ class DivisorClass:
     description: str = ""
 
 
-def _h0_excess(surface, d, m):
-    """Rank correction term h0 of the twist by the inverse curve bundle.
-    Zero exactly in the regime the pushforward formula is valid."""
-    if surface is Surface.P2:
-        return comb(m - d + 2, 2) if m >= d else 0
-    m1, m2 = m
-    if m1 >= d and m2 >= d:
-        return (m1 - d + 1) * (m2 - d + 1)
-    return 0
-
-
 def relative_hessian_class(surface, d, m):
-    """Class of the locus where the full space of degree-m forms meets the
-    curve at the marked point with total order above the generic one.
+    """Class of the locus where the full space of forms of degree m (an
+    int on the plane, a bidegree (m1, m2) on the quadric) meets the curve
+    at the marked point with total order above the generic one.
 
-    Plane: m is an integer, class ((n+1)m + C(n+1,2)(d-3), C(n+1,2)) with
-    n+1 = C(m+2,2). Quadric: m = (m1, m2), and the two point components are
-    (n+1)mi + C(n+1,2)(d-2) with n+1 = (m1+1)(m2+1). Requires m < d so the
-    pushforward whose degeneracy is being measured has constant rank."""
+    A factor P^k of degree m_i has C(m_i + k, k) sections and canonical
+    degree k + 1: with n+1 = prod C(m_i + k_i, k_i), point part i is
+    (n+1)m_i + C(n+1,2)(d - k_i - 1) and the family part C(n+1,2). Requires
+    every m_i < d so the pushforward whose degeneracy is being measured has
+    constant rank; past that, the rank correction h0 = prod C(m_i - d + k_i,
+    k_i) applies when every m_i >= d."""
     if not isinstance(d, int) or d < 3:
         raise ValueError("degree must be an integer >= 3")
-    if surface is Surface.P2:
-        if not isinstance(m, int) or m < 1:
-            raise ValueError("bundle degree must be a positive integer")
-        excess = _h0_excess(surface, d, m)
-        if m >= d:
+    ms = _bundle_degrees(surface, m)
+    # the factor with coordinates b is P^k, k = len(b) - 1
+    ks = [len(b) - 1 for b in surface.blocks]
+    plane = len(ms) == 1
+    if max(ms) >= d:
+        h0 = prod(comb(mi - d + k, k) for mi, k in zip(ms, ks)) if min(ms) >= d else 0
+        if plane:
             raise ValueError(
                 f"bundle degree {m} >= curve degree {d}: the rank correction "
-                f"h0 = {excess} is nonzero and the class formula breaks"
+                f"h0 = {h0} is nonzero and the class formula breaks"
             )
-        n1 = comb(m + 2, 2)
-        pairs = comb(n1, 2)
-        a = n1 * m + pairs * (d - 3)
-        return DivisorClass(
-            surface, (a, pairs), description=f"osculation class for forms of degree {m}"
-        )
-    m1, m2 = m
-    if not isinstance(m1, int) or not isinstance(m2, int) or m1 < 0 or m2 < 0:
-        raise ValueError("bidegree must be a pair of non-negative integers")
-    if (m1, m2) == (0, 0):
-        raise ValueError("bidegree (0, 0) carries no sections to osculate")
-    if m1 >= d or m2 >= d:
-        excess = _h0_excess(surface, d, (m1, m2))
         raise ValueError(
-            f"bidegree {(m1, m2)} reaches the curve degree {d}: the rank "
-            f"correction h0 = {excess} applies and the class formula breaks"
+            f"bidegree {ms} reaches the curve degree {d}: the rank "
+            f"correction h0 = {h0} applies and the class formula breaks"
         )
-    n1 = (m1 + 1) * (m2 + 1)
+    n1 = prod(comb(mi + k, k) for mi, k in zip(ms, ks))
     pairs = comb(n1, 2)
-    a1 = n1 * m1 + pairs * (d - 2)
-    a2 = n1 * m2 + pairs * (d - 2)
+    points = tuple(n1 * mi + pairs * (d - k - 1) for mi, k in zip(ms, ks))
+    forms = f"degree {m}" if plane else f"bidegree {ms}"
     return DivisorClass(
-        surface,
-        (a1, a2, pairs),
-        description=f"osculation class for forms of bidegree {(m1, m2)}",
+        surface, points + (pairs,), description=f"osculation class for forms of {forms}"
     )
 
 
@@ -112,19 +92,23 @@ def h2prime_class(d):
 
 def wall_slope(cls):
     """Ratio of point part to family part; the slope where the locus with
-    this class flips. Quadric classes must be symmetric."""
-    if cls.surface is Surface.P2:
-        a, b = cls.components
-        return Fraction(a, b)
-    a1, a2, b = cls.components
-    if a1 != a2:
+    this class flips. The point parts, one per factor, must be equal, so
+    quadric classes must be symmetric."""
+    *points, b = cls.components
+    if len(set(points)) != 1:
         raise ValueError("class is not symmetric between the rulings")
-    return Fraction(a1, b)
+    return Fraction(points[0], b)
 
 
 def analyzed_slopes(surface, d):
     """(wall, edge) for the flip analysis: the wall from the second-order
-    class, the edge from the first-order one."""
+    class, the edge from the first-order one, built once per surface and
+    degree, as every verdict reads them."""
+    return _analyzed_slopes(surface, d)
+
+
+@lru_cache(maxsize=32)
+def _analyzed_slopes(surface, d):
     if surface is Surface.P2:
         wall = wall_slope(h2prime_class(d))
         edge = wall_slope(relative_hessian_class(surface, d, 1))

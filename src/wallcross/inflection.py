@@ -49,6 +49,8 @@ from math import lcm
 
 from .curves import (
     Surface,
+    _bundle_degrees,
+    _exponents,
     adjugate,
     affine_chart,
     contact_ge,
@@ -164,34 +166,15 @@ class VanishingSequence:
         return bool(self.orders) and self.orders[-1] >= k
 
 
-def _section_basis(surface, bundle):
-    if surface is Surface.P2:
-        m = bundle
-        if not isinstance(m, int) or m < 1:
-            raise ValueError("bundle degree must be a positive integer")
-        return [
-            (i, j, m - i - j) for i in range(m + 1) for j in range(m - i + 1)
-        ]
-    m1, m2 = bundle
-    if m1 < 0 or m2 < 0 or (m1 == 0 and m2 == 0):
-        raise ValueError("bad bidegree")
-    return [
-        (a, m1 - a, b, m2 - b) for a in range(m1 + 1) for b in range(m2 + 1)
-    ]
-
-
 def vanishing_sequence(curve, bundle):
     """Vanishing orders at p of the full space of degree-`bundle` forms,
     restricted to the branch of the curve. bundle is an integer m on the
     plane and a pair (m1, m2) on the quadric. The branch is truncated one
-    past the intersection number of the curve with a form of that degree,
-    which bounds every finite order."""
-    basis = sorted(_section_basis(curve.surface, bundle))
-    if curve.surface is Surface.P2:
-        total = bundle * curve.degree
-    else:
-        total = (bundle[0] + bundle[1]) * curve.degree
-    N = total + 1
+    past the intersection number d * (m1 + m2) (d * m on the plane) of the
+    curve with a form of that degree, which bounds every finite order."""
+    ms = _bundle_degrees(curve.surface, bundle)
+    basis = _exponents(curve.surface, ms)
+    N = curve.degree * sum(ms) + 1
     branch = local_branch(curve, N)
     n = curve.surface.nvars
     rows = [series_substitute(monomial(n, e), branch) for e in basis]
@@ -347,14 +330,10 @@ def _line_conic_tangency(lc, q):
     return tuple(s * a + t * b for a, b in zip(v, w))
 
 
-# Per surface, the blocks of homogeneous coordinates: the slots kept as
-# chart variables and the slot set to 1. The chart is F(x0, x1, 1) on the
-# plane and F(x0, 1, y0, 1) on the quadric, as curves.affine_chart builds it
-# at (0:0:1) and ((0:1), (0:1)); remapping the exponents is cheaper.
-_CHART_BLOCKS = {
-    Surface.P2: (((0, 1), 2),),
-    Surface.QUADRIC: (((0,), 1), ((2,), 3)),
-}
+def _degrees(surface, f):
+    """The degree of a form on each factor of the surface: (total degree,)
+    on the plane, the bidegree on the quadric."""
+    return tuple(max(sum(e[b[0] : b[-1] + 1]) for e in f.terms) for b in surface.blocks)
 
 
 def _squarefree_on_chart(surface, eq):
@@ -369,7 +348,11 @@ def _squarefree_on_chart(surface, eq):
     on ints.
     """
     n = surface.nvars
-    blocks = _CHART_BLOCKS[surface]
+    # per factor, the coordinates kept as chart variables and the last one,
+    # set to 1: the chart is F(x0, x1, 1) on the plane and F(x0, 1, y0, 1)
+    # on the quadric, as curves.affine_chart builds it at (0:0:1) and
+    # ((0:1), (0:1)); remapping the exponents is cheaper
+    blocks = [(b[:-1], b[-1]) for b in surface.blocks]
     free = [i for kept, _ in blocks for i in kept]
     terms = ((tuple(e[i] for i in free), c) for e, c in eq.terms.items())
     chart = primitive_normalized(Polynomial(2, terms))
@@ -516,12 +499,6 @@ def _quadric_components(groups):
     return rx, ry, leftovers
 
 
-def _bidegree(f):
-    dx = max(e[0] + e[1] for e in f.terms)
-    dy = max(e[2] + e[3] for e in f.terms)
-    return dx, dy
-
-
 def _binary_disc(coeffs):
     a = coeffs.get(2, Fraction(0))
     b = coeffs.get(1, Fraction(0))
@@ -554,7 +531,7 @@ def _x0_quadric_oriented(d, gamma, rx, ry, p):
     """Is this the (2,1)-oriented cuspidal-analogue shape: gamma smooth of
     bidegree (2,1), the y-ruling tangent at the crossing point q, the marked
     point a second tangency point of the y-fibration."""
-    if _bidegree(gamma) != (2, 1):
+    if _degrees(Surface.QUADRIC, gamma) != (2, 1):
         return False
     if not (len(rx) == 1 and rx[0][1] == d - 2 and len(ry) == 1 and ry[0][1] == d - 1):
         return False
@@ -602,7 +579,7 @@ def _quadric_special(curve, groups, configs):
     if len(leftovers) != 1 or leftovers[0][1] != 1:
         return SpecialLocus(False, False, False, [], details)
     gamma = leftovers[0][0]
-    if "S" in configs and _bidegree(gamma) == (1, 1):
+    if "S" in configs and _degrees(Surface.QUADRIC, gamma) == (1, 1):
         if len(rx) == 1 and rx[0][1] == d - 1 and len(ry) == 1 and ry[0][1] == d - 1:
             a = gamma.terms.get((1, 0, 1, 0), Fraction(0))
             b = gamma.terms.get((1, 0, 0, 1), Fraction(0))
@@ -718,12 +695,11 @@ def special_locus_membership(curve, geometry=None):
     config = _allowed_configuration(surface, geo)
     if config is None:
         return SpecialLocus(False, False, False, [], {})
-    plane = surface is Surface.P2
     groups = _squarefree_on_chart(surface, curve.equation)
-    shape = {m: (f.total_degree(),) if plane else _bidegree(f) for f, m in groups}
+    shape = {m: _degrees(surface, f) for f, m in groups}
     if shape != _special_shapes(surface, curve.degree)[config]:
         return SpecialLocus(False, False, False, [], {})
-    if plane:
+    if surface is Surface.P2:
         return _p2_special(curve, groups, (config,))
     return _quadric_special(curve, groups, (config,))
 

@@ -59,7 +59,7 @@ def _resolve_value(spec, d):
 
 def _resolve_exponent(entry, d, surface):
     exp = tuple(_resolve_value(v, d) for v in entry)
-    if len(exp) != (3 if surface is Surface.P2 else 4):
+    if len(exp) != surface.nvars:
         raise ValueError(f"exponent arity mismatch: {entry!r}")
     if any(v < 0 for v in exp):
         raise ValueError(f"exponent {entry!r} is negative at degree {d}")

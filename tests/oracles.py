@@ -1,6 +1,7 @@
 """Oracles that only the tests use: independent routes to quantities the
 package computes another way."""
 
+import math
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -520,3 +521,99 @@ def fraction_interval_mu_claim(surface, lam, labels, exponents, t_spec, strictne
                 check.counterexamples.append((label, exp, worst[1], worst[0]))
                 check.passed = False
     return check
+
+
+# -- the per-surface code that reading Surface.blocks replaced ---------------
+# Written out once for the plane and once for the quadric, as the package
+# had them before it read the factors off `Surface.blocks`.
+
+
+def explicit_exponents(surface, degrees):
+    """Every exponent vector of degree degrees on the plane, of bidegree
+    degrees = (m1, m2) on the quadric, in lex order."""
+    if surface is Surface.P2:
+        (m,) = degrees
+        return [(i, j, m - i - j) for i in range(m + 1) for j in range(m - i + 1)]
+    m1, m2 = degrees
+    return [(a, m1 - a, b, m2 - b) for a in range(m1 + 1) for b in range(m2 + 1)]
+
+
+def explicit_chart_coordinates(surface, point):
+    """The (free, shifts) of `curves.affine_chart` at the point: the first
+    nonzero coordinate of each factor is set to 1."""
+    if surface is Surface.P2:
+        l0 = next(i for i in range(3) if point[i] != 0)
+        charts = [(l0, [i for i in range(3) if i != l0])]
+    else:
+        lx = 0 if point[0] != 0 else 1
+        ly = 2 if point[2] != 0 else 3
+        charts = [(lx, [i for i in (0, 1) if i != lx]), (ly, [i for i in (2, 3) if i != ly])]
+    free = [i for _, fs in charts for i in fs]
+    shifts = {i: Fraction(point[i]) / Fraction(point[fixed]) for fixed, fs in charts for i in fs}
+    return free, shifts
+
+
+def explicit_point_labels(surface, point):
+    """Indices l of the nonzero coordinates on the plane, pairs (l, m) of
+    nonzero x_l and y_m on the quadric."""
+    if surface is Surface.P2:
+        return [l for l in range(3) if point[l] != 0]
+    xs = [l for l in range(2) if point[l] != 0]
+    ys = [m for m in range(2) if point[2 + m] != 0]
+    return [(l, m) for l in xs for m in ys]
+
+
+def explicit_h0_excess(surface, d, m):
+    """The rank correction h0 of the twist by the inverse curve bundle."""
+    if surface is Surface.P2:
+        return math.comb(m - d + 2, 2) if m >= d else 0
+    m1, m2 = m
+    return (m1 - d + 1) * (m2 - d + 1) if m1 >= d and m2 >= d else 0
+
+
+def explicit_class_components(surface, d, m):
+    """The components of the osculation class, for m < d: ((n+1)m +
+    C(n+1,2)(d-3), C(n+1,2)) with n+1 = C(m+2,2) on the plane, and
+    ((n+1)m1 + C(n+1,2)(d-2), (n+1)m2 + C(n+1,2)(d-2), C(n+1,2)) with n+1
+    = (m1+1)(m2+1) on the quadric."""
+    if surface is Surface.P2:
+        n1 = math.comb(m + 2, 2)
+        pairs = math.comb(n1, 2)
+        return (n1 * m + pairs * (d - 3), pairs)
+    m1, m2 = m
+    n1 = (m1 + 1) * (m2 + 1)
+    pairs = math.comb(n1, 2)
+    return (n1 * m1 + pairs * (d - 2), n1 * m2 + pairs * (d - 2), pairs)
+
+
+def explicit_symmetrized_components(d, m1, m2):
+    c1 = explicit_class_components(Surface.QUADRIC, d, (m1, m2))
+    if m1 == m2:
+        return c1
+    c2 = explicit_class_components(Surface.QUADRIC, d, (m2, m1))
+    return tuple(x + y for x, y in zip(c1, c2))
+
+
+def explicit_wall_slope(surface, components):
+    """Point part over family part; None for a quadric class whose two
+    point parts differ."""
+    if surface is Surface.P2:
+        a, b = components
+        return Fraction(a, b)
+    a1, a2, b = components
+    return Fraction(a1, b) if a1 == a2 else None
+
+
+def explicit_analyzed_slopes(surface, d):
+    """(wall, edge): on the plane from the second-order class minus the
+    first-order one and from the first-order class, on the quadric from
+    the symmetrized classes of (1, 1) and (0, 1)."""
+    if surface is Surface.P2:
+        w1 = explicit_class_components(surface, d, 1)
+        w2 = explicit_class_components(surface, d, 2)
+        wall = explicit_wall_slope(surface, tuple(a - b for a, b in zip(w2, w1)))
+        return wall, explicit_wall_slope(surface, w1)
+    return (
+        explicit_wall_slope(surface, explicit_symmetrized_components(d, 1, 1)),
+        explicit_wall_slope(surface, explicit_symmetrized_components(d, 0, 1)),
+    )

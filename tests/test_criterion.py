@@ -33,8 +33,9 @@ from wallcross.hessians import analyzed_slopes
 from wallcross.inflection import inflection_report
 from wallcross.polynomials import Polynomial
 
-from oracles import full_move_search, gauss_jordan, mu_term
+from oracles import explicit_point_labels, full_move_search, gauss_jordan, mu_term
 from test_cli import ADAPTED_CURVES
+from test_curves import _zero_patterns
 
 
 def _p2(d, terms, point):
@@ -754,3 +755,63 @@ def test_mu_term_matches_mu_min_on_support():
         for lb in labels
         for e in [max(c.equation.terms, key=lambda e: sum(w * x for w, x in zip(lam.literal_weights(), e)))]
     )
+
+
+# The first 20 random frames from each seed, one token per frame: the
+# entries of each matrix row by row, each plus 3, then the swap bit on the
+# quadric. Recorded when each surface drew its frames in its own loop.
+RANDOM_FRAME_DRAWS = {
+    (Surface.P2, 0): (
+        "636302433 662324141 216046245 641205065 234023245 143364206 400563566 "
+        "550436621 525601411 616430024 302425042 641644423 046324121 161045230 "
+        "056110605 645365424 616154634 233555620 240345261 105205126"
+    ),
+    (Surface.P2, 1): (
+        "146660203 633536103 063346605 325614020 005403513 504163341 215163203 "
+        "645015562 052554346 512243643 512456552 035406146 323503025 644435114 "
+        "106146413 426423254 450366654 614641303 624414336 232044464"
+    ),
+    (Surface.P2, 2): (
+        "660002615 656224140 451353656 232334141 110121144 245413635 462642263 "
+        "163553541 323446625 332454533 512656142 632265644 445443251 342540662 "
+        "506150045 024150641 621610356 002211500 000050221 615145034"
+    ),
+    (Surface.QUADRIC, 0): (
+        "366232411 456412050 652340230 206400560 566550431 621525600 411616430 "
+        "024302421 042641641 423046321 121161041 106056450 654246160 555620240 "
+        "345261101 205126120 064544500 051464030 260040111 031560501"
+    ),
+    (Surface.QUADRIC, 1): (
+        "146660200 633536100 532561401 200054031 135041631 341215160 203645011 "
+        "562052551 346512241 364346030 565520351 503025641 435114101 146413421 "
+        "642325441 503666541 623204441 144160641 662065001 030662120"
+    ),
+    (Surface.QUADRIC, 2): (
+        "656424340 211442451 642263160 553541321 344662531 512656140 632265641 "
+        "445443250 342540660 506150041 024150640 621610351 216151450 245550220 "
+        "023464501 263645131 105526000 421622241 350541500 011103511"
+    ),
+}
+
+
+def _decode_frame(surface, token):
+    entries = [int(c) - 3 for c in token]
+    if surface is Surface.P2:
+        return tuple(tuple(entries[3 * i : 3 * i + 3]) for i in range(3)), None, False
+    mx = (tuple(entries[0:2]), tuple(entries[2:4]))
+    my = (tuple(entries[4:6]), tuple(entries[6:8]))
+    return mx, my, token[8] == "1"
+
+
+def test_random_frames_keep_their_recorded_draws():
+    for (surface, seed), tokens in RANDOM_FRAME_DRAWS.items():
+        rng = random.Random(seed)
+        for token in tokens.split():
+            assert criterion._random_frame(surface, rng) == _decode_frame(surface, token)
+
+
+def test_point_labels_match_the_explicit_labels_at_every_zero_pattern():
+    for surface in Surface:
+        for point in _zero_patterns(surface):
+            curve = PointedCurve(surface, 3, point, Polynomial(surface.nvars, {}))
+            assert criterion._point_labels(curve) == explicit_point_labels(surface, point)

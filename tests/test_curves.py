@@ -11,7 +11,9 @@ from wallcross.curves import (
     Surface,
     WitnessKind,
     IDENTITY_MATRICES,
+    _exponents,
     adjugate,
+    affine_chart,
     all_exponents,
     apply_frame,
     contact_ge,
@@ -24,7 +26,7 @@ from wallcross.curves import (
 )
 from wallcross.polynomials import Polynomial, constant, variable
 
-from oracles import frame_inverse
+from oracles import explicit_chart_coordinates, explicit_exponents, frame_inverse
 
 
 def _p2(d, terms, point):
@@ -451,3 +453,55 @@ def test_json_rejections():
         mutate(bad)
         with pytest.raises(ValueError):
             curve_from_json(bad)
+
+
+def test_exponents_match_the_explicit_enumeration():
+    # the order too: vanishing sequences and claim replays list them so
+    for d in range(9):
+        assert all_exponents(Surface.P2, d) == explicit_exponents(Surface.P2, (d,))
+        assert all_exponents(Surface.QUADRIC, d) == explicit_exponents(Surface.QUADRIC, (d, d))
+    for m in range(1, 9):
+        assert list(_exponents(Surface.P2, (m,))) == explicit_exponents(Surface.P2, (m,))
+    for ms in itertools.product(range(9), repeat=2):
+        assert list(_exponents(Surface.QUADRIC, ms)) == explicit_exponents(Surface.QUADRIC, ms)
+
+
+def _zero_patterns(surface):
+    """A point for every set of zero coordinates that leaves each factor a
+    nonzero coordinate, its other coordinates nonzero rationals."""
+    values = (Fraction(2), Fraction(-3, 2), Fraction(5, 3), Fraction(-1, 4))
+    for zeros in itertools.product((False, True), repeat=surface.nvars):
+        point = tuple(Fraction(0) if z else v for z, v in zip(zeros, values))
+        if all(any(point[i] for i in b) for b in surface.blocks):
+            yield point
+
+
+def test_chart_coordinates_match_the_explicit_charts_at_every_zero_pattern():
+    for surface in Surface:
+        points = list(_zero_patterns(surface))
+        assert len(points) == (7 if surface is Surface.P2 else 9)
+        form = Polynomial(surface.nvars, {e: 1 for e in all_exponents(surface, 2)})
+        for point in points:
+            _, free, shifts = affine_chart(surface, form, point)
+            assert (free, shifts) == explicit_chart_coordinates(surface, point)
+
+
+def test_validate_messages():
+    def q(terms, point):
+        return PointedCurve(
+            Surface.QUADRIC, 3, tuple(Fraction(c) for c in point), Polynomial(4, terms)
+        )
+
+    assert validate(_p2(3, {(0, 3, 0): 1}, (0, 0, 0))) == "point is the zero vector"
+    assert validate(q({(1, 2, 0, 3): 1}, (0, 0, 1, 0))) == "point has zero first factor"
+    assert validate(q({(1, 2, 0, 3): 1}, (1, 0, 0, 0))) == "point has zero second factor"
+    assert validate(q({(1, 2, 0, 3): 1}, (0, 0, 0, 0))) == "point has zero first factor"
+    # the first offending term in the order of the equation, whichever
+    # factor it is off on
+    assert validate(_p2(3, {(1, 2, 0): 1, (1, 0, 0): 1, (0, 0, 2): 1}, (0, 0, 1))) == (
+        "term (1, 0, 0) is not homogeneous of degree 3"
+    )
+    curve = q({(1, 2, 1, 2): 1, (1, 2, 0, 2): 1, (1, 1, 0, 3): 1}, (0, 1, 0, 1))
+    assert validate(curve) == "term (1, 2, 0, 2) does not have bidegree (3, 3)"
+    curve = q({(1, 2, 1, 2): 1, (1, 1, 0, 3): 1, (1, 2, 0, 2): 1}, (0, 1, 0, 1))
+    assert validate(curve) == "term (1, 1, 0, 3) does not have bidegree (3, 3)"

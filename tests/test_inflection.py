@@ -898,3 +898,22 @@ def test_branch_residual_check_raises(monkeypatch, tmp_path):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["inflect", "--curve", str(path)])
     assert code == 4 and "residual" in err.getvalue()
+
+
+def test_bundle_arguments_are_checked_per_factor():
+    # one non-negative int per factor, not a bool, not all 0; a bare int
+    # or a float on the quadric and a bool anywhere are refused with the
+    # messages of the class formula, as they are there
+    plane = make_witness(WitnessKind.P2_FLEX, 4)
+    quadric = make_witness(WitnessKind.QUADRIC_S, 3)
+    for bundle in (0, -1, True, 1.5, (1,)):
+        with pytest.raises(ValueError, match="^bundle degree must be a positive integer$"):
+            vanishing_sequence(plane, bundle)
+    bad = "^bidegree must be a pair of non-negative integers$"
+    for bundle in (2, (1.5, 1), (True, 1), (1, True), (-1, 1), (1, 1, 1)):
+        with pytest.raises(ValueError, match=bad):
+            vanishing_sequence(quadric, bundle)
+    with pytest.raises(ValueError, match=r"^bidegree \(0, 0\) carries no sections to osculate$"):
+        vanishing_sequence(quadric, (0, 0))
+    assert vanishing_sequence(plane, 1).orders == (0, 1, 3)
+    assert vanishing_sequence(quadric, [1, 0]) == vanishing_sequence(quadric, (1, 0))
