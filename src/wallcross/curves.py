@@ -305,12 +305,36 @@ def apply_frame(curve, frame):
 
 
 @dataclass(frozen=True)
+class Restriction:
+    """The curve on a line through its marked point p, inside the factor
+    the line moves in: in that factor's coordinates the line's points are
+    t * base + s * direction, with p at s = 0, and the equation there is
+    sum(coeffs[j] * s^j * t^(d - j)) for j = 0..d."""
+
+    base: tuple
+    direction: tuple
+    coeffs: tuple
+
+    @property
+    def contact(self):
+        """The intersection number of the line with the curve at p, the
+        order of the root s = 0; None when the line is a component."""
+        return next((j for j, c in enumerate(self.coeffs) if c), None)
+
+
+@dataclass(frozen=True)
 class LocalGeometry:
+    """The multiplicity at p and, on the lines through p that the verdicts
+    read, the curve's `restrictions` and the contacts read off them: the
+    tangent at a smooth plane point, and on the quadric the ruling with
+    constant x, then the one with constant y."""
+
     smooth_at_p: bool
     multiplicity: int
     tangent: tuple = None
     tangent_contact: int = None
     ruling_contacts: tuple = None
+    restrictions: tuple = ()
 
 
 def affine_chart(surface, form, point):
@@ -345,18 +369,22 @@ def affine_chart(surface, form, point):
 
 def local_geometry(curve):
     """Multiplicity of the curve at its marked point, read off the affine
-    chart there, and the contact orders of the lines through a smooth
-    point that the verdicts read.
+    chart there, and the curve's restrictions to the lines through p that
+    the verdicts read, with their contacts.
 
-    On the plane, at a smooth point: the tangent T (the gradient at p) and
-    its contact I_p(T, C). With a, b the linear coefficients of the chart
-    f, T is the line through p in the direction (b, -a), and f(s b, -s a)
-    = sum_m s^m f_m(b, -a), so the contact is the least m with
-    f_m(b, -a) != 0; None when there is none, as T is then a component.
-    On the quadric: the contacts of the two rulings through p."""
+    In the chart f(u, v) the point is base + u e_u + v e_v, where base is p
+    with the coordinate each factor sets to 1 at 1. On the plane, at a
+    smooth point: the tangent T (the gradient at p), through p in the
+    chart direction (b, -a), with a, b the linear coefficients of f; so C
+    on T is f(s b, -s a) = sum_m s^m f_m(b, -a), and the contact is the
+    least m with f_m(b, -a) != 0. On the quadric: the ruling with constant
+    x is {u = 0}, where C is f(0, s), and the one with constant y is
+    {v = 0}, where C is f(s, 0)."""
     p = curve.point
-    f, _, _ = affine_chart(curve.surface, curve.equation, p)
+    d = curve.degree
+    f, free, shifts = affine_chart(curve.surface, curve.equation, p)
     mult = min(sum(e) for e in f.terms)
+    base = [shifts.get(i, 1) for i in range(curve.surface.nvars)]
     if curve.surface is Surface.P2:
         if mult != 1:
             return LocalGeometry(False, mult)
@@ -364,18 +392,26 @@ def local_geometry(curve):
             curve.equation.partial_derivative(i).evaluate(p) for i in range(3)
         )
         a, b = f.terms.get((1, 0), 0), f.terms.get((0, 1), 0)
-        along = {}
+        along = [0] * (d + 1)
         for (i, j), c in f.terms.items():
-            along[i + j] = along.get(i + j, 0) + c * b**i * (-a) ** j
-        contact = min((m for m, x in along.items() if x), default=None)
-        return LocalGeometry(True, 1, tangent=tangent, tangent_contact=contact)
-    # the ruling through p with constant x is {u = 0}, the other {v = 0};
-    # None when that ruling is a component of the curve
-    contacts = tuple(
-        min((e[1 - k] for e in f.terms if e[k] == 0), default=None)
-        for k in (0, 1)
-    )
-    return LocalGeometry(mult == 1, mult, ruling_contacts=contacts)
+            along[i + j] += c * b**i * (-a) ** j
+        direction = [0] * 3
+        direction[free[0]], direction[free[1]] = b, -a
+        line = Restriction(tuple(base), tuple(direction), tuple(along))
+        return LocalGeometry(
+            True, 1, tangent=tangent, tangent_contact=line.contact, restrictions=(line,)
+        )
+    lines = []
+    for k in (0, 1):
+        block = curve.surface.blocks[1 - k]
+        coeffs = [0] * (d + 1)
+        for e, c in f.terms.items():
+            if e[k] == 0:
+                coeffs[e[1 - k]] = c
+        direction = tuple(int(i == free[1 - k]) for i in block)
+        lines.append(Restriction(tuple(base[i] for i in block), direction, tuple(coeffs)))
+    contacts = tuple(line.contact for line in lines)
+    return LocalGeometry(mult == 1, mult, ruling_contacts=contacts, restrictions=tuple(lines))
 
 
 def contact_ge(contact, k):

@@ -15,24 +15,24 @@ each step extends the coefficient lists of the powers of the
 unknown series by one, which costs O(N^2 * degree) for N coefficients, and
 one full substitution re-checks the result. It is solved over Z at a
 rescaled parameter (`local_branch`), so every series is a tuple of ints.
+
 Membership in S and X0 first reads the local geometry at p: each
 configuration fixes the contact there (the tangent's 2 for S and 3 for X0
 on the plane, the rulings' (1, 1), (1, 2) or (2, 1) on the quadric), so
 at most one is allowed (`_allowed_configuration`), and where none is, the
-curve is in neither with no decomposition and no root search. So a report
-is undecided only where the local data allows a configuration, as only
-there does a root search run. Then the multiplicity -> degree map of the
-squarefree decomposition is compared with the map of the allowed
-configuration; a curve that does not fit it is in neither, and only the
-others are searched for rational components and tested for that one
-configuration. Lines and rulings come from one search (`_linear_factors`):
-a linear form in two variables divides a form exactly when it divides
-every coefficient form, the binary form that multiplies one monomial in
-the other variables, so the candidates are the rational roots of the gcd
-of those forms. On the plane, X0 needs no singular point: the marked
-point is a flex exactly when its tangent divides its polar conic, and the
-other factor, the harmonic polar, meets the cubic in a single point
-exactly when the cubic is cuspidal; it is then the cusp line
+curve is in neither. The allowed one is read off the restrictions of the
+curve to the lines through p, which `local_geometry` computes on its
+chart for the contacts. On a member, the factor that passes through p
+meets such a line only at p, so the restriction is a power of p's root
+times a power of one linear form, whose root is where the line meets the
+multiple line or ruling (`_power_point`). That point gives the multiple
+line (by a gradient on the plane, directly on the quadric), and one
+exact division leaves the conic, cubic or (a, b)-form for the tests of
+the configuration. No gcd, squarefree split or root search runs, so the
+membership is always decided. On the plane, X0 needs no singular point:
+the marked point is a flex exactly when its tangent divides its polar
+conic, and the other factor, the harmonic polar, meets the cubic in a
+single point exactly when the cubic is cuspidal; it is then the cusp line
 (`_cusp_line`).
 
 Computed orders at or past the truncation are reported as lower bounds,
@@ -45,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from .curves import (
     Surface,
@@ -58,24 +58,23 @@ from .curves import (
 )
 from .errors import InternalError
 from .polynomials import (
-    Polynomial,
-    binary_form_roots,
     constant,
     exact_divide,
     exact_quotient,
     linear_form,
     monomial,
-    poly_gcd,
     primitive_normalized,
-    squarefree_decompose,
     variable,
     zero,
 )
+from .rationals import quotient
 from .series import pivot_orders, series_substitute
 
 
 class UndecidedError(Exception):
-    """An exact search (rational roots of large integers) was aborted."""
+    """A membership the verdict reads could not be decided. The special
+    locus is always decided now, so nothing in the package raises it but
+    `walls.classify_at_wall` on a report marked undecided."""
 
 
 # -- branch expansion -------------------------------------------------------
@@ -193,78 +192,6 @@ def inflection_weight(seq):
     return w, seq.deficiency > 0
 
 
-# -- rational component extraction -----------------------------------------
-
-
-def _require(roots, what):
-    if roots is None:
-        raise UndecidedError(f"rational root search aborted while {what}")
-    return roots
-
-
-def _linear_factors(f, slots, what):
-    """The linear forms v*x_a - u*x_b in the variables slots = (a, b) that
-    divide f, as the pairs (u, v) of `binary_form_roots`.
-
-    Such a form divides f exactly when it divides every coefficient form of
-    f, the binary form in x_a, x_b that multiplies one monomial in the other
-    variables; so the candidates are the roots of the gcd of those forms."""
-    a, b = slots
-    rest = [i for i in range(f.nvars) if i not in slots]
-    groups = {}
-    for e, c in f.terms.items():
-        groups.setdefault(tuple(e[i] for i in rest), {})[e[a], e[b]] = c
-    g = None
-    # highest powers of the other variables first: on the plane these are
-    # the forms of least degree, whose gcds are the cheapest
-    for key in sorted(groups, reverse=True):
-        form = Polynomial._raw(2, groups[key])
-        g = form if g is None else poly_gcd(g, form)
-        if not g.variables():
-            return []
-    coeffs = [0] * (g.total_degree() + 1)
-    for (i, _), c in g.terms.items():
-        coeffs[i] = c
-    return [
-        (u, v)
-        for u, v in _require(binary_form_roots(coeffs), what)
-        if exact_divide(f, linear_form(f.nvars, slots, (v, -u))) is not None
-    ]
-
-
-def rational_lines(f):
-    """All rational lines dividing a squarefree homogeneous 3-variable form.
-
-    Returns a list of coefficient tuples (a, b, c) meaning a*x0 + b*x1 +
-    c*x2, scaled so that the first nonzero entry is 1: (0, 0, 1), (0, 1, c)
-    or (1, b, c). Raises UndecidedError if an exact root search has to give
-    up (huge integer divisors)."""
-    x2 = monomial(3, (0, 0, 1))
-    rest = exact_divide(f, x2)
-    if rest is not None:
-        return rational_lines(rest) + [(Fraction(0), Fraction(0), Fraction(1))]
-    found = [
-        (Fraction(0), Fraction(1), -u)
-        for u, _ in _linear_factors(f, (1, 2), "searching lines through (1,0,0)")
-    ]
-    # a line x0 + b*x1 + c*x2 meets x2 = 0 in a root of f(x0, x1, 0), which
-    # is nonzero as x2 does not divide f; x0 -> x0 - b*x1 moves it to x0 + c*x2
-    border = [0] * (f.total_degree() + 1)
-    for (i, _, k), c in f.terms.items():
-        if not k:
-            border[i] = c
-    slopes = _require(binary_form_roots(border), "searching line slopes")
-    for b in sorted(-u for u, v in slopes if v):
-        shear = (linear_form(3, (0, 1), (1, -b)), variable(3, 1), variable(3, 2))
-        found.extend(
-            (Fraction(1), b, -u)
-            for u, _ in _linear_factors(
-                f.substitute(shear), (0, 2), f"searching lines with slope {b}"
-            )
-        )
-    return found
-
-
 # -- special configurations -------------------------------------------------
 
 
@@ -330,71 +257,44 @@ def _line_conic_tangency(lc, q):
     return tuple(s * a + t * b for a, b in zip(v, w))
 
 
-def _degrees(surface, f):
-    """The degree of a form on each factor of the surface: (total degree,)
-    on the plane, the bidegree on the quadric."""
-    return tuple(max(sum(e[b[0] : b[-1] + 1]) for e in f.terms) for b in surface.blocks)
+def _power_point(line, k):
+    """The point of the line other than p where the rest of the curve
+    meets it, when the curve on the line (a `curves.Restriction`) is
+    (p's root)^k times an m-th power, m = d - k >= 1; else None. It is
+    given in the coordinates of the line's factor, up to scale.
+
+    With q_j the coefficient k + j, the quotient sum q_j s^j t^(m - j) has
+    q_0 != 0, as k is the contact. So it is an m-th power exactly when it
+    is q_0 (mu s + t)^m with mu = q_1 / (m q_0), which one comparison per
+    coefficient decides. Its root (s : t) = (1 : -mu) is the point
+    direction - mu * base, returned times m * q_0."""
+    q = line.coeffs[k:]
+    m = len(q) - 1
+    mu = quotient(q[1], m * q[0])
+    if any(c != q[0] * comb(m, j) * mu**j for j, c in enumerate(q)):
+        return None
+    return tuple(m * q[0] * e - q[1] * b for b, e in zip(line.base, line.direction))
 
 
-def _squarefree_on_chart(surface, eq):
-    """squarefree_decompose(eq) for a plane or quadric form, computed on a
-    2-variable affine chart.
-
-    The powers of the coordinates set to 1 are split off first; every other
-    factor is the rehomogenization of a chart factor to its own degree in
-    each block. Each multiplicity group is unique up to a constant, which
-    primitive_normalized fixes, so the list equals the direct decomposition;
-    for the same reason the chart is made primitive first, so the gcds run
-    on ints.
-    """
-    n = surface.nvars
-    # per factor, the coordinates kept as chart variables and the last one,
-    # set to 1: the chart is F(x0, x1, 1) on the plane and F(x0, 1, y0, 1)
-    # on the quadric, as curves.affine_chart builds it at (0:0:1) and
-    # ((0:1), (0:1)); remapping the exponents is cheaper
-    blocks = [(b[:-1], b[-1]) for b in surface.blocks]
-    free = [i for kept, _ in blocks for i in kept]
-    terms = ((tuple(e[i] for i in free), c) for e, c in eq.terms.items())
-    chart = primitive_normalized(Polynomial(2, terms))
-    groups = {}
-    for factor, mult in squarefree_decompose(chart):
-        exps = []
-        for u in factor.terms:
-            e = [0] * n
-            for i, x in zip(free, u):
-                e[i] = x
-            exps.append(e)
-        for kept, one in blocks:
-            deg = max(sum(e[i] for i in kept) for e in exps)
-            for e in exps:
-                e[one] = deg - sum(e[i] for i in kept)
-        groups[mult] = Polynomial(n, zip(map(tuple, exps), factor.terms.values()))
-    for _, one in blocks:
-        k = min(e[one] for e in eq.terms)
-        if k:
-            groups[k] = groups.get(k, constant(n, 1)) * variable(n, one)
-    return [(primitive_normalized(groups[m]), m) for m in sorted(groups)]
-
-
-def _p2_components(groups):
-    lines = []
-    leftovers = []
-    for f, mult in groups:
-        ls = rational_lines(f)
-        w = f
-        for lc in ls:
-            w = exact_quotient(w, linear_form(3, (0, 1, 2), lc), f"splitting off the line {lc}")
-            lines.append((lc, mult))
-        if w.variables():
-            leftovers.append((primitive_normalized(w), mult))
-    return lines, leftovers
+def _s_on_plane(p, line, conic):
+    """The details of S for this line and conic: {} unless the conic is
+    smooth, the line touches it at a single point q, and p lies on the
+    conic, off the line and apart from q."""
+    if not adjugate(_conic_matrix(conic))[1]:
+        return {}
+    q = _line_conic_tangency(line, conic)
+    if q is None or conic.evaluate(p) or _proj_equal(p, q):
+        return {}
+    if not linear_form(3, (0, 1, 2), line).evaluate(p):
+        return {}
+    return {"line": line, "conic": conic, "tangency": q}
 
 
 def _cusp_line(cubic, p):
     """The primitive coefficients of the cusp line of the cubic when it is
-    cuspidal and p is its flex, else None. The cubic must have no rational
-    linear factor, as no leftover of `_p2_components` has one; it is then
-    irreducible over Q, and no rational line lies on it.
+    cuspidal, else None. p must be a smooth flex of the cubic, and the
+    cubic must have no rational linear factor; a flex division that is not
+    exact raises InternalError.
 
     Let T be the tangent at p, with the gradient of C at p as coefficients,
     and P = sum p_i dC/dx_i the polar conic of p. For v on T, P(p + s v) =
@@ -421,12 +321,8 @@ def _cusp_line(cubic, p):
     does not divide C, p a smooth flex, and that line is returned."""
     grads = [cubic.partial_derivative(i) for i in range(3)]
     tangent = [g.evaluate(p) for g in grads]
-    if cubic.evaluate(p) or not any(tangent):
-        return None
     polar = sum((x * g for x, g in zip(p, grads) if x), zero(3))
-    h = exact_divide(polar, linear_form(3, (0, 1, 2), tangent))
-    if h is None:
-        return None
+    h = exact_quotient(polar, linear_form(3, (0, 1, 2), tangent), "the tangent at the flex")
     h = primitive_normalized(h)
     h = tuple(h.terms.get(e, 0) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     v, w = _line_points(h)
@@ -438,65 +334,55 @@ def _cusp_line(cubic, p):
     return h
 
 
-def _p2_special(curve, groups, configs):
-    """Membership of a plane curve in the configurations named in configs,
-    "S" and "X0", from its squarefree groups."""
-    details = {}
-    try:
-        lines, leftovers = _p2_components(groups)
-    except UndecidedError as e:
-        return SpecialLocus(False, False, True, [str(e)], {})
-    d = curve.degree
-    p = curve.point
-    in_s = False
-    in_x0 = False
-    single_line = len(lines) == 1
-    single_left = len(leftovers) == 1 and leftovers[0][1] == 1
-    if (
-        "S" in configs
-        and single_left
-        and leftovers[0][0].total_degree() == 2
-        and single_line
-        and lines[0][1] == d - 2
-    ):
-        conic = leftovers[0][0]
-        lc = lines[0][0]
-        if adjugate(_conic_matrix(conic))[1]:
-            q = _line_conic_tangency(lc, conic)
-            if q is not None:
-                on_conic = conic.evaluate(p) == 0
-                off_line = linear_form(3, (0, 1, 2), lc).evaluate(p) != 0
-                if on_conic and off_line and not _proj_equal(p, q):
-                    in_s = True
-                    details["line"] = lc
-                    details["conic"] = conic
-                    details["tangency"] = q
-    lines_fit = (d == 3 and not lines) or (
-        d > 3 and single_line and lines[0][1] == d - 3
-    )
-    if (
-        "X0" in configs
-        and single_left
-        and leftovers[0][0].total_degree() == 3
-        and lines_fit
-    ):
-        line = _cusp_line(leftovers[0][0], p)
-        in_x0 = line is not None and (d == 3 or _proj_equal(lines[0][0], line))
-    return SpecialLocus(in_s, in_x0, False, [], details)
+def _p2_special(curve, geometry, config):
+    """Membership of a plane curve in config, "S" or "X0", the one
+    configuration its tangent contact k allows, read off the curve's
+    restriction to the tangent T.
 
-
-def _quadric_components(groups):
-    rx, ry = [], []
-    leftovers = []
-    for f, mult in groups:
-        for slots, name, found in (((0, 1), "x", rx), ((2, 3), "y", ry)):
-            for u, v in _linear_factors(f, slots, "splitting off rulings"):
-                line = linear_form(4, slots, (v, -u))
-                f = exact_quotient(f, line, f"splitting off the {name}-ruling {(u, v)}")
-                found.append(((u, v), mult))
-        if f.variables():
-            leftovers.append((primitive_normalized(f), mult))
-    return rx, ry, leftovers
+    A member is R * L^m, m = d - k, with R the conic (k = 2) or the
+    cuspidal cubic (k = 3) through p and L a line off p
+    (`_allowed_configuration`). T meets R only at p, as the contact k is
+    the degree of R, and meets L at one point r != p. So C on T is (p's
+    root)^k times an m-th power whose root is r (`_power_point`). With
+    D_p = sum p_i d/dx_i, D_p L = L(p), so every term of D_p^(m-1) (R L^m)
+    has L^2 as a factor but one, m! L(p)^(m-1) R L. Its gradient at r,
+    where L vanishes, is m! L(p)^(m-1) R(r) L, nonzero as p is off L and r
+    off R. So L is that gradient, scaled so that its first nonzero entry is
+    1, and one division C / L^m leaves R, for the S test (`_s_on_plane`)
+    or the X0 test (`_cusp_line`, and L must be the cusp line). For X0, R
+    has contact 3 with T at p, so p is a flex of R, and R has no rational
+    linear factor: a line through p would be T, and a line off p would
+    leave a conic with contact 3. A curve in neither configuration fails
+    one of these steps."""
+    d, p = curve.degree, curve.point
+    k = geometry.tangent_contact
+    m = d - k
+    rest, line = curve.equation, None
+    if m:
+        (tangent,) = geometry.restrictions
+        r = _power_point(tangent, k)
+        if r is None:
+            return SpecialLocus(False, False, False)
+        polar = curve.equation
+        for _ in range(m - 1):
+            polar = sum(
+                (x * polar.partial_derivative(i) for i, x in enumerate(tangent.base) if x),
+                zero(3),
+            )
+        grad = [polar.partial_derivative(i).evaluate(r) for i in range(3)]
+        lead = next((x for x in grad if x), None)
+        if lead is None:
+            return SpecialLocus(False, False, False)
+        line = tuple(quotient(x, lead) for x in grad)
+        rest = exact_divide(curve.equation, linear_form(3, (0, 1, 2), line) ** m)
+        if rest is None:
+            return SpecialLocus(False, False, False)
+    if config == "S":
+        details = _s_on_plane(p, line, primitive_normalized(rest))
+        return SpecialLocus(bool(details), False, False, [], details)
+    cusp = _cusp_line(rest, p)
+    in_x0 = cusp is not None and (line is None or _proj_equal(line, cusp))
+    return SpecialLocus(False, in_x0, False)
 
 
 def _binary_disc(coeffs):
@@ -527,26 +413,48 @@ def _swap_vars(f):
     )
 
 
-def _x0_quadric_oriented(d, gamma, rx, ry, p):
-    """Is this the (2,1)-oriented cuspidal-analogue shape: gamma smooth of
-    bidegree (2,1), the y-ruling tangent at the crossing point q, the marked
-    point a second tangency point of the y-fibration."""
-    if _degrees(Surface.QUADRIC, gamma) != (2, 1):
+def _ruling_point(v):
+    """A point (a : b) of P^1 as (u, 1), or as (1, 0) when b = 0; the
+    ruling over a point (u, v) is the zero set of v x0 - u x1 (of v y0 -
+    u y1 on the second factor)."""
+    return (quotient(v[0], v[1]), 1) if v[1] else (1, 0)
+
+
+def _s_on_quadric(p, gamma, q):
+    """The details of S for this (1, 1)-form and crossing point q of the
+    two rulings: {} unless gamma is smooth (its 2x2 matrix is invertible)
+    and passes through p and q, with p != q."""
+    a = gamma.terms.get((1, 0, 1, 0), 0)
+    b = gamma.terms.get((1, 0, 0, 1), 0)
+    c = gamma.terms.get((0, 1, 1, 0), 0)
+    e = gamma.terms.get((0, 1, 0, 1), 0)
+    if a * e == b * c or gamma.evaluate(q) or gamma.evaluate(p):
+        return {}
+    if _proj_equal(p[:2], q[:2]) and _proj_equal(p[2:], q[2:]):
+        return {}
+    return {"gamma": gamma, "crossing": q}
+
+
+def _coprime_quadratics(f, g):
+    """Whether two binary quadratic forms in x0, x1 (in 4 variables) have
+    no common root: their resultant (a0 b2 - a2 b0)^2 - (a0 b1 - a1 b0)
+    (a1 b2 - a2 b1) is nonzero, with a_i, b_i the coefficients of
+    x0^(2 - i) x1^i."""
+    (a0, a1, a2), (b0, b1, b2) = (
+        [h.terms.get((2 - i, i, 0, 0), 0) for i in range(3)] for h in (f, g)
+    )
+    return (a0 * b2 - a2 * b0) ** 2 != (a0 * b1 - a1 * b0) * (a1 * b2 - a2 * b1)
+
+
+def _x0_quadric_oriented(gamma, xq, yq, p):
+    """Is this the (2,1)-oriented cuspidal-analogue shape: gamma, of
+    bidegree (2, 1), smooth, the y-ruling tangent to it at the crossing
+    point q = (xq, yq) of the two rulings, the marked point a second
+    tangency point of the y-fibration."""
+    # gamma = y0 * q0(x) + y1 * q1(x) is smooth when q0 and q1 are coprime
+    if not _coprime_quadratics(gamma.coefficient_in(2, 1), gamma.coefficient_in(3, 1)):
         return False
-    if not (len(rx) == 1 and rx[0][1] == d - 2 and len(ry) == 1 and ry[0][1] == d - 1):
-        return False
-    q0 = gamma.coefficient_in(2, 1)
-    q1 = gamma.coefficient_in(3, 1)
-    if q0.is_zero() or q1.is_zero() or poly_gcd(q0, q1).variables():
-        return False
-    # A ruling entry (u, v) is the fiber over the point (u, v) of its factor,
-    # so the two rulings cross where both coordinates hit those directions.
-    (u, v), _ = rx[0]
-    xq = (u, v)
-    (uy, vy), _ = ry[0]
-    yq = (uy, vy)
-    q = (xq[0], xq[1], yq[0], yq[1])
-    if gamma.evaluate(q) != 0:
+    if gamma.evaluate(xq + yq) != 0:
         return False
     fq = _fiber_in_x(gamma, yq)
     if not fq or _binary_disc(fq) != 0:
@@ -563,80 +471,46 @@ def _x0_quadric_oriented(d, gamma, rx, ry, p):
     return True
 
 
-def _quadric_special(curve, groups, configs):
-    """Membership of a quadric curve in the configurations named in
-    configs, "S", "X0" (the (2, 1)-form) and "X0 swapped" (the (1, 2)-form),
-    from its squarefree groups."""
-    details = {}
-    try:
-        rx, ry, leftovers = _quadric_components(groups)
-    except UndecidedError as e:
-        return SpecialLocus(False, False, True, [str(e)], {})
-    d = curve.degree
-    p = tuple(Fraction(x) for x in curve.point)
-    in_s = False
-    in_x0 = False
-    if len(leftovers) != 1 or leftovers[0][1] != 1:
-        return SpecialLocus(False, False, False, [], details)
-    gamma = leftovers[0][0]
-    if "S" in configs and _degrees(Surface.QUADRIC, gamma) == (1, 1):
-        if len(rx) == 1 and rx[0][1] == d - 1 and len(ry) == 1 and ry[0][1] == d - 1:
-            a = gamma.terms.get((1, 0, 1, 0), Fraction(0))
-            b = gamma.terms.get((1, 0, 0, 1), Fraction(0))
-            c = gamma.terms.get((0, 1, 1, 0), Fraction(0))
-            e = gamma.terms.get((0, 1, 0, 1), Fraction(0))
-            if a * e - b * c != 0:
-                (u, v), _ = rx[0]
-                (uy, vy), _ = ry[0]
-                q = (u, v, uy, vy)
-                if gamma.evaluate(q) == 0 and gamma.evaluate(p) == 0:
-                    same = _proj_equal(p[:2], q[:2]) and _proj_equal(p[2:], q[2:])
-                    if not same:
-                        in_s = True
-                        details["gamma"] = gamma
-                        details["crossing"] = q
-    if "X0" in configs:
-        in_x0 = _x0_quadric_oriented(d, gamma, rx, ry, p)
-    if "X0 swapped" in configs:
-        in_x0 = in_x0 or _x0_quadric_oriented(
-            d, _swap_vars(gamma), ry, rx, p[2:] + p[:2]
-        )
-    return SpecialLocus(in_s, in_x0, False, [], details)
+def _quadric_special(curve, geometry, config):
+    """Membership of a quadric curve in config, "S", "X0" (the (2, 1)-form)
+    or "X0 swapped" (the (1, 2)-form), the one configuration its ruling
+    contacts (cx, cy) allow, read off the curve's restrictions to the two
+    rulings through p.
 
-
-def _special_shapes(surface, d):
-    """The multiplicity -> degree map of the squarefree decomposition of
-    every degree-d curve in each configuration, by its name; a degree is
-    (total degree,) on the plane and the bidegree on the quadric.
-
-    Each configuration is a product of factors of fixed degrees and
-    multiplicities (a factor of multiplicity 0 is absent): on the plane, S
-    is a conic times a line to the d - 2 and X0 a cuspidal cubic times a
-    line to the d - 3; on the quadric, S is a (1, 1)-form times one ruling
-    of each family to the d - 1, and X0 a (2, 1)-form times an x-ruling to
-    the d - 2 and a y-ruling to the d - 1, or the same with the factors
-    swapped. Distinct factors of one multiplicity share a group, so their
-    degrees add."""
-    if surface is Surface.P2:
-        products = {
-            "S": (((2,), 1), ((1,), d - 2)),
-            "X0": (((3,), 1), ((1,), d - 3)),
-        }
+    A member is gamma * X^(d - cy) * Y^(d - cx), with X an x-ruling and Y
+    a y-ruling crossing at q, and gamma of bidegree (cy, cx) through p,
+    which lies off X and Y (`_allowed_configuration`). The ruling through
+    p with constant x meets gamma only at p, cx times, as cx is the degree
+    of gamma in y, misses X and meets Y at q. So C on it is (p's root)^cx
+    times a (d - cx)-th power whose root is the y-coordinate of q
+    (`_power_point`), and the ruling with constant y gives the
+    x-coordinate of q from a (d - cy)-th power. One division then leaves
+    gamma, for the S test (`_s_on_quadric`) or the X0 test of its
+    orientation (`_x0_quadric_oriented`). A curve in neither configuration
+    fails one of these steps."""
+    d, p = curve.degree, curve.point
+    cx, cy = geometry.ruling_contacts
+    on_x, on_y = geometry.restrictions
+    yq, xq = _power_point(on_x, cx), _power_point(on_y, cy)
+    if xq is None or yq is None:
+        return SpecialLocus(False, False, False)
+    xq, yq = _ruling_point(xq), _ruling_point(yq)
+    rulings = (
+        linear_form(4, (0, 1), (xq[1], -xq[0])) ** (d - cy)
+        * linear_form(4, (2, 3), (yq[1], -yq[0])) ** (d - cx)
+    )
+    gamma = exact_divide(curve.equation, rulings)
+    if gamma is None:
+        return SpecialLocus(False, False, False)
+    gamma = primitive_normalized(gamma)
+    if config == "S":
+        details = _s_on_quadric(p, gamma, xq + yq)
+        return SpecialLocus(bool(details), False, False, [], details)
+    if config == "X0":
+        in_x0 = _x0_quadric_oriented(gamma, xq, yq, p)
     else:
-        products = {
-            "S": (((1, 1), 1), ((1, 0), d - 1), ((0, 1), d - 1)),
-            "X0": (((2, 1), 1), ((1, 0), d - 2), ((0, 1), d - 1)),
-            "X0 swapped": (((1, 2), 1), ((0, 1), d - 2), ((1, 0), d - 1)),
-        }
-    shapes = {}
-    for name, factors in products.items():
-        shape = {}
-        for deg, mult in factors:
-            if mult > 0:
-                have = shape.get(mult, (0,) * len(deg))
-                shape[mult] = tuple(a + b for a, b in zip(have, deg))
-        shapes[name] = shape
-    return shapes
+        in_x0 = _x0_quadric_oriented(_swap_vars(gamma), yq, xq, p[2:] + p[:2])
+    return SpecialLocus(False, in_x0, False)
 
 
 # The one configuration the local data at the marked point allows, keyed by
@@ -649,9 +523,19 @@ _ALLOWED = {
 
 
 def _allowed_configuration(surface, geometry):
-    """The name of the one configuration, of those `_special_shapes` lists,
-    that a curve with this `LocalGeometry` at its marked point can be in,
-    or None when it can be in neither.
+    """The name of the one configuration, "S", "X0" or (on the quadric)
+    "X0 swapped", that a curve with this `LocalGeometry` at its marked
+    point can be in, or None when it can be in neither.
+
+    On the plane, S is a smooth conic Q times a line L to the d - 2
+    touching it at a point other than p, and X0 a cuspidal cubic with its
+    flex at p times its cusp line to the d - 3. On the quadric, S is a
+    smooth (1, 1)-form times an x-ruling and a y-ruling to the d - 1,
+    crossing on it at a point other than p, and X0 a smooth (2, 1)-form
+    times an x-ruling to the d - 2 and a y-ruling to the d - 1, crossing at
+    a point of the form where the y-ruling is tangent to it, with p a
+    second point of tangency of the y-fibration; X0 swapped is the same
+    with the factors exchanged.
 
     Intersection numbers add over components, and a line meets a smooth
     conic or an irreducible cubic at most that many times (Fulton,
@@ -680,28 +564,19 @@ def special_locus_membership(curve, geometry=None):
     The local data at p decides first which configuration the curve can
     be in (`_allowed_configuration`); a caller that holds the curve's
     `local_geometry` passes it as `geometry`, so it is not computed again.
-    When it allows none, the curve is in neither, with no decomposition
-    and no root search. Otherwise the squarefree decomposition is
-    computed once; if its multiplicity -> degree map is not the one that
-    configuration has (`_special_shapes`), the curve is in neither, and
-    no root search runs; otherwise the groups are split into rational
-    lines or rulings and the leftover factors, and only that
-    configuration is tested.
-
-    Exact and conservative: when a root search aborts, the result carries
-    undecided=True and each flag that search would have set stays False."""
-    surface = curve.surface
+    When it allows none, the curve is in neither. Otherwise that one
+    configuration is read off the curve's restrictions to the lines
+    through p, which the local geometry carries: the tangent on the plane
+    (`_p2_special`), the two rulings on the quadric (`_quadric_special`).
+    There is no search, so the result is always decided (undecided is
+    False and notes are empty)."""
     geo = local_geometry(curve) if geometry is None else geometry
-    config = _allowed_configuration(surface, geo)
+    config = _allowed_configuration(curve.surface, geo)
     if config is None:
-        return SpecialLocus(False, False, False, [], {})
-    groups = _squarefree_on_chart(surface, curve.equation)
-    shape = {m: _degrees(surface, f) for f, m in groups}
-    if shape != _special_shapes(surface, curve.degree)[config]:
-        return SpecialLocus(False, False, False, [], {})
-    if surface is Surface.P2:
-        return _p2_special(curve, groups, (config,))
-    return _quadric_special(curve, groups, (config,))
+        return SpecialLocus(False, False, False)
+    if curve.surface is Surface.P2:
+        return _p2_special(curve, geo, config)
+    return _quadric_special(curve, geo, config)
 
 
 # -- the combined local report ----------------------------------------------
@@ -725,10 +600,10 @@ class InflectionReport:
     ruling_contacts and in_h1 need the geometry alone, as seq1 is read off
     the tangent's contact; in_h2prime needs seq2 or seq11, the only
     sequences that solve a branch; in_s, in_x0 and undecided need the
-    special locus, which runs a search only where the geometry allows a
-    configuration (`configuration`). At a singular marked point in_h1 =
+    special locus, which tests a configuration only where the geometry
+    allows one (`configuration`). At a singular marked point in_h1 =
     in_h2prime = True, no sequence is computed and the special locus is
-    empty without a search."""
+    empty without a test."""
 
     def __init__(self, curve):
         self.curve = curve

@@ -23,6 +23,12 @@ on some squarefree inputs, when g = 0 or, in two variables u, v, when f
 has a factor h(lambda_2 u - lambda_1 v), and those run the recursion, as
 does every input with a repeated factor. It replaces gcd(f, df/dx_i), which is nontrivial on a
 squarefree f with a factor free of x_i and would send it to the PRS.
+
+No computation of the package calls the gcd, the squarefree split, the
+resultant, the determinant or the rational-root search any more (the
+special locus reads its components off the lines through the marked
+point); they stay public because the benchmark traces them by name, and
+the tests use them as oracles.
 """
 
 from __future__ import annotations
@@ -700,24 +706,3 @@ def rational_roots(coeffs):
                 if value(cand) == 0:
                     roots.add(cand)
     return sorted(roots)
-
-
-def binary_form_roots(coeffs):
-    """Rational projective roots of a binary form sum(coeffs[i] * u^i * v^(n-i)).
-
-    Returns a list of (u, v) with v == 1, plus (1, 0) when v divides the form.
-    None means the underlying rational-root search aborted.
-    """
-    cs = [Fraction(c) for c in coeffs]
-    if all(c == 0 for c in cs):
-        raise ValueError("zero form")
-    n = len(cs) - 1
-    top = max(i for i, c in enumerate(cs) if c != 0)
-    out = []
-    if top < n:
-        out.append((Fraction(1), Fraction(0)))
-    rr = rational_roots(cs[: top + 1]) if top > 0 else []
-    if rr is None:
-        return None
-    out.extend((r, Fraction(1)) for r in rr)
-    return out

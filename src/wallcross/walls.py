@@ -87,7 +87,11 @@ def run_proposition_check(params, d):
     """Replay one recorded claim at curve degree d.
 
     Returns a dict with the claim outcome, any counterexamples, the
-    equality set, and whether it matches the recorded expectation."""
+    equality set, and whether it matches the recorded expectation. A
+    degree below 3 is refused before any entry is resolved, so the error
+    names the degree, not the first exponent it makes negative."""
+    if not isinstance(d, int) or d < 3:
+        raise ValueError("degree must be an integer >= 3")
     surface = Surface(params["surface"])
     lam = OneParamSubgroup(surface, tuple(Fraction(w) for w in params["lambda"]))
     labels = [_resolve_label(e, surface) for e in params["labels"]]

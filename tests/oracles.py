@@ -31,29 +31,32 @@ from wallcross.curves import (
 )
 from wallcross.inflection import (
     InflectionReport,
+    SpecialLocus,
     UndecidedError,
-    _p2_special,
+    _cusp_line,
     _proj_equal,
-    _quadric_special,
-    _require,
-    _special_shapes,
-    _squarefree_on_chart,
+    _s_on_plane,
+    _s_on_quadric,
+    _swap_vars,
+    _x0_quadric_oriented,
     inflection_weight,
     local_branch,
     special_locus_membership,
     vanishing_sequence,
 )
 from wallcross.polynomials import (
-    binary_form_roots,
+    Polynomial,
     constant,
     exact_divide,
     exact_quotient,
     linear_form,
+    monomial,
     poly_det,
     poly_gcd,
     primitive_normalized,
     rational_roots,
     resultant,
+    squarefree_decompose,
     variable,
     zero,
 )
@@ -114,15 +117,292 @@ def constant_plus(c, series):
     return tuple(canonical(a + b) for a, b in zip(const, series))
 
 
+# -- the special locus by a component search ---------------------------------
+# The reference that `inflection.special_locus_membership` replaced: a
+# squarefree split on a chart, and a rational-root search for the lines and
+# rulings in each group, which gives up on huge integers. The tests of the
+# configuration it hands the components to are the package's own.
+
+
+def binary_form_roots(coeffs):
+    """Rational projective roots of a binary form sum(coeffs[i] * u^i * v^(n-i)).
+
+    Returns a list of (u, v) with v == 1, plus (1, 0) when v divides the form.
+    None means the underlying rational-root search aborted.
+    """
+    cs = [Fraction(c) for c in coeffs]
+    if all(c == 0 for c in cs):
+        raise ValueError("zero form")
+    n = len(cs) - 1
+    top = max(i for i, c in enumerate(cs) if c != 0)
+    out = []
+    if top < n:
+        out.append((Fraction(1), Fraction(0)))
+    rr = rational_roots(cs[: top + 1]) if top > 0 else []
+    if rr is None:
+        return None
+    out.extend((r, Fraction(1)) for r in rr)
+    return out
+
+
+def _require(roots, what):
+    if roots is None:
+        raise UndecidedError(f"rational root search aborted while {what}")
+    return roots
+
+
+def _linear_factors(f, slots, what):
+    """The linear forms v*x_a - u*x_b in the variables slots = (a, b) that
+    divide f, as the pairs (u, v) of `binary_form_roots`.
+
+    Such a form divides f exactly when it divides every coefficient form of
+    f, the binary form in x_a, x_b that multiplies one monomial in the other
+    variables; so the candidates are the roots of the gcd of those forms."""
+    a, b = slots
+    rest = [i for i in range(f.nvars) if i not in slots]
+    groups = {}
+    for e, c in f.terms.items():
+        groups.setdefault(tuple(e[i] for i in rest), {})[e[a], e[b]] = c
+    g = None
+    # highest powers of the other variables first: on the plane these are
+    # the forms of least degree, whose gcds are the cheapest
+    for key in sorted(groups, reverse=True):
+        form = Polynomial._raw(2, groups[key])
+        g = form if g is None else poly_gcd(g, form)
+        if not g.variables():
+            return []
+    coeffs = [0] * (g.total_degree() + 1)
+    for (i, _), c in g.terms.items():
+        coeffs[i] = c
+    return [
+        (u, v)
+        for u, v in _require(binary_form_roots(coeffs), what)
+        if exact_divide(f, linear_form(f.nvars, slots, (v, -u))) is not None
+    ]
+
+
+def rational_lines(f):
+    """All rational lines dividing a squarefree homogeneous 3-variable form.
+
+    Returns a list of coefficient tuples (a, b, c) meaning a*x0 + b*x1 +
+    c*x2, scaled so that the first nonzero entry is 1: (0, 0, 1), (0, 1, c)
+    or (1, b, c). Raises UndecidedError if an exact root search has to give
+    up (huge integer divisors)."""
+    x2 = monomial(3, (0, 0, 1))
+    rest = exact_divide(f, x2)
+    if rest is not None:
+        return rational_lines(rest) + [(Fraction(0), Fraction(0), Fraction(1))]
+    found = [
+        (Fraction(0), Fraction(1), -u)
+        for u, _ in _linear_factors(f, (1, 2), "searching lines through (1,0,0)")
+    ]
+    # a line x0 + b*x1 + c*x2 meets x2 = 0 in a root of f(x0, x1, 0), which
+    # is nonzero as x2 does not divide f; x0 -> x0 - b*x1 moves it to x0 + c*x2
+    border = [0] * (f.total_degree() + 1)
+    for (i, _, k), c in f.terms.items():
+        if not k:
+            border[i] = c
+    slopes = _require(binary_form_roots(border), "searching line slopes")
+    for b in sorted(-u for u, v in slopes if v):
+        shear = (linear_form(3, (0, 1), (1, -b)), variable(3, 1), variable(3, 2))
+        found.extend(
+            (Fraction(1), b, -u)
+            for u, _ in _linear_factors(
+                f.substitute(shear), (0, 2), f"searching lines with slope {b}"
+            )
+        )
+    return found
+
+
+def degrees(surface, f):
+    """The degree of a form on each factor of the surface: (total degree,)
+    on the plane, the bidegree on the quadric."""
+    return tuple(max(sum(e[b[0] : b[-1] + 1]) for e in f.terms) for b in surface.blocks)
+
+
+def squarefree_on_chart(surface, eq):
+    """squarefree_decompose(eq) for a plane or quadric form, computed on a
+    2-variable affine chart.
+
+    The powers of the coordinates set to 1 are split off first; every other
+    factor is the rehomogenization of a chart factor to its own degree in
+    each block. Each multiplicity group is unique up to a constant, which
+    primitive_normalized fixes, so the list equals the direct decomposition;
+    for the same reason the chart is made primitive first, so the gcds run
+    on ints.
+    """
+    n = surface.nvars
+    # per factor, the coordinates kept as chart variables and the last one,
+    # set to 1: the chart is F(x0, x1, 1) on the plane and F(x0, 1, y0, 1)
+    # on the quadric, as curves.affine_chart builds it at (0:0:1) and
+    # ((0:1), (0:1)); remapping the exponents is cheaper
+    blocks = [(b[:-1], b[-1]) for b in surface.blocks]
+    free = [i for kept, _ in blocks for i in kept]
+    terms = ((tuple(e[i] for i in free), c) for e, c in eq.terms.items())
+    chart = primitive_normalized(Polynomial(2, terms))
+    groups = {}
+    for factor, mult in squarefree_decompose(chart):
+        exps = []
+        for u in factor.terms:
+            e = [0] * n
+            for i, x in zip(free, u):
+                e[i] = x
+            exps.append(e)
+        for kept, one in blocks:
+            deg = max(sum(e[i] for i in kept) for e in exps)
+            for e in exps:
+                e[one] = deg - sum(e[i] for i in kept)
+        groups[mult] = Polynomial(n, zip(map(tuple, exps), factor.terms.values()))
+    for _, one in blocks:
+        k = min(e[one] for e in eq.terms)
+        if k:
+            groups[k] = groups.get(k, constant(n, 1)) * variable(n, one)
+    return [(primitive_normalized(groups[m]), m) for m in sorted(groups)]
+
+
+def p2_components(groups):
+    """The rational lines of each squarefree group, with the group's
+    multiplicity, and the primitive leftover factor of each group."""
+    lines = []
+    leftovers = []
+    for f, mult in groups:
+        ls = rational_lines(f)
+        w = f
+        for lc in ls:
+            w = exact_quotient(w, linear_form(3, (0, 1, 2), lc), f"splitting off the line {lc}")
+            lines.append((lc, mult))
+        if w.variables():
+            leftovers.append((primitive_normalized(w), mult))
+    return lines, leftovers
+
+
+def quadric_components(groups):
+    """The rational x- and y-rulings of each squarefree group, as
+    ((u, v), multiplicity), and the primitive leftover factor of each."""
+    rx, ry = [], []
+    leftovers = []
+    for f, mult in groups:
+        for slots, name, found in (((0, 1), "x", rx), ((2, 3), "y", ry)):
+            for u, v in _linear_factors(f, slots, "splitting off rulings"):
+                line = linear_form(4, slots, (v, -u))
+                f = exact_quotient(f, line, f"splitting off the {name}-ruling {(u, v)}")
+                found.append(((u, v), mult))
+        if f.variables():
+            leftovers.append((primitive_normalized(f), mult))
+    return rx, ry, leftovers
+
+
+def special_shapes(surface, d):
+    """The multiplicity -> degree map of the squarefree decomposition of
+    every degree-d curve in each configuration, by its name; a degree is
+    (total degree,) on the plane and the bidegree on the quadric.
+
+    Each configuration is a product of factors of fixed degrees and
+    multiplicities (a factor of multiplicity 0 is absent): on the plane, S
+    is a conic times a line to the d - 2 and X0 a cuspidal cubic times a
+    line to the d - 3; on the quadric, S is a (1, 1)-form times one ruling
+    of each family to the d - 1, and X0 a (2, 1)-form times an x-ruling to
+    the d - 2 and a y-ruling to the d - 1, or the same with the factors
+    swapped. Distinct factors of one multiplicity share a group, so their
+    degrees add."""
+    if surface is Surface.P2:
+        products = {
+            "S": (((2,), 1), ((1,), d - 2)),
+            "X0": (((3,), 1), ((1,), d - 3)),
+        }
+    else:
+        products = {
+            "S": (((1, 1), 1), ((1, 0), d - 1), ((0, 1), d - 1)),
+            "X0": (((2, 1), 1), ((1, 0), d - 2), ((0, 1), d - 1)),
+            "X0 swapped": (((1, 2), 1), ((0, 1), d - 2), ((1, 0), d - 1)),
+        }
+    shapes = {}
+    for name, factors in products.items():
+        shape = {}
+        for deg, mult in factors:
+            if mult > 0:
+                have = shape.get(mult, (0,) * len(deg))
+                shape[mult] = tuple(a + b for a, b in zip(have, deg))
+        shapes[name] = shape
+    return shapes
+
+
+def reference_cusp_line(cubic, p):
+    """`inflection._cusp_line` on any cubic with no rational linear factor:
+    None unless p is a smooth flex of it, which that function requires."""
+    if cubic.evaluate(p):
+        return None
+    geo = local_geometry(PointedCurve(Surface.P2, 3, p, cubic))
+    return _cusp_line(cubic, p) if geo.tangent_contact == 3 else None
+
+
+def p2_special(curve, groups, configs):
+    """Membership of a plane curve in the configurations named in configs,
+    "S" and "X0", from its squarefree groups."""
+    try:
+        lines, leftovers = p2_components(groups)
+    except UndecidedError as e:
+        return SpecialLocus(False, False, True, [str(e)], {})
+    d, p = curve.degree, curve.point
+    single_left = len(leftovers) == 1 and leftovers[0][1] == 1
+    details = {}
+    if (
+        "S" in configs
+        and single_left
+        and leftovers[0][0].total_degree() == 2
+        and len(lines) == 1
+        and lines[0][1] == d - 2
+    ):
+        details = _s_on_plane(p, lines[0][0], leftovers[0][0])
+    lines_fit = (d == 3 and not lines) or (d > 3 and len(lines) == 1 and lines[0][1] == d - 3)
+    in_x0 = False
+    if "X0" in configs and single_left and leftovers[0][0].total_degree() == 3 and lines_fit:
+        line = reference_cusp_line(leftovers[0][0], p)
+        in_x0 = line is not None and (d == 3 or _proj_equal(lines[0][0], line))
+    return SpecialLocus(bool(details), in_x0, False, [], details)
+
+
+def quadric_special(curve, groups, configs):
+    """Membership of a quadric curve in the configurations named in
+    configs, "S", "X0" (the (2, 1)-form) and "X0 swapped" (the (1, 2)-form),
+    from its squarefree groups."""
+    try:
+        rx, ry, leftovers = quadric_components(groups)
+    except UndecidedError as e:
+        return SpecialLocus(False, False, True, [str(e)], {})
+    d = curve.degree
+    p = tuple(Fraction(x) for x in curve.point)
+    if len(leftovers) != 1 or leftovers[0][1] != 1:
+        return SpecialLocus(False, False, False, [], {})
+    gamma = leftovers[0][0]
+    bidegree = degrees(Surface.QUADRIC, gamma)
+
+    def single(rulings, mult):
+        return len(rulings) == 1 and rulings[0][1] == mult
+
+    details = {}
+    if "S" in configs and bidegree == (1, 1) and single(rx, d - 1) and single(ry, d - 1):
+        details = _s_on_quadric(p, gamma, rx[0][0] + ry[0][0])
+    in_x0 = False
+    if "X0" in configs and bidegree == (2, 1) and single(rx, d - 2) and single(ry, d - 1):
+        in_x0 = _x0_quadric_oriented(gamma, rx[0][0], ry[0][0], p)
+    if "X0 swapped" in configs and bidegree == (1, 2) and single(ry, d - 2) and single(rx, d - 1):
+        in_x0 = in_x0 or _x0_quadric_oriented(
+            _swap_vars(gamma), ry[0][0], rx[0][0], p[2:] + p[:2]
+        )
+    return SpecialLocus(bool(details), in_x0, False, [], details)
+
+
 def ungated_special_locus(curve):
-    """special_locus_membership without the local-data gate and the
-    squarefree-shape gate: the rational components are searched on every
-    curve, and every configuration is tested."""
-    groups = _squarefree_on_chart(curve.surface, curve.equation)
-    configs = tuple(_special_shapes(curve.surface, curve.degree))
+    """The special locus by the component search, with no local-data gate
+    and no squarefree-shape gate: the rational components are searched on
+    every curve, and every configuration is tested. Undecided where a root
+    search aborts."""
+    groups = squarefree_on_chart(curve.surface, curve.equation)
+    configs = tuple(special_shapes(curve.surface, curve.degree))
     if curve.surface is Surface.P2:
-        return _p2_special(curve, groups, configs)
-    return _quadric_special(curve, groups, configs)
+        return p2_special(curve, groups, configs)
+    return quadric_special(curve, groups, configs)
 
 
 # -- X0 on the plane by elimination ------------------------------------------

@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from wallcross import cli, polynomials
+from wallcross import cli, inflection, polynomials
 from wallcross.cli import main
 from wallcross.curves import Surface, WitnessKind, make_witness
 from wallcross.hessians import analyzed_slopes
+from wallcross.inflection import SpecialLocus
 from wallcross.rationals import format_rational
 
 
@@ -141,12 +142,14 @@ def test_verify_exit_codes(capsys, monkeypatch):
     assert doc["ok"] is False
     assert doc["results"][0]["counterexamples"]
 
-    # a bad degree is refused by the replay, not blamed on the table
-    for argv in (("--all",), ("--id", "4.2")):
-        code, out, err = run(capsys, "verify", *argv, "--degree", "2")
-        assert code == 1 and out == ""
-        assert "cannot load the proposition table" not in err
-        assert "at degree 2: degree must be an integer >= 3" in err
+    # a bad degree is refused by the replay, not blamed on the table, and
+    # named before any exponent of the table goes negative at it
+    for degree in ("-3", "0", "1", "2"):
+        for argv in (("--all",), ("--id", "4.2")):
+            code, out, err = run(capsys, "verify", *argv, "--degree", degree)
+            assert code == 1 and out == ""
+            assert "cannot load the proposition table" not in err
+            assert f"at degree {degree}: degree must be an integer >= 3" in err
 
     # an unknown id is named once, with exit 1
     code, out, err = run(capsys, "verify", "--id", "nope", "--degree", "4")
@@ -155,7 +158,13 @@ def test_verify_exit_codes(capsys, monkeypatch):
     assert "unknown proposition id 'nope'" in err
 
 
-def test_strict_undecided_exit_code(capsys, tmp_path):
+def test_strict_undecided_exit_code(capsys, tmp_path, monkeypatch):
+    # no input leaves the special locus undecided any more, so the abort is
+    # injected, as `walls` tests do; the schema of the undecided path stays
+    def aborted(curve, geometry=None):
+        return SpecialLocus(False, False, True, ["rational root search aborted"], {})
+
+    monkeypatch.setattr(inflection, "special_locus_membership", aborted)
     big = 10 ** 13
     doc = {
         "surface": "p2",
@@ -330,15 +339,16 @@ RATIONAL_BRANCH_CUBIC = {
     ],
 }
 
-# Curves whose verdicts reach the wall's flipped stratum and the undecided
-# notes: perturbed tangent witnesses with first-order contact outside the
-# closed orbit (x_minus at the wall), and curves whose special-locus root
-# search hits its height bound, one for each of the four line and ruling
-# searches. With K = 10^13: the cubic (x0 + K*x2)(x0*x2 - x1^2) aborts
-# searching lines with slope 0; in the S shape, the plane quartics
-# (x1 + K*x2)^2 (x0*x2 - x1^2) and (x0 + K*x1)^2 (x0*x2 - x1^2) abort
-# searching lines through (1,0,0) and line slopes, and the (3, 3) quadric
-# curve (x0*y1 - x1*y0)(x0 + K*x1)^2 (y0 + K*y1)^2 splitting off rulings.
+# Curves whose verdicts reach the wall's flipped stratum: perturbed tangent
+# witnesses with first-order contact outside the closed orbit (x_minus at
+# the wall). And, with K = 10^13, curves on whose huge coefficients the
+# component search of `oracles.ungated_special_locus` gives up, one for
+# each of its four line and ruling searches: the cubic (x0 + K*x2)(x0*x2 -
+# x1^2) (lines with slope 0) and the plane quartics (x1 + K*x2)^2 (x0*x2 -
+# x1^2) and (x0 + K*x1)^2 (x0*x2 - x1^2) (lines through (1,0,0) and line
+# slopes), whose line is no tangent of the conic, so they are in neither
+# configuration, and the (3, 3) quadric curve (x0*y1 - x1*y0)(x0 + K*x1)^2
+# (y0 + K*y1)^2 (rulings), which is in S. The package decides all four.
 BRANCH_CURVES = {
     "flexish": {
         "surface": "p2",

@@ -30,7 +30,7 @@ from wallcross.curves import (
 )
 from wallcross.errors import InternalError
 from wallcross.hessians import analyzed_slopes
-from wallcross.inflection import inflection_report
+from wallcross.inflection import SpecialLocus, inflection_report
 from wallcross.polynomials import Polynomial
 
 from oracles import explicit_point_labels, full_move_search, gauss_jordan, mu_term
@@ -643,7 +643,12 @@ def test_verdict_outside_range_and_bad_slope():
     assert v0.status == "Unknown"
 
 
-def test_verdict_undecided_membership():
+def test_verdict_undecided_membership(monkeypatch):
+    # the special locus is always decided now, so its abort is injected
+    def aborted(curve, geometry=None):
+        return SpecialLocus(False, False, True, ["rational root search aborted"], {})
+
+    monkeypatch.setattr(inflection, "special_locus_membership", aborted)
     K = 10 ** 13
     hidden = _p2(
         3,

@@ -12,6 +12,7 @@ from wallcross.curves import (
     FrameChange,
     LocalGeometry,
     PointedCurve,
+    Restriction,
     Surface,
     WitnessKind,
     all_exponents,
@@ -29,15 +30,10 @@ from wallcross.inflection import (
     SpecialLocus,
     UndecidedError,
     _allowed_configuration,
-    _cusp_line,
-    _p2_components,
+    _power_point,
     _proj_equal,
-    _quadric_components,
-    _quadric_special,
-    _squarefree_on_chart,
     inflection_report,
     local_branch,
-    rational_lines,
     special_locus_membership,
     vanishing_sequence,
 )
@@ -57,7 +53,14 @@ from oracles import (
     classical_hessian,
     eager_report,
     elimination_cusp_line,
+    fraction_mu_min,
     intersection_multiplicity,
+    p2_components,
+    quadric_components,
+    quadric_special,
+    rational_lines,
+    reference_cusp_line,
+    squarefree_on_chart,
     ungated_special_locus,
 )
 from test_acceptance import _random_pointed_curve
@@ -298,17 +301,21 @@ def test_membership_frame_invariance():
 
 
 def test_undecided_huge_coefficients():
+    # (x0 + K*x2)(x0*x2 - x1^2), K = 10^13, at (1 : 1 : 1): the line meets
+    # the conic in two irrational points, so the curve is in neither. The
+    # reference component search gives up on its huge coefficients, while
+    # the restriction to the tangent decides it
     K = 10 ** 13
     hidden = _p2(
         3,
         {(2, 0, 1): 1, (1, 2, 0): -1, (1, 0, 2): K, (0, 2, 1): -K},
         (1, 1, 1),
     )
-    s = special_locus_membership(hidden)
-    assert s.undecided
-    assert not s.in_s and not s.in_x0
+    assert special_locus_membership(hidden) == SpecialLocus(False, False, False)
     rep = inflection_report(hidden)
-    assert rep.undecided
+    assert rep.configuration == "S"
+    assert not (rep.undecided or rep.in_s or rep.in_x0)
+    assert ungated_special_locus(hidden).undecided
 
 
 def test_classical_hessian_vanishes_at_flexes():
@@ -364,7 +371,7 @@ def _chart_forms(seed, count):
 
 def test_chart_squarefree_matches_direct_decomposition():
     for surface, f in _chart_forms(59, 60):
-        assert _squarefree_on_chart(surface, f) == squarefree_decompose(f), f
+        assert squarefree_on_chart(surface, f) == squarefree_decompose(f), f
 
 
 def test_chart_squarefree_matches_sympy():
@@ -378,18 +385,21 @@ def test_chart_squarefree_matches_sympy():
             if q.total_degree() > 0:
                 factor = Polynomial(n, {e: int(c) for e, c in q.as_dict().items()})
                 want[m] = want[m] * factor if m in want else factor
-        got = _squarefree_on_chart(surface, f)
+        got = squarefree_on_chart(surface, f)
         assert {m: g for g, m in got} == {m: primitive_normalized(g) for m, g in want.items()}
 
 
 def test_inexact_division_in_special_locus_raises_internal_error(monkeypatch):
-    curve = make_witness(WitnessKind.QUADRIC_X0, 3)
+    # the tangent at the marked flex divides the polar conic of the cubic
+    # that X0 leaves, so `_cusp_line` re-checks that division
+    curves = [make_witness(WitnessKind.P2_CUSPIDAL_X0, d) for d in (3, 4)]
     monkeypatch.setattr(polynomials, "exact_divide", lambda f, g: None)
-    with pytest.raises(InternalError, match="does not divide"):
-        special_locus_membership(curve)
+    for curve in curves:
+        with pytest.raises(InternalError, match="tangent at the flex.*does not divide"):
+            special_locus_membership(curve)
 
 
-# -- the squarefree-shape gate ----------------------------------------------
+# -- the special locus against the component search ------------------------
 
 
 def _vanishing_at(form, p):
@@ -401,8 +411,8 @@ def _vanishing_at(form, p):
 
 
 # Planted factorizations, as (degree, multiplicity) pairs for a curve of
-# degree d: the S and X0 shapes with random factors, which pass the gate
-# but are rarely special, and other products, which fail it.
+# degree d: the S and X0 shapes with random factors, which are rarely
+# special, and other products.
 _PLANE_PLANTS = (
     lambda d: [(2, 1), (1, d - 2)],
     lambda d: [(3, 1), (1, d - 3)],
@@ -492,11 +502,11 @@ def _settled_products():
     return curves
 
 
-def test_shape_gate_matches_ungated_special_locus():
-    # the gates only skip curves that the full component search finds in
-    # neither S nor X0, and on every curve whose local data allows a
-    # configuration they hand the search the same squarefree groups, so an
-    # aborted search reads the same there
+def test_special_locus_matches_the_component_search():
+    # reading the allowed configuration off the lines through p gives what
+    # the full component search gives, with every configuration tested on
+    # every curve, wherever that search is decided; and it is never
+    # undecided itself
     special = settled = 0
     curves = _gate_corpus() + _settled_products()
     for curve in curves:
@@ -505,10 +515,10 @@ def test_shape_gate_matches_ungated_special_locus():
         allowed = _allowed_configuration(curve.surface, local_geometry(curve))
         special += want.in_s or want.in_x0
         settled += allowed is None
-        names = ("in_s", "in_x0", "details")
-        if allowed is not None:
-            names += ("undecided", "notes")
-        for name in names:
+        assert not got.undecided and not got.notes
+        if want.undecided:
+            continue
+        for name in ("in_s", "in_x0", "details"):
             assert getattr(got, name) == getattr(want, name), (name, curve)
     assert len(curves) >= 400 and special >= 100 and settled >= 100
 
@@ -535,24 +545,29 @@ def _special_witnesses_moved():
 
 
 def test_special_curves_have_the_local_data_of_their_configuration():
-    # the lemma behind the gate: a curve in S or X0 has the contacts at p
-    # that `_allowed_configuration` names for that configuration, in the X0
-    # orientation the component search finds. And no curve the gate lets
-    # through carries both in_h1 and in_h2prime, so the wall's rule on
-    # those exact flags never waits on a root search
+    # the lemma behind `_allowed_configuration`: a curve in S or X0 has the
+    # contacts at p that it names for that configuration, in the X0
+    # orientation the component search finds. And no curve whose local
+    # data allows a configuration carries both in_h1 and in_h2prime, so
+    # the wall's rule on those exact flags never reads the special locus.
+    # On the moved witnesses, too, the special locus reads what the
+    # component search finds
     found = {}
     passed = 0
     for curve in _gate_corpus() + _special_witnesses_moved():
         rep = inflection_report(curve)
         allowed = rep.configuration
         want = ungated_special_locus(curve)
+        assert not want.undecided, curve
+        got = rep.special
+        assert (got.in_s, got.in_x0, got.details) == (want.in_s, want.in_x0, want.details), curve
         if want.in_s:
             assert allowed == "S", curve
         if want.in_x0:
             assert allowed in ("X0", "X0 swapped"), curve
         if want.in_x0 and curve.surface is Surface.QUADRIC:
-            groups = _squarefree_on_chart(curve.surface, curve.equation)
-            assert _quadric_special(curve, groups, (allowed,)).in_x0, curve
+            groups = squarefree_on_chart(curve.surface, curve.equation)
+            assert quadric_special(curve, groups, (allowed,)).in_x0, curve
         if want.in_s or want.in_x0:
             key = (curve.surface, allowed)
             found[key] = found.get(key, 0) + 1
@@ -563,11 +578,124 @@ def test_special_curves_have_the_local_data_of_their_configuration():
     assert passed >= 250
 
 
+def _restriction_factors(sympy, line):
+    """sympy's factor_list over QQ of a `curves.Restriction` as the binary
+    form sum(coeffs[j] * s^j * t^(d - j)): {factor: multiplicity}."""
+    s, t = sympy.symbols("s t")
+    d = len(line.coeffs) - 1
+    form = sum(sympy.Rational(str(c)) * s**j * t ** (d - j) for j, c in enumerate(line.coeffs))
+    return s, t, dict(sympy.factor_list(form, s, t)[1])
+
+
+def _s_and_x0_witnesses_moved():
+    """The S and X0 witnesses of both surfaces for d = 3..8, as made and
+    moved by two seeded rational frames each; membership is kept by
+    frames, and the quadric frames swap the factors at random."""
+    rng = random.Random(1616)
+    kinds = (WitnessKind.P2_S, WitnessKind.P2_CUSPIDAL_X0,
+             WitnessKind.QUADRIC_S, WitnessKind.QUADRIC_X0)
+    curves = []
+    for kind in kinds:
+        for d in range(3, 9):
+            base = make_witness(kind, d)
+            curves.append(base)
+            curves.extend(
+                apply_frame(base, _rational_frame(rng, base.surface)) for _ in range(2)
+            )
+    return curves
+
+
+def test_restrictions_of_special_curves_are_powers():
+    # the lemma the special locus rests on, checked by sympy's factorization
+    # over QQ: on a curve in S or X0, the restriction to the line through p
+    # of contact k (the tangent, or a ruling with contact cx resp. cy) is
+    # (p's root)^k times an m-th power, m = d - k, of a linear form whose
+    # root is the point `_power_point` reads; on the plane at d = 3, X0 has
+    # m = 0 and the restriction is s^3
+    sympy = pytest.importorskip("sympy")
+    checked = 0
+    for curve in _s_and_x0_witnesses_moved():
+        for line in local_geometry(curve).restrictions:
+            k = line.contact
+            m = curve.degree - k
+            s, t, factors = _restriction_factors(sympy, line)
+            assert factors.pop(s) == k, curve
+            if m == 0:
+                assert not factors, curve
+                continue
+            ((power, mult),) = factors.items()
+            assert mult == m and sympy.Poly(power, s, t).total_degree() == 1, curve
+            # the point is t * base + s * direction at (s : t) = (m q0 : -q1)
+            q0, q1 = line.coeffs[k], line.coeffs[k + 1]
+            root = {s: sympy.Rational(str(m * q0)), t: sympy.Rational(str(-q1))}
+            assert power.subs(root) == 0, curve
+            point = _power_point(line, k)
+            assert point is not None and _proj_equal(
+                point, [root[t] * b + root[s] * e for b, e in zip(line.base, line.direction)]
+            ), curve
+            checked += 1
+    assert checked >= 100
+    # the power check itself: (s + t)^2 after s^2 has its root at
+    # (s : t) = (1 : -1), and s^2 (s^2 + s t + t^2) is no square
+    line = Restriction((0, 0, 1), (1, 0, 0), (0, 0, 1, 2, 1))
+    assert _proj_equal(_power_point(line, 2), (1, 0, -1))
+    assert _power_point(Restriction((0, 0, 1), (1, 0, 0), (0, 0, 1, 1, 1)), 2) is None
+
+
+def test_undecided_quadric_is_in_s():
+    # (x0*y1 - x1*y0)(x0 + K*x1)^2 (y0 + K*y1)^2, K = 10^13, at ((1 : 1),
+    # (1 : 1)), whose ruling search gave up in the component search: sympy
+    # factors it over QQ into the smooth (1, 1)-form through p and the two
+    # doubled rulings crossing at ((-K : 1), (-K : 1)), which lies on it, so
+    # it is in S, with that form and crossing as details; its verdicts below
+    # the wall, at the wall and in the chamber are then Unstable, at the
+    # adapted frame, with a certificate whose mu the Fraction-only oracle
+    # recomputes on the moved curve
+    sympy = pytest.importorskip("sympy")
+    K = 10 ** 13
+    curve = curve_from_json(BRANCH_CURVES["undecided-quadric"])
+    x0, x1, y0, y1 = gens = sympy.symbols("x0 x1 y0 y1")
+    poly = sympy.Poly.from_dict({e: int(c) for e, c in curve.equation.terms.items()}, gens)
+    factors = {sympy.expand(f.as_expr()): m for f, m in poly.factor_list()[1]}
+    assert factors == {x0 * y1 - x1 * y0: 1, x0 + K * x1: 2, y0 + K * y1: 2}
+    special = special_locus_membership(curve)
+    assert special.in_s and not special.in_x0 and not special.undecided
+    assert special.details == {
+        "gamma": Polynomial(4, {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1}),
+        "crossing": (-K, 1, -K, 1),
+    }
+    for t, mu in (("7/6", "5/3"), ("5/3", "2/3"), ("11/6", "1/3")):
+        verdict = stability_verdict(curve, Fraction(t), budget=20)
+        cert = verdict.certificate
+        assert verdict.status == "Unstable" and cert["mu"] == Fraction(mu), t
+        moved = apply_frame(curve, cert["frame"])
+        assert fraction_mu_min(moved, cert["lambda"], Fraction(t))[0] == Fraction(mu), t
+
+
+def test_coprime_quadratics_match_the_gcd():
+    # the closed-form resultant that tests the smoothness of a (2, 1)-form
+    # against the gcd it replaced, on random binary quadratics in x0, x1
+    # and on pairs built with a common linear factor
+    rng = random.Random(88)
+    common = 0
+    for i in range(300):
+        f, g = (_random_form(rng, Surface.QUADRIC, (2, 0)) for _ in range(2))
+        if i % 3 == 0:
+            shared = _random_form(rng, Surface.QUADRIC, (1, 0))
+            f, g = (shared * _random_form(rng, Surface.QUADRIC, (1, 0)) for _ in range(2))
+        if f.is_zero() or g.is_zero():
+            continue
+        coprime = not polynomials.poly_gcd(f, g).variables()
+        assert inflection._coprime_quadratics(f, g) is coprime, (f, g)
+        common += not coprime
+    assert common >= 80
+
+
 # Curves whose local data at p allows neither configuration: hyperflexes
 # (contact 4), the singular curves of the CLI tests and the node of
 # (x0 - K*x2)(x0*x2 - x1^2), K = 10^14, at (K : 10^7 : 1), whose line
-# search would abort, and x0 * (x1^2 + x2^2 + x0*x2) at (0 : 1 : 0), whose
-# tangent {x0 = 0} is a component
+# search aborted in the component search, and x0 * (x1^2 + x2^2 + x0*x2)
+# at (0 : 1 : 0), whose tangent {x0 = 0} is a component
 _SETTLED_CURVES = [
     *(make_witness(WitnessKind.P2_HYPERFLEX, d) for d in range(4, 9)),
     *(curve_from_json(doc) for doc in SINGULAR_CURVES.values()),
@@ -577,16 +705,17 @@ _SETTLED_CURVES = [
 ]
 
 
-def test_settled_curves_skip_the_decomposition(monkeypatch):
+def test_settled_curves_skip_the_configuration_tests(monkeypatch):
     # where the local data allows neither configuration the curve is in
-    # neither, with no squarefree decomposition and no root search
-    def no_decomposition(surface, eq):
-        raise RuntimeError("squarefree decomposition computed")
+    # neither, and no configuration is tested
+    def no_test(curve, geometry, config):
+        raise RuntimeError("configuration tested")
 
     curves = _SETTLED_CURVES + _settled_products()
     for curve in curves:
         assert _allowed_configuration(curve.surface, local_geometry(curve)) is None
-    monkeypatch.setattr(inflection, "_squarefree_on_chart", no_decomposition)
+    monkeypatch.setattr(inflection, "_p2_special", no_test)
+    monkeypatch.setattr(inflection, "_quadric_special", no_test)
     for curve in curves:
         assert special_locus_membership(curve) == SpecialLocus(False, False, False, [], {})
         assert not inflection_report(curve).undecided
@@ -612,15 +741,14 @@ def test_allowed_configuration_table():
 
 
 def test_special_locus_ignores_the_scale_of_the_equation():
-    # the chart is made primitive before its decomposition, so a Fraction
-    # multiple of the equation gives the same groups and the same locus
+    # the restrictions scale with the equation, which moves no root of
+    # theirs, and what the division leaves is made primitive, so a
+    # Fraction multiple of the equation gives the same locus
     fractional = 0
     for curve in _gate_corpus():
         scaled = PointedCurve(curve.surface, curve.degree, curve.point,
                               Fraction(2, 3) * curve.equation)
         fractional += any(type(c) is Fraction for c in scaled.equation.terms.values())
-        assert (_squarefree_on_chart(curve.surface, scaled.equation)
-                == _squarefree_on_chart(curve.surface, curve.equation))
         got, want = special_locus_membership(scaled), special_locus_membership(curve)
         for name in ("in_s", "in_x0", "undecided", "notes", "details"):
             assert getattr(got, name) == getattr(want, name), (name, curve)
@@ -656,12 +784,12 @@ def test_linear_factors_match_sympy_factorization():
     sympy = pytest.importorskip("sympy")
     checked = with_factors = 0
     for curve in _gate_corpus():
-        for f, mult in _squarefree_on_chart(curve.surface, curve.equation):
+        for f, mult in squarefree_on_chart(curve.surface, curve.equation):
             try:
                 if curve.surface is Surface.P2:
                     got = [rational_lines(f)]
                 else:
-                    rx, ry, _ = _quadric_components([(f, mult)])
+                    rx, ry, _ = quadric_components([(f, mult)])
                     # v*x0 - u*x1 is the ruling (u, v)
                     got = [[(v, -u) for (u, v), _ in r] for r in (rx, ry)]
             except UndecidedError:
@@ -708,7 +836,7 @@ def _x0_candidates(curves):
     for curve in curves:
         if curve.surface is not Surface.P2:
             continue
-        lines, left = _p2_components(_squarefree_on_chart(curve.surface, curve.equation))
+        lines, left = p2_components(squarefree_on_chart(curve.surface, curve.equation))
         d = curve.degree
         fit = (d == 3 and not lines) or (d > 3 and len(lines) == 1 and lines[0][1] == d - 3)
         if fit and len(left) == 1 and left[0][1] == 1 and left[0][0].total_degree() == 3:
@@ -757,7 +885,7 @@ def test_cusp_line_matches_elimination():
     candidates = _x0_candidates(curves + _gate_corpus())
     in_x0 = 0
     for curve, cubic, lines in candidates:
-        got = _cusp_line(cubic, curve.point)
+        got = reference_cusp_line(cubic, curve.point)
         want = elimination_cusp_line(cubic, curve.point)
         assert (got is None) == (want is None), curve
         assert got is None or _proj_equal(got, want), curve

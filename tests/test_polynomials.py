@@ -7,7 +7,6 @@ from wallcross import polynomials
 from wallcross.errors import InternalError
 from wallcross.polynomials import (
     Polynomial,
-    binary_form_roots,
     constant,
     divisors,
     exact_divide,
@@ -21,6 +20,8 @@ from wallcross.polynomials import (
     variable,
     zero,
 )
+
+from oracles import binary_form_roots
 
 
 def _random_poly(rng, nvars, max_deg, nterms):

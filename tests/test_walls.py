@@ -122,7 +122,13 @@ def test_classify_at_wall_x_minus():
     assert classify_at_wall(tangentish)[0] == "x_minus"
 
 
-def test_classify_at_wall_undecided():
+def test_classify_at_wall_undecided(monkeypatch):
+    # the special locus is always decided now, so its abort is injected:
+    # the wall stratum of this curve reads in_s, which is then unknown
+    def aborted(curve, geometry=None):
+        return SpecialLocus(False, False, True, ["rational root search aborted"], {})
+
+    monkeypatch.setattr(inflection, "special_locus_membership", aborted)
     K = 10 ** 13
     curve = PointedCurve(
         Surface.P2,
@@ -137,12 +143,11 @@ def test_classify_at_wall_undecided():
 def test_classify_at_wall_decided_by_exact_flags(monkeypatch):
     # the node of x0^2*x2 - x0*x1^2 - K*x0*x2^2 + K*x1^2*x2 carries in_h1 and
     # in_h2prime, which settle the wall stratum. A singular point allows
-    # neither special configuration, so its report is decided without a
-    # root search. No curve that reaches a root search carries both flags:
-    # at a plane flex of contact 3 the conics add no weight to the lines',
-    # and along a ruling of contact 2 the (1, 1)-forms reach order 3 only.
-    # So the abort is injected, and the stratum and the verdict at the
-    # wall stay decided
+    # neither special configuration. No curve whose local data allows one
+    # carries both flags: at a plane flex of contact 3 the conics add no
+    # weight to the lines', and along a ruling of contact 2 the (1, 1)-forms
+    # reach order 3 only. So the undecided special locus is injected, and
+    # the stratum and the verdict at the wall stay decided
     K = 10 ** 14
     curve = PointedCurve(
         Surface.P2,
