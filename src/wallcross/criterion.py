@@ -32,7 +32,7 @@ from .errors import InternalError
 from .hessians import analyzed_slopes
 from .inflection import InflectionReport, inflection_report
 from .linprog import lp_max
-from .rationals import canonical
+from .rationals import canonical, quotient
 
 
 def _primitive(entries):
@@ -215,14 +215,10 @@ def _adapted_frames(curve, report):
         q = det.get("tangency")
         if line is not None and q is not None:
             c = next(i for i in range(3) if q[i] != 0)
-            row0 = tuple(Fraction(a) for a in line)
-            row2 = tuple(
-                Fraction(1, Fraction(q[c])) if i == c else Fraction(0)
-                for i in range(3)
-            )
+            row2 = tuple(quotient(1, q[c]) if i == c else 0 for i in range(3))
             for mid in range(3):
-                row1 = tuple(Fraction(1 if i == mid else 0) for i in range(3))
-                mx = (row0, row1, row2)
+                row1 = tuple(int(i == mid) for i in range(3))
+                mx = (line, row1, row2)
                 if adjugate(mx)[1]:
                     frames.append((mx, None, False))
                     break
@@ -233,12 +229,11 @@ def _adapted_frames(curve, report):
             # Columns (q | p) per factor; the inverse, the adjugate over the
             # determinant, sends q to (1, 0) and p to (0, 1) so the
             # degeneration flag becomes coordinate data.
-            pairs = [
-                adjugate(tuple((Fraction(q[i]), Fraction(p[i])) for i in rows))
-                for rows in ((0, 1), (2, 3))
-            ]
+            pairs = [adjugate(tuple((q[i], p[i]) for i in rows)) for rows in ((0, 1), (2, 3))]
             if all(d for _, d in pairs):
-                mx, my = (tuple(tuple(a / d for a in row) for row in adj) for adj, d in pairs)
+                mx, my = (
+                    tuple(tuple(quotient(a, d) for a in row) for row in adj) for adj, d in pairs
+                )
                 frames.append((mx, my, False))
     return frames
 

@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import product
 from math import lcm, prod
 
-from .polynomials import Polynomial, constant, linear_form, variable
+from .polynomials import Polynomial, constant, linear_form, primitive_normalized, variable
 from .rationals import canonical, format_rational, parse_rational, quotient
 
 
@@ -306,10 +306,12 @@ def apply_frame(curve, frame):
 
 @dataclass(frozen=True)
 class Restriction:
-    """The curve on a line through its marked point p, inside the factor
-    the line moves in: in that factor's coordinates the line's points are
-    t * base + s * direction, with p at s = 0, and the equation there is
-    sum(coeffs[j] * s^j * t^(d - j)) for j = 0..d."""
+    """A form on a line: in the surface's coordinates the line's points are
+    t * base + s * direction, and the form there is sum(coeffs[j] * s^j *
+    t^(m - j)) for j = 0..m, times a power of t on the quadric, where the
+    line moves in one factor and holds the other at base (direction is 0
+    there). On the curve's own lines through p (`local_geometry`), p is at
+    s = 0 and m = d."""
 
     base: tuple
     direction: tuple
@@ -320,6 +322,18 @@ class Restriction:
         """The intersection number of the line with the curve at p, the
         order of the root s = 0; None when the line is a component."""
         return next((j for j, c in enumerate(self.coeffs) if c), None)
+
+
+def restrict(form, base, direction, degree):
+    """The `Restriction` of a form to the line t * base + s * direction,
+    with the coefficients of s^0..s^degree, degree being that of the form
+    in the factor the line moves in. The substituted form is homogeneous
+    in (s, t), so each power of s has one term."""
+    subs = [linear_form(2, (0, 1), (e, b)) for b, e in zip(base, direction)]
+    coeffs = [0] * (degree + 1)
+    for (j, _), c in form.substitute(subs).terms.items():
+        coeffs[j] = c
+    return Restriction(tuple(base), tuple(direction), tuple(coeffs))
 
 
 @dataclass(frozen=True)
@@ -340,18 +354,20 @@ class LocalGeometry:
 def affine_chart(surface, form, point):
     """Dehomogenize a form in an affine chart centred at a point.
 
-    Returns (f, free, shifts): f is the 2-variable polynomial in the chart
-    coordinates (u, v), which vanish at the point; free lists the two
-    homogeneous coordinates they replace, and shifts maps each of those to
-    its value at the point, an int when it is integral. The other
-    coordinates are fixed to 1: the first nonzero coordinate of the point on
-    each factor.
+    Returns (f, free, shifts): f is the form, made primitive so that it is
+    substituted in ints whatever its scale, which no use of the chart
+    reads, in the chart coordinates (u, v), which vanish at the point; free
+    lists the two homogeneous coordinates they replace, and shifts maps
+    each of those to its value at the point, an int when it is integral.
+    The other coordinates are fixed to 1: the first nonzero coordinate of
+    the point on each factor.
     """
     charts = []
     for b in surface.blocks:
         fixed = next(i for i in b if point[i] != 0)
         charts.append((fixed, [i for i in b if i != fixed]))
     free = [i for _, fs in charts for i in fs]
+    form = primitive_normalized(form)
     point = [canonical(x) for x in point]
     shifts = {i: quotient(point[i], point[fixed]) for fixed, fs in charts for i in fs}
     if not any(shifts.values()):
@@ -367,19 +383,32 @@ def affine_chart(surface, form, point):
     return form.substitute(subs), free, shifts
 
 
+def _chart_line(f, d, base, free, u, v):
+    """The curve's `Restriction` to the line through p along the chart
+    direction (u, v): on it C is f(s u, s v) = sum_m s^m f_m(u, v), with
+    f_m the part of degree m of the chart f."""
+    coeffs = [0] * (d + 1)
+    for (i, j), c in f.terms.items():
+        # on a ruling u or v is 0, and every term of degree past d vanishes
+        if i + j <= d:
+            coeffs[i + j] += c * u**i * v**j
+    direction = [0] * len(base)
+    direction[free[0]], direction[free[1]] = u, v
+    return Restriction(tuple(base), tuple(direction), tuple(coeffs))
+
+
 def local_geometry(curve):
     """Multiplicity of the curve at its marked point, read off the affine
     chart there, and the curve's restrictions to the lines through p that
     the verdicts read, with their contacts.
 
     In the chart f(u, v) the point is base + u e_u + v e_v, where base is p
-    with the coordinate each factor sets to 1 at 1. On the plane, at a
-    smooth point: the tangent T (the gradient at p), through p in the
-    chart direction (b, -a), with a, b the linear coefficients of f; so C
-    on T is f(s b, -s a) = sum_m s^m f_m(b, -a), and the contact is the
-    least m with f_m(b, -a) != 0. On the quadric: the ruling with constant
-    x is {u = 0}, where C is f(0, s), and the one with constant y is
-    {v = 0}, where C is f(s, 0)."""
+    with the coordinate each factor sets to 1 at 1, and the line through p
+    along (u, v) has direction u e_u + v e_v (`_chart_line`). On the plane,
+    at a smooth point: the tangent T (the gradient at p), along (b, -a),
+    with a, b the linear coefficients of f, whose contact is the least m
+    with f_m(b, -a) != 0. On the quadric: the ruling with constant x, along
+    (0, 1), then the one with constant y, along (1, 0)."""
     p = curve.point
     d = curve.degree
     f, free, shifts = affine_chart(curve.surface, curve.equation, p)
@@ -392,26 +421,13 @@ def local_geometry(curve):
             curve.equation.partial_derivative(i).evaluate(p) for i in range(3)
         )
         a, b = f.terms.get((1, 0), 0), f.terms.get((0, 1), 0)
-        along = [0] * (d + 1)
-        for (i, j), c in f.terms.items():
-            along[i + j] += c * b**i * (-a) ** j
-        direction = [0] * 3
-        direction[free[0]], direction[free[1]] = b, -a
-        line = Restriction(tuple(base), tuple(direction), tuple(along))
+        line = _chart_line(f, d, base, free, b, -a)
         return LocalGeometry(
             True, 1, tangent=tangent, tangent_contact=line.contact, restrictions=(line,)
         )
-    lines = []
-    for k in (0, 1):
-        block = curve.surface.blocks[1 - k]
-        coeffs = [0] * (d + 1)
-        for e, c in f.terms.items():
-            if e[k] == 0:
-                coeffs[e[1 - k]] = c
-        direction = tuple(int(i == free[1 - k]) for i in block)
-        lines.append(Restriction(tuple(base[i] for i in block), direction, tuple(coeffs)))
+    lines = tuple(_chart_line(f, d, base, free, u, v) for u, v in ((0, 1), (1, 0)))
     contacts = tuple(line.contact for line in lines)
-    return LocalGeometry(mult == 1, mult, ruling_contacts=contacts, restrictions=tuple(lines))
+    return LocalGeometry(mult == 1, mult, ruling_contacts=contacts, restrictions=lines)
 
 
 def contact_ge(contact, k):

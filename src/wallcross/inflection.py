@@ -20,20 +20,20 @@ Membership in S and X0 first reads the local geometry at p: each
 configuration fixes the contact there (the tangent's 2 for S and 3 for X0
 on the plane, the rulings' (1, 1), (1, 2) or (2, 1) on the quadric), so
 at most one is allowed (`_allowed_configuration`), and where none is, the
-curve is in neither. The allowed one is read off the restrictions of the
-curve to the lines through p, which `local_geometry` computes on its
-chart for the contacts. On a member, the factor that passes through p
-meets such a line only at p, so the restriction is a power of p's root
-times a power of one linear form, whose root is where the line meets the
-multiple line or ruling (`_power_point`). That point gives the multiple
-line (by a gradient on the plane, directly on the quadric), and one
-exact division leaves the conic, cubic or (a, b)-form for the tests of
-the configuration. No gcd, squarefree split or root search runs, so the
-membership is always decided. On the plane, X0 needs no singular point:
-the marked point is a flex exactly when its tangent divides its polar
-conic, and the other factor, the harmonic polar, meets the cubic in a
-single point exactly when the cubic is cuspidal; it is then the cusp line
-(`_cusp_line`).
+curve is in neither. Every later test reads a form restricted to a line
+(a `curves.Restriction`) with one test for a power of a linear form
+(`_power_point`). On a member, the factor through p meets each line
+through p only at p, so the curve on it, which `local_geometry` reads off
+its chart, is a power of p's root times a power whose root is where the
+line meets the multiple line or ruling. That point gives the multiple
+line (by a gradient on the plane, directly on the quadric), and one exact
+division leaves the conic, cubic or (a, b)-form, which `curves.restrict`
+puts on lines: the line touches the conic where the conic on it is a
+square, the cubic is cuspidal when it is a cube on the harmonic polar of
+its flex p, then its cusp line (`_cusp_line`), and a fibre of the (2, 1)-
+or (1, 2)-form is tangent where the form on it is a square. Smoothness is a determinant
+(`curves.adjugate`). No gcd, squarefree split or root search runs, so
+the membership is always decided.
 
 Computed orders at or past the truncation are reported as lower bounds,
 never as exact values; that is enough for every comparison made here,
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from fractions import Fraction
 from math import comb, lcm
 
 from .curves import (
@@ -55,16 +54,15 @@ from .curves import (
     affine_chart,
     contact_ge,
     local_geometry,
+    restrict,
 )
 from .errors import InternalError
 from .polynomials import (
-    constant,
     exact_divide,
     exact_quotient,
     linear_form,
     monomial,
     primitive_normalized,
-    variable,
     zero,
 )
 from .rationals import quotient
@@ -210,17 +208,15 @@ def _proj_equal(p, q):
     )
 
 
-def _conic_matrix(q):
-    m = [[Fraction(0)] * 3 for _ in range(3)]
-    for exp, c in q.terms.items():
-        idx = [i for i, e in enumerate(exp) for _ in range(e)]
-        i, j = idx[0], idx[1]
-        if i == j:
-            m[i][i] = c
-        else:
-            m[i][j] += Fraction(c, 2)
-            m[j][i] += Fraction(c, 2)
-    return m
+def _conic_is_smooth(conic):
+    """Whether the conic is smooth: the integer matrix of 2 * conic, with
+    2 c_ii on the diagonal and c_ij off it, is invertible."""
+    m = [[0] * 3 for _ in range(3)]
+    for exp, c in conic.terms.items():
+        i, j = (k for k, e in enumerate(exp) for _ in range(e))
+        m[i][j] += c
+        m[j][i] += c
+    return bool(adjugate(m)[1])
 
 
 def _line_points(lc):
@@ -228,48 +224,32 @@ def _line_points(lc):
     i0 = next(i for i in range(3) if lc[i] != 0)
     pts = []
     for a in range(3):
-        if a == i0:
-            continue
-        v = [Fraction(0)] * 3
-        v[a] = Fraction(1)
-        v[i0] = -Fraction(lc[a]) / Fraction(lc[i0])
-        pts.append(tuple(v))
+        if a != i0:
+            v = [0] * 3
+            v[a] = 1
+            v[i0] = quotient(-lc[a], lc[i0])
+            pts.append(tuple(v))
     return pts
 
 
-def _line_conic_tangency(lc, q):
-    """If the line touches the conic at a single (double) rational point,
-    return that point, else None."""
-    v, w = _line_points(lc)
-    alpha = q.evaluate(v)
-    gamma = q.evaluate(w)
-    both = q.evaluate([a + b for a, b in zip(v, w)])
-    beta = both - alpha - gamma
-    if alpha == 0 and beta == 0 and gamma == 0:
-        return None
-    if beta * beta - 4 * alpha * gamma != 0:
-        return None
-    if alpha != 0:
-        s, t = -beta, 2 * alpha
-    else:
-        # beta = 0 here, so the double root is t = 0
-        s, t = Fraction(1), Fraction(0)
-    return tuple(s * a + t * b for a, b in zip(v, w))
-
-
 def _power_point(line, k):
-    """The point of the line other than p where the rest of the curve
-    meets it, when the curve on the line (a `curves.Restriction`) is
-    (p's root)^k times an m-th power, m = d - k >= 1; else None. It is
-    given in the coordinates of the line's factor, up to scale.
+    """The root of the form on the line (a `curves.Restriction`) past its
+    root s = 0 of order k, when the form is s^k times a nonzero m-th power,
+    m >= 1 its degree less k; else None. On the curve's line of contact k,
+    that is where the rest of the curve meets the line. The point is in the
+    surface's coordinates, up to scale, and on the quadric only in the
+    factor the line moves in.
 
-    With q_j the coefficient k + j, the quotient sum q_j s^j t^(m - j) has
-    q_0 != 0, as k is the contact. So it is an m-th power exactly when it
+    With q_j the coefficient k + j, Q = sum q_j s^j t^(m - j) is such a
+    power c * l^m exactly when, for q_0 != 0 (as when k is the contact), it
     is q_0 (mu s + t)^m with mu = q_1 / (m q_0), which one comparison per
-    coefficient decides. Its root (s : t) = (1 : -mu) is the point
-    direction - mu * base, returned times m * q_0."""
+    coefficient decides; its root (s : t) = (1 : -mu) is the point
+    direction - mu * base, returned times m * q_0. For q_0 = 0 it must be
+    q_m s^m, with q_m alone nonzero, and its root is base."""
     q = line.coeffs[k:]
     m = len(q) - 1
+    if not q[0]:
+        return line.base if q[m] and not any(q[1:m]) else None
     mu = quotient(q[1], m * q[0])
     if any(c != q[0] * comb(m, j) * mu**j for j, c in enumerate(q)):
         return None
@@ -278,11 +258,12 @@ def _power_point(line, k):
 
 def _s_on_plane(p, line, conic):
     """The details of S for this line and conic: {} unless the conic is
-    smooth, the line touches it at a single point q, and p lies on the
-    conic, off the line and apart from q."""
-    if not adjugate(_conic_matrix(conic))[1]:
+    smooth, the line touches it at a single point q (the conic on the
+    line is a square, `_power_point`), and p lies on the conic, off the
+    line and apart from q."""
+    if not _conic_is_smooth(conic):
         return {}
-    q = _line_conic_tangency(line, conic)
+    q = _power_point(restrict(conic, *_line_points(line), 2), 0)
     if q is None or conic.evaluate(p) or _proj_equal(p, q):
         return {}
     if not linear_form(3, (0, 1, 2), line).evaluate(p):
@@ -293,8 +274,9 @@ def _s_on_plane(p, line, conic):
 def _cusp_line(cubic, p):
     """The primitive coefficients of the cusp line of the cubic when it is
     cuspidal, else None. p must be a smooth flex of the cubic, and the
-    cubic must have no rational linear factor; a flex division that is not
-    exact raises InternalError.
+    cubic must have no rational linear factor, so no rational line, H
+    included, restricts it to zero; a flex division that is not exact
+    raises InternalError.
 
     Let T be the tangent at p, with the gradient of C at p as coefficients,
     and P = sum p_i dC/dx_i the polar conic of p. For v on T, P(p + s v) =
@@ -313,7 +295,8 @@ def _cusp_line(cubic, p):
     H is then the doubled line of the tangent cone. A cubic irreducible
     over Q but not over its closure is three conjugate lines, on which no
     rational point is smooth. So the flex division and the cube test
-    decide, and no singular point is searched for. On y^2 z = x^3 at p =
+    decide, and no singular point is searched for: C on H is a cube
+    exactly when `_power_point` finds its root. On y^2 z = x^3 at p =
     (0 : 1 : 0), P = 2yz, H = y and C on H is -x^3.
 
     The answer is that of the elimination test this replaces: the cusp is
@@ -325,11 +308,7 @@ def _cusp_line(cubic, p):
     h = exact_quotient(polar, linear_form(3, (0, 1, 2), tangent), "the tangent at the flex")
     h = primitive_normalized(h)
     h = tuple(h.terms.get(e, 0) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    v, w = _line_points(h)
-    on_h = cubic.substitute([linear_form(2, (0, 1), pair) for pair in zip(v, w)])
-    a0, a1, a2, a3 = (on_h.terms.get((3 - k, k), 0) for k in range(4))
-    # a binary cubic is c * l^3 exactly when its Hessian covariant vanishes
-    if a1 * a1 != 3 * a0 * a2 or a2 * a2 != 3 * a1 * a3 or a1 * a2 != 9 * a0 * a3:
+    if _power_point(restrict(cubic, *_line_points(h), 3), 0) is None:
         return None
     return h
 
@@ -385,34 +364,6 @@ def _p2_special(curve, geometry, config):
     return SpecialLocus(False, in_x0, False)
 
 
-def _binary_disc(coeffs):
-    a = coeffs.get(2, Fraction(0))
-    b = coeffs.get(1, Fraction(0))
-    c = coeffs.get(0, Fraction(0))
-    return b * b - 4 * a * c
-
-
-def _fiber_in_x(gamma, y_pt):
-    """gamma restricted to y = y_pt, as {x0-power: coeff}."""
-    subs = [
-        variable(2, 0),
-        variable(2, 1),
-        constant(2, y_pt[0]),
-        constant(2, y_pt[1]),
-    ]
-    g = gamma.substitute(subs)
-    out = {}
-    for exp, c in g.terms.items():
-        out[exp[0]] = out.get(exp[0], Fraction(0)) + c
-    return {k: v for k, v in out.items() if v}
-
-
-def _swap_vars(f):
-    return f.substitute(
-        [variable(4, 2), variable(4, 3), variable(4, 0), variable(4, 1)]
-    )
-
-
 def _ruling_point(v):
     """A point (a : b) of P^1 as (u, 1), or as (1, 0) when b = 0; the
     ruling over a point (u, v) is the zero set of v x0 - u x1 (of v y0 -
@@ -436,38 +387,42 @@ def _s_on_quadric(p, gamma, q):
 
 
 def _coprime_quadratics(f, g):
-    """Whether two binary quadratic forms in x0, x1 (in 4 variables) have
-    no common root: their resultant (a0 b2 - a2 b0)^2 - (a0 b1 - a1 b0)
-    (a1 b2 - a2 b1) is nonzero, with a_i, b_i the coefficients of
-    x0^(2 - i) x1^i."""
-    (a0, a1, a2), (b0, b1, b2) = (
-        [h.terms.get((2 - i, i, 0, 0), 0) for i in range(3)] for h in (f, g)
-    )
+    """Whether two binary quadratic forms, given by their coefficient
+    triples (a0, a1, a2) and (b0, b1, b2), a_i that of x0^(2 - i) x1^i,
+    have no common root: their resultant (a0 b2 - a2 b0)^2 - (a0 b1 - a1
+    b0) (a1 b2 - a2 b1) is nonzero."""
+    (a0, a1, a2), (b0, b1, b2) = f, g
     return (a0 * b2 - a2 * b0) ** 2 != (a0 * b1 - a1 * b0) * (a1 * b2 - a2 * b1)
 
 
-def _x0_quadric_oriented(gamma, xq, yq, p):
-    """Is this the (2,1)-oriented cuspidal-analogue shape: gamma, of
-    bidegree (2, 1), smooth, the y-ruling tangent to it at the crossing
-    point q = (xq, yq) of the two rulings, the marked point a second
-    tangency point of the y-fibration."""
-    # gamma = y0 * q0(x) + y1 * q1(x) is smooth when q0 and q1 are coprime
-    if not _coprime_quadratics(gamma.coefficient_in(2, 1), gamma.coefficient_in(3, 1)):
+def _x0_quadric_oriented(gamma, k, q, p):
+    """Is this the cuspidal-analogue shape whose fibres move in factor k:
+    gamma, of degree 2 in factor k and 1 in the other, smooth, its fibre
+    through the crossing point q of the two rulings tangent to it at q,
+    and the marked point a second point where a fibre is tangent to it.
+
+    gamma = sum z * g_z over the two coordinates z of the other factor,
+    with g_z binary quadratics in factor k, and it is smooth when they are
+    coprime; g_z is gamma on the line from e_z + (the first unit vector of
+    factor k) along the second. The fibre through a point r, the line
+    along (-r_1, r_0) in factor k, is tangent to gamma at r exactly when
+    gamma vanishes at r and is a nonzero square on it (`_power_point`)."""
+    moving, held = Surface.QUADRIC.blocks[k], Surface.QUADRIC.blocks[1 - k]
+
+    def unit(*slots):
+        return tuple(int(i in slots) for i in range(4))
+
+    triples = [restrict(gamma, unit(moving[0], z), unit(moving[1]), 2).coeffs for z in held]
+    if not _coprime_quadratics(*triples):
         return False
-    if gamma.evaluate(xq + yq) != 0:
+    if _proj_equal(p[:2], q[:2]) and _proj_equal(p[2:], q[2:]):
         return False
-    fq = _fiber_in_x(gamma, yq)
-    if not fq or _binary_disc(fq) != 0:
-        return False
-    if gamma.evaluate(p) != 0:
-        return False
-    if _proj_equal(p[:2], xq) and _proj_equal(p[2:], yq):
-        return False
-    fp = _fiber_in_x(gamma, p[2:])
-    if not fp or _binary_disc(fp) != 0:
-        return False
-    # p lies on gamma and the fiber has a unique (double) root, so the
-    # fiber through p is automatically tangent exactly at p
+    for r in (q, p):
+        direction = [0] * 4
+        direction[moving[0]], direction[moving[1]] = -r[moving[1]], r[moving[0]]
+        fibre = restrict(gamma, r, direction, 2)
+        if fibre.coeffs[0] or _power_point(fibre, 0) is None:
+            return False
     return True
 
 
@@ -494,7 +449,7 @@ def _quadric_special(curve, geometry, config):
     yq, xq = _power_point(on_x, cx), _power_point(on_y, cy)
     if xq is None or yq is None:
         return SpecialLocus(False, False, False)
-    xq, yq = _ruling_point(xq), _ruling_point(yq)
+    xq, yq = _ruling_point(xq[:2]), _ruling_point(yq[2:])
     rulings = (
         linear_form(4, (0, 1), (xq[1], -xq[0])) ** (d - cy)
         * linear_form(4, (2, 3), (yq[1], -yq[0])) ** (d - cx)
@@ -506,10 +461,7 @@ def _quadric_special(curve, geometry, config):
     if config == "S":
         details = _s_on_quadric(p, gamma, xq + yq)
         return SpecialLocus(bool(details), False, False, [], details)
-    if config == "X0":
-        in_x0 = _x0_quadric_oriented(gamma, xq, yq, p)
-    else:
-        in_x0 = _x0_quadric_oriented(_swap_vars(gamma), yq, xq, p[2:] + p[:2])
+    in_x0 = _x0_quadric_oriented(gamma, 0 if config == "X0" else 1, xq + yq, p)
     return SpecialLocus(False, in_x0, False)
 
 

@@ -37,7 +37,6 @@ from wallcross.inflection import (
     _proj_equal,
     _s_on_plane,
     _s_on_quadric,
-    _swap_vars,
     _x0_quadric_oriented,
     inflection_weight,
     local_branch,
@@ -385,11 +384,9 @@ def quadric_special(curve, groups, configs):
         details = _s_on_quadric(p, gamma, rx[0][0] + ry[0][0])
     in_x0 = False
     if "X0" in configs and bidegree == (2, 1) and single(rx, d - 2) and single(ry, d - 1):
-        in_x0 = _x0_quadric_oriented(gamma, rx[0][0], ry[0][0], p)
+        in_x0 = _x0_quadric_oriented(gamma, 0, rx[0][0] + ry[0][0], p)
     if "X0 swapped" in configs and bidegree == (1, 2) and single(ry, d - 2) and single(rx, d - 1):
-        in_x0 = in_x0 or _x0_quadric_oriented(
-            _swap_vars(gamma), ry[0][0], rx[0][0], p[2:] + p[:2]
-        )
+        in_x0 = in_x0 or _x0_quadric_oriented(gamma, 1, rx[0][0] + ry[0][0], p)
     return SpecialLocus(bool(details), in_x0, False, [], details)
 
 

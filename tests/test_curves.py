@@ -22,9 +22,10 @@ from wallcross.curves import (
     local_geometry,
     make_witness,
     normalize_frame,
+    restrict,
     validate,
 )
-from wallcross.polynomials import Polynomial, constant, variable
+from wallcross.polynomials import Polynomial, constant, primitive_normalized, variable
 
 from oracles import explicit_chart_coordinates, explicit_exponents, frame_inverse
 
@@ -229,6 +230,32 @@ def test_ruling_contacts_match_line_parametrization():
             assert local_geometry(moved).ruling_contacts == expected
             components += None in expected
     assert components > 0
+
+
+def test_local_geometry_restricts_the_primitive_form():
+    # the chart's lines through p are what `restrict` gives on the form the
+    # chart substitutes, the equation made primitive; so a Fraction
+    # multiple of the equation has the same chart and the same lines
+    rng = random.Random(52)
+    lines = fractional = 0
+    for i in range(120):
+        surface = (Surface.P2, Surface.QUADRIC)[i % 2]
+        d = rng.randint(3, 5)
+        curve = _random_curve_through_point(rng, surface, d)
+        if curve.equation.is_zero():
+            continue
+        form = primitive_normalized(curve.equation)
+        geo = local_geometry(curve)
+        for line in geo.restrictions:
+            assert restrict(form, line.base, line.direction, d) == line, curve
+            lines += 1
+        scaled = Fraction(2, 3) * curve.equation
+        fractional += any(type(c) is Fraction for c in scaled.terms.values())
+        chart = affine_chart(surface, scaled, curve.point)[0]
+        assert chart == affine_chart(surface, curve.equation, curve.point)[0], curve
+        moved = PointedCurve(surface, d, curve.point, scaled)
+        assert local_geometry(moved).restrictions == geo.restrictions, curve
+    assert lines >= 100 and fractional >= 100
 
 
 def test_adjugate_matches_leibniz_and_inverts():

@@ -15,13 +15,16 @@ from wallcross.curves import (
     Restriction,
     Surface,
     WitnessKind,
+    adjugate,
     all_exponents,
     apply_frame,
     curve_from_json,
     curve_to_json,
     local_geometry,
     make_witness,
+    mat_vec,
     move_curve,
+    restrict,
 )
 from wallcross.cli import main
 from wallcross.errors import InternalError
@@ -40,6 +43,7 @@ from wallcross.inflection import (
 from wallcross.polynomials import (
     Polynomial,
     constant,
+    linear_form,
     monomial,
     primitive_normalized,
     squarefree_decompose,
@@ -674,8 +678,9 @@ def test_undecided_quadric_is_in_s():
 
 def test_coprime_quadratics_match_the_gcd():
     # the closed-form resultant that tests the smoothness of a (2, 1)-form
-    # against the gcd it replaced, on random binary quadratics in x0, x1
-    # and on pairs built with a common linear factor
+    # against the gcd it replaced, on the coefficient triples of random
+    # binary quadratics in x0, x1 and of pairs built with a common linear
+    # factor
     rng = random.Random(88)
     common = 0
     for i in range(300):
@@ -686,9 +691,165 @@ def test_coprime_quadratics_match_the_gcd():
         if f.is_zero() or g.is_zero():
             continue
         coprime = not polynomials.poly_gcd(f, g).variables()
-        assert inflection._coprime_quadratics(f, g) is coprime, (f, g)
+        f3, g3 = ([h.terms.get((2 - i, i, 0, 0), 0) for i in range(3)] for h in (f, g))
+        assert inflection._coprime_quadratics(f3, g3) is coprime, (f, g)
         common += not coprime
     assert common >= 80
+
+
+def _line_form(rng, n, slots, through=None):
+    """A nonzero random linear form in two or three of the n variables,
+    vanishing at the point `through` when one is given."""
+    while True:
+        c = [rng.randint(-3, 3) for _ in slots]
+        if through is not None:
+            x = [through[i] for i in slots]
+            c = [x[1], -x[0]] if len(slots) == 2 else _cross(x, c)
+        if any(c):
+            return linear_form(n, slots, c)
+
+
+def _cross(a, b):
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+
+def _sympy_form(sympy, form, xs):
+    return sum(
+        sympy.Rational(str(c)) * sympy.prod(x**k for x, k in zip(xs, e))
+        for e, c in form.terms.items()
+    )
+
+
+def test_power_test_matches_sympy_factorization():
+    # `_power_point(restrict(form, base, direction, m), 0)` finds a point
+    # exactly when sympy factors the form on the line over QQ into one
+    # linear factor to the m, and the point is that factor's root. Forms of
+    # degree m = 2, 3 on the plane, and of bidegree (m, 1) on the quadric
+    # on lines moving in x: powers of lines, some through base (the
+    # leading coefficient is then 0), products of lines, random forms, the
+    # zero form, and forms that vanish on the whole line
+    sympy = pytest.importorskip("sympy")
+    s, t = sympy.symbols("s t")
+    rng = random.Random(2525)
+    powers = through_base = vanishing = 0
+    for i in range(360):
+        surface = (Surface.P2, Surface.QUADRIC)[i % 3 == 2]
+        n, m, kind = surface.nvars, rng.choice((2, 3)), rng.randrange(6)
+        moving = (0, 1, 2) if surface is Surface.P2 else (0, 1)
+        while True:
+            base = [rng.randint(-2, 2) for _ in range(n)]
+            direction = [rng.randint(-2, 2) if j in moving else 0 for j in range(n)]
+            line = _cross(base, direction) if surface is Surface.P2 else None
+            independent = any(line) if line else base[0] * direction[1] != base[1] * direction[0]
+            if independent and (surface is Surface.P2 or any(base[2:])):
+                break
+        held = constant(n, 1) if surface is Surface.P2 else _line_form(rng, n, (2, 3))
+        if kind == 0:
+            form = _line_form(rng, n, moving) ** m
+        elif kind == 1:
+            form = _line_form(rng, n, moving, base) ** m
+        elif kind == 2:
+            form = _line_form(rng, n, moving, base) * _line_form(rng, n, moving) ** (m - 1)
+        elif kind == 3:
+            form = _random_form(rng, surface, m if surface is Surface.P2 else (m, 0))
+        elif kind == 4:
+            form = Polynomial(n, {})
+        elif surface is Surface.P2:
+            # the line's own equation times a form
+            form = linear_form(3, moving, line) * _random_form(rng, surface, m - 1)
+        else:
+            # the ruling through base in y, which the line lies on
+            form, held = _line_form(rng, n, moving) ** m, _line_form(rng, n, (2, 3), base)
+        form = form * held
+        got = _power_point(restrict(form, base, direction, m), 0)
+        points = [t * x + s * y for x, y in zip(base, direction)]
+        expr = sympy.expand(_sympy_form(sympy, form, points))
+        if surface is Surface.QUADRIC:
+            # holding y at base multiplies the form by t
+            expr = sympy.cancel(expr / t)
+        factors = sympy.factor_list(expr, s, t)[1] if expr != 0 else []
+        vanishing += expr == 0
+        if len(factors) != 1 or factors[0][1] != m:
+            assert got is None, (form, base, direction)
+            continue
+        poly = sympy.Poly(factors[0][0], s, t)
+        assert poly.total_degree() == 1, (form, base, direction)
+        a, c = (int(poly.coeff_monomial(x)) for x in (s, t))
+        # a s + c t vanishes at (s : t) = (c : -a)
+        want = [-a * x + c * y for x, y in zip(base, direction)]
+        assert got is not None and _proj_equal(
+            [got[i] for i in moving], [want[i] for i in moving]
+        ), (form, base, direction)
+        powers += 1
+        through_base += expr.subs(s, 0) == 0
+    assert powers >= 100 and through_base >= 30 and vanishing >= 60
+
+
+def test_conic_smoothness_matches_the_sympy_discriminant():
+    # the conic is smooth exactly when the determinant of its Hessian
+    # matrix, the discriminant of the ternary quadratic form, is nonzero in
+    # sympy: on random conics, and on rational line pairs, pairs of
+    # conjugate lines and double lines, which are all singular
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols("x0 x1 x2")
+    rng = random.Random(2626)
+    smooth = 0
+    for i in range(200):
+        kind = i % 4
+        if kind == 0:
+            terms = {e: Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                     for e in all_exponents(Surface.P2, 2)}
+            conic = Polynomial(3, terms)
+            if conic.is_zero():
+                continue
+        elif kind == 1:
+            conic = _line_form(rng, 3, (0, 1, 2)) * _line_form(rng, 3, (0, 1, 2))
+        elif kind == 2:
+            conic = (_line_form(rng, 3, (0, 1, 2)) ** 2
+                     + rng.randint(1, 3) * _line_form(rng, 3, (0, 1, 2)) ** 2)
+        else:
+            conic = _line_form(rng, 3, (0, 1, 2)) ** 2
+        det = sympy.hessian(_sympy_form(sympy, conic, xs), xs).det()
+        assert inflection._conic_is_smooth(conic) is (det != 0), conic
+        assert det == 0 or kind == 0, conic
+        smooth += det != 0
+    assert smooth >= 40
+
+
+def test_x0_orientations_agree_under_the_factor_swap():
+    # `_x0_quadric_oriented(gamma, 1, q, p)` reads the fibres of a (1, 2)-
+    # form in y; with the factors of gamma, q and p exchanged by
+    # substitution, the call with k = 0 must answer the same. The (2, 1)-
+    # forms are x0^2 y1 + x1^2 y0 with q = ((1 : 0), (1 : 0)) and p =
+    # ((0 : 1), (0 : 1)), which is the shape, moved by integer frames; then
+    # the same with one more term, with p at q, or with p off gamma
+    rng = random.Random(2727)
+    shape = Polynomial(4, {(2, 0, 0, 1): 1, (0, 2, 1, 0): 1})
+    swap = [variable(4, 2), variable(4, 3), variable(4, 0), variable(4, 1)]
+    answers = []
+    for i in range(160):
+        while True:
+            a, b = (tuple(tuple(rng.randint(-2, 2) for _ in range(2)) for _ in range(2))
+                    for _ in range(2))
+            if adjugate(a)[1] and adjugate(b)[1]:
+                break
+        subs = [linear_form(4, slots, row) for m, slots in ((a, (0, 1)), (b, (2, 3)))
+                for row in m]
+        moved = shape.substitute(subs)
+        q, p = (mat_vec(adjugate(a)[0], r[:2]) + mat_vec(adjugate(b)[0], r[2:])
+                for r in ((1, 0, 1, 0), (0, 1, 0, 1)))
+        if i % 4 == 1:
+            moved = moved + Polynomial(4, {(1, 1, rng.randint(0, 1), 0): rng.choice((-1, 1))})
+        elif i % 4 == 2:
+            p = q
+        elif i % 4 == 3:
+            p = p[:2] + q[2:]
+        got = inflection._x0_quadric_oriented(
+            moved.substitute(swap), 1, q[2:] + q[:2], p[2:] + p[:2]
+        )
+        assert got is inflection._x0_quadric_oriented(moved, 0, q, p), (moved, q, p)
+        answers.append(got)
+    assert answers.count(True) >= 30 and answers.count(False) >= 60
 
 
 # Curves whose local data at p allows neither configuration: hyperflexes
