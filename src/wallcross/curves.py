@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import product
 from math import lcm, prod
 
-from .polynomials import Polynomial, constant, linear_form, primitive_normalized, variable
+from .polynomials import Polynomial, constant, linear_form, variable
 from .rationals import canonical, format_rational, parse_rational, quotient
 
 
@@ -354,20 +354,18 @@ class LocalGeometry:
 def affine_chart(surface, form, point):
     """Dehomogenize a form in an affine chart centred at a point.
 
-    Returns (f, free, shifts): f is the form, made primitive so that it is
-    substituted in ints whatever its scale, which no use of the chart
-    reads, in the chart coordinates (u, v), which vanish at the point; free
-    lists the two homogeneous coordinates they replace, and shifts maps
-    each of those to its value at the point, an int when it is integral.
-    The other coordinates are fixed to 1: the first nonzero coordinate of
-    the point on each factor.
+    Returns (f, free, shifts): f is the 2-variable polynomial in the chart
+    coordinates (u, v), which vanish at the point; free lists the two
+    homogeneous coordinates they replace, and shifts maps each of those to
+    its value at the point, an int when it is integral. The other
+    coordinates are fixed to 1: the first nonzero coordinate of the point on
+    each factor.
     """
     charts = []
     for b in surface.blocks:
         fixed = next(i for i in b if point[i] != 0)
         charts.append((fixed, [i for i in b if i != fixed]))
     free = [i for _, fs in charts for i in fs]
-    form = primitive_normalized(form)
     point = [canonical(x) for x in point]
     shifts = {i: quotient(point[i], point[fixed]) for fixed, fs in charts for i in fs}
     if not any(shifts.values()):

@@ -25,7 +25,7 @@ from wallcross.curves import (
     restrict,
     validate,
 )
-from wallcross.polynomials import Polynomial, constant, primitive_normalized, variable
+from wallcross.polynomials import Polynomial, constant, variable
 
 from oracles import explicit_chart_coordinates, explicit_exponents, frame_inverse
 
@@ -232,10 +232,10 @@ def test_ruling_contacts_match_line_parametrization():
     assert components > 0
 
 
-def test_local_geometry_restricts_the_primitive_form():
+def test_local_geometry_restricts_the_equation():
     # the chart's lines through p are what `restrict` gives on the form the
-    # chart substitutes, the equation made primitive; so a Fraction
-    # multiple of the equation has the same chart and the same lines
+    # chart substitutes, the equation with its coefficients as given, also
+    # where some of them are fractions
     rng = random.Random(52)
     lines = fractional = 0
     for i in range(120):
@@ -244,18 +244,11 @@ def test_local_geometry_restricts_the_primitive_form():
         curve = _random_curve_through_point(rng, surface, d)
         if curve.equation.is_zero():
             continue
-        form = primitive_normalized(curve.equation)
-        geo = local_geometry(curve)
-        for line in geo.restrictions:
-            assert restrict(form, line.base, line.direction, d) == line, curve
+        fractional += any(type(c) is Fraction for c in curve.equation.terms.values())
+        for line in local_geometry(curve).restrictions:
+            assert restrict(curve.equation, line.base, line.direction, d) == line, curve
             lines += 1
-        scaled = Fraction(2, 3) * curve.equation
-        fractional += any(type(c) is Fraction for c in scaled.terms.values())
-        chart = affine_chart(surface, scaled, curve.point)[0]
-        assert chart == affine_chart(surface, curve.equation, curve.point)[0], curve
-        moved = PointedCurve(surface, d, curve.point, scaled)
-        assert local_geometry(moved).restrictions == geo.restrictions, curve
-    assert lines >= 100 and fractional >= 100
+    assert lines >= 100 and fractional >= 20
 
 
 def test_adjugate_matches_leibniz_and_inverts():
