@@ -13,7 +13,7 @@ since the two factors carry the same degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -51,8 +51,7 @@ class PointedCurve:
 def _exponents(surface, degrees):
     """Every exponent vector of degree degrees[k] on the k-th factor, in lex
     order: the product over the factors of the vectors of that degree in
-    their variables. Claim replays and vanishing sequences ask for the same
-    few again and again."""
+    their variables. Claim replays ask for the same few again and again."""
     exps = [()]
     for b, m in zip(surface.blocks, degrees):
         # (prefix, degree left) over the factor's variables but its last
@@ -341,10 +340,12 @@ class LocalGeometry:
     """The multiplicity at p and, on the lines through p that the verdicts
     read, the curve's `restrictions` and the contacts read off them: the
     tangent at a smooth plane point, and on the quadric the ruling with
-    constant x, then the one with constant y."""
+    constant x, then the one with constant y, read off `chart`, the
+    `affine_chart` at p, which the branch solve reads too and == ignores."""
 
     smooth_at_p: bool
     multiplicity: int
+    chart: tuple = field(default=None, compare=False, repr=False)
     tangent: tuple = None
     tangent_contact: int = None
     ruling_contacts: tuple = None
@@ -403,29 +404,30 @@ def local_geometry(curve):
     In the chart f(u, v) the point is base + u e_u + v e_v, where base is p
     with the coordinate each factor sets to 1 at 1, and the line through p
     along (u, v) has direction u e_u + v e_v (`_chart_line`). On the plane,
-    at a smooth point: the tangent T (the gradient at p), along (b, -a),
-    with a, b the linear coefficients of f, whose contact is the least m
-    with f_m(b, -a) != 0. On the quadric: the ruling with constant x, along
-    (0, 1), then the one with constant y, along (1, 0)."""
+    at a smooth point: the tangent T, along (b, -a), with a, b the linear
+    coefficients of f, whose contact is the least m with f_m(b, -a) != 0;
+    T is the gradient at p, p_l^(d - 1) times a and b at the free
+    coordinates, and at the fixed one l what Euler's relation T . p = 0
+    leaves. On the quadric: the rulings along (0, 1) and (1, 0)."""
     p = curve.point
     d = curve.degree
-    f, free, shifts = affine_chart(curve.surface, curve.equation, p)
+    chart = f, free, shifts = affine_chart(curve.surface, curve.equation, p)
     mult = min(sum(e) for e in f.terms)
     base = [shifts.get(i, 1) for i in range(curve.surface.nvars)]
     if curve.surface is Surface.P2:
         if mult != 1:
-            return LocalGeometry(False, mult)
-        tangent = tuple(
-            curve.equation.partial_derivative(i).evaluate(p) for i in range(3)
-        )
+            return LocalGeometry(False, mult, chart)
         a, b = f.terms.get((1, 0), 0), f.terms.get((0, 1), 0)
+        (i, j), l = free, next(k for k in range(3) if k not in shifts)
+        grad = {i: a, j: b, l: -shifts[i] * a - shifts[j] * b}
+        tangent = tuple(Fraction(canonical(p[l]) ** (d - 1) * grad[k]) for k in range(3))
         line = _chart_line(f, d, base, free, b, -a)
         return LocalGeometry(
-            True, 1, tangent=tangent, tangent_contact=line.contact, restrictions=(line,)
+            True, 1, chart, tangent=tangent, tangent_contact=line.contact, restrictions=(line,)
         )
     lines = tuple(_chart_line(f, d, base, free, u, v) for u, v in ((0, 1), (1, 0)))
     contacts = tuple(line.contact for line in lines)
-    return LocalGeometry(mult == 1, mult, ruling_contacts=contacts, restrictions=lines)
+    return LocalGeometry(mult == 1, mult, chart, ruling_contacts=contacts, restrictions=lines)
 
 
 def contact_ge(contact, k):
@@ -642,8 +644,8 @@ def curve_from_json(data):
         c = parse_rational(t["coeff"])
         if c == 0:
             raise ValueError(f"zero coefficient at {key}")
-        acc[key] = c
-    curve = PointedCurve(surface, d, point, Polynomial(n, acc))
+        acc[key] = canonical(c)
+    curve = PointedCurve(surface, d, point, Polynomial._raw(n, acc))  # checked terms
     return checked(curve)
 
 

@@ -10,11 +10,9 @@ quadric analogues.
 The sequence of lines on the plane needs no branch: its orders are 0, 1
 and the contact of the tangent, which `curves.local_geometry` reads off
 the affine chart. Only the sequences of conics and of (1, 1)-forms solve
-a branch, online (van der Hoeven, "Relax, but don't be too lazy", 2002):
-each step extends the coefficient lists of the powers of the
-unknown series by one, which costs O(N^2 * degree) for N coefficients, and
-one full substitution re-checks the result. It is solved over Z at a
-rescaled parameter (`local_branch`), so every series is a tuple of ints.
+a branch, in that chart, online and over Z (`local_branch`), and their
+section rows are the solve's own powers of the unknown series, shifted,
+with no substitution (`vanishing_sequence`).
 
 Membership in S and X0 first reads the local geometry at p: each
 configuration fixes the contact there (the tangent's 2 for S and 3 for X0
@@ -44,14 +42,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import comb, lcm
+from math import comb
 
 from .curves import (
     Surface,
     _bundle_degrees,
-    _exponents,
     adjugate,
-    affine_chart,
     contact_ge,
     local_geometry,
     restrict,
@@ -61,12 +57,11 @@ from .polynomials import (
     exact_divide,
     exact_quotient,
     linear_form,
-    monomial,
     primitive_normalized,
     zero,
 )
 from .rationals import quotient
-from .series import pivot_orders, series_substitute
+from .series import _mul, pivot_orders, series_substitute
 
 
 class UndecidedError(Exception):
@@ -78,32 +73,34 @@ class UndecidedError(Exception):
 # -- branch expansion -------------------------------------------------------
 
 
-def local_branch(curve, N):
-    """Power-series branch of the curve at its marked point, truncated at
-    order N, in the original homogeneous coordinates: one tuple of N ints
-    per coordinate. Requires a smooth marked point.
+def local_branch(curve, N, geometry=None):
+    """Power-series branch of the curve at its marked point in the affine
+    chart of its `local_geometry`, truncated at order N, solved over Z.
+    A caller that holds the geometry passes it, so the chart is not built
+    again. Requires a smooth marked point.
+
+    Returns (branch, solved, powers): the chart coordinates (u(s), v(s)) as
+    two tuples of N ints; the index, 1 for v and 0 for u, of the one that
+    is c * W(s), the other being c^2 s; and the lists of the N coefficients
+    of W^b, for b up to the degree of the chart in that coordinate.
 
     The branch is solved over Z (Eisenstein's theorem): with the chart
     primitive and c its tangent coefficient, g(s, w) = f(c^2 s, c w) / c^2
     has the integer coefficients c_ab * c^(2a + b - 2) and dg/dw(0, 0) = 1,
     so the solve W(s) never divides, and (c^2 s, c W(s)) is the branch of f
-    at the parameter c^2 s. All coordinates are then scaled by one
-    constant, the lcm D of the denominators of the point in the chart: the
-    coordinates the chart sets to 1 come back as the constant D, the others
-    as D times their shifted series. Neither step moves a vanishing order:
-    s -> c^2 s scales coefficient k by c^(2k), and the constant scales every
-    form of one degree alike."""
+    at the parameter c^2 s, which scales coefficient k by c^(2k) and moves
+    no vanishing order."""
     if N < 2:
         raise ValueError("truncation must be at least 2")
-    f, free, shifts = affine_chart(curve.surface, curve.equation, curve.point)
-    if min(sum(e) for e in f.terms) != 1:
+    geo = local_geometry(curve) if geometry is None else geometry
+    if not geo.smooth_at_p:
         raise ValueError("marked point is singular on the curve")
-    f = primitive_normalized(f)
+    f = primitive_normalized(geo.chart[0])
     # f = sum c_ab s^a w^b, with w the chart coordinate solved for: v when
     # df/dv != 0, else u
-    along_v = (0, 1) in f.terms
-    c = f.terms[(0, 1) if along_v else (1, 0)]
-    terms = [(a, b, x) if along_v else (b, a, x) for (a, b), x in f.terms.items()]
+    solved = int((0, 1) in f.terms)
+    c = f.terms[(0, 1) if solved else (1, 0)]
+    terms = [(a, b, x) if solved else (b, a, x) for (a, b), x in f.terms.items()]
     rest = [(a, b, x * c ** (2 * a + b - 2)) for a, b, x in terms if (a, b) != (0, 1)]
     # online solve (van der Hoeven 2002) of g(s, W) = 0: powers[b] holds the
     # coefficients of W^b, extended by one per step. Since W_0 = 0, [s^k] W^b
@@ -111,30 +108,21 @@ def local_branch(curve, N):
     # coefficient k of g along the branch only as W_k itself
     top = max(b for _, b, _ in terms)
     powers = [[1] + [0] * (N - 1)] + [[0] * N for _ in range(top)]
-    solved = powers[1]
+    w = powers[1]
     for k in range(1, N):
         for b in range(2, min(top, k) + 1):
             lower = powers[b - 1]
-            powers[b][k] = sum(solved[j] * lower[k - j] for j in range(1, k - b + 2))
-        solved[k] = -sum(x * powers[b][k - a] for a, b, x in rest if a <= k)
-    s = (0, c * c) + (0,) * (N - 2)
-    w = tuple(c * x for x in solved)
-    branch = (s, w) if along_v else (w, s)
+            powers[b][k] = sum(w[j] * lower[k - j] for j in range(1, k - b + 2))
+        w[k] = -sum(x * powers[b][k - a] for a, b, x in rest if a <= k)
+    pair = ((0, c * c) + (0,) * (N - 2), tuple(c * x for x in w))
+    branch = pair if solved else pair[::-1]
     value = series_substitute(f, branch)
     residual = next((k for k, x in enumerate(value) if x), None)
     if residual is not None:
         raise InternalError(
             f"branch solve at {curve.point} left a residual of order {residual}"
         )
-    scale = lcm(*(x.denominator for x in shifts.values()))
-    aff = dict(zip(free, branch))
-    return tuple(
-        (shifts[i].numerator * (scale // shifts[i].denominator),)
-        + tuple(scale * x for x in aff[i][1:])
-        if i in aff
-        else (scale,) + (0,) * (N - 1)
-        for i in range(curve.surface.nvars)
-    )
+    return branch, solved, powers
 
 
 # -- vanishing sequences ----------------------------------------------------
@@ -163,19 +151,29 @@ class VanishingSequence:
         return bool(self.orders) and self.orders[-1] >= k
 
 
-def vanishing_sequence(curve, bundle):
+def vanishing_sequence(curve, bundle, geometry=None):
     """Vanishing orders at p of the full space of degree-`bundle` forms,
     restricted to the branch of the curve. bundle is an integer m on the
     plane and a pair (m1, m2) on the quadric. The branch is truncated one
     past the intersection number d * (m1 + m2) (d * m on the plane) of the
-    curve with a form of that degree, which bounds every finite order."""
+    curve with a form of that degree, which bounds every finite order.
+    `geometry` is the curve's `local_geometry` when the caller holds it.
+
+    The orders depend only on the span of the sections on the branch
+    (Eisenbud and Harris, "Limit linear series", 1986). The chart takes the
+    forms onto the polynomials in (u, v) of degree at most m (at most m1 in
+    u and m2 in v on the quadric), a space its translation keeps, so the
+    span is that of the u^a v^b, each a constant times s^a W^b along v and
+    s^b W^a along u, with W^b from the solve (`local_branch`)."""
     ms = _bundle_degrees(curve.surface, bundle)
-    basis = _exponents(curve.surface, ms)
     N = curve.degree * sum(ms) + 1
-    branch = local_branch(curve, N)
-    n = curve.surface.nvars
-    rows = [series_substitute(monomial(n, e), branch) for e in basis]
-    pivots, deficiency = pivot_orders(rows)
+    _, solved, powers = local_branch(curve, N, geometry)
+    # the (s, W) exponents of u^a v^b: a + b <= m, or a <= m1 and b <= m2
+    exps = [(a, b) if solved else (b, a) for a in range(ms[0] + 1)
+            for b in range(ms[-1] + 1) if len(ms) == 2 or a + b <= ms[0]]
+    while len(powers) <= max(b for _, b in exps):
+        powers.append(_mul(powers[-1], powers[1]))
+    pivots, deficiency = pivot_orders([[0] * a + list(powers[b][: N - a]) for a, b in exps])
     return VanishingSequence(tuple(pivots), deficiency, N)
 
 
@@ -547,15 +545,15 @@ class InflectionReport:
     it is read, then keeps it for the life of the report: the local
     geometry (`geometry`), the special locus (`special`), the vanishing
     sequences (`seq1` and `seq2` of lines and conics on the plane, `seq11`
-    of (1, 1)-forms on the quadric) and the fields derived from them. So a
-    caller pays only for the fields it reads: smooth_at_p, multiplicity,
-    ruling_contacts and in_h1 need the geometry alone, as seq1 is read off
-    the tangent's contact; in_h2prime needs seq2 or seq11, the only
-    sequences that solve a branch; in_s, in_x0 and undecided need the
-    special locus, which tests a configuration only where the geometry
-    allows one (`configuration`). At a singular marked point in_h1 =
-    in_h2prime = True, no sequence is computed and the special locus is
-    empty without a test."""
+    of (1, 1)-forms on the quadric) and the fields derived from them, all
+    read off the geometry's one affine chart. So a caller pays only for the
+    fields it reads: smooth_at_p, multiplicity, ruling_contacts and in_h1
+    need the geometry alone, as seq1 is read off the tangent's contact;
+    in_h2prime needs seq2 or seq11, the only sequences that solve a
+    branch; in_s, in_x0 and undecided need the special locus, which tests
+    a configuration only where the geometry allows one (`configuration`).
+    At a singular marked point in_h1 = in_h2prime = True, no sequence is
+    computed and the special locus is empty without a test."""
 
     def __init__(self, curve):
         self.curve = curve
@@ -589,11 +587,11 @@ class InflectionReport:
 
     @cached_property
     def seq2(self):
-        return vanishing_sequence(self.curve, 2)
+        return vanishing_sequence(self.curve, 2, self.geometry)
 
     @cached_property
     def seq11(self):
-        return vanishing_sequence(self.curve, (1, 1))
+        return vanishing_sequence(self.curve, (1, 1), self.geometry)
 
     @property
     def _plane(self):

@@ -79,11 +79,32 @@ def intersection_multiplicity(curve, aux, N=None):
         total = (e1 + e2) * curve.degree
     if N is None:
         N = total + 1
-    val = series_substitute(aux, local_branch(curve, N))
+    val = series_substitute(aux, homogeneous_branch(curve, N))
     o = next((k for k, c in enumerate(val) if c), None)
     if o is None:
         return N, False
     return o, True
+
+
+def homogeneous_branch(curve, N):
+    """The chart branch of `inflection.local_branch` in the homogeneous
+    coordinates: one tuple of N ints per coordinate. All coordinates are
+    scaled by one constant, the lcm D of the denominators of the point in
+    the chart: the coordinates the chart sets to 1 come back as the
+    constant D, the others as D times their shifted series. The constant
+    scales every form of one degree alike, so it moves no vanishing
+    order."""
+    branch, _, _ = local_branch(curve, N)
+    _, free, shifts = affine_chart(curve.surface, curve.equation, curve.point)
+    scale = math.lcm(*(x.denominator for x in shifts.values()))
+    aff = dict(zip(free, branch))
+    return tuple(
+        (shifts[i].numerator * (scale // shifts[i].denominator),)
+        + tuple(scale * x for x in aff[i][1:])
+        if i in aff
+        else (scale,) + (0,) * (N - 1)
+        for i in range(curve.surface.nvars)
+    )
 
 
 def windowed_branch(curve, N):

@@ -40,11 +40,11 @@ from wallcross.inflection import (
     local_branch,
     vanishing_sequence,
 )
-from wallcross.polynomials import Polynomial, monomial
+from wallcross.polynomials import Polynomial, monomial, variable
 from wallcross.series import series_substitute
 from wallcross.walls import load_propositions, verify_proposition
 
-from oracles import classical_hessian, mu_term
+from oracles import classical_hessian, homogeneous_branch, mu_term
 
 DEGREES = (3, 4, 5, 6)
 
@@ -265,42 +265,110 @@ def _smooth_random_curve(surface, d, rng, nterms):
             return c
 
 
+def _section_basis(surface, bundle):
+    """The monomials of a bundle, m on the plane and (m1, m2) on the
+    quadric, and its total degree, m or m1 + m2."""
+    if surface is Surface.P2:
+        basis = sorted(
+            (i, j, bundle - i - j) for i in range(bundle + 1) for j in range(bundle - i + 1)
+        )
+        return basis, bundle
+    m1, m2 = bundle
+    basis = sorted((a, m1 - a, b, m2 - b) for a in range(m1 + 1) for b in range(m2 + 1))
+    return basis, m1 + m2
+
+
+def _chart_curve(surface, d, rng, along_u=False, contained=False):
+    """A curve through a rational point p off the coordinate points, built
+    as a polynomial f(u, v) in the chart coordinates at p, up to scaling
+    u and v: random terms of orders 1 to d (of degree at most d in u and in
+    v on the quadric), with a u term of order 1 and, unless along_u, a v
+    term, so the branch is solved along v, or along u when df/dv = 0. With
+    contained, f = q * r, q of degree 2 (of bidegree (1, 1) on the quadric)
+    and r(0, 0) = 1, so the conic or (1, 1)-form of q contains the branch."""
+    n = surface.nvars
+    plane = surface is Surface.P2
+    while True:
+        point = [Fraction(rng.choice((0, rng.randint(-3, 3))), rng.randint(1, 3))
+                 for _ in range(n)]
+        # a nonzero coordinate on each factor, and more than one on some
+        nonzero = [sum(map(bool, (point[i] for i in b))) for b in surface.blocks]
+        if min(nonzero) and sum(nonzero) > len(nonzero):
+            break
+    x = [variable(n, i) for i in range(n)]
+    # u and v as (the coordinate their factor fixes, x_k p_l - x_l p_k)
+    coords = []
+    for b in surface.blocks:
+        l = next(i for i in b if point[i])
+        coords += [(l, x[k] * point[l] - x[l] * point[k]) for k in b if k != l]
+
+    def lift(a, b):
+        (lu, u), (lv, v) = coords
+        if plane:
+            return x[lu] ** (d - a - b) * u ** a * v ** b
+        return x[lu] ** (d - a) * u ** a * x[lv] ** (d - b) * v ** b
+
+    def chart(order, top, count):
+        exps = [(a, b) for a in range(top + 1) for b in range(top + 1)
+                if a + b >= order and (a + b <= top or not plane)]
+        exps = rng.sample(exps, min(count, len(exps)))
+        return {e: rng.choice((-3, -2, -1, 1, 2, 3)) for e in exps}
+
+    if contained:
+        q = chart(2, 2 if plane else 1, 2)
+        q[(1, 0)], q[(0, 1)] = rng.choice((1, 2)), rng.choice((-1, 3))
+        r = chart(1, d - 2 if plane else d - 1, 2)
+        r[(0, 0)] = 1
+        terms = (Polynomial(2, q) * Polynomial(2, r)).terms
+    else:
+        terms = chart(2, d, rng.randint(2, 6))
+        terms[(1, 0)] = rng.choice((1, 2, -3))
+        if not along_u:
+            terms[(0, 1)] = rng.choice((1, -2, 3))
+    equation = sum((c * lift(a, b) for (a, b), c in terms.items()), Polynomial(n))
+    return PointedCurve(surface, d, tuple(point), equation)
+
+
 def test_vanishing_orders_match_naive_filtration():
+    # the orders read off the solve's powers against the rank filtration of
+    # every monomial of the bundle on the branch in homogeneous coordinates:
+    # at coordinate points on cubics, and at points off them on curves of
+    # degree 3 to 5, solved along v and along u, and with a section of the
+    # bundle containing the branch
     rng = random.Random(515)
-    instances = 0
+    instances = along_u = deficient = 0
     plans = [
-        (Surface.P2, 3, 1, 30),
-        (Surface.P2, 3, 2, 25),
-        (Surface.QUADRIC, 3, (0, 1), 30),
-        (Surface.QUADRIC, 3, (1, 1), 25),
+        (Surface.P2, 1, 30),
+        (Surface.P2, 2, 25),
+        (Surface.QUADRIC, (0, 1), 30),
+        (Surface.QUADRIC, (1, 1), 25),
     ]
-    for surface, d, bundle, count in plans:
-        if surface is Surface.P2:
-            basis = sorted(
-                (i, j, bundle - i - j)
-                for i in range(bundle + 1)
-                for j in range(bundle - i + 1)
-            )
-            total = bundle * d
-        else:
-            m1, m2 = bundle
-            basis = sorted(
-                (a, m1 - a, b, m2 - b) for a in range(m1 + 1) for b in range(m2 + 1)
-            )
-            total = (m1 + m2) * d
-        for _ in range(count):
-            c = _smooth_random_curve(surface, d, rng, rng.randint(3, 6))
-            seq = vanishing_sequence(c, bundle)
-            branch = local_branch(c, total + 1)
-            rows = [
-                series_substitute(monomial(surface.nvars, e), branch)
-                for e in basis
-            ]
-            orders, deficiency = _filtration_orders(rows)
-            assert list(seq.orders) == orders, (surface, bundle, c.equation.terms)
-            assert seq.deficiency == deficiency
-            instances += 1
-    assert instances >= 100
+    cases = [
+        (surface, bundle, _smooth_random_curve(surface, 3, rng, rng.randint(3, 6)))
+        for surface, bundle, count in plans
+        for _ in range(count)
+    ]
+    bundles = {Surface.P2: (1, 2, 3), Surface.QUADRIC: ((0, 1), (1, 1), (2, 1), (1, 2))}
+    for surface, choices in bundles.items():
+        for bundle in choices:
+            for d in (3, 4, 5):
+                for u in (False, True):
+                    curve = _chart_curve(surface, d, rng, along_u=u)
+                    cases.append((surface, bundle, curve))
+        for bundle in choices[1:]:
+            cases.append((surface, bundle, _chart_curve(surface, 5, rng, contained=True)))
+    for surface, bundle, c in cases:
+        basis, total = _section_basis(surface, bundle)
+        seq = vanishing_sequence(c, bundle)
+        branch = homogeneous_branch(c, total * c.degree + 1)
+        rows = [series_substitute(monomial(surface.nvars, e), branch) for e in basis]
+        orders, deficiency = _filtration_orders(rows)
+        assert list(seq.orders) == orders, (surface, bundle, c)
+        assert seq.deficiency == deficiency, (surface, bundle, c)
+        instances += 1
+        along_u += local_branch(c, 2)[1] == 0
+        deficient += deficiency > 0
+    assert instances >= 150 and along_u >= 20 and deficient >= 5
 
 
 def _random_quartic_through_origin_point(rng, force_flex):

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -249,6 +250,39 @@ def test_local_geometry_restricts_the_equation():
             assert restrict(curve.equation, line.base, line.direction, d) == line, curve
             lines += 1
     assert lines >= 100 and fractional >= 20
+
+
+def test_local_geometry_reads_the_tangent_off_the_chart():
+    # the tangent read off the chart's linear part, with Euler's relation
+    # for the fixed coordinate, is the gradient at p, at points of every
+    # zero pattern, so the chart fixes each of x0, x1 and x2
+    rng = random.Random(67)
+    fixed, smooth = set(), 0
+    for pattern in _zero_patterns(Surface.P2):
+        for _ in range(20):
+            d = rng.randint(3, 5)
+            scales = (Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 3)) for _ in pattern)
+            p = tuple(map(mul, pattern, scales))
+            l = next(i for i in range(3) if p[i])
+            terms = {
+                e: Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2)))
+                for e in rng.sample(all_exponents(Surface.P2, d), rng.randint(2, 6))
+            }
+            g = Polynomial(3, terms)
+            # g minus g(p) times x_l^d / p_l^d passes through p
+            equation = g - g.evaluate(p) / p[l] ** d * variable(3, l) ** d
+            if equation.is_zero():
+                continue
+            curve = PointedCurve(Surface.P2, d, p, equation)
+            gradient = tuple(equation.partial_derivative(i).evaluate(p) for i in range(3))
+            geo = local_geometry(curve)
+            if geo.smooth_at_p:
+                assert geo.tangent == gradient, curve
+                fixed.add(l)
+                smooth += 1
+            else:
+                assert geo.tangent is None and not any(gradient), curve
+    assert fixed == {0, 1, 2} and smooth >= 100
 
 
 def test_adjugate_matches_leibniz_and_inverts():

@@ -58,6 +58,7 @@ from oracles import (
     eager_report,
     elimination_cusp_line,
     fraction_mu_min,
+    homogeneous_branch,
     intersection_multiplicity,
     p2_components,
     quadric_components,
@@ -97,7 +98,11 @@ def _rand_frame(surface, rng):
 def test_local_branch_flex_cubic():
     # x1^3 + x0*x2^2 at (0,0,1): solving gives x0 = -s^3 along x1 = s
     c = make_witness(WitnessKind.P2_FLEX, 3)
-    b = local_branch(c, 6)
+    # in the chart (u, v) = (x0, x1) it is solved along u, as u = W(s)
+    branch, solved, powers = local_branch(c, 6)
+    assert branch == ((0, 0, 0, -1, 0, 0), (0, 1, 0, 0, 0, 0)) and solved == 0
+    assert powers[1] == [0, 0, 0, -1, 0, 0]
+    b = homogeneous_branch(c, 6)
     assert b[1] == (0, 1, 0, 0, 0, 0)
     assert b[2] == (1, 0, 0, 0, 0, 0)
     assert b[0] == (0, 0, 0, -1, 0, 0)
@@ -1145,7 +1150,7 @@ def test_verdict_computes_only_what_its_region_reads(monkeypatch, tmp_path):
     def no_special(curve, geometry=None):
         raise RuntimeError("special locus computed")
 
-    def no_branch(curve, N):
+    def no_branch(curve, N, geometry=None):
         raise RuntimeError("branch computed")
 
     monkeypatch.setattr(inflection, "special_locus_membership", no_special)

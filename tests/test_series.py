@@ -9,7 +9,7 @@ from wallcross.polynomials import Polynomial, constant, variable
 from wallcross.rationals import canonical
 from wallcross.series import pivot_orders, series_substitute
 
-from oracles import constant_plus, gauss_jordan, windowed_branch
+from oracles import constant_plus, gauss_jordan, homogeneous_branch, windowed_branch
 
 
 def test_series_arithmetic_window():
@@ -129,7 +129,9 @@ def test_series_coefficients_are_ints():
     for _ in range(10):
         surface = rng.choice((Surface.P2, Surface.QUADRIC))
         d = rng.randint(3, 4)
-        for series in local_branch(_curve_with_tangent_coefficient(rng, surface, d), 2 * d + 1):
+        curve = _curve_with_tangent_coefficient(rng, surface, d)
+        branch, _, powers = local_branch(curve, 2 * d + 1)
+        for series in (*branch, *powers):
             assert all(type(c) is int for c in series), series
 
 
@@ -213,7 +215,7 @@ def test_local_branch_matches_full_substitution_solve():
         chart, _, _ = affine_chart(surface, curve.equation, curve.point)
         directions.add((surface, (0, 1) in chart.terms))
         for N in (2, 4, 2 * d + 1):
-            branch = local_branch(curve, N)
+            branch = homogeneous_branch(curve, N)
             assert all(type(c) is int for series in branch for c in series)
             old = windowed_branch(curve, N)
             assert old == _branch_by_full_substitutions(curve, N)
