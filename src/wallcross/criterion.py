@@ -36,14 +36,12 @@ from .rationals import canonical, quotient
 
 
 def _primitive(entries):
-    """Scale a rational vector by a positive constant to coprime integers.
-    Direction is preserved; the zero vector is returned unchanged."""
-    fracs = [Fraction(e) for e in entries]
-    if all(f == 0 for f in fracs):
-        return tuple(0 for _ in fracs)
-    mult = lcm(*(f.denominator for f in fracs))
-    ints = [int(f * mult) for f in fracs]
-    g = gcd(*(abs(i) for i in ints))
+    """Scale a vector of ints and Fractions by a positive constant to
+    coprime integers, read off their numerators and denominators.
+    Direction is preserved; the zero vector comes back as int zeros."""
+    mult = lcm(*(e.denominator for e in entries))
+    ints = [e.numerator * (mult // e.denominator) for e in entries]
+    g = gcd(*ints) or 1
     return tuple(i // g for i in ints)
 
 
@@ -53,35 +51,44 @@ class OneParamSubgroup:
 
     On the plane, weights are the three coordinate weights and must sum to
     zero. On the quadric, weights are the encoding (r0, r1), standing for
-    literal coordinate weights (-r0, r0, -r1, r1)."""
+    literal coordinate weights (-r0, r0, -r1, r1).
+
+    `weights` keeps Fractions. The literal weights are made canonical once,
+    when the subgroup is built, and kept with `_scaled`: (den, the literal
+    weights times den), den the lcm of their denominators, which the
+    kernels of mu compute with."""
 
     surface: Surface
     weights: tuple
+    _literal: tuple = field(init=False, repr=False, compare=False)
+    _scaled: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ws = tuple(Fraction(w) for w in self.weights)
-        object.__setattr__(self, "weights", ws)
+        ws = tuple(canonical(w) for w in self.weights)
+        object.__setattr__(self, "weights", tuple(map(Fraction, ws)))
         if self.surface is Surface.P2:
             if len(ws) != 3:
                 raise ValueError("plane subgroup needs three weights")
             if sum(ws) != 0:
                 raise ValueError("plane weights must sum to zero")
+            lw = ws
         else:
             if len(ws) != 2:
                 raise ValueError("quadric subgroup needs the two-weight encoding")
+            r0, r1 = ws
+            lw = (-r0, r0, -r1, r1)
+        den = lcm(*(w.denominator for w in lw))
+        object.__setattr__(self, "_literal", lw)
+        object.__setattr__(self, "_scaled", (den, tuple(w.numerator * (den // w.denominator) for w in lw)))
 
     def literal_weights(self):
         """The coordinate weights, each an int when it is integral
         (rationals.canonical), so the weights of mu are integer dot
         products for an integral subgroup; `weights` keeps Fractions."""
-        ws = tuple(canonical(w) for w in self.weights)
-        if self.surface is Surface.P2:
-            return ws
-        r0, r1 = ws
-        return (-r0, r0, -r1, r1)
+        return self._literal
 
     def is_trivial(self):
-        return all(w == 0 for w in self.weights)
+        return not any(self._literal)
 
 
 # Recorded claim ids backing each region of the analyzed range, per surface.
@@ -123,22 +130,41 @@ def monomial_weight(lw, exp):
     return sum(map(mul, exp, lw))
 
 
+def _slope(t):
+    """(numerator, denominator) of a slope: an int, a Fraction or anything
+    Fraction accepts."""
+    if not isinstance(t, (int, Fraction)):
+        t = Fraction(t)
+    return t.numerator, t.denominator
+
+
+def _mu(curve, lam, tn, tq, labels):
+    """mu_min at t = tn / tq over the point labels `labels` of the curve, in
+    integers: (num, den, pair) with mu = num / den. With W = D * w the
+    literal weights times their common denominator D, t * w orders as
+    tn * W, and mu = (tn * W_point - tq * W_monomial) / (tq * D) at the
+    minimizing label and the heaviest monomial."""
+    den, lw = lam._scaled
+    surface = curve.surface
+    weights = [(point_weight(surface, lw, lb), lb) for lb in labels]
+    low, _, best_label = min((tn * w, w, lb) for w, lb in weights)
+    monomials = {e: monomial_weight(lw, e) for e in curve.equation.terms}
+    high = max(monomials.values())
+    best_exp = min(e for e, w in monomials.items() if w == high)
+    return low - tq * high, tq * den, (best_label, best_exp)
+
+
 def mu_min(curve, lam, t):
     """Minimal mu over the support of the pointed curve.
 
     Returns (value, (point_label, exponent)) where the pair achieves the
     minimum; ties break to the label of smallest weight, then the smallest
-    label, and to the lexicographically smallest exponent."""
+    label, and to the lexicographically smallest exponent. The minimum is
+    found in integers (`_mu`), and the value is its one Fraction."""
     if lam.surface is not curve.surface:
         raise ValueError("subgroup and curve live on different surfaces")
-    t = Fraction(t)
-    lw = lam.literal_weights()
-    weights = [(point_weight(curve.surface, lw, lb), lb) for lb in _point_labels(curve)]
-    low, _, best_label = min((t * w, w, lb) for w, lb in weights)
-    monomials = {e: monomial_weight(lw, e) for e in curve.equation.terms}
-    high = max(monomials.values())
-    best_exp = min(e for e, w in monomials.items() if w == high)
-    return low - high, (best_label, best_exp)
+    num, den, pair = _mu(curve, lam, *_slope(t), _point_labels(curve))
+    return Fraction(num, den), pair
 
 
 # Weight boxes in (r0, r1), corners in counterclockwise order: |r0|, |r1|,
@@ -147,23 +173,27 @@ _HEXAGON = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
 _SQUARE = ((1, 1), (-1, 1), (-1, -1), (1, -1))
 
 
-def _weight_forms(curve):
-    """Point-weight and monomial-weight forms of the curve as integer pairs
-    (a, b) standing for a*r0 + b*r1, and the weight box of its surface."""
+def _weight_forms(curve, labels):
+    """Point-weight and monomial-weight forms of the curve, with point
+    labels `labels`, as integer pairs (a, b) standing for a*r0 + b*r1, and
+    the weight box of its surface."""
     if curve.surface is Surface.P2:
         coord = {0: (1, 0), 1: (0, 1), 2: (-1, -1)}
-        points = [coord[l] for l in _point_labels(curve)]
+        points = [coord[l] for l in labels]
         monomials = [(i - k, j - k) for i, j, k in curve.equation.terms]
         return points, monomials, _HEXAGON
-    points = [(1 if l else -1, 1 if m else -1) for l, m in _point_labels(curve)]
+    points = [(1 if l else -1, 1 if m else -1) for l, m in labels]
     monomials = [(i1 - i0, j1 - j0) for i0, i1, j0, j1 in curve.equation.terms]
     return points, monomials, _SQUARE
 
 
 def _subgroup_from_box(surface, r0, r1):
+    """The primitive integer subgroup along the box weights (r0, r1); on
+    the plane (r0, r1, -r0 - r1) has the same content as (r0, r1)."""
+    a, b = _primitive((r0, r1))
     if surface is Surface.P2:
-        return OneParamSubgroup(surface, _primitive((r0, r1, -r0 - r1)))
-    return OneParamSubgroup(surface, _primitive((r0, r1)))
+        return OneParamSubgroup(surface, (a, b, -a - b))
+    return OneParamSubgroup(surface, (a, b))
 
 
 def torus_verdict(curve, t):
@@ -172,16 +202,18 @@ def torus_verdict(curve, t):
     Returns (sign, lam): sign +1 with a subgroup of positive mu, 0 with a
     nontrivial subgroup of zero mu, or -1 (lam None) when mu < 0 for every
     nontrivial subgroup. Certificates are primitive integer subgroups and
-    are re-verified against mu_min before returning."""
-    points, monomials, box = _weight_forms(curve)
+    are re-verified against mu_min's integer kernel before returning; the
+    point labels are read once for the solve and the re-check."""
+    labels = _point_labels(curve)
+    points, monomials, box = _weight_forms(curve, labels)
     sign, r = lp_max(points, monomials, t, box)
     if sign < 0:
         return -1, None
     lam = _subgroup_from_box(curve.surface, *r)
-    mu, _ = mu_min(curve, lam, t)
-    if (mu <= 0) if sign > 0 else (mu != 0 or lam.is_trivial()):
+    num, den, _ = _mu(curve, lam, *_slope(t), labels)
+    if (num <= 0) if sign > 0 else (num != 0 or lam.is_trivial()):
         raise InternalError(
-            f"torus certificate {lam.weights} of sign {sign} has mu {mu} at t = {t}"
+            f"torus certificate {lam.weights} of sign {sign} has mu {Fraction(num, den)} at t = {t}"
         )
     return sign, lam
 
@@ -254,7 +286,9 @@ def destabilizer_search(curve, t, budget=500, seed=0, report=None):
     The torus check reads only the zero pattern of the moved point and the
     convex hull of the moved support (Mumford, Fogarty and Kirwan, GIT,
     2.1). The normalizing frame reuses the curve `normalize_frame` moved,
-    and the identity the curve itself. Any other frame for 0 < t < d first
+    and the identity the curve itself. Frames are keyed by their canonical
+    matrices, so an identity normalizing frame, as for a curve in standard
+    position, is solved once for both. Any other frame for 0 < t < d first
     asks whether a corner coefficient of its moved equation vanishes
     (`corners_vanish`). If none does, no subgroup destabilizes there. Let
     w be the largest weight of a coordinate on the plane, of a pair of
@@ -277,9 +311,10 @@ def destabilizer_search(curve, t, budget=500, seed=0, report=None):
     below = 0 < t < curve.degree
 
     def candidates():
-        # (matrices, the exactly moved curve or None, the FrameChange or None)
+        # (canonical matrices, the exactly moved curve or None, the
+        # FrameChange or None); the matrices are the `seen` key
         g0, moved0 = normalize_frame(curve, report.geometry)
-        yield (g0.mx, g0.my, g0.swap), moved0, g0
+        yield g0.matrices, moved0, g0
         yield IDENTITY_MATRICES[curve.surface], curve, None
         for key in _adapted_frames(curve, report):
             yield key, None, None
@@ -347,9 +382,7 @@ def interval_mu_claim(surface, lam, labels, exponents, t_spec, strictness=">0"):
         raise ValueError("t_spec must be ('point', t) or ('open', lo, hi)")
     # weights scaled by the lcm of their denominators, so that for t = n/q
     # the sign of mu = t * pw - mw is that of the integer n * pw - q * mw
-    lw = lam.literal_weights()
-    den = lcm(*(w.denominator for w in lw))
-    lw = [w.numerator * (den // w.denominator) for w in lw]
+    den, lw = lam._scaled
     weighted = [(exp, monomial_weight(lw, exp)) for exp in exponents]
     for label in labels:
         pw = point_weight(surface, lw, label)
@@ -526,7 +559,7 @@ def stabilizer_dimension(curve):
     p = curve.point
     if any(sum(1 for i in b if p[i] != 0) != 1 for b in curve.surface.blocks):
         raise ValueError("marked point is not a coordinate point")
-    _, (base, *forms), _ = _weight_forms(curve)
+    _, (base, *forms), _ = _weight_forms(curve, _point_labels(curve))
     rows = [(a - base[0], b - base[1]) for a, b in forms]
     # The rank and kernel of two-column rows: none of them nonzero, one
     # that spans them all, or two independent ones.

@@ -189,14 +189,17 @@ class FrameChange:
     invertible 2x2 matrices plus an optional exchange of the two factors,
     applied after the linear maps.
 
-    The matrices are kept as Fractions; the singularity check computes on
-    their canonical entries, in ints where they are integral.
+    The matrices are kept as Fractions. `matrices` holds (mx, my, swap)
+    with canonical entries, ints where they are integral, which compares
+    and hashes equal to the Fraction triple; the singularity check and the
+    moves compute on it.
     """
 
     surface: Surface
     mx: tuple
     my: tuple = None
     swap: bool = False
+    matrices: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.surface is Surface.P2:
@@ -217,6 +220,12 @@ class FrameChange:
         object.__setattr__(self, "mx", _freeze(mats[0]))
         if self.my is not None:
             object.__setattr__(self, "my", _freeze(mats[1]))
+        object.__setattr__(self, "matrices", (mats[0], mats[1] if len(mats) > 1 else None, self.swap))
+
+
+# The identity frame of each surface, one shared constant: `normalize_frame`
+# returns it for a curve already in standard position.
+IDENTITY_FRAMES = {s: FrameChange(s, *IDENTITY_MATRICES[s]) for s in Surface}
 
 
 def _integer_frame(surface, mx, my, swap):
@@ -290,11 +299,11 @@ def apply_frame(curve, frame):
     of the point and c that of the matrix of each factor."""
     if frame.surface is not curve.surface:
         raise ValueError("surface mismatch")
-    moved, scale = move_curve(curve, frame.mx, frame.my, frame.swap)
+    mx, my, swap = frame.matrices
+    moved, scale = move_curve(curve, mx, my, swap)
     den = _denominator((curve.point,))
-    mats = (frame.mx, frame.my)
-    divisors = [(den * _denominator(m),) * len(b) for m, b in zip(mats, curve.surface.blocks)]
-    if frame.swap:
+    divisors = [(den * _denominator(m),) * len(b) for m, b in zip((mx, my), curve.surface.blocks)]
+    if swap:
         divisors.reverse()
     new_p = tuple(map(Fraction, moved.point, sum(divisors, ())))
     return PointedCurve(curve.surface, curve.degree, new_p, moved.equation * scale)
@@ -371,8 +380,9 @@ def affine_chart(surface, form, point):
     shifts = {i: quotient(point[i], point[fixed]) for fixed, fs in charts for i in fs}
     if not any(shifts.values()):
         # a coordinate point: dropping the fixed exponents is injective on
-        # a form homogeneous in each block, so no substitution is needed
-        chart = Polynomial(2, ((tuple(e[i] for i in free), c) for e, c in form.terms.items()))
+        # a form homogeneous in each block, so no substitution is needed,
+        # and the form's terms are canonical already
+        chart = Polynomial._raw(2, {tuple(e[i] for i in free): c for e, c in form.terms.items()})
         return chart, free, shifts
     subs = [None] * surface.nvars
     for fixed, fs in charts:
@@ -456,9 +466,10 @@ def normalize_frame(curve, geometry=None):
     without swap keeps them), the factors are swapped so that ruling
     becomes {y0 = 0}.
 
-    Returns (frame, moved curve). When the frame is the identity, as for a
-    curve already in standard position, the moved curve is the curve
-    itself.
+    Returns (frame, moved curve). For a curve already in standard position
+    the matrices are compared with IDENTITY_MATRICES before anything is
+    built, and the frame is the shared constant IDENTITY_FRAMES[surface]
+    and the moved curve the curve itself.
     """
     geo = local_geometry(curve) if geometry is None else geometry
     p = [canonical(x) for x in curve.point]
@@ -480,18 +491,15 @@ def normalize_frame(curve, geometry=None):
         tangent = geo.tangent
         if tangent is not None and tangent[o1] != 0:
             rows = [tangent, rows[1] if tangent[o0] != 0 else rows[0], rows[2]]
-        g = FrameChange(Surface.P2, tuple(rows))
+        key = (tuple(rows), None, False)
     else:
         # at a singular point both contacts are at least 2, so no swap
         cx, cy = geo.ruling_contacts
-        g = FrameChange(
-            Surface.QUADRIC,
-            _factor_frame(p[0], p[1]),
-            _factor_frame(p[2], p[3]),
-            swap=contact_ge(cx, 2) and not contact_ge(cy, 2),
-        )
-    if (g.mx, g.my, g.swap) == IDENTITY_MATRICES[curve.surface]:
-        return g, curve
+        swap = contact_ge(cx, 2) and not contact_ge(cy, 2)
+        key = (_factor_frame(p[0], p[1]), _factor_frame(p[2], p[3]), swap)
+    if key == IDENTITY_MATRICES[curve.surface]:
+        return IDENTITY_FRAMES[curve.surface], curve
+    g = FrameChange(curve.surface, *key)
     return g, apply_frame(curve, g)
 
 

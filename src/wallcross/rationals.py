@@ -10,8 +10,11 @@ objects (`PointedCurve.point`, `OneParamSubgroup.weights`,
 `FrameChange.mx`, mu values and `Polynomial.evaluate`'s result), but the
 kernels that compute with them (mu, evaluation, frame moves, affine
 charts) work on their canonical values, so integral ones multiply as ints.
-An int and the equal Fraction compare and hash alike, and format_rational
-writes both the same way.
+mu in particular is evaluated in integers over one common denominator, the
+lcm of the subgroup's weight denominators times that of the slope, and
+only its final value is built as one Fraction. An int and the equal
+Fraction compare and hash alike, and format_rational writes both the same
+way.
 
 This module also pins the interchange format: an integer is written "p",
 anything else "p/q" with q >= 2 and gcd(|p|, q) = 1. parse_rational

@@ -777,6 +777,19 @@ def _fraction_monomial_weight(lw, exp):
     return sum((Fraction(e) * w for e, w in zip(exp, lw)), Fraction(0))
 
 
+def fraction_primitive(entries):
+    """criterion._primitive in Fractions, by another route: divide by the
+    absolute value of the first nonzero entry, so one entry is +-1, then
+    clear the denominators, which leaves coprime integers."""
+    fracs = [Fraction(e) for e in entries]
+    lead = next((abs(f) for f in fracs if f), None)
+    if lead is None:
+        return tuple(0 for _ in fracs)
+    unit = [f / lead for f in fracs]
+    mult = math.lcm(*(f.denominator for f in unit))
+    return tuple(int(f * mult) for f in unit)
+
+
 def fraction_mu_min(curve, lam, t):
     """criterion.mu_min in Fractions: (value, (point label, exponent)), the
     label of least t * weight, then of least weight, then the least label;

@@ -7,10 +7,18 @@ import json
 import random
 from fractions import Fraction
 
-from wallcross import cli
-from wallcross.criterion import OneParamSubgroup, interval_mu_claim, mu_min, stability_verdict
+from wallcross import cli, criterion
+from wallcross.criterion import (
+    OneParamSubgroup,
+    interval_mu_claim,
+    mu_min,
+    stability_verdict,
+    stabilizer_dimension,
+    torus_verdict,
+)
 from wallcross.curves import (
     FrameChange,
+    PointedCurve,
     Surface,
     WitnessKind,
     all_exponents,
@@ -23,8 +31,8 @@ from wallcross.hessians import analyzed_slopes
 from wallcross.polynomials import Polynomial
 from wallcross.rationals import format_rational
 
-from oracles import fraction_evaluate, fraction_interval_mu_claim, fraction_mu_min
-from test_torus_corpus import cases
+from oracles import fraction_evaluate, fraction_interval_mu_claim, fraction_mu_min, fraction_primitive
+from test_torus_corpus import FIXTURE, cases
 
 SEED = 20260
 
@@ -57,6 +65,73 @@ def test_mu_min_matches_the_fraction_oracle():
                 assert (value, pair) == fraction_mu_min(curve, lam, slope)
                 assert type(value) is Fraction
     assert surfaces == set(Surface)
+
+
+def test_torus_recheck_matches_the_fraction_oracle(monkeypatch):
+    # torus_verdict re-checks its certificate with mu_min's integer kernel,
+    # (num, den, pair) with mu = num / den; on every case of the torus
+    # corpus that gives a certificate, that mu is the Fraction oracle's
+    rechecks = []
+    kernel = criterion._mu
+
+    def recorded(curve, lam, tn, tq, labels):
+        num, den, pair = kernel(curve, lam, tn, tq, labels)
+        rechecks.append((curve, lam, Fraction(tn, tq), Fraction(num, den), pair))
+        return num, den, pair
+
+    monkeypatch.setattr(criterion, "_mu", recorded)
+    n = certificates = 0
+    for _, curve, t in cases(json.loads(FIXTURE.read_text())["seed"]):
+        n += 1
+        before = len(rechecks)
+        _, lam = torus_verdict(curve, t)
+        assert len(rechecks) - before == (lam is not None)
+        certificates += lam is not None
+    assert n == 600 and certificates == len(rechecks) > 300
+    for curve, lam, t, value, pair in rechecks:
+        assert (value, pair) == fraction_mu_min(curve, lam, t)
+
+
+def test_primitive_matches_the_fraction_oracle(monkeypatch):
+    F = Fraction
+    fixed = [
+        (0, 0, 0), (F(0), F(0)), (0, F(-3, 4), 0), (F(5, 2),), (7, 0),
+        (-4, -6, 10), (F(-2, 3), F(4, 9), F(2, 9)),
+        (F(1, 6), F(-3, 4), F(7, 10)), (3, F(1, 2), F(-5, 7)),
+    ]
+    rng = random.Random(SEED)
+    drawn = [
+        tuple(rng.choice((0, rng.randint(-9, 9), F(rng.randint(-9, 9), rng.randint(1, 12))))
+              for _ in range(rng.randint(1, 3)))
+        for _ in range(300)
+    ]
+    for entries in fixed + drawn:
+        got = criterion._primitive(entries)
+        assert got == fraction_primitive(entries) and all(type(x) is int for x in got), entries
+    # the int rows stabilizer_dimension reads its generator from
+    rows = []
+    kernel = criterion._primitive
+
+    def recorded(entries):
+        got = kernel(entries)
+        rows.append((entries, got))
+        return got
+
+    monkeypatch.setattr(criterion, "_primitive", recorded)
+    for surface in Surface:
+        point = (0, 0, 1) if surface is Surface.P2 else (0, 1, 0, 1)
+        for d in (3, 4):
+            exps = all_exponents(surface, d)
+            for _ in range(40):
+                terms = {e: 1 for e in rng.sample(exps, rng.randint(1, 3))}
+                terms.pop((0, 0, d) if surface is Surface.P2 else (0, d, 0, d), None)
+                if terms:
+                    curve = PointedCurve(surface, d, tuple(map(F, point)), Polynomial(surface.nvars, terms))
+                    stabilizer_dimension(curve)
+    int_rows = [(e, got) for e, got in rows if all(type(x) is int for x in e)]
+    assert len(int_rows) > 20
+    for entries, got in int_rows:
+        assert got == fraction_primitive(entries)
 
 
 def _claim_specs(surface, d, rng):

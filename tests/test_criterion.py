@@ -255,18 +255,22 @@ def test_hit_at_the_normalizing_frame_keeps_its_frame(monkeypatch):
 
 
 def test_certificate_rechecks_raise_internal_error(monkeypatch):
-    # the re-checks are explicit, so they also run under python -O
+    # the re-checks are explicit, so they also run under python -O;
+    # torus_verdict re-checks with mu_min's integer kernel _mu, (num, den,
+    # pair) with mu = num / den, and the search with mu_min on the exact move
     c = make_witness(WitnessKind.P2_NONFLEX, 4)
     assert torus_verdict(c, 3)[0] == 1
     assert torus_verdict(c, 2)[0] == 0
     with monkeypatch.context() as m:
-        m.setattr(criterion, "mu_min", lambda curve, lam, t: (Fraction(0), None))
+        m.setattr(criterion, "_mu", lambda curve, lam, tn, tq, labels: (0, 1, None))
         with pytest.raises(InternalError):
             torus_verdict(c, 3)
+    with monkeypatch.context() as m:
+        m.setattr(criterion, "mu_min", lambda curve, lam, t: (Fraction(0), None))
         with pytest.raises(InternalError):
             destabilizer_search(c, 3, budget=1)
     with monkeypatch.context() as m:
-        m.setattr(criterion, "mu_min", lambda curve, lam, t: (Fraction(1), None))
+        m.setattr(criterion, "_mu", lambda curve, lam, tn, tq, labels: (1, 1, None))
         with pytest.raises(InternalError):
             torus_verdict(c, 2)
     # a torus answer whose subgroup does not destabilize
@@ -275,6 +279,57 @@ def test_certificate_rechecks_raise_internal_error(monkeypatch):
     monkeypatch.setattr(criterion, "torus_verdict", lambda curve, t: (1, lam))
     with pytest.raises(InternalError):
         destabilizer_search(c, 3, budget=1)
+
+
+def test_positive_torus_answer_flips_a_semistable_verdict(monkeypatch):
+    # _attach_zero_certificate trusts an exact positive torus answer over
+    # the boundary classification; no curve reaches that branch, so the
+    # answer is injected: the x0 witnesses are strictly semistable at the
+    # wall, the cuspidal one in a moved normalizing frame, the quadric one
+    # in the identity frame
+    note = "torus destabilizer found despite the boundary classification"
+    for kind, d, weights in (("p2-cuspidal-x0", 4, (5, -1, -4)), ("quadric-x0", 3, (1, 2))):
+        c = make_witness(kind, d)
+        wall, _ = analyzed_slopes(c.surface, d)
+        assert stability_verdict(c, wall).status == "StrictlySemistable"
+        lam = OneParamSubgroup(c.surface, weights)
+        with monkeypatch.context() as m:
+            m.setattr(criterion, "torus_verdict", lambda curve, t: (1, lam))
+            verdict = stability_verdict(c, wall)
+        frame, moved = normalize_frame(c)
+        assert verdict.status == "Unstable" and note in verdict.notes
+        assert verdict.certificate == {"frame": frame, "lambda": lam, "mu": mu_min(moved, lam, wall)[0]}
+        assert (moved is c) == (frame is curves.IDENTITY_FRAMES[c.surface])
+
+
+def test_standard_position_shares_the_identity_frame(monkeypatch):
+    # a curve already in standard position: normalize_frame builds nothing
+    # and returns the shared identity frame and the curve itself, and the
+    # search solves the torus of that frame once for the normalizing frame
+    # and the identity together
+    solved = []
+    solve = criterion.torus_verdict
+
+    def counted(curve, t):
+        solved.append(curve)
+        return solve(curve, t)
+
+    for kind, d in (("p2-flex", 4), ("quadric-x0", 3)):
+        c = make_witness(kind, d)
+        frame, moved = normalize_frame(c)
+        identity = FrameChange(c.surface, *curves.IDENTITY_MATRICES[c.surface])
+        assert frame is curves.IDENTITY_FRAMES[c.surface] and moved is c
+        assert frame == identity and frame_to_json(frame) == frame_to_json(identity)
+        assert frame.matrices == curves.IDENTITY_MATRICES[c.surface]
+        wall, edge = analyzed_slopes(c.surface, d)
+        assert torus_verdict(c, wall)[0] == 0
+        solved.clear()
+        with monkeypatch.context() as m:
+            m.setattr(criterion, "torus_verdict", counted)
+            destabilizer_search(c, wall, budget=10)
+        assert sum(curve is c for curve in solved) == 1 and len(solved) > 1
+        found = destabilizer_search(c, edge + 1, budget=1)
+        assert found is not None and found[0] is curves.IDENTITY_FRAMES[c.surface]
 
 
 def _terms(*pairs):
