@@ -36,7 +36,6 @@ from .hessians import (
 )
 from .inflection import (
     InflectionReport,
-    UndecidedError,
     inflection_report,
     special_locus_membership,
     vanishing_sequence,

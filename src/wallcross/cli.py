@@ -6,8 +6,9 @@ can be saved and fed straight back into the other subcommands; every
 other subcommand wraps its payload in an envelope carrying a schema tag.
 
 Exit codes: 0 success, 1 usage or input error, 2 verification failure,
-3 an exact membership search gave up while --strict was set, 4 internal
-error (a result failed its own exact re-check; a bug, never bad input).
+3 reserved (every membership is decided, so --strict never exits with
+it), 4 internal error (a result failed its own exact re-check; a bug,
+never bad input).
 """
 
 from __future__ import annotations
@@ -156,8 +157,6 @@ def _cmd_verdict(args):
         "undecided": v.undecided,
     }
     _emit(doc, args)
-    if args.strict and v.undecided:
-        return 3
     return 0
 
 
@@ -218,8 +217,6 @@ def _cmd_inflect(args):
         "undecided": rep.undecided,
     }
     _emit(doc, args)
-    if args.strict and rep.undecided:
-        return 3
     return 0
 
 
@@ -376,7 +373,7 @@ def _build_parser():
     p.add_argument(
         "--strict",
         action="store_true",
-        help="exit 3 when a membership test is undecided",
+        help="accepted with no effect: every membership is decided",
     )
 
     p = command("mu", _cmd_mu, "exact numerical weight of one subgroup")
@@ -396,7 +393,7 @@ def _build_parser():
     p.add_argument(
         "--strict",
         action="store_true",
-        help="exit 3 when a membership test is undecided",
+        help="accepted with no effect: every membership is decided",
     )
 
     p = command("hessian-class", _cmd_hessian_class, "relative flex divisor class")

@@ -236,38 +236,31 @@ def _adapted_frames(curve, report):
     special-locus geometry of the curve, read from its inflection report.
     These align the destabilizing flag with coordinate data so the diagonal
     torus of the new frame can see it. Only S has them, so the special
-    locus is read only when the local geometry allows S."""
-    frames = []
-    if report.configuration != "S":
-        return frames
-    special = report.special
-    det = special.details
-    if curve.surface is Surface.P2 and special.in_s:
-        line = det.get("line")
-        q = det.get("tangency")
-        if line is not None and q is not None:
-            c = next(i for i in range(3) if q[i] != 0)
-            row2 = tuple(quotient(1, q[c]) if i == c else 0 for i in range(3))
-            for mid in range(3):
-                row1 = tuple(int(i == mid) for i in range(3))
-                mx = (line, row1, row2)
-                if adjugate(mx)[1]:
-                    frames.append((mx, None, False))
-                    break
-    if curve.surface is Surface.QUADRIC and special.in_s:
-        q = det.get("crossing")
-        if q is not None:
-            p = curve.point
-            # Columns (q | p) per factor; the inverse, the adjugate over the
-            # determinant, sends q to (1, 0) and p to (0, 1) so the
-            # degeneration flag becomes coordinate data.
-            pairs = [adjugate(tuple((q[i], p[i]) for i in rows)) for rows in ((0, 1), (2, 3))]
-            if all(d for _, d in pairs):
-                mx, my = (
-                    tuple(tuple(quotient(a, d) for a in row) for row in adj) for adj, d in pairs
-                )
-                frames.append((mx, my, False))
-    return frames
+    locus is read only when the local geometry allows S. A curve in S has
+    every detail of it, and on the plane its line, as S there is a conic
+    times the line to the d - 2 >= 1."""
+    if report.configuration != "S" or not report.special.in_s:
+        return []
+    det = report.special.details
+    if curve.surface is Surface.P2:
+        line, q = det["line"], det["tangency"]
+        c = next(i for i in range(3) if q[i] != 0)
+        row2 = tuple(quotient(1, q[c]) if i == c else 0 for i in range(3))
+        for mid in range(3):
+            row1 = tuple(int(i == mid) for i in range(3))
+            mx = (line, row1, row2)
+            if adjugate(mx)[1]:
+                return [(mx, None, False)]
+        return []
+    q, p = det["crossing"], curve.point
+    # Columns (q | p) per factor; the inverse, the adjugate over the
+    # determinant, sends q to (1, 0) and p to (0, 1) so the degeneration
+    # flag becomes coordinate data.
+    pairs = [adjugate(tuple((q[i], p[i]) for i in rows)) for rows in ((0, 1), (2, 3))]
+    if not all(d for _, d in pairs):
+        return []
+    mx, my = (tuple(tuple(quotient(a, d) for a in row) for row in adj) for adj, d in pairs)
+    return [(mx, my, False)]
 
 
 def destabilizer_search(curve, t, budget=500, seed=0, report=None):
@@ -412,7 +405,9 @@ class StabilityVerdict:
     certificate: dict | None = None
     citations: list = field(default_factory=list)
     notes: list = field(default_factory=list)
-    undecided: bool = False
+    # every membership a rule reads is decided; the constant keeps the
+    # flag of the `verdict` document, which is always false
+    undecided = False
 
 
 def _attach_zero_certificate(verdict, report, t):
@@ -460,39 +455,32 @@ _SEMISTABLE_NOTES = {
 
 
 def _region_rule(region, report):
-    """(status, note, unsettled) of a curve in one region of the analyzed
-    range. Status None leaves the verdict to the destabilizer search, with
-    the note as the reason to expect a destabilizer, if there is one.
-    unsettled is True when the rule read in_s or in_x0, the flags a report
-    can leave unsettled, of a report that left them so."""
+    """(status, note) of a curve in one region of the analyzed range.
+    Status None leaves the verdict to the destabilizer search, with the
+    note as the reason to expect a destabilizer, if there is one."""
     if region == "edge":
-        # only the first-order flag matters and it is always exact
         if report.in_h1:
-            return None, "first-order locus is destabilized at the edge", False
-        return "StrictlySemistable", _SEMISTABLE_NOTES["edge"], False
+            return None, "first-order locus is destabilized at the edge"
+        return "StrictlySemistable", _SEMISTABLE_NOTES["edge"]
     if region == "chamber":
         if report.in_h1:
-            return None, "marked point lies on the first-order locus", False
+            return None, "marked point lies on the first-order locus"
         if report.in_s:
-            return None, "curve is the swept boundary configuration", report.undecided
-        if report.undecided:
-            return None, None, True
+            return None, "curve is the swept boundary configuration"
         return "Stable", (
             "between the wall and the edge, stability needs only avoiding "
             "the first-order locus and the swept configuration"
-        ), False
+        )
     stratum = wall_stratum(report)
     if stratum == "not_semistable":
         return None, (
             "curve is the boundary configuration swept at the wall"
             if report.in_s
             else "marked point carries second-order contact above first"
-        ), report.undecided and not (report.in_h1 and report.in_h2prime)
-    if report.undecided:
-        return None, None, True
+        )
     if stratum == "common":
-        return "Stable", None, False
-    return "StrictlySemistable", _SEMISTABLE_NOTES[stratum], False
+        return "Stable", None
+    return "StrictlySemistable", _SEMISTABLE_NOTES[stratum]
 
 
 def stability_verdict(curve, t, budget=500, seed=0):
@@ -531,12 +519,7 @@ def stability_verdict(curve, t, budget=500, seed=0):
     report = inflection_report(curve)
     region = "wall" if t == wall else "edge" if t == edge else "chamber"
     verdict.citations = list(CITATIONS[curve.surface][region])
-    status, note, unsettled = _region_rule(region, report)
-    if unsettled:
-        verdict.undecided = True
-        verdict.notes.append(
-            "boundary-configuration membership undecided: flags are lower bounds"
-        )
+    status, note = _region_rule(region, report)
     if status is None:
         destabilize(note, report)
         return verdict

@@ -64,12 +64,6 @@ from .rationals import quotient
 from .series import _mul, pivot_orders, series_substitute
 
 
-class UndecidedError(Exception):
-    """A membership the verdict reads could not be decided. The special
-    locus is always decided now, so nothing in the package raises it but
-    `walls.classify_at_wall` on a report marked undecided."""
-
-
 # -- branch expansion -------------------------------------------------------
 
 
@@ -195,8 +189,6 @@ def inflection_weight(seq):
 class SpecialLocus:
     in_s: bool
     in_x0: bool
-    undecided: bool
-    notes: list = field(default_factory=list)
     details: dict = field(default_factory=dict)
 
 
@@ -339,7 +331,7 @@ def _p2_special(curve, geometry, config):
         (tangent,) = geometry.restrictions
         r = _power_point(tangent, k)
         if r is None:
-            return SpecialLocus(False, False, False)
+            return SpecialLocus(False, False)
         polar = curve.equation
         for _ in range(m - 1):
             polar = sum(
@@ -349,17 +341,17 @@ def _p2_special(curve, geometry, config):
         grad = [polar.partial_derivative(i).evaluate(r) for i in range(3)]
         lead = next((x for x in grad if x), None)
         if lead is None:
-            return SpecialLocus(False, False, False)
+            return SpecialLocus(False, False)
         line = tuple(quotient(x, lead) for x in grad)
         rest = exact_divide(curve.equation, linear_form(3, (0, 1, 2), line) ** m)
         if rest is None:
-            return SpecialLocus(False, False, False)
+            return SpecialLocus(False, False)
     if config == "S":
         details = _s_on_plane(p, line, primitive_normalized(rest))
-        return SpecialLocus(bool(details), False, False, [], details)
+        return SpecialLocus(bool(details), False, details)
     cusp = _cusp_line(rest, p)
     in_x0 = cusp is not None and (line is None or _proj_equal(line, cusp))
-    return SpecialLocus(False, in_x0, False)
+    return SpecialLocus(False, in_x0)
 
 
 def _ruling_point(v):
@@ -446,7 +438,7 @@ def _quadric_special(curve, geometry, config):
     on_x, on_y = geometry.restrictions
     yq, xq = _power_point(on_x, cx), _power_point(on_y, cy)
     if xq is None or yq is None:
-        return SpecialLocus(False, False, False)
+        return SpecialLocus(False, False)
     xq, yq = _ruling_point(xq[:2]), _ruling_point(yq[2:])
     rulings = (
         linear_form(4, (0, 1), (xq[1], -xq[0])) ** (d - cy)
@@ -454,13 +446,13 @@ def _quadric_special(curve, geometry, config):
     )
     gamma = exact_divide(curve.equation, rulings)
     if gamma is None:
-        return SpecialLocus(False, False, False)
+        return SpecialLocus(False, False)
     gamma = primitive_normalized(gamma)
     if config == "S":
         details = _s_on_quadric(p, gamma, xq + yq)
-        return SpecialLocus(bool(details), False, False, [], details)
+        return SpecialLocus(bool(details), False, details)
     in_x0 = _x0_quadric_oriented(gamma, 0 if config == "X0" else 1, xq + yq, p)
-    return SpecialLocus(False, in_x0, False)
+    return SpecialLocus(False, in_x0)
 
 
 # The one configuration the local data at the marked point allows, keyed by
@@ -518,12 +510,12 @@ def special_locus_membership(curve, geometry=None):
     configuration is read off the curve's restrictions to the lines
     through p, which the local geometry carries: the tangent on the plane
     (`_p2_special`), the two rulings on the quadric (`_quadric_special`).
-    There is no search, so the result is always decided (undecided is
-    False and notes are empty)."""
+    There is no search that can give up, so both memberships are always
+    decided."""
     geo = local_geometry(curve) if geometry is None else geometry
     config = _allowed_configuration(curve.surface, geo)
     if config is None:
-        return SpecialLocus(False, False, False)
+        return SpecialLocus(False, False)
     if curve.surface is Surface.P2:
         return _p2_special(curve, geo, config)
     return _quadric_special(curve, geo, config)
@@ -550,10 +542,14 @@ class InflectionReport:
     fields it reads: smooth_at_p, multiplicity, ruling_contacts and in_h1
     need the geometry alone, as seq1 is read off the tangent's contact;
     in_h2prime needs seq2 or seq11, the only sequences that solve a
-    branch; in_s, in_x0 and undecided need the special locus, which tests
-    a configuration only where the geometry allows one (`configuration`).
+    branch; in_s and in_x0 need the special locus, which tests a
+    configuration only where the geometry allows one (`configuration`).
     At a singular marked point in_h1 = in_h2prime = True, no sequence is
-    computed and the special locus is empty without a test."""
+    computed and the special locus is empty without a test. Every
+    membership is decided; the constant below keeps the flag of the
+    `inflect` document, which is always false."""
+
+    undecided = False
 
     def __init__(self, curve):
         self.curve = curve
@@ -662,10 +658,6 @@ class InflectionReport:
     def in_x0(self):
         return self.special.in_x0
 
-    @property
-    def undecided(self):
-        return self.special.undecided
-
     @cached_property
     def sequences(self):
         if not self.smooth_at_p:
@@ -676,7 +668,7 @@ class InflectionReport:
 
     @cached_property
     def notes(self):
-        notes = list(self.special.notes)
+        notes = []
         if not self.smooth_at_p:
             notes.append("marked point is singular; memberships follow")
         elif any(s.deficiency for s in self.sequences.values()):

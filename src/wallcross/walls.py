@@ -13,16 +13,10 @@ import json
 from fractions import Fraction
 from importlib import resources
 
-from .criterion import (
-    CITATIONS,
-    OneParamSubgroup,
-    _region_rule,
-    interval_mu_claim,
-    wall_stratum,
-)
+from .criterion import CITATIONS, OneParamSubgroup, interval_mu_claim, wall_stratum
 from .curves import Surface, all_exponents
 from .hessians import analyzed_slopes
-from .inflection import UndecidedError, inflection_report
+from .inflection import inflection_report
 
 _FIXTURE_NAME = "propositions_v1.json"
 _SCHEMA = "wallcross/propositions/1"
@@ -161,14 +155,8 @@ def classify_at_wall(curve):
 
     Returns (stratum, basis): the stratum is `criterion.wall_stratum` of
     the curve's inflection report, and basis the membership flags of that
-    report. Raises UndecidedError where the wall rule of the verdict table
-    (`criterion._region_rule`) reads a membership flag the report left
-    unsettled."""
+    report, every one of them decided."""
     rep = inflection_report(curve)
-    if _region_rule("wall", rep)[2]:
-        raise UndecidedError(
-            "special-locus membership undecided; wall region unknown"
-        )
     basis = {
         "in_h1": rep.in_h1,
         "in_h2prime": rep.in_h2prime,

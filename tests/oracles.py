@@ -2,6 +2,7 @@
 package computes another way."""
 
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -31,8 +32,6 @@ from wallcross.curves import (
 )
 from wallcross.inflection import (
     InflectionReport,
-    SpecialLocus,
-    UndecidedError,
     _cusp_line,
     _proj_equal,
     _s_on_plane,
@@ -144,6 +143,23 @@ def constant_plus(c, series):
 # configuration it hands the components to are the package's own.
 
 
+class SearchAborted(Exception):
+    """A rational-root search of the component search gave up on huge
+    integer divisors."""
+
+
+@dataclass
+class ReferenceLocus:
+    """The memberships the component search finds, with the fields of
+    `inflection.SpecialLocus`, and whether it gave up (undecided), in
+    which case both memberships read False."""
+
+    in_s: bool
+    in_x0: bool
+    undecided: bool
+    details: dict = field(default_factory=dict)
+
+
 def binary_form_roots(coeffs):
     """Rational projective roots of a binary form sum(coeffs[i] * u^i * v^(n-i)).
 
@@ -167,7 +183,7 @@ def binary_form_roots(coeffs):
 
 def _require(roots, what):
     if roots is None:
-        raise UndecidedError(f"rational root search aborted while {what}")
+        raise SearchAborted(f"rational root search aborted while {what}")
     return roots
 
 
@@ -206,7 +222,7 @@ def rational_lines(f):
 
     Returns a list of coefficient tuples (a, b, c) meaning a*x0 + b*x1 +
     c*x2, scaled so that the first nonzero entry is 1: (0, 0, 1), (0, 1, c)
-    or (1, b, c). Raises UndecidedError if an exact root search has to give
+    or (1, b, c). Raises SearchAborted if an exact root search has to give
     up (huge integer divisors)."""
     x2 = monomial(3, (0, 0, 1))
     rest = exact_divide(f, x2)
@@ -361,8 +377,8 @@ def p2_special(curve, groups, configs):
     "S" and "X0", from its squarefree groups."""
     try:
         lines, leftovers = p2_components(groups)
-    except UndecidedError as e:
-        return SpecialLocus(False, False, True, [str(e)], {})
+    except SearchAborted:
+        return ReferenceLocus(False, False, True)
     d, p = curve.degree, curve.point
     single_left = len(leftovers) == 1 and leftovers[0][1] == 1
     details = {}
@@ -379,7 +395,7 @@ def p2_special(curve, groups, configs):
     if "X0" in configs and single_left and leftovers[0][0].total_degree() == 3 and lines_fit:
         line = reference_cusp_line(leftovers[0][0], p)
         in_x0 = line is not None and (d == 3 or _proj_equal(lines[0][0], line))
-    return SpecialLocus(bool(details), in_x0, False, [], details)
+    return ReferenceLocus(bool(details), in_x0, False, details)
 
 
 def quadric_special(curve, groups, configs):
@@ -388,12 +404,12 @@ def quadric_special(curve, groups, configs):
     from its squarefree groups."""
     try:
         rx, ry, leftovers = quadric_components(groups)
-    except UndecidedError as e:
-        return SpecialLocus(False, False, True, [str(e)], {})
+    except SearchAborted:
+        return ReferenceLocus(False, False, True)
     d = curve.degree
     p = tuple(Fraction(x) for x in curve.point)
     if len(leftovers) != 1 or leftovers[0][1] != 1:
-        return SpecialLocus(False, False, False, [], {})
+        return ReferenceLocus(False, False, False)
     gamma = leftovers[0][0]
     bidegree = degrees(Surface.QUADRIC, gamma)
 
@@ -408,7 +424,7 @@ def quadric_special(curve, groups, configs):
         in_x0 = _x0_quadric_oriented(gamma, 0, rx[0][0] + ry[0][0], p)
     if "X0 swapped" in configs and bidegree == (1, 2) and single(ry, d - 2) and single(rx, d - 1):
         in_x0 = in_x0 or _x0_quadric_oriented(gamma, 1, rx[0][0] + ry[0][0], p)
-    return SpecialLocus(bool(details), in_x0, False, [], details)
+    return ReferenceLocus(bool(details), in_x0, False, details)
 
 
 def ungated_special_locus(curve):
@@ -432,7 +448,7 @@ def elimination_cusp_line(cubic, p):
     singular points from resultants of the partials, one of them a double
     point whose tangent cone is a double line not dividing the cubic, and p
     a smooth flex of positive inflection weight. The primitive coefficients
-    of that line, else None; raises UndecidedError when a root search
+    of that line, else None; raises SearchAborted when a root search
     aborts."""
     sing = rational_singular_points(cubic)
     if len(sing) != 1:
@@ -486,7 +502,7 @@ def rational_singular_points(curve_poly):
                 pt[z] = t
                 record(tuple(pt))
         return pts
-    raise UndecidedError("all eliminations degenerated")
+    raise SearchAborted("all eliminations degenerated")
 
 
 def _tangent_cone_double_line(curve_poly, q):
@@ -697,10 +713,10 @@ def eager_report(curve):
         in_h2prime=False,
         in_s=special.in_s,
         in_x0=special.in_x0,
-        undecided=special.undecided,
+        undecided=False,
         ruling_contacts=None,
         sequences={},
-        notes=list(special.notes),
+        notes=[],
     )
     if not geo.smooth_at_p:
         rep.in_h1 = True

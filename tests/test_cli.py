@@ -8,11 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from wallcross import cli, inflection, polynomials
+from wallcross import cli, polynomials
 from wallcross.cli import main
 from wallcross.curves import Surface, WitnessKind, make_witness
 from wallcross.hessians import analyzed_slopes
-from wallcross.inflection import SpecialLocus
 from wallcross.rationals import format_rational
 
 
@@ -156,52 +155,6 @@ def test_verify_exit_codes(capsys, monkeypatch):
     assert code == 1 and out == ""
     assert err.count("unknown proposition id") == 1
     assert "unknown proposition id 'nope'" in err
-
-
-def test_strict_undecided_exit_code(capsys, tmp_path, monkeypatch):
-    # no input leaves the special locus undecided any more, so the abort is
-    # injected, as `walls` tests do; the schema of the undecided path stays
-    def aborted(curve, geometry=None):
-        return SpecialLocus(False, False, True, ["rational root search aborted"], {})
-
-    monkeypatch.setattr(inflection, "special_locus_membership", aborted)
-    big = 10 ** 13
-    doc = {
-        "surface": "p2",
-        "degree": 3,
-        "point": ["1", "1", "1"],
-        "terms": [
-            {"exp": [2, 0, 1], "coeff": "1"},
-            {"exp": [1, 2, 0], "coeff": "-1"},
-            {"exp": [1, 0, 2], "coeff": str(big)},
-            {"exp": [0, 2, 1], "coeff": str(-big)},
-        ],
-    }
-    path = tmp_path / "hidden.json"
-    path.write_text(json.dumps(doc))
-    code, out, _ = run(
-        capsys,
-        "verdict", "--curve", str(path), "--slope", "7/8",
-        "--budget", "10", "--strict",
-    )
-    assert code == 3
-    assert json.loads(out)["undecided"] is True
-    # the edge rule reads only the first-order flag, which is always exact,
-    # so the unsettled special-locus search leaves the verdict decided
-    code, out, _ = run(
-        capsys,
-        "verdict", "--curve", str(path), "--slope", "1",
-        "--budget", "10", "--strict",
-    )
-    assert code == 0
-    assert json.loads(out)["undecided"] is False
-    code, out, _ = run(capsys, "inflect", "--curve", str(path), "--strict")
-    assert code == 3
-    # without --strict the same inputs degrade to exit 0 with a flag
-    code, out, _ = run(
-        capsys, "verdict", "--curve", str(path), "--slope", "7/8", "--budget", "10"
-    )
-    assert code == 0 and json.loads(out)["status"] == "Unknown"
 
 
 def test_internal_error_exits_four(capsys, tmp_path, monkeypatch):
@@ -577,6 +530,25 @@ def test_cli_golden_outputs(tmp_path):
     assert list(got) == list(recorded)
     for name, result in got.items():
         assert result == recorded[name], name
+
+
+def test_strict_changes_no_golden_output(tmp_path):
+    # every membership is decided, so --strict, kept for scripts that pass
+    # it, gives every verdict and inflect case its recorded exit code and
+    # bytes; the witness cases run as recorded to write the curve files
+    recorded = json.loads(GOLDEN.read_text())["cases"]
+    strict = 0
+    for name, argv in golden_cases(tmp_path):
+        if argv[0] in ("verdict", "inflect"):
+            argv = argv + ["--strict"]
+            strict += 1
+        elif argv[0] != "witness":
+            continue
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(argv)
+        assert {"code": code, "out": buf.getvalue()} == recorded[name], name
+    assert strict == 138
 
 
 def test_one_parser_serves_successive_calls(capsys):

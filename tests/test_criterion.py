@@ -30,7 +30,7 @@ from wallcross.curves import (
 )
 from wallcross.errors import InternalError
 from wallcross.hessians import analyzed_slopes
-from wallcross.inflection import SpecialLocus, inflection_report
+from wallcross.inflection import inflection_report
 from wallcross.polynomials import Polynomial
 
 from oracles import explicit_point_labels, full_move_search, gauss_jordan, mu_term
@@ -696,23 +696,6 @@ def test_verdict_outside_range_and_bad_slope():
     assert any("analyzed range" in n for n in v.notes)
     v0 = stability_verdict(c, 0)
     assert v0.status == "Unknown"
-
-
-def test_verdict_undecided_membership(monkeypatch):
-    # the special locus is always decided now, so its abort is injected
-    def aborted(curve, geometry=None):
-        return SpecialLocus(False, False, True, ["rational root search aborted"], {})
-
-    monkeypatch.setattr(inflection, "special_locus_membership", aborted)
-    K = 10 ** 13
-    hidden = _p2(
-        3,
-        {(2, 0, 1): 1, (1, 2, 0): -1, (1, 0, 2): K, (0, 2, 1): -K},
-        (1, 1, 1),
-    )
-    v = stability_verdict(hidden, Fraction(7, 8), budget=10)
-    assert v.undecided
-    assert v.status == "Unknown"
 
 
 def test_verdict_citations_present():

@@ -31,7 +31,6 @@ from wallcross.errors import InternalError
 from wallcross.hessians import analyzed_slopes
 from wallcross.inflection import (
     SpecialLocus,
-    UndecidedError,
     _allowed_configuration,
     _power_point,
     _proj_equal,
@@ -54,6 +53,7 @@ from wallcross.series import series_substitute
 
 from oracles import (
     REPORT_FIELDS,
+    SearchAborted,
     classical_hessian,
     eager_report,
     elimination_cusp_line,
@@ -280,7 +280,7 @@ def test_report_singular_point():
 
 def test_special_locus_details():
     s = special_locus_membership(make_witness(WitnessKind.P2_S, 3))
-    assert s.in_s and not s.undecided
+    assert s.in_s
     assert "line" in s.details and "conic" in s.details and "tangency" in s.details
     q = special_locus_membership(make_witness(WitnessKind.QUADRIC_S, 3))
     assert q.in_s
@@ -320,7 +320,7 @@ def test_undecided_huge_coefficients():
         {(2, 0, 1): 1, (1, 2, 0): -1, (1, 0, 2): K, (0, 2, 1): -K},
         (1, 1, 1),
     )
-    assert special_locus_membership(hidden) == SpecialLocus(False, False, False)
+    assert special_locus_membership(hidden) == SpecialLocus(False, False)
     rep = inflection_report(hidden)
     assert rep.configuration == "S"
     assert not (rep.undecided or rep.in_s or rep.in_x0)
@@ -514,8 +514,7 @@ def _settled_products():
 def test_special_locus_matches_the_component_search():
     # reading the allowed configuration off the lines through p gives what
     # the full component search gives, with every configuration tested on
-    # every curve, wherever that search is decided; and it is never
-    # undecided itself
+    # every curve, wherever that search is decided
     special = settled = 0
     curves = _gate_corpus() + _settled_products()
     for curve in curves:
@@ -524,7 +523,6 @@ def test_special_locus_matches_the_component_search():
         allowed = _allowed_configuration(curve.surface, local_geometry(curve))
         special += want.in_s or want.in_x0
         settled += allowed is None
-        assert not got.undecided and not got.notes
         if want.undecided:
             continue
         for name in ("in_s", "in_x0", "details"):
@@ -668,7 +666,7 @@ def test_undecided_quadric_is_in_s():
     factors = {sympy.expand(f.as_expr()): m for f, m in poly.factor_list()[1]}
     assert factors == {x0 * y1 - x1 * y0: 1, x0 + K * x1: 2, y0 + K * y1: 2}
     special = special_locus_membership(curve)
-    assert special.in_s and not special.in_x0 and not special.undecided
+    assert special.in_s and not special.in_x0
     assert special.details == {
         "gamma": Polynomial(4, {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1}),
         "crossing": (-K, 1, -K, 1),
@@ -883,7 +881,7 @@ def test_settled_curves_skip_the_configuration_tests(monkeypatch):
     monkeypatch.setattr(inflection, "_p2_special", no_test)
     monkeypatch.setattr(inflection, "_quadric_special", no_test)
     for curve in curves:
-        assert special_locus_membership(curve) == SpecialLocus(False, False, False, [], {})
+        assert special_locus_membership(curve) == SpecialLocus(False, False)
         assert not inflection_report(curve).undecided
 
 
@@ -916,7 +914,7 @@ def test_special_locus_ignores_the_scale_of_the_equation():
                               Fraction(2, 3) * curve.equation)
         fractional += any(type(c) is Fraction for c in scaled.equation.terms.values())
         got, want = special_locus_membership(scaled), special_locus_membership(curve)
-        for name in ("in_s", "in_x0", "undecided", "notes", "details"):
+        for name in ("in_s", "in_x0", "details"):
             assert getattr(got, name) == getattr(want, name), (name, curve)
     assert fractional >= 300
 
@@ -958,7 +956,7 @@ def test_linear_factors_match_sympy_factorization():
                     rx, ry, _ = quadric_components([(f, mult)])
                     # v*x0 - u*x1 is the ruling (u, v)
                     got = [[(v, -u) for (u, v), _ in r] for r in (rx, ry)]
-            except UndecidedError:
+            except SearchAborted:
                 continue
             families = ((0, 1, 2),) if curve.surface is Surface.P2 else ((0, 1), (2, 3))
             for found, want in zip(got, _linear_factors_by_sympy(sympy, f, families)):

@@ -7,8 +7,6 @@ import pytest
 from wallcross.criterion import stability_verdict
 from wallcross.curves import PointedCurve, Surface, WitnessKind, make_witness
 from wallcross.hessians import analyzed_slopes
-from wallcross import inflection
-from wallcross.inflection import SpecialLocus, UndecidedError, inflection_report
 from wallcross.polynomials import Polynomial
 from wallcross.walls import (
     chamber_report,
@@ -122,32 +120,11 @@ def test_classify_at_wall_x_minus():
     assert classify_at_wall(tangentish)[0] == "x_minus"
 
 
-def test_classify_at_wall_undecided(monkeypatch):
-    # the special locus is always decided now, so its abort is injected:
-    # the wall stratum of this curve reads in_s, which is then unknown
-    def aborted(curve, geometry=None):
-        return SpecialLocus(False, False, True, ["rational root search aborted"], {})
-
-    monkeypatch.setattr(inflection, "special_locus_membership", aborted)
-    K = 10 ** 13
-    curve = PointedCurve(
-        Surface.P2,
-        3,
-        (Fraction(1), Fraction(1), Fraction(1)),
-        Polynomial(3, {(2, 0, 1): 1, (1, 2, 0): -1, (1, 0, 2): K, (0, 2, 1): -K}),
-    )
-    with pytest.raises(UndecidedError):
-        classify_at_wall(curve)
-
-
-def test_classify_at_wall_decided_by_exact_flags(monkeypatch):
+def test_classify_at_wall_decided_by_exact_flags():
     # the node of x0^2*x2 - x0*x1^2 - K*x0*x2^2 + K*x1^2*x2 carries in_h1 and
-    # in_h2prime, which settle the wall stratum. A singular point allows
-    # neither special configuration. No curve whose local data allows one
-    # carries both flags: at a plane flex of contact 3 the conics add no
-    # weight to the lines', and along a ruling of contact 2 the (1, 1)-forms
-    # reach order 3 only. So the undecided special locus is injected, and
-    # the stratum and the verdict at the wall stay decided
+    # in_h2prime, which settle the wall stratum; a singular point allows
+    # neither special configuration. The stratum and the verdict at the
+    # wall are decided
     K = 10 ** 14
     curve = PointedCurve(
         Surface.P2,
@@ -155,13 +132,6 @@ def test_classify_at_wall_decided_by_exact_flags(monkeypatch):
         (Fraction(K), Fraction(10 ** 7), Fraction(1)),
         Polynomial(3, {(2, 0, 1): 1, (1, 2, 0): -1, (1, 0, 2): -K, (0, 2, 1): K}),
     )
-    assert not inflection_report(curve).undecided
-
-    def aborted(curve, geometry=None):
-        return SpecialLocus(False, False, True, ["rational root search aborted"], {})
-
-    monkeypatch.setattr(inflection, "special_locus_membership", aborted)
-    assert inflection_report(curve).undecided
     stratum, basis = classify_at_wall(curve)
     assert stratum == "not_semistable"
     assert basis["in_h1"] and basis["in_h2prime"]
