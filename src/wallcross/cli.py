@@ -89,12 +89,14 @@ def _load_curve(path):
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise CliError(f"cannot read curve file: {e}")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise CliError(f"curve file is not valid JSON: {e}")
+    except RecursionError:
+        raise CliError("curve file is nested too deeply to decode")
     try:
         return curve_from_json(data)
     except ValueError as e:

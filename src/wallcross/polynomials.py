@@ -3,26 +3,14 @@
 A polynomial is a map from exponent tuples (fixed arity, non-negative
 entries) to nonzero coefficients: an int when the coefficient is integral
 and a Fraction otherwise (rationals.canonical), never a float. Everything
-here is exact, and integer inputs keep the arithmetic in integers. The gcd
-first tries to settle a coprime pair by modular images (Brown, 1971): for
-each variable the two inputs share, it maps them to F_p[v], p = 2^61 - 1,
-at a fixed point where both leading coefficients in v survive, and a
-constant image gcd in every such variable proves the gcd is 1. Every pair
-the images do not settle runs the subresultant pseudo-remainder sequence
-(Brown and Traub, 1971), the only code that computes a nonconstant gcd. It
-treats the polynomials as univariate in one chosen variable over the
-others: each full pseudo-remainder is divided exactly by g*h^delta (g the
-previous leading coefficient, h the previous subresultant scalar), and the
-content is taken out once, at the end.
+here is exact, and integer inputs keep the arithmetic in integers.
 
-The squarefree split is built on that gcd, after one certificate: f is
-squarefree when the same images prove f coprime to g = sum(lambda_i *
-df/dx_i) for fixed integers lambda_i. This is sound because a square
-factor q^2 of f puts q in every partial, hence in g. The certificate fails
-on some squarefree inputs, when g = 0 or, in two variables u, v, when f
-has a factor h(lambda_2 u - lambda_1 v), and those run the recursion, as
-does every input with a repeated factor. It replaces gcd(f, df/dx_i), which is nontrivial on a
-squarefree f with a factor free of x_i and would send it to the PRS.
+There is one gcd, the subresultant pseudo-remainder sequence (Brown and
+Traub, 1971). It treats the polynomials as univariate in one chosen
+variable over the others: each full pseudo-remainder is divided exactly by
+g*h^delta (g the previous leading coefficient, h the previous subresultant
+scalar), and the content is taken out once, at the end. The squarefree
+split is built on it.
 
 No computation of the package calls the gcd, the squarefree split, the
 resultant, the determinant or the rational-root search any more (the
@@ -426,104 +414,21 @@ def _prs_gcd(a, b, v):
             h = exact_quotient(g ** delta, h ** (delta - 1), "subresultant scalar")
 
 
-# The coprimality filter of poly_gcd works in F_p for the Mersenne prime
-# p = 2^61 - 1. Its fixed point k gives variable i the value
-# IMAGE_SEEDS[k]^(i + 1) mod p.
-IMAGE_PRIME = 2 ** 61 - 1
-IMAGE_SEEDS = (0x0545F4914F6CDD1D, 0x1E3779B97F4A7C15, 0x1851F42D4C957F2D)
-
-
-def _image_point(k, nvars):
-    """Fixed point k of the coprimality filter, one residue per variable."""
-    return [pow(IMAGE_SEEDS[k], i + 1, IMAGE_PRIME) for i in range(nvars)]
-
-
-def _image(f, v, k):
-    """f mapped to F_p[v] at fixed point k, coefficients low to high, or None
-    when a denominator vanishes mod p or the leading coefficient in v does."""
-    p = IMAGE_PRIME
-    point = _image_point(k, f.nvars)
-    out = [0] * (f.degree_in(v) + 1)
-    for exp, c in f.terms.items():
-        if type(c) is int:
-            x = c
-        elif c.denominator % p:
-            x = c.numerator * pow(c.denominator, -1, p)
-        else:
-            return None
-        for i, e in enumerate(exp):
-            if e and i != v:
-                x = x * pow(point[i], e, p) % p
-        out[exp[v]] = (out[exp[v]] + x) % p
-    return out if out[-1] else None
-
-
-def _image_gcd_degree(a, b):
-    """Degree of the gcd in F_p[v] of two images with nonzero leading terms."""
-    p = IMAGE_PRIME
-    while b:
-        inv = pow(b[-1], -1, p)
-        a = a[:]
-        while len(a) >= len(b):
-            q = a[-1] * inv % p
-            shift = len(a) - len(b)
-            for j, y in enumerate(b):
-                a[shift + j] = (a[shift + j] - q * y) % p
-            while a and not a[-1]:
-                a.pop()
-        a, b = b, a
-    return len(a) - 1
-
-
-def _coprime_by_images(f, g, common):
-    """True when images in F_p prove that f and g have no nonconstant
-    common factor; False when they do not settle it.
-
-    For each variable v in common, f and g are mapped to F_p[v] at the first
-    fixed point where no denominator and neither leading coefficient in v
-    vanishes mod p. Soundness: let h be a primitive integer polynomial
-    generating gcd(f, g). By Gauss's lemma D*f = h*q with q integral, D the
-    common denominator of f, and D is a unit mod p. lc_v(h) divides lc_v(D*f),
-    which does not vanish at the point mod p, so the image of h keeps its
-    v-degree there, and it divides both images. A degree-0 image gcd thus
-    forces deg_v h = 0. A nonconstant h involves some variable that occurs in
-    both f and g, so degree 0 for every v in common means h is constant. A
-    variable with no usable point, or with a nonconstant image gcd, leaves
-    the question to the subresultant PRS."""
-    for v in sorted(common):
-        for k in range(len(IMAGE_SEEDS)):
-            a, b = _image(f, v, k), _image(g, v, k)
-            if a is not None and b is not None:
-                break
-        else:
-            return False
-        if _image_gcd_degree(a, b):
-            return False
-    return True
-
-
 def poly_gcd(f, g):
     """Greatest common divisor, primitive with positive lex-leading coefficient.
 
-    A pair with a one-term operand c * x^a, a nonzero constant included,
-    has the gcd prod x_i^b_i, b_i the smaller of a_i and the lowest
-    exponent of x_i in the other operand, since every divisor of a
-    monomial is one. Pairs that images in F_p
-    prove coprime (_coprime_by_images) give 1 at once; every other pair
-    runs the content split and the subresultant PRS."""
+    Pairs that share no variable give 1. Every other pair is seen as
+    univariate in the shared variable of least degree: the gcd of the two
+    contents (by recursion) times the subresultant PRS gcd of the two
+    primitive parts."""
     if f.nvars != g.nvars:
         raise ValueError("arity mismatch")
     if f.is_zero():
         return primitive_normalized(g)
     if g.is_zero():
         return primitive_normalized(f)
-    if len(g.terms) == 1:
-        f, g = g, f
-    if len(f.terms) == 1:
-        (a,) = f.terms
-        return Polynomial._raw(f.nvars, {tuple(map(min, a, *g.terms)): 1})
     common = f.variables() & g.variables()
-    if not common or _coprime_by_images(f, g, common):
+    if not common:
         return constant(f.nvars, 1)
     v = min(common, key=lambda i: (max(f.degree_in(i), g.degree_in(i)), i))
     cf, pf = _content_primitive_wrt(f, v)
@@ -533,36 +438,19 @@ def poly_gcd(f, g):
     return primitive_normalized(c * h)
 
 
-def _directional_derivative(f):
-    """sum(lambda_i * df/dx_i) for the fixed integers lambda_i =
-    IMAGE_SEEDS[2]^(i + 1) mod p."""
-    lam = _image_point(2, f.nvars)
-    g = zero(f.nvars)
-    for i in f.variables():
-        g = g + f.partial_derivative(i) * lam[i]
-    return g
-
-
 def squarefree_decompose(f):
     """Write f as a product of pairwise-coprime squarefree factors with
     multiplicities, up to a rational constant. Returns [(factor, mult), ...]
     with each factor primitive; constants give an empty list.
 
-    An input that images in F_p prove coprime to one directional derivative
-    is squarefree and returns at once (see the module docstring). Every
-    other input runs the characteristic-zero bookkeeping: with c = gcd(f,
-    all partials) equal to the product of primes to one less power, the
-    usual univariate recursion peels off the primes of each multiplicity in
-    turn.
+    This is the characteristic-zero bookkeeping: with c = gcd(f, all
+    partials) equal to the product of primes to one less power, the usual
+    univariate recursion peels off the primes of each multiplicity in turn.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
-    vf = f.variables()
-    if not vf:
+    if not f.variables():
         return []
-    g = _directional_derivative(f)
-    if g and _coprime_by_images(f, g, vf & g.variables()):
-        return [(primitive_normalized(f), 1)]
     c = f
     for i in sorted(f.variables()):
         c = poly_gcd(c, f.partial_derivative(i))

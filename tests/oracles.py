@@ -8,7 +8,6 @@ from types import SimpleNamespace
 
 import random
 
-from wallcross import polynomials
 from wallcross.criterion import (
     ClaimCheck,
     _adapted_frames,
@@ -56,7 +55,6 @@ from wallcross.polynomials import (
     resultant,
     squarefree_decompose,
     variable,
-    zero,
 )
 from wallcross.rationals import canonical
 from wallcross.series import series_substitute
@@ -532,55 +530,6 @@ def _tangent_cone_double_line(curve_poly, q):
     coeffs[l0] -= mu * Fraction(q[b])
     line = primitive_normalized(linear_form(3, (0, 1, 2), coeffs))
     return tuple(line.terms.get(e, 0) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-
-
-def recursive_squarefree_decompose(f):
-    """polynomials.squarefree_decompose without its modular certificate:
-    with c = gcd(f, all partials), the characteristic-zero recursion peels
-    off the primes of each multiplicity in turn."""
-    if f.is_zero():
-        raise ValueError("zero polynomial")
-    if not f.variables():
-        return []
-    c = f
-    for i in sorted(f.variables()):
-        c = poly_gcd(c, f.partial_derivative(i))
-    w = primitive_normalized(exact_quotient(f, c, "squarefree: f by gcd(f, partials)"))
-    out = []
-    i = 1
-    while w.variables():
-        y = poly_gcd(w, c)
-        a = primitive_normalized(exact_quotient(w, y, f"squarefree part {i}"))
-        if a.variables():
-            out.append((a, i))
-        c = primitive_normalized(exact_quotient(c, y, f"squarefree cofactor {i}"))
-        w = y
-        i += 1
-    return out
-
-
-def prs_poly_gcd(f, g):
-    """polynomials.poly_gcd by the content split and the subresultant PRS
-    alone, contents included: no modular image and no one-term shortcut."""
-    if f.is_zero():
-        return primitive_normalized(g)
-    if g.is_zero():
-        return primitive_normalized(f)
-    common = f.variables() & g.variables()
-    if not common:
-        return constant(f.nvars, 1)
-    v = min(common, key=lambda i: (max(f.degree_in(i), g.degree_in(i)), i))
-    (cf, pf), (cg, pg) = (_prs_content_split(h, v) for h in (f, g))
-    return primitive_normalized(prs_poly_gcd(cf, cg) * polynomials._prs_gcd(pf, pg, v))
-
-
-def _prs_content_split(f, v):
-    cont = zero(f.nvars)
-    for k in range(f.degree_in(v) + 1):
-        c = f.coefficient_in(v, k)
-        if c:
-            cont = prs_poly_gcd(cont, c)
-    return cont, exact_quotient(f, cont, f"content in variable {v}")
 
 
 def classical_hessian(poly):

@@ -214,7 +214,7 @@ def test_budget_below_one_exits_one(capsys, tmp_path):
         assert code == 1 and out == "" and "budget" in err
 
 
-def test_malformed_curve_messages(capsys, tmp_path):
+def test_malformed_curve_messages(capsys, tmp_path, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
     code, _, err = run(capsys, "verdict", "--curve", str(bad), "--slope", "2")
@@ -252,6 +252,19 @@ def test_malformed_curve_messages(capsys, tmp_path):
     assert code == 1 and "bad slope" in err
     code, _, err = run(capsys, "mu", "--curve", str(path), "--lambda", "1,2", "--slope", "2")
     assert code == 1
+
+    # bytes that are not UTF-8, and nesting deeper than the JSON decoder
+    # recurses, are refused from a file and from stdin
+    for data, message in (
+        (b"\xff\xfe", "cannot read curve file: 'utf-8' codec can't decode"),
+        (b"[" * 100000 + b"]" * 100000, "curve file is nested too deeply"),
+    ):
+        bad.write_bytes(data)
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        for source in (str(bad), "-"):
+            code, out, err = run(capsys, "inflect", "--curve", source)
+            assert code == 1 and out == ""
+            assert err.startswith(f"error: {message}")
 
 
 def test_pretty_flag_round_trips(capsys):

@@ -81,8 +81,7 @@ def test_gcd_random_products():
 
 def test_gcd_remainders_stay_primitive(monkeypatch):
     # a plane sextic whose gcd with its x0-partial ran through remainders
-    # with millions of bits when only the polynomial content was divided out;
-    # the pair is coprime, so the image filter is switched off to reach the PRS
+    # with millions of bits when only the polynomial content was divided out
     f = Polynomial(3, {(5, 1, 0): -3, (4, 2, 0): 2, (4, 1, 1): -3, (1, 2, 3): -1,
                        (1, 0, 5): 2, (0, 5, 1): -2})
     bits = []
@@ -94,7 +93,6 @@ def test_gcd_remainders_stay_primitive(monkeypatch):
         return r
 
     monkeypatch.setattr(polynomials, "_pseudo_rem", spy)
-    _without_filter(monkeypatch)
     assert poly_gcd(f, f.partial_derivative(0)) == Polynomial(3, {(0, 0, 0): 1})
     assert bits and max(bits) < 2000
 
@@ -264,25 +262,25 @@ def test_gcd_and_squarefree_match_sympy():
         done += 1
 
 
-def _certificate_corpus(rng):
+def _squarefree_corpus(rng):
     """Seeded polynomials in 2 and 3 variables, as (kind, f): squarefree
     ones, ones with repeated factors, squarefree ones with a factor free of
     one variable, the lines u - v - c and v - k*u - c times a random factor,
-    and the shapes on which the certificate cannot settle the question, a
-    factor in the direction of its derivative."""
-    lam = polynomials._image_point(2, 2)
+    and factors of the form h(lam_2 u - lam_1 v) for a fixed integer
+    direction lam."""
+    lam = (5, -3)
     u, v = variable(2, 0), variable(2, 1)
     pool_chart = Polynomial(2, {  # (5, 5) on the quadric at ((0:1), (0:1))
         (5, 5): 3, (5, 3): 3, (4, 5): -2, (3, 3): 3, (3, 1): 2, (2, 1): 3, (0, 4): 1, (0, 1): 3,
     })
-    out = [("free factor", pool_chart), ("no certificate", lam[1] * u - lam[0] * v)]
+    out = [("free factor", pool_chart), ("fixed direction", lam[1] * u - lam[0] * v)]
     for i in range(60):
         nvars = 2 + i % 2
         x = [variable(nvars, j) for j in range(nvars)]
         q = _random_poly(rng, nvars, 3, 4)
         if not q.variables():
             continue
-        kind = ("squarefree", "repeated", "free factor", "line", "no certificate")[i % 5]
+        kind = ("squarefree", "repeated", "free factor", "line", "fixed direction")[i % 5]
         if kind == "repeated":
             f = _random_product(rng, nvars)
         elif kind == "free factor":
@@ -291,7 +289,7 @@ def _certificate_corpus(rng):
             c, k = rng.randint(-3, 3), rng.randint(-3, 3)
             line = x[0] - x[1] - c if i % 2 else x[1] - k * x[0] - c
             f = q * line ** rng.randint(1, 2)
-        elif kind == "no certificate":
+        elif kind == "fixed direction":
             f = (q if nvars == 2 else constant(2, 1)) * (lam[1] * u - lam[0] * v + rng.randint(-3, 3))
         else:
             f = q
@@ -302,37 +300,17 @@ def _certificate_corpus(rng):
     return out
 
 
-def test_squarefree_certificate_matches_the_recursion(monkeypatch):
-    from oracles import recursive_squarefree_decompose
-
-    rng = random.Random(43)
-    calls = []
-    prs = polynomials._prs_gcd
-    monkeypatch.setattr(polynomials, "_prs_gcd", lambda *a: calls.append(1) or prs(*a))
+def test_squarefree_matches_sympy():
+    sympy = pytest.importorskip("sympy")
     seen = {}
-    for kind, f in _certificate_corpus(rng):
-        calls.clear()
-        want = recursive_squarefree_decompose(f)
-        old_prs = len(calls)
-        calls.clear()
-        assert squarefree_decompose(f) == want
-        squarefree = [m for _, m in want] == [1]
-        if squarefree and kind != "no certificate":
-            # the certificate settles every squarefree input, with no PRS
-            assert not calls, (kind, f)
-        else:
-            # where it cannot, the recursion runs unchanged
-            assert len(calls) == old_prs, (kind, f)
-        seen.setdefault(kind, set()).add((squarefree, bool(old_prs)))
-    # the recursion sends squarefree inputs with a factor free of one
-    # variable to the PRS, and the corpus holds repeated factors of each kind
-    assert (True, True) in seen["free factor"]
-    assert all(any(not sq for sq, _ in seen[k]) for k in ("repeated", "line"))
-    assert (True, True) in seen["no certificate"]
-
-
-def _without_filter(monkeypatch):
-    monkeypatch.setattr(polynomials, "_coprime_by_images", lambda f, g, common: False)
+    for kind, f in _squarefree_corpus(random.Random(43)):
+        dec = squarefree_decompose(f)
+        assert dict((m, p) for p, m in dec) == _sympy_squarefree_groups(sympy, f), (kind, f)
+        seen.setdefault(kind, set()).add([m for _, m in dec] == [1])
+    # every kind holds squarefree inputs, and the repeated factors and the
+    # powers of lines hold inputs that are not
+    assert all(True in sq for sq in seen.values())
+    assert all(False in seen[k] for k in ("repeated", "line"))
 
 
 def _fractional(rng, f):
@@ -340,7 +318,7 @@ def _fractional(rng, f):
     return Polynomial(f.nvars, {e: Fraction(c, rng.randint(1, 6)) for e, c in f.terms.items()})
 
 
-def _filter_pairs(rng, count):
+def _gcd_pairs(rng, count):
     """Seeded pairs in 2, 3 and 4 variables, cycling through three kinds:
     no planted factor (mostly coprime), a planted common factor, and a
     common factor in one variable only, which lies in the content with
@@ -368,105 +346,54 @@ def _filter_pairs(rng, count):
     return pairs
 
 
-def _vanishing_lc(nvars, var, points):
-    """Product of (x_var - value of x_var at fixed point k) over k in points:
-    a leading coefficient that vanishes mod p at exactly those points."""
-    out = constant(nvars, 1)
-    for k in points:
-        out = out * (variable(nvars, var) - polynomials._image_point(k, nvars)[var])
-    return out
-
-
-def _fixed_point_pairs():
-    """Named pairs built on the fixed points of the coprimality filter."""
-    x0, x1 = variable(2, 0), variable(2, 1)
-    every = range(len(polynomials.IMAGE_SEEDS))
-    # lc in x0 and in x1 of h vanish at the first point, where h maps to 1
-    h_first = _vanishing_lc(2, 0, [0]) * _vanishing_lc(2, 1, [0]) + 1
-    # lc in x0 and in x1 of h vanish at every point
-    h_every = _vanishing_lc(2, 0, every) * _vanishing_lc(2, 1, every) + 1
-    pairs = {
-        "coprime, lc in x0 vanishes at the first point":
-            (_vanishing_lc(2, 1, [0]) * x0 ** 2 + x0 + x1, x0 ** 2 + x1 + 3),
-        "coprime, lc in x0 vanishes at every point":
-            (_vanishing_lc(2, 1, every) * x0 ** 2 + x0 + x1, x0 ** 2 + x1 + 3),
-        "common factor, lc vanishes at the first point":
-            (h_first * (x0 + x1 + 1), h_first * (x0 - x1 + 2)),
-        "common factor, lc vanishes at every point":
-            (h_every * (x0 + x1 + 1), h_every * (x0 - x1 + 2)),
-    }
-    # a factor in one variable only, seen by that variable's image alone
-    y = [variable(3, i) for i in range(3)]
-    for j in range(3):
-        a, b = (y[i] for i in range(3) if i != j)
-        h = y[j] + 1
-        pairs[f"common factor in x{j} only"] = (h * (a + b + 1), h * (a - b + 2))
+def _one_term_pairs(rng, count):
+    """Seeded pairs (c * x^a, g) in 2, 3 and 4 variables: g random, or a
+    random polynomial times a power product that it then shares with the
+    monomial, or a single term itself; every second pair has Fraction
+    coefficients."""
+    pairs = []
+    while len(pairs) < count:
+        i = len(pairs)
+        nvars = 2 + i % 3
+        a = tuple(rng.randint(0, 3) for _ in range(nvars))
+        c = rng.choice((-3, -2, -1, 1, 2, 3))
+        g = _random_poly(rng, nvars, 3, 1 if i % 5 == 4 else rng.randint(1, 4))
+        if i % 3 == 1:
+            g = g * monomial(nvars, [rng.randint(0, 2) for _ in range(nvars)])
+        if g.is_zero():
+            continue
+        f = monomial(nvars, a, c)
+        if i % 2:
+            f, g = _fractional(rng, f), _fractional(rng, g)
+        pairs.append((f, g))
     return pairs
 
 
-def test_gcd_filter_matches_prs(monkeypatch):
-    pairs = _filter_pairs(random.Random(23), 300) + list(_fixed_point_pairs().values())
-    settled = sum(
-        polynomials._coprime_by_images(f, g, f.variables() & g.variables())
-        for f, g in pairs
-    )
-    fast = [poly_gcd(f, g) for f, g in pairs]
-    _without_filter(monkeypatch)
-    assert [poly_gcd(f, g) for f, g in pairs] == fast
-    nonconstant = sum(1 for h in fast if h.variables())
-    assert settled >= 150 and nonconstant >= 100
+def _content_pairs():
+    """Pairs in 3 variables whose common factor lies in x_j only, so in the
+    content with respect to every other variable."""
+    y = [variable(3, i) for i in range(3)]
+    pairs = []
+    for j in range(3):
+        a, b = (y[i] for i in range(3) if i != j)
+        h = y[j] + 1
+        pairs.append((h * (a + b + 1), h * (a - b + 2)))
+    return pairs
 
 
-def test_gcd_filter_never_claims_a_common_factor(monkeypatch):
-    pairs = _filter_pairs(random.Random(29), 150) + list(_fixed_point_pairs().values())
-    with monkeypatch.context() as m:
-        _without_filter(m)
-        gcds = [poly_gcd(f, g) for f, g in pairs]
-    checked = 0
-    for (f, g), h in zip(pairs, gcds):
-        if h.variables():
-            assert not polynomials._coprime_by_images(f, g, f.variables() & g.variables())
-            checked += 1
-    assert checked >= 60
-
-
-def test_gcd_filter_point_choice(monkeypatch):
-    pairs = _fixed_point_pairs()
-    images, prs_runs = [], []
-    image, prs_gcd = polynomials._image, polynomials._prs_gcd
-
-    def image_spy(f, v, k):
-        out = image(f, v, k)
-        images.append((v, k, out is None))
-        return out
-
-    def prs_spy(a, b, v):
-        prs_runs.append(v)
-        return prs_gcd(a, b, v)
-
-    monkeypatch.setattr(polynomials, "_image", image_spy)
-    monkeypatch.setattr(polynomials, "_prs_gcd", prs_spy)
-    one = constant(2, 1)
-    # the second point settles the pair, without the PRS
-    assert poly_gcd(*pairs["coprime, lc in x0 vanishes at the first point"]) == one
-    assert (0, 0, True) in images and (0, 1, False) in images and not prs_runs
-    # no point is usable for x0, so the PRS decides
-    images.clear()
-    assert poly_gcd(*pairs["coprime, lc in x0 vanishes at every point"]) == one
-    assert [k for v, k, unusable in images if v == 0 and unusable] == [0, 1, 2]
-    assert prs_runs
-    # the planted factors come back whole
-    for name, degree in (("common factor, lc vanishes at the first point", 2),
-                         ("common factor, lc vanishes at every point", 6)):
-        assert poly_gcd(*pairs[name]).total_degree() == degree
-
-
-def test_gcd_filter_matches_sympy():
+def test_gcd_matches_sympy():
     sympy = pytest.importorskip("sympy")
-    pairs = _filter_pairs(random.Random(31), 60) + list(_fixed_point_pairs().values())
+    one_term = _one_term_pairs(random.Random(47), 240)
+    pairs = _gcd_pairs(random.Random(31), 60) + _content_pairs() + one_term
     for f, g in pairs:
-        want = sympy.gcd(_to_sympy(sympy, f), _to_sympy(sympy, g))
-        assert poly_gcd(f, g) == primitive_normalized(_from_sympy(want, f.nvars))
+        want = primitive_normalized(
+            _from_sympy(sympy.gcd(_to_sympy(sympy, f), _to_sympy(sympy, g)), f.nvars)
+        )
+        assert poly_gcd(f, g) == poly_gcd(g, f) == want, (f, g)
+    # the monomial operands meet both shared power products and coprime partners
+    gcds = [poly_gcd(f, g) for f, g in one_term]
+    assert sum(1 for h in gcds if h.variables()) >= 80
+    assert sum(1 for h in gcds if not h.variables()) >= 20
 
 
 def test_prs_remainders_are_subresultants(monkeypatch):
@@ -483,14 +410,20 @@ def test_prs_remainders_are_subresultants(monkeypatch):
         return q
 
     monkeypatch.setattr(polynomials, "exact_quotient", spy)
-    checked = 0
-    while checked < 20:
+    pairs = []
+    while len(pairs) < 20:
         a = _random_poly(rng, 2, 5, 6)
         b = _random_poly(rng, 2, 4, 5)
         if not 1 <= b.degree_in(0) <= a.degree_in(0):
             continue
         if any(polynomials._content_primitive_wrt(p, 0)[0].variables() for p in (a, b)):
             continue
+        pairs.append((a, b))
+    # degrees 5, 3, 2, 1 in v0: the gap of 2 at the first step makes the
+    # next divisor g * h with h = g^2, which no random pair above reaches
+    v0, v1 = variable(2, 0), variable(2, 1)
+    pairs.append((v0 ** 5 + v1 * v0 ** 2 + 3 * v0 + v1, v1 * v0 ** 3 + 2 * v0 ** 2 - v0 + 1))
+    for a, b in pairs:
         remainders.clear()
         polynomials._prs_gcd(a, b, 0)
         pa, pb = (_to_sympy(sympy, p).as_expr() for p in (a, b))
@@ -499,7 +432,6 @@ def test_prs_remainders_are_subresultants(monkeypatch):
         assert len(remainders) <= len(want)
         for got, sub in zip(remainders, want):
             assert got in (sub, -sub)
-        checked += 1
 
 
 # -- coefficient representation ---------------------------------------------
@@ -639,46 +571,6 @@ def test_resultant_matches_cofactor_sylvester_and_sympy(monkeypatch):
         )
         want = _from_sympy(sympy.Poly(want, *gens), f.nvars)
         assert r in (want, -want)
-
-
-def _one_term_pairs(rng, count):
-    """Seeded pairs (c * x^a, g) in 2, 3 and 4 variables: g random, or a
-    random polynomial times a power product that it then shares with the
-    monomial, or a single term itself; every second pair has Fraction
-    coefficients."""
-    pairs = []
-    while len(pairs) < count:
-        i = len(pairs)
-        nvars = 2 + i % 3
-        a = tuple(rng.randint(0, 3) for _ in range(nvars))
-        c = rng.choice((-3, -2, -1, 1, 2, 3))
-        g = _random_poly(rng, nvars, 3, 1 if i % 5 == 4 else rng.randint(1, 4))
-        if i % 3 == 1:
-            g = g * monomial(nvars, [rng.randint(0, 2) for _ in range(nvars)])
-        if g.is_zero():
-            continue
-        f = monomial(nvars, a, c)
-        if i % 2:
-            f, g = _fractional(rng, f), _fractional(rng, g)
-        pairs.append((f, g))
-    return pairs
-
-
-def test_one_term_gcd_matches_the_prs(monkeypatch):
-    from oracles import prs_poly_gcd
-
-    pairs = _one_term_pairs(random.Random(47), 240)
-    want = [prs_poly_gcd(f, g) for f, g in pairs]
-    calls = []
-    prs = polynomials._prs_gcd
-    monkeypatch.setattr(polynomials, "_prs_gcd", lambda *a: calls.append(1) or prs(*a))
-    for (f, g), h in zip(pairs, want):
-        assert poly_gcd(f, g) == poly_gcd(g, f) == h, (f, g)
-    # the gcd is the lowest power of each variable, found without the PRS
-    assert not calls
-    assert sum(1 for h in want if h.variables()) >= 80
-    assert sum(1 for h in want if not h.variables()) >= 20
-    assert constant(3, 1) == poly_gcd(monomial(3, (0, 0, 0), 5), variable(3, 1) + 1)
 
 
 def _substitution_cases(rng):
