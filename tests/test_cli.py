@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -460,6 +461,294 @@ SINGULAR_CURVES = {
     },
 }
 
+
+def scaled(doc, factor):
+    """The curve document doc with every coefficient multiplied by factor."""
+    terms = [{"exp": t["exp"], "coeff": format_rational(Fraction(t["coeff"]) * factor)}
+             for t in doc["terms"]]
+    return {**doc, "terms": terms}
+
+
+# Curves that each reach one path of the local report or the frame search.
+PATH_CURVES = {
+    # a (4, 4) quadric curve below its wall of 8/3
+    "quartic": {
+        "surface": "quadric",
+        "degree": 4,
+        "point": ["0", "1", "0", "1"],
+        "terms": [
+            {"exp": [0, 4, 2, 2], "coeff": "2"},
+            {"exp": [0, 4, 3, 1], "coeff": "2"},
+            {"exp": [1, 3, 0, 4], "coeff": "1"},
+            {"exp": [1, 3, 1, 3], "coeff": "1"},
+            {"exp": [1, 3, 2, 2], "coeff": "1"},
+            {"exp": [3, 1, 2, 2], "coeff": "3"},
+            {"exp": [4, 0, 2, 2], "coeff": "2"},
+        ],
+    },
+    # (x0 - K*x2)(x0*x2 - x1^2), K = 10^14, at its node (K : 10^7 : 1): a
+    # singular marked point allows neither special configuration, so inflect
+    # tests none
+    "node": {
+        "surface": "p2",
+        "degree": 3,
+        "point": [str(10 ** 14), str(10 ** 7), "1"],
+        "terms": [
+            {"exp": [2, 0, 1], "coeff": "1"},
+            {"exp": [1, 2, 0], "coeff": "-1"},
+            {"exp": [1, 0, 2], "coeff": str(-10 ** 14)},
+            {"exp": [0, 2, 1], "coeff": str(10 ** 14)},
+        ],
+    },
+    # a squarefree (5, 5) curve at ((0 : 1), (0 : 1)) whose chart has the
+    # factor y0, free of x0
+    "free-factor": {
+        "surface": "quadric",
+        "degree": 5,
+        "point": ["0", "1", "0", "1"],
+        "terms": [
+            {"exp": [0, 5, 1, 4], "coeff": "3"},
+            {"exp": [0, 5, 4, 1], "coeff": "1"},
+            {"exp": [2, 3, 1, 4], "coeff": "3"},
+            {"exp": [3, 2, 1, 4], "coeff": "2"},
+            {"exp": [3, 2, 3, 2], "coeff": "3"},
+            {"exp": [4, 1, 5, 0], "coeff": "-2"},
+            {"exp": [5, 0, 3, 2], "coeff": "3"},
+            {"exp": [5, 0, 5, 0], "coeff": "3"},
+        ],
+    },
+    # the quadric-x0 witness at d = 3 moved by a frame that swaps the
+    # factors: its ruling contacts (2, 1) allow the swapped X0, and the
+    # restrictions to the rulings through p find the tangent fibres of its
+    # (1, 2)-form as squares on them
+    "moved-quadric-x0": {
+        "surface": "quadric",
+        "degree": 3,
+        "point": ["-1", "1", "1", "1"],
+        "terms": [
+            {"exp": [0, 3, 0, 3], "coeff": "2"},
+            {"exp": [0, 3, 1, 2], "coeff": "-2"},
+            {"exp": [0, 3, 2, 1], "coeff": "1"},
+            {"exp": [1, 2, 0, 3], "coeff": "1"},
+        ],
+    },
+    # x0 * (x0*x2 - x1^2)^2 at (0 : 1 : 1), on the line: the tangent there
+    # is the line, a component, so the local data allows neither
+    # configuration and none is tested
+    "conic-squared": {
+        "surface": "p2",
+        "degree": 5,
+        "point": ["0", "1", "1"],
+        "terms": [
+            {"exp": [3, 0, 2], "coeff": "1"},
+            {"exp": [2, 2, 1], "coeff": "-2"},
+            {"exp": [1, 4, 0], "coeff": "1"},
+        ],
+    },
+    # the p2-cuspidal-x0 quartic x0 * (x0^2 x2 + x1^3) at (1 : 0 : 0) moved
+    # by the integer shear with rows (1,0,0), (1,1,0), (1,1,1): the polar
+    # conic of the flex splits off the cusp line, found as a cube on the
+    # harmonic polar of the flex, which is also the line of the quartic, so
+    # it is in X0 and semistable at its wall
+    "sheared-x0": {
+        "surface": "p2",
+        "degree": 4,
+        "point": ["1", "1", "1"],
+        "terms": [
+            {"exp": [1, 3, 0], "coeff": "1"},
+            {"exp": [2, 2, 0], "coeff": "-3"},
+            {"exp": [3, 0, 1], "coeff": "1"},
+            {"exp": [3, 1, 0], "coeff": "2"},
+            {"exp": [4, 0, 0], "coeff": "-1"},
+        ],
+    },
+    # flexes of cubics that are not cuspidal, so the restriction of the
+    # cubic to the harmonic polar of the flex is no cube and neither is in
+    # X0: the Fermat cubic at (1 : -1 : 0), and the nodal cubic
+    # x1^2 x2 - x0^3 - x0^2 x2 at (0 : 1 : 0)
+    "fermat-flex": {
+        "surface": "p2",
+        "degree": 3,
+        "point": ["1", "-1", "0"],
+        "terms": [
+            {"exp": [3, 0, 0], "coeff": "1"},
+            {"exp": [0, 3, 0], "coeff": "1"},
+            {"exp": [0, 0, 3], "coeff": "1"},
+        ],
+    },
+    "nodal-flex": {
+        "surface": "p2",
+        "degree": 3,
+        "point": ["0", "1", "0"],
+        "terms": [
+            {"exp": [0, 2, 1], "coeff": "1"},
+            {"exp": [3, 0, 0], "coeff": "-1"},
+            {"exp": [2, 0, 1], "coeff": "-1"},
+        ],
+    },
+    # x0 * (x1^2 + x2^2 + x0*x2) at (0 : 1 : 0): the tangent {x0 = 0} is a
+    # component, so the lines' sequence read off the chart has an order past
+    # its truncation, as the branch would give it
+    "tangent-component": {
+        "surface": "p2",
+        "degree": 3,
+        "point": ["0", "1", "0"],
+        "terms": [
+            {"exp": [1, 2, 0], "coeff": "1"},
+            {"exp": [1, 0, 2], "coeff": "1"},
+            {"exp": [2, 0, 1], "coeff": "1"},
+        ],
+    },
+    # x0^3 U + 2 x0^2 V^2 - U V^3 + U^4 with U = 2 x1 - x0, V = 2 x2 + x0, at
+    # (2 : 1 : -1): its chart at x0 = 1 is 2u + 8v^2 - 16uv^3 + 16u^4 with
+    # shifts 1/2 and -1/2, no v term of order 1, so the branch is solved
+    # along u and the conics' rows swap the chart monomials
+    "along-u": {
+        "surface": "p2",
+        "degree": 4,
+        "point": ["2", "1", "-1"],
+        "terms": [
+            {"exp": [0, 1, 3], "coeff": "-16"},
+            {"exp": [0, 4, 0], "coeff": "16"},
+            {"exp": [1, 0, 3], "coeff": "8"},
+            {"exp": [1, 1, 2], "coeff": "-24"},
+            {"exp": [1, 3, 0], "coeff": "-32"},
+            {"exp": [2, 0, 2], "coeff": "20"},
+            {"exp": [2, 1, 1], "coeff": "-12"},
+            {"exp": [2, 2, 0], "coeff": "24"},
+            {"exp": [3, 0, 1], "coeff": "14"},
+            {"exp": [3, 1, 0], "coeff": "-8"},
+            {"exp": [4, 0, 0], "coeff": "3"},
+        ],
+    },
+    # a (3, 3) curve at ((3 : -1), (1 : 2)), off the coordinate points of
+    # both factors: its chart u - 2v + 3uv + v^3 - u^2 v^2 + 2u^3 v in
+    # u = x1/x0 + 1/3, v = y1/y0 - 2 gives the (1, 1)-forms' rows
+    "chart-quadric": {
+        "surface": "quadric",
+        "degree": 3,
+        "point": ["3", "-1", "1", "2"],
+        "terms": [
+            {"exp": [0, 3, 2, 1], "coeff": "54"},
+            {"exp": [0, 3, 3, 0], "coeff": "-108"},
+            {"exp": [1, 2, 1, 2], "coeff": "-9"},
+            {"exp": [1, 2, 2, 1], "coeff": "90"},
+            {"exp": [1, 2, 3, 0], "coeff": "-144"},
+            {"exp": [2, 1, 1, 2], "coeff": "-6"},
+            {"exp": [2, 1, 2, 1], "coeff": "51"},
+            {"exp": [2, 1, 3, 0], "coeff": "-75"},
+            {"exp": [3, 0, 0, 3], "coeff": "1"},
+            {"exp": [3, 0, 1, 2], "coeff": "-7"},
+            {"exp": [3, 0, 2, 1], "coeff": "19"},
+            {"exp": [3, 0, 3, 0], "coeff": "-17"},
+        ],
+    },
+    # the first curve that only a random frame destabilizes at t = 1/2: at
+    # budget 30 the search runs out; below t = d a random frame with every
+    # corner coefficient of its moved equation present cannot destabilize
+    # and is skipped, and one with a vanishing corner is moved in full; at
+    # budget 100 it hits at frame 36, a frame with a vanishing corner, and
+    # re-checks the hit on the exact move
+    "random-hit": {
+        "surface": "p2",
+        "degree": 4,
+        "point": ["-2", "3", "2"],
+        "terms": [
+            {"exp": [0, 0, 4], "coeff": "1"},
+            {"exp": [0, 1, 3], "coeff": "-3"},
+            {"exp": [0, 2, 2], "coeff": "3"},
+            {"exp": [0, 3, 1], "coeff": "-1"},
+            {"exp": [1, 0, 3], "coeff": "-7"},
+            {"exp": [1, 1, 2], "coeff": "23"},
+            {"exp": [1, 2, 1], "coeff": "-25"},
+            {"exp": [1, 3, 0], "coeff": "9"},
+            {"exp": [2, 0, 2], "coeff": "14"},
+            {"exp": [2, 1, 1], "coeff": "-29"},
+            {"exp": [2, 2, 0], "coeff": "15"},
+            {"exp": [3, 0, 1], "coeff": "-7"},
+            {"exp": [3, 1, 0], "coeff": "7"},
+            {"exp": [4, 0, 0], "coeff": "1"},
+        ],
+    },
+}
+# adapted-p2-s with every coefficient halved, so its chart and restrictions
+# start from Fractions, and the branch is solved over Z once the chart is
+# made primitive
+PATH_CURVES["halved"] = scaled(ADAPTED_CURVES["adapted-p2-s"][0], Fraction(1, 2))
+
+# Calls that each reach a path of the local report, the frame search or the
+# class formulas: on the curves above, on golden curves and on witness files
+# ("--curve NAME" reads tmp/NAME.json). A budget other than 20 is in the
+# name of the case; 500 is the default.
+PATH_CASES = [
+    # around the wall and the edge at the default budget; the quadric at 5/2
+    # and the flex at 3 hit at the identity normalizing frame, so their
+    # certificates carry the shared identity frame
+    ("verdict p2-cuspidal-x0 4 7/4 budget 500",
+     "verdict --curve p2-cuspidal-x0-4 --slope 7/4"),
+    ("verdict p2-cuspidal-x0 4 2 budget 500",
+     "verdict --curve p2-cuspidal-x0-4 --slope 2"),
+    ("verdict p2-cuspidal-x0 4 171/100 budget 500",
+     "verdict --curve p2-cuspidal-x0-4 --slope 171/100"),
+    ("verdict quadric-x0 3 5/3 budget 500", "verdict --curve quadric-x0-3 --slope 5/3"),
+    ("verdict quadric-x0 3 11/6 budget 500", "verdict --curve quadric-x0-3 --slope 11/6"),
+    ("verdict quadric-x0 3 2 budget 500", "verdict --curve quadric-x0-3 --slope 2"),
+    ("verdict quadric-x0 3 5/2 budget 500", "verdict --curve quadric-x0-3 --slope 5/2"),
+    ("verdict p2-flex 4 3 budget 500", "verdict --curve p2-flex-4 --slope 3"),
+    # adapted-p2-s (a line squared times a conic) and halved find the line
+    # from the restriction to the tangent, divide it out and find where it
+    # touches the conic as a square on the line; a node lets nothing be
+    # tested
+    ("inflect node", "inflect --curve node"),
+    ("inflect quartic", "inflect --curve quartic"),
+    ("inflect adapted-p2-s", "inflect --curve adapted-p2-s"),
+    ("inflect halved", "inflect --curve halved"),
+    ("inflect free-factor", "inflect --curve free-factor"),
+    ("inflect moved-quadric-x0", "inflect --curve moved-quadric-x0"),
+    ("inflect conic-squared", "inflect --curve conic-squared"),
+    ("inflect sheared-x0", "inflect --curve sheared-x0"),
+    ("inflect fermat-flex", "inflect --curve fermat-flex"),
+    ("inflect nodal-flex", "inflect --curve nodal-flex"),
+    ("inflect tangent-component", "inflect --curve tangent-component"),
+    ("inflect along-u", "inflect --curve along-u"),
+    ("inflect chart-quadric", "inflect --curve chart-quadric"),
+    ("verdict tangent-component 1 budget 500",
+     "verdict --curve tangent-component --slope 1"),
+    ("verdict sheared-x0 7/4 budget 500", "verdict --curve sheared-x0 --slope 7/4"),
+    ("verdict halved 15/8", "verdict --curve halved --slope 15/8 --budget 20"),
+    # only one ruling through the marked point is tangent, so the
+    # normalizing frame swaps the two factors
+    ("verdict quadric-ruling-tangent 3 5/3 budget 500",
+     "verdict --curve quadric-ruling-tangent-3 --slope 5/3"),
+    ("verdict random-hit 1/2 budget 30",
+     "verdict --curve random-hit --slope 1/2 --budget 30"),
+    ("verdict random-hit 1/2 budget 100",
+     "verdict --curve random-hit --slope 1/2 --budget 100"),
+    # these three exhaust their budget, so random integer frames, swapped
+    # quadric frames, the corner test and the torus solve all run
+    ("verdict p2-nonflex 4 3/2 budget 500", "verdict --curve p2-nonflex-4 --slope 3/2"),
+    ("verdict quartic 7/3 budget 50", "verdict --curve quartic --slope 7/3 --budget 50"),
+    ("verdict quartic 7/3 budget 500", "verdict --curve quartic --slope 7/3"),
+    # integral and fractional weights on both surfaces
+    ("mu p2-cuspidal-x0 4 5,-1,-4 7/4",
+     "mu --curve p2-cuspidal-x0-4 --lambda=5,-1,-4 --slope 7/4"),
+    ("mu p2-cuspidal-x0 4 1/2,-1/2,0 7/4",
+     "mu --curve p2-cuspidal-x0-4 --lambda=1/2,-1/2,0 --slope 7/4"),
+    ("mu rational-branch-cubic 1/3,1/3,-2/3 5",
+     "mu --curve rational-branch-cubic --lambda=1/3,1/3,-2/3 --slope 5"),
+    ("mu quadric-x0 3 1,2 5/3", "mu --curve quadric-x0-3 --lambda=1,2 --slope 5/3"),
+    ("mu quadric-x0 3 1/2,-3/4 11/6",
+     "mu --curve quadric-x0-3 --lambda=1/2,-3/4 --slope 11/6"),
+    ("mu quartic -1,1 7/3", "mu --curve quartic --lambda=-1,1 --slope 7/3"),
+    # the osculation class formula on both surfaces
+    ("hessian-class p2 4 1", "hessian-class --surface p2 --degree 4 --m 1"),
+    ("hessian-class p2 4 2", "hessian-class --surface p2 --degree 4 --m 2"),
+    ("hessian-class quadric 4 1,1", "hessian-class --surface quadric --degree 4 --m 1,1"),
+    ("hessian-class quadric 4 1,2", "hessian-class --surface quadric --degree 4 --m 1,2"),
+    ("hessian-class quadric 4 0,1 symmetrized",
+     "hessian-class --surface quadric --degree 4 --m 0,1 --symmetrized"),
+]
+
 def golden_cases(tmp):
     """(name, argv) of every CLI call gated by the golden file, in order;
     witness documents are written under the directory tmp, so a witness
@@ -520,18 +809,28 @@ def golden_cases(tmp):
             cases.append((f"verdict {name} {slope}",
                           ["verdict", "--curve", str(path), "--slope", slope,
                            "--budget", "20"]))
+    for name, doc in PATH_CURVES.items():
+        (tmp / f"{name}.json").write_text(json.dumps(doc))
+    for name, args in PATH_CASES:
+        argv = args.split()
+        if "--curve" in argv:
+            i = argv.index("--curve") + 1
+            argv[i] = str(tmp / f"{argv[i]}.json")
+        cases.append((name, argv))
     return cases
+
+
+def run_case(argv):
+    """{"code": exit code, "out": stdout} of one in-process CLI call."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return {"code": code, "out": buf.getvalue()}
 
 
 def run_golden_cases(tmp):
     """{name: {"code": exit code, "out": stdout}} for every golden case."""
-    out = {}
-    for name, argv in golden_cases(tmp):
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = main(argv)
-        out[name] = {"code": code, "out": buf.getvalue()}
-    return out
+    return {name: run_case(argv) for name, argv in golden_cases(tmp)}
 
 
 def test_cli_golden_outputs(tmp_path):
@@ -557,11 +856,62 @@ def test_strict_changes_no_golden_output(tmp_path):
             strict += 1
         elif argv[0] != "witness":
             continue
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = main(argv)
-        assert {"code": code, "out": buf.getvalue()} == recorded[name], name
-    assert strict == 138
+        assert run_case(argv) == recorded[name], name
+    assert strict == 168
+
+
+def test_golden_case_names_are_unique(tmp_path):
+    # the outputs are kept in a dict by name, so a repeated name would drop
+    # the earlier case from the gate without a trace
+    names = Counter(name for name, _ in golden_cases(tmp_path))
+    assert [name for name, n in names.items() if n > 1] == []
+
+
+def test_golden_inflect_ignores_the_scale_of_the_equation(tmp_path):
+    # a nonzero multiple of the equation is the same curve, so it moves no
+    # flag, no sequence and no note; 1/2 and 7/5 make the chart start from
+    # Fractions, -3 flips every sign
+    scaled_path = tmp_path / "scaled.json"
+    inflected = 0
+    for _, argv in golden_cases(tmp_path):
+        if argv[0] == "witness":
+            run_case(argv)  # writes the curve file the cases after it read
+        if argv[0] != "inflect":
+            continue
+        inflected += 1
+        expected = run_case(argv)
+        doc = json.loads(Path(argv[2]).read_text())
+        for factor in (Fraction(1, 2), Fraction(-3), Fraction(7, 5)):
+            scaled_path.write_text(json.dumps(scaled(doc, factor)))
+            got = run_case(["inflect", "--curve", str(scaled_path)])
+            assert got == expected, (argv[2], factor)
+    assert inflected == 43
+
+
+def test_golden_recorder_appends_and_refuses_changes(tmp_path):
+    # the recorder adds the cases the file lacks, in the order of
+    # golden_cases and in the file's own layout, and refuses to touch a
+    # file whose recorded output differs from what the cases print now
+    from record_cli_golden import record
+
+    text = GOLDEN.read_text()
+    doc = json.loads(text)
+    got = dict(doc["cases"])
+    last = list(got)[-1]
+    path = tmp_path / "golden.json"
+    del doc["cases"][last]
+    path.write_text(json.dumps(doc, indent=1) + "\n")
+    assert record(path, got) == [last]
+    assert path.read_text() == text
+
+    doc["cases"] = dict(got)
+    doc["cases"][last] = {"code": 0, "out": "edited by hand\n"}
+    edited = json.dumps(doc, indent=1) + "\n"
+    path.write_text(edited)
+    with pytest.raises(SystemExit) as refused:
+        record(path, got)
+    assert last in str(refused.value.code)
+    assert path.read_text() == edited
 
 
 def test_one_parser_serves_successive_calls(capsys):
