@@ -78,8 +78,21 @@ def _dumps(doc, pretty):
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def _emit(doc, args):
-    print(_dumps(doc, args.pretty))
+def _emit(args, command, fields):
+    """Print fields in the envelope of `command`, under the schema tag, and
+    return the exit code 0."""
+    print(_dumps({"schema": SCHEMA, "command": command, **fields}, args.pretty))
+    return 0
+
+
+def _unique_keys(pairs):
+    """A JSON object as a dict, refusing a key it repeats at any depth."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise CliError(f"curve file repeats the key {key!r}")
+        doc[key] = value
+    return doc
 
 
 def _load_curve(path):
@@ -92,7 +105,7 @@ def _load_curve(path):
     except (OSError, UnicodeDecodeError) as e:
         raise CliError(f"cannot read curve file: {e}")
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise CliError(f"curve file is not valid JSON: {e}")
     except RecursionError:
@@ -146,9 +159,7 @@ def _cmd_verdict(args):
     curve = _load_curve(args.curve)
     t = _parse_slope(args.slope)
     v = stability_verdict(curve, t, budget=args.budget, seed=args.seed)
-    doc = {
-        "schema": SCHEMA,
-        "command": "verdict",
+    return _emit(args, "verdict", {
         "surface": curve.surface.value,
         "degree": curve.degree,
         "t": format_rational(v.t),
@@ -157,9 +168,7 @@ def _cmd_verdict(args):
         "citations": list(v.citations),
         "notes": list(v.notes),
         "undecided": v.undecided,
-    }
-    _emit(doc, args)
-    return 0
+    })
 
 
 def _cmd_mu(args):
@@ -171,9 +180,7 @@ def _cmd_mu(args):
     except ValueError as e:
         raise CliError(str(e))
     value, (label, exp) = mu_min(curve, lam, t)
-    doc = {
-        "schema": SCHEMA,
-        "command": "mu",
+    return _emit(args, "mu", {
         "surface": curve.surface.value,
         "degree": curve.degree,
         "t": format_rational(t),
@@ -181,9 +188,7 @@ def _cmd_mu(args):
         "mu": format_rational(value),
         "label": _plain(label),
         "exponent": list(exp),
-    }
-    _emit(doc, args)
-    return 0
+    })
 
 
 def _cmd_inflect(args):
@@ -198,9 +203,7 @@ def _cmd_inflect(args):
         }
         for name, s in rep.sequences.items()
     }
-    doc = {
-        "schema": SCHEMA,
-        "command": "inflect",
+    return _emit(args, "inflect", {
         "surface": curve.surface.value,
         "degree": curve.degree,
         "smooth_at_p": rep.smooth_at_p,
@@ -217,9 +220,7 @@ def _cmd_inflect(args):
         "sequences": seqs,
         "notes": list(rep.notes),
         "undecided": rep.undecided,
-    }
-    _emit(doc, args)
-    return 0
+    })
 
 
 def _cmd_hessian_class(args):
@@ -248,9 +249,7 @@ def _cmd_hessian_class(args):
         slope = format_rational(wall_slope(cls))
     except ValueError:
         slope = None
-    doc = {
-        "schema": SCHEMA,
-        "command": "hessian-class",
+    return _emit(args, "hessian-class", {
         "surface": surface.value,
         "degree": args.degree,
         "m": list(parts) if len(parts) > 1 else parts[0],
@@ -258,9 +257,7 @@ def _cmd_hessian_class(args):
         "components": [int(c) for c in cls.components],
         "description": cls.description,
         "slope": slope,
-    }
-    _emit(doc, args)
-    return 0
+    })
 
 
 def _cmd_walls(args):
@@ -269,16 +266,12 @@ def _cmd_walls(args):
         wall, edge = analyzed_slopes(surface, args.degree)
     except ValueError as e:
         raise CliError(str(e))
-    doc = {
-        "schema": SCHEMA,
-        "command": "walls",
+    return _emit(args, "walls", {
         "surface": surface.value,
         "degree": args.degree,
         "wall": format_rational(wall),
         "edge": format_rational(edge),
-    }
-    _emit(doc, args)
-    return 0
+    })
 
 
 def _cmd_chamber(args):
@@ -287,10 +280,7 @@ def _cmd_chamber(args):
         report = chamber_report(surface, args.degree)
     except ValueError as e:
         raise CliError(str(e))
-    doc = {"schema": SCHEMA, "command": "chamber"}
-    doc.update(_plain(report))
-    _emit(doc, args)
-    return 0
+    return _emit(args, "chamber", _plain(report))
 
 
 def _cmd_verify(args):
@@ -309,14 +299,7 @@ def _cmd_verify(args):
     except ValueError as e:
         raise CliError(f"cannot replay the table at degree {args.degree}: {e}")
     ok = all(r["ok"] for r in results)
-    doc = {
-        "schema": SCHEMA,
-        "command": "verify",
-        "degree": args.degree,
-        "results": _plain(results),
-        "ok": ok,
-    }
-    _emit(doc, args)
+    _emit(args, "verify", {"degree": args.degree, "results": _plain(results), "ok": ok})
     return 0 if ok else 2
 
 

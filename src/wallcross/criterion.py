@@ -15,7 +15,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
 from operator import mul
 
 from .curves import (
@@ -32,17 +31,7 @@ from .errors import InternalError
 from .hessians import analyzed_slopes
 from .inflection import InflectionReport, inflection_report
 from .linprog import lp_max
-from .rationals import canonical, quotient
-
-
-def _primitive(entries):
-    """Scale a vector of ints and Fractions by a positive constant to
-    coprime integers, read off their numerators and denominators.
-    Direction is preserved; the zero vector comes back as int zeros."""
-    mult = lcm(*(e.denominator for e in entries))
-    ints = [e.numerator * (mult // e.denominator) for e in entries]
-    g = gcd(*ints) or 1
-    return tuple(i // g for i in ints)
+from .rationals import canonical, cleared, primitive, quotient
 
 
 @dataclass(frozen=True)
@@ -54,9 +43,9 @@ class OneParamSubgroup:
     literal coordinate weights (-r0, r0, -r1, r1).
 
     `weights` keeps Fractions. The literal weights are made canonical once,
-    when the subgroup is built, and kept with `_scaled`: (den, the literal
-    weights times den), den the lcm of their denominators, which the
-    kernels of mu compute with."""
+    when the subgroup is built, and kept with `_scaled`, their
+    `rationals.cleared` form (den, the literal weights times den), which
+    the kernels of mu compute with."""
 
     surface: Surface
     weights: tuple
@@ -77,9 +66,8 @@ class OneParamSubgroup:
                 raise ValueError("quadric subgroup needs the two-weight encoding")
             r0, r1 = ws
             lw = (-r0, r0, -r1, r1)
-        den = lcm(*(w.denominator for w in lw))
         object.__setattr__(self, "_literal", lw)
-        object.__setattr__(self, "_scaled", (den, tuple(w.numerator * (den // w.denominator) for w in lw)))
+        object.__setattr__(self, "_scaled", cleared(lw))
 
     def literal_weights(self):
         """The coordinate weights, each an int when it is integral
@@ -190,7 +178,7 @@ def _weight_forms(curve, labels):
 def _subgroup_from_box(surface, r0, r1):
     """The primitive integer subgroup along the box weights (r0, r1); on
     the plane (r0, r1, -r0 - r1) has the same content as (r0, r1)."""
-    a, b = _primitive((r0, r1))
+    a, b = primitive((r0, r1))
     if surface is Surface.P2:
         return OneParamSubgroup(surface, (a, b, -a - b))
     return OneParamSubgroup(surface, (a, b))
@@ -243,11 +231,13 @@ def _adapted_frames(curve, report):
         return []
     det = report.special.details
     if curve.surface is Surface.P2:
+        # the rows send the line to x0 = 0 and q to (0 : 0 : 1); the middle
+        # row is e_mid less a multiple of the last, which keeps det
         line, q = det["line"], det["tangency"]
         c = next(i for i in range(3) if q[i] != 0)
         row2 = tuple(quotient(1, q[c]) if i == c else 0 for i in range(3))
         for mid in range(3):
-            row1 = tuple(int(i == mid) for i in range(3))
+            row1 = tuple(int(i == mid) - (quotient(q[mid], q[c]) if i == c else 0) for i in range(3))
             mx = (line, row1, row2)
             if adjugate(mx)[1]:
                 return [(mx, None, False)]
@@ -553,7 +543,7 @@ def stabilizer_dimension(curve):
         return 0, None
     # the generator is primitive with its first nonzero weight positive;
     # on the plane its weights begin with r0, r1, not both 0
-    r0, r1 = _primitive((-y, x))
+    r0, r1 = primitive((-y, x))
     if (r0 or r1) < 0:
         r0, r1 = -r0, -r1
     return 1, _subgroup_from_box(curve.surface, r0, r1)

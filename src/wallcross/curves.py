@@ -18,10 +18,10 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm, prod
+from math import prod
 
 from .polynomials import Polynomial, constant, linear_form, variable
-from .rationals import canonical, format_rational, parse_rational, quotient
+from .rationals import canonical, cleared, format_rational, parse_rational, quotient
 
 
 class Surface(str, Enum):
@@ -136,16 +136,8 @@ def mat_vec(m, v):
     return tuple(sum(a * x for a, x in zip(row, v)) for row in m)
 
 
-def _denominator(m):
-    """The least positive integer c for which c * m is an integer matrix,
-    for a matrix of ints and Fractions."""
-    return lcm(*(x.denominator for row in m for x in row))
-
-
-def _cleared(m):
-    """(c, M): c = _denominator(m) and the integer matrix M = c * m."""
-    c = _denominator(m)
-    return c, tuple(tuple(x.numerator * (c // x.denominator) for x in row) for row in m)
+def _entries(m):
+    return [x for row in m for x in row]
 
 
 def adjugate(m):
@@ -239,7 +231,9 @@ def _integer_frame(surface, mx, my, swap):
     # lands on; on the plane, zip stops at its one factor
     factors = []
     for m, slots in zip((mx, my), surface.blocks[::-1] if swap else surface.blocks):
-        c, m = _cleared(m)
+        c, ints = cleared(_entries(m))
+        k = len(m)
+        m = tuple(ints[i:i + k] for i in range(0, k * k, k))
         adj, det = adjugate(m)
         if not det:
             raise ValueError("frame matrix is singular")
@@ -265,7 +259,7 @@ def move_curve(curve, mx, my=None, swap=False):
     """
     factors = _integer_frame(curve.surface, mx, my, swap)
     n, d = curve.surface.nvars, curve.degree
-    _, (p,) = _cleared((curve.point,))
+    p = cleared(curve.point)[1]
     parts = [[p[i] for i in b] for b in curve.surface.blocks]
     images = [mat_vec(m, q) for (_, m, _, _, _), q in zip(factors, parts)]
     if swap:
@@ -301,8 +295,8 @@ def apply_frame(curve, frame):
         raise ValueError("surface mismatch")
     mx, my, swap = frame.matrices
     moved, scale = move_curve(curve, mx, my, swap)
-    den = _denominator((curve.point,))
-    divisors = [(den * _denominator(m),) * len(b) for m, b in zip((mx, my), curve.surface.blocks)]
+    den = cleared(curve.point)[0]
+    divisors = [(den * cleared(_entries(m))[0],) * len(b) for m, b in zip((mx, my), curve.surface.blocks)]
     if swap:
         divisors.reverse()
     new_p = tuple(map(Fraction, moved.point, sum(divisors, ())))
@@ -524,6 +518,24 @@ class WitnessKind(str, Enum):
     QUADRIC_RULING_TANGENT = "quadric-ruling-tangent"
 
 
+# kind -> (surface, point, terms as a function of d)
+_WITNESSES = {
+    WitnessKind.P2_S: (Surface.P2, (1, 1, 1), lambda d: {(1, 0, d - 1): 1, (0, 2, d - 2): -1}),
+    WitnessKind.P2_CUSPIDAL_X0: (Surface.P2, (1, 0, 0), lambda d: {(d - 3, 3, 0): 1, (d - 1, 0, 1): 1}),
+    WitnessKind.P2_HYPERFLEX: (Surface.P2, (0, 0, 1), lambda d: {(1, 0, d - 1): 1, (0, 4, d - 4): 1}),
+    WitnessKind.P2_FLEX: (Surface.P2, (0, 0, 1), lambda d: {(0, 3, d - 3): 1, (1, 0, d - 1): 1}),
+    WitnessKind.P2_NONFLEX: (
+        Surface.P2, (0, 0, 1),
+        lambda d: {(0, 1, d - 1): 1, (2, 0, d - 2): 1, (d, 0, 0): 1, (0, d, 0): 1},
+    ),
+    WitnessKind.QUADRIC_S: (Surface.QUADRIC, (0, 1, 0, 1), lambda d: {(1, d - 1, 0, d): 1, (0, d, 1, d - 1): -1}),
+    WitnessKind.QUADRIC_X0: (Surface.QUADRIC, (0, 1, 0, 1), lambda d: {(2, d - 2, 0, d): 1, (0, d, 1, d - 1): 1}),
+    WitnessKind.QUADRIC_RULING_TANGENT: (
+        Surface.QUADRIC, (0, 1, 0, 1), lambda d: {(1, d - 1, 0, d): 1, (0, d, 2, d - 2): 1},
+    ),
+}
+
+
 def make_witness(kind, d):
     """A fixed representative pointed curve of each special shape.
 
@@ -535,62 +547,11 @@ def make_witness(kind, d):
     kind = WitnessKind(kind)
     if not isinstance(d, int) or d < 3:
         raise ValueError("degree must be an integer >= 3")
-    F = Fraction
-    if kind is WitnessKind.P2_S:
-        eq = Polynomial(3, {(1, 0, d - 1): 1, (0, 2, d - 2): -1})
-        point = (F(1), F(1), F(1))
-        curve = PointedCurve(Surface.P2, d, point, eq)
-    elif kind is WitnessKind.P2_CUSPIDAL_X0:
-        eq = Polynomial(3, {(d - 3, 3, 0): 1, (d - 1, 0, 1): 1})
-        curve = PointedCurve(Surface.P2, d, (F(1), F(0), F(0)), eq)
-    elif kind is WitnessKind.P2_HYPERFLEX:
-        if d < 4:
-            raise ValueError("a hyperflex needs degree >= 4")
-        eq = Polynomial(3, {(1, 0, d - 1): 1, (0, 4, d - 4): 1})
-        curve = PointedCurve(Surface.P2, d, (F(0), F(0), F(1)), eq)
-    elif kind is WitnessKind.P2_FLEX:
-        eq = Polynomial(3, {(0, 3, d - 3): 1, (1, 0, d - 1): 1})
-        curve = PointedCurve(Surface.P2, d, (F(0), F(0), F(1)), eq)
-    elif kind is WitnessKind.P2_NONFLEX:
-        eq = Polynomial(
-            3,
-            {(0, 1, d - 1): 1, (2, 0, d - 2): 1, (d, 0, 0): 1, (0, d, 0): 1},
-        )
-        curve = PointedCurve(Surface.P2, d, (F(0), F(0), F(1)), eq)
-    elif kind is WitnessKind.QUADRIC_S:
-        eq = Polynomial(
-            4,
-            {
-                (1, d - 1, 0, d): 1,
-                (0, d, 1, d - 1): -1,
-            },
-        )
-        curve = PointedCurve(
-            Surface.QUADRIC, d, (F(0), F(1), F(0), F(1)), eq
-        )
-    elif kind is WitnessKind.QUADRIC_X0:
-        eq = Polynomial(
-            4,
-            {
-                (2, d - 2, 0, d): 1,
-                (0, d, 1, d - 1): 1,
-            },
-        )
-        curve = PointedCurve(
-            Surface.QUADRIC, d, (F(0), F(1), F(0), F(1)), eq
-        )
-    else:  # QUADRIC_RULING_TANGENT
-        eq = Polynomial(
-            4,
-            {
-                (1, d - 1, 0, d): 1,
-                (0, d, 2, d - 2): 1,
-            },
-        )
-        curve = PointedCurve(
-            Surface.QUADRIC, d, (F(0), F(1), F(0), F(1)), eq
-        )
-    return checked(curve)
+    if kind is WitnessKind.P2_HYPERFLEX and d < 4:
+        raise ValueError("a hyperflex needs degree >= 4")
+    surface, point, terms = _WITNESSES[kind]
+    eq = Polynomial(surface.nvars, terms(d))
+    return checked(PointedCurve(surface, d, tuple(map(Fraction, point)), eq))
 
 
 # -- JSON interchange -------------------------------------------------------

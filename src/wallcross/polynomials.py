@@ -22,11 +22,11 @@ the tests use them as oracles.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from operator import add, mul
 
 from .errors import InternalError
-from .rationals import canonical, quotient
+from .rationals import canonical, primitive, quotient
 
 
 def _canonical_terms(acc):
@@ -351,12 +351,10 @@ def primitive_normalized(f):
     then flip sign if needed so the lex-leading coefficient is positive."""
     if f.is_zero():
         return f
-    den = lcm(*(c.denominator for c in f.terms.values()))
-    nums = {e: c.numerator * (den // c.denominator) for e, c in f.terms.items()}
-    g = gcd(*nums.values())
+    nums = dict(zip(f.terms, primitive(f.terms.values())))
     if nums[max(nums)] < 0:
-        g = -g
-    return Polynomial._raw(f.nvars, {e: n // g for e, n in nums.items()})
+        nums = {e: -n for e, n in nums.items()}
+    return Polynomial._raw(f.nvars, nums)
 
 
 def exact_quotient(f, g, what):
@@ -558,14 +556,7 @@ def rational_roots(coeffs):
         cs.pop()
     if not cs:
         raise ValueError("zero polynomial")
-    den = 1
-    for c in cs:
-        den = lcm(den, c.denominator)
-    ints = [int(c * den) for c in cs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    ints = [x // g for x in ints]
+    ints = primitive(cs)
     roots = set()
     k = 0
     while ints[k] == 0:

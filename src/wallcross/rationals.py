@@ -16,6 +16,12 @@ only its final value is built as one Fraction. An int and the equal
 Fraction compare and hash alike, and format_rational writes both the same
 way.
 
+The integer form of a rational vector has one copy here: `cleared` scales
+it by the least positive integer that makes every entry integral, and
+`primitive` divides that by the gcd of the entries. Subgroups, frame
+matrices, points, the rows of an elimination and the coefficients of a
+polynomial are made integral through these two.
+
 This module also pins the interchange format: an integer is written "p",
 anything else "p/q" with q >= 2 and gcd(|p|, q) = 1. parse_rational
 accepts exactly those strings, so parse(format(x)) == x and
@@ -24,7 +30,7 @@ format(parse(s)) == s.
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 _CANONICAL = re.compile(r"^(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?$")
 
@@ -67,3 +73,19 @@ def quotient(a, b):
         if not r:
             return q
     return canonical(Fraction(a, b))
+
+
+def cleared(values):
+    """(den, ints): den the least positive integer for which every one of
+    the ints and Fractions in values times den is an integer, and ints
+    those products, read off numerators and denominators."""
+    den = lcm(*[v.denominator for v in values])
+    return den, tuple([v.numerator * (den // v.denominator) for v in values])
+
+
+def primitive(values):
+    """values scaled by a positive constant to coprime integers: direction
+    and signs are kept, and the zero vector comes back as int zeros."""
+    ints = cleared(values)[1]
+    g = gcd(*ints) or 1
+    return tuple([i // g for i in ints])

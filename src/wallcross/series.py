@@ -14,7 +14,7 @@ columns, and builds no reduced rows and no determinant.
 
 from __future__ import annotations
 
-from math import lcm
+from .rationals import cleared
 
 
 def _mul(a, b):
@@ -72,7 +72,7 @@ def pivot_orders(rows):
     realized by the span, and each deficient row stands for an order at or
     past the truncation.
 
-    Each row is scaled to integers by the lcm of its denominators, and the
+    Each row is scaled to integers by `rationals.cleared`, and the
     pivots come from forward fraction-free elimination (Bareiss 1968): each
     step divides exactly by the previous pivot, so every entry stays an
     integer. The pivot columns of an echelon form are those of the reduced
@@ -82,10 +82,7 @@ def pivot_orders(rows):
         raise ValueError("empty matrix")
     if any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("ragged matrix")
-    mat = []
-    for row in rows:
-        c = lcm(*(x.denominator for x in row))
-        mat.append([x.numerator * (c // x.denominator) for x in row])
+    mat = [cleared(row)[1] for row in rows]
     pivots = []
     prev = 1
     for col in range(len(mat[0])):

@@ -743,7 +743,7 @@ def _fraction_monomial_weight(lw, exp):
 
 
 def fraction_primitive(entries):
-    """criterion._primitive in Fractions, by another route: divide by the
+    """rationals.primitive in Fractions, by another route: divide by the
     absolute value of the first nonzero entry, so one entry is +-1, then
     clear the denominators, which leaves coprime integers."""
     fracs = [Fraction(e) for e in entries]

@@ -7,7 +7,7 @@ import json
 import random
 from fractions import Fraction
 
-from wallcross import cli, criterion
+from wallcross import cli, criterion, rationals
 from wallcross.criterion import (
     OneParamSubgroup,
     interval_mu_claim,
@@ -106,18 +106,18 @@ def test_primitive_matches_the_fraction_oracle(monkeypatch):
         for _ in range(300)
     ]
     for entries in fixed + drawn:
-        got = criterion._primitive(entries)
+        got = rationals.primitive(entries)
         assert got == fraction_primitive(entries) and all(type(x) is int for x in got), entries
     # the int rows stabilizer_dimension reads its generator from
     rows = []
-    kernel = criterion._primitive
+    kernel = criterion.primitive
 
     def recorded(entries):
         got = kernel(entries)
         rows.append((entries, got))
         return got
 
-    monkeypatch.setattr(criterion, "_primitive", recorded)
+    monkeypatch.setattr(criterion, "primitive", recorded)
     for surface in Surface:
         point = (0, 0, 1) if surface is Surface.P2 else (0, 1, 0, 1)
         for d in (3, 4):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -9,11 +10,20 @@ from pathlib import Path
 
 import pytest
 
-from wallcross import cli, polynomials
+from wallcross import cli, criterion, polynomials
 from wallcross.cli import main
-from wallcross.curves import Surface, WitnessKind, make_witness
+from wallcross.criterion import mu_min, stability_verdict
+from wallcross.curves import (
+    FrameChange,
+    Surface,
+    WitnessKind,
+    apply_frame,
+    curve_from_json,
+    curve_to_json,
+    make_witness,
+)
 from wallcross.hessians import analyzed_slopes
-from wallcross.rationals import format_rational
+from wallcross.rationals import format_rational, parse_rational
 
 
 def run(capsys, *argv):
@@ -268,6 +278,24 @@ def test_malformed_curve_messages(capsys, tmp_path, monkeypatch):
             assert err.startswith(f"error: {message}")
 
 
+def test_repeated_keys_are_refused(capsys, tmp_path):
+    # json.loads alone keeps the last of repeated keys; a curve document
+    # repeating one, at the top or inside a term, is refused whichever
+    # copy comes first
+    path, _ = write_witness(capsys, tmp_path, "p2-flex", 4)
+    text = path.read_text()
+    term = '{"coeff":"1","exp":[0,3,1]}'
+    assert term in text
+    for edited, key in (
+        ('{"degree":5,' + text[1:], "degree"),
+        (text.replace(term, '{"coeff":"1","exp":[0,3,1],"coeff":"2"}'), "coeff"),
+    ):
+        path.write_text(edited)
+        code, out, err = run(capsys, "inflect", "--curve", str(path))
+        assert code == 1 and out == ""
+        assert err == f"error: curve file repeats the key {key!r}\n"
+
+
 def test_pretty_flag_round_trips(capsys):
     code, compact, _ = run(capsys, "walls", "--surface", "p2", "--degree", "5")
     code2, pretty, _ = run(capsys, "walls", "--surface", "p2", "--degree", "5", "--pretty")
@@ -467,6 +495,20 @@ def scaled(doc, factor):
     terms = [{"exp": t["exp"], "coeff": format_rational(Fraction(t["coeff"]) * factor)}
              for t in doc["terms"]]
     return {**doc, "terms": terms}
+
+
+def scaled_point(doc, factor):
+    """The curve document doc with its point multiplied by factor, and on
+    the quadric the point's second factor by factor squared."""
+    point = [Fraction(x) for x in doc["point"]]
+    scales = [factor] * 3 if doc["surface"] == "p2" else [factor] * 2 + [factor ** 2] * 2
+    return {**doc, "point": [format_rational(x * c) for x, c in zip(point, scales)]}
+
+
+def moved(name, curve):
+    """curve moved by the random frame that the golden case name seeds."""
+    rng = random.Random(sum(map(ord, name)))
+    return apply_frame(curve, FrameChange(curve.surface, *criterion._random_frame(curve.surface, rng)))
 
 
 # Curves that each reach one path of the local report or the frame search.
@@ -817,6 +859,23 @@ def golden_cases(tmp):
             i = argv.index("--curve") + 1
             argv[i] = str(tmp / f"{argv[i]}.json")
         cases.append((name, argv))
+    # the witness table past the degrees the cases above read
+    for kind in sorted(k.value for k in WitnessKind):
+        for d in (6, 7, 8):
+            cases.append((f"witness {kind} {d}", ["witness", "--kind", kind, "--degree", str(d)]))
+    # plane S curves, where the adapted frame must send the tangency point
+    # to a coordinate point, moved as in the frame-move gate below
+    sources = {f"p2-s {d}": make_witness("p2-s", d) for d in (3, 4, 5)}
+    sources["adapted-p2-s"] = curve_from_json(ADAPTED_CURVES["adapted-p2-s"][0])
+    sources["halved"] = curve_from_json(PATH_CURVES["halved"])
+    for name, argv in list(cases):
+        tag = name.split(" ", 1)[1].rsplit(" ", 1)[0]
+        if argv[0] == "verdict" and tag in sources:
+            path = tmp / f"moved-{len(cases)}.json"
+            path.write_text(json.dumps(curve_to_json(moved(name, sources[tag]))))
+            argv = list(argv)
+            argv[argv.index("--curve") + 1] = str(path)
+            cases.append((f"{name} moved", argv))
     return cases
 
 
@@ -857,7 +916,7 @@ def test_strict_changes_no_golden_output(tmp_path):
         elif argv[0] != "witness":
             continue
         assert run_case(argv) == recorded[name], name
-    assert strict == 168
+    assert strict == 179
 
 
 def test_golden_case_names_are_unique(tmp_path):
@@ -867,25 +926,93 @@ def test_golden_case_names_are_unique(tmp_path):
     assert [name for name, n in names.items() if n > 1] == []
 
 
-def test_golden_inflect_ignores_the_scale_of_the_equation(tmp_path):
-    # a nonzero multiple of the equation is the same curve, so it moves no
-    # flag, no sequence and no note; 1/2 and 7/5 make the chart start from
-    # Fractions, -3 flips every sign
+def _option(argv, flag, default):
+    return argv[argv.index(flag) + 1] if flag in argv else default
+
+
+def _recheck(curve, t, cert):
+    """Whether the certificate's mu is mu_min on the curve its frame moves."""
+    frame = cert["frame"]
+    if frame is not None:
+        mats = [[[parse_rational(x) for x in row] for row in frame[k]]
+                for k in ("matrix", "x_matrix", "y_matrix") if k in frame]
+        curve = apply_frame(curve, FrameChange(curve.surface, *mats, swap=frame.get("swap", False)))
+    lam = criterion.OneParamSubgroup(curve.surface, tuple(map(parse_rational, cert["lambda"]["weights"])))
+    return mu_min(curve, lam, t)[0] == parse_rational(cert["mu"])
+
+
+# Moved verdicts that may lose their certificate: the destabilizing flag
+# needs a frame of the cusp line (the first) or of the flag (the second),
+# which the search does not build yet.
+MAY_GO_UNKNOWN = {
+    "verdict p2-cuspidal-x0 4 171/100 budget 500": "X0 cusp line frame",
+    "verdict random-hit 1/2 budget 100": "flag frame",
+}
+
+
+def test_golden_verdict_status_survives_a_frame_move(tmp_path):
+    # stability is invariant under the group, so each golden verdict curve
+    # moved by one seeded random frame keeps its recorded status, and an
+    # Unstable certificate found on the moved curve re-checks on it
+    recorded = json.loads(GOLDEN.read_text())["cases"]
+    verdicts = 0
+    for name, argv in golden_cases(tmp_path):
+        if argv[0] == "witness":
+            run_case(argv)
+        if argv[0] != "verdict":
+            continue
+        verdicts += 1
+        curve = curve_from_json(json.loads(Path(_option(argv, "--curve", None)).read_text()))
+        t = parse_rational(_option(argv, "--slope", None))
+        want = json.loads(recorded[name]["out"])["status"]
+        curve = moved(name, curve)
+        v = stability_verdict(curve, t, budget=int(_option(argv, "--budget", 500)),
+                              seed=int(_option(argv, "--seed", 0)))
+        if v.status != want and name in MAY_GO_UNKNOWN:
+            assert v.status == "Unknown", name
+            continue
+        assert v.status == want, name
+        if want == "Unstable":
+            cert = v.certificate
+            target = curve if cert["frame"] is None else apply_frame(curve, cert["frame"])
+            assert mu_min(target, cert["lambda"], t)[0] == cert["mu"] > 0, name
+    assert verdicts == 136
+
+
+def test_golden_outputs_ignore_the_scale_of_equation_and_point(tmp_path):
+    # a nonzero multiple of the equation, or of the point (per factor on
+    # the quadric), is the same pointed curve: each inflect, verdict and mu
+    # run prints the recorded document but for the certificate's frame,
+    # which is read off the given equation and point and must re-check as
+    # a certificate; 1/2 and 7/5 make the chart start from Fractions, -3
+    # flips every sign
+    recorded = json.loads(GOLDEN.read_text())["cases"]
     scaled_path = tmp_path / "scaled.json"
-    inflected = 0
-    for _, argv in golden_cases(tmp_path):
+    runs = Counter()
+    for name, argv in golden_cases(tmp_path):
         if argv[0] == "witness":
             run_case(argv)  # writes the curve file the cases after it read
-        if argv[0] != "inflect":
+        if argv[0] not in ("inflect", "verdict", "mu"):
             continue
-        inflected += 1
-        expected = run_case(argv)
-        doc = json.loads(Path(argv[2]).read_text())
-        for factor in (Fraction(1, 2), Fraction(-3), Fraction(7, 5)):
-            scaled_path.write_text(json.dumps(scaled(doc, factor)))
-            got = run_case(["inflect", "--curve", str(scaled_path)])
-            assert got == expected, (argv[2], factor)
-    assert inflected == 43
+        i = argv.index("--curve") + 1
+        doc = json.loads(Path(argv[i]).read_text())
+        want = json.loads(recorded[name]["out"])
+        cert = want.get("certificate")
+        for edit in ([scaled(doc, c) for c in (Fraction(1, 2), Fraction(-3), Fraction(7, 5))]
+                     + [scaled_point(doc, c) for c in (Fraction(-2), Fraction(3, 7))]):
+            scaled_path.write_text(json.dumps(edit))
+            got = run_case(argv[:i] + [str(scaled_path)] + argv[i + 1:])
+            runs[argv[0]] += 1
+            if not cert:
+                assert got == recorded[name], (name, edit)
+                continue
+            assert got["code"] == recorded[name]["code"], (name, edit)
+            out = json.loads(got["out"])
+            t = parse_rational(_option(argv, "--slope", None))
+            assert _recheck(curve_from_json(edit), t, out["certificate"]), (name, edit)
+            out["certificate"]["frame"] = cert["frame"]
+            assert out == want, (name, edit)
+    assert runs == {"inflect": 5 * 43, "verdict": 5 * 136, "mu": 5 * 7}
 
 
 def test_golden_recorder_appends_and_refuses_changes(tmp_path):

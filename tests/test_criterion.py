@@ -32,6 +32,7 @@ from wallcross.errors import InternalError
 from wallcross.hessians import analyzed_slopes
 from wallcross.inflection import inflection_report
 from wallcross.polynomials import Polynomial
+from wallcross.rationals import primitive
 
 from oracles import explicit_point_labels, full_move_search, gauss_jordan, mu_term
 from test_cli import ADAPTED_CURVES
@@ -57,7 +58,7 @@ def test_subgroup_encoding_and_validation():
         OneParamSubgroup(Surface.QUADRIC, (1, 2, 3))
     assert OneParamSubgroup(Surface.P2, (0, 0, 0)).is_trivial()
     prim = OneParamSubgroup(Surface.P2, (Fraction(1), Fraction(-1, 5), Fraction(-4, 5)))
-    assert criterion._primitive(prim.weights) == (5, -1, -4)
+    assert primitive(prim.weights) == (5, -1, -4)
 
 
 def test_mu_min_plane_example():
@@ -688,6 +689,37 @@ def test_verdict_across_the_wall():
     wb = below.certificate["lambda"].weights
     wa = above.certificate["lambda"].weights
     assert wb == tuple(-w for w in wa)
+
+
+def _workload_curve(rng, surface, d):
+    """A random curve as the benchmark draws them: 3 to 8 terms with
+    coefficients in +-1..3 through the coordinate point, half of them with
+    a tangent monomial there."""
+    base = (0, 0, d) if surface is Surface.P2 else (0, d, 0, d)
+    point = (0, 0, 1) if surface is Surface.P2 else (0, 1, 0, 1)
+    tangents = [(1, 0, d - 1), (0, 1, d - 1)] if surface is Surface.P2 else [(1, d - 1, 0, d), (0, d, 1, d - 1)]
+    exps = [e for e in all_exponents(surface, d) if e != base]
+    terms = {e: rng.choice((-3, -2, -1, 1, 2, 3)) for e in rng.sample(exps, rng.randint(3, 8))}
+    if rng.random() < 0.5:
+        terms[rng.choice(tangents)] = rng.choice((1, 2, 3))
+    return PointedCurve(surface, d, tuple(map(Fraction, point)), Polynomial(surface.nvars, terms))
+
+
+def test_verdict_has_one_status_per_chamber():
+    # the verdict is constant on the open chamber (wall, edge): on random
+    # curves, half of them moved off their coordinate point, six slopes
+    # inside it give one status
+    rng = random.Random(31)
+    for i in range(60):
+        surface = (Surface.P2, Surface.QUADRIC)[i % 2]
+        d = rng.choice((3, 4, 5) if surface is Surface.P2 else (3, 4))
+        curve = _workload_curve(rng, surface, d)
+        if i % 4 >= 2:
+            curve = apply_frame(curve, FrameChange(surface, *criterion._random_frame(surface, rng)))
+        wall, edge = analyzed_slopes(surface, d)
+        statuses = {stability_verdict(curve, wall + (edge - wall) * Fraction(k, 7), budget=40).status
+                    for k in range(1, 7)}
+        assert len(statuses) == 1, (curve, statuses)
 
 
 def test_verdict_outside_range_and_bad_slope():
