@@ -12,20 +12,21 @@ frames extends it to a search over maximal tori.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import product
 from operator import mul
 
 from .curves import (
+    IDENTITY_FRAMES,
     IDENTITY_MATRICES,
     FrameChange,
     Surface,
     adjugate,
-    apply_frame,
     corners_vanish,
+    exact_move,
     move_curve,
-    normalize_frame,
+    normalizing_matrices,
 )
 from .errors import InternalError
 from .hessians import analyzed_slopes
@@ -253,13 +254,34 @@ def _adapted_frames(curve, report):
     return [(mx, my, False)]
 
 
+def _move(curve, key):
+    """`move_curve`'s (moved, scale) for the matrices key; (curve, 1) at the identity."""
+    if key == IDENTITY_MATRICES[curve.surface]:
+        return curve, 1
+    return move_curve(curve, *key)
+
+
+def _frame_of(curve, key):
+    """The FrameChange with matrices key; IDENTITY_FRAMES' at the identity."""
+    if key == IDENTITY_MATRICES[curve.surface]:
+        return IDENTITY_FRAMES[curve.surface]
+    return FrameChange(curve.surface, *key)
+
+
+def _hit(curve, key, moved, scale):
+    """(FrameChange, exact move) for `_move`'s (moved, scale) of a hit."""
+    exact = curve if moved is curve else exact_move(curve, moved, scale, *key)
+    return _frame_of(curve, key), exact
+
+
 def destabilizer_search(curve, t, budget=500, seed=0, report=None):
     """Search frames for a torus destabilizer with mu > 0 at slope t.
 
     Frames are tried in a fixed order: the normalizing frame of the curve,
     the identity, frames adapted to the special-locus geometry, then random
     integer frames from the given seed. Returns (frame, lam, mu) for the
-    first success, or None once the budget of frames is spent.
+    first success, or None once the budget of frames is spent; no frame is
+    drawn past the budget.
 
     The adapted frames come from the special locus of `report`, the
     curve's lazy InflectionReport (a fresh one when none is given), and
@@ -268,61 +290,58 @@ def destabilizer_search(curve, t, budget=500, seed=0, report=None):
 
     The torus check reads only the zero pattern of the moved point and the
     convex hull of the moved support (Mumford, Fogarty and Kirwan, GIT,
-    2.1). The normalizing frame reuses the curve `normalize_frame` moved,
-    and the identity the curve itself. Frames are keyed by their canonical
-    matrices, so an identity normalizing frame, as for a curve in standard
-    position, is solved once for both. Any other frame for 0 < t < d first
-    asks whether a corner coefficient of its moved equation vanishes
-    (`corners_vanish`). If none does, no subgroup destabilizes there. Let
-    w be the largest weight of a coordinate on the plane, of a pair of
-    coordinates, one per factor, on the quadric; w > 0 for a nontrivial
-    subgroup. The point weighs at most w and the corner of that coordinate
-    (pair) weighs d * w, so mu <= (t - d) * w < 0. Such a frame counts as
-    tried and gets no torus solve. Past the normalizing frame, every
-    search `stability_verdict` runs has 0 < t < d: it answers t <= 0
+    2.1), so every frame but the identity, the curve itself, is moved up
+    to constants through the integer adjugate (`move_curve`). Frames are
+    keyed by their canonical matrices, so an identity normalizing frame
+    (`normalizing_matrices`) is solved once for both. Any other frame for
+    0 < t < d first asks whether a corner coefficient of its moved
+    equation vanishes (`corners_vanish`, on the equation cleared of
+    denominators once per search). If none does, no subgroup destabilizes
+    there. Let w be the largest weight of a coordinate on the plane, of a
+    pair of coordinates, one per factor, on the quadric; w > 0 for a
+    nontrivial subgroup. The point weighs at most w and the corner of that
+    coordinate (pair) weighs d * w, so mu <= (t - d) * w < 0. Such a frame
+    counts as tried and gets no torus solve. Past the normalizing frame,
+    every search `stability_verdict` runs has 0 < t < d: it answers t <= 0
     without one, and the normalizing frame hits at every t >= d, since on
     the plane lambda = (-1, -1, 2) there has mu >= 2t - (2d - 3), a hit
     above d - 3/2, and on the quadric r = (1, 1) has mu >= 2t - (2d - 2),
-    a hit above d - 1. Any other frame moves the whole equation, up to
-    constants, through the integer adjugate (`move_curve`). Only a hit
-    builds its FrameChange, except at the normalizing frame, which keeps
-    its own, and its mu is re-checked on the exact move."""
+    a hit above d - 1. Only a hit builds its FrameChange and its exact
+    move, the integer move scaled (`exact_move`), on which its mu is
+    re-checked; an exhausted search builds neither."""
     if report is None:
         report = InflectionReport(curve)
-    tried = 0
-    seen = set()
-    below = 0 < t < curve.degree
 
     def candidates():
-        # (canonical matrices, the exactly moved curve or None, the
-        # FrameChange or None); the matrices are the `seen` key
-        g0, moved0 = normalize_frame(curve, report.geometry)
-        yield g0.matrices, moved0, g0
-        yield IDENTITY_MATRICES[curve.surface], curve, None
+        # (canonical matrices, which are the `seen` key, and the curve the
+        # corner test reads, or None for no test): past the identity and
+        # below t = d, the curve with its denominators cleared
+        yield normalizing_matrices(curve, report.geometry), None
+        yield IDENTITY_MATRICES[curve.surface], None
+        den = cleared(list(curve.equation.terms.values()))[0]
+        integral = curve if den == 1 else replace(curve, equation=curve.equation * den)
+        corners = integral if 0 < t < curve.degree else None
         for key in _adapted_frames(curve, report):
-            yield key, None, None
+            yield key, corners
         rng = random.Random(seed)
         while True:
-            yield _random_frame(curve.surface, rng), None, None
+            yield _random_frame(curve.surface, rng), corners
 
-    for key, exact, frame in candidates():
-        if tried >= budget:
-            return None
+    frames = candidates()
+    tried = 0
+    seen = set()
+    while tried < budget:
+        key, corners = next(frames)
         if key in seen:
             continue
         seen.add(key)
         tried += 1
-        moved = exact
-        if moved is None:
-            if below and not corners_vanish(curve, *key):
-                continue
-            moved = move_curve(curve, *key)[0]
+        if corners is not None and not corners_vanish(corners, *key):
+            continue
+        moved, scale = _move(curve, key)
         sign, lam = torus_verdict(moved, t)
         if sign > 0:
-            if frame is None:
-                frame = FrameChange(curve.surface, *key)
-            if exact is None:
-                exact = apply_frame(curve, frame)
+            frame, exact = _hit(curve, key, moved, scale)
             mu, _ = mu_min(exact, lam, t)
             if mu <= 0:
                 raise InternalError(
@@ -402,13 +421,16 @@ class StabilityVerdict:
 
 def _attach_zero_certificate(verdict, report, t):
     """Attach a zero-mu certificate from the normalizing frame of the
-    report's curve. If that torus unexpectedly shows mu > 0 the verdict
-    flips to Unstable, since an exact positive certificate beats any
-    membership reasoning."""
-    frame, moved = normalize_frame(report.curve, report.geometry)
+    report's curve, solved on its integer move. If that torus unexpectedly
+    shows mu > 0 the verdict flips to Unstable, since an exact positive
+    certificate beats any membership reasoning."""
+    curve = report.curve
+    key = normalizing_matrices(curve, report.geometry)
+    moved, scale = _move(curve, key)
     sign, lam = torus_verdict(moved, t)
     if sign > 0:
-        mu, _ = mu_min(moved, lam, t)
+        frame, exact = _hit(curve, key, moved, scale)
+        mu, _ = mu_min(exact, lam, t)
         verdict.status = "Unstable"
         verdict.certificate = {"frame": frame, "lambda": lam, "mu": mu}
         verdict.notes.append(
@@ -416,7 +438,7 @@ def _attach_zero_certificate(verdict, report, t):
         )
         return
     if sign == 0:
-        verdict.certificate = {"frame": frame, "lambda": lam, "mu": Fraction(0)}
+        verdict.certificate = {"frame": _frame_of(curve, key), "lambda": lam, "mu": Fraction(0)}
     else:
         verdict.notes.append("no zero certificate exhibited in the normalizing frame")
 

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product, repeat
 from math import prod
+from operator import mul
 
 from .polynomials import Polynomial, constant, linear_form, variable
 from .rationals import canonical, cleared, format_rational, parse_rational, quotient
@@ -241,33 +242,67 @@ def _integer_frame(surface, mx, my, swap):
     return factors
 
 
+@lru_cache(maxsize=32)
+def _chart_digits(surface, d):
+    """(u, v, pairs): u, v the coordinates but the last of each factor, and
+    (e[u] + (d + 1) * e[v], e) for every exponent e of `all_exponents`."""
+    u, v = [i for b in surface.blocks for i in b[:-1]]
+    return u, v, tuple((e[u] + (d + 1) * e[v], e) for e in all_exponents(surface, d))
+
+
 def move_curve(curve, mx, my=None, swap=False):
     """Move a pointed curve by the frame g given by its matrices (as in
-    FrameChange), up to nonzero constants, through the integer adjugate.
+    FrameChange), up to nonzero constants, through the integer adjugate:
+    with c * g = M an integer matrix, g^-1 = c * adj(M) / det(M), so the
+    integer linear forms of adj(M) substituted into C, its denominators
+    cleared, give C o g^-1 up to a constant per factor.
 
-    With c * g = M an integer matrix, g^-1 = c * adj(M) / det(M), so
-    substituting the integer linear forms of adj(M) into the equation gives
-    C o g^-1 divided by the constant (c / det M)^d; on the quadric each
-    factor has its own such constant. An integer equation stays in ints.
+    The substitution is one evaluation at big integers (Kronecker
+    substitution; Harvey 2009, "Faster polynomial multiplication via
+    multipoint Kronecker substitution", J. Symb. Comput.). The move is
+    homogeneous of degree d on each factor, so it loses nothing when each
+    factor's last coordinate is 1, and the coordinates u, v left pack an
+    exponent into the digit e_u + (d + 1) * e_v (`_chart_digits`): at
+    u = X, v = X^(d + 1), X = 2^B, the value has the moved coefficients
+    as its base-X digits. None exceeds (sum of the |c|) times, per factor,
+    (the largest row 1-norm of adj(M))^d; B is that bound's bit length
+    plus 2, in whole bytes, so each digit lies in (-X/2, X/2), and with
+    X/2 added to each, one `to_bytes` reads them off.
 
-    Returns (moved, scale): moved carries the equation C o adj(M) and the
-    point M p, for p with its denominators cleared, which is a multiple of
-    g(p) (per factor on the quadric), so the support of the curve and the
-    zero pattern of the point are those of the exact move; and
-    scale * moved.equation == C o g^-1, with scale an int when it is
-    integral.
+    Returns (moved, scale): moved carries the integer equation and the
+    point M p, for p with its denominators cleared, a multiple of g(p)
+    (per factor on the quadric), so its support and the zero pattern of
+    its point are those of the exact move; scale * moved.equation is
+    C o g^-1, scale an int when it is integral (`exact_move`).
     """
     factors = _integer_frame(curve.surface, mx, my, swap)
-    n, d = curve.surface.nvars, curve.degree
+    d = curve.degree
     p = cleared(curve.point)[1]
     parts = [[p[i] for i in b] for b in curve.surface.blocks]
     images = [mat_vec(m, q) for (_, m, _, _, _), q in zip(factors, parts)]
     if swap:
         images.reverse()
-    subs = [linear_form(n, slots, row) for _, _, adj, _, slots in factors for row in adj]
-    scale = canonical(prod(quotient(c, det) ** d for c, _, _, det, _ in factors))
-    moved = PointedCurve(curve.surface, d, sum(images, ()), curve.equation.substitute(subs))
-    return moved, scale
+    exponents = curve.equation.terms
+    cden, coeffs = cleared(list(exponents.values()))
+    scale = quotient(prod(quotient(c, det) ** d for c, _, _, det, _ in factors), cden)
+    norms = [max(sum(map(abs, row)) for row in adj) ** d for _, _, adj, _, _ in factors]
+    width = (prod(norms, start=sum(map(abs, coeffs))).bit_length() + 9) // 8
+    x = 1 << 8 * width
+    u, v, digits = _chart_digits(curve.surface, d)
+    at = [1] * curve.surface.nvars
+    at[u], at[v] = x, x ** (d + 1)
+    # each old coordinate at those ints, and its powers up to the highest
+    values = [sum(a * at[s] for a, s in zip(row, slots)) for _, _, adj, _, slots in factors for row in adj]
+    powers = [list(accumulate(repeat(y, max(e)), mul, initial=1))
+              for y, e in zip(values, zip(*exponents))]
+    total = sum(prod((pw[k] for pw, k in zip(powers, e)), start=c) for c, e in zip(coeffs, exponents))
+    # plus (X/2) (X^K - 1) / (X - 1), X/2 at each of the K = (d + 1)^2 digits
+    count = (d + 1) ** 2
+    total += int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    buf, half = total.to_bytes(width * count, "little"), x >> 1
+    terms = {e: c for i, e in digits if (c := int.from_bytes(buf[i * width:(i + 1) * width], "little") - half)}
+    equation = Polynomial._raw(curve.surface.nvars, terms)
+    return PointedCurve(curve.surface, d, sum(images, ()), equation), scale
 
 
 def corners_vanish(curve, mx, my=None, swap=False):
@@ -286,21 +321,25 @@ def corners_vanish(curve, mx, my=None, swap=False):
     return any(not evaluate(sum(corner, ())) for corner in product(*columns))
 
 
-def apply_frame(curve, frame):
-    """Move a pointed curve to new coordinates: p' = g(p), C' = C o g^{-1},
-    computed as the integer move of `move_curve` times its scalar. The
-    moved point M p of `move_curve` is c * D * g(p), with D the denominator
-    of the point and c that of the matrix of each factor."""
-    if frame.surface is not curve.surface:
-        raise ValueError("surface mismatch")
-    mx, my, swap = frame.matrices
-    moved, scale = move_curve(curve, mx, my, swap)
+def exact_move(curve, moved, scale, mx, my=None, swap=False):
+    """p' = g(p) and C' = C o g^-1 from `move_curve`'s (moved, scale) for
+    the frame (mx, my, swap): C' is scale times the moved equation, and
+    the moved point M p is c * D * g(p), with D the denominator of the
+    point and c that of the matrix of each factor."""
     den = cleared(curve.point)[0]
     divisors = [(den * cleared(_entries(m))[0],) * len(b) for m, b in zip((mx, my), curve.surface.blocks)]
     if swap:
         divisors.reverse()
     new_p = tuple(map(Fraction, moved.point, sum(divisors, ())))
     return PointedCurve(curve.surface, curve.degree, new_p, moved.equation * scale)
+
+
+def apply_frame(curve, frame):
+    """Move a pointed curve to new coordinates: p' = g(p), C' = C o g^{-1},
+    by `move_curve` and `exact_move`."""
+    if frame.surface is not curve.surface:
+        raise ValueError("surface mismatch")
+    return exact_move(curve, *move_curve(curve, *frame.matrices), *frame.matrices)
 
 
 # -- local geometry at the marked point ------------------------------------
@@ -443,11 +482,11 @@ def contact_ge(contact, k):
 # -- canonical frames -------------------------------------------------------
 
 
-def normalize_frame(curve, geometry=None):
-    """Frame change putting the marked point, and at a smooth point its
-    tangent, into standard position, read off `local_geometry` and applied
-    in one move. A caller that holds the curve's local geometry already
-    passes it as `geometry`, so it is not computed again.
+def normalizing_matrices(curve, geometry=None):
+    """The matrices (mx, my, swap) of the frame change putting the marked
+    point, and at a smooth point its tangent, into standard position, read
+    off `local_geometry`. A caller that holds the curve's local geometry
+    already passes it as `geometry`, so it is not computed again.
 
     Plane: p goes to (0, 0, 1). With l0 the first nonzero coordinate of p,
     o0 < o1 the other two, and r0, r1, r2 the rows of the translation
@@ -459,11 +498,6 @@ def normalize_frame(curve, geometry=None):
     curve, read from the ruling contacts at p before the move (a frame
     without swap keeps them), the factors are swapped so that ruling
     becomes {y0 = 0}.
-
-    Returns (frame, moved curve). For a curve already in standard position
-    the matrices are compared with IDENTITY_MATRICES before anything is
-    built, and the frame is the shared constant IDENTITY_FRAMES[surface]
-    and the moved curve the curve itself.
     """
     geo = local_geometry(curve) if geometry is None else geometry
     p = [canonical(x) for x in curve.point]
@@ -485,12 +519,18 @@ def normalize_frame(curve, geometry=None):
         tangent = geo.tangent
         if tangent is not None and tangent[o1] != 0:
             rows = [tangent, rows[1] if tangent[o0] != 0 else rows[0], rows[2]]
-        key = (tuple(rows), None, False)
-    else:
-        # at a singular point both contacts are at least 2, so no swap
-        cx, cy = geo.ruling_contacts
-        swap = contact_ge(cx, 2) and not contact_ge(cy, 2)
-        key = (_factor_frame(p[0], p[1]), _factor_frame(p[2], p[3]), swap)
+        return tuple(rows), None, False
+    # at a singular point both contacts are at least 2, so no swap
+    cx, cy = geo.ruling_contacts
+    swap = contact_ge(cx, 2) and not contact_ge(cy, 2)
+    return _factor_frame(p[0], p[1]), _factor_frame(p[2], p[3]), swap
+
+
+def normalize_frame(curve, geometry=None):
+    """(frame, moved curve) for the frame of `normalizing_matrices`. For a
+    curve already in standard position nothing is built: the frame is the
+    shared constant IDENTITY_FRAMES[surface], the moved curve the curve."""
+    key = normalizing_matrices(curve, geometry)
     if key == IDENTITY_MATRICES[curve.surface]:
         return IDENTITY_FRAMES[curve.surface], curve
     g = FrameChange(curve.surface, *key)

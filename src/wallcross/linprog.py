@@ -19,6 +19,12 @@ such a tie line leaves the polygon. Evaluating mu on the candidates is an
 exact solve of this fixed-dimension linear program (Megiddo 1983, Seidel
 1991). The evaluation runs in integers over one common denominator; no
 floating point anywhere.
+
+Most programs of a frame search have mu < 0 away from the origin. With
+t = tn / tq, tq * mu(r) = -max <tq * m_e - tn * p_l, r>, so that holds
+exactly when the origin is strictly inside the hull of those points (the
+support-function form; Mumford, Fogarty and Kirwan, GIT, 2.1), which is
+tested before any candidate is built.
 """
 
 from __future__ import annotations
@@ -82,6 +88,25 @@ def _tie_directions(hull):
     return lines
 
 
+def _negative_everywhere(point_hull, monomial_hull, tn, tq):
+    """Whether mu < 0 at every r != 0 for t = tn / tq, from the `_hull`s of
+    the point and the monomial forms: whether the origin is strictly inside
+    the hull of the tq * m - tn * p, to the left of each counterclockwise
+    edge. With one point form p, that is whether tn * p is strictly inside
+    tq times the monomial hull."""
+    if len(point_hull) == 1:
+        ((p0, p1),) = point_hull
+        hull, s, q0, q1 = monomial_hull, tq, tn * p0, tn * p1
+    else:
+        hull = _hull([(tq * a - tn * p0, tq * b - tn * p1)
+                      for a, b in monomial_hull for p0, p1 in point_hull])
+        s, q0, q1 = 1, 0, 0
+    edges = zip(hull, hull[1:] + hull[:1])
+    return len(hull) > 2 and all(
+        (b0 - a0) * (q1 - s * a1) > (b1 - a1) * (q0 - s * a0) for (a0, a1), (b0, b1) in edges
+    )
+
+
 def _exit_scale(d, edges):
     """(c, k), k > 0: the ray from the origin along d leaves the polygon
     at the point (c / k) * d. Scales are compared by cross-multiplication."""
@@ -105,7 +130,8 @@ def lp_max(point_forms, monomial_forms, t, box):
       r is taken on the first probe face, in the order +r0, -r0, +r1, -r1,
       on which the zero set reaches a positive probe value, as the
       lexicographically largest point of that face;
-    - (-1, None) when mu < 0 away from the origin.
+    - (-1, None) when mu < 0 away from the origin, which
+      `_negative_everywhere` answers right after the two hulls.
 
     The solve runs in integers over one common denominator: with
     t = tn / tq and L the lcm of the exit denominators, every candidate is
@@ -119,6 +145,8 @@ def lp_max(point_forms, monomial_forms, t, box):
     # The candidates other than the origin are exit points of rays: towards
     # the corners and both ways along every tie line of hull neighbours.
     point_forms, monomial_forms = _hull(point_forms), _hull(monomial_forms)
+    if _negative_everywhere(point_forms, monomial_forms, tn, tq):
+        return -1, None
     directions = set(box)
     for forms in (point_forms, monomial_forms):
         for d in _tie_directions(forms):

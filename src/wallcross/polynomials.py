@@ -196,28 +196,14 @@ class Polynomial:
     def substitute(self, subs):
         """Plug a polynomial in for each variable. All subs share one arity.
 
-        When every substitution is a single term c_i * y^(a_i), a term
-        c * x^e goes to the single term c * prod(c_i^e_i) * y^(sum e_i a_i).
-        Otherwise the products run on packed exponents: an exponent vector
-        of the result is one int, digit j in a radix above every exponent
-        of variable j the result can reach, so multiplying terms adds ints.
-        Both paths give the terms in the same order."""
+        The products run on packed exponents: an exponent vector of the
+        result is one int, digit j in a radix above every exponent of
+        variable j the result can reach, so multiplying terms adds ints."""
         if len(subs) != self.nvars:
             raise ValueError("need one substitution per variable")
         m = subs[0].nvars
         if any(s.nvars != m for s in subs):
             raise ValueError("substitutions must share an arity")
-        if all(len(s.terms) == 1 for s in subs):
-            singles = [next(iter(s.terms.items())) for s in subs]
-            columns = list(zip(*(a for a, _ in singles)))
-            acc = {}
-            for exp, c in self.terms.items():
-                for (_, ci), e in zip(singles, exp):
-                    if e:
-                        c *= ci ** e
-                key = tuple(sum(map(mul, exp, col)) for col in columns)
-                acc[key] = acc.get(key, 0) + c
-            return Polynomial._raw(m, _canonical_terms(acc))
         top = [max((e[i] for e in self.terms), default=0) for i in range(self.nvars)]
         radix = 1 + max(
             sum(k * s.degree_in(j) for k, s in zip(top, subs) if k and s) for j in range(m)

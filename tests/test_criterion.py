@@ -220,25 +220,47 @@ def test_destabilizer_search_budget_exhausts():
     assert destabilizer_search(c, Fraction(15, 8), budget=6) is None
 
 
-def test_exhausted_search_builds_only_the_normalizing_frame(monkeypatch):
-    # the identity and random frames are tried as plain matrices; only the
-    # normalizing frame, and a hit, build a FrameChange
-    built = []
+def test_exhausted_search_builds_no_frame(monkeypatch):
+    # every frame, the normalizing one included, is tried as plain matrices
+    # on its integer move; only a hit builds a FrameChange and an exact move
+    built, exact_moves = [], []
     post_init = FrameChange.__post_init__
 
     def counted(self):
         built.append(self)
         post_init(self)
 
+    def exact_move(*args):
+        exact_moves.append(args)
+        return curves.exact_move(*args)
+
+    drawn, tested = [], []
+    random_frame = criterion._random_frame
+
+    def draw(surface, rng):
+        drawn.append(random_frame(surface, rng))
+        return drawn[-1]
+
+    def vanish(curve, *key):
+        tested.append(key)
+        return corners_vanish(curve, *key)
+
     c = make_witness(WitnessKind.P2_NONFLEX, 4)
+    assert normalize_frame(c)[0] is not curves.IDENTITY_FRAMES[c.surface]
     monkeypatch.setattr(FrameChange, "__post_init__", counted)
+    monkeypatch.setattr(criterion, "exact_move", exact_move)
+    monkeypatch.setattr(criterion, "_random_frame", draw)
+    monkeypatch.setattr(criterion, "corners_vanish", vanish)
     assert destabilizer_search(c, Fraction(3, 2), budget=20) is None
-    assert len(built) == 1
+    assert built == [] and exact_moves == []
+    # past the normalizing frame and the identity every frame is a random
+    # one, and none is drawn past the budget: each drawn frame is tried
+    assert drawn == tested and len(drawn) == 18
 
 
 def test_hit_at_the_normalizing_frame_keeps_its_frame(monkeypatch):
-    # at t >= d the normalizing frame destabilizes, and the search returns
-    # the frame normalize_frame built instead of building it again
+    # at t >= d the normalizing frame destabilizes, and the search builds
+    # its frame once, at the hit, equal to the one normalize_frame returns
     built = []
     post_init = FrameChange.__post_init__
 
@@ -462,26 +484,34 @@ def test_verdict_computes_the_local_geometry_once(name, monkeypatch):
 
 def test_random_frame_hit_is_rechecked_on_the_exact_move(monkeypatch):
     # a support-only move that claims a destabilizer is re-checked on the
-    # exact move: a subgroup that does not destabilize it is an error
+    # exact move, which scales the integer move the torus solved: a
+    # subgroup that does not destabilize it is an error, and the hit is
+    # not moved a second time
     curve = curve_from_json(RANDOM_FRAME_HITS[0][0])
     lam = OneParamSubgroup(Surface.P2, (1, 0, -1))
-    calls = []
+    calls, moves, exact_moves = [], [], []
 
     def verdict(moved, t):
         calls.append(moved)
         return (1, lam) if len(calls) == 3 else (-1, None)
 
-    exact_moves = []
+    def full(curve, *key):
+        moves.append(move_curve(curve, *key))
+        return moves[-1]
 
-    def exact_move(curve, frame):
-        exact_moves.append(frame)
-        return apply_frame(curve, frame)
+    def exact_move(curve, moved, scale, *key):
+        exact_moves.append((moved, scale))
+        return curves.exact_move(curve, moved, scale, *key)
 
     monkeypatch.setattr(criterion, "torus_verdict", verdict)
-    monkeypatch.setattr(criterion, "apply_frame", exact_move)
+    monkeypatch.setattr(criterion, "move_curve", full)
+    monkeypatch.setattr(criterion, "exact_move", exact_move)
     with pytest.raises(InternalError):
         destabilizer_search(curve, 3, budget=3)
-    assert len(calls) == 3 and len(exact_moves) == 1
+    assert len(calls) == 3 and calls[1] is curve
+    # the normalizing frame and the hit are moved once each
+    assert [moved for moved, _ in moves] == [calls[0], calls[2]]
+    assert exact_moves == [moves[-1]]
 
 
 def _witnesses():
@@ -597,11 +627,15 @@ def test_frame_with_a_vanishing_corner_takes_the_full_move(monkeypatch):
     monkeypatch.setattr(criterion, "move_curve", full)
     monkeypatch.setattr(criterion, "torus_verdict", verdict)
     frame, _, _ = destabilizer_search(curve, Fraction(1, 2), budget=budget)
-    assert [key for key, _ in moves] == [key for key, vanished in tested if vanished]
+    # the normalizing key's move comes first, with no corner test
+    normalizing = curves.normalizing_matrices(curve)
+    assert normalizing != curves.IDENTITY_MATRICES[curve.surface]
+    assert moves[0][0] == normalizing
+    assert [key for key, _ in moves[1:]] == [key for key, vanished in tested if vanished]
     assert moves[-1][0] == (frame.mx, frame.my, frame.swap)
-    assert len(moves) < len(tested)
-    assert solved[0] == normalize_frame(curve)[1] and solved[1] is curve
-    assert solved[2:] == [moved for _, (moved, _) in moves]
+    assert len(moves) - 1 < len(tested)
+    assert solved[1] is curve
+    assert [solved[0]] + solved[2:] == [moved for _, (moved, _) in moves]
 
 
 def test_interval_claim_flex_family():

@@ -48,27 +48,30 @@ def _inverse_substitution(curve, frame):
     return curve.equation.substitute(subs), frame_point(frame, curve.point)
 
 
-def _rationals(draw, n, nonzero=False):
-    """n rationals: integers in [-3, 3] over one drawn denominator."""
+def _rationals(draw, n, bounds=(3,), nonzero=False):
+    """n rationals: integers in [-b, b], for b drawn from bounds, over one
+    drawn denominator."""
     den = draw(st.sampled_from((1, 1, 2, 3)))
-    ints = st.sampled_from((-3, -2, -1, 1, 2, 3)) if nonzero else st.integers(-3, 3)
+    b = draw(st.sampled_from(bounds))
+    ints = st.integers(-b, b).filter(bool) if nonzero else st.integers(-b, b)
     nums = draw(st.lists(ints, min_size=n, max_size=n))
     return [Fraction(a, den) for a in nums]
 
 
 def _matrix(draw, n):
-    entries = _rationals(draw, n * n)
+    # entries up to 50 stress the bound on the digits of the packed move
+    entries = _rationals(draw, n * n, bounds=(3, 3, 50))
     return [entries[i:i + n] for i in range(0, n * n, n)]
 
 
 @st.composite
 def _curves_and_frames(draw):
     surface = draw(st.sampled_from(list(Surface)))
-    d = draw(st.integers(3, 4))
+    d = draw(st.integers(3, 8))
     exps = draw(st.lists(
         st.sampled_from(all_exponents(surface, d)), min_size=1, max_size=8, unique=True
     ))
-    coeffs = _rationals(draw, len(exps), nonzero=True)
+    coeffs = _rationals(draw, len(exps), bounds=(3, 10 ** 6), nonzero=True)
     point = tuple(_rationals(draw, surface.nvars))
     if surface is Surface.P2:
         assume(any(point))
@@ -97,12 +100,11 @@ def test_move_through_the_adjugate_matches_the_inverse_substitution(case):
     assert set(moved.equation.terms) == set(exact.equation.terms)
     assert [c != 0 for c in moved.point] == [c != 0 for c in exact.point]
     assert moved.equation * scale == exact.equation
-    integral = (
-        all(type(c) is int for c in curve.equation.terms.values())
-        and all(x.denominator == 1 for row in frame.mx + (frame.my or ()) for x in row)
-    )
-    if integral:
-        assert all(type(c) is int for c in moved.equation.terms.values())
+    # the moved equation is integral whatever the coefficients and the
+    # frame, its denominators cleared into the scalar; no float anywhere
+    assert all(type(c) is int for c in moved.equation.terms.values())
+    assert type(scale) is int or (type(scale) is Fraction and scale.denominator > 1)
+    assert all(type(c) in (int, Fraction) for c in exact.equation.terms.values())
 
 
 def test_apply_frame_point_is_the_frame_image():

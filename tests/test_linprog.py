@@ -5,7 +5,8 @@ from math import gcd
 
 import pytest
 
-from wallcross.linprog import lp_max
+from wallcross import linprog
+from wallcross.linprog import _hull, lp_max
 
 SQUARE = ((1, 1), (-1, 1), (-1, -1), (1, -1))
 HEXAGON = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
@@ -162,3 +163,42 @@ def test_matches_the_solve_over_all_tie_lines():
         assert r is None or all(type(x) is Fraction for x in r)
         signs[sign] += 1
     assert min(signs.values()) > 50
+
+
+def test_interior_test_fires_exactly_when_the_solve_finds_mu_negative(monkeypatch):
+    # the interior test before the solve answers -1 on exactly the programs
+    # on which the full candidate solve, with the test off, answers -1, and
+    # every other program gets the full solve's answer; half the form sets
+    # are those of plane and quadric curves, half arbitrary pairs
+    rng = random.Random(73)
+    cases = []
+    for i in range(2400):
+        box = (SQUARE, HEXAGON)[i % 2]
+        if i % 4 < 2:
+            d = rng.randint(1, 6)
+            if box is HEXAGON:
+                pool = [(1, 0), (0, 1), (-1, -1)]
+                forms = [(a - (d - a - b), b - (d - a - b))
+                         for a in range(d + 1) for b in range(d + 1 - a)]
+            else:
+                pool = [(-1, -1), (-1, 1), (1, -1), (1, 1)]
+                forms = [(2 * a - d, 2 * b - d) for a in range(d + 1) for b in range(d + 1)]
+            points = rng.sample(pool, rng.choice((1, 1, 2, len(pool))))
+            monomials = rng.sample(forms, rng.randint(1, min(len(forms), 12)))
+        else:
+            points = [(rng.randint(-2, 2), rng.randint(-2, 2))
+                      for _ in range(rng.choice((1, 1, 2, 3, 4)))]
+            monomials = [(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(rng.randint(1, 12))]
+        t = Fraction(rng.randint(-8, 48), rng.randint(1, 8))
+        cases.append((points, monomials, t, box))
+    answers = [lp_max(*case) for case in cases]
+    fires = [linprog._negative_everywhere(_hull(p), _hull(m), t.numerator, t.denominator)
+             for p, m, t, _ in cases]
+    monkeypatch.setattr(linprog, "_negative_everywhere", lambda *args: False)
+    counts = {}
+    for case, answer, fire in zip(cases, answers, fires):
+        full = lp_max(*case)
+        assert full == answer and (full[0] == -1) == fire, case
+        key = (fire, len(set(case[0])) > 1)
+        counts[key] = counts.get(key, 0) + 1
+    assert len(counts) == 4 and min(counts.values()) > 100, counts
