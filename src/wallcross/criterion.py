@@ -30,7 +30,7 @@ from .curves import (
 )
 from .errors import InternalError
 from .hessians import analyzed_slopes
-from .inflection import InflectionReport, inflection_report
+from .inflection import inflection_report
 from .linprog import lp_max
 from .rationals import canonical, cleared, primitive, quotient
 
@@ -274,7 +274,51 @@ def _hit(curve, key, moved, scale):
     return _frame_of(curve, key), exact
 
 
-def destabilizer_search(curve, t, budget=500, seed=0, report=None):
+class _Analysis:
+    """What a verdict reads of its curve that does not depend on the slope:
+    the inflection `report`, itself computed field by field, the matrices
+    and `_move` of the normalizing frame (`normal`) and, at a hit there,
+    its `_hit` (`hit`). Each of the last two is computed on the first call
+    and kept only once complete, so an interrupted call keeps nothing.
+    Frames other than the normalizing one are not kept, so a search of any
+    budget keeps as much."""
+
+    def __init__(self, curve):
+        self.curve = curve
+        self.report = inflection_report(curve)
+        self._normal = self._hit = None
+
+    def normal(self):
+        """(key, moved, scale): the normalizing frame's matrices and move."""
+        if self._normal is None:
+            key = normalizing_matrices(self.curve, self.report.geometry)
+            self._normal = (key, *_move(self.curve, key))
+        return self._normal
+
+    def hit(self):
+        """(FrameChange, exact move) of the normalizing frame."""
+        if self._hit is None:
+            self._hit = _hit(self.curve, *self.normal())
+        return self._hit
+
+
+_kept = []  # the analysis of the last curve asked
+
+
+def _analysis(curve):
+    """The `_Analysis` of the last curve asked, kept while the curves asked
+    equal it: a sweep of one curve across slopes computes each field once.
+    Curves are compared, not hashed: a point may be given as a list, and
+    a comparison costs about a tenth of hashing a point of Fractions."""
+    for kept in _kept:
+        if kept.curve == curve:
+            return kept
+    kept = _Analysis(curve)
+    _kept[:] = [kept]
+    return kept
+
+
+def destabilizer_search(curve, t, budget=500, seed=0):
     """Search frames for a torus destabilizer with mu > 0 at slope t.
 
     Frames are tried in a fixed order: the normalizing frame of the curve,
@@ -283,10 +327,11 @@ def destabilizer_search(curve, t, budget=500, seed=0, report=None):
     first success, or None once the budget of frames is spent; no frame is
     drawn past the budget.
 
-    The adapted frames come from the special locus of `report`, the
-    curve's lazy InflectionReport (a fresh one when none is given), and
-    the normalizing frame from its local geometry, so a caller that
-    already holds one computes each of them once.
+    The adapted frames come from the special locus of the curve's
+    inflection report and the normalizing frame from its local geometry,
+    both read off the curve's `_analysis`, which also keeps the normalizing
+    frame's move and hit: a verdict and the search it runs, and the
+    verdicts of one curve at several slopes, compute each of them once.
 
     The torus check reads only the zero pattern of the moved point and the
     convex hull of the moved support (Mumford, Fogarty and Kirwan, GIT,
@@ -309,19 +354,18 @@ def destabilizer_search(curve, t, budget=500, seed=0, report=None):
     a hit above d - 1. Only a hit builds its FrameChange and its exact
     move, the integer move scaled (`exact_move`), on which its mu is
     re-checked; an exhausted search builds neither."""
-    if report is None:
-        report = InflectionReport(curve)
+    analysis = _analysis(curve)
 
     def candidates():
         # (canonical matrices, which are the `seen` key, and the curve the
         # corner test reads, or None for no test): past the identity and
         # below t = d, the curve with its denominators cleared
-        yield normalizing_matrices(curve, report.geometry), None
+        yield analysis.normal()[0], None
         yield IDENTITY_MATRICES[curve.surface], None
         den = cleared(list(curve.equation.terms.values()))[0]
         integral = curve if den == 1 else replace(curve, equation=curve.equation * den)
         corners = integral if 0 < t < curve.degree else None
-        for key in _adapted_frames(curve, report):
+        for key in _adapted_frames(curve, analysis.report):
             yield key, corners
         rng = random.Random(seed)
         while True:
@@ -338,10 +382,12 @@ def destabilizer_search(curve, t, budget=500, seed=0, report=None):
         tried += 1
         if corners is not None and not corners_vanish(corners, *key):
             continue
-        moved, scale = _move(curve, key)
+        # the first frame tried is the normalizing one, which the analysis keeps
+        first = tried == 1
+        moved, scale = analysis.normal()[1:] if first else _move(curve, key)
         sign, lam = torus_verdict(moved, t)
         if sign > 0:
-            frame, exact = _hit(curve, key, moved, scale)
+            frame, exact = analysis.hit() if first else _hit(curve, key, moved, scale)
             mu, _ = mu_min(exact, lam, t)
             if mu <= 0:
                 raise InternalError(
@@ -419,17 +465,15 @@ class StabilityVerdict:
     undecided = False
 
 
-def _attach_zero_certificate(verdict, report, t):
+def _attach_zero_certificate(verdict, analysis, t):
     """Attach a zero-mu certificate from the normalizing frame of the
-    report's curve, solved on its integer move. If that torus unexpectedly
-    shows mu > 0 the verdict flips to Unstable, since an exact positive
-    certificate beats any membership reasoning."""
-    curve = report.curve
-    key = normalizing_matrices(curve, report.geometry)
-    moved, scale = _move(curve, key)
+    analysis's curve, solved on its integer move. If that torus
+    unexpectedly shows mu > 0 the verdict flips to Unstable, since an exact
+    positive certificate beats any membership reasoning."""
+    key, moved, _ = analysis.normal()
     sign, lam = torus_verdict(moved, t)
     if sign > 0:
-        frame, exact = _hit(curve, key, moved, scale)
+        frame, exact = analysis.hit()
         mu, _ = mu_min(exact, lam, t)
         verdict.status = "Unstable"
         verdict.certificate = {"frame": frame, "lambda": lam, "mu": mu}
@@ -438,7 +482,8 @@ def _attach_zero_certificate(verdict, report, t):
         )
         return
     if sign == 0:
-        verdict.certificate = {"frame": _frame_of(curve, key), "lambda": lam, "mu": Fraction(0)}
+        frame = _frame_of(analysis.curve, key)
+        verdict.certificate = {"frame": frame, "lambda": lam, "mu": Fraction(0)}
     else:
         verdict.notes.append("no zero certificate exhibited in the normalizing frame")
 
@@ -507,8 +552,8 @@ def stability_verdict(curve, t, budget=500, seed=0):
     wall, edge = analyzed_slopes(curve.surface, curve.degree)
     verdict = StabilityVerdict(status="Unknown", t=t)
 
-    def destabilize(reason=None, report=None):
-        found = destabilizer_search(curve, t, budget=budget, seed=seed, report=report)
+    def destabilize(reason=None):
+        found = destabilizer_search(curve, t, budget=budget, seed=seed)
         if found is not None:
             frame, lam, mu = found
             verdict.status = "Unstable"
@@ -528,18 +573,18 @@ def stability_verdict(curve, t, budget=500, seed=0):
         if verdict.status == "Unknown":
             verdict.notes.append("outside analyzed slopes")
         return verdict
-    report = inflection_report(curve)
+    analysis = _analysis(curve)
     region = "wall" if t == wall else "edge" if t == edge else "chamber"
     verdict.citations = list(CITATIONS[curve.surface][region])
-    status, note = _region_rule(region, report)
+    status, note = _region_rule(region, analysis.report)
     if status is None:
-        destabilize(note, report)
+        destabilize(note)
         return verdict
     verdict.status = status
     if note:
         verdict.notes.append(note)
     if status == "StrictlySemistable":
-        _attach_zero_certificate(verdict, report, t)
+        _attach_zero_certificate(verdict, analysis, t)
     return verdict
 
 

@@ -30,15 +30,18 @@ tested before any candidate is built.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 # Probes for a zero certificate, in order: +r0, -r0, +r1, -r1.
 _PROBES = ((0, 1), (0, -1), (1, 1), (1, -1))
 
 
+@lru_cache(maxsize=2)
 def _edges(corners):
     """Outward (normal, offset) pairs, normal . r <= offset, of the polygon
-    with these corners in counterclockwise order around the origin."""
+    with these corners, a tuple in counterclockwise order around the
+    origin; kept for the two boxes the torus check uses."""
     edges = []
     for (x0, y0), (x1, y1) in zip(corners, corners[1:] + corners[:1]):
         n = (y1 - y0, x0 - x1)
@@ -118,6 +121,39 @@ def _exit_scale(d, edges):
     return best_c, best_k
 
 
+class _Program:
+    """The half of a torus program that does not depend on the slope: the
+    `_edges` of the box, the `_hull`s of the point and the monomial forms
+    and, built by `exits` only when the sign test does not answer, the
+    exit points of the candidate rays."""
+
+    def __init__(self, point_forms, monomial_forms, box):
+        self.box, self.edges = box, _edges(box)
+        self.points, self.monomials = _hull(point_forms), _hull(monomial_forms)
+        self._exits = None
+
+    def exits(self):
+        """(L, [(d, c, k)]): the candidates other than the origin are exit
+        points of rays, towards the corners and both ways along every tie
+        line of hull neighbours; the ray along d leaves the box at
+        (c / k) * d, and L is the lcm of the k. Kept once complete."""
+        if self._exits is None:
+            directions = set(self.box)
+            for forms in (self.points, self.monomials):
+                for d in _tie_directions(forms):
+                    directions.update((d, (-d[0], -d[1])))
+            exits = [(d, *_exit_scale(d, self.edges)) for d in directions]
+            self._exits = lcm(*(k for _, _, k in exits)), exits
+        return self._exits
+
+
+@lru_cache(maxsize=1)
+def _program(point_forms, monomial_forms, box):
+    """The `_Program` of the last forms and box asked: the frame that a
+    verdict solves is solved again at the next slope of the same curve."""
+    return _Program(point_forms, monomial_forms, box)
+
+
 def lp_max(point_forms, monomial_forms, t, box):
     """Maximize mu over the polygon `box` exactly.
 
@@ -137,22 +173,17 @@ def lp_max(point_forms, monomial_forms, t, box):
     t = tn / tq and L the lcm of the exit denominators, every candidate is
     kept as L times the point and every value as L * tq * mu there, both
     integers, which order exactly as the points and values themselves. Only
-    the returned r is made of Fractions.
+    the returned r is made of Fractions. The slope-free half, the hulls and
+    the exits, is kept for the last forms and box (`_program`).
     """
-    t = Fraction(t)
+    if not isinstance(t, (int, Fraction)):
+        t = Fraction(t)
     tn, tq = t.numerator, t.denominator
-    edges = _edges(list(box))
-    # The candidates other than the origin are exit points of rays: towards
-    # the corners and both ways along every tie line of hull neighbours.
-    point_forms, monomial_forms = _hull(point_forms), _hull(monomial_forms)
+    program = _program(tuple(point_forms), tuple(monomial_forms), tuple(box))
+    point_forms, monomial_forms = program.points, program.monomials
     if _negative_everywhere(point_forms, monomial_forms, tn, tq):
         return -1, None
-    directions = set(box)
-    for forms in (point_forms, monomial_forms):
-        for d in _tie_directions(forms):
-            directions.update((d, (-d[0], -d[1])))
-    exits = [(d, *_exit_scale(d, edges)) for d in directions]
-    den = lcm(*(k for _, _, k in exits))
+    den, exits = program.exits()
     values = {(0, 0): 0}
     for (d0, d1), c, k in exits:
         # tq * mu(d) is an integer on the integer direction d, and mu is

@@ -609,12 +609,11 @@ def mu_term(surface, lam, t, label, exp):
     return Fraction(t) * point_weight(surface, lw, label) - monomial_weight(lw, exp)
 
 
-def full_move_search(curve, t, budget=500, seed=0, report=None):
+def full_move_search(curve, t, budget=500, seed=0):
     """criterion.destabilizer_search with every frame but the normalizing
     one and the identity moved in full by `move_curve`, the equation's
     whole support read, and no corner test."""
-    if report is None:
-        report = InflectionReport(curve)
+    report = InflectionReport(curve)
     g0, moved0 = normalize_frame(curve, report.geometry)
     frames = [((g0.mx, g0.my, g0.swap), moved0), (IDENTITY_MATRICES[curve.surface], curve)]
     frames += [(key, None) for key in _adapted_frames(curve, report)]

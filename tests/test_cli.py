@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from wallcross import cli, criterion, polynomials
+from wallcross import cli, criterion, inflection, linprog, polynomials
 from wallcross.cli import main
 from wallcross.criterion import mu_min, stability_verdict
 from wallcross.curves import (
@@ -924,6 +924,71 @@ def test_golden_case_names_are_unique(tmp_path):
     # the earlier case from the gate without a trace
     names = Counter(name for name, _ in golden_cases(tmp_path))
     assert [name for name, n in names.items() if n > 1] == []
+
+
+def _golden_verdicts(tmp):
+    """(name, argv) of the golden verdict cases, in order, with the witness
+    files they read written."""
+    verdicts = []
+    for name, argv in golden_cases(tmp):
+        if argv[0] == "witness":
+            run_case(argv)
+        elif argv[0] == "verdict":
+            verdicts.append((name, argv))
+    assert len(verdicts) == 136
+    return verdicts
+
+
+def test_golden_verdicts_do_not_depend_on_the_previous_verdict(tmp_path):
+    # the package keeps the analysis of the last curve asked: replayed in
+    # reverse, then every other case, each verdict follows another than
+    # when recorded and must print the same bytes
+    recorded = json.loads(GOLDEN.read_text())["cases"]
+    verdicts = _golden_verdicts(tmp_path)
+    for order in (verdicts[::-1], verdicts[::2] + verdicts[1::2]):
+        for name, argv in order:
+            assert run_case(argv) == recorded[name], name
+
+
+class Interrupted(BaseException):
+    """Raised as a deadline raises, past `except Exception`."""
+
+
+@pytest.mark.parametrize("module, layer", [
+    (inflection, "special_locus_membership"),  # the report's special locus
+    (criterion, "move_curve"),  # the normalizing frame's move, or a search's
+    (criterion, "exact_move"),  # a hit's exact move
+    (linprog, "_tie_directions"),  # the kept torus program's exits
+])
+def test_an_interrupted_verdict_leaves_no_half_analysis(tmp_path, monkeypatch, module, layer):
+    # a deadline interrupts a call wherever it is; a verdict stopped in a
+    # layer keeps nothing half computed: the next verdict on the curve reads
+    # the same kept analysis and prints the recorded bytes
+    recorded = json.loads(GOLDEN.read_text())["cases"]
+    original = getattr(module, layer)
+    interrupted = 0
+    for name, argv in _golden_verdicts(tmp_path):
+        raised = []
+
+        def first_call_raises(*args):
+            if not raised:
+                raised.append(args)
+                raise Interrupted
+            return original(*args)
+
+        monkeypatch.setattr(module, layer, first_call_raises)
+        try:
+            first = run_case(argv)
+        except Interrupted:
+            (kept,) = criterion._kept
+            assert run_case(argv) == recorded[name], name
+            assert criterion._kept == [kept], name
+            interrupted += 1
+            if interrupted == 8:
+                break
+        else:
+            assert first == recorded[name] and not raised, name
+    assert interrupted == 8
 
 
 def _option(argv, flag, default):

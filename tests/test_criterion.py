@@ -1,10 +1,16 @@
+import json
 import math
 import random
+import sys
+import threading
+import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from wallcross import criterion, curves, inflection
+from wallcross import criterion, curves, inflection, linprog
+from wallcross.cli import _certificate_json
 from wallcross.criterion import (
     OneParamSubgroup,
     destabilizer_search,
@@ -480,6 +486,132 @@ def test_verdict_computes_the_local_geometry_once(name, monkeypatch):
     verdict = stability_verdict(curve, slope, budget=20)
     assert verdict.certificate is not None
     assert sum(1 for c in calls if c is curve) == 1
+
+
+def _count_shared_work(monkeypatch):
+    """The first arguments of the calls into the local geometry, the frame
+    move and the hull of a torus program, by name."""
+    calls = {"local_geometry": [], "move_curve": [], "_hull": []}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name].append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+        return wrapper
+
+    geometry = counted(curves, "local_geometry")
+    monkeypatch.setattr(inflection, "local_geometry", geometry)
+    counted(criterion, "move_curve")
+    counted(linprog, "_hull")
+    return calls
+
+
+def _sweep(curve):
+    """The slopes of a sweep: the wall, three chamber slopes and the edge."""
+    wall, edge = analyzed_slopes(curve.surface, curve.degree)
+    return [wall + (edge - wall) * Fraction(k, 4) for k in range(5)]
+
+
+def test_a_sweep_shares_the_analysis_of_its_curve(monkeypatch):
+    # the x0 witness is strictly semistable at the wall with a zero
+    # certificate of its normalizing frame, and unstable with a hit there
+    # at every other slope: the five verdicts read one local geometry, move
+    # that frame once and build the hulls of its torus program once
+    curve = make_witness(WitnessKind.P2_CUSPIDAL_X0, 4)
+    calls = _count_shared_work(monkeypatch)
+    statuses = [stability_verdict(curve, t, budget=20).status for t in _sweep(curve)]
+    assert statuses == ["StrictlySemistable"] + ["Unstable"] * 4
+    assert {name: len(args) for name, args in calls.items()} == {
+        "local_geometry": 1, "move_curve": 1, "_hull": 2}
+
+
+def test_a_verdict_on_another_curve_evicts_the_analysis(monkeypatch):
+    # one curve's analysis is kept: a verdict on another curve between two
+    # of its slopes computes it again
+    curve, other = make_witness(WitnessKind.P2_CUSPIDAL_X0, 4), make_witness(WitnessKind.P2_FLEX, 4)
+    calls = _count_shared_work(monkeypatch)
+    wall, *_, edge = _sweep(curve)
+    stability_verdict(curve, wall, budget=20)
+    stability_verdict(other, _sweep(other)[2], budget=20)
+    stability_verdict(curve, edge, budget=20)
+    assert sum(c is curve for c in calls["local_geometry"]) == 2
+    assert sum(c is curve for c in calls["move_curve"]) == 2
+    assert [analysis.curve for analysis in criterion._kept] == [curve]
+
+
+def _verdict_bytes(curve, t):
+    """The verdict fields `verdict` prints, as JSON."""
+    v = stability_verdict(curve, t, budget=20)
+    return json.dumps([v.status, _certificate_json(v.certificate), v.citations, v.notes])
+
+
+def test_a_point_given_as_a_list_is_answered(monkeypatch):
+    # the kept analysis is found by comparing curves, not by hashing them,
+    # so a sweep of a curve whose point is a list shares it too
+    curve = make_witness(WitnessKind.P2_FLEX, 4)
+    listed = replace(curve, point=[0, 0, 1])
+    printed = [_verdict_bytes(curve, t) for t in _sweep(curve)]
+    calls = _count_shared_work(monkeypatch)
+    assert [_verdict_bytes(listed, t) for t in _sweep(curve)] == printed
+    assert sum(c is listed for c in calls["local_geometry"]) == 1
+    assert stability_verdict(listed, Fraction(7, 4)).status == "StrictlySemistable"
+
+
+@pytest.mark.parametrize("kind", [k for k in WitnessKind if k is not WitnessKind.P2_HYPERFLEX])
+def test_fraction_and_int_point_entries_print_the_same_bytes(kind):
+    # the two curves are equal, so the second verdict reads the analysis of
+    # the first, whichever comes first
+    curve = make_witness(kind, 3)
+    ints = replace(curve, point=tuple(int(x) if x.denominator == 1 else x for x in curve.point))
+    assert any(type(x) is int for x in ints.point)
+    for t in _sweep(curve):
+        printed = set()
+        for first, second in ((curve, ints), (ints, curve)):
+            criterion._kept.clear()
+            printed.update((_verdict_bytes(first, t), _verdict_bytes(second, t)))
+        assert len(printed) == 1
+
+
+class _SlowList(list):
+    """A list that lets other threads run right after each assignment."""
+
+    def __setitem__(self, index, value):
+        super().__setitem__(index, value)
+        time.sleep(0.0001)
+
+
+def test_threads_asking_different_curves_read_their_own_analysis(monkeypatch):
+    # every thread shares the one kept analysis; a thread whose analysis is
+    # replaced there by another thread's, even right after it kept it,
+    # must still answer for its own curve
+    monkeypatch.setattr(criterion, "_kept", _SlowList())
+    cases = [(make_witness(kind, 4), slope) for kind, slope in (
+        (WitnessKind.P2_CUSPIDAL_X0, Fraction(15, 8)), (WitnessKind.P2_FLEX, Fraction(7, 4)),
+        (WitnessKind.P2_NONFLEX, Fraction(2)), (WitnessKind.QUADRIC_RULING_TANGENT, Fraction(3)))]
+    printed = [_verdict_bytes(curve, t) for curve, t in cases]
+    wrong = []
+
+    def ask(i):
+        for _ in range(20):
+            if _verdict_bytes(*cases[i]) != printed[i]:
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(i,)) for i in range(len(cases))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 def test_random_frame_hit_is_rechecked_on_the_exact_move(monkeypatch):
