@@ -8,7 +8,8 @@ of factors reads it: a curve is an equation of degree d on every factor
 together with a marked point on it, a frame is one matrix per factor,
 and an affine chart sets one coordinate per factor to 1. Frame changes
 act projectively; on the quadric they may also exchange the two rulings,
-since the two factors carry the same degree.
+since the two factors carry the same degree. A chart off a coordinate
+point is a translation frame's move, and `restrict` is a series product.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from itertools import accumulate, product, repeat
 from math import prod
 from operator import mul
 
-from .polynomials import Polynomial, constant, linear_form, variable
+from .polynomials import Polynomial
 from .rationals import canonical, cleared, format_rational, parse_rational, quotient
+from .series import series_substitute
 
 
 class Surface(str, Enum):
@@ -368,13 +370,11 @@ class Restriction:
 def restrict(form, base, direction, degree):
     """The `Restriction` of a form to the line t * base + s * direction,
     with the coefficients of s^0..s^degree, degree being that of the form
-    in the factor the line moves in. The substituted form is homogeneous
-    in (s, t), so each power of s has one term."""
-    subs = [linear_form(2, (0, 1), (e, b)) for b, e in zip(base, direction)]
-    coeffs = [0] * (degree + 1)
-    for (j, _), c in form.substitute(subs).terms.items():
-        coeffs[j] = c
-    return Restriction(tuple(base), tuple(direction), tuple(coeffs))
+    in the factor the line moves in: at t = 1 they are the series of the
+    form at base + s * direction, which stops at s^degree."""
+    line = [(b, e) + (0,) * (degree - 1) for b, e in zip(base, direction)]
+    coeffs = tuple(map(canonical, series_substitute(form, line)))
+    return Restriction(tuple(base), tuple(direction), coeffs)
 
 
 @dataclass(frozen=True)
@@ -402,7 +402,9 @@ def affine_chart(surface, form, point):
     homogeneous coordinates they replace, and shifts maps each of those to
     its value at the point, an int when it is integral. The other
     coordinates are fixed to 1: the first nonzero coordinate of the point on
-    each factor.
+    each factor. Off a coordinate point the form is moved first, by the
+    frame with row e_i - shifts[i] * e_fixed for each free i and e_fixed
+    for the fixed one; then f drops the fixed exponents of its terms.
     """
     charts = []
     for b in surface.blocks:
@@ -411,18 +413,20 @@ def affine_chart(surface, form, point):
     free = [i for _, fs in charts for i in fs]
     point = [canonical(x) for x in point]
     shifts = {i: quotient(point[i], point[fixed]) for fixed, fs in charts for i in fs}
-    if not any(shifts.values()):
-        # a coordinate point: dropping the fixed exponents is injective on
-        # a form homogeneous in each block, so no substitution is needed,
-        # and the form's terms are canonical already
-        chart = Polynomial._raw(2, {tuple(e[i] for i in free): c for e, c in form.terms.items()})
-        return chart, free, shifts
-    subs = [None] * surface.nvars
-    for fixed, fs in charts:
-        subs[fixed] = constant(2, 1)
-        for i in fs:
-            subs[i] = constant(2, shifts[i]) + variable(2, free.index(i))
-    return form.substitute(subs), free, shifts
+    if any(shifts.values()):
+        frame = []
+        for b, (fixed, _) in zip(surface.blocks, charts):
+            rows = [[int(j == i) for j in b] for i in b]
+            for i, row in zip(b, rows):
+                if i != fixed:
+                    row[b.index(fixed)] = -shifts[i]
+            frame.append(rows)
+        # the degree on each factor: d on the plane, (d, d) on the quadric
+        degree = sum(next(iter(form.terms))) // len(surface.blocks)
+        curve = PointedCurve(surface, degree, tuple(point), form)
+        form = exact_move(curve, *move_curve(curve, *frame), *frame).equation
+    chart = Polynomial._raw(2, {tuple(e[i] for i in free): c for e, c in form.terms.items()})
+    return chart, free, shifts
 
 
 def _chart_line(f, d, base, free, u, v):

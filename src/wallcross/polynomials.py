@@ -3,7 +3,8 @@
 A polynomial is a map from exponent tuples (fixed arity, non-negative
 entries) to nonzero coefficients: an int when the coefficient is integral
 and a Fraction otherwise (rationals.canonical), never a float. Everything
-here is exact, and integer inputs keep the arithmetic in integers.
+here is exact, and integer inputs keep the arithmetic in integers. Forms
+are substituted into by `curves.move_curve` or `series.series_substitute`.
 
 There is one gcd, the subresultant pseudo-remainder sequence (Brown and
 Traub, 1971). It treats the polynomials as univariate in one chosen
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
-from operator import add, mul
+from operator import add, index
 
 from .errors import InternalError
 from .rationals import canonical, primitive, quotient
@@ -43,7 +44,7 @@ class Polynomial:
         acc = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for exp, coeff in items:
-            exp = tuple(int(e) for e in exp)
+            exp = tuple(map(index, exp))
             if len(exp) != nvars:
                 raise ValueError(f"exponent {exp} has arity {len(exp)}, expected {nvars}")
             if any(e < 0 for e in exp):
@@ -176,7 +177,7 @@ class Polynomial:
         p.terms = terms
         return p
 
-    # -- evaluation and substitution --------------------------------------
+    # -- evaluation --------------------------------------------------------
 
     def evaluate(self, point):
         """The value at a point, as a Fraction. The products run on the
@@ -192,44 +193,6 @@ class Polynomial:
                     v *= x ** e
             total += v
         return Fraction(total)
-
-    def substitute(self, subs):
-        """Plug a polynomial in for each variable. All subs share one arity.
-
-        The products run on packed exponents: an exponent vector of the
-        result is one int, digit j in a radix above every exponent of
-        variable j the result can reach, so multiplying terms adds ints."""
-        if len(subs) != self.nvars:
-            raise ValueError("need one substitution per variable")
-        m = subs[0].nvars
-        if any(s.nvars != m for s in subs):
-            raise ValueError("substitutions must share an arity")
-        top = [max((e[i] for e in self.terms), default=0) for i in range(self.nvars)]
-        radix = 1 + max(
-            sum(k * s.degree_in(j) for k, s in zip(top, subs) if k and s) for j in range(m)
-        )
-        places = [radix ** (m - 1 - j) for j in range(m)]
-        packed = [
-            {sum(map(mul, e, places)): c for e, c in s.terms.items()} for s in subs
-        ]
-        powers = [[{0: 1}] for _ in range(self.nvars)]
-
-        def power(i, e):
-            cache = powers[i]
-            while len(cache) <= e:
-                cache.append(_packed_product(cache[-1], packed[i]))
-            return cache[e]
-
-        acc = {}
-        for exp, c in self.terms.items():
-            term = {0: 1}
-            for i, e in enumerate(exp):
-                if e:
-                    term = _packed_product(term, power(i, e))
-            for k, tc in term.items():
-                acc[k] = acc.get(k, 0) + c * tc
-        unpacked = {tuple(k // p % radix for p in places): c for k, c in acc.items()}
-        return Polynomial._raw(m, _canonical_terms(unpacked))
 
     def partial_derivative(self, i):
         if not 0 <= i < self.nvars:
@@ -256,18 +219,6 @@ class Polynomial:
             else:
                 bits.append(str(c))
         return "Poly(" + " + ".join(bits) + ")"
-
-
-def _packed_product(a, b):
-    """Product of two polynomials held as {packed exponent: coefficient}."""
-    acc = {}
-    get = acc.get
-    right = b.items()
-    for e1, c1 in a.items():
-        for e2, c2 in right:
-            e = e1 + e2
-            acc[e] = get(e, 0) + c1 * c2
-    return _canonical_terms(acc)
 
 
 def zero(nvars):

@@ -2,9 +2,9 @@
 
 No scalar in the package is ever a float. Coefficients of polynomials
 follow one rule, kept by `canonical`: an integral coefficient is an int and
-any other a fractions.Fraction with denominator >= 2. A truncated series
-(a plain tuple of coefficients) that the package builds holds ints, since
-the branch is solved over Z. Other exact scalars, such as
+any other a fractions.Fraction with denominator >= 2. A branch series
+(a plain tuple of coefficients) that the package solves holds ints, since
+it is solved over Z. Other exact scalars, such as
 points, slopes, weights and frame entries, are Fractions on the public
 objects (`PointedCurve.point`, `OneParamSubgroup.weights`,
 `FrameChange.mx`, mu values and `Polynomial.evaluate`'s result), but the

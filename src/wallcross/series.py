@@ -3,9 +3,10 @@
 A series is a plain tuple of its N coefficients, of s^0 .. s^(N-1); every
 product stays within that window. Orders at or past N are only ever
 reported as lower bounds ("at least N") by the callers, never as exact
-values. A series the package builds holds ints (`inflection.local_branch`
-solves the branch over Z, with its own powers, so `series_substitute` only
-re-checks it), and the products here keep the arithmetic of their inputs.
+values. A branch the package builds holds ints (`inflection.local_branch`
+solves it over Z, with its own powers, so `series_substitute` only
+re-checks it); a line of `curves.restrict`, base + s * direction, may hold
+Fractions; the products here keep the arithmetic of their inputs.
 
 `pivot_orders` reads vanishing orders off the coefficient rows of a span of
 series by one forward fraction-free elimination: it keeps only the pivot

@@ -242,7 +242,7 @@ def rational_lines(f):
         found.extend(
             (Fraction(1), b, -u)
             for u, _ in _linear_factors(
-                f.substitute(shear), (0, 2), f"searching lines with slope {b}"
+                substitute(f, shear), (0, 2), f"searching lines with slope {b}"
             )
         )
     return found
@@ -491,7 +491,7 @@ def rational_singular_points(curve_poly):
             pt = [None] * 3
             pt[dirs[0]], pt[dirs[1]] = u, v
             subs = [variable(1, 0) if i == z else constant(1, pt[i]) for i in range(3)]
-            restr = [uni for uni in (g.substitute(subs) for g in parts) if not uni.is_zero()]
+            restr = [uni for uni in (substitute(g, subs) for g in parts) if not uni.is_zero()]
             if not restr:
                 continue
             deg = restr[0].degree_in(0)
@@ -578,6 +578,21 @@ def _matrix_inverse(m):
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return tuple(tuple(row[n:]) for row in reduced)
+
+
+def substitute(f, subs):
+    """f with the polynomial subs[i] plugged in for each variable i, term by
+    term: the sum of c * prod(subs[i] ** e[i]) in Polynomial arithmetic."""
+    if len(subs) != f.nvars:
+        raise ValueError("need one substitution per variable")
+    m = subs[0].nvars
+    out = Polynomial(m)
+    for exp, c in f.terms.items():
+        term = constant(m, c)
+        for s, e in zip(subs, exp):
+            term = term * s ** e
+        out = out + term
+    return out
 
 
 def frame_inverse(frame):

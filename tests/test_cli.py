@@ -791,6 +791,13 @@ PATH_CASES = [
      "hessian-class --surface quadric --degree 4 --m 0,1 --symmetrized"),
 ]
 
+# A rational quadric frame that takes ((0 : 1), (0 : 1)) to
+# ((2/3 : 1/2), (3 : 5/2)), where the chart shifts are 3/4 and 5/6.
+FRAMED = FrameChange(
+    Surface.QUADRIC, ((1, Fraction(2, 3)), (-1, Fraction(1, 2))), ((2, 3), (1, Fraction(5, 2)))
+)
+
+
 def golden_cases(tmp):
     """(name, argv) of every CLI call gated by the golden file, in order;
     witness documents are written under the directory tmp, so a witness
@@ -876,6 +883,19 @@ def golden_cases(tmp):
             argv = list(argv)
             argv[argv.index("--curve") + 1] = str(path)
             cases.append((f"{name} moved", argv))
+    # the quadric witnesses off the coordinate points, with Fraction
+    # coefficients, so the chart is a translation by Fraction shifts
+    for kind in ("quadric-s", "quadric-x0"):
+        curve = make_witness(kind, 3)
+        path = tmp / f"framed-{kind}-3.json"
+        path.write_text(json.dumps(scaled(curve_to_json(apply_frame(curve, FRAMED)), Fraction(1, 2))))
+        tag = f"{kind} 3 framed"
+        cases.append((f"inflect {tag}", ["inflect", "--curve", str(path)]))
+        wall, edge = analyzed_slopes(curve.surface, 3)
+        for t in (wall, (wall + edge) / 2, edge):
+            slope = format_rational(t)
+            cases.append((f"verdict {tag} {slope}",
+                          ["verdict", "--curve", str(path), "--slope", slope, "--budget", "20"]))
     return cases
 
 
@@ -916,7 +936,7 @@ def test_strict_changes_no_golden_output(tmp_path):
         elif argv[0] != "witness":
             continue
         assert run_case(argv) == recorded[name], name
-    assert strict == 179
+    assert strict == 187
 
 
 def test_golden_case_names_are_unique(tmp_path):
@@ -935,7 +955,7 @@ def _golden_verdicts(tmp):
             run_case(argv)
         elif argv[0] == "verdict":
             verdicts.append((name, argv))
-    assert len(verdicts) == 136
+    assert len(verdicts) == 142
     return verdicts
 
 
@@ -1041,7 +1061,7 @@ def test_golden_verdict_status_survives_a_frame_move(tmp_path):
             cert = v.certificate
             target = curve if cert["frame"] is None else apply_frame(curve, cert["frame"])
             assert mu_min(target, cert["lambda"], t)[0] == cert["mu"] > 0, name
-    assert verdicts == 136
+    assert verdicts == 142
 
 
 def test_golden_outputs_ignore_the_scale_of_equation_and_point(tmp_path):
@@ -1077,7 +1097,7 @@ def test_golden_outputs_ignore_the_scale_of_equation_and_point(tmp_path):
             assert _recheck(curve_from_json(edit), t, out["certificate"]), (name, edit)
             out["certificate"]["frame"] = cert["frame"]
             assert out == want, (name, edit)
-    assert runs == {"inflect": 5 * 43, "verdict": 5 * 136, "mu": 5 * 7}
+    assert runs == {"inflect": 5 * 45, "verdict": 5 * 142, "mu": 5 * 7}
 
 
 def test_golden_recorder_appends_and_refuses_changes(tmp_path):

@@ -888,6 +888,28 @@ def test_verdict_has_one_status_per_chamber():
         assert len(statuses) == 1, (curve, statuses)
 
 
+def test_zero_certificates_find_the_wall_and_the_edge_again():
+    # the wall and the edge come from divisor classes; a zero certificate
+    # found there has mu = 0 on the curve its frame moves at that slope
+    # and nowhere within 1/20 of it, so the search finds the same slope
+    found = {"wall": 0, "edge": 0}
+    for kind in WitnessKind:
+        for d in range(3, 9):
+            if kind is WitnessKind.P2_HYPERFLEX and d < 4:
+                continue
+            curve = make_witness(kind, d)
+            wall, edge = analyzed_slopes(curve.surface, d)
+            for where, t in (("wall", wall), ("edge", edge)):
+                cert = stability_verdict(curve, t).certificate
+                if cert is None or cert["mu"] != 0:
+                    continue
+                target = curve if cert["frame"] is None else apply_frame(curve, cert["frame"])
+                mus = [mu_min(target, cert["lambda"], t + k * Fraction(1, 20))[0] for k in (-1, 0, 1)]
+                assert mus[1] == 0 and 0 not in (mus[0], mus[2]), (kind, d, where, mus)
+                found[where] += 1
+    assert found == {"wall": 24, "edge": 18}
+
+
 def test_verdict_outside_range_and_bad_slope():
     c = make_witness(WitnessKind.P2_NONFLEX, 4)
     v = stability_verdict(c, Fraction(1, 2), budget=5)

@@ -28,7 +28,7 @@ from wallcross.curves import (
 )
 from wallcross.polynomials import Polynomial, constant, variable
 
-from oracles import explicit_chart_coordinates, explicit_exponents, frame_inverse
+from oracles import explicit_chart_coordinates, explicit_exponents, frame_inverse, substitute
 
 
 def _p2(d, terms, point):
@@ -196,7 +196,7 @@ def _ruling_contact_oracle(curve, factor):
     for s in fixed_slots:
         subs[s] = constant(1, p[s])
     subs[moving_slots[0]], subs[moving_slots[1]] = param
-    g = curve.equation.substitute(subs)
+    g = substitute(curve.equation, subs)
     if g.is_zero():
         return None
     return min(e[0] for e in g.terms)
@@ -233,6 +233,11 @@ def test_ruling_contacts_match_line_parametrization():
     assert components > 0
 
 
+def _canonical(coeffs):
+    """Is every coefficient an int, or a Fraction with denominator >= 2?"""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in coeffs)
+
+
 def test_local_geometry_restricts_the_equation():
     # the chart's lines through p are what `restrict` gives on the form the
     # chart substitutes, the equation with its coefficients as given, also
@@ -247,7 +252,8 @@ def test_local_geometry_restricts_the_equation():
             continue
         fractional += any(type(c) is Fraction for c in curve.equation.terms.values())
         for line in local_geometry(curve).restrictions:
-            assert restrict(curve.equation, line.base, line.direction, d) == line, curve
+            restricted = restrict(curve.equation, line.base, line.direction, d)
+            assert restricted == line and _canonical(restricted.coeffs), curve
             lines += 1
     assert lines >= 100 and fractional >= 20
 
@@ -531,13 +537,25 @@ def _zero_patterns(surface):
 
 
 def test_chart_coordinates_match_the_explicit_charts_at_every_zero_pattern():
+    # and the chart is the form with shifts[i] + u (or + v) put in for each
+    # free coordinate and 1 for each fixed one, term by term, for integral
+    # and Fraction forms of degree 2 and 3
     for surface in Surface:
+        n = surface.nvars
         points = list(_zero_patterns(surface))
         assert len(points) == (7 if surface is Surface.P2 else 9)
-        form = Polynomial(surface.nvars, {e: 1 for e in all_exponents(surface, 2)})
-        for point in points:
-            _, free, shifts = affine_chart(surface, form, point)
-            assert (free, shifts) == explicit_chart_coordinates(surface, point)
+        for d in (2, 3):
+            exps = all_exponents(surface, d)
+            forms = (Polynomial(n, {e: 1 for e in exps}),
+                     Polynomial(n, {e: Fraction(2 * k - 7, 1 + k % 3) for k, e in enumerate(exps)}))
+            for form, point in itertools.product(forms, points):
+                f, free, shifts = affine_chart(surface, form, point)
+                assert (free, shifts) == explicit_chart_coordinates(surface, point)
+                subs = [constant(2, 1)] * n
+                for k, i in enumerate(free):
+                    subs[i] = constant(2, shifts[i]) + variable(2, k)
+                assert f == substitute(form, subs), (form, point)
+                assert _canonical(f.terms.values()), (form, point)
 
 
 def test_validate_messages():

@@ -23,7 +23,7 @@ from wallcross.curves import (  # noqa: E402
 )
 from wallcross.polynomials import Polynomial  # noqa: E402
 
-from oracles import frame_inverse, frame_point  # noqa: E402
+from oracles import frame_inverse, frame_point, substitute  # noqa: E402
 
 
 def _inverse_substitution(curve, frame):
@@ -45,7 +45,7 @@ def _inverse_substitution(curve, frame):
         subs = [linear((2, 3), row) for row in inv.my] + [linear((0, 1), row) for row in inv.mx]
     else:
         subs = [linear((0, 1), row) for row in inv.mx] + [linear((2, 3), row) for row in inv.my]
-    return curve.equation.substitute(subs), frame_point(frame, curve.point)
+    return substitute(curve.equation, subs), frame_point(frame, curve.point)
 
 
 def _rationals(draw, n, bounds=(3,), nonzero=False):

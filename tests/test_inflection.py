@@ -66,6 +66,7 @@ from oracles import (
     rational_lines,
     reference_cusp_line,
     squarefree_on_chart,
+    substitute,
     ungated_special_locus,
 )
 from test_acceptance import _random_pointed_curve
@@ -838,7 +839,7 @@ def test_x0_orientations_agree_under_the_factor_swap():
                 break
         subs = [linear_form(4, slots, row) for m, slots in ((a, (0, 1)), (b, (2, 3)))
                 for row in m]
-        moved = shape.substitute(subs)
+        moved = substitute(shape, subs)
         q, p = (mat_vec(adjugate(a)[0], r[:2]) + mat_vec(adjugate(b)[0], r[2:])
                 for r in ((1, 0, 1, 0), (0, 1, 0, 1)))
         if i % 4 == 1:
@@ -848,7 +849,7 @@ def test_x0_orientations_agree_under_the_factor_swap():
         elif i % 4 == 3:
             p = p[:2] + q[2:]
         got = inflection._x0_quadric_oriented(
-            moved.substitute(swap), 1, q[2:] + q[:2], p[2:] + p[:2]
+            substitute(moved, swap), 1, q[2:] + q[:2], p[2:] + p[:2]
         )
         assert got is inflection._x0_quadric_oriented(moved, 0, q, p), (moved, q, p)
         answers.append(got)

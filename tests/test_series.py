@@ -9,7 +9,7 @@ from wallcross.polynomials import Polynomial, constant, variable
 from wallcross.rationals import canonical
 from wallcross.series import pivot_orders, series_substitute
 
-from oracles import constant_plus, gauss_jordan, homogeneous_branch, windowed_branch
+from oracles import constant_plus, gauss_jordan, homogeneous_branch, substitute, windowed_branch
 
 
 def test_series_arithmetic_window():
@@ -185,7 +185,7 @@ def _curve_with_tangent_coefficient(rng, surface, d):
     terms = {linear[axis]: rng.choice((2, 3)) for axis in directions}
     for _ in range(rng.randint(2, 6)):
         terms[rng.choice(higher)] = rng.choice((-3, -2, -1, 1, 2, 3))
-    eq = Polynomial(n, terms).substitute(shift)
+    eq = substitute(Polynomial(n, terms), shift)
     return PointedCurve(surface, d, tuple(Fraction(c) for c in point), eq)
 
 
