@@ -14,14 +14,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from operator import mul
 
 from .curves import (
-    IDENTITY_FRAMES,
     IDENTITY_MATRICES,
-    FrameChange,
     Surface,
+    _frame_of,
+    _translation,
     adjugate,
     corners_vanish,
     exact_move,
@@ -232,14 +233,13 @@ def _adapted_frames(curve, report):
         return []
     det = report.special.details
     if curve.surface is Surface.P2:
-        # the rows send the line to x0 = 0 and q to (0 : 0 : 1); the middle
-        # row is e_mid less a multiple of the last, which keeps det
+        # the rows send the line to x0 = 0 and q to (0 : 0 : 1): the last
+        # is that of q's `_translation` at its first nonzero coordinate, the
+        # middle the first of its others that keeps the frame invertible
         line, q = det["line"], det["tangency"]
-        c = next(i for i in range(3) if q[i] != 0)
-        row2 = tuple(quotient(1, q[c]) if i == c else 0 for i in range(3))
-        for mid in range(3):
-            row1 = tuple(int(i == mid) - (quotient(q[mid], q[c]) if i == c else 0) for i in range(3))
-            mx = (line, row1, row2)
+        others, last = _translation(q, next(i for i in range(3) if q[i] != 0))
+        for row in others:
+            mx = (line, row, last)
             if adjugate(mx)[1]:
                 return [(mx, None, False)]
         return []
@@ -261,45 +261,35 @@ def _move(curve, key):
     return move_curve(curve, *key)
 
 
-def _frame_of(curve, key):
-    """The FrameChange with matrices key; IDENTITY_FRAMES' at the identity."""
-    if key == IDENTITY_MATRICES[curve.surface]:
-        return IDENTITY_FRAMES[curve.surface]
-    return FrameChange(curve.surface, *key)
-
-
 def _hit(curve, key, moved, scale):
     """(FrameChange, exact move) for `_move`'s (moved, scale) of a hit."""
     exact = curve if moved is curve else exact_move(curve, moved, scale, *key)
-    return _frame_of(curve, key), exact
+    return _frame_of(curve.surface, key), exact
 
 
 class _Analysis:
     """What a verdict reads of its curve that does not depend on the slope:
     the inflection `report`, itself computed field by field, the matrices
     and `_move` of the normalizing frame (`normal`) and, at a hit there,
-    its `_hit` (`hit`). Each of the last two is computed on the first call
-    and kept only once complete, so an interrupted call keeps nothing.
+    its `_hit` (`hit`). Each of the last two is computed on the first read
+    and kept once it returns, so an interrupted read keeps nothing.
     Frames other than the normalizing one are not kept, so a search of any
     budget keeps as much."""
 
     def __init__(self, curve):
         self.curve = curve
         self.report = inflection_report(curve)
-        self._normal = self._hit = None
 
+    @cached_property
     def normal(self):
         """(key, moved, scale): the normalizing frame's matrices and move."""
-        if self._normal is None:
-            key = normalizing_matrices(self.curve, self.report.geometry)
-            self._normal = (key, *_move(self.curve, key))
-        return self._normal
+        key = normalizing_matrices(self.curve, self.report.geometry)
+        return (key, *_move(self.curve, key))
 
+    @cached_property
     def hit(self):
         """(FrameChange, exact move) of the normalizing frame."""
-        if self._hit is None:
-            self._hit = _hit(self.curve, *self.normal())
-        return self._hit
+        return _hit(self.curve, *self.normal)
 
 
 _kept = []  # the analysis of the last curve asked
@@ -360,7 +350,7 @@ def destabilizer_search(curve, t, budget=500, seed=0):
         # (canonical matrices, which are the `seen` key, and the curve the
         # corner test reads, or None for no test): past the identity and
         # below t = d, the curve with its denominators cleared
-        yield analysis.normal()[0], None
+        yield analysis.normal[0], None
         yield IDENTITY_MATRICES[curve.surface], None
         den = cleared(list(curve.equation.terms.values()))[0]
         integral = curve if den == 1 else replace(curve, equation=curve.equation * den)
@@ -384,10 +374,10 @@ def destabilizer_search(curve, t, budget=500, seed=0):
             continue
         # the first frame tried is the normalizing one, which the analysis keeps
         first = tried == 1
-        moved, scale = analysis.normal()[1:] if first else _move(curve, key)
+        moved, scale = analysis.normal[1:] if first else _move(curve, key)
         sign, lam = torus_verdict(moved, t)
         if sign > 0:
-            frame, exact = analysis.hit() if first else _hit(curve, key, moved, scale)
+            frame, exact = analysis.hit if first else _hit(curve, key, moved, scale)
             mu, _ = mu_min(exact, lam, t)
             if mu <= 0:
                 raise InternalError(
@@ -470,10 +460,10 @@ def _attach_zero_certificate(verdict, analysis, t):
     analysis's curve, solved on its integer move. If that torus
     unexpectedly shows mu > 0 the verdict flips to Unstable, since an exact
     positive certificate beats any membership reasoning."""
-    key, moved, _ = analysis.normal()
+    key, moved, _ = analysis.normal
     sign, lam = torus_verdict(moved, t)
     if sign > 0:
-        frame, exact = analysis.hit()
+        frame, exact = analysis.hit
         mu, _ = mu_min(exact, lam, t)
         verdict.status = "Unstable"
         verdict.certificate = {"frame": frame, "lambda": lam, "mu": mu}
@@ -482,7 +472,7 @@ def _attach_zero_certificate(verdict, analysis, t):
         )
         return
     if sign == 0:
-        frame = _frame_of(analysis.curve, key)
+        frame = _frame_of(analysis.curve.surface, key)
         verdict.certificate = {"frame": frame, "lambda": lam, "mu": Fraction(0)}
     else:
         verdict.notes.append("no zero certificate exhibited in the normalizing frame")

@@ -218,9 +218,36 @@ class FrameChange:
         object.__setattr__(self, "matrices", (mats[0], mats[1] if len(mats) > 1 else None, self.swap))
 
 
-# The identity frame of each surface, one shared constant: `normalize_frame`
-# returns it for a curve already in standard position.
+# The identity frame of each surface, one shared constant: `_frame_of`
+# returns it for the identity matrices.
 IDENTITY_FRAMES = {s: FrameChange(s, *IDENTITY_MATRICES[s]) for s in Surface}
+
+
+def _frame_of(surface, key):
+    """The FrameChange with matrices key; IDENTITY_FRAMES' at the identity."""
+    if key == IDENTITY_MATRICES[surface]:
+        return IDENTITY_FRAMES[surface]
+    return FrameChange(surface, *key)
+
+
+def _translation(v, l):
+    """(others, last) for a vector v with v[l] != 0: the rows
+    e_a - (v_a / v_l) e_l for each a != l, in order, which lie on the line
+    v . x = 0, and the row e_l / v_l, with canonical entries. The frame
+    (*others, last) sends v to the last coordinate point. The normalizing
+    frames, the plane's adapted frame, the chart's translation and the
+    points spanning a line are built from these rows."""
+    n = len(v)
+    others = []
+    for a in range(n):
+        if a != l:
+            row = [0] * n
+            row[a] = 1
+            row[l] = quotient(-v[a], v[l])
+            others.append(tuple(row))
+    last = [0] * n
+    last[l] = quotient(1, v[l])
+    return others, tuple(last)
 
 
 def _integer_frame(surface, mx, my, swap):
@@ -416,10 +443,11 @@ def affine_chart(surface, form, point):
     if any(shifts.values()):
         frame = []
         for b, (fixed, _) in zip(surface.blocks, charts):
-            rows = [[int(j == i) for j in b] for i in b]
-            for i, row in zip(b, rows):
-                if i != fixed:
-                    row[b.index(fixed)] = -shifts[i]
+            # the point with its fixed coordinate 1; e_fixed keeps its row,
+            # as the chart reads the old numbering
+            k = b.index(fixed)
+            rows, unit = _translation([shifts.get(i, 1) for i in b], k)
+            rows.insert(k, unit)
             frame.append(rows)
         # the degree on each factor: d on the plane, (d, d) on the quadric
         degree = sum(next(iter(form.terms))) // len(surface.blocks)
@@ -493,12 +521,13 @@ def normalizing_matrices(curve, geometry=None):
     already passes it as `geometry`, so it is not computed again.
 
     Plane: p goes to (0, 0, 1). With l0 the first nonzero coordinate of p,
-    o0 < o1 the other two, and r0, r1, r2 the rows of the translation
+    o0 < o1 the other two, and r0, r1, r2 the rows of its `_translation`,
     x_oi - (p_oi / p_l0) x_l0, x_l0 / p_l0, the frame is (r0, r1, r2),
     unless p is smooth with tangent T (the gradient at p) and T_o1 != 0:
     then it is (T, r_mid, r2) with r_mid = r1 if T_o0 != 0 else r0, so the
     tangent line becomes {x0 = 0}. Quadric: p goes to ((0, 1), (0, 1)),
-    factor by factor; if exactly one ruling through p is tangent to the
+    factor by factor, by the `_translation` at the factor's last nonzero
+    coordinate; if exactly one ruling through p is tangent to the
     curve, read from the ruling contacts at p before the move (a frame
     without swap keeps them), the factors are swapped so that ruling
     becomes {y0 = 0}.
@@ -508,44 +537,30 @@ def normalizing_matrices(curve, geometry=None):
     if curve.surface is Surface.P2:
         l0 = next(i for i in range(3) if p[i] != 0)
         o0, o1 = [i for i in range(3) if i != l0]
-        rows = []
-        for a in (o0, o1):
-            row = [0] * 3
-            row[a] = 1
-            row[l0] = quotient(-p[a], p[l0])
-            rows.append(tuple(row))
-        last = [0] * 3
-        last[l0] = quotient(1, p[l0])
-        rows.append(tuple(last))
+        others, last = _translation(p, l0)
         # T . p = 0 (Euler's relation), so T = T_o0 r0 + T_o1 r1: the
         # translation alone moves the tangent to (T_o0, T_o1, 0), which is
         # {x0 = 0} already when T_o1 == 0
         tangent = geo.tangent
         if tangent is not None and tangent[o1] != 0:
-            rows = [tangent, rows[1] if tangent[o0] != 0 else rows[0], rows[2]]
-        return tuple(rows), None, False
+            others = [tangent, others[1] if tangent[o0] != 0 else others[0]]
+        return (*others, last), None, False
     # at a singular point both contacts are at least 2, so no swap
     cx, cy = geo.ruling_contacts
     swap = contact_ge(cx, 2) and not contact_ge(cy, 2)
-    return _factor_frame(p[0], p[1]), _factor_frame(p[2], p[3]), swap
+    factors = []
+    for c in (p[:2], p[2:]):
+        others, last = _translation(c, 1 if c[1] != 0 else 0)
+        factors.append((*others, last))
+    return (*factors, swap)
 
 
 def normalize_frame(curve, geometry=None):
     """(frame, moved curve) for the frame of `normalizing_matrices`. For a
     curve already in standard position nothing is built: the frame is the
     shared constant IDENTITY_FRAMES[surface], the moved curve the curve."""
-    key = normalizing_matrices(curve, geometry)
-    if key == IDENTITY_MATRICES[curve.surface]:
-        return IDENTITY_FRAMES[curve.surface], curve
-    g = FrameChange(curve.surface, *key)
-    return g, apply_frame(curve, g)
-
-
-def _factor_frame(c0, c1):
-    """2x2 matrix sending (c0, c1) to (0, 1), for canonical c0 and c1."""
-    if c1 != 0:
-        return ((1, quotient(-c0, c1)), (0, quotient(1, c1)))
-    return ((0, 1), (quotient(1, c0), 0))
+    g = _frame_of(curve.surface, normalizing_matrices(curve, geometry))
+    return g, curve if g is IDENTITY_FRAMES[curve.surface] else apply_frame(curve, g)
 
 
 # -- fixed example curves ---------------------------------------------------

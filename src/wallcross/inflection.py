@@ -47,6 +47,7 @@ from math import comb
 from .curves import (
     Surface,
     _bundle_degrees,
+    _translation,
     adjugate,
     contact_ge,
     local_geometry,
@@ -210,16 +211,9 @@ def _conic_is_smooth(conic):
 
 
 def _line_points(lc):
-    """Two independent points spanning the line a*x0+b*x1+c*x2 = 0."""
-    i0 = next(i for i in range(3) if lc[i] != 0)
-    pts = []
-    for a in range(3):
-        if a != i0:
-            v = [0] * 3
-            v[a] = 1
-            v[i0] = quotient(-lc[a], lc[i0])
-            pts.append(tuple(v))
-    return pts
+    """Two independent points spanning the line a*x0+b*x1+c*x2 = 0: the
+    others of its coefficients' `_translation`."""
+    return _translation(lc, next(i for i in range(3) if lc[i] != 0))[0]
 
 
 def _power_point(line, k):

@@ -30,7 +30,7 @@ tested before any candidate is built.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 # Probes for a zero certificate, in order: +r0, -r0, +r1, -r1.
@@ -124,27 +124,25 @@ def _exit_scale(d, edges):
 class _Program:
     """The half of a torus program that does not depend on the slope: the
     `_edges` of the box, the `_hull`s of the point and the monomial forms
-    and, built by `exits` only when the sign test does not answer, the
-    exit points of the candidate rays."""
+    and, built on the first read of `exits`, only when the sign test does
+    not answer, the exit points of the candidate rays."""
 
     def __init__(self, point_forms, monomial_forms, box):
         self.box, self.edges = box, _edges(box)
         self.points, self.monomials = _hull(point_forms), _hull(monomial_forms)
-        self._exits = None
 
+    @cached_property
     def exits(self):
         """(L, [(d, c, k)]): the candidates other than the origin are exit
         points of rays, towards the corners and both ways along every tie
         line of hull neighbours; the ray along d leaves the box at
         (c / k) * d, and L is the lcm of the k. Kept once complete."""
-        if self._exits is None:
-            directions = set(self.box)
-            for forms in (self.points, self.monomials):
-                for d in _tie_directions(forms):
-                    directions.update((d, (-d[0], -d[1])))
-            exits = [(d, *_exit_scale(d, self.edges)) for d in directions]
-            self._exits = lcm(*(k for _, _, k in exits)), exits
-        return self._exits
+        directions = set(self.box)
+        for forms in (self.points, self.monomials):
+            for d in _tie_directions(forms):
+                directions.update((d, (-d[0], -d[1])))
+        exits = [(d, *_exit_scale(d, self.edges)) for d in directions]
+        return lcm(*(k for _, _, k in exits)), exits
 
 
 @lru_cache(maxsize=1)
@@ -183,7 +181,7 @@ def lp_max(point_forms, monomial_forms, t, box):
     point_forms, monomial_forms = program.points, program.monomials
     if _negative_everywhere(point_forms, monomial_forms, tn, tq):
         return -1, None
-    den, exits = program.exits()
+    den, exits = program.exits
     values = {(0, 0): 0}
     for (d0, d1), c, k in exits:
         # tq * mu(d) is an integer on the integer direction d, and mu is

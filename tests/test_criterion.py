@@ -31,6 +31,7 @@ from wallcross.curves import (
     curve_from_json,
     frame_to_json,
     make_witness,
+    mat_vec,
     move_curve,
     normalize_frame,
 )
@@ -43,6 +44,7 @@ from wallcross.rationals import primitive
 from oracles import explicit_point_labels, full_move_search, gauss_jordan, mu_term
 from test_cli import ADAPTED_CURVES
 from test_curves import _zero_patterns
+from test_inflection import _rational_frame
 
 
 def _p2(d, terms, point):
@@ -434,6 +436,36 @@ def test_adapted_frame_hits(witness, t, frame_doc, weights, mu):
     assert (frame.mx, frame.my, frame.swap) in criterion._adapted_frames(curve, inflection_report(curve))
     assert frame not in (normalize_frame(curve)[0], FrameChange(curve.surface, *curves.IDENTITY_MATRICES[curve.surface]))
     assert mu_min(apply_frame(curve, frame), lam, t)[0] == mu
+
+
+def _proportional(u, v):
+    """Are u and v nonzero and proportional, the same projective point?"""
+    return any(u) and any(v) and all(
+        u[i] * v[j] == u[j] * v[i] for i in range(len(u)) for j in range(i + 1, len(u)))
+
+
+@pytest.mark.parametrize("kind", [WitnessKind.P2_S, WitnessKind.QUADRIC_S])
+def test_adapted_frames_put_the_flag_in_coordinate_position(kind):
+    # on the plane the first row is the S line and the tangency goes to
+    # (0 : 0 : 1); on the quadric the crossing goes to ((1 : 0), (1 : 0))
+    # and p to ((0 : 1), (0 : 1)); witnesses moved by rational frames
+    rng = random.Random(36)
+    for d in range(3, 7):
+        base = make_witness(kind, d)
+        for _ in range(3):
+            curve = apply_frame(base, _rational_frame(rng, base.surface))
+            report = inflection_report(curve)
+            [(mx, my, swap)] = criterion._adapted_frames(curve, report)
+            details, p = report.special.details, curve.point
+            assert not swap
+            if kind is WitnessKind.P2_S:
+                assert my is None and _proportional(mx[0], details["line"])
+                assert _proportional(mat_vec(mx, details["tangency"]), (0, 0, 1))
+                continue
+            q = details["crossing"]
+            for m, f in ((mx, slice(0, 2)), (my, slice(2, 4))):
+                assert _proportional(mat_vec(m, q[f]), (1, 0))
+                assert _proportional(mat_vec(m, p[f]), (0, 1))
 
 
 @pytest.mark.parametrize("name", sorted(ADAPTED_CURVES))

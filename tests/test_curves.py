@@ -13,6 +13,7 @@ from wallcross.curves import (
     WitnessKind,
     IDENTITY_MATRICES,
     _exponents,
+    _translation,
     adjugate,
     affine_chart,
     all_exponents,
@@ -22,6 +23,7 @@ from wallcross.curves import (
     curve_to_json,
     local_geometry,
     make_witness,
+    mat_vec,
     normalize_frame,
     restrict,
     validate,
@@ -346,6 +348,30 @@ def test_normalize_frame_postconditions_quadric():
         cx, cy = local_geometry(moved).ruling_contacts
         assert contact_ge(cy, 2)
         assert not contact_ge(cx, 2)
+
+
+def test_translation_sends_the_vector_to_the_last_coordinate_point():
+    # for every l with v_l != 0: the others e_a - (v_a / v_l) e_l, a != l in
+    # order, lie on the line v . x = 0, and with e_l / v_l last they form a
+    # frame sending v to the last unit vector; every entry is canonical
+    rng = random.Random(36)
+    tried = 0
+    for n in (2, 3):
+        unit = tuple(int(i == n - 1) for i in range(n))
+        for _ in range(40):
+            ints = [rng.choice((0, rng.randint(-6, 6))) for _ in range(n)]
+            fracs = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
+            for v in (ints, fracs):
+                for l in (i for i in range(n) if v[i] != 0):
+                    others, last = _translation(v, l)
+                    assert len(others) == n - 1
+                    for a, row in zip((i for i in range(n) if i != l), others):
+                        assert all(row[i] == (i == a) for i in range(n) if i != l)
+                    assert all(sum(map(mul, row, v)) == 0 for row in others)
+                    assert mat_vec((*others, last), v) == unit
+                    assert all(_canonical(row) for row in (*others, last)), (v, l)
+                    tried += 1
+    assert tried > 200
 
 
 def _normalize_frame_two_moves(curve):
