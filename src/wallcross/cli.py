@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from enum import Enum
 from fractions import Fraction
 from functools import cache
 
@@ -56,15 +55,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _plain(x):
-    """Recursively turn Fractions, enums and tuples into JSON-ready data.
+    """Recursively turn Fractions and tuples into JSON-ready data.
 
     An int passes through as a JSON number, so no polynomial coefficient,
     nor an entry of a series tuple, may reach this: an integral one is an
     int, not a Fraction."""
     if isinstance(x, Fraction):
         return format_rational(x)
-    if isinstance(x, Enum):
-        return x.value
     if isinstance(x, dict):
         return {str(k): _plain(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -144,7 +141,7 @@ def _certificate_json(cert):
         return None
     lam = cert["lambda"]
     return {
-        "frame": frame_to_json(cert["frame"]) if cert.get("frame") else None,
+        "frame": frame_to_json(cert["frame"]),
         "lambda": {
             "surface": lam.surface.value,
             "weights": [format_rational(w) for w in lam.weights],

@@ -33,7 +33,7 @@ from .errors import InternalError
 from .hessians import analyzed_slopes
 from .inflection import inflection_report
 from .linprog import lp_max
-from .rationals import canonical, cleared, primitive, quotient
+from .rationals import canonical, cleared, primitive, quotient, ratio
 
 
 @dataclass(frozen=True)
@@ -45,13 +45,12 @@ class OneParamSubgroup:
     literal coordinate weights (-r0, r0, -r1, r1).
 
     `weights` keeps Fractions. The literal weights are made canonical once,
-    when the subgroup is built, and kept with `_scaled`, their
+    when the subgroup is built, and kept as `_scaled`, their
     `rationals.cleared` form (den, the literal weights times den), which
     the kernels of mu compute with."""
 
     surface: Surface
     weights: tuple
-    _literal: tuple = field(init=False, repr=False, compare=False)
     _scaled: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -68,17 +67,10 @@ class OneParamSubgroup:
                 raise ValueError("quadric subgroup needs the two-weight encoding")
             r0, r1 = ws
             lw = (-r0, r0, -r1, r1)
-        object.__setattr__(self, "_literal", lw)
         object.__setattr__(self, "_scaled", cleared(lw))
 
-    def literal_weights(self):
-        """The coordinate weights, each an int when it is integral
-        (rationals.canonical), so the weights of mu are integer dot
-        products for an integral subgroup; `weights` keeps Fractions."""
-        return self._literal
-
     def is_trivial(self):
-        return not any(self._literal)
+        return not any(self._scaled[1])
 
 
 # Recorded claim ids backing each region of the analyzed range, per surface.
@@ -120,14 +112,6 @@ def monomial_weight(lw, exp):
     return sum(map(mul, exp, lw))
 
 
-def _slope(t):
-    """(numerator, denominator) of a slope: an int, a Fraction or anything
-    Fraction accepts."""
-    if not isinstance(t, (int, Fraction)):
-        t = Fraction(t)
-    return t.numerator, t.denominator
-
-
 def _mu(curve, lam, tn, tq, labels):
     """mu_min at t = tn / tq over the point labels `labels` of the curve, in
     integers: (num, den, pair) with mu = num / den. With W = D * w the
@@ -153,7 +137,7 @@ def mu_min(curve, lam, t):
     found in integers (`_mu`), and the value is its one Fraction."""
     if lam.surface is not curve.surface:
         raise ValueError("subgroup and curve live on different surfaces")
-    num, den, pair = _mu(curve, lam, *_slope(t), _point_labels(curve))
+    num, den, pair = _mu(curve, lam, *ratio(t), _point_labels(curve))
     return Fraction(num, den), pair
 
 
@@ -200,7 +184,7 @@ def torus_verdict(curve, t):
     if sign < 0:
         return -1, None
     lam = _subgroup_from_box(curve.surface, *r)
-    num, den, _ = _mu(curve, lam, *_slope(t), labels)
+    num, den, _ = _mu(curve, lam, *ratio(t), labels)
     if (num <= 0) if sign > 0 else (num != 0 or lam.is_trivial()):
         raise InternalError(
             f"torus certificate {lam.weights} of sign {sign} has mu {Fraction(num, den)} at t = {t}"
@@ -270,8 +254,9 @@ def _hit(curve, key, moved, scale):
 class _Analysis:
     """What a verdict reads of its curve that does not depend on the slope:
     the inflection `report`, itself computed field by field, the matrices
-    and `_move` of the normalizing frame (`normal`) and, at a hit there,
-    its `_hit` (`hit`). Each of the last two is computed on the first read
+    and `_move` of the normalizing frame (`normal`) and its `_hit` (`hit`),
+    which a certificate in that frame reads, a search's hit or a zero
+    certificate. Each of the last two is computed on the first read
     and kept once it returns, so an interrupted read keeps nothing.
     Frames other than the normalizing one are not kept, so a search of any
     budget keeps as much."""
@@ -290,6 +275,23 @@ class _Analysis:
     def hit(self):
         """(FrameChange, exact move) of the normalizing frame."""
         return _hit(self.curve, *self.normal)
+
+
+def _certificate(analysis, key, moved, scale, sign, lam, t):
+    """The certificate {"frame", "lambda", "mu"} of a torus answer (sign,
+    lam), sign >= 0, in the frame with matrices key and `_move` (moved,
+    scale): its FrameChange and exact move are the analysis's kept `hit`
+    for the normalizing frame and `_hit` for any other, and mu is
+    re-checked by `mu_min` on that exact move, the curve the certificate
+    names: InternalError unless mu > 0 for sign 1 and mu = 0 for sign 0."""
+    if key == analysis.normal[0]:
+        frame, exact = analysis.hit
+    else:
+        frame, exact = _hit(analysis.curve, key, moved, scale)
+    mu, _ = mu_min(exact, lam, t)
+    if (mu <= 0) if sign > 0 else mu != 0:
+        raise InternalError(f"certificate {lam.weights} of sign {sign} has mu {mu} at t = {t}")
+    return {"frame": frame, "lambda": lam, "mu": mu}
 
 
 _kept = []  # the analysis of the last curve asked
@@ -342,8 +344,8 @@ def destabilizer_search(curve, t, budget=500, seed=0):
     the plane lambda = (-1, -1, 2) there has mu >= 2t - (2d - 3), a hit
     above d - 3/2, and on the quadric r = (1, 1) has mu >= 2t - (2d - 2),
     a hit above d - 1. Only a hit builds its FrameChange and its exact
-    move, the integer move scaled (`exact_move`), on which its mu is
-    re-checked; an exhausted search builds neither."""
+    move, the integer move scaled (`exact_move`), on which `_certificate`
+    re-checks its mu; an exhausted search builds neither."""
     analysis = _analysis(curve)
 
     def candidates():
@@ -372,18 +374,12 @@ def destabilizer_search(curve, t, budget=500, seed=0):
         tried += 1
         if corners is not None and not corners_vanish(corners, *key):
             continue
-        # the first frame tried is the normalizing one, which the analysis keeps
-        first = tried == 1
-        moved, scale = analysis.normal[1:] if first else _move(curve, key)
+        # the analysis keeps the normalizing frame's move
+        moved, scale = analysis.normal[1:] if key == analysis.normal[0] else _move(curve, key)
         sign, lam = torus_verdict(moved, t)
         if sign > 0:
-            frame, exact = analysis.hit if first else _hit(curve, key, moved, scale)
-            mu, _ = mu_min(exact, lam, t)
-            if mu <= 0:
-                raise InternalError(
-                    f"destabilizer {lam.weights} has mu {mu} at t = {t}"
-                )
-            return frame, lam, mu
+            cert = _certificate(analysis, key, moved, scale, sign, lam, t)
+            return cert["frame"], lam, cert["mu"]
     return None
 
 
@@ -456,26 +452,21 @@ class StabilityVerdict:
 
 
 def _attach_zero_certificate(verdict, analysis, t):
-    """Attach a zero-mu certificate from the normalizing frame of the
-    analysis's curve, solved on its integer move. If that torus
-    unexpectedly shows mu > 0 the verdict flips to Unstable, since an exact
-    positive certificate beats any membership reasoning."""
-    key, moved, _ = analysis.normal
+    """Attach the `_certificate` of the torus of the analysis's normalizing
+    frame, solved on its integer move. If that torus unexpectedly shows
+    mu > 0 the verdict flips to Unstable, since an exact positive
+    certificate beats any membership reasoning."""
+    key, moved, scale = analysis.normal
     sign, lam = torus_verdict(moved, t)
+    if sign < 0:
+        verdict.notes.append("no zero certificate exhibited in the normalizing frame")
+        return
+    verdict.certificate = _certificate(analysis, key, moved, scale, sign, lam, t)
     if sign > 0:
-        frame, exact = analysis.hit
-        mu, _ = mu_min(exact, lam, t)
         verdict.status = "Unstable"
-        verdict.certificate = {"frame": frame, "lambda": lam, "mu": mu}
         verdict.notes.append(
             "torus destabilizer found despite the boundary classification"
         )
-        return
-    if sign == 0:
-        frame = _frame_of(analysis.curve.surface, key)
-        verdict.certificate = {"frame": frame, "lambda": lam, "mu": Fraction(0)}
-    else:
-        verdict.notes.append("no zero certificate exhibited in the normalizing frame")
 
 
 def wall_stratum(report):

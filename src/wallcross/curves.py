@@ -51,14 +51,14 @@ class PointedCurve:
 
 
 @lru_cache(maxsize=32)
-def _exponents(surface, degrees):
-    """Every exponent vector of degree degrees[k] on the k-th factor, in lex
-    order: the product over the factors of the vectors of that degree in
-    their variables. Claim replays ask for the same few again and again."""
+def _exponents(surface, d):
+    """Every exponent vector of degree d on each factor, in lex order: the
+    product over the factors of the vectors of degree d in their
+    variables. Claim replays ask for the same few again and again."""
     exps = [()]
-    for b, m in zip(surface.blocks, degrees):
+    for b in surface.blocks:
         # (prefix, degree left) over the factor's variables but its last
-        heads = [((), m)]
+        heads = [((), d)]
         for _ in b[1:]:
             heads = [(h + (i,), r - i) for h, r in heads for i in range(r + 1)]
         exps = [e + h + (r,) for e in exps for h, r in heads]
@@ -83,7 +83,7 @@ def _bundle_degrees(surface, m):
 
 def all_exponents(surface, d):
     """Every exponent vector of a degree-d (resp. bidegree-(d,d)) monomial."""
-    return list(_exponents(surface, (d,) * len(surface.blocks)))
+    return list(_exponents(surface, d))
 
 
 def validate(curve):
@@ -197,25 +197,23 @@ class FrameChange:
     matrices: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.surface is Surface.P2:
-            if self.my is not None or self.swap:
-                raise ValueError("plane frames have a single matrix and no swap")
-            mats = [_exact(self.mx)]
-            if len(mats[0]) != 3 or any(len(r) != 3 for r in mats[0]):
-                raise ValueError("plane frame needs a 3x3 matrix")
-        else:
-            if self.my is None:
-                raise ValueError("quadric frames need two matrices")
-            mats = [_exact(self.mx), _exact(self.my)]
-            for m in mats:
-                if len(m) != 2 or any(len(r) != 2 for r in m):
-                    raise ValueError("quadric frame needs 2x2 matrices")
-        if any(not adjugate(m)[1] for m in mats):
-            raise ValueError("frame matrix is singular")
-        object.__setattr__(self, "mx", _freeze(mats[0]))
-        if self.my is not None:
-            object.__setattr__(self, "my", _freeze(mats[1]))
-        object.__setattr__(self, "matrices", (mats[0], mats[1] if len(mats) > 1 else None, self.swap))
+        blocks = self.surface.blocks
+        n = len(blocks)
+        given = (self.mx, self.my)
+        if None in given[:n] or given[n:] != (None,) * (2 - n):
+            raise ValueError(f"a {self.surface.value} frame needs one matrix per factor, {n}")
+        if self.swap and n == 1:
+            raise ValueError("only a frame with two factors can exchange them")
+        mats = [_exact(m) for m in given[:n]]
+        for m, b in zip(mats, blocks):
+            k = len(b)
+            if len(m) != k or any(len(r) != k for r in m):
+                raise ValueError(f"a {self.surface.value} frame needs {k}x{k} matrices")
+            if not adjugate(m)[1]:
+                raise ValueError("frame matrix is singular")
+        for name, m in zip(("mx", "my"), mats):
+            object.__setattr__(self, name, _freeze(m))
+        object.__setattr__(self, "matrices", (*mats, *given[n:], self.swap))
 
 
 # The identity frame of each surface, one shared constant: `_frame_of`

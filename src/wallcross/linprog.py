@@ -33,6 +33,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 
+from .rationals import ratio
+
 # Probes for a zero certificate, in order: +r0, -r0, +r1, -r1.
 _PROBES = ((0, 1), (0, -1), (1, 1), (1, -1))
 
@@ -174,9 +176,7 @@ def lp_max(point_forms, monomial_forms, t, box):
     the returned r is made of Fractions. The slope-free half, the hulls and
     the exits, is kept for the last forms and box (`_program`).
     """
-    if not isinstance(t, (int, Fraction)):
-        t = Fraction(t)
-    tn, tq = t.numerator, t.denominator
+    tn, tq = ratio(t)
     program = _program(tuple(point_forms), tuple(monomial_forms), tuple(box))
     point_forms, monomial_forms = program.points, program.monomials
     if _negative_everywhere(point_forms, monomial_forms, tn, tq):

@@ -75,6 +75,14 @@ def quotient(a, b):
     return canonical(Fraction(a, b))
 
 
+def ratio(t):
+    """(numerator, denominator) of a slope: an int or a Fraction is read as
+    it is, anything else through Fraction."""
+    if not isinstance(t, (int, Fraction)):
+        t = Fraction(t)
+    return t.numerator, t.denominator
+
+
 def cleared(values):
     """(den, ints): den the least positive integer for which every one of
     the ints and Fractions in values times den is an integer, and ints

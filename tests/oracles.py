@@ -620,7 +620,7 @@ def frame_point(frame, p):
 
 def mu_term(surface, lam, t, label, exp):
     """mu restricted to one point coordinate and one monomial."""
-    lw = lam.literal_weights()
+    lw = _fraction_literal_weights(lam)
     return Fraction(t) * point_weight(surface, lw, label) - monomial_weight(lw, exp)
 
 

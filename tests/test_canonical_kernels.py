@@ -196,8 +196,8 @@ def test_evaluate_matches_the_fraction_oracle():
 def test_fractional_user_weights_stay_fractions(tmp_path, capsys):
     curve = make_witness(WitnessKind.P2_CUSPIDAL_X0, 4)
     lam = OneParamSubgroup(Surface.P2, (Fraction(1, 2), Fraction(-1, 2), 0))
-    assert lam.literal_weights() == (Fraction(1, 2), Fraction(-1, 2), 0)
-    assert all(type(w) is Fraction for w in lam.weights + lam.literal_weights()[:2])
+    assert lam.weights == (Fraction(1, 2), Fraction(-1, 2), 0)
+    assert all(type(w) is Fraction for w in lam.weights) and lam._scaled == (2, (1, -1, 0))
     path = tmp_path / "curve.json"
     path.write_text(json.dumps(curve_to_json(curve)))
     assert cli.main(["mu", "--curve", str(path), "--lambda=1/2,-1/2,0", "--slope", "7/4"]) == 0

@@ -196,6 +196,32 @@ def test_usage_errors_exit_one(capsys, argv):
     assert "error:" in err
 
 
+def test_bad_arguments_and_documents_exit_one_with_their_message(capsys, tmp_path, monkeypatch):
+    missing = tmp_path / "missing" / "x.json"
+    for argv, message in (
+        (("hessian-class", "--surface", "p2", "--degree", "4", "--m", "x"), "bad bundle degree 'x'"),
+        (("hessian-class", "--surface", "p2", "--degree", "4", "--m", "1,2"),
+         "the plane takes a single bundle degree"),
+        (("walls", "--surface", "p2", "--degree", "2"), "degree must be an integer >= 3"),
+        (("chamber", "--surface", "quadric", "--degree", "2"), "degree must be an integer >= 3"),
+        (("witness", "--kind", "p2-flex", "--degree", "3", "--out", str(missing)),
+         f"cannot write {str(missing)!r}"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {message}")
+    assert not missing.parent.exists()
+    empty_terms = {"surface": "p2", "degree": 3, "point": ["0", "0", "1"], "terms": []}
+    for doc, message in (
+        ([], "curve document must be a JSON object"),
+        (empty_terms, "terms must be a non-empty list"),
+    ):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = run(capsys, "inflect", "--curve", "-")
+        assert code == 1 and out == ""
+        assert err == f"error: bad curve document: {message}\n"
+
+
 def test_exponent_notation_refused(capsys, tmp_path):
     path, _ = write_witness(capsys, tmp_path, "p2-hyperflex", 4)
     for slope in ("1e2", "1E2"):

@@ -41,7 +41,13 @@ from wallcross.inflection import inflection_report
 from wallcross.polynomials import Polynomial
 from wallcross.rationals import primitive
 
-from oracles import explicit_point_labels, full_move_search, gauss_jordan, mu_term
+from oracles import (
+    _fraction_literal_weights,
+    explicit_point_labels,
+    full_move_search,
+    gauss_jordan,
+    mu_term,
+)
 from test_cli import ADAPTED_CURVES
 from test_curves import _zero_patterns
 from test_inflection import _rational_frame
@@ -55,9 +61,9 @@ def _p2(d, terms, point):
 
 def test_subgroup_encoding_and_validation():
     lam = OneParamSubgroup(Surface.QUADRIC, (1, 2))
-    assert lam.literal_weights() == (-1, 1, -2, 2)
+    assert lam.weights == (1, 2) and lam._scaled == (1, (-1, 1, -2, 2))
     lam3 = OneParamSubgroup(Surface.P2, (5, -1, -4))
-    assert lam3.literal_weights() == (5, -1, -4)
+    assert lam3.weights == (5, -1, -4) and lam3._scaled == (1, (5, -1, -4))
     with pytest.raises(ValueError):
         OneParamSubgroup(Surface.P2, (1, 1, 1))
     with pytest.raises(ValueError):
@@ -314,23 +320,55 @@ def test_certificate_rechecks_raise_internal_error(monkeypatch):
 
 def test_positive_torus_answer_flips_a_semistable_verdict(monkeypatch):
     # _attach_zero_certificate trusts an exact positive torus answer over
-    # the boundary classification; no curve reaches that branch, so the
-    # answer is injected: the x0 witnesses are strictly semistable at the
-    # wall, the cuspidal one in a moved normalizing frame, the quadric one
-    # in the identity frame
+    # the boundary classification once `_certificate` has re-checked it on
+    # the exact move; no curve reaches that branch, so the answer is
+    # injected: the x0 witnesses are strictly semistable at the wall, the
+    # cuspidal one in a moved normalizing frame, the quadric one in the
+    # identity frame. The injected subgroup has mu 0 there, so the re-check
+    # refuses it, and lets it through once mu_min reads a positive mu.
     note = "torus destabilizer found despite the boundary classification"
     for kind, d, weights in (("p2-cuspidal-x0", 4, (5, -1, -4)), ("quadric-x0", 3, (1, 2))):
         c = make_witness(kind, d)
         wall, _ = analyzed_slopes(c.surface, d)
         assert stability_verdict(c, wall).status == "StrictlySemistable"
         lam = OneParamSubgroup(c.surface, weights)
+        frame, moved = normalize_frame(c)
+        assert mu_min(moved, lam, wall)[0] == 0
+        read = []
+
+        def positive(curve, lam, t):
+            read.append(curve)
+            return Fraction(1, 7), None
+
         with monkeypatch.context() as m:
             m.setattr(criterion, "torus_verdict", lambda curve, t: (1, lam))
+            with pytest.raises(InternalError):
+                stability_verdict(c, wall)
+            m.setattr(criterion, "mu_min", positive)
             verdict = stability_verdict(c, wall)
-        frame, moved = normalize_frame(c)
+        assert read == [moved]
         assert verdict.status == "Unstable" and note in verdict.notes
-        assert verdict.certificate == {"frame": frame, "lambda": lam, "mu": mu_min(moved, lam, wall)[0]}
+        assert verdict.certificate == {"frame": frame, "lambda": lam, "mu": Fraction(1, 7)}
         assert (moved is c) == (frame is curves.IDENTITY_FRAMES[c.surface])
+
+
+def test_a_zero_certificate_is_rechecked_on_its_exact_move(monkeypatch):
+    # a strictly semistable verdict's zero certificate is re-checked by
+    # mu_min on the normalizing frame's exact move, the curve it names;
+    # any other mu there is an InternalError, not a certificate
+    for kind, d in (("p2-cuspidal-x0", 4), ("quadric-x0", 3), ("p2-flex", 4)):
+        c = make_witness(kind, d)
+        wall, _ = analyzed_slopes(c.surface, d)
+        verdict = stability_verdict(c, wall)
+        frame, moved = normalize_frame(c)
+        cert = verdict.certificate
+        assert verdict.status == "StrictlySemistable" and cert["frame"] == frame
+        assert cert["mu"] == mu_min(moved, cert["lambda"], wall)[0] == 0
+        for mu in (Fraction(1, 3), Fraction(-1, 3)):
+            with monkeypatch.context() as m:
+                m.setattr(criterion, "mu_min", lambda curve, lam, t: (mu, None))
+                with pytest.raises(InternalError):
+                    stability_verdict(c, wall)
 
 
 def test_standard_position_shares_the_identity_frame(monkeypatch):
@@ -966,7 +1004,7 @@ def test_stabilizer_dimensions():
     qx0 = make_witness(WitnessKind.QUADRIC_X0, 3)
     dim, gen = stabilizer_dimension(qx0)
     assert dim == 1
-    assert gen.literal_weights() == (-1, 1, -2, 2)
+    assert gen.weights == (1, 2)
 
     generic = _p2(
         4,
@@ -1048,7 +1086,7 @@ def test_mu_term_matches_mu_min_on_support():
     assert value == min(
         mu_term(Surface.QUADRIC, lam, t, lb, e)
         for lb in labels
-        for e in [max(c.equation.terms, key=lambda e: sum(w * x for w, x in zip(lam.literal_weights(), e)))]
+        for e in [max(c.equation.terms, key=lambda e: sum(w * x for w, x in zip(_fraction_literal_weights(lam), e)))]
     )
 
 

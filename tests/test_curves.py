@@ -7,12 +7,12 @@ from operator import mul
 import pytest
 
 from wallcross.curves import (
+    IDENTITY_FRAMES,
     FrameChange,
     PointedCurve,
     Surface,
     WitnessKind,
     IDENTITY_MATRICES,
-    _exponents,
     _translation,
     adjugate,
     affine_chart,
@@ -24,10 +24,12 @@ from wallcross.curves import (
     local_geometry,
     make_witness,
     mat_vec,
+    move_curve,
     normalize_frame,
     restrict,
     validate,
 )
+from wallcross.criterion import OneParamSubgroup, mu_min
 from wallcross.polynomials import Polynomial, constant, variable
 
 from oracles import explicit_chart_coordinates, explicit_exponents, frame_inverse, substitute
@@ -137,6 +139,36 @@ def test_frame_inverse_round_trip():
             back = apply_frame(moved, frame_inverse(g))
             assert back.point == c.point
             assert back.equation == c.equation
+
+
+def test_frames_refuse_malformed_matrices():
+    # one matrix per factor of the surface, each square of its factor's
+    # size and invertible, and a swap only with two factors
+    i2, i3 = IDENTITY_MATRICES[Surface.QUADRIC][0], IDENTITY_MATRICES[Surface.P2][0]
+    singular3 = ((1, 2, 3), (2, 4, 6), (0, 0, 1))
+    for surface, mx, my, swap, message in (
+        (Surface.P2, i3, i3, False, "one matrix per factor"),
+        (Surface.P2, None, None, False, "one matrix per factor"),
+        (Surface.QUADRIC, i2, None, False, "one matrix per factor"),
+        (Surface.QUADRIC, None, i2, False, "one matrix per factor"),
+        (Surface.P2, i3, None, True, "exchange"),
+        (Surface.P2, i2, None, False, "3x3"),
+        (Surface.P2, (*i3[:2], (0, 1)), None, False, "3x3"),
+        (Surface.QUADRIC, i2, i3, False, "2x2"),
+        (Surface.P2, singular3, None, False, "singular"),
+        (Surface.QUADRIC, i2, ((1, 2), (Fraction(1, 2), 1)), True, "singular"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            FrameChange(surface, mx, my, swap)
+    # the integer frame that moves a curve refuses a singular matrix, and
+    # a frame or a subgroup of the other surface is refused
+    c = make_witness(WitnessKind.P2_FLEX, 3)
+    with pytest.raises(ValueError, match="singular"):
+        move_curve(c, singular3)
+    with pytest.raises(ValueError, match="surface mismatch"):
+        apply_frame(c, IDENTITY_FRAMES[Surface.QUADRIC])
+    with pytest.raises(ValueError, match="different surfaces"):
+        mu_min(c, OneParamSubgroup(Surface.QUADRIC, (1, 1)), 2)
 
 
 def test_apply_frame_composes():
@@ -546,10 +578,6 @@ def test_exponents_match_the_explicit_enumeration():
     for d in range(9):
         assert all_exponents(Surface.P2, d) == explicit_exponents(Surface.P2, (d,))
         assert all_exponents(Surface.QUADRIC, d) == explicit_exponents(Surface.QUADRIC, (d, d))
-    for m in range(1, 9):
-        assert list(_exponents(Surface.P2, (m,))) == explicit_exponents(Surface.P2, (m,))
-    for ms in itertools.product(range(9), repeat=2):
-        assert list(_exponents(Surface.QUADRIC, ms)) == explicit_exponents(Surface.QUADRIC, ms)
 
 
 def _zero_patterns(surface):

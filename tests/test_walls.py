@@ -1,9 +1,12 @@
 import copy
+import json
 import os
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from wallcross import walls
 from wallcross.criterion import stability_verdict
 from wallcross.curves import PointedCurve, Surface, WitnessKind, make_witness
 from wallcross.hessians import analyzed_slopes
@@ -74,6 +77,46 @@ def test_negative_control_strictness_flip():
 def test_unknown_id_raises():
     with pytest.raises(KeyError):
         verify_proposition("0.0-missing", 4)
+
+
+def test_malformed_claims_are_refused():
+    # each entry of the claim table is resolved at the degree asked, and a
+    # malformed one is named; the plane's edge claim is edited one field
+    # at a time
+    def edited(edit):
+        params = copy.deepcopy(load_propositions()["4.2"])
+        edit(params)
+        return {"4.2": params}
+
+    def entry(value):
+        return lambda p: p["monomials"].update(entries=[value])
+
+    for edit, message in (
+        (entry([0, 0, "e"]), "bad exponent entry 'e'"),
+        (entry([0, "d"]), "exponent arity mismatch: [0, 'd']"),
+        (entry([0, 0, "d-9"]), "exponent [0, 0, 'd-9'] is negative at degree 4"),
+        (lambda p: p.update(labels=["2"]), "bad point label '2'"),
+        (lambda p: p["monomials"].update(mode="all"), "bad monomial mode 'all'"),
+        (lambda p: p.update(t={"type": "half", "at": "wall"}), "bad slope spec"),
+    ):
+        with pytest.raises(ValueError) as refused:
+            verify_proposition("4.2", 4, edited(edit))
+        assert str(refused.value).startswith(message)
+
+
+def test_a_malformed_fixture_table_is_refused(tmp_path, monkeypatch):
+    # the packaged table is read through importlib.resources, here pointed
+    # at a directory holding a crafted fixture
+    fixture = tmp_path / "fixtures" / "propositions_v1.json"
+    fixture.parent.mkdir()
+    monkeypatch.setattr(walls, "resources", SimpleNamespace(files=lambda package: tmp_path))
+    for doc, message in (
+        ({"schema": "wallcross/propositions/0"}, "unrecognized fixture schema: 'wallcross/propositions/0'"),
+        ({"schema": "wallcross/propositions/1", "propositions": {}}, "fixture table is empty"),
+    ):
+        fixture.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            load_propositions()
 
 
 def test_classify_at_wall_regions():
