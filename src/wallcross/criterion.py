@@ -14,20 +14,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
 from operator import mul
 
 from .curves import (
     IDENTITY_MATRICES,
     Surface,
-    _frame_of,
+    _Move,
     _translation,
     adjugate,
     corners_vanish,
-    exact_move,
-    move_curve,
-    normalizing_matrices,
 )
 from .errors import InternalError
 from .hessians import analyzed_slopes
@@ -222,90 +218,46 @@ def _adapted_frames(curve, report):
         # middle the first of its others that keeps the frame invertible
         line, q = det["line"], det["tangency"]
         others, last = _translation(q, next(i for i in range(3) if q[i] != 0))
-        for row in others:
-            mx = (line, row, last)
-            if adjugate(mx)[1]:
-                return [(mx, None, False)]
-        return []
+        # the line is in the others' span (all vanish at q) and a multiple of at most one
+        mx = (line, others[0], last)
+        if not adjugate(mx)[1]:
+            mx = (line, others[1], last)
+        return [(mx, None, False)]
     q, p = det["crossing"], curve.point
     # Columns (q | p) per factor; the inverse, the adjugate over the
     # determinant, sends q to (1, 0) and p to (0, 1) so the degeneration
     # flag becomes coordinate data.
+    # S needs contacts (1, 1), so no ruling joins q to p: that is a (d - 1)-fold component
     pairs = [adjugate(tuple((q[i], p[i]) for i in rows)) for rows in ((0, 1), (2, 3))]
-    if not all(d for _, d in pairs):
-        return []
     mx, my = (tuple(tuple(quotient(a, d) for a in row) for row in adj) for adj, d in pairs)
     return [(mx, my, False)]
 
 
-def _move(curve, key):
-    """`move_curve`'s (moved, scale) for the matrices key; (curve, 1) at the identity."""
-    if key == IDENTITY_MATRICES[curve.surface]:
-        return curve, 1
-    return move_curve(curve, *key)
-
-
-def _hit(curve, key, moved, scale):
-    """(FrameChange, exact move) for `_move`'s (moved, scale) of a hit."""
-    exact = curve if moved is curve else exact_move(curve, moved, scale, *key)
-    return _frame_of(curve.surface, key), exact
-
-
-class _Analysis:
-    """What a verdict reads of its curve that does not depend on the slope:
-    the inflection `report`, itself computed field by field, the matrices
-    and `_move` of the normalizing frame (`normal`) and its `_hit` (`hit`),
-    which a certificate in that frame reads, a search's hit or a zero
-    certificate. Each of the last two is computed on the first read
-    and kept once it returns, so an interrupted read keeps nothing.
-    Frames other than the normalizing one are not kept, so a search of any
-    budget keeps as much."""
-
-    def __init__(self, curve):
-        self.curve = curve
-        self.report = inflection_report(curve)
-
-    @cached_property
-    def normal(self):
-        """(key, moved, scale): the normalizing frame's matrices and move."""
-        key = normalizing_matrices(self.curve, self.report.geometry)
-        return (key, *_move(self.curve, key))
-
-    @cached_property
-    def hit(self):
-        """(FrameChange, exact move) of the normalizing frame."""
-        return _hit(self.curve, *self.normal)
-
-
-def _certificate(analysis, key, moved, scale, sign, lam, t):
+def _certificate(move, sign, lam, t):
     """The certificate {"frame", "lambda", "mu"} of a torus answer (sign,
-    lam), sign >= 0, in the frame with matrices key and `_move` (moved,
-    scale): its FrameChange and exact move are the analysis's kept `hit`
-    for the normalizing frame and `_hit` for any other, and mu is
-    re-checked by `mu_min` on that exact move, the curve the certificate
-    names: InternalError unless mu > 0 for sign 1 and mu = 0 for sign 0."""
-    if key == analysis.normal[0]:
-        frame, exact = analysis.hit
-    else:
-        frame, exact = _hit(analysis.curve, key, moved, scale)
-    mu, _ = mu_min(exact, lam, t)
+    lam), sign >= 0, solved on the `curves._Move` move: its frame and exact
+    move are the move's, and mu is re-checked by `mu_min` on that exact
+    move, the curve the certificate names: InternalError unless mu > 0 for
+    sign 1 and mu = 0 for sign 0."""
+    mu, _ = mu_min(move.exact, lam, t)
     if (mu <= 0) if sign > 0 else mu != 0:
         raise InternalError(f"certificate {lam.weights} of sign {sign} has mu {mu} at t = {t}")
-    return {"frame": frame, "lambda": lam, "mu": mu}
+    return {"frame": move.frame, "lambda": lam, "mu": mu}
 
 
-_kept = []  # the analysis of the last curve asked
+_kept = []  # the inflection report of the last curve asked
 
 
 def _analysis(curve):
-    """The `_Analysis` of the last curve asked, kept while the curves asked
-    equal it: a sweep of one curve across slopes computes each field once.
-    Curves are compared, not hashed: a point may be given as a list, and
-    a comparison costs about a tenth of hashing a point of Fractions."""
+    """The inflection report of the last curve asked, kept while the curves
+    asked equal it: a sweep of one curve across slopes computes each field
+    once, the normalizing frame's move included. Curves are compared, not
+    hashed: a point may be given as a list, and a comparison costs about a
+    tenth of hashing a point of Fractions."""
     for kept in _kept:
         if kept.curve == curve:
             return kept
-    kept = _Analysis(curve)
+    kept = inflection_report(curve)
     _kept[:] = [kept]
     return kept
 
@@ -320,10 +272,10 @@ def destabilizer_search(curve, t, budget=500, seed=0):
     drawn past the budget.
 
     The adapted frames come from the special locus of the curve's
-    inflection report and the normalizing frame from its local geometry,
-    both read off the curve's `_analysis`, which also keeps the normalizing
-    frame's move and hit: a verdict and the search it runs, and the
-    verdicts of one curve at several slopes, compute each of them once.
+    inflection report, and the normalizing frame's move is the report's
+    `normal`, both read off the report `_analysis` keeps: a verdict and the
+    search it runs, and the verdicts of one curve at several slopes,
+    compute each of them once.
 
     The torus check reads only the zero pattern of the moved point and the
     convex hull of the moved support (Mumford, Fogarty and Kirwan, GIT,
@@ -343,21 +295,24 @@ def destabilizer_search(curve, t, budget=500, seed=0):
     without one, and the normalizing frame hits at every t >= d, since on
     the plane lambda = (-1, -1, 2) there has mu >= 2t - (2d - 3), a hit
     above d - 3/2, and on the quadric r = (1, 1) has mu >= 2t - (2d - 2),
-    a hit above d - 1. Only a hit builds its FrameChange and its exact
-    move, the integer move scaled (`exact_move`), on which `_certificate`
-    re-checks its mu; an exhausted search builds neither."""
-    analysis = _analysis(curve)
+    a hit above d - 1. A frame is keyed by its matrices alone until it
+    passes the corner test; then its `curves._Move` moves the curve, and
+    only a hit reads the move's frame and exact move, the integer move
+    scaled, on which `_certificate` re-checks its mu; an exhausted search
+    builds neither."""
+    report = _analysis(curve)
+    normal = report.normal
 
     def candidates():
         # (canonical matrices, which are the `seen` key, and the curve the
         # corner test reads, or None for no test): past the identity and
         # below t = d, the curve with its denominators cleared
-        yield analysis.normal[0], None
+        yield normal.key, None
         yield IDENTITY_MATRICES[curve.surface], None
         den = cleared(list(curve.equation.terms.values()))[0]
         integral = curve if den == 1 else replace(curve, equation=curve.equation * den)
         corners = integral if 0 < t < curve.degree else None
-        for key in _adapted_frames(curve, analysis.report):
+        for key in _adapted_frames(curve, report):
             yield key, corners
         rng = random.Random(seed)
         while True:
@@ -374,11 +329,11 @@ def destabilizer_search(curve, t, budget=500, seed=0):
         tried += 1
         if corners is not None and not corners_vanish(corners, *key):
             continue
-        # the analysis keeps the normalizing frame's move
-        moved, scale = analysis.normal[1:] if key == analysis.normal[0] else _move(curve, key)
-        sign, lam = torus_verdict(moved, t)
+        # the report keeps the normalizing frame's move
+        move = normal if key == normal.key else _Move(curve, key)
+        sign, lam = torus_verdict(move.moved, t)
         if sign > 0:
-            cert = _certificate(analysis, key, moved, scale, sign, lam, t)
+            cert = _certificate(move, sign, lam, t)
             return cert["frame"], lam, cert["mu"]
     return None
 
@@ -451,17 +406,16 @@ class StabilityVerdict:
     undecided = False
 
 
-def _attach_zero_certificate(verdict, analysis, t):
-    """Attach the `_certificate` of the torus of the analysis's normalizing
+def _attach_zero_certificate(verdict, report, t):
+    """Attach the `_certificate` of the torus of the report's normalizing
     frame, solved on its integer move. If that torus unexpectedly shows
     mu > 0 the verdict flips to Unstable, since an exact positive
     certificate beats any membership reasoning."""
-    key, moved, scale = analysis.normal
-    sign, lam = torus_verdict(moved, t)
+    sign, lam = torus_verdict(report.normal.moved, t)
     if sign < 0:
         verdict.notes.append("no zero certificate exhibited in the normalizing frame")
         return
-    verdict.certificate = _certificate(analysis, key, moved, scale, sign, lam, t)
+    verdict.certificate = _certificate(report.normal, sign, lam, t)
     if sign > 0:
         verdict.status = "Unstable"
         verdict.notes.append(
@@ -554,10 +508,10 @@ def stability_verdict(curve, t, budget=500, seed=0):
         if verdict.status == "Unknown":
             verdict.notes.append("outside analyzed slopes")
         return verdict
-    analysis = _analysis(curve)
+    report = _analysis(curve)
     region = "wall" if t == wall else "edge" if t == edge else "chamber"
     verdict.citations = list(CITATIONS[curve.surface][region])
-    status, note = _region_rule(region, analysis.report)
+    status, note = _region_rule(region, report)
     if status is None:
         destabilize(note)
         return verdict
@@ -565,7 +519,7 @@ def stability_verdict(curve, t, budget=500, seed=0):
     if note:
         verdict.notes.append(note)
     if status == "StrictlySemistable":
-        _attach_zero_certificate(verdict, analysis, t)
+        _attach_zero_certificate(verdict, report, t)
     return verdict
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, product, repeat
 from math import prod
 from operator import mul
@@ -216,16 +216,9 @@ class FrameChange:
         object.__setattr__(self, "matrices", (*mats, *given[n:], self.swap))
 
 
-# The identity frame of each surface, one shared constant: `_frame_of`
+# The identity frame of each surface, one shared constant: `_Move`
 # returns it for the identity matrices.
 IDENTITY_FRAMES = {s: FrameChange(s, *IDENTITY_MATRICES[s]) for s in Surface}
-
-
-def _frame_of(surface, key):
-    """The FrameChange with matrices key; IDENTITY_FRAMES' at the identity."""
-    if key == IDENTITY_MATRICES[surface]:
-        return IDENTITY_FRAMES[surface]
-    return FrameChange(surface, *key)
 
 
 def _translation(v, l):
@@ -361,12 +354,42 @@ def exact_move(curve, moved, scale, mx, my=None, swap=False):
     return PointedCurve(curve.surface, curve.degree, new_p, moved.equation * scale)
 
 
+class _Move:
+    """The curve moved by the frame with matrices key (mx, my, swap), the
+    one path from a frame's matrices to a moved curve. Built, it holds
+    `move_curve`'s (moved, scale), which the torus check reads: the curve
+    itself and 1 at the identity matrices, the one place that tells the
+    identity apart. Its FrameChange (`frame`, the shared IDENTITY_FRAMES'
+    at the identity) and exact move (`exact`, by `exact_move`, the curve
+    itself at the identity), which a certificate names, are built on
+    their first read and kept once built."""
+
+    def __init__(self, curve, key):
+        self.curve, self.key = curve, key
+        if key == IDENTITY_MATRICES[curve.surface]:
+            self.moved, self.scale = curve, 1
+        else:
+            self.moved, self.scale = move_curve(curve, *key)
+
+    @cached_property
+    def frame(self):
+        if self.moved is self.curve:
+            return IDENTITY_FRAMES[self.curve.surface]
+        return FrameChange(self.curve.surface, *self.key)
+
+    @cached_property
+    def exact(self):
+        if self.moved is self.curve:
+            return self.curve
+        return exact_move(self.curve, self.moved, self.scale, *self.key)
+
+
 def apply_frame(curve, frame):
     """Move a pointed curve to new coordinates: p' = g(p), C' = C o g^{-1},
-    by `move_curve` and `exact_move`."""
+    by `_Move`; at the identity frame the moved curve is the curve itself."""
     if frame.surface is not curve.surface:
         raise ValueError("surface mismatch")
-    return exact_move(curve, *move_curve(curve, *frame.matrices), *frame.matrices)
+    return _Move(curve, frame.matrices).exact
 
 
 # -- local geometry at the marked point ------------------------------------
@@ -450,7 +473,8 @@ def affine_chart(surface, form, point):
         # the degree on each factor: d on the plane, (d, d) on the quadric
         degree = sum(next(iter(form.terms))) // len(surface.blocks)
         curve = PointedCurve(surface, degree, tuple(point), form)
-        form = exact_move(curve, *move_curve(curve, *frame), *frame).equation
+        # the matrices (mx, my, swap), my None on the plane
+        form = _Move(curve, (*frame, None)[:2] + (False,)).exact.equation
     chart = Polynomial._raw(2, {tuple(e[i] for i in free): c for e, c in form.terms.items()})
     return chart, free, shifts
 
@@ -557,8 +581,8 @@ def normalize_frame(curve, geometry=None):
     """(frame, moved curve) for the frame of `normalizing_matrices`. For a
     curve already in standard position nothing is built: the frame is the
     shared constant IDENTITY_FRAMES[surface], the moved curve the curve."""
-    g = _frame_of(curve.surface, normalizing_matrices(curve, geometry))
-    return g, curve if g is IDENTITY_FRAMES[curve.surface] else apply_frame(curve, g)
+    move = _Move(curve, normalizing_matrices(curve, geometry))
+    return move.frame, move.exact
 
 
 # -- fixed example curves ---------------------------------------------------

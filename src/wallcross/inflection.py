@@ -47,10 +47,12 @@ from math import comb
 from .curves import (
     Surface,
     _bundle_degrees,
+    _Move,
     _translation,
     adjugate,
     contact_ge,
     local_geometry,
+    normalizing_matrices,
     restrict,
 )
 from .errors import InternalError
@@ -541,7 +543,12 @@ class InflectionReport:
     At a singular marked point in_h1 = in_h2prime = True, no sequence is
     computed and the special locus is empty without a test. Every
     membership is decided; the constant below keeps the flag of the
-    `inflect` document, which is always false."""
+    `inflect` document, which is always false.
+
+    The report is also what a verdict keeps of its curve across slopes:
+    `normal` is the `curves._Move` of the normalizing frame, read off the
+    geometry, which the frame search and every certificate in that frame
+    read."""
 
     undecided = False
 
@@ -552,6 +559,10 @@ class InflectionReport:
     @cached_property
     def geometry(self):
         return local_geometry(self.curve)
+
+    @cached_property
+    def normal(self):
+        return _Move(self.curve, normalizing_matrices(self.curve, self.geometry))
 
     @cached_property
     def configuration(self):

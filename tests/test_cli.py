@@ -7,10 +7,11 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from wallcross import cli, criterion, inflection, linprog, polynomials
+from wallcross import cli, criterion, curves, inflection, linprog, polynomials, walls
 from wallcross.cli import main
 from wallcross.criterion import mu_min, stability_verdict
 from wallcross.curves import (
@@ -220,6 +221,19 @@ def test_bad_arguments_and_documents_exit_one_with_their_message(capsys, tmp_pat
         code, out, err = run(capsys, "inflect", "--curve", "-")
         assert code == 1 and out == ""
         assert err == f"error: bad curve document: {message}\n"
+    # `verify` without its claim table: the packaged table is read through
+    # importlib.resources, here pointed at a directory with no fixture,
+    # then with a malformed one
+    monkeypatch.setattr(walls, "resources", SimpleNamespace(files=lambda package: tmp_path))
+    fixture = tmp_path / "fixtures" / "propositions_v1.json"
+    prefix = "error: cannot load the proposition table: "
+    code, out, err = run(capsys, "verify", "--all", "--degree", "4")
+    assert code == 1 and out == "" and err.startswith(prefix) and "propositions_v1.json" in err
+    fixture.parent.mkdir()
+    fixture.write_text(json.dumps({"schema": "wallcross/propositions/0"}), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--id", "4.2", "--degree", "4")
+    assert code == 1 and out == ""
+    assert err == prefix + "unrecognized fixture schema: 'wallcross/propositions/0'\n"
 
 
 def test_exponent_notation_refused(capsys, tmp_path):
@@ -1002,8 +1016,8 @@ class Interrupted(BaseException):
 
 @pytest.mark.parametrize("module, layer", [
     (inflection, "special_locus_membership"),  # the report's special locus
-    (criterion, "move_curve"),  # the normalizing frame's move, or a search's
-    (criterion, "exact_move"),  # a hit's exact move
+    (curves, "move_curve"),  # the chart's, the normalizing frame's or a search's move
+    (curves, "exact_move"),  # the chart's or a hit's exact move
     (linprog, "_tie_directions"),  # the kept torus program's exits
 ])
 def test_an_interrupted_verdict_leaves_no_half_analysis(tmp_path, monkeypatch, module, layer):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -246,7 +247,7 @@ def test_exhausted_search_builds_no_frame(monkeypatch):
 
     def exact_move(*args):
         exact_moves.append(args)
-        return curves.exact_move(*args)
+        return exact(*args)
 
     drawn, tested = [], []
     random_frame = criterion._random_frame
@@ -261,8 +262,9 @@ def test_exhausted_search_builds_no_frame(monkeypatch):
 
     c = make_witness(WitnessKind.P2_NONFLEX, 4)
     assert normalize_frame(c)[0] is not curves.IDENTITY_FRAMES[c.surface]
+    exact = curves.exact_move
     monkeypatch.setattr(FrameChange, "__post_init__", counted)
-    monkeypatch.setattr(criterion, "exact_move", exact_move)
+    monkeypatch.setattr(curves, "exact_move", exact_move)
     monkeypatch.setattr(criterion, "_random_frame", draw)
     monkeypatch.setattr(criterion, "corners_vanish", vanish)
     assert destabilizer_search(c, Fraction(3, 2), budget=20) is None
@@ -350,6 +352,21 @@ def test_positive_torus_answer_flips_a_semistable_verdict(monkeypatch):
         assert verdict.status == "Unstable" and note in verdict.notes
         assert verdict.certificate == {"frame": frame, "lambda": lam, "mu": Fraction(1, 7)}
         assert (moved is c) == (frame is curves.IDENTITY_FRAMES[c.surface])
+
+
+def test_a_negative_torus_answer_leaves_a_semistable_verdict_without_certificate(monkeypatch):
+    # the torus of the normalizing frame shows a zero certificate for every
+    # strictly semistable witness, so mu < 0 there is injected: the verdict
+    # stays strictly semistable, names no certificate and says so last
+    for kind, d in (("p2-cuspidal-x0", 4), ("quadric-x0", 3), ("p2-flex", 4)):
+        c = make_witness(kind, d)
+        wall, _ = analyzed_slopes(c.surface, d)
+        assert stability_verdict(c, wall).certificate is not None
+        with monkeypatch.context() as m:
+            m.setattr(criterion, "torus_verdict", lambda curve, t: (-1, None))
+            verdict = stability_verdict(c, wall)
+        assert verdict.status == "StrictlySemistable" and verdict.certificate is None
+        assert verdict.notes[-1] == "no zero certificate exhibited in the normalizing frame"
 
 
 def test_a_zero_certificate_is_rechecked_on_its_exact_move(monkeypatch):
@@ -484,26 +501,43 @@ def _proportional(u, v):
 
 @pytest.mark.parametrize("kind", [WitnessKind.P2_S, WitnessKind.QUADRIC_S])
 def test_adapted_frames_put_the_flag_in_coordinate_position(kind):
-    # on the plane the first row is the S line and the tangency goes to
-    # (0 : 0 : 1); on the quadric the crossing goes to ((1 : 0), (1 : 0))
-    # and p to ((0 : 1), (0 : 1)); witnesses moved by rational frames
+    # every S curve has exactly one adapted frame: on the plane the first
+    # row is the S line and the tangency goes to (0 : 0 : 1); on the
+    # quadric the crossing goes to ((1 : 0), (1 : 0)) and p to
+    # ((0 : 1), (0 : 1)); witnesses moved by rational frames and by every
+    # permutation of coordinates, which on the plane puts the line on the
+    # first of the tangency's translation rows too
     rng = random.Random(36)
+    surface = make_witness(kind, 3).surface
+    perms = [tuple(tuple(int(i == j) for j in range(len(b))) for i in order)
+             for b in surface.blocks for order in itertools.permutations(range(len(b)))]
+    if surface is Surface.P2:
+        permuted = [FrameChange(surface, m) for m in perms]
+    else:
+        permuted = [FrameChange(surface, mx, my, swap)
+                    for mx, my, swap in itertools.product(perms, perms, (False, True))]
+    middles = set()
     for d in range(3, 7):
         base = make_witness(kind, d)
-        for _ in range(3):
-            curve = apply_frame(base, _rational_frame(rng, base.surface))
+        frames = [_rational_frame(rng, surface) for _ in range(3)] + permuted
+        for frame in frames:
+            curve = apply_frame(base, frame)
             report = inflection_report(curve)
             [(mx, my, swap)] = criterion._adapted_frames(curve, report)
             details, p = report.special.details, curve.point
             assert not swap
             if kind is WitnessKind.P2_S:
+                q = details["tangency"]
+                others, _ = curves._translation(q, next(i for i in range(3) if q[i]))
+                middles.add(others.index(mx[1]))
                 assert my is None and _proportional(mx[0], details["line"])
-                assert _proportional(mat_vec(mx, details["tangency"]), (0, 0, 1))
+                assert _proportional(mat_vec(mx, q), (0, 0, 1))
                 continue
             q = details["crossing"]
             for m, f in ((mx, slice(0, 2)), (my, slice(2, 4))):
                 assert _proportional(mat_vec(m, q[f]), (1, 0))
                 assert _proportional(mat_vec(m, p[f]), (0, 1))
+    assert middles == ({0, 1} if kind is WitnessKind.P2_S else set())
 
 
 @pytest.mark.parametrize("name", sorted(ADAPTED_CURVES))
@@ -575,7 +609,7 @@ def _count_shared_work(monkeypatch):
 
     geometry = counted(curves, "local_geometry")
     monkeypatch.setattr(inflection, "local_geometry", geometry)
-    counted(criterion, "move_curve")
+    counted(curves, "move_curve")
     counted(linprog, "_hull")
     return calls
 
@@ -697,17 +731,23 @@ def test_random_frame_hit_is_rechecked_on_the_exact_move(monkeypatch):
         calls.append(moved)
         return (1, lam) if len(calls) == 3 else (-1, None)
 
-    def full(curve, *key):
-        moves.append(move_curve(curve, *key))
-        return moves[-1]
+    # moves of the curve itself: the chart at its point, off a coordinate
+    # point, moves another curve, the equation with that point
+    def full(c, *key):
+        move = move_curve(c, *key)
+        if c is curve:
+            moves.append(move)
+        return move
 
-    def exact_move(curve, moved, scale, *key):
-        exact_moves.append((moved, scale))
-        return curves.exact_move(curve, moved, scale, *key)
+    def exact_move(c, moved, scale, *key):
+        if c is curve:
+            exact_moves.append((moved, scale))
+        return exact(c, moved, scale, *key)
 
+    exact = curves.exact_move
     monkeypatch.setattr(criterion, "torus_verdict", verdict)
-    monkeypatch.setattr(criterion, "move_curve", full)
-    monkeypatch.setattr(criterion, "exact_move", exact_move)
+    monkeypatch.setattr(curves, "move_curve", full)
+    monkeypatch.setattr(curves, "exact_move", exact_move)
     with pytest.raises(InternalError):
         destabilizer_search(curve, 3, budget=3)
     assert len(calls) == 3 and calls[1] is curve
@@ -817,16 +857,19 @@ def test_frame_with_a_vanishing_corner_takes_the_full_move(monkeypatch):
         tested.append((key, corners_vanish(curve, *key)))
         return tested[-1][1]
 
-    def full(curve, *key):
-        moves.append((key, move_curve(curve, *key)))
-        return moves[-1][1]
+    def full(c, *key):
+        # moves of the curve itself, not of the chart at its point
+        move = move_curve(c, *key)
+        if c is curve:
+            moves.append((key, move))
+        return move
 
     def verdict(moved, t):
         solved.append(moved)
         return torus_verdict(moved, t)
 
     monkeypatch.setattr(criterion, "corners_vanish", vanish)
-    monkeypatch.setattr(criterion, "move_curve", full)
+    monkeypatch.setattr(curves, "move_curve", full)
     monkeypatch.setattr(criterion, "torus_verdict", verdict)
     frame, _, _ = destabilizer_search(curve, Fraction(1, 2), budget=budget)
     # the normalizing key's move comes first, with no corner test
@@ -871,6 +914,8 @@ def test_interval_claim_rejects_bad_specs():
         interval_mu_claim(Surface.P2, lam, [2], [(1, 0, 2)], ("open", 2, 1))
     with pytest.raises(ValueError):
         interval_mu_claim(Surface.P2, lam, [2], [(1, 0, 2)], ("point", 1), "!=0")
+    with pytest.raises(ValueError, match=r"^t_spec must be \('point', t\) or \('open', lo, hi\)$"):
+        interval_mu_claim(Surface.P2, lam, [2], [(1, 0, 2)], ("closed", 1, 2))
 
 
 def test_verdict_matrix_plane():

@@ -18,6 +18,7 @@ from wallcross.curves import (
     affine_chart,
     all_exponents,
     apply_frame,
+    checked,
     contact_ge,
     curve_from_json,
     curve_to_json,
@@ -107,6 +108,14 @@ def test_validate_violations():
         Polynomial(4, {(1, 1, 0, 3): 1}),
     )
     assert "bidegree" in validate(bad_bideg)
+    # refused by `checked`, as every curve document is
+    for curve, message in (
+        (PointedCurve("p3", 3, good.point, good.equation), "^surface must be p2 or quadric$"),
+        (PointedCurve(Surface.P2, 3, good.point, Polynomial(4, {(0, 3, 0, 0): 1})),
+         "^equation has arity 4, expected 3$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            checked(curve)
 
 
 def test_all_exponents_counts():

@@ -115,6 +115,9 @@ def test_local_branch_needs_smooth_point():
     nodal = _p2(3, {(2, 0, 1): 1, (0, 2, 1): -1, (0, 3, 0): 1}, (0, 0, 1))
     with pytest.raises(ValueError):
         local_branch(nodal, 5)
+    flex = make_witness(WitnessKind.P2_FLEX, 3)
+    with pytest.raises(ValueError, match="^truncation must be at least 2$"):
+        local_branch(flex, 1)
 
 
 def test_vanishing_sequences_flex_and_hyperflex():

@@ -25,6 +25,8 @@ def test_series_arithmetic_window():
         series_substitute(x * y, ((0, 1), (0, 1, 0)))
     with pytest.raises(ValueError):
         series_substitute(x, ((), ()))
+    with pytest.raises(ValueError, match="^need one series per variable$"):
+        series_substitute(x * y, ((0, 1),))
 
 
 def test_series_substitute_matches_evaluate():
@@ -77,6 +79,8 @@ def test_pivot_orders_examples():
     assert pivot_orders([[0, 0], [0, 0]]) == ([], 2)
     with pytest.raises(ValueError):
         pivot_orders([])
+    with pytest.raises(ValueError, match="^ragged matrix$"):
+        pivot_orders([[1, 0, 0], [0, 1]])
 
 
 def test_pivot_orders_against_naive_span():
