@@ -341,6 +341,16 @@ def _build_parser():
             help="curve document to read ('-' for stdin)",
         )
 
+    def slope_arg(p):
+        p.add_argument("--slope", required=True, help="linearization slope, e.g. 7/4")
+
+    def strict_arg(p):
+        p.add_argument(
+            "--strict",
+            action="store_true",
+            help="accepted with no effect: every membership is decided",
+        )
+
     def surface_degree(p):
         p.add_argument(
             "--surface", required=True, choices=[s.value for s in Surface]
@@ -349,14 +359,10 @@ def _build_parser():
 
     p = command("verdict", _cmd_verdict, "classify one pointed curve at a slope")
     curve_arg(p)
-    p.add_argument("--slope", required=True, help="linearization slope, e.g. 7/4")
+    slope_arg(p)
     p.add_argument("--budget", type=int, default=500, help="frames to try (default 500)")
     p.add_argument("--seed", type=int, default=0, help="seed for the frame search")
-    p.add_argument(
-        "--strict",
-        action="store_true",
-        help="accepted with no effect: every membership is decided",
-    )
+    strict_arg(p)
 
     p = command("mu", _cmd_mu, "exact numerical weight of one subgroup")
     curve_arg(p)
@@ -368,15 +374,11 @@ def _build_parser():
         help='comma separated weights, e.g. "--lambda=-5,1,4"; three on the '
         "plane, the two-weight encoding on the quadric",
     )
-    p.add_argument("--slope", required=True, help="linearization slope, e.g. 7/4")
+    slope_arg(p)
 
     p = command("inflect", _cmd_inflect, "local report at the marked point")
     curve_arg(p)
-    p.add_argument(
-        "--strict",
-        action="store_true",
-        help="accepted with no effect: every membership is decided",
-    )
+    strict_arg(p)
 
     p = command("hessian-class", _cmd_hessian_class, "relative flex divisor class")
     surface_degree(p)

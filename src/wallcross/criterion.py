@@ -265,11 +265,13 @@ def _analysis(curve):
 def destabilizer_search(curve, t, budget=500, seed=0):
     """Search frames for a torus destabilizer with mu > 0 at slope t.
 
-    Frames are tried in a fixed order: the normalizing frame of the curve,
-    the identity, frames adapted to the special-locus geometry, then random
-    integer frames from the given seed. Returns (frame, lam, mu) for the
-    first success, or None once the budget of frames is spent; no frame is
-    drawn past the budget.
+    Frames are tried in a fixed order, one lazy stream of frame keys: the
+    normalizing frame of the curve, the identity, frames adapted to the
+    special-locus geometry, then random integer frames from the given seed.
+    Returns (frame, lam, mu) for the first success, or None once the budget
+    of distinct frames is spent; no frame is drawn past the budget, a
+    repeated key costs nothing, and the special locus is read only once
+    the first two frames miss.
 
     The adapted frames come from the special locus of the curve's
     inflection report, and the normalizing frame's move is the report's
@@ -285,12 +287,15 @@ def destabilizer_search(curve, t, budget=500, seed=0):
     (`normalizing_matrices`) is solved once for both. Any other frame for
     0 < t < d first asks whether a corner coefficient of its moved
     equation vanishes (`corners_vanish`, on the equation cleared of
-    denominators once per search). If none does, no subgroup destabilizes
-    there. Let w be the largest weight of a coordinate on the plane, of a
-    pair of coordinates, one per factor, on the quadric; w > 0 for a
-    nontrivial subgroup. The point weighs at most w and the corner of that
-    coordinate (pair) weighs d * w, so mu <= (t - d) * w < 0. Such a frame
-    counts as tried and gets no torus solve. Past the normalizing frame,
+    denominators once per search, as Fractions would double the cost of
+    a spent budget). If none does, no subgroup destabilizes there. Let w
+    be the largest weight of a coordinate on the plane, of a pair of
+    coordinates, one per factor, on the quadric; w > 0 for a nontrivial
+    subgroup. The point weighs at most w and the corner of that coordinate
+    (pair) weighs d * w, so mu <= (t - d) * w < 0. Such a frame counts as
+    tried and gets no torus solve. The test would slow a search that hits
+    at once by about a third, and the normalizing frame, which sends p to
+    a coordinate point, always passes it. Past the normalizing frame,
     every search `stability_verdict` runs has 0 < t < d: it answers t <= 0
     without one, and the normalizing frame hits at every t >= d, since on
     the plane lambda = (-1, -1, 2) there has mu >= 2t - (2d - 3), a hit
@@ -302,32 +307,26 @@ def destabilizer_search(curve, t, budget=500, seed=0):
     builds neither."""
     report = _analysis(curve)
     normal = report.normal
+    first = (normal.key, IDENTITY_MATRICES[curve.surface])
+    den = cleared(list(curve.equation.terms.values()))[0]
+    corners = curve if den == 1 else replace(curve, equation=curve.equation * den)
 
-    def candidates():
-        # (canonical matrices, which are the `seen` key, and the curve the
-        # corner test reads, or None for no test): past the identity and
-        # below t = d, the curve with its denominators cleared
-        yield normal.key, None
-        yield IDENTITY_MATRICES[curve.surface], None
-        den = cleared(list(curve.equation.terms.values()))[0]
-        integral = curve if den == 1 else replace(curve, equation=curve.equation * den)
-        corners = integral if 0 < t < curve.degree else None
-        for key in _adapted_frames(curve, report):
-            yield key, corners
+    def frames():
+        yield from first
+        yield from _adapted_frames(curve, report)
         rng = random.Random(seed)
         while True:
-            yield _random_frame(curve.surface, rng), corners
+            yield _random_frame(curve.surface, rng)
 
-    frames = candidates()
-    tried = 0
+    keys = frames()
     seen = set()
-    while tried < budget:
-        key, corners = next(frames)
+    while len(seen) < budget:
+        key = next(keys)
         if key in seen:
             continue
         seen.add(key)
-        tried += 1
-        if corners is not None and not corners_vanish(corners, *key):
+        # a later key equal to one of the first two is a repeat, skipped above
+        if 0 < t < curve.degree and key not in first and not corners_vanish(corners, *key):
             continue
         # the report keeps the normalizing frame's move
         move = normal if key == normal.key else _Move(curve, key)

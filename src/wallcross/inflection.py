@@ -242,19 +242,16 @@ def _power_point(line, k):
     return tuple(m * q[0] * e - q[1] * b for b, e in zip(line.base, line.direction))
 
 
-def _s_on_plane(p, line, conic):
+def _s_on_plane(line, conic):
     """The details of S for this line and conic: {} unless the conic is
-    smooth, the line touches it at a single point q (the conic on the
-    line is a square, `_power_point`), and p lies on the conic, off the
-    line and apart from q."""
+    smooth and the line touches it at a single point q (the conic on the
+    line is a square, `_power_point`). The gate of `_p2_special` puts p on
+    the conic, off the line and apart from q."""
     if not _conic_is_smooth(conic):
         return {}
     q = _power_point(restrict(conic, *_line_points(line), 2), 0)
-    if q is None or conic.evaluate(p) or _proj_equal(p, q):
-        return {}
-    if not linear_form(3, (0, 1, 2), line).evaluate(p):
-        return {}
-    return {"line": line, "conic": conic, "tangency": q}
+    # at a smooth p of contact 2, L(p) = 0 makes p singular or L the tangent
+    return {} if q is None else {"line": line, "conic": conic, "tangency": q}
 
 
 def _cusp_line(cubic, p):
@@ -343,7 +340,7 @@ def _p2_special(curve, geometry, config):
         if rest is None:
             return SpecialLocus(False, False)
     if config == "S":
-        details = _s_on_plane(p, line, primitive_normalized(rest))
+        details = _s_on_plane(line, primitive_normalized(rest))
         return SpecialLocus(bool(details), False, details)
     cusp = _cusp_line(rest, p)
     in_x0 = cusp is not None and (line is None or _proj_equal(line, cusp))
@@ -357,17 +354,17 @@ def _ruling_point(v):
     return (quotient(v[0], v[1]), 1) if v[1] else (1, 0)
 
 
-def _s_on_quadric(p, gamma, q):
+def _s_on_quadric(gamma, q):
     """The details of S for this (1, 1)-form and crossing point q of the
     two rulings: {} unless gamma is smooth (its 2x2 matrix is invertible)
-    and passes through p and q, with p != q."""
+    and passes through q. The gate of `_quadric_special` puts p on gamma,
+    apart from q."""
     a = gamma.terms.get((1, 0, 1, 0), 0)
     b = gamma.terms.get((1, 0, 0, 1), 0)
     c = gamma.terms.get((0, 1, 1, 0), 0)
     e = gamma.terms.get((0, 1, 0, 1), 0)
-    if a * e == b * c or gamma.evaluate(q) or gamma.evaluate(p):
-        return {}
-    if _proj_equal(p[:2], q[:2]) and _proj_equal(p[2:], q[2:]):
+    # at contacts (1, 1) a ruling through p is a (d - 1)-fold component
+    if a * e == b * c or gamma.evaluate(q):
         return {}
     return {"gamma": gamma, "crossing": q}
 
@@ -401,8 +398,7 @@ def _x0_quadric_oriented(gamma, k, q, p):
     triples = [restrict(gamma, unit(moving[0], z), unit(moving[1]), 2).coeffs for z in held]
     if not _coprime_quadratics(*triples):
         return False
-    if _proj_equal(p[:2], q[:2]) and _proj_equal(p[2:], q[2:]):
-        return False
+    # a ruling through p is multiple or the contact-1 ruling as a component
     for r in (q, p):
         direction = [0] * 4
         direction[moving[0]], direction[moving[1]] = -r[moving[1]], r[moving[0]]
@@ -445,7 +441,7 @@ def _quadric_special(curve, geometry, config):
         return SpecialLocus(False, False)
     gamma = primitive_normalized(gamma)
     if config == "S":
-        details = _s_on_quadric(p, gamma, xq + yq)
+        details = _s_on_quadric(gamma, xq + yq)
         return SpecialLocus(bool(details), False, details)
     in_x0 = _x0_quadric_oriented(gamma, 0 if config == "X0" else 1, xq + yq, p)
     return SpecialLocus(False, in_x0)

@@ -387,7 +387,12 @@ def p2_special(curve, groups, configs):
         and len(lines) == 1
         and lines[0][1] == d - 2
     ):
-        details = _s_on_plane(p, lines[0][0], leftovers[0][0])
+        line, conic = lines[0][0], leftovers[0][0]
+        details = _s_on_plane(line, conic)
+        # with no gate, p must be tested: on the conic, off the line, apart from the tangency
+        off_line = linear_form(3, (0, 1, 2), line).evaluate(p)
+        if details and (conic.evaluate(p) or not off_line or _proj_equal(p, details["tangency"])):
+            details = {}
     lines_fit = (d == 3 and not lines) or (d > 3 and len(lines) == 1 and lines[0][1] == d - 3)
     in_x0 = False
     if "X0" in configs and single_left and leftovers[0][0].total_degree() == 3 and lines_fit:
@@ -406,7 +411,8 @@ def quadric_special(curve, groups, configs):
         return ReferenceLocus(False, False, True)
     d = curve.degree
     p = tuple(Fraction(x) for x in curve.point)
-    if len(leftovers) != 1 or leftovers[0][1] != 1:
+    # every configuration has one x-ruling and one y-ruling
+    if len(leftovers) != 1 or leftovers[0][1] != 1 or len(rx) != 1 or len(ry) != 1:
         return ReferenceLocus(False, False, False)
     gamma = leftovers[0][0]
     bidegree = degrees(Surface.QUADRIC, gamma)
@@ -414,14 +420,18 @@ def quadric_special(curve, groups, configs):
     def single(rulings, mult):
         return len(rulings) == 1 and rulings[0][1] == mult
 
+    # with no gate, p must be tested: apart from the crossing q, and on gamma for S
+    q = rx[0][0] + ry[0][0]
+    apart = not (_proj_equal(p[:2], q[:2]) and _proj_equal(p[2:], q[2:]))
     details = {}
     if "S" in configs and bidegree == (1, 1) and single(rx, d - 1) and single(ry, d - 1):
-        details = _s_on_quadric(p, gamma, rx[0][0] + ry[0][0])
+        if apart and not gamma.evaluate(p):
+            details = _s_on_quadric(gamma, q)
     in_x0 = False
     if "X0" in configs and bidegree == (2, 1) and single(rx, d - 2) and single(ry, d - 1):
-        in_x0 = _x0_quadric_oriented(gamma, 0, rx[0][0] + ry[0][0], p)
+        in_x0 = apart and _x0_quadric_oriented(gamma, 0, q, p)
     if "X0 swapped" in configs and bidegree == (1, 2) and single(ry, d - 2) and single(rx, d - 1):
-        in_x0 = in_x0 or _x0_quadric_oriented(gamma, 1, rx[0][0] + ry[0][0], p)
+        in_x0 = in_x0 or (apart and _x0_quadric_oriented(gamma, 1, q, p))
     return ReferenceLocus(bool(details), in_x0, False, details)
 
 

@@ -293,6 +293,22 @@ def test_hit_at_the_normalizing_frame_keeps_its_frame(monkeypatch):
         assert mu == mu_min(apply_frame(c, frame), lam, Fraction(d + 1))[0] > 0
 
 
+def test_a_hit_at_the_normalizing_frame_reads_no_special_locus(monkeypatch):
+    # the frames are one lazy stream: the adapted frames, and with them the
+    # special locus, are reached only after the first two frames miss. The
+    # nonflex witness has tangent contact 2, which allows S, and at t = 5 >
+    # d its normalizing frame hits
+    def refuse(curve, geometry=None):
+        raise AssertionError("the special locus was computed")
+
+    monkeypatch.setattr(criterion, "_kept", [])
+    monkeypatch.setattr(inflection, "special_locus_membership", refuse)
+    c = make_witness(WitnessKind.P2_NONFLEX, 4)
+    assert inflection_report(c).configuration == "S"
+    frame, lam, mu = destabilizer_search(c, Fraction(5))
+    assert frame == normalize_frame(c)[0] and mu > 0
+
+
 def test_certificate_rechecks_raise_internal_error(monkeypatch):
     # the re-checks are explicit, so they also run under python -O;
     # torus_verdict re-checks with mu_min's integer kernel _mu, (num, den,

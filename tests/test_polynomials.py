@@ -45,11 +45,37 @@ def test_arithmetic_and_evaluate():
 
 
 def test_exponents_must_be_integers():
-    # a float exponent is refused, not truncated to v0 + 3*v1^2
-    for exp in ((1.5, 0), (0, 2.9), (1.0, 2), (Fraction(1), 2), ("1", 2)):
-        with pytest.raises(TypeError):
-            Polynomial(2, {exp: 1, (0, 1): 3})
-    assert Polynomial(2, [((1, 0), 1), ((0, 2), 3)]).terms == {(1, 0): 1, (0, 2): 3}
+    # one refusal table for Polynomial: a float exponent is refused, not
+    # truncated to v0 + 3*v1^2, and so are a bad arity, a negative
+    # exponent, operands of two arities, a bad power, a point or a variable
+    # the polynomial does not have, a zero divisor, and operands that are
+    # not numbers or polynomials (TypeError through NotImplemented)
+    p, q = Polynomial(2, {(1, 0): 1, (0, 2): 3}), Polynomial(3, {(1, 0, 0): 1})
+    refusals = [
+        *((lambda exp=exp: Polynomial(2, {exp: 1, (0, 1): 3}), TypeError, None)
+          for exp in ((1.5, 0), (0, 2.9), (1.0, 2), (Fraction(1), 2), ("1", 2))),
+        (lambda: Polynomial(0), ValueError, "nvars must be positive"),
+        (lambda: Polynomial(2, {(1, 0, 0): 1}), ValueError, "arity 3, expected 2"),
+        (lambda: Polynomial(2, {(1, -1): 1}), ValueError, "negative exponent"),
+        (lambda: p * q, ValueError, "arity mismatch"),
+        (lambda: p + q, ValueError, "arity mismatch"),
+        (lambda: p - q, ValueError, "arity mismatch"),
+        (lambda: p ** -1, ValueError, "non-negative integer"),
+        (lambda: p ** 1.5, ValueError, "non-negative integer"),
+        (lambda: p.evaluate((1, 2, 3)), ValueError, "point has arity 3, expected 2"),
+        (lambda: p.partial_derivative(2), ValueError, "no such variable"),
+        (lambda: p.partial_derivative(-1), ValueError, "no such variable"),
+        (lambda: exact_divide(p, zero(2)), ZeroDivisionError, "zero polynomial"),
+        (lambda: exact_divide(p, q), ValueError, "arity mismatch"),
+        (lambda: p + "x", TypeError, None),
+        (lambda: p - "x", TypeError, None),
+        (lambda: p * 1.5, TypeError, None),
+    ]
+    for call, error, message in refusals:
+        with pytest.raises(error, match=message):
+            call()
+    assert (p == 1) is False and (constant(2, 1) == 1) is False
+    assert Polynomial(2, [((1, 0), 1), ((0, 2), 3)]).terms == p.terms
 
 
 def test_exact_divide_round_trip():
