@@ -18,7 +18,8 @@ from itertools import product
 from operator import mul
 
 from .curves import (
-    IDENTITY_MATRICES,
+    IDENTITY_FRAMES,
+    FrameChange,
     Surface,
     _Move,
     _translation,
@@ -189,26 +190,26 @@ def torus_verdict(curve, t):
 
 
 def _random_frame(surface, rng):
-    """The matrices (mx, my, swap) of a random invertible integer frame,
-    entries in [-3, 3]: one matrix per factor, redrawn together until all
-    are invertible, then the swap bit; my is None, swap False on the plane."""
+    """A random invertible integer frame, entries in [-3, 3]: one matrix per
+    factor, redrawn together until all are invertible, then on the quadric
+    the swap bit, which is drawn before the frame is built."""
     while True:
         mats = [tuple(tuple(rng.randint(-3, 3) for _ in b) for _ in b) for b in surface.blocks]
         if all(adjugate(m)[1] for m in mats):
             break
     if len(mats) == 1:
-        return mats[0], None, False
-    return mats[0], mats[1], bool(rng.getrandbits(1))
+        return FrameChange(surface, mats[0])
+    return FrameChange(surface, *mats, bool(rng.getrandbits(1)))
 
 
 def _adapted_frames(curve, report):
-    """The matrices (mx, my, swap) of the frames suggested by the
-    special-locus geometry of the curve, read from its inflection report.
-    These align the destabilizing flag with coordinate data so the diagonal
-    torus of the new frame can see it. Only S has them, so the special
-    locus is read only when the local geometry allows S. A curve in S has
-    every detail of it, and on the plane its line, as S there is a conic
-    times the line to the d - 2 >= 1."""
+    """The frames suggested by the special-locus geometry of the curve,
+    read from its inflection report. These align the destabilizing flag
+    with coordinate data so the diagonal torus of the new frame can see
+    it. Only S has them, so the special locus is read only when the local
+    geometry allows S. A curve in S has every detail of it, and on the
+    plane its line, as S there is a conic times the line to the
+    d - 2 >= 1."""
     if report.configuration != "S" or not report.special.in_s:
         return []
     det = report.special.details
@@ -222,7 +223,7 @@ def _adapted_frames(curve, report):
         mx = (line, others[0], last)
         if not adjugate(mx)[1]:
             mx = (line, others[1], last)
-        return [(mx, None, False)]
+        return [FrameChange(curve.surface, mx)]
     q, p = det["crossing"], curve.point
     # Columns (q | p) per factor; the inverse, the adjugate over the
     # determinant, sends q to (1, 0) and p to (0, 1) so the degeneration
@@ -230,7 +231,7 @@ def _adapted_frames(curve, report):
     # S needs contacts (1, 1), so no ruling joins q to p: that is a (d - 1)-fold component
     pairs = [adjugate(tuple((q[i], p[i]) for i in rows)) for rows in ((0, 1), (2, 3))]
     mx, my = (tuple(tuple(quotient(a, d) for a in row) for row in adj) for adj, d in pairs)
-    return [(mx, my, False)]
+    return [FrameChange(curve.surface, mx, my)]
 
 
 def _certificate(move, sign, lam, t):
@@ -265,12 +266,12 @@ def _analysis(curve):
 def destabilizer_search(curve, t, budget=500, seed=0):
     """Search frames for a torus destabilizer with mu > 0 at slope t.
 
-    Frames are tried in a fixed order, one lazy stream of frame keys: the
+    Frames are tried in a fixed order, one lazy stream of frames: the
     normalizing frame of the curve, the identity, frames adapted to the
     special-locus geometry, then random integer frames from the given seed.
     Returns (frame, lam, mu) for the first success, or None once the budget
     of distinct frames is spent; no frame is drawn past the budget, a
-    repeated key costs nothing, and the special locus is read only once
+    repeated frame costs nothing, and the special locus is read only once
     the first two frames miss.
 
     The adapted frames come from the special locus of the curve's
@@ -282,54 +283,56 @@ def destabilizer_search(curve, t, budget=500, seed=0):
     The torus check reads only the zero pattern of the moved point and the
     convex hull of the moved support (Mumford, Fogarty and Kirwan, GIT,
     2.1), so every frame but the identity, the curve itself, is moved up
-    to constants through the integer adjugate (`move_curve`). Frames are
-    keyed by their canonical matrices, so an identity normalizing frame
-    (`normalizing_matrices`) is solved once for both. Any other frame for
-    0 < t < d first asks whether a corner coefficient of its moved
-    equation vanishes (`corners_vanish`, on the equation cleared of
-    denominators once per search, as Fractions would double the cost of
-    a spent budget). If none does, no subgroup destabilizes there. Let w
-    be the largest weight of a coordinate on the plane, of a pair of
-    coordinates, one per factor, on the quadric; w > 0 for a nontrivial
-    subgroup. The point weighs at most w and the corner of that coordinate
-    (pair) weighs d * w, so mu <= (t - d) * w < 0. Such a frame counts as
-    tried and gets no torus solve. The test would slow a search that hits
-    at once by about a third, and the normalizing frame, which sends p to
-    a coordinate point, always passes it. Past the normalizing frame,
-    every search `stability_verdict` runs has 0 < t < d: it answers t <= 0
-    without one, and the normalizing frame hits at every t >= d, since on
-    the plane lambda = (-1, -1, 2) there has mu >= 2t - (2d - 3), a hit
-    above d - 3/2, and on the quadric r = (1, 1) has mu >= 2t - (2d - 2),
-    a hit above d - 1. A frame is keyed by its matrices alone until it
-    passes the corner test; then its `curves._Move` moves the curve, and
-    only a hit reads the move's frame and exact move, the integer move
-    scaled, on which `_certificate` re-checks its mu; an exhausted search
-    builds neither."""
+    to constants through the integer adjugate (`move_curve`). Frames
+    compare by their canonical matrices, and an identity normalizing frame
+    (`normalizing_frame`) is the shared identity itself, so it is solved
+    once for both. Any other frame for 0 < t < d first asks whether a
+    corner coefficient of its moved equation vanishes (`corners_vanish`,
+    on the equation cleared of denominators once per search, as Fractions
+    would double the cost of a spent budget). If none does, no subgroup
+    destabilizes there. Let w be the largest weight of a coordinate on the
+    plane, of a pair of coordinates, one per factor, on the quadric; w > 0
+    for a nontrivial subgroup. The point weighs at most w and the corner
+    of that coordinate (pair) weighs d * w, so mu <= (t - d) * w < 0. Such
+    a frame counts as tried and gets no torus solve. The test would slow a
+    search that hits at once by about a third, and the normalizing frame,
+    which sends p to a coordinate point, always passes it. Past the
+    normalizing frame, every search `stability_verdict` runs has
+    0 < t < d: it answers t <= 0 without one, and the normalizing frame
+    hits at every t >= d, since on the plane lambda = (-1, -1, 2) there
+    has mu >= 2t - (2d - 3), a hit above d - 3/2, and on the quadric
+    r = (1, 1) has mu >= 2t - (2d - 2), a hit above d - 1. A frame that passes the corner
+    test is moved by its `curves._Move`, and only a hit reads the move's
+    exact move, the integer move scaled, on which `_certificate` re-checks
+    its mu; an exhausted search builds none."""
     report = _analysis(curve)
     normal = report.normal
-    first = (normal.key, IDENTITY_MATRICES[curve.surface])
+    identity = IDENTITY_FRAMES[curve.surface]
     den = cleared(list(curve.equation.terms.values()))[0]
     corners = curve if den == 1 else replace(curve, equation=curve.equation * den)
 
     def frames():
-        yield from first
+        yield normal.frame
+        yield identity
         yield from _adapted_frames(curve, report)
         rng = random.Random(seed)
         while True:
             yield _random_frame(curve.surface, rng)
 
-    keys = frames()
+    stream = frames()
     seen = set()
     while len(seen) < budget:
-        key = next(keys)
-        if key in seen:
+        frame = next(stream)
+        if frame in seen:
             continue
-        seen.add(key)
-        # a later key equal to one of the first two is a repeat, skipped above
-        if 0 < t < curve.degree and key not in first and not corners_vanish(corners, *key):
+        seen.add(frame)
+        # a later frame equal to one of the first two is a repeat, skipped
+        # above, so those two are told apart by `is`
+        if (0 < t < curve.degree and frame is not normal.frame and frame is not identity
+                and not corners_vanish(corners, frame)):
             continue
         # the report keeps the normalizing frame's move
-        move = normal if key == normal.key else _Move(curve, key)
+        move = normal if frame is normal.frame else _Move(curve, frame)
         sign, lam = torus_verdict(move.moved, t)
         if sign > 0:
             cert = _certificate(move, sign, lam, t)
@@ -360,12 +363,10 @@ def interval_mu_claim(surface, lam, labels, exponents, t_spec, strictness=">0"):
     check = ClaimCheck(passed=True)
     if t_spec[0] == "point":
         points = [Fraction(t_spec[1])]
-        open_interval = False
     elif t_spec[0] == "open":
         points = [Fraction(t_spec[1]), Fraction(t_spec[2])]
         if points[0] >= points[1]:
             raise ValueError("empty interval")
-        open_interval = True
     else:
         raise ValueError("t_spec must be ('point', t) or ('open', lo, hi)")
     # weights scaled by the lcm of their denominators, so that for t = n/q
@@ -379,13 +380,8 @@ def interval_mu_claim(surface, lam, labels, exponents, t_spec, strictness=">0"):
             for t, v in zip(points, nums):
                 if not v:
                     check.equalities.append((label, exp, t))
-            if open_interval:
-                bad = min(nums) < 0 or (strictness == ">0" and not any(nums))
-            elif strictness == ">0":
-                bad = nums[0] <= 0
-            else:
-                bad = nums[0] < 0
-            if bad:
+            # one test for both specs: at a single slope, not any(nums) is mu = 0
+            if min(nums) < 0 or (strictness == ">0" and not any(nums)):
                 values = [Fraction(v, t.denominator * den) for t, v in zip(points, nums)]
                 worst = min(zip(values, points))
                 check.counterexamples.append((label, exp, worst[1], worst[0]))

@@ -139,10 +139,6 @@ def mat_vec(m, v):
     return tuple(sum(a * x for a, x in zip(row, v)) for row in m)
 
 
-def _entries(m):
-    return [x for row in m for x in row]
-
-
 def adjugate(m):
     """(adj, det) of a 2x2 or 3x3 matrix, adj * m = m * adj = det * I, in
     the arithmetic of its entries: an integer matrix stays in ints."""
@@ -158,45 +154,35 @@ def adjugate(m):
     return adj, a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
 
 
-def _exact(m):
-    """A matrix with canonical entries (rationals.canonical)."""
-    return tuple(tuple(canonical(x) for x in row) for row in m)
-
-
-def _freeze(m):
-    return tuple(tuple(Fraction(x) for x in row) for row in m)
-
-
-# The matrices (mx, my, swap) of the identity frame of each surface, as
-# ints; they compare and hash equal to the Fraction matrices a FrameChange
-# built from them holds.
-IDENTITY_MATRICES = {
-    Surface.P2: (((1, 0, 0), (0, 1, 0), (0, 0, 1)), None, False),
-    Surface.QUADRIC: (((1, 0), (0, 1)), ((1, 0), (0, 1)), False),
-}
-
-
 @dataclass(frozen=True)
 class FrameChange:
-    """A coordinate change of the ambient surface.
+    """A coordinate change of the ambient surface, the one form of a frame.
 
     On the plane: one invertible 3x3 matrix. On the quadric: a pair of
     invertible 2x2 matrices plus an optional exchange of the two factors,
     applied after the linear maps.
 
-    The matrices are kept as Fractions. `matrices` holds (mx, my, swap)
-    with canonical entries, ints where they are integral, which compares
-    and hashes equal to the Fraction triple; the singularity check and the
-    moves compute on it.
+    The matrices keep canonical entries (`rationals.canonical`), ints where
+    they are integral, so frames built from ints, Fractions or lists compare
+    and hash alike. The validation also builds `_integer`, which the moves
+    compute on and ==, the hash and repr ignore: per factor of the surface,
+    in the order of the old coordinates, (c, M, adj(M), det M, slots), with
+    c * g = M the integer matrix of that factor and slots the new
+    coordinates that its old ones become forms in; det M is the
+    singularity test.
     """
 
     surface: Surface
     mx: tuple
     my: tuple = None
     swap: bool = False
-    matrices: tuple = field(init=False, repr=False, compare=False)
+    _integer: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.surface, Surface):
+            raise ValueError("a frame's surface must be p2 or quadric")
+        if type(self.swap) is not bool:
+            raise ValueError("a frame's swap must be True or False")
         blocks = self.surface.blocks
         n = len(blocks)
         given = (self.mx, self.my)
@@ -204,21 +190,32 @@ class FrameChange:
             raise ValueError(f"a {self.surface.value} frame needs one matrix per factor, {n}")
         if self.swap and n == 1:
             raise ValueError("only a frame with two factors can exchange them")
-        mats = [_exact(m) for m in given[:n]]
-        for m, b in zip(mats, blocks):
-            k = len(b)
+        # g(x, y) = (mx x, my y), or (my y, mx x) with the swap, so the old x
+        # coordinates are forms in the new coordinates of the factor that mx x
+        # lands on; on the plane, zip stops at its one factor
+        integer = []
+        for name, m, slots in zip(("mx", "my"), given, blocks[::-1] if self.swap else blocks):
+            k = len(slots)
             if len(m) != k or any(len(r) != k for r in m):
                 raise ValueError(f"a {self.surface.value} frame needs {k}x{k} matrices")
-            if not adjugate(m)[1]:
+            m = tuple([tuple([canonical(x) for x in row]) for row in m])
+            c, ints = cleared([x for row in m for x in row])
+            # canonical entries over the denominator 1 are the ints already
+            ints = m if c == 1 else tuple(ints[i:i + k] for i in range(0, k * k, k))
+            adj, det = adjugate(ints)
+            if not det:
                 raise ValueError("frame matrix is singular")
-        for name, m in zip(("mx", "my"), mats):
-            object.__setattr__(self, name, _freeze(m))
-        object.__setattr__(self, "matrices", (*mats, *given[n:], self.swap))
+            object.__setattr__(self, name, m)
+            integer.append((c, ints, adj, det, slots))
+        object.__setattr__(self, "_integer", tuple(integer))
 
 
-# The identity frame of each surface, one shared constant: `_Move`
-# returns it for the identity matrices.
-IDENTITY_FRAMES = {s: FrameChange(s, *IDENTITY_MATRICES[s]) for s in Surface}
+# The identity frame of each surface, one shared constant: `_Move` and the
+# frame search tell the identity apart by `is`, and `normalizing_frame`
+# returns it for a curve in standard position.
+IDENTITY_FRAMES = {
+    s: FrameChange(s, *[[[int(i == j) for j in b] for i in b] for b in s.blocks]) for s in Surface
+}
 
 
 def _translation(v, l):
@@ -241,27 +238,6 @@ def _translation(v, l):
     return others, tuple(last)
 
 
-def _integer_frame(surface, mx, my, swap):
-    """The integer data of the frame with matrices (mx, my, swap), shared
-    by `move_curve` and `corners_vanish`: per factor of the surface, in the
-    order of the old coordinates, (c, M, adj(M), det M, slots) with
-    c * g = M the integer matrix of that factor and slots the new
-    coordinates that its old ones become forms in."""
-    # g(x, y) = (mx x, my y), or (my y, mx x) with the swap, so the old x
-    # coordinates are forms in the new coordinates of the factor that mx x
-    # lands on; on the plane, zip stops at its one factor
-    factors = []
-    for m, slots in zip((mx, my), surface.blocks[::-1] if swap else surface.blocks):
-        c, ints = cleared(_entries(m))
-        k = len(m)
-        m = tuple(ints[i:i + k] for i in range(0, k * k, k))
-        adj, det = adjugate(m)
-        if not det:
-            raise ValueError("frame matrix is singular")
-        factors.append((c, m, adj, det, slots))
-    return factors
-
-
 @lru_cache(maxsize=32)
 def _chart_digits(surface, d):
     """(u, v, pairs): u, v the coordinates but the last of each factor, and
@@ -270,12 +246,12 @@ def _chart_digits(surface, d):
     return u, v, tuple((e[u] + (d + 1) * e[v], e) for e in all_exponents(surface, d))
 
 
-def move_curve(curve, mx, my=None, swap=False):
-    """Move a pointed curve by the frame g given by its matrices (as in
-    FrameChange), up to nonzero constants, through the integer adjugate:
-    with c * g = M an integer matrix, g^-1 = c * adj(M) / det(M), so the
-    integer linear forms of adj(M) substituted into C, its denominators
-    cleared, give C o g^-1 up to a constant per factor.
+def move_curve(curve, frame):
+    """Move a pointed curve by the FrameChange g, up to nonzero constants,
+    through the integer adjugate the frame keeps per factor: with c * g = M
+    an integer matrix, g^-1 = c * adj(M) / det(M), so the integer linear
+    forms of adj(M) substituted into C, its denominators cleared, give
+    C o g^-1 up to a constant per factor.
 
     The substitution is one evaluation at big integers (Kronecker
     substitution; Harvey 2009, "Faster polynomial multiplication via
@@ -295,12 +271,12 @@ def move_curve(curve, mx, my=None, swap=False):
     its point are those of the exact move; scale * moved.equation is
     C o g^-1, scale an int when it is integral (`exact_move`).
     """
-    factors = _integer_frame(curve.surface, mx, my, swap)
+    factors = frame._integer
     d = curve.degree
     p = cleared(curve.point)[1]
     parts = [[p[i] for i in b] for b in curve.surface.blocks]
     images = [mat_vec(m, q) for (_, m, _, _, _), q in zip(factors, parts)]
-    if swap:
+    if frame.swap:
         images.reverse()
     exponents = curve.equation.terms
     cden, coeffs = cleared(list(exponents.values()))
@@ -325,7 +301,7 @@ def move_curve(curve, mx, my=None, swap=False):
     return PointedCurve(curve.surface, d, sum(images, ()), equation), scale
 
 
-def corners_vanish(curve, mx, my=None, swap=False):
+def corners_vanish(curve, frame):
     """Whether a corner coefficient of `move_curve`'s moved equation is 0.
 
     A corner is a monomial of degree d in one coordinate per factor: y_j^d
@@ -335,61 +311,54 @@ def corners_vanish(curve, mx, my=None, swap=False):
     the matching columns of the adjugates: column j of adj(M) on the
     plane, column a of adj(M_x) and column b of adj(M_y) on the quadric.
     """
-    factors = _integer_frame(curve.surface, mx, my, swap)
-    columns = [tuple(zip(*adj)) for _, _, adj, _, _ in factors]
+    columns = [tuple(zip(*adj)) for _, _, adj, _, _ in frame._integer]
     evaluate = curve.equation.evaluate
     return any(not evaluate(sum(corner, ())) for corner in product(*columns))
 
 
-def exact_move(curve, moved, scale, mx, my=None, swap=False):
+def exact_move(curve, moved, scale, frame):
     """p' = g(p) and C' = C o g^-1 from `move_curve`'s (moved, scale) for
-    the frame (mx, my, swap): C' is scale times the moved equation, and
-    the moved point M p is c * D * g(p), with D the denominator of the
-    point and c that of the matrix of each factor."""
+    the frame g: C' is scale times the moved equation, and the moved point
+    M p is c * D * g(p), with D the denominator of the point and c that of
+    the matrix of each factor."""
     den = cleared(curve.point)[0]
-    divisors = [(den * cleared(_entries(m))[0],) * len(b) for m, b in zip((mx, my), curve.surface.blocks)]
-    if swap:
+    divisors = [(den * c,) * len(slots) for c, _, _, _, slots in frame._integer]
+    if frame.swap:
         divisors.reverse()
     new_p = tuple(map(Fraction, moved.point, sum(divisors, ())))
     return PointedCurve(curve.surface, curve.degree, new_p, moved.equation * scale)
 
 
 class _Move:
-    """The curve moved by the frame with matrices key (mx, my, swap), the
-    one path from a frame's matrices to a moved curve. Built, it holds
-    `move_curve`'s (moved, scale), which the torus check reads: the curve
-    itself and 1 at the identity matrices, the one place that tells the
-    identity apart. Its FrameChange (`frame`, the shared IDENTITY_FRAMES'
-    at the identity) and exact move (`exact`, by `exact_move`, the curve
-    itself at the identity), which a certificate names, are built on
-    their first read and kept once built."""
+    """The curve moved by a frame, the one path from a frame to a moved
+    curve. Built, it holds the frame and `move_curve`'s (moved, scale),
+    which the torus check reads: the curve itself and 1 at the shared
+    identity frame IDENTITY_FRAMES[surface], told apart by `is`, the one
+    identity test. Its exact move (`exact`, by `exact_move`, the curve
+    itself at the identity), which a certificate names, is built on its
+    first read and kept once built."""
 
-    def __init__(self, curve, key):
-        self.curve, self.key = curve, key
-        if key == IDENTITY_MATRICES[curve.surface]:
+    def __init__(self, curve, frame):
+        self.curve, self.frame = curve, frame
+        if frame is IDENTITY_FRAMES[curve.surface]:
             self.moved, self.scale = curve, 1
         else:
-            self.moved, self.scale = move_curve(curve, *key)
-
-    @cached_property
-    def frame(self):
-        if self.moved is self.curve:
-            return IDENTITY_FRAMES[self.curve.surface]
-        return FrameChange(self.curve.surface, *self.key)
+            self.moved, self.scale = move_curve(curve, frame)
 
     @cached_property
     def exact(self):
         if self.moved is self.curve:
             return self.curve
-        return exact_move(self.curve, self.moved, self.scale, *self.key)
+        return exact_move(self.curve, self.moved, self.scale, self.frame)
 
 
 def apply_frame(curve, frame):
     """Move a pointed curve to new coordinates: p' = g(p), C' = C o g^{-1},
-    by `_Move`; at the identity frame the moved curve is the curve itself."""
+    by `_Move`; at the shared identity frame the moved curve is the curve
+    itself."""
     if frame.surface is not curve.surface:
         raise ValueError("surface mismatch")
-    return _Move(curve, frame.matrices).exact
+    return _Move(curve, frame).exact
 
 
 # -- local geometry at the marked point ------------------------------------
@@ -473,8 +442,7 @@ def affine_chart(surface, form, point):
         # the degree on each factor: d on the plane, (d, d) on the quadric
         degree = sum(next(iter(form.terms))) // len(surface.blocks)
         curve = PointedCurve(surface, degree, tuple(point), form)
-        # the matrices (mx, my, swap), my None on the plane
-        form = _Move(curve, (*frame, None)[:2] + (False,)).exact.equation
+        form = _Move(curve, FrameChange(surface, *frame)).exact.equation
     chart = Polynomial._raw(2, {tuple(e[i] for i in free): c for e, c in form.terms.items()})
     return chart, free, shifts
 
@@ -536,11 +504,12 @@ def contact_ge(contact, k):
 # -- canonical frames -------------------------------------------------------
 
 
-def normalizing_matrices(curve, geometry=None):
-    """The matrices (mx, my, swap) of the frame change putting the marked
-    point, and at a smooth point its tangent, into standard position, read
-    off `local_geometry`. A caller that holds the curve's local geometry
-    already passes it as `geometry`, so it is not computed again.
+def normalizing_frame(curve, geometry=None):
+    """The frame change putting the marked point, and at a smooth point its
+    tangent, into standard position, read off `local_geometry`: the shared
+    IDENTITY_FRAMES[surface], with no frame built, when its rows are the
+    identity's. A caller that holds the curve's local geometry already
+    passes it as `geometry`, so it is not computed again.
 
     Plane: p goes to (0, 0, 1). With l0 the first nonzero coordinate of p,
     o0 < o1 the other two, and r0, r1, r2 the rows of its `_translation`,
@@ -566,22 +535,26 @@ def normalizing_matrices(curve, geometry=None):
         tangent = geo.tangent
         if tangent is not None and tangent[o1] != 0:
             others = [tangent, others[1] if tangent[o0] != 0 else others[0]]
-        return (*others, last), None, False
-    # at a singular point both contacts are at least 2, so no swap
-    cx, cy = geo.ruling_contacts
-    swap = contact_ge(cx, 2) and not contact_ge(cy, 2)
-    factors = []
-    for c in (p[:2], p[2:]):
-        others, last = _translation(c, 1 if c[1] != 0 else 0)
-        factors.append((*others, last))
-    return (*factors, swap)
+        mats, swap = [(*others, last)], False
+    else:
+        # at a singular point both contacts are at least 2, so no swap
+        cx, cy = geo.ruling_contacts
+        swap = contact_ge(cx, 2) and not contact_ge(cy, 2)
+        mats = []
+        for c in (p[:2], p[2:]):
+            others, last = _translation(c, 1 if c[1] != 0 else 0)
+            mats.append((*others, last))
+    identity = IDENTITY_FRAMES[curve.surface]
+    if not swap and mats == [identity.mx, identity.my][:len(mats)]:
+        return identity
+    return FrameChange(curve.surface, *mats, swap=swap)
 
 
 def normalize_frame(curve, geometry=None):
-    """(frame, moved curve) for the frame of `normalizing_matrices`. For a
-    curve already in standard position nothing is built: the frame is the
-    shared constant IDENTITY_FRAMES[surface], the moved curve the curve."""
-    move = _Move(curve, normalizing_matrices(curve, geometry))
+    """(frame, moved curve) for `normalizing_frame`. For a curve already in
+    standard position nothing is built: the frame is the shared constant
+    IDENTITY_FRAMES[surface], the moved curve the curve."""
+    move = _Move(curve, normalizing_frame(curve, geometry))
     return move.frame, move.exact
 
 

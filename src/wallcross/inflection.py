@@ -52,7 +52,7 @@ from .curves import (
     adjugate,
     contact_ge,
     local_geometry,
-    normalizing_matrices,
+    normalizing_frame,
     restrict,
 )
 from .errors import InternalError
@@ -558,7 +558,7 @@ class InflectionReport:
 
     @cached_property
     def normal(self):
-        return _Move(self.curve, normalizing_matrices(self.curve, self.geometry))
+        return _Move(self.curve, normalizing_frame(self.curve, self.geometry))
 
     @cached_property
     def configuration(self):

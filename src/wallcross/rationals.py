@@ -4,12 +4,13 @@ No scalar in the package is ever a float. Coefficients of polynomials
 follow one rule, kept by `canonical`: an integral coefficient is an int and
 any other a fractions.Fraction with denominator >= 2. A branch series
 (a plain tuple of coefficients) that the package solves holds ints, since
-it is solved over Z. Other exact scalars, such as
-points, slopes, weights and frame entries, are Fractions on the public
-objects (`PointedCurve.point`, `OneParamSubgroup.weights`,
-`FrameChange.mx`, mu values and `Polynomial.evaluate`'s result), but the
-kernels that compute with them (mu, evaluation, frame moves, affine
-charts) work on their canonical values, so integral ones multiply as ints.
+it is solved over Z, and a frame's matrices (`FrameChange.mx`) hold
+canonical entries too. Other exact scalars, such as points, slopes and
+weights, are Fractions on the public objects (`PointedCurve.point`,
+`OneParamSubgroup.weights`, mu values and `Polynomial.evaluate`'s
+result), but the kernels that compute with them (mu, evaluation, frame
+moves, affine charts) work on their canonical values, so integral ones
+multiply as ints.
 mu in particular is evaluated in integers over one common denominator, the
 lcm of the subgroup's weight denominators times that of the slope, and
 only its final value is built as one Fraction. An int and the equal

@@ -18,7 +18,7 @@ from wallcross.criterion import (
     torus_verdict,
 )
 from wallcross.curves import (
-    IDENTITY_MATRICES,
+    IDENTITY_FRAMES,
     FrameChange,
     PointedCurve,
     Surface,
@@ -640,21 +640,20 @@ def full_move_search(curve, t, budget=500, seed=0):
     whole support read, and no corner test."""
     report = InflectionReport(curve)
     g0, moved0 = normalize_frame(curve, report.geometry)
-    frames = [((g0.mx, g0.my, g0.swap), moved0), (IDENTITY_MATRICES[curve.surface], curve)]
-    frames += [(key, None) for key in _adapted_frames(curve, report)]
+    frames = [(g0, moved0), (IDENTITY_FRAMES[curve.surface], curve)]
+    frames += [(frame, None) for frame in _adapted_frames(curve, report)]
     rng = random.Random(seed)
     seen = set()
     tried = 0
     while tried < budget:
-        key, exact = frames.pop(0) if frames else (_random_frame(curve.surface, rng), None)
-        if key in seen:
+        frame, exact = frames.pop(0) if frames else (_random_frame(curve.surface, rng), None)
+        if frame in seen:
             continue
-        seen.add(key)
+        seen.add(frame)
         tried += 1
-        moved = exact if exact is not None else move_curve(curve, *key)[0]
+        moved = exact if exact is not None else move_curve(curve, frame)[0]
         sign, lam = torus_verdict(moved, t)
         if sign > 0:
-            frame = FrameChange(curve.surface, *key)
             mu, _ = mu_min(apply_frame(curve, frame), lam, t)
             return frame, lam, mu
     return None

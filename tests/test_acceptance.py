@@ -19,8 +19,7 @@ from wallcross.criterion import (
     torus_verdict,
 )
 from wallcross.curves import (
-    IDENTITY_MATRICES,
-    FrameChange,
+    IDENTITY_FRAMES,
     PointedCurve,
     Surface,
     WitnessKind,
@@ -112,7 +111,7 @@ def _certified_unstable(curve, t, **kw):
     assert v.status == "Unstable", (v.status, t)
     cert = v.certificate
     assert cert is not None
-    frame = cert.get("frame") or FrameChange(curve.surface, *IDENTITY_MATRICES[curve.surface])
+    frame = cert.get("frame") or IDENTITY_FRAMES[curve.surface]
     moved = apply_frame(curve, frame)
     value, _ = mu_min(moved, cert["lambda"], t)
     assert value == cert["mu"] and value > 0

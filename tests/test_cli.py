@@ -548,7 +548,7 @@ def scaled_point(doc, factor):
 def moved(name, curve):
     """curve moved by the random frame that the golden case name seeds."""
     rng = random.Random(sum(map(ord, name)))
-    return apply_frame(curve, FrameChange(curve.surface, *criterion._random_frame(curve.surface, rng)))
+    return apply_frame(curve, criterion._random_frame(curve.surface, rng))
 
 
 # Curves that each reach one path of the local report or the frame search.

@@ -117,10 +117,7 @@ def test_mu_min_is_the_minimum_over_support_pairs():
     rng = random.Random(53)
     for surface in (Surface.P2, Surface.QUADRIC):
         for _ in range(30):
-            c = apply_frame(
-                _random_curve(surface, 3, rng),
-                FrameChange(surface, *criterion._random_frame(surface, rng)),
-            )
+            c = apply_frame(_random_curve(surface, 3, rng), criterion._random_frame(surface, rng))
             if surface is Surface.P2:
                 w0, w1 = rng.randint(-4, 4), rng.randint(-4, 4)
                 lam = OneParamSubgroup(surface, (w0, w1, -w0 - w1))
@@ -235,9 +232,10 @@ def test_destabilizer_search_budget_exhausts():
     assert destabilizer_search(c, Fraction(15, 8), budget=6) is None
 
 
-def test_exhausted_search_builds_no_frame(monkeypatch):
-    # every frame, the normalizing one included, is tried as plain matrices
-    # on its integer move; only a hit builds a FrameChange and an exact move
+def test_exhausted_search_builds_no_exact_move(monkeypatch):
+    # every frame, the normalizing one included, is tried on its integer
+    # move, and only a hit builds an exact move; the frames built are the
+    # normalizing one, for the report, and the random draws, each once
     built, exact_moves = [], []
     post_init = FrameChange.__post_init__
 
@@ -256,27 +254,29 @@ def test_exhausted_search_builds_no_frame(monkeypatch):
         drawn.append(random_frame(surface, rng))
         return drawn[-1]
 
-    def vanish(curve, *key):
-        tested.append(key)
-        return corners_vanish(curve, *key)
+    def vanish(curve, frame):
+        tested.append(frame)
+        return corners_vanish(curve, frame)
 
     c = make_witness(WitnessKind.P2_NONFLEX, 4)
-    assert normalize_frame(c)[0] is not curves.IDENTITY_FRAMES[c.surface]
+    normal = normalize_frame(c)[0]
+    assert normal is not curves.IDENTITY_FRAMES[c.surface]
     exact = curves.exact_move
     monkeypatch.setattr(FrameChange, "__post_init__", counted)
     monkeypatch.setattr(curves, "exact_move", exact_move)
     monkeypatch.setattr(criterion, "_random_frame", draw)
     monkeypatch.setattr(criterion, "corners_vanish", vanish)
     assert destabilizer_search(c, Fraction(3, 2), budget=20) is None
-    assert built == [] and exact_moves == []
+    assert exact_moves == [] and built == [normal] + drawn
     # past the normalizing frame and the identity every frame is a random
     # one, and none is drawn past the budget: each drawn frame is tried
-    assert drawn == tested and len(drawn) == 18
+    assert len(drawn) == len(tested) == 18 and all(f is g for f, g in zip(drawn, tested))
 
 
 def test_hit_at_the_normalizing_frame_keeps_its_frame(monkeypatch):
-    # at t >= d the normalizing frame destabilizes, and the search builds
-    # its frame once, at the hit, equal to the one normalize_frame returns
+    # at t >= d the normalizing frame destabilizes: the search builds it
+    # once, for the report it keeps, and the hit names that frame, equal to
+    # the one normalize_frame returns
     built = []
     post_init = FrameChange.__post_init__
 
@@ -289,7 +289,8 @@ def test_hit_at_the_normalizing_frame_keeps_its_frame(monkeypatch):
         c = make_witness(kind, d)
         built.clear()
         frame, lam, mu = destabilizer_search(c, Fraction(d + 1), budget=1)
-        assert built == [frame] and frame == normalize_frame(c)[0]
+        assert built == [frame] and frame is criterion._kept[0].normal.frame
+        assert frame == normalize_frame(c)[0]
         assert mu == mu_min(apply_frame(c, frame), lam, Fraction(d + 1))[0] > 0
 
 
@@ -404,6 +405,13 @@ def test_a_zero_certificate_is_rechecked_on_its_exact_move(monkeypatch):
                     stability_verdict(c, wall)
 
 
+def _identity_frame(surface):
+    """An identity frame of the surface, built anew from int rows."""
+    if surface is Surface.P2:
+        return FrameChange(surface, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    return FrameChange(surface, ((1, 0), (0, 1)), ((1, 0), (0, 1)))
+
+
 def test_standard_position_shares_the_identity_frame(monkeypatch):
     # a curve already in standard position: normalize_frame builds nothing
     # and returns the shared identity frame and the curve itself, and the
@@ -419,10 +427,10 @@ def test_standard_position_shares_the_identity_frame(monkeypatch):
     for kind, d in (("p2-flex", 4), ("quadric-x0", 3)):
         c = make_witness(kind, d)
         frame, moved = normalize_frame(c)
-        identity = FrameChange(c.surface, *curves.IDENTITY_MATRICES[c.surface])
+        identity = _identity_frame(c.surface)
         assert frame is curves.IDENTITY_FRAMES[c.surface] and moved is c
         assert frame == identity and frame_to_json(frame) == frame_to_json(identity)
-        assert frame.matrices == curves.IDENTITY_MATRICES[c.surface]
+        assert hash(frame) == hash(identity)
         wall, edge = analyzed_slopes(c.surface, d)
         assert torus_verdict(c, wall)[0] == 0
         solved.clear()
@@ -432,6 +440,41 @@ def test_standard_position_shares_the_identity_frame(monkeypatch):
         assert sum(curve is c for curve in solved) == 1 and len(solved) > 1
         found = destabilizer_search(c, edge + 1, budget=1)
         assert found is not None and found[0] is curves.IDENTITY_FRAMES[c.surface]
+
+
+def test_a_random_frame_equal_to_a_first_frame_is_moved_once(monkeypatch):
+    # a random draw equal to the normalizing frame or to the identity, but
+    # another object, is a repeat: the search skips it, so the normalizing
+    # frame is moved once, for the report, and the identity never; one on
+    # a curve off the coordinate points, one on a curve in standard position
+    hit_curve = curve_from_json(RANDOM_FRAME_HITS[0][0])
+    flex = make_witness(WitnessKind.P2_FLEX, 4)
+    for curve, t in ((hit_curve, Fraction(1, 2)), (flex, analyzed_slopes(Surface.P2, 4)[0])):
+        normal = normalize_frame(curve)[0]
+        identity = curves.IDENTITY_FRAMES[curve.surface]
+        copies = [replace(normal), _identity_frame(curve.surface)]
+        assert copies == [normal, identity] and copies[0] is not normal
+        draws, moved = iter(copies), []
+        random_frame, move = criterion._random_frame, curves.move_curve
+
+        def draw(surface, rng):
+            return next(draws, None) or random_frame(surface, rng)
+
+        def full(c, frame):
+            # moves of the curve itself, not of the chart at its point
+            if c is curve:
+                moved.append(frame)
+            return move(c, frame)
+
+        adapted = criterion._adapted_frames(curve, inflection_report(curve))
+        with monkeypatch.context() as m:
+            m.setattr(criterion, "_random_frame", draw)
+            m.setattr(curves, "move_curve", full)
+            # the first frames, both copies and one more draw
+            assert destabilizer_search(curve, t, budget=len({normal, identity, *adapted}) + 1) is None
+        assert next(draws, None) is None
+        assert moved.count(normal) == (normal is not identity) and identity not in moved
+        assert len(moved) == len(set(moved))
 
 
 def _terms(*pairs):
@@ -477,7 +520,7 @@ def test_random_frame_hits_keep_their_certificates(doc, budget, frame_doc, weigh
     frame, lam, mu = destabilizer_search(curve, t, budget=budget)
     assert frame_to_json(frame) == frame_doc
     assert lam.weights == weights and mu == Fraction(1, 2)
-    assert frame not in (normalize_frame(curve)[0], FrameChange(curve.surface, *curves.IDENTITY_MATRICES[curve.surface]))
+    assert frame not in (normalize_frame(curve)[0], curves.IDENTITY_FRAMES[curve.surface])
     assert mu_min(apply_frame(curve, frame), lam, t)[0] == mu
 
 
@@ -504,8 +547,8 @@ def test_adapted_frame_hits(witness, t, frame_doc, weights, mu):
     frame, lam, found_mu = destabilizer_search(curve, t, budget=3)
     assert frame_to_json(frame) == frame_doc
     assert lam.weights == weights and found_mu == mu
-    assert (frame.mx, frame.my, frame.swap) in criterion._adapted_frames(curve, inflection_report(curve))
-    assert frame not in (normalize_frame(curve)[0], FrameChange(curve.surface, *curves.IDENTITY_MATRICES[curve.surface]))
+    assert frame in criterion._adapted_frames(curve, inflection_report(curve))
+    assert frame not in (normalize_frame(curve)[0], curves.IDENTITY_FRAMES[curve.surface])
     assert mu_min(apply_frame(curve, frame), lam, t)[0] == mu
 
 
@@ -539,9 +582,10 @@ def test_adapted_frames_put_the_flag_in_coordinate_position(kind):
         for frame in frames:
             curve = apply_frame(base, frame)
             report = inflection_report(curve)
-            [(mx, my, swap)] = criterion._adapted_frames(curve, report)
+            [adapted] = criterion._adapted_frames(curve, report)
+            mx, my = adapted.mx, adapted.my
             details, p = report.special.details, curve.point
-            assert not swap
+            assert not adapted.swap
             if kind is WitnessKind.P2_S:
                 q = details["tangency"]
                 others, _ = curves._translation(q, next(i for i in range(3) if q[i]))
@@ -749,16 +793,16 @@ def test_random_frame_hit_is_rechecked_on_the_exact_move(monkeypatch):
 
     # moves of the curve itself: the chart at its point, off a coordinate
     # point, moves another curve, the equation with that point
-    def full(c, *key):
-        move = move_curve(c, *key)
+    def full(c, frame):
+        move = move_curve(c, frame)
         if c is curve:
             moves.append(move)
         return move
 
-    def exact_move(c, moved, scale, *key):
+    def exact_move(c, moved, scale, frame):
         if c is curve:
             exact_moves.append((moved, scale))
-        return exact(c, moved, scale, *key)
+        return exact(c, moved, scale, frame)
 
     exact = curves.exact_move
     monkeypatch.setattr(criterion, "torus_verdict", verdict)
@@ -804,20 +848,20 @@ def test_frame_with_every_corner_present_cannot_destabilize_below_d():
         below = (Fraction(1, 2), wall, (wall + edge) / 2, d - Fraction(1, 1000),
                  Fraction(rng.randint(1, 4 * d - 1), 4))
         for swap in (False, True):
-            key = criterion._random_frame(curve.surface, rng)
+            frame = criterion._random_frame(curve.surface, rng)
             if curve.surface is Surface.QUADRIC:
-                key = (key[0], key[1], swap)
+                frame = replace(frame, swap=swap)
             elif swap:
                 continue
-            full = move_curve(curve, *key)[0]
+            full = move_curve(curve, frame)[0]
             missing = _corner_exponents(curve.surface, d) - set(full.equation.terms)
-            assert corners_vanish(curve, *key) == bool(missing), (curve, key)
+            assert corners_vanish(curve, frame) == bool(missing), (curve, frame)
             if missing:
                 vanished += 1
                 continue
-            complete.add((curve.surface, key[2]))
+            complete.add((curve.surface, frame.swap))
             for t in below:
-                assert torus_verdict(full, t)[0] < 0, (curve, key, t)
+                assert torus_verdict(full, t)[0] < 0, (curve, frame, t)
             for t in (d + Fraction(1, 2), 3 * d):
                 if torus_verdict(full, t)[0] > 0:
                     hits_above.add(curve.surface)
@@ -861,7 +905,7 @@ def test_frame_with_a_vanishing_corner_takes_the_full_move(monkeypatch):
     # the identity keeps (0 : 0 : 1) on the curve, so its corner x2^d has
     # the coefficient C(0, 0, 1) = 0
     nonflex = make_witness(WitnessKind.P2_NONFLEX, 4)
-    assert corners_vanish(nonflex, *curves.IDENTITY_MATRICES[Surface.P2])
+    assert corners_vanish(nonflex, curves.IDENTITY_FRAMES[Surface.P2])
     # below t = d, exactly the frames whose corners vanish are moved in
     # full, and the torus is solved only on them, the normalizing frame and
     # the identity; the quadric hit of RANDOM_FRAME_HITS is one of them
@@ -869,15 +913,15 @@ def test_frame_with_a_vanishing_corner_takes_the_full_move(monkeypatch):
     curve = curve_from_json(doc)
     tested, moves, solved = [], [], []
 
-    def vanish(curve, *key):
-        tested.append((key, corners_vanish(curve, *key)))
+    def vanish(curve, frame):
+        tested.append((frame, corners_vanish(curve, frame)))
         return tested[-1][1]
 
-    def full(c, *key):
+    def full(c, frame):
         # moves of the curve itself, not of the chart at its point
-        move = move_curve(c, *key)
+        move = move_curve(c, frame)
         if c is curve:
-            moves.append((key, move))
+            moves.append((frame, move))
         return move
 
     def verdict(moved, t):
@@ -888,12 +932,12 @@ def test_frame_with_a_vanishing_corner_takes_the_full_move(monkeypatch):
     monkeypatch.setattr(curves, "move_curve", full)
     monkeypatch.setattr(criterion, "torus_verdict", verdict)
     frame, _, _ = destabilizer_search(curve, Fraction(1, 2), budget=budget)
-    # the normalizing key's move comes first, with no corner test
-    normalizing = curves.normalizing_matrices(curve)
-    assert normalizing != curves.IDENTITY_MATRICES[curve.surface]
+    # the normalizing frame's move comes first, with no corner test
+    normalizing = curves.normalizing_frame(curve)
+    assert normalizing != curves.IDENTITY_FRAMES[curve.surface]
     assert moves[0][0] == normalizing
-    assert [key for key, _ in moves[1:]] == [key for key, vanished in tested if vanished]
-    assert moves[-1][0] == (frame.mx, frame.my, frame.swap)
+    assert [f for f, _ in moves[1:]] == [f for f, vanished in tested if vanished]
+    assert moves[-1][0] == frame
     assert len(moves) - 1 < len(tested)
     assert solved[1] is curve
     assert [solved[0]] + solved[2:] == [moved for _, (moved, _) in moves]
@@ -1012,7 +1056,7 @@ def test_verdict_has_one_status_per_chamber():
         d = rng.choice((3, 4, 5) if surface is Surface.P2 else (3, 4))
         curve = _workload_curve(rng, surface, d)
         if i % 4 >= 2:
-            curve = apply_frame(curve, FrameChange(surface, *criterion._random_frame(surface, rng)))
+            curve = apply_frame(curve, criterion._random_frame(surface, rng))
         wall, edge = analyzed_slopes(surface, d)
         statuses = {stability_verdict(curve, wall + (edge - wall) * Fraction(k, 7), budget=40).status
                     for k in range(1, 7)}
@@ -1197,11 +1241,38 @@ def _decode_frame(surface, token):
     return mx, my, token[8] == "1"
 
 
+# The first five random frames from seed 0, as (mx, my, swap) literals.
+FIRST_RANDOM_FRAMES = {
+    Surface.P2: [
+        (((3, 0, 3), (0, -3, -1), (1, 0, 0)), None, False),
+        (((3, 3, -1), (0, -1, 1), (-2, 1, -2)), None, False),
+        (((-1, -2, 3), (-3, 1, 3), (-1, 1, 2)), None, False),
+        (((3, 1, -2), (-1, -3, 2), (-3, 3, 2)), None, False),
+        (((-1, 0, 1), (-3, -1, 0), (-1, 1, 2)), None, False),
+    ],
+    Surface.QUADRIC: [
+        (((0, 3), (3, -1)), ((0, -1), (1, -2)), True),
+        (((1, 2), (3, 1)), ((-2, -1), (-3, 2)), False),
+        (((3, 2), (-1, 0)), ((1, -3), (-1, 0)), False),
+        (((-1, -3), (3, 1)), ((-3, -3), (2, 3)), False),
+        (((2, 3), (3, 2)), ((2, -3), (1, 0)), True),
+    ],
+}
+
+
 def test_random_frames_keep_their_recorded_draws():
+    # a random frame is built only after its swap bit is drawn, so the
+    # stream of draws, and with it every random-hit certificate, stays put
     for (surface, seed), tokens in RANDOM_FRAME_DRAWS.items():
         rng = random.Random(seed)
         for token in tokens.split():
-            assert criterion._random_frame(surface, rng) == _decode_frame(surface, token)
+            frame = criterion._random_frame(surface, rng)
+            assert (frame.mx, frame.my, frame.swap) == _decode_frame(surface, token)
+    for surface, literals in FIRST_RANDOM_FRAMES.items():
+        rng = random.Random(0)
+        frames = [criterion._random_frame(surface, rng) for _ in literals]
+        assert [(f.mx, f.my, f.swap) for f in frames] == literals
+        assert all(type(x) is int for f in frames for m in (f.mx, f.my) if m for row in m for x in row)
 
 
 def test_point_labels_match_the_explicit_labels_at_every_zero_pattern():

@@ -96,7 +96,7 @@ def test_move_through_the_adjugate_matches_the_inverse_substitution(case):
     assert exact.equation == equation and exact.point == point
     # the unscaled move, which the frame search uses, has the support and
     # the point zero pattern of the exact move, and its scalar restores it
-    moved, scale = move_curve(curve, frame.mx, frame.my, frame.swap)
+    moved, scale = move_curve(curve, frame)
     assert set(moved.equation.terms) == set(exact.equation.terms)
     assert [c != 0 for c in moved.point] == [c != 0 for c in exact.point]
     assert moved.equation * scale == exact.equation

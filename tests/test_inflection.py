@@ -490,11 +490,12 @@ def _gate_corpus():
                     mx, my = _integer_frame(n, rng, sheared), _integer_frame(n, rng, sheared)
                     try:
                         if base.surface is Surface.P2:
-                            moved, _ = move_curve(base, mx)
+                            frame = FrameChange(base.surface, mx)
                         else:
-                            moved, _ = move_curve(base, mx, my, bool(rng.getrandbits(1)))
+                            frame = FrameChange(base.surface, mx, my, bool(rng.getrandbits(1)))
                     except ValueError:
                         continue
+                    moved, _ = move_curve(base, frame)
                     curves.append(moved)
                     break
     for i in range(150):
